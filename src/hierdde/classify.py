@@ -85,6 +85,8 @@ class StabilityVerdict:
 
 
 def _ext(x):
+    """inf-tolerant JSON encoding for extended reals."""
+    x = float(x)
     if x == math.inf:
         return "inf"
     if x == -math.inf:

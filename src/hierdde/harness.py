@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .classify import classify, sup_gamma
+from .classify import _ext, classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, assemble_A_k, manifold_grid,
@@ -38,16 +38,6 @@ _FMT = "%.17g"
 
 def _fmt(x):
     return _FMT % float(x)
-
-
-def _ext(x):
-    """inf-tolerant JSON encoding for extended reals."""
-    x = float(x)
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
 
 
 # ---------------------------------------------------------------------------

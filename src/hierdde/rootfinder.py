@@ -13,6 +13,7 @@ must accept a complex ndarray and return a matching ndarray, which is what
 lets the backend kernels carry the load on dense spectra.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -21,12 +22,7 @@ import numpy as np
 from .errors import BoundaryZeroError, DimensionError, ResolutionError
 from .linalg import cluster_points
 
-__all__ = [
-    "Rectangle",
-    "RootResult",
-    "count_zeros",
-    "find_roots",
-]
+__all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
 
 MAX_PHASE_STEP = math.pi / 4       # largest trusted phase change per interval
 MAX_MAG_JUMP = math.log(4.0)       # largest trusted |log|f|| change
@@ -36,6 +32,8 @@ _JITTERS = (0.0, 0.033, -0.051, 0.017)
 _INFLATE_FRACTION = 1e-6
 _EPS_MACH = 2.0 ** -52
 MULTI_ROOT_RES = 2.0 ** -26   # sqrt(machine eps): cluster resolution limit
+MAX_BATCH_CELLS = 256         # cells per batched count: bounds kernel memory
+_log = logging.getLogger("hierdde")
 
 
 def _noise_radius(mult):
@@ -100,119 +98,115 @@ class RootResult:
     newton_converged: bool
 
 
-class _BoundaryNearZero(Exception):
-    """Internal: a boundary sample fell below the relative zero threshold."""
+def _boundary_points(box, t):
+    """Map arc-length fractions t in [0, 1) to boundary points, ccw, on the
+    rectangles whose (re_min, re_max, im_min, im_max) arrays are ``box``."""
+    x0, x1, y0, y1 = box
+    w, h = x1 - x0, y1 - y0
+    s = t * (2.0 * (w + h))
+    return np.where(s < w, x0 + s + 1j * y0,
+                    np.where(s < w + h, x1 + 1j * (y0 + (s - w)),
+                             np.where(s < 2 * w + h,
+                                      x1 - (s - w - h) + 1j * y1,
+                                      x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
-class _UnsplittableCell(Exception):
-    """Internal: every jittered split line ran through a zero's noise zone."""
-
-
-def _boundary_points(rect, t):
-    """Map arc-length fractions t in [0, 1) to boundary points, ccw."""
-    w, h = rect.width, rect.height
-    P = 2.0 * (w + h)
-    s = t * P
-    z = np.empty(t.shape, np.complex128)
-    m = s < w
-    z[m] = rect.re_min + s[m] + 1j * rect.im_min
-    m = (s >= w) & (s < w + h)
-    z[m] = rect.re_max + 1j * (rect.im_min + (s[m] - w))
-    m = (s >= w + h) & (s < 2 * w + h)
-    z[m] = rect.re_max - (s[m] - w - h) + 1j * rect.im_max
-    m = s >= 2 * w + h
-    z[m] = rect.re_min + 1j * (rect.im_max - (s[m] - 2 * w - h))
-    return z
-
-
-def _winding_count(f, fprime, rect, boundary_tol, max_depth, n0=32,
+def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
                    max_samples=2_000_000):
-    """Winding number of f around rect via adaptive boundary sampling.
+    """Winding numbers of f around each rectangle, by adaptive sampling.
 
     Intervals are refined until the phase step, the log-magnitude step and
     (when fprime is given) the first-order phase estimate |dz| |f'/f| are all
     small; intervals much longer than the resolved median are split as well,
     which stops an interval whose endpoints happen to agree from hiding a
     full extra turn.
+
+    All rectangles share the kernel calls of each round, in one sample set
+    sorted by (cell, t), yet each sees exactly the samples it would see
+    alone.  Returns one count per rectangle, None where a zero sits on its
+    contour; a ``ResolutionError`` in any rectangle raises.
     """
-    t = np.arange(n0, dtype=np.float64) / n0
-    z = _boundary_points(rect, t)
+    box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
+                    for r in rects]).T
+    ztol = np.array([boundary_tol * r.diag for r in rects])
+    cid = np.repeat(np.arange(len(rects)), n0)
+    t = np.tile(np.arange(n0, dtype=np.float64) / n0, len(rects))
+    z = _boundary_points(box[:, cid], t)
     fz = f(z)
-    ratio = None
-    if fprime is not None:
-        ratio = fprime(z)
+    dfz = None if fprime is None else fprime(z)
+    out = [None] * len(rects)
     for _ in range(max_depth + 1):
-        absf = np.abs(fz)
-        # on-boundary zero test: |f| alone cannot be thresholded because it
-        # spans many orders of magnitude along these boundaries (exponential
-        # growth off the imaginary axis), so estimate the distance to the
-        # nearest root first-order as |f| / |f'| (or via a neighbour secant
-        # slope when no derivative is available) and flag only roots within
-        # boundary_tol * diag of the contour
-        if float(absf.min()) == 0.0:
-            raise _BoundaryNearZero
+        cells, starts, seg, sizes = np.unique(
+            cid, return_index=True, return_inverse=True, return_counts=True)
+        ends = starts + sizes - 1
+        nxt = np.arange(1, cid.size + 1)
+        nxt[ends] = starts
         with np.errstate(divide="ignore", invalid="ignore"):
-            if ratio is not None:
-                dist_est = absf / np.abs(ratio)
+            absf = np.abs(fz)
+            # on-boundary zero test: |f| spans many orders of magnitude along
+            # these boundaries (exponential growth off the imaginary axis),
+            # so flag a root estimated first-order, as |f| / |f'| or via a
+            # secant slope, within boundary_tol * diag of the contour
+            if dfz is not None:
+                dist = absf / np.abs(dfz)
             else:
-                dz = np.abs(np.diff(z, append=z[0]))
-                df = np.abs(np.diff(fz, append=fz[0]))
-                slope = np.where(dz > 0.0, df / np.where(dz > 0.0, dz, 1.0),
-                                 0.0)
-                slope = np.maximum(slope, np.roll(slope, 1))
-                dist_est = np.where(slope > 0.0, absf / slope, np.inf)
-        if float(np.min(dist_est)) <= boundary_tol * rect.diag:
-            raise _BoundaryNearZero
-        phase = np.angle(fz)
-        dphi = np.diff(phase, append=phase[0])
-        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-        magjump = np.abs(np.diff(np.log(absf), append=np.log(absf[0])))
-        bad = (np.abs(dphi) > MAX_PHASE_STEP) | (magjump > MAX_MAG_JUMP)
-
-        lens = np.diff(t, append=t[0] + 1.0)
-        if fprime is not None:
-            w_over_f = np.abs(ratio) / absf
-            pair = np.maximum(w_over_f, np.roll(w_over_f, -1))
-            P = 2.0 * (rect.width + rect.height)
-            bad |= (lens * P * pair) > DERIV_EST_LIMIT
-        good_lens = lens[~bad]
-        if good_lens.size:
-            med = float(np.median(good_lens))
-            bad |= lens > LEN_OUTLIER_FACTOR * max(med, 1.0 / max_samples)
-
-        if not bad.any():
-            turns = float(dphi.sum()) / (2.0 * np.pi)
-            count = int(round(turns))
-            if abs(turns - count) > 0.25:
-                raise ResolutionError(
-                    f"non-integer winding {turns:.3f} on {rect}")
-            return count
-
-        # an interval that stays bad after shrinking to the floating-point
-        # spacing of its own endpoints cannot be refined further: the phase
-        # is jumping because f is evaluation noise there, which happens
-        # exactly when a root (possibly multiple) sits on or next to the
-        # contour -- treat it as a boundary zero
-        P = 2.0 * (rect.width + rect.height)
-        if bool(np.any(bad & (lens * P <= 4.0 * _EPS_MACH
-                              * (1.0 + np.abs(z))))):
-            raise _BoundaryNearZero
-
-        tmid = np.mod(t[bad] + 0.5 * lens[bad], 1.0)
-        if t.size + tmid.size > max_samples:
+                dz = np.abs(z[nxt] - z)
+                slope = np.where(dz > 0.0, np.abs(fz[nxt] - fz) / dz, 0.0)
+                # argsort inverts nxt: the slope of the interval before
+                slope = np.maximum(slope, slope[np.argsort(nxt)])
+                dist = np.where(slope > 0.0, absf / slope, np.inf)
+            on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
+                       | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
+            phase = np.angle(fz)
+            dphi = np.mod(phase[nxt] - phase + np.pi, 2.0 * np.pi) - np.pi
+            logf = np.log(absf)
+            bad = ((np.abs(dphi) > MAX_PHASE_STEP)
+                   | (np.abs(logf[nxt] - logf) > MAX_MAG_JUMP))
+            lens = t[nxt] - t
+            lens[ends] = t[starts] + 1.0 - t[ends]
+            P = (2.0 * ((box[1] - box[0]) + (box[3] - box[2])))[cid]
+            if dfz is not None:
+                w_over_f = np.abs(dfz) / absf
+                pair = np.maximum(w_over_f, w_over_f[nxt])
+                bad |= (lens * P * pair) > DERIV_EST_LIMIT
+        # per-cell median of the good lengths, taken as np.median takes it
+        srt = lens[np.lexsort((lens, bad, seg))]
+        k = np.add.reduceat(~bad, starts, dtype=np.int64)
+        lo = starts + (k - 1) // 2
+        med = np.where(k > 0, (srt[lo] + srt[lo + 1 - k % 2]) / 2.0, np.inf)
+        bad |= lens > (LEN_OUTLIER_FACTOR
+                       * np.maximum(med, 1.0 / max_samples))[seg]
+        # an interval still bad at the floating-point spacing of its own
+        # endpoints cannot be refined: f is evaluation noise there, as when a
+        # (possibly multiple) root sits on or next to the contour
+        stuck = bad & (lens * P <= 4.0 * _EPS_MACH * (1.0 + np.abs(z)))
+        nbad = np.add.reduceat(bad, starts, dtype=np.int64)
+        on_zero |= np.logical_or.reduceat(stuck, starts)
+        turns = np.add.reduceat(dphi, starts) / (2.0 * np.pi)
+        for j in np.flatnonzero(~on_zero & (nbad == 0)):
+            out[cells[j]] = count = int(round(float(turns[j])))
+            if abs(turns[j] - count) > 0.25:
+                raise ResolutionError(f"non-integer winding {turns[j]:.3f} "
+                                      f"on {rects[cells[j]]}")
+        going = ~on_zero & (nbad > 0)
+        if np.any(going & (sizes + nbad > max_samples)):
             raise ResolutionError(
                 f"boundary refinement exceeded {max_samples} samples")
-        znew = _boundary_points(rect, tmid)
-        fnew = f(znew)
-        t = np.concatenate([t, tmid])
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        z = np.concatenate([z, znew])[order]
-        fz = np.concatenate([fz, fnew])[order]
+        keep = going[seg]
+        if not keep.any():
+            return out
+        new = bad & keep
+        tmid = np.mod(t[new] + 0.5 * lens[new], 1.0)
+        znew = _boundary_points(box[:, cid[new]], tmid)
+        order = np.lexsort((np.r_[t[keep], tmid], np.r_[cid[keep], cid[new]]))
+        t = np.r_[t[keep], tmid][order]
+        cid = np.r_[cid[keep], cid[new]][order]
+        z = np.r_[z[keep], znew][order]
+        fz = np.r_[fz[keep], f(znew)][order]
         if fprime is not None:
-            ratio = np.concatenate([ratio, fprime(znew)])[order]
-    raise ResolutionError(
-        f"boundary refinement did not settle in {max_depth} rounds on {rect}")
+            dfz = np.r_[dfz[keep], fprime(znew)][order]
+    raise ResolutionError(f"boundary refinement did not settle in "
+                          f"{max_depth} rounds on {rects[cid[0]]}")
 
 
 def _count_with_inflation(f, fprime, rect, boundary_tol, max_depth,
@@ -220,11 +214,9 @@ def _count_with_inflation(f, fprime, rect, boundary_tol, max_depth,
     base = _INFLATE_FRACTION * rect.diag
     for attempt in range(inflate_tries + 1):
         grown = rect if attempt == 0 else rect.inflate(attempt * base)
-        try:
-            return _winding_count(f, fprime, grown, boundary_tol,
-                                  max_depth), grown
-        except _BoundaryNearZero:
-            continue
+        count, = _winding_count(f, fprime, [grown], boundary_tol, max_depth)
+        if count is not None:
+            return count, grown
     raise BoundaryZeroError(
         f"a zero sits on the boundary of {rect} and {inflate_tries} "
         f"inflation retries did not clear it")
@@ -240,47 +232,56 @@ def count_zeros(f, rect, fprime=None, boundary_tol=1e-13, max_depth=96):
     count then refers to the inflated rectangle), after which
     ``BoundaryZeroError`` is raised.
     """
-    count, _ = _count_with_inflation(f, fprime, rect, boundary_tol, max_depth)
-    return count
+    return _count_with_inflation(f, fprime, rect, boundary_tol, max_depth)[0]
 
 
-def _split(f, fprime, rect, count, boundary_tol, max_depth):
-    """Split rect into 2 or 4 children whose counts sum to count.
+def _split(f, fprime, cells, boundary_tol, max_depth):
+    """Split each (rect, count) cell into 2 or 4 children with counts.
 
     Near-square cells are quadrisected; cells with aspect ratio beyond 2 are
     bisected across the long axis (spectral windows are extreme strips and
     quadrisection would waste a dimension).  Split lines are jittered when a
     child count fails to add up, which moves the lines off any root they
-    grazed.
+    grazed.  Returns the (child, count) pairs with zeros, the cells whose
+    every jitter hit a (noise) zero on a split line -- their zeros cannot be
+    separated in double precision -- and the cells failing each jitter.
     """
-    w, h = rect.width, rect.height
-    mismatched = False
-    for jit in _JITTERS:
-        xs = [rect.re_min, rect.re_max]
-        ys = [rect.im_min, rect.im_max]
-        if w > 2.0 * h:
-            xs = [rect.re_min, rect.re_min + (0.5 + jit) * w, rect.re_max]
-        elif h > 2.0 * w:
-            ys = [rect.im_min, rect.im_min + (0.5 + jit) * h, rect.im_max]
-        else:
-            xs = [rect.re_min, rect.re_min + (0.5 + jit) * w, rect.re_max]
-            ys = [rect.im_min, rect.im_min + (0.5 + jit) * h, rect.im_max]
-        children = [Rectangle(xs[i], xs[i + 1], ys[j], ys[j + 1])
-                    for i in range(len(xs) - 1) for j in range(len(ys) - 1)]
-        try:
-            counted = [(c, _winding_count(f, fprime, c, boundary_tol,
-                                          max_depth)) for c in children]
-        except _BoundaryNearZero:
-            continue
-        if sum(cnt for _, cnt in counted) == count:
-            return counted
-        mismatched = True
-    if not mismatched:
-        # every jitter hit a (noise) zero on its split line: the cell's
-        # zeros cannot be separated in double precision
-        raise _UnsplittableCell
-    raise ResolutionError(
-        f"child counts never matched the parent count {count} on {rect}")
+    split, failed, mismatched = {}, [0] * len(_JITTERS), set()
+    todo = range(len(cells))
+    for j, jit in enumerate(_JITTERS):
+        kids = []
+        for i in todo:
+            r, w, h = cells[i][0], cells[i][0].width, cells[i][0].height
+            xs, ys = [r.re_min, r.re_max], [r.im_min, r.im_max]
+            if not h > 2.0 * w:
+                xs.insert(1, r.re_min + (0.5 + jit) * w)
+            if not w > 2.0 * h:
+                ys.insert(1, r.im_min + (0.5 + jit) * h)
+            kids.append([Rectangle(a, b, c, d) for a, b in zip(xs, xs[1:])
+                         for c, d in zip(ys, ys[1:])])
+        flat = [c for ks in kids for c in ks]
+        counts = iter([c for lo in range(0, len(flat), MAX_BATCH_CELLS)
+                       for c in _winding_count(f, fprime,
+                                               flat[lo:lo + MAX_BATCH_CELLS],
+                                               boundary_tol, max_depth)])
+        retry = []
+        for i, ks in zip(todo, kids):
+            got = [next(counts) for _ in ks]
+            if None in got:
+                retry.append(i)
+            elif sum(got) == cells[i][1]:
+                split[i] = [(c, n) for c, n in zip(ks, got) if n]
+            else:
+                mismatched.add(i)
+                retry.append(i)
+        failed[j], todo = len(retry), retry
+        if not todo:
+            break
+    for i in mismatched.intersection(todo):
+        raise ResolutionError(f"child counts never matched the parent count "
+                              f"{cells[i][1]} on {cells[i][0]}")
+    return ([kid for i in sorted(split) for kid in split[i]],
+            [cells[i] for i in todo], failed)
 
 
 def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None):
@@ -360,40 +361,34 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
         return []
 
     found = []  # (location, multiplicity, converged)
-    work = [(base, total, False)]
+    work, failed = [(base, total, False)], [0] * len(_JITTERS)
     for _ in range(max_passes):
         if not work:
             break
-        singles, clusters, stack = [], [], work
-        work = []
-        while stack:
-            cell, cnt, force = stack.pop()
-            if cnt == 0:
-                continue
-            # a cell holding a few zeros stops splitting near the cluster
-            # resolution limit: the noise zone of an m-fold root has radius
-            # ~ (machine eps)^(1/m) and split lines (jittered by a few
-            # percent of the cell) can no longer avoid it reliably once the
-            # cell is within a small factor of that radius.  The early stop
-            # only applies to low-order clusters: for larger counts that
-            # radius would dwarf genuine root spacings (dense spectra put
-            # hundreds of separated roots in one window), so those cells
-            # keep subdividing and a true high-order root is still caught
-            # by the unsplittable-cell fallback below
-            stop = max(tol, 8.0 * _noise_radius(cnt)
-                       * (1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
-            if cell.diag < stop:
-                clusters.append((cell, cnt))
-            elif cnt == 1 and not force:
-                singles.append(cell)
-            else:
-                try:
-                    for child, ccnt in _split(f, fprime, cell, cnt,
-                                              boundary_tol, max_depth):
-                        if ccnt:
-                            stack.append((child, ccnt, False))
-                except _UnsplittableCell:
+        singles, clusters, generation, work = [], [], work, []
+        while generation:
+            to_split = []
+            for cell, cnt, force in generation:
+                # a cell holding a few zeros stops splitting near the cluster
+                # resolution limit: the noise zone of an m-fold root has
+                # radius ~ (machine eps)^(1/m), which jittered split lines
+                # cannot avoid once the cell is a few times that size.  Only
+                # low-order clusters stop early: for larger counts the radius
+                # would dwarf genuine root spacings of dense spectra, and a
+                # true high-order root is still caught as unsplittable below
+                stop = max(tol, 8.0 * _noise_radius(cnt) * (
+                    1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
+                if cell.diag < stop:
                     clusters.append((cell, cnt))
+                elif cnt == 1 and not force:
+                    singles.append(cell)
+                else:
+                    to_split.append((cell, cnt))
+            kids, stuck, fails = _split(f, fprime, to_split, boundary_tol,
+                                        max_depth)
+            generation = [(c, n, False) for c, n in kids]
+            clusters += stuck
+            failed = [a + b for a, b in zip(failed, fails)]
 
         if singles:
             centers = np.array([c.center for c in singles])
@@ -467,4 +462,9 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
         raise ResolutionError(
             f"located multiplicities do not sum to the boundary count "
             f"{total} on {rect}")
+    unconverged = sum(not r.newton_converged for r in results)
+    _log.debug("find_roots on %s: %d roots, %d not Newton-converged; window "
+               "inflated: %s; cells failing each split jitter (the last are "
+               "unsplittable): %s", rect, len(results), unconverged,
+               base is not rect, failed)
     return results
