@@ -7,15 +7,17 @@ eigenvalues with real part ~ eps**k > 0.  The supremum of each scale's
 manifolds is estimated by a coarse lattice plus Nelder-Mead refinement
 from the best cells, with an uncertainty radius from the local sample
 variation; verdicts use a margin band because numerics cannot certify an
-exact zero crossing.
+exact zero crossing.  The Nelder-Mead searches of one supremum run in
+lockstep: each step evaluates four speculative points per seed
+(reflection, expansion, both contractions) in one grid call.
 """
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .degeneracy import check_nd
 from .errors import DegenerateSystemError, TrivialityError
@@ -33,6 +35,7 @@ __all__ = [
 UNBOUNDED_GAMMA = math.log(1e8)
 _NM_OPTIONS = dict(xatol=1e-12, fatol=1e-11, maxiter=4000, maxfev=6000)
 _SEED_COUNT = 5
+_log = logging.getLogger("hierdde")
 
 
 @dataclass(frozen=True)
@@ -94,45 +97,136 @@ def _ext(x):
     return x
 
 
-def _finite_row_max(gammas, neff):
-    """Largest finite gamma per grid row, -inf where none exists."""
+def _row_max(gammas, neff):
+    """Largest gamma per grid row and its branch.
+
+    A zero root gives +inf at the first such branch; a row without a finite
+    gamma gives -inf and branch -1.
+    """
+    M = gammas.shape[0]
     if gammas.shape[1] == 0:
-        return np.full(gammas.shape[0], -math.inf)
-    cols = np.arange(gammas.shape[1])[None, :]
-    valid = (cols < neff[:, None]) & np.isfinite(gammas)
-    safe = np.where(valid, gammas, -math.inf)
-    return safe.max(axis=1)
+        return np.full(M, -math.inf), np.full(M, -1)
+    valid = np.arange(gammas.shape[1])[None, :] < neff[:, None]
+    inf = valid & (gammas == math.inf)
+    safe = np.where(valid & np.isfinite(gammas), gammas, -math.inf)
+    has_inf = inf.any(axis=1)
+    branch = np.where(has_inf, np.argmax(inf, axis=1),
+                      np.argmax(safe, axis=1))
+    val = np.where(has_inf, math.inf, safe[np.arange(M), branch])
+    return val, np.where(val == -math.inf, -1, branch)
 
 
-def _eval_max(data, sigma, sigma_k, x):
-    """Best finite gamma at one search point x = [omega, phi...]."""
-    omegas = np.array([x[0]])
-    phis = np.asarray(x[1:], np.float64).reshape(1, -1)
-    _, gammas, neff, dk, _ = _grid_gammas(data, sigma, sigma_k, omegas, phis)
-    if dk == 0 or neff[0] <= 0:
-        return -math.inf, -1
-    row = gammas[0, :neff[0]]
-    finite = np.isfinite(row)
-    if np.any(row == math.inf):
-        return math.inf, int(np.argmax(row == math.inf))
-    if not finite.any():
-        return -math.inf, -1
-    idx = int(np.argmax(np.where(finite, row, -math.inf)))
-    return float(row[idx]), idx
+def _eval_max(data, sigma, sigma_k, X):
+    """``_row_max`` at the search points X[i] = [omega, phi...]."""
+    _, gammas, neff, _, _ = _grid_gammas(data, sigma, sigma_k, X[:, 0],
+                                         X[:, 1:])
+    return _row_max(gammas, neff)
 
 
-def sup_gamma(sys, ladder, k, search_cfg=None):
+def _sort_simplices(sim, fsim):
+    order = np.argsort(fsim, axis=1)
+    return (np.take_along_axis(sim, order[:, :, None], axis=1),
+            np.take_along_axis(fsim, order, axis=1))
+
+
+def minimize(fun, simplices):
+    """Nelder-Mead from each of the stacked simplices (S, N+1, N), in lockstep.
+
+    Every seed follows scipy's non-adaptive Nelder-Mead step for step: the
+    same constants, the argsort re-ordering after every step, and its
+    termination test with the ``_NM_OPTIONS`` tolerances and limits (a
+    seed that reaches ``maxfev`` mid-step stops where scipy stops).  Only
+    the evaluation order differs: ``fun`` maps an (M, N) array of points
+    to M values, and one call per step evaluates the reflection,
+    expansion, outside and inside contraction points of all active seeds;
+    the seeds that shrink share one more call.  Returns ``x`` (S, N),
+    ``fun`` (S,) and ``nfev``, the evaluations scipy would have counted,
+    summed over seeds.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    opts = _NM_OPTIONS
+    sim = np.array(simplices, np.float64)
+    S, N = sim.shape[0], sim.shape[2]
+    fsim = np.full((S, N + 1), math.inf)
+    n0 = min(N + 1, opts["maxfev"])
+    fsim[:, :n0] = np.reshape(fun(sim[:, :n0].reshape(-1, N)), (S, n0))
+    fcalls = np.full(S, n0)
+    iters = np.ones(S, np.int64)
+    sim, fsim = _sort_simplices(sim, fsim)
+    cols = np.arange(1, N + 1)
+
+    while True:
+        a = np.nonzero((fcalls < opts["maxfev"])
+                       & (iters < opts["maxiter"]))[0]
+        s, f = sim[a], fsim[a]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2))
+                 <= opts["xatol"])
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= opts["fatol"]))
+        a, s, f = a[~done], s[~done], f[~done]
+        if a.size == 0:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        points = np.concatenate([
+            (1 + rho) * xbar - rho * worst,
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            (1 + psi * rho) * xbar - psi * rho * worst,
+            (1 - psi) * xbar + psi * worst])
+        vals = np.reshape(fun(points), (4, a.size))
+        fr, fe, fc, fcc = vals
+
+        # scipy's branches; a failed comparison (nan) takes the else branch
+        expand = fr < f[:, 0]
+        contract = ~expand & ~(fr < f[:, -2])
+        outside = contract & (fr < f[:, -1])
+        inside = contract & ~(fr < f[:, -1])
+        take_e = expand & (fe < fr)
+        take_c = outside & (fc <= fr)
+        take_cc = inside & (fcc < f[:, -1])
+        shrink = contract & ~take_c & ~take_cc
+        # a seed whose second evaluation would pass maxfev stops unchanged
+        budget = opts["maxfev"] - fcalls[a]
+        second = expand | contract
+        halted = second & (budget < 2)
+        keep = ~halted & ~shrink
+        pick = (np.select([take_e, take_c, take_cc], [1, 2, 3])[keep],
+                np.nonzero(keep)[0])
+        s[keep, -1] = points.reshape(4, a.size, N)[pick]
+        f[keep, -1] = vals[pick]
+        fcalls[a] += 1 + (second & ~halted)
+        iters[a] += 1
+
+        shr = np.nonzero(shrink & ~halted)[0]
+        if shr.size:
+            base = s[shr, :1]
+            moved = base + sigma * (s[shr, 1:] - base)
+            fmoved = np.reshape(fun(moved.reshape(-1, N)), (shr.size, N))
+            # only the vertices the remaining budget evaluates move
+            left = budget[shr] - 2
+            moves = cols <= left[:, None]
+            s[shr, 1:] = np.where(moves[:, :, None], moved, s[shr, 1:])
+            f[shr, 1:] = np.where(moves, fmoved, f[shr, 1:])
+            fcalls[a[shr]] += np.minimum(left, N)
+        sim[a], fsim[a] = _sort_simplices(s, f)
+
+    return SimpleNamespace(x=sim[:, 0], fun=fsim.min(axis=1),
+                           nfev=int(fcalls.sum()))
+
+
+def sup_gamma(sys, k, search_cfg=None):
     """Supremum of the scale-k manifold branches over the canonical box.
 
     Coarse lattice (defaults as in the manifold grids), then Nelder-Mead
-    from the best ``_SEED_COUNT`` cells; a refined value above
-    ``UNBOUNDED_GAMMA / sigma_k`` (or an exact zero root on the lattice) is
-    reported as +inf with the singular point as witness — the supremum is
-    genuinely unbounded exactly when the branch polynomial has a zero root
-    there.  The uncertainty is the largest change of
-    gamma over steps of 1/100 lattice spacing around the argmax.  ``ladder``
-    is accepted for signature symmetry and unused: projected branches live
-    in the closed left half-plane and cannot raise the supremum.  If the
+    from the best ``_SEED_COUNT`` cells, all seeds in lockstep
+    (``minimize``: four speculative points per seed and step, one grid call
+    per step); a refined value above ``UNBOUNDED_GAMMA / sigma_k`` (or an
+    exact zero root on the lattice) is reported as +inf with the singular
+    point as witness — the supremum is genuinely unbounded exactly when the
+    branch polynomial has a zero root there.  The uncertainty is the
+    largest change of gamma over steps of 1/100 lattice spacing around the
+    argmax; the argmax and these 2k probes are evaluated in one call.
+    Projected (ladder) branches live in the closed left half-plane and
+    cannot raise the supremum, so the ladder is not consulted.  If the
     top-scale matrix has rank zero the polynomial is constant, no branch
     exists, and the scale imposes no constraint: sup is -inf.
     """
@@ -157,11 +251,11 @@ def sup_gamma(sys, ladder, k, search_cfg=None):
         return SupEstimate(k=k, sup=math.inf, argmax=(point, b),
                            uncertainty=0.0)
 
-    row_max = _finite_row_max(gammas, neff)
+    row_max, _ = _row_max(gammas, neff)
     if not np.isfinite(row_max).any():
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
-    order = np.argsort(row_max)[::-1]
-    seeds = order[:_SEED_COUNT]
+    seeds = np.argsort(row_max)[::-1][:_SEED_COUNT]
+    seeds = seeds[np.isfinite(row_max[seeds])]
 
     om_vals = grid.omega_values(sys)
     spacings = [float(om_vals[1] - om_vals[0])]
@@ -170,51 +264,34 @@ def sup_gamma(sys, ladder, k, search_cfg=None):
         spacings.append(period / grid.phase_count)
     spacings = np.asarray(spacings)
 
-    def objective(x):
-        val, _ = _eval_max(data, sys.sigma, sigma_k, x)
-        if val == math.inf:
-            return -10.0 * UNBOUNDED_GAMMA / sigma_k
-        if val == -math.inf or not np.isfinite(val):
-            return 1e6
-        return -val
+    def objective(X):
+        val, _ = _eval_max(data, sys.sigma, sigma_k, X)
+        return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
+                        np.where(np.isfinite(val), -val, 1e6))
 
-    best_val = -math.inf
-    best_x = None
-    for s in seeds:
-        if not np.isfinite(row_max[s]):
-            continue
-        x0 = np.concatenate([[omegas[s]], phis[s]])
-        simplex = np.vstack([x0] + [x0 + 0.5 * spacings[j] * np.eye(k)[j]
-                                    for j in range(k)])
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options=dict(_NM_OPTIONS, initial_simplex=simplex))
-        val = -float(res.fun)
-        if val > best_val:
-            best_val, best_x = val, np.asarray(res.x, np.float64)
+    x0 = np.column_stack([omegas[seeds], phis[seeds]])
+    steps = np.vstack([np.zeros(k), np.diag(0.5 * spacings)])
+    res = minimize(objective, x0[:, None, :] + steps)
+    found = -res.fun
+    best = int(np.argmax(found))
+    best_val, best_x = float(found[best]), res.x[best]
 
-    if best_x is None:
-        i = int(order[0])
-        best_x = np.concatenate([[omegas[i]], phis[i]])
-        best_val = float(row_max[i])
-
+    # the canonical argmax, then steps of 1/100 spacing along each axis
     point = PhasePoint.make(best_x[0], best_x[1:], sys.sigma)
-    val, branch = _eval_max(data, sys.sigma, sigma_k,
-                            np.concatenate([[point.omega], point.phi]))
-    if np.isfinite(val):
-        best_val = max(best_val, val)
+    probe = np.diag(spacings / 100.0)
+    X = np.concatenate([[point.omega], point.phi]) + np.vstack(
+        [np.zeros(k), -probe, probe])
+    vals, branches = _eval_max(data, sys.sigma, sigma_k, X)
+    branch = int(branches[0])
+    if np.isfinite(vals[0]):
+        best_val = max(best_val, float(vals[0]))
 
     if best_val > UNBOUNDED_GAMMA / sigma_k:
         return SupEstimate(k=k, sup=math.inf, argmax=(point, branch),
                            uncertainty=0.0)
 
-    unc = 0.0
-    for j in range(k):
-        for sgn in (-1.0, 1.0):
-            x = np.concatenate([[point.omega], point.phi])
-            x[j] += sgn * spacings[j] / 100.0
-            v, _ = _eval_max(data, sys.sigma, sigma_k, x)
-            if np.isfinite(v):
-                unc = max(unc, abs(v - best_val))
+    near = vals[1:][np.isfinite(vals[1:])]
+    unc = np.abs(near - best_val).max(initial=0.0)
 
     _leak_check(sys, k, grid, data, sigma_k, point, best_val)
     return SupEstimate(k=k, sup=float(best_val), argmax=(point, branch),
@@ -222,7 +299,7 @@ def sup_gamma(sys, ladder, k, search_cfg=None):
 
 
 def _leak_check(sys, k, grid, data, sigma_k, point, best_val):
-    """Warn when the argmax hugs the omega window edge.
+    """Log a warning when the argmax hugs the omega window edge.
 
     Only fires for the default window; a doubled window is then sampled to
     say whether anything bigger lives outside.
@@ -240,11 +317,10 @@ def _leak_check(sys, k, grid, data, sigma_k, point, best_val):
     omegas, phis = _grid_points(sys, k, wide)
     _, gammas, neff, _, _ = _grid_gammas(data, sys.sigma, sigma_k,
                                          omegas, phis)
-    outside = _finite_row_max(gammas, neff).max()
-    warnings.warn(
-        f"scale-{k} sup argmax sits within 5% of the omega window edge; "
-        f"doubled-window grid max is {outside:.6g} vs refined {best_val:.6g}",
-        stacklevel=2)
+    outside = _row_max(gammas, neff)[0].max()
+    _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
+                 "edge; doubled-window grid max is %.6g vs refined %.6g",
+                 k, outside, best_val)
 
 
 def classify(sys, ladder, margin=1e-6, search_cfg=None):
@@ -259,7 +335,7 @@ def classify(sys, ladder, margin=1e-6, search_cfg=None):
     exponential covers the unit circle exactly once there, so no larger box
     can enlarge the range of any manifold.
     """
-    if not check_nd(ladder, sys):
+    if not check_nd(ladder):
         raise DegenerateSystemError(
             "nondegeneracy fails: the level-1 pencil is singular in every "
             "direction, the hierarchy does not determine the spectrum")
@@ -275,7 +351,7 @@ def classify(sys, ladder, margin=1e-6, search_cfg=None):
     sups = []
     for k in range(1, sys.n + 1):
         try:
-            est = sup_gamma(sys, ladder, k, search_cfg)
+            est = sup_gamma(sys, k, search_cfg)
         except TrivialityError:
             if k == sys.n:
                 raise

@@ -164,14 +164,13 @@ def build_ladder(sys, rank_tol=RANK_TOL):
                             rank_tol=rank_tol)
 
 
-def check_nd(ladder, sys=None):
+def check_nd(ladder):
     """Nondegeneracy flag.
 
     False exactly when the ladder reaches level 1, the projected identity
     replacement there is singular, and the coefficient matrix sandwiched
     with its kernel bases is singular as well.  Vacuously true for a
-    full-rank top matrix.  ``sys`` is accepted for interface symmetry and
-    unused: the ladder carries everything needed.
+    full-rank top matrix.
     """
     return bool(ladder.nd_satisfied)
 

@@ -347,9 +347,7 @@ def validation_window(cfg, sup_top=None):
         hws = [coef * eps ** power for eps in cfg.eps_list]
     else:
         if sup_top is None:
-            ladder = build_ladder(cfg.system)
-            sup_top = sup_gamma(cfg.system, ladder, cfg.system.n,
-                                cfg.grid).sup
+            sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
         if not math.isfinite(sup_top):
             raise ConfigError(
                 "top-scale supremum is not finite; give an explicit window "
@@ -658,7 +656,7 @@ def run_example(name, out_dir=".", out_format="csv", write=True):
     search = GridSpec(omega_count=401, phase_count=64,
                       omega_range=(-3.2, 3.2))
     sup_closed = scalar2.sup_gamma2(p)
-    sup_general = sup_gamma(sys_, ladder, 2, search_cfg=search).sup
+    sup_general = sup_gamma(sys_, 2, search_cfg=search).sup
     verdict_closed = scalar2.classify_scalar(p)
     verdict_general = classify(sys_, ladder, search_cfg=search)
 

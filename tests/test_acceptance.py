@@ -24,7 +24,7 @@ def test_criterion_1_threshold_of_second_scale(criterion):
             closed = h.sup_gamma2(p)
             assert closed == pytest.approx(want, abs=1e-12)
             s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, c))
-            est = h.sup_gamma(s, h.build_ladder(s), 2)
+            est = h.sup_gamma(s, 2)
             assert est.sup == pytest.approx(want, abs=1e-4)
         assert h.sup_gamma2(h.ScalarParams(a=-0.4 + 0.5j, b=0.1, c=0.2)) < 0
         assert h.sup_gamma2(h.ScalarParams(a=-0.4 + 0.5j, b=0.1, c=0.4)) > 0

@@ -1,12 +1,18 @@
 """Per-scale growth-rate suprema and the overall stability verdict."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
+from hierdde.classify import _NM_OPTIONS, _leak_check, minimize
 from hierdde.errors import DegenerateSystemError
+from hierdde.manifolds import PhasePoint, _level_data
 
 
 def _scalar_two_delay(a, b, c):
@@ -16,7 +22,7 @@ def _scalar_two_delay(a, b, c):
 def test_sup_scale2_threshold_family():
     for c, want in ((0.2, -math.log(1.5)), (0.4, math.log(4.0 / 3.0))):
         s = _scalar_two_delay(-0.4 + 0.5j, 0.1, c)
-        est = h.sup_gamma(s, h.build_ladder(s), 2)
+        est = h.sup_gamma(s, 2)
         assert est.k == 2
         assert est.sup == pytest.approx(want, abs=1e-4)
         assert est.uncertainty >= 0.0
@@ -25,13 +31,13 @@ def test_sup_scale2_threshold_family():
 def test_sup_scale1_closed_form_with_nonunit_sigma():
     # the per-scale rate is divided by the scale's delay coefficient
     s = h.DelaySystem.scalar(-0.2 + 0.1j, (0.3, 0.05), sigma=(2.0, 1.0))
-    est = h.sup_gamma(s, h.build_ladder(s), 1)
+    est = h.sup_gamma(s, 1)
     assert est.sup == pytest.approx(math.log(0.3 / 0.2) / 2.0, abs=1e-8)
 
 
 def test_sup_unbounded_when_first_scale_crosses():
     s = h.preset_system("fig3")
-    est = h.sup_gamma(s, h.build_ladder(s), 2)
+    est = h.sup_gamma(s, 2)
     assert math.isinf(est.sup) and est.sup > 0
     assert est.argmax is not None
     point, branch = est.argmax
@@ -109,3 +115,133 @@ def test_classify_refuses_degenerate_system():
     s = h.DelaySystem(matrices=(A0, A1), sigma=(1.0,))
     with pytest.raises(DegenerateSystemError):
         h.classify(s, h.build_ladder(s))
+
+
+# --- lockstep Nelder-Mead against scipy -------------------------------------
+
+def _rows(X):
+    """Objective built from elementwise arithmetic only, so a row's value
+    does not depend on the rows evaluated with it; the kink and the steps
+    make contractions fail and the simplex shrink."""
+    x, y = X[:, 0], X[:, 1:]
+    v = (1.0 - x) ** 2 + 3.0 * np.abs(x - 0.3) + 0.25 * np.floor(8.0 * x)
+    for j in range(y.shape[1]):
+        v = v + 100.0 * (y[:, j] - x ** 2) ** 2 + 0.25 * np.floor(4.0 * y[:, j])
+    return v
+
+
+def _scipy_nm(sim):
+    """scipy's Nelder-Mead from one simplex, and whether it ever shrank
+    (a shrink is the only step costing more than two evaluations)."""
+    evals, per_step = [0], []
+
+    def f(x):
+        evals[0] += 1
+        return _rows(x[None])[0]
+
+    res = scipy_minimize(f, sim[0], method="Nelder-Mead",
+                         callback=lambda xk: per_step.append(evals[0]),
+                         options=dict(_NM_OPTIONS, initial_simplex=sim))
+    steps = np.diff([sim.shape[0]] + per_step)
+    return res, bool(np.any(steps > 2))
+
+
+def _simplices(N, count=6):
+    rng = np.random.default_rng(N)
+    scale = np.geomspace(0.01, 2.0, count)[:, None, None]
+    return rng.normal(size=(count, N + 1, N)) * scale
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("maxiter", [None, 7])
+def test_lockstep_minimize_is_scipy_nelder_mead(N, maxiter, monkeypatch):
+    if maxiter is not None:
+        monkeypatch.setitem(_NM_OPTIONS, "maxiter", maxiter)
+    sims = _simplices(N)
+    res = minimize(_rows, sims)
+    refs = [_scipy_nm(sim) for sim in sims]
+    for i, (ref, _) in enumerate(refs):
+        assert np.array_equal(res.x[i], ref.x)
+        assert res.fun[i] == ref.fun
+        assert minimize(_rows, sims[i:i + 1]).nfev == ref.nfev
+    assert res.nfev == sum(ref.nfev for ref, _ in refs)
+    if maxiter is None:
+        # seeds leave the lockstep at different steps, and some shrink
+        assert len({ref.nit for ref, _ in refs}) > 1
+        assert any(shrunk for _, shrunk in refs)
+    else:
+        assert all(ref.nit == maxiter for ref, _ in refs)
+
+
+def test_lockstep_minimize_stops_mid_step_at_maxfev_like_scipy(monkeypatch):
+    # every position of the evaluation budget's end within a step: after
+    # the reflection, inside a shrink, and on a step boundary
+    sims = _simplices(3)
+    for maxfev in range(2, 30):
+        monkeypatch.setitem(_NM_OPTIONS, "maxfev", maxfev)
+        res = minimize(_rows, sims)
+        refs = [_scipy_nm(sim)[0] for sim in sims]
+        assert res.nfev == sum(ref.nfev for ref in refs), maxfev
+        for i, ref in enumerate(refs):
+            assert np.array_equal(res.x[i], ref.x), maxfev
+            assert res.fun[i] == ref.fun, maxfev
+
+
+# --- suprema against the closed forms ----------------------------------------
+
+def _polar(mag, arg):
+    return mag * complex(math.cos(arg), math.sin(arg))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(re_a=st.floats(-0.8, -0.1), im_a=st.floats(-0.5, 0.5),
+       b=st.floats(0.05, 0.9), b_arg=st.floats(0.0, 2 * math.pi),
+       c=st.floats(0.05, 0.9), c_arg=st.floats(0.0, 2 * math.pi),
+       sigma1=st.floats(0.5, 2.0), sigma2=st.floats(0.5, 2.0))
+def test_sup_gamma_matches_closed_forms(re_a, im_a, b, b_arg, c, c_arg,
+                                        sigma1, sigma2):
+    p = h.ScalarParams(a=complex(re_a, im_a), b=_polar(b, b_arg),
+                       c=_polar(c, c_arg))
+    s = h.DelaySystem.scalar(p.a, (p.b, p.c), sigma=(sigma1, sigma2))
+    est1 = h.sup_gamma(s, 1)
+    assert est1.sup == pytest.approx(math.log(b / -re_a) / sigma1, abs=1e-8)
+    if -re_a - b > 0.02:  # finite scale-2 supremum, away from the blow-up
+        est2 = h.sup_gamma(s, 2)
+        assert est2.sup == pytest.approx(h.sup_gamma2(p) / sigma2, abs=1e-4)
+
+
+# --- omega-window leak check -------------------------------------------------
+
+def _leak_case(omega_range=None):
+    s = _scalar_two_delay(-0.4 + 0.5j, 0.1, 0.2)
+    grid = h.GridSpec(omega_range=omega_range)
+    om = grid.omega_values(s)
+    return s, grid, float(om[0]), float(om[-1])
+
+
+def _run_leak_check(s, grid, omega):
+    _leak_check(s, 1, grid, _level_data(s, 1), s.sigma[0],
+                PhasePoint(omega=omega), -0.5)
+
+
+def test_leak_check_logs_argmax_at_window_edge(caplog):
+    s, grid, lo, hi = _leak_case()
+    with caplog.at_level(logging.WARNING, logger="hierdde"):
+        _run_leak_check(s, grid, hi - 0.04 * (hi - lo))
+    (rec,) = caplog.records
+    assert rec.name == "hierdde" and rec.levelno == logging.WARNING
+    assert "omega window edge" in rec.getMessage()
+
+
+def test_leak_check_silent_for_interior_argmax(caplog):
+    s, grid, lo, hi = _leak_case()
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        _run_leak_check(s, grid, 0.5 * (lo + hi))
+    assert caplog.records == []
+
+
+def test_leak_check_silent_for_explicit_omega_range(caplog):
+    s, grid, lo, hi = _leak_case(omega_range=(-2.0, 2.0))
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        _run_leak_check(s, grid, hi)
+    assert caplog.records == []
