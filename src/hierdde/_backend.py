@@ -1,19 +1,10 @@
-"""Compute backends for the hot array kernels.
+"""Vectorised numpy kernels for the hot array work.
 
-Two interchangeable lanes provide the batched characteristic-function
-evaluation and the batched determinant-interpolation used by the root finder
-and the manifold grids:
+The root finder and the manifold grids reduce to two batched kernels: the
+characteristic determinant (with its derivative) over many points, and the
+coefficients of ``det(B + Y Ak)`` over many matrices ``B``.
 
-* ``numba``: scalar loops compiled with ``@njit`` (default when numba is
-  importable),
-* ``numpy``: pure vectorized numpy, always available.
-
-Selection is made once at import time from the environment variable
-``HIERDDE_BACKEND`` with values ``auto`` (default), ``numba`` or ``numpy``.
-Both lanes produce identical results to rounding; ``benchmarks/`` times them
-against each other.
-
-Kernel contracts (backend-independent):
+Kernel contracts:
 
 ``char_values(lams, mats, taus)``
     ``lams`` complex (N,), ``mats`` complex (n+1, d, d) holding the
@@ -36,14 +27,9 @@ Kernel contracts (backend-independent):
     followed by an inverse discrete Fourier transform.
 """
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
-    "HAS_NUMBA",
     "backend_name",
     "char_values",
     "char_and_deriv",
@@ -52,19 +38,14 @@ __all__ = [
 
 _FD_STEP = 1e-7
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
+def backend_name():
+    """Name of the kernel implementation; the benchmark records it as the
+    ``lane`` of every results file."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def _assemble_numpy(lams, mats, taus):
+def _assemble(lams, mats, taus):
     """Stacked value and derivative matrices, shapes (N, d, d)."""
     d = mats.shape[1]
     eye = np.eye(d)
@@ -78,13 +59,13 @@ def _assemble_numpy(lams, mats, taus):
     return M, Mp
 
 
-def _char_values_numpy(lams, mats, taus):
-    M, _ = _assemble_numpy(lams, mats, taus)
+def char_values(lams, mats, taus):
+    M, _ = _assemble(lams, mats, taus)
     return np.linalg.det(M)
 
 
-def _char_and_deriv_numpy(lams, mats, taus):
-    M, Mp = _assemble_numpy(lams, mats, taus)
+def char_and_deriv(lams, mats, taus):
+    M, Mp = _assemble(lams, mats, taus)
     chi = np.linalg.det(M)
     dchi = np.full_like(chi, np.nan)
     try:
@@ -97,14 +78,20 @@ def _char_and_deriv_numpy(lams, mats, taus):
                 dchi[i] = chi[i] * tr
             except np.linalg.LinAlgError:
                 pass  # left nan, finished by finite differences
+    bad = ~np.isfinite(dchi)
+    if np.any(bad):
+        h = _FD_STEP * (1.0 + np.abs(lams[bad]))
+        up = char_values(lams[bad] + h, mats, taus)
+        dn = char_values(lams[bad] - h, mats, taus)
+        dchi[bad] = (up - dn) / (2.0 * h)
     return chi, dchi
 
 
-def _det_poly_numpy(B, Ak, radii):
+def det_poly_coeffs(B, Ak, radii):
     N, m = B.shape[0], B.shape[1]
     nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
     coeffs = np.empty((N, m + 1), np.complex128)
-    # inverse DFT matrix including the radius rescale, applied per chunk
+    # inverse DFT matrix; the radius rescale follows per chunk
     idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
                   / (m + 1)) / (m + 1)
     chunk = max(1, (1 << 20) // max(1, (m + 1) * m * m))
@@ -117,208 +104,3 @@ def _det_poly_numpy(B, Ak, radii):
         scale = radii[lo:hi, None] ** np.arange(m + 1)[None, :]
         coeffs[lo:hi] = raw / scale
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lu_det(M, piv):
-        """In-place LU with partial pivoting; returns det(M) (0 on breakdown)."""
-        d = M.shape[0]
-        det = 1.0 + 0.0j
-        for c in range(d):
-            p = c
-            big = abs(M[c, c])
-            for r in range(c + 1, d):
-                a = abs(M[r, c])
-                if a > big:
-                    big = a
-                    p = r
-            piv[c] = p
-            if big == 0.0:
-                return 0.0j
-            if p != c:
-                for j in range(d):
-                    tmp = M[c, j]
-                    M[c, j] = M[p, j]
-                    M[p, j] = tmp
-                det = -det
-            det *= M[c, c]
-            inv = 1.0 / M[c, c]
-            for r in range(c + 1, d):
-                fac = M[r, c] * inv
-                M[r, c] = fac
-                for j in range(c + 1, d):
-                    M[r, j] -= fac * M[c, j]
-        return det
-
-    @njit(cache=True)
-    def _lu_solve_trace(M, piv, B, work):
-        """trace(M^-1 B) from LU factors of M; B is used column by column."""
-        d = M.shape[0]
-        tr = 0.0j
-        for col in range(d):
-            for r in range(d):
-                work[r] = B[r, col]
-            for c in range(d):  # apply row swaps
-                p = piv[c]
-                if p != c:
-                    tmp = work[c]
-                    work[c] = work[p]
-                    work[p] = tmp
-            for c in range(d):  # forward (unit lower)
-                for r in range(c + 1, d):
-                    work[r] -= M[r, c] * work[c]
-            for c in range(d - 1, -1, -1):  # backward
-                work[c] /= M[c, c]
-                for r in range(c):
-                    work[r] -= M[r, c] * work[c]
-            tr += work[col]
-        return tr
-
-    @njit(cache=True)
-    def _assemble_one(lam, mats, taus, M, Mp):
-        d = M.shape[0]
-        n = taus.shape[0]
-        for r in range(d):
-            for c in range(d):
-                M[r, c] = mats[0, r, c]
-                Mp[r, c] = 0.0j
-            M[r, r] -= lam
-            Mp[r, r] = -1.0 + 0.0j
-        for k in range(n):
-            e = np.exp(-lam * taus[k])
-            t = taus[k]
-            for r in range(d):
-                for c in range(d):
-                    a = mats[k + 1, r, c] * e
-                    M[r, c] += a
-                    Mp[r, c] -= t * a
-        return M, Mp
-
-    @njit(cache=True)
-    def _char_values_numba(lams, mats, taus):
-        N = lams.shape[0]
-        d = mats.shape[1]
-        chi = np.empty(N, np.complex128)
-        M = np.empty((d, d), np.complex128)
-        Mp = np.empty((d, d), np.complex128)
-        piv = np.empty(d, np.int64)
-        for i in range(N):
-            _assemble_one(lams[i], mats, taus, M, Mp)
-            chi[i] = _lu_det(M, piv)
-        return chi
-
-    @njit(cache=True)
-    def _char_and_deriv_numba(lams, mats, taus):
-        N = lams.shape[0]
-        d = mats.shape[1]
-        chi = np.empty(N, np.complex128)
-        dchi = np.empty(N, np.complex128)
-        M = np.empty((d, d), np.complex128)
-        Mp = np.empty((d, d), np.complex128)
-        piv = np.empty(d, np.int64)
-        work = np.empty(d, np.complex128)
-        for i in range(N):
-            _assemble_one(lams[i], mats, taus, M, Mp)
-            det = _lu_det(M, piv)
-            chi[i] = det
-            if det == 0.0:
-                dchi[i] = np.nan  # finished by finite differences outside
-            else:
-                dchi[i] = det * _lu_solve_trace(M, piv, Mp, work)
-        return chi, dchi
-
-    @njit(cache=True)
-    def _det_poly_numba(B, Ak, radii, nodes, idft):
-        N, m = B.shape[0], B.shape[1]
-        coeffs = np.empty((N, m + 1), np.complex128)
-        M = np.empty((m, m), np.complex128)
-        piv = np.empty(m, np.int64)
-        dets = np.empty(m + 1, np.complex128)
-        for i in range(N):
-            r = radii[i]
-            for l in range(m + 1):
-                Y = r * nodes[l]
-                for a in range(m):
-                    for b in range(m):
-                        M[a, b] = B[i, a, b] + Y * Ak[a, b]
-                dets[l] = _lu_det(M, piv)
-            rj = 1.0
-            for j in range(m + 1):
-                acc = 0.0j
-                for l in range(m + 1):
-                    acc += dets[l] * idft[j, l]
-                coeffs[i, j] = acc / rj
-                rj *= r
-        return coeffs
-
-
-# ---------------------------------------------------------------------------
-# selection and public wrappers
-# ---------------------------------------------------------------------------
-
-def _pick_backend():
-    choice = os.environ.get("HIERDDE_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ConfigError(
-            f"HIERDDE_BACKEND must be auto, numba or numpy (got {choice!r})")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ConfigError("HIERDDE_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _pick_backend()
-
-
-def backend_name():
-    """Name of the active kernel lane, ``'numba'`` or ``'numpy'``."""
-    return _BACKEND
-
-
-def _as_batch(lams):
-    lams = np.asarray(lams, dtype=np.complex128)
-    return np.ascontiguousarray(np.atleast_1d(lams))
-
-
-def char_values(lams, mats, taus):
-    lams = _as_batch(lams)
-    if _BACKEND == "numba":
-        return _char_values_numba(lams, mats, taus)
-    return _char_values_numpy(lams, mats, taus)
-
-
-def char_and_deriv(lams, mats, taus):
-    lams = _as_batch(lams)
-    if _BACKEND == "numba":
-        chi, dchi = _char_and_deriv_numba(lams, mats, taus)
-    else:
-        chi, dchi = _char_and_deriv_numpy(lams, mats, taus)
-    bad = ~np.isfinite(dchi)
-    if np.any(bad):
-        h = _FD_STEP * (1.0 + np.abs(lams[bad]))
-        up = char_values(lams[bad] + h, mats, taus)
-        dn = char_values(lams[bad] - h, mats, taus)
-        dchi[bad] = (up - dn) / (2.0 * h)
-    return chi, dchi
-
-
-def det_poly_coeffs(B, Ak, radii):
-    B = np.ascontiguousarray(B, dtype=np.complex128)
-    Ak = np.ascontiguousarray(Ak, dtype=np.complex128)
-    radii = np.ascontiguousarray(radii, dtype=np.float64)
-    m = B.shape[1]
-    if _BACKEND == "numba":
-        nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-        idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
-                      / (m + 1)) / (m + 1)
-        return _det_poly_numba(B, Ak, radii, nodes, idft)
-    return _det_poly_numpy(B, Ak, radii)

@@ -57,7 +57,7 @@ class Rectangle:
 
     def __post_init__(self):
         vals = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise DimensionError("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DimensionError(f"degenerate rectangle {vals}")
@@ -111,6 +111,32 @@ def _boundary_points(box, t):
                                       x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
+def _secant_dist(z, fz, absf, nxt):
+    """First-order distance to a zero at each sample: |f| over the steeper
+    of the secant slopes of the intervals after and before it.
+
+    A slope past the float maximum, as when |f| nears it, would read as a
+    zero on the contour; such an interval (finite |f| at both ends) takes
+    its distances with f divided by the larger |f| of its two ends."""
+    dz = np.abs(z[nxt] - z)
+    slope = np.where(dz > 0.0, np.abs(fz[nxt] - fz) / dz, 0.0)
+    over = np.flatnonzero(np.isinf(slope))
+    if over.size:
+        m = np.maximum(absf[over], absf[nxt[over]])
+        fin = np.isfinite(m)
+        over, m = over[fin], m[fin]
+        slope[over] = 0.0
+    # argsort inverts nxt: the slope of the interval before
+    steep = np.maximum(slope, slope[np.argsort(nxt)])
+    dist = np.where(steep > 0.0, absf / steep, np.inf)
+    if over.size:
+        ends = nxt[over]
+        rel = np.abs(fz[ends] / m - fz[over] / m) / dz[over]
+        for i in (over, ends):
+            dist[i] = np.minimum(dist[i], absf[i] / m / rel)
+    return dist
+
+
 def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
                    max_samples=2_000_000):
     """Winding numbers of f around each rectangle, by adaptive sampling.
@@ -141,7 +167,7 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
         ends = starts + sizes - 1
         nxt = np.arange(1, cid.size + 1)
         nxt[ends] = starts
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             absf = np.abs(fz)
             # on-boundary zero test: |f| spans many orders of magnitude along
             # these boundaries (exponential growth off the imaginary axis),
@@ -150,11 +176,7 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
             if dfz is not None:
                 dist = absf / np.abs(dfz)
             else:
-                dz = np.abs(z[nxt] - z)
-                slope = np.where(dz > 0.0, np.abs(fz[nxt] - fz) / dz, 0.0)
-                # argsort inverts nxt: the slope of the interval before
-                slope = np.maximum(slope, slope[np.argsort(nxt)])
-                dist = np.where(slope > 0.0, absf / slope, np.inf)
+                dist = _secant_dist(z, fz, absf, nxt)
             on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
                        | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
             phase = np.angle(fz)

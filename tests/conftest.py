@@ -1,27 +1,13 @@
-"""Shared fixtures: backend warm-up and the acceptance-criteria summary."""
+"""Shared fixtures: the acceptance-criteria summary."""
 
 import contextlib
 import time
 
-import numpy as np
 import pytest
 
 
 def pytest_configure(config):
     config._criterion_lines = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_backend():
-    """Touch the evaluation kernels once up front.
-
-    The first call may trigger JIT compilation when the accelerated backend
-    is active; doing it here keeps that cost out of every budgeted test.
-    """
-    from hierdde import DelaySystem, char_values
-
-    s = DelaySystem.scalar(0.5, (0.25,))
-    char_values(s, 1.0, np.array([0.1 + 0.2j]))
 
 
 @pytest.fixture

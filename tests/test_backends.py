@@ -1,8 +1,4 @@
-"""Evaluation backend selection and numerical equivalence of the two lanes."""
-
-import os
-import subprocess
-import sys
+"""The batched evaluation kernels against independent references."""
 
 import numpy as np
 import pytest
@@ -22,23 +18,32 @@ def _random_batch(rng):
 
 
 def test_backend_name_valid():
-    assert _backend.backend_name() in ("numpy", "numba")
+    assert _backend.backend_name() == "numpy"
 
 
-def test_compiled_lane_matches_plain_numpy():
-    if not (_backend.HAS_NUMBA and _backend.backend_name() == "numba"):
-        pytest.skip("compiled lane not active")
+def test_derivative_matches_central_difference():
     rng = np.random.default_rng(2121)
-    for _ in range(10):
+    step = 1e-6
+    for _ in range(20):
         lams, mats, taus = _random_batch(rng)
-        va = _backend._char_values_numba(lams, mats, taus)
-        vb = _backend._char_values_numpy(lams, mats, taus)
-        scale = 1.0 + np.abs(vb)
-        assert np.all(np.abs(va - vb) <= 1e-12 * scale)
-        fa, da = _backend._char_and_deriv_numba(lams, mats, taus)
-        fb, db = _backend._char_and_deriv_numpy(lams, mats, taus)
-        assert np.all(np.abs(fa - fb) <= 1e-12 * (1.0 + np.abs(fb)))
-        assert np.all(np.abs(da - db) <= 1e-11 * (1.0 + np.abs(db)))
+        chi, dchi = _backend.char_and_deriv(lams, mats, taus)
+        assert np.array_equal(chi, _backend.char_values(lams, mats, taus))
+        fd = (_backend.char_values(lams + step, mats, taus)
+              - _backend.char_values(lams - step, mats, taus)) / (2 * step)
+        scale = np.abs(dchi) + taus.max() * np.abs(chi) + 1.0
+        assert np.all(np.abs(dchi - fd) <= 1e-7 * scale)
+
+
+def test_derivative_of_exactly_singular_row():
+    # M = -lam is exactly 0 at lam = 0: the stacked solve raises, the other
+    # row is solved alone, and the singular one is finished by differences
+    mats = np.zeros((2, 1, 1), complex)
+    lams = np.array([0.0, 0.5], complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(-lams[:, None, None], -np.ones((2, 1, 1)))
+    chi, dchi = _backend.char_and_deriv(lams, mats, np.array([1.0]))
+    assert chi.tolist() == [0.0, -0.5]
+    assert np.abs(dchi + 1.0).max() <= 1e-12  # det rounds via its logarithm
 
 
 def test_dispatcher_value_example():
@@ -49,22 +54,6 @@ def test_dispatcher_value_example():
     assert v[0] == pytest.approx(-0.5 + np.exp(-0.5), abs=1e-14)
     f, fp = _backend.char_and_deriv(lams, mats, taus)
     assert fp[0] == pytest.approx(-1.0 - np.exp(-0.5), abs=1e-12)
-
-
-def test_env_flag_selects_numpy_lane():
-    code = ("from hierdde import _backend; print(_backend.backend_name())")
-    env = dict(os.environ, HIERDDE_BACKEND="numpy")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_lane():
-    code = ("from hierdde import _backend; _backend.backend_name()")
-    env = dict(os.environ, HIERDDE_BACKEND="cuda")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
 
 
 def test_derivative_fallback_where_matrix_is_singular():

@@ -1,6 +1,7 @@
 """Winding-number root counting and subdivision-based root location."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ def test_rectangle_rejects_degenerate():
         h.Rectangle(1.0, 1.0, 0.0, 2.0)
     with pytest.raises(DimensionError):
         h.Rectangle(0.0, 1.0, 2.0, 1.0)
+    for bounds in ((-np.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, np.inf),
+                   (0.0, np.nan, 0.0, 1.0)):
+        with pytest.raises(DimensionError, match="finite"):
+            h.Rectangle(*bounds)
 
 
 def test_count_zeros_polynomials():
@@ -347,6 +352,15 @@ def test_boundary_zero_error_after_every_inflation():
     assert h.count_zeros(_product(on_edges[:3])[0], box) == 3
 
 
+def test_secant_slope_overflow_is_no_boundary_zero():
+    # |f| reaches 3.5e307 on the right edge, where secant slopes pass the
+    # float maximum; the only zero is the centre of the square
+    f = lambda z: 5e307 * np.exp(5.0 * (z - 1.0)) * (z - 0.5 - 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert h.count_zeros(f, h.Rectangle(0.0, 1.0, 0.0, 1.0)) == 1
+
+
 def test_sample_budget_raises_from_batched_count():
     f = lambda z: np.exp(50j * z)
     cells = [h.Rectangle(-1.0, 0.0, -1.0, 1.0), h.Rectangle(0.0, 1.0, -1.0, 1.0)]
@@ -438,3 +452,26 @@ def test_block_diagonal_roots_are_exactly_double(a, b, negative, tau,
     assert sum(r.multiplicity for r in found) == 2 * h.count_zeros(
         f, box, fprime=fp)
     assert _nearest(want, np.array([r.location for r in found])).max() <= 1e-6
+
+
+def test_find_roots_invariant_under_unitary_similarity():
+    # det(-lam I + sum_k Q A_k Q^H e_k) = det(-lam I + sum_k A_k e_k) for a
+    # unitary Q, so the rotated system has the same roots to rounding
+    rng = np.random.default_rng(4242)
+    mats = tuple(0.4 * (rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2))) for _ in range(2))
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed
+    rotated = tuple(q @ m @ q.conj().T for m in mats)
+    box, eps, tol = h.Rectangle(-0.4, 0.3, -3.0, 3.0), 0.05, 1e-9
+    found = []
+    for ms in (mats, rotated):
+        f, fp = h.char_function(h.DelaySystem(matrices=ms, sigma=(1.0,)), eps)
+        found.append(h.find_roots(f, box, fprime=fp, tol=tol))
+    plain, turned = found
+    assert len(plain) >= 30
+    assert [r.multiplicity for r in plain] == [r.multiplicity for r in turned]
+    a = np.array([r.location for r in plain])
+    b = np.array([r.location for r in turned])
+    assert _nearest(a, b).max() <= tol and _nearest(b, a).max() <= tol
