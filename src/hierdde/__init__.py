@@ -22,12 +22,13 @@ from .rootfinder import Rectangle, RootResult, count_zeros, find_roots
 from .degeneracy import (LadderLevel, DegeneracyLadder, build_ladder,
                          check_nd, truncated_char, strong_stable_spectrum,
                          dump_ladder)
-from .manifolds import (PhasePoint, ManifoldSample, StrongSpectrum,
-                        SingularityFlags, GridSpec, canonical_phase,
+from .manifolds import (PhasePoint, ManifoldSample, ManifoldTable,
+                        StrongSpectrum, SingularityFlags, GridSpec,
+                        canonical_phase,
                         default_omega_bound, strong_spectrum,
                         truncated_char_poly, gamma_branches,
                         singularity_test, rescale, manifold_grid,
-                        assemble_A_k, samples_to_csv_rows)
+                        assemble_A_k, manifold_csv)
 from .classify import SupEstimate, StabilityVerdict, sup_gamma, classify
 from .scalar2 import (ScalarParams, gamma1, gamma1_zeros, gamma2,
                       gamma2_peak_omega, sup_gamma2, phi_singular,
@@ -52,10 +53,10 @@ __all__ = [
     "Rectangle", "RootResult", "count_zeros", "find_roots",
     "LadderLevel", "DegeneracyLadder", "build_ladder", "check_nd",
     "truncated_char", "strong_stable_spectrum", "dump_ladder",
-    "PhasePoint", "ManifoldSample", "StrongSpectrum", "SingularityFlags",
-    "GridSpec", "canonical_phase", "default_omega_bound", "strong_spectrum",
+    "PhasePoint", "ManifoldSample", "ManifoldTable", "StrongSpectrum",
+    "SingularityFlags", "GridSpec", "canonical_phase", "default_omega_bound", "strong_spectrum",
     "truncated_char_poly", "gamma_branches", "singularity_test", "rescale",
-    "manifold_grid", "assemble_A_k", "samples_to_csv_rows",
+    "manifold_grid", "assemble_A_k", "manifold_csv",
     "SupEstimate", "StabilityVerdict", "sup_gamma", "classify",
     "ScalarParams", "gamma1", "gamma1_zeros", "gamma2", "gamma2_peak_omega",
     "sup_gamma2", "phi_singular", "classify_scalar",

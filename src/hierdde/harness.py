@@ -17,8 +17,8 @@ from scipy.spatial import cKDTree
 from .classify import _ext, classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
-from .manifolds import (GridSpec, assemble_A_k, manifold_grid,
-                        samples_to_csv_rows, strong_spectrum)
+from .manifolds import (GridSpec, assemble_A_k, manifold_csv, manifold_grid,
+                        strong_spectrum)
 from .model import (DelaySystem, char_function, check_eps, guard_real_extent,
                     load_system, system_from_dict)
 from .rootfinder import Rectangle, find_roots
@@ -185,12 +185,15 @@ def load_config(path):
 # file emission
 # ---------------------------------------------------------------------------
 
-def _write_rows(path, rows):
+def _write_text(path, chunks):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(row))
-            fh.write("\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _write_rows(path, rows):
+    _write_text(path, (",".join(row) + "\n" for row in rows))
 
 
 def _write_json(path, obj):
@@ -479,6 +482,9 @@ def run_validate(cfg, write=True):
 
 @dataclass(frozen=True)
 class ManifoldsResult:
+    """Per-scale ManifoldTables (plain, and tilde where the ladder gives
+    them); a scale whose polynomial vanishes identically maps to ()."""
+
     plain: dict
     tilde: dict
     paths: tuple
@@ -505,24 +511,24 @@ def run_manifolds(cfg, write=True):
     plain, tilde = {}, {}
     for k in range(1, sys_.n + 1):
         try:
-            plain[k] = tuple(manifold_grid(sys_, k, cfg.grid))
+            plain[k] = manifold_grid(sys_, k, cfg.grid)
         except TrivialityError:
             plain[k] = ()
         if k < sys_.n and ladder.has_level(k + 1) \
                 and not ladder.level(k + 1).heuristic:
-            tilde[k] = tuple(manifold_grid(sys_, k, cfg.grid, ladder=ladder,
-                                           tilde=True))
+            tilde[k] = manifold_grid(sys_, k, cfg.grid, ladder=ladder,
+                                     tilde=True)
     paths = []
     if write:
         if cfg.out_format == "csv":
-            flat = [s for k in sorted(plain) for s in plain[k]]
             path = os.path.join(cfg.out_dir, "manifolds.csv")
-            _write_rows(path, samples_to_csv_rows(flat, sys_.n))
+            _write_text(path, manifold_csv(
+                [plain[k] for k in sorted(plain) if plain[k]], sys_.n))
             paths.append(path)
             if tilde:
-                flat = [s for k in sorted(tilde) for s in tilde[k]]
                 path = os.path.join(cfg.out_dir, "manifolds_tilde.csv")
-                _write_rows(path, samples_to_csv_rows(flat, sys_.n))
+                _write_text(path, manifold_csv(
+                    [tilde[k] for k in sorted(tilde)], sys_.n))
                 paths.append(path)
         else:
             path = os.path.join(cfg.out_dir, "manifolds.json")

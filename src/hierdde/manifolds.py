@@ -16,6 +16,8 @@ degeneracy ladder, when one exists.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from .model import check_eps
 __all__ = [
     "PhasePoint",
     "ManifoldSample",
+    "ManifoldTable",
     "StrongSpectrum",
     "GridSpec",
     "SingularityFlags",
@@ -41,12 +44,13 @@ __all__ = [
     "rescale",
     "manifold_grid",
     "assemble_A_k",
-    "samples_to_csv_rows",
+    "manifold_csv",
 ]
 
 ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
+_CHUNK_POINTS = 4096    # lattice points decoded (and CSV lines joined) at once
 
 
 def canonical_phase(phi, sigma_j):
@@ -274,28 +278,6 @@ def truncated_char_poly(sys, k, point):
     return row[:keep[-1] + 1]
 
 
-def _samples_from_row(k, point, roots, neff, dk, radius, sigma_k):
-    """Branch samples for one grid point from its root row."""
-    out = []
-    branch = 0
-    for r in roots[:neff]:
-        Y = complex(r)
-        if abs(Y) <= ZERO_ROOT_TOL * radius:
-            out.append(ManifoldSample(k=k, point=point, branch=branch, Y=Y,
-                                      gamma=math.inf, projected=None))
-        else:
-            gam = -math.log(abs(Y)) / sigma_k
-            out.append(ManifoldSample(k=k, point=point, branch=branch, Y=Y,
-                                      gamma=gam,
-                                      projected=complex(gam, point.omega)))
-        branch += 1
-    for _ in range(dk - neff):
-        out.append(ManifoldSample(k=k, point=point, branch=branch, Y=None,
-                                  gamma=-math.inf, projected=None))
-        branch += 1
-    return out
-
-
 def gamma_branches(sys, k, point):
     """All d_k manifold branches at one phase point, as ManifoldSamples.
 
@@ -305,12 +287,10 @@ def gamma_branches(sys, k, point):
     """
     data = _level_data(sys, k)
     omegas, phis = _point_arrays(point, k)
-    coeffs, radii, dk = _coeffs_at_points(data, sys.sigma, omegas, phis)
-    roots, neff = poly_roots_batch(coeffs, max_degree=dk)
-    if neff[0] < 0:
+    table = _table(data, sys.sigma, k, [omegas, *phis.T])
+    if table.dk and not table.rows.size:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
-    return _samples_from_row(k, point, roots[0], int(neff[0]), dk,
-                             float(radii[0]), sys.sigma[k - 1])
+    return list(table)
 
 
 def singularity_test(sys, k, point):
@@ -349,19 +329,27 @@ def rescale(eps, k, lam):
 # grid evaluation and assembled asymptotic sets
 # ---------------------------------------------------------------------------
 
-def _grid_points(sys, k, grid):
+def _grid_axes(sys, k, grid):
+    """Lattice axes: the omega values, then phi_1..phi_{k-1}."""
+    return [grid.omega_values(sys)] + [grid.phase_values(sys, j)
+                                       for j in range(1, k)]
+
+
+def _lattice(axes):
     """Flattened (omega, phi) lattice, omega-major then phase-major."""
-    axes = [grid.omega_values(sys)]
-    for j in range(1, k):
-        axes.append(grid.phase_values(sys, j))
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = [ax.reshape(-1) for ax in mesh]
     omegas = flat[0]
-    if k > 1:
+    if len(flat) > 1:
         phis = np.stack(flat[1:], axis=1)
     else:
         phis = np.empty((omegas.shape[0], 0))
     return omegas, phis
+
+
+def _grid_points(sys, k, grid):
+    """Flattened (omega, phi) lattice, omega-major then phase-major."""
+    return _lattice(_grid_axes(sys, k, grid))
 
 
 def _grid_gammas(data, sigma, sigma_k, omegas, phis):
@@ -385,8 +373,102 @@ def _grid_gammas(data, sigma, sigma_k, omegas, phis):
     return roots, gammas, neff, dk, radii
 
 
+@dataclass(frozen=True, eq=False)
+class ManifoldTable(Sequence):
+    """The ManifoldSamples of one lattice, ordered by (point, branch) and
+    kept as arrays; a sample object is built only when one is read.
+
+    Every kept point (identically-zero points are skipped) has ``dk``
+    samples: its roots in order, then -inf slots for a degree deficiency.
+    ``axes`` are the lattice axes (omega, phi_1..phi_{k-1}), ``rows`` the
+    lattice index of each kept point, and ``roots``, ``neff`` and ``radii``
+    the root row, root count and node radius of each kept point.
+    """
+
+    k: int
+    sigma_k: float
+    axes: tuple
+    rows: np.ndarray
+    roots: np.ndarray
+    neff: np.ndarray
+    dk: int
+    radii: np.ndarray
+
+    def __len__(self):
+        return self.rows.size * self.dk
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("manifold sample index out of range")
+        p, b = divmod(i % n, self.dk)
+        return self._samples(p, p + 1)[b]
+
+    def __iter__(self):
+        for lo in range(0, self.rows.size, _CHUNK_POINTS):
+            yield from self._samples(lo, lo + _CHUNK_POINTS)
+
+    def _coords(self, lo, hi, axes):
+        """Per-axis coordinates of kept points lo..hi-1, read from ``axes``:
+        one list per lattice axis, indexed like it."""
+        idx = np.unravel_index(self.rows[lo:hi],
+                               tuple(ax.size for ax in self.axes))
+        return [[ax[i] for i in ix.tolist()] for ax, ix in zip(axes, idx)]
+
+    def _branches(self, lo, hi):
+        """(point, branch, Y, gamma, zero) per sample of kept points
+        lo..hi-1, with Y a Python complex (None on -inf slots) and ``zero``
+        marking a zero root (+inf).
+
+        gamma is -math.log(abs(Y)) / sigma_k per sample, not np.log over
+        the array, whose last bits can differ."""
+        out = []
+        sigma_k, dk = self.sigma_k, self.dk
+        thresholds = (ZERO_ROOT_TOL * self.radii[lo:hi]).tolist()
+        for p, (row, m, tol) in enumerate(
+                zip(self.roots[lo:hi].tolist(), self.neff[lo:hi].tolist(),
+                    thresholds), lo):
+            for b in range(m):
+                Y = row[b]
+                a = abs(Y)
+                if a <= tol:
+                    out.append((p, b, Y, math.inf, True))
+                else:
+                    out.append((p, b, Y, -math.log(a) / sigma_k, False))
+            for b in range(m, dk):
+                out.append((p, b, None, -math.inf, False))
+        return out
+
+    def _samples(self, lo, hi):
+        omegas, *phis = self._coords(lo, hi,
+                                     [ax.tolist() for ax in self.axes])
+        points = [PhasePoint(omega=om, phi=tuple(ph))
+                  for om, *ph in zip(omegas, *phis)]
+        out = []
+        for p, b, Y, gam, zero in self._branches(lo, hi):
+            point = points[p - lo]
+            proj = None if Y is None or zero else complex(gam, point.omega)
+            out.append(ManifoldSample(k=self.k, point=point, branch=b, Y=Y,
+                                      gamma=gam, projected=proj))
+        return out
+
+
+def _table(data, sigma, k, axes):
+    """ManifoldTable of one level's scale-k polynomial over ``axes``."""
+    omegas, phis = _lattice(axes)
+    roots, _, neff, dk, radii = _grid_gammas(data, sigma, sigma[k - 1],
+                                             omegas, phis)
+    rows = np.flatnonzero(neff >= 0)
+    return ManifoldTable(k, sigma[k - 1], tuple(axes), rows, roots[rows],
+                         neff[rows], dk, radii[rows])
+
+
 def manifold_grid(sys, k, grid=None, ladder=None, tilde=False):
-    """ManifoldSamples over the full lattice, ordered by (point, branch).
+    """ManifoldSamples over the full lattice, ordered by (point, branch),
+    as a read-only ``ManifoldTable``.
 
     With ``tilde=True`` the polynomial comes from ladder level k+1 (the
     projected system); otherwise from the plain coefficient matrices.
@@ -400,23 +482,11 @@ def manifold_grid(sys, k, grid=None, ladder=None, tilde=False):
         data = _tilde_level_data(ladder, k)
     else:
         data = _level_data(sys, k)
-    omegas, phis = _grid_points(sys, k, grid)
-    roots, gammas, neff, dk, radii = _grid_gammas(data, sys.sigma,
-                                                  sys.sigma[k - 1],
-                                                  omegas, phis)
-    if dk and neff.size and np.all(neff < 0):
+    table = _table(data, sys.sigma, k, _grid_axes(sys, k, grid))
+    if table.dk and not table.rows.size:
         raise TrivialityError(f"scale-{k} polynomial vanishes on the "
                               f"entire grid")
-    samples = []
-    for i in range(omegas.shape[0]):
-        if neff[i] < 0:
-            continue
-        point = PhasePoint(omega=float(omegas[i]),
-                           phi=tuple(float(p) for p in phis[i]))
-        samples.extend(_samples_from_row(k, point, roots[i], int(neff[i]),
-                                         dk, float(radii[i]),
-                                         sys.sigma[k - 1]))
-    return samples
+    return table
 
 
 def _projected_from_grid(omegas, gammas, neff, keep):
@@ -475,28 +545,32 @@ def assemble_A_k(sys, ladder, k, grid=None, include_heuristic=False):
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
 
 
-def samples_to_csv_rows(samples, n):
-    """CSV rows (as lists of strings) for a sample dump.
+def manifold_csv(tables, n):
+    """CSV text of manifold tables, in chunks of whole lines.
 
     Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
     branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
-    flags is one of '', 'plus_inf', 'minus_inf'.
+    flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
+    is formatted once per table; only gamma and Y are formatted per sample.
     """
-    header = (["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
-              + ["branch", "gamma", "Y_re", "Y_im", "flags"])
-    rows = [header]
-    for s in samples:
-        phi_cols = ["%.17g" % p for p in s.point.phi]
-        phi_cols += [""] * ((n - 1) - len(phi_cols))
-        if s.is_minus_infinity:
-            y_re = y_im = ""
-            gamma, flags = "-inf", "minus_inf"
-        elif s.is_plus_infinity:
-            y_re, y_im = "%.17g" % s.Y.real, "%.17g" % s.Y.imag
-            gamma, flags = "inf", "plus_inf"
-        else:
-            y_re, y_im = "%.17g" % s.Y.real, "%.17g" % s.Y.imag
-            gamma, flags = "%.17g" % s.gamma, ""
-        rows.append(["%d" % s.k, "%.17g" % s.point.omega] + phi_cols
-                    + ["%d" % s.branch, gamma, y_re, y_im, flags])
-    return rows
+    yield ",".join(["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
+                   + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
+    for t in tables:
+        strs = [["%.17g" % v for v in ax.tolist()] for ax in t.axes]
+        head, pad = "%d," % t.k, "," * (n - t.k)
+        for lo in range(0, t.rows.size, _CHUNK_POINTS):
+            hi = lo + _CHUNK_POINTS
+            prefix = [head + ",".join(c) + pad
+                      for c in zip(*t._coords(lo, hi, strs))]
+            lines = []
+            for p, b, Y, gam, _ in t._branches(lo, hi):
+                if gam == -math.inf:
+                    lines.append("%s,%d,-inf,,,minus_inf\n"
+                                 % (prefix[p - lo], b))
+                elif gam == math.inf:
+                    lines.append("%s,%d,inf,%.17g,%.17g,plus_inf\n"
+                                 % (prefix[p - lo], b, Y.real, Y.imag))
+                else:
+                    lines.append("%s,%d,%.17g,%.17g,%.17g,\n"
+                                 % (prefix[p - lo], b, gam, Y.real, Y.imag))
+            yield "".join(lines)

@@ -111,15 +111,22 @@ def _boundary_points(box, t):
                                       x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
-def _secant_dist(z, fz, absf, nxt):
+def _secant_dist(z, fz, absf, nxt, good):
     """First-order distance to a zero at each sample: |f| over the steeper
     of the secant slopes of the intervals after and before it.
+
+    Only ``good`` intervals, which pass the phase and magnitude tests, give
+    a slope.  Across a longer one the secant of a bending f (a cluster of
+    roots just off the contour) can be far steeper than f' at the sample,
+    which would read as a zero on the contour; on a good interval |f|
+    changes by at most a factor of 4, so the distance is at least a fifth
+    of its length.
 
     A slope past the float maximum, as when |f| nears it, would read as a
     zero on the contour; such an interval (finite |f| at both ends) takes
     its distances with f divided by the larger |f| of its two ends."""
     dz = np.abs(z[nxt] - z)
-    slope = np.where(dz > 0.0, np.abs(fz[nxt] - fz) / dz, 0.0)
+    slope = np.where(good & (dz > 0.0), np.abs(fz[nxt] - fz) / dz, 0.0)
     over = np.flatnonzero(np.isinf(slope))
     if over.size:
         m = np.maximum(absf[over], absf[nxt[over]])
@@ -169,6 +176,11 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
         nxt[ends] = starts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             absf = np.abs(fz)
+            phase = np.angle(fz)
+            dphi = np.mod(phase[nxt] - phase + np.pi, 2.0 * np.pi) - np.pi
+            logf = np.log(absf)
+            bad = ((np.abs(dphi) > MAX_PHASE_STEP)
+                   | (np.abs(logf[nxt] - logf) > MAX_MAG_JUMP))
             # on-boundary zero test: |f| spans many orders of magnitude along
             # these boundaries (exponential growth off the imaginary axis),
             # so flag a root estimated first-order, as |f| / |f'| or via a
@@ -176,14 +188,9 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
             if dfz is not None:
                 dist = absf / np.abs(dfz)
             else:
-                dist = _secant_dist(z, fz, absf, nxt)
+                dist = _secant_dist(z, fz, absf, nxt, ~bad)
             on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
                        | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
-            phase = np.angle(fz)
-            dphi = np.mod(phase[nxt] - phase + np.pi, 2.0 * np.pi) - np.pi
-            logf = np.log(absf)
-            bad = ((np.abs(dphi) > MAX_PHASE_STEP)
-                   | (np.abs(logf[nxt] - logf) > MAX_MAG_JUMP))
             lens = t[nxt] - t
             lens[ends] = t[starts] + 1.0 - t[ends]
             P = (2.0 * ((box[1] - box[0]) + (box[3] - box[2])))[cid]

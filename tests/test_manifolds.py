@@ -1,10 +1,18 @@
 """Per-scale frequency sweeps: growth-rate branches, flags, assembled sets."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hierdde as h
-from hierdde.manifolds import GridSpec, PhasePoint
+from hierdde import manifolds as mf
+from hierdde.errors import TrivialityError
+from hierdde.manifolds import GridSpec, ManifoldSample, PhasePoint
 
 
 def _poly_eval(coeffs, y):
@@ -192,7 +200,8 @@ def test_manifold_grid_and_csv_rows():
     grid = GridSpec(omega_count=7, phase_count=4, omega_range=(-1.0, 1.0))
     samples1 = h.manifold_grid(s, 1, grid=grid)
     assert len(samples1) == 7  # one branch per frequency for a scalar system
-    rows = h.samples_to_csv_rows(samples1, s.n)
+    text = "".join(h.manifold_csv([samples1], s.n))
+    rows = [line.split(",") for line in text.splitlines()]
     assert rows[0] == ["k", "omega", "phi_1", "branch", "gamma", "Y_re", "Y_im",
                        "flags"]
     assert len(rows) == len(samples1) + 1
@@ -221,3 +230,217 @@ def test_assembled_sets():
     assert pts2.size > 0
     assert np.isfinite(pts2).all()
     assert pts2.real.min() < 0.0 < pts2.real.max()
+
+
+# ---------------------------------------------------------------------------
+# sample tables against the per-object samples and per-sample formatters
+# ---------------------------------------------------------------------------
+
+def _reference_samples(sys_, k, grid, ladder=None):
+    """One PhasePoint and one ManifoldSample per sample, built row by row:
+    what manifold_grid returned as a list before it kept its samples as
+    arrays.  Raises TrivialityError when every point is identically zero."""
+    data = (mf._level_data(sys_, k) if ladder is None
+            else mf._tilde_level_data(ladder, k))
+    omegas, phis = mf._grid_points(sys_, k, grid)
+    roots, _, neff, dk, radii = mf._grid_gammas(
+        data, sys_.sigma, sys_.sigma[k - 1], omegas, phis)
+    if dk and np.all(neff < 0):
+        raise TrivialityError("trivial grid")
+    out = []
+    for i in range(omegas.shape[0]):
+        if neff[i] < 0:
+            continue
+        point = PhasePoint(omega=float(omegas[i]),
+                           phi=tuple(float(p) for p in phis[i]))
+        for branch in range(dk):
+            Y, gam, proj = None, -math.inf, None
+            if branch < neff[i]:
+                Y = complex(roots[i, branch])
+                if abs(Y) <= mf.ZERO_ROOT_TOL * float(radii[i]):
+                    gam = math.inf
+                else:
+                    gam = -math.log(abs(Y)) / sys_.sigma[k - 1]
+                    proj = complex(gam, point.omega)
+            out.append(ManifoldSample(k=k, point=point, branch=branch, Y=Y,
+                                      gamma=gam, projected=proj))
+    return out
+
+
+def _reference_csv(samples, n):
+    """The CSV text of a sample dump, formatted sample by sample."""
+    rows = [["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
+            + ["branch", "gamma", "Y_re", "Y_im", "flags"]]
+    for s in samples:
+        phi_cols = ["%.17g" % p for p in s.point.phi]
+        phi_cols += [""] * ((n - 1) - len(phi_cols))
+        if s.is_minus_infinity:
+            y_re = y_im = ""
+            gamma, flags = "-inf", "minus_inf"
+        elif s.is_plus_infinity:
+            y_re, y_im = "%.17g" % s.Y.real, "%.17g" % s.Y.imag
+            gamma, flags = "inf", "plus_inf"
+        else:
+            y_re, y_im = "%.17g" % s.Y.real, "%.17g" % s.Y.imag
+            gamma, flags = "%.17g" % s.gamma, ""
+        rows.append(["%d" % s.k, "%.17g" % s.point.omega] + phi_cols
+                    + ["%d" % s.branch, gamma, y_re, y_im, flags])
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _reference_obj(by_scale):
+    ext = {math.inf: "inf", -math.inf: "-inf"}
+    return {str(k): [{"omega": s.point.omega, "phi": list(s.point.phi),
+                      "branch": s.branch, "gamma": ext.get(s.gamma, s.gamma),
+                      "Y": None if s.Y is None else [s.Y.real, s.Y.imag]}
+                     for s in samples]
+            for k, samples in sorted(by_scale.items())}
+
+
+def _reference_files(sys_, grid):
+    """File name -> text of run_manifolds' CSV and JSON output."""
+    ladder = h.build_ladder(sys_)
+    plain, tilde = {}, {}
+    for k in range(1, sys_.n + 1):
+        try:
+            plain[k] = _reference_samples(sys_, k, grid)
+        except TrivialityError:
+            plain[k] = []
+        if k < sys_.n and ladder.has_level(k + 1) \
+                and not ladder.level(k + 1).heuristic:
+            tilde[k] = _reference_samples(sys_, k, grid, ladder)
+    files = {"manifolds.csv": _reference_csv(
+        [s for k in sorted(plain) for s in plain[k]], sys_.n)}
+    if tilde:
+        files["manifolds_tilde.csv"] = _reference_csv(
+            [s for k in sorted(tilde) for s in tilde[k]], sys_.n)
+    files["manifolds.json"] = json.dumps(
+        {"plain": _reference_obj(plain), "tilde": _reference_obj(tilde)},
+        indent=1, sort_keys=True) + "\n"
+    return files
+
+
+def _tilde_system():
+    # A2's kernel is two-dimensional and A1 is singular on it, so the ladder
+    # reaches level 1 and its level 2 is not heuristic
+    rng = np.random.default_rng(7)
+    A0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return h.DelaySystem(matrices=(A0, np.diag([0.5, 1.0, 0.0]),
+                                   np.diag([1.0, 0.0, 0.0])),
+                         sigma=(1.0, 1.0))
+
+
+# (system, grid, text every manifolds.csv line set must contain)
+_TABLE_CASES = {
+    # omega = 1 is a zero root: det B vanishes, the Y coefficient does not
+    "plus-inf": (h.DelaySystem(matrices=(np.array([[1j, 0], [1, -1]]),
+                                         np.array([[0, 1], [0, 0]])),
+                               sigma=(1.0,)),
+                 GridSpec(omega_count=5, omega_range=(0.0, 2.0)),
+                 ",inf,", "plus_inf"),
+    # omega = 0.7 drops the degree: the Y coefficient is 0.7j - i omega
+    "minus-inf": (h.DelaySystem(matrices=(np.array([[0.3 + 0.1j, 0.2],
+                                                    [0.4, 0.7j]]),
+                                          np.diag([1.0, 0.0])),
+                                sigma=(1.0,)),
+                  GridSpec(omega_count=5, omega_range=(-0.7, 0.7)),
+                  ",-inf,,,", "minus_inf"),
+    # omega = 0 makes det(B + Y A1) vanish for every Y: the point is skipped
+    "skipped-point": (h.DelaySystem(matrices=(np.diag([0.3, 0.0]),
+                                              np.diag([1.0, 0.0])),
+                                    sigma=(1.0,)),
+                      GridSpec(omega_count=5, omega_range=(-1.0, 1.0)),
+                      "1,-0.5,", "1,0.5,"),
+    "tilde": (_tilde_system(),
+              GridSpec(omega_count=5, phase_count=3, omega_range=(-1.0, 1.0)),
+              "1,-1,,1,", "2,1,2.0943951023931953,0,"),
+    # three delays: scale-1 rows leave phi_1 and phi_2 blank
+    "n3": (h.DelaySystem.scalar(-0.4 + 0.5j, (0.5, 0.3, 0.2),
+                                sigma=(1.0, 1.5, 0.5)),
+           GridSpec(omega_count=4, phase_count=3, omega_range=(-1.0, 1.0)),
+           "1,-1,,,0,", "2,1,4.1887902047863905,,0,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_manifold_files_match_per_sample_formatters(case, tmp_path):
+    sys_, grid, *markers = _TABLE_CASES[case]
+    want = _reference_files(sys_, grid)
+    for fmt in ("csv", "json"):
+        cfg = h.RunConfig(system=sys_, eps_list=(0.1,), grid=grid,
+                          out_dir=str(tmp_path / fmt), out_format=fmt)
+        res = h.run_manifolds(cfg)
+        got = {p.rsplit("/", 1)[1]: open(p, "rb").read() for p in res.paths}
+        assert got == {name: text.encode() for name, text in want.items()
+                       if name.endswith(fmt)}
+    for marker in markers:
+        assert marker in want["manifolds.csv"] \
+            + want.get("manifolds_tilde.csv", "")
+    if case == "tilde":
+        assert len(res.tilde[1]) == 5
+    if case == "skipped-point":
+        assert len(res.plain[1]) == 4
+
+
+def _fields(sample):
+    """Every field of a sample with its type, PhasePoint included."""
+    vals = dataclasses.astuple(sample)
+    return [(type(v), v) for v in vals[:1] + vals[1] + vals[2:]]
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_manifold_table_indexes_like_the_sample_list(case):
+    sys_, grid, *_ = _TABLE_CASES[case]
+    ladder = h.build_ladder(sys_)
+    tables = [(h.manifold_grid(sys_, k, grid), _reference_samples(sys_, k,
+                                                                  grid))
+              for k in range(1, sys_.n + 1)]
+    if case == "tilde":
+        tables.append((h.manifold_grid(sys_, 1, grid, ladder=ladder,
+                                       tilde=True),
+                       _reference_samples(sys_, 1, grid, ladder)))
+    for table, ref in tables:
+        n = len(ref)
+        assert len(table) == n > 0
+        assert [_fields(s) for s in table] == [_fields(s) for s in ref]
+        assert tuple(table) == tuple(ref)
+        for i in (0, 1, n - 1, -1, -n, np.int64(n // 2), np.int32(-2)):
+            assert _fields(table[i]) == _fields(ref[i])
+        for sl in (slice(1, 5), slice(None, None, -3), slice(-4, None),
+                   slice(n, n + 3)):
+            assert table[sl] == ref[sl]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        with pytest.raises(TypeError):
+            table[1.0]
+        moved = dataclasses.replace(table[-1], branch=7, gamma=0.5)
+        assert moved == dataclasses.replace(ref[-1], branch=7, gamma=0.5)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(re_a=st.floats(-0.8, 0.8), im_a=st.floats(-0.5, 0.5),
+       b=st.floats(0.05, 0.9), b_arg=st.floats(0.0, 2 * math.pi),
+       c=st.floats(0.05, 0.9), c_arg=st.floats(0.0, 2 * math.pi))
+def test_manifold_grids_match_scalar2_closed_forms(re_a, im_a, b, b_arg, c,
+                                                   c_arg):
+    assume(abs(re_a) >= 0.01)
+    p = h.ScalarParams(a=complex(re_a, im_a), b=b * np.exp(1j * b_arg),
+                       c=c * np.exp(1j * c_arg))
+    s = h.DelaySystem.scalar(p.a, (p.b, p.c))
+    grid = GridSpec(omega_count=41, phase_count=16, omega_range=(-3.2, 3.2))
+
+    def check(closed, got):
+        if math.isinf(closed) or math.isinf(got):
+            assert closed == got
+        else:
+            assert abs(closed - got) <= 1e-9
+
+    samples1 = h.manifold_grid(s, 1, grid)
+    assert len(samples1) == 41
+    for smp in samples1:
+        check(h.gamma1(p, smp.point.omega), smp.gamma)
+    samples2 = h.manifold_grid(s, 2, grid)
+    assert len(samples2) == 41 * 16
+    for smp in samples2:
+        check(h.gamma2(p, smp.point.omega, smp.point.phi[0]), smp.gamma)

@@ -2,6 +2,7 @@
 
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,23 +232,24 @@ def _reference_count(f, fprime, rect, boundary_tol=1e-13, max_depth=96,
         absf = np.abs(fz)
         if float(absf.min()) == 0.0:
             return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if dfz is not None:
-                dist = absf / np.abs(dfz)
-            else:
-                dz = np.abs(np.diff(z, append=z[0]))
-                df = np.abs(np.diff(fz, append=fz[0]))
-                slope = np.where(dz > 0.0, df / np.where(dz > 0.0, dz, 1.0),
-                                 0.0)
-                slope = np.maximum(slope, np.roll(slope, 1))
-                dist = np.where(slope > 0.0, absf / slope, np.inf)
-        if float(np.min(dist)) <= boundary_tol * rect.diag:
-            return None
         phase = np.angle(fz)
         dphi = np.mod(np.diff(phase, append=phase[0]) + np.pi,
                       2.0 * np.pi) - np.pi
         magjump = np.abs(np.diff(np.log(absf), append=np.log(absf[0])))
         bad = (np.abs(dphi) > rf.MAX_PHASE_STEP) | (magjump > rf.MAX_MAG_JUMP)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if dfz is not None:
+                dist = absf / np.abs(dfz)
+            else:
+                # secant slopes of the intervals that pass the tests above
+                dz = np.abs(np.diff(z, append=z[0]))
+                df = np.abs(np.diff(fz, append=fz[0]))
+                slope = np.where(~bad & (dz > 0.0),
+                                 df / np.where(dz > 0.0, dz, 1.0), 0.0)
+                slope = np.maximum(slope, np.roll(slope, 1))
+                dist = np.where(slope > 0.0, absf / slope, np.inf)
+        if float(np.min(dist)) <= boundary_tol * rect.diag:
+            return None
         lens = np.diff(t, append=t[0] + 1.0)
         if dfz is not None:
             w_over_f = np.abs(dfz) / absf
@@ -361,6 +363,20 @@ def test_secant_slope_overflow_is_no_boundary_zero():
         assert h.count_zeros(f, h.Rectangle(0.0, 1.0, 0.0, 1.0)) == 1
 
 
+def test_root_cluster_off_the_edge_is_no_boundary_zero():
+    # three simple roots just right of the right edge, none within
+    # boundary_tol * diag: a secant from the edge sample 1 + 0.5j across a
+    # long interval is far steeper than f' there, and read as a zero on the
+    # contour before secant slopes were taken from good intervals only
+    box = h.Rectangle(0.0, 1.0, 0.0, 1.0)
+    f, fp = _product([1 + 1.4e-6 + 0.5j, 1 + 2.8e-6 + 0.5j,
+                      1 + 4.2e-6 + 0.5j])
+    assert h.count_zeros(f, box, fprime=fp) == 0
+    assert h.count_zeros(f, box) == 0
+    # counted on the rectangle itself, not an inflated one
+    assert rf._winding_count(f, None, [box], 1e-13, 96) == [0]
+
+
 def test_sample_budget_raises_from_batched_count():
     f = lambda z: np.exp(50j * z)
     cells = [h.Rectangle(-1.0, 0.0, -1.0, 1.0), h.Rectangle(0.0, 1.0, -1.0, 1.0)]
@@ -432,6 +448,31 @@ def test_find_roots_matches_lambert_w(a, b, negative, tau, half_im):
     assert all(r.multiplicity == 1 for r in found)
     assert len(found) == want.size
     assert _nearest(want, np.array([r.location for r in found])).max() <= 1e-10
+
+
+@_ORACLE
+@given(a=st.floats(-0.5, 0.5), b=st.floats(0.1, 1.0), negative=st.booleans(),
+       tau=st.floats(8.0, 15.0), half_im=st.floats(6.0, 9.0),
+       pick=st.integers(0, 1000), right=st.booleans(),
+       offset=st.floats(-1e-10, 1e-10))
+def test_count_with_an_edge_next_to_a_lambert_w_root(a, b, negative, tau,
+                                                     half_im, pick, right,
+                                                     offset):
+    # a vertical edge within 1e-10 of a known root: below boundary_tol of
+    # the diagonal the count inflates the window, and the count must be the
+    # oracle count of the window actually counted
+    b = -b if negative else b
+    box, want = _lambert_window(a, b, tau, half_im)
+    edge = want[pick % want.size].real + offset
+    box = replace(box, re_max=edge) if right else replace(box, re_min=edge)
+    f = lambda z: -z + a + b * np.exp(-z * tau)
+    fp = lambda z: -1.0 - b * tau * np.exp(-z * tau)
+    try:
+        count, counted = rf._count_with_inflation(f, fp, box, 1e-13, 96)
+    except h.BoundaryZeroError:
+        return
+    assert count == np.sum((counted.re_min < want.real)
+                           & (want.real < counted.re_max))
 
 
 @settings(_ORACLE, max_examples=6)
