@@ -16,7 +16,8 @@ from .errors import (HierDdeError, ConfigError, DimensionError,
                      ResolutionError, TrivialityError, DegenerateSystemError)
 from .model import (DelaySystem, EXP_ARG_LIMIT, check_eps, delays,
                     guard_real_extent, char_matrix, char_value, char_values,
-                    char_derivative, char_function, system_to_dict,
+                    char_derivative, char_function, axis_seeds,
+                    system_to_dict,
                     system_from_dict, save_system, load_system)
 from .rootfinder import Rectangle, RootResult, count_zeros, find_roots
 from .degeneracy import (LadderLevel, DegeneracyLadder, build_ladder,
@@ -48,7 +49,8 @@ __all__ = [
     "DegenerateSystemError",
     "DelaySystem", "EXP_ARG_LIMIT", "check_eps", "delays",
     "guard_real_extent", "char_matrix", "char_value", "char_values",
-    "char_derivative", "char_function", "system_to_dict", "system_from_dict",
+    "char_derivative", "char_function", "axis_seeds", "system_to_dict",
+    "system_from_dict",
     "save_system", "load_system",
     "Rectangle", "RootResult", "count_zeros", "find_roots",
     "LadderLevel", "DegeneracyLadder", "build_ladder", "check_nd",

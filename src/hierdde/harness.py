@@ -19,8 +19,8 @@ from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, assemble_A_k, manifold_csv, manifold_grid,
                         strong_spectrum)
-from .model import (DelaySystem, char_function, check_eps, guard_real_extent,
-                    load_system, system_from_dict)
+from .model import (DelaySystem, axis_seeds, char_function, check_eps,
+                    guard_real_extent, load_system, system_from_dict)
 from .rootfinder import Rectangle, find_roots
 from . import scalar2
 
@@ -252,7 +252,8 @@ def run_spectrum(cfg, write=True):
         guard_real_extent(sys_, eps, max(abs(cfg.window.re_min),
                                          abs(cfg.window.re_max)))
         f, fp = char_function(sys_, eps)
-        roots = find_roots(f, cfg.window, fprime=fp, tol=cfg.tol)
+        roots = find_roots(f, cfg.window, fprime=fp, tol=cfg.tol,
+                           seeds=axis_seeds(sys_, eps, cfg.window))
         runs.append(SpectrumRun(eps=eps, roots=tuple(roots)))
     path = None
     if write:
@@ -425,7 +426,8 @@ def run_validate(cfg, write=True):
         guard_real_extent(sys_, eps, max(abs(window.re_min),
                                          abs(window.re_max)))
         f, fp = char_function(sys_, eps)
-        roots = find_roots(f, window, fprime=fp, tol=cfg.tol)
+        roots = find_roots(f, window, fprime=fp, tol=cfg.tol,
+                           seeds=axis_seeds(sys_, eps, window))
         assigns = []
         max_d = {}
         strong_matches = 0

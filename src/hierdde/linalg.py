@@ -195,14 +195,17 @@ def cluster_points(points, radius=CLUSTER_RADIUS):
             j += 1
 
     comp = np.array([find(i) for i in range(N)])
-    reps = np.unique(comp)
-    centers = np.array([pts[comp == r].mean() for r in reps])
-    counts = np.array([int(np.sum(comp == r)) for r in reps])
+    reps, member, counts = np.unique(comp, return_inverse=True,
+                                     return_counts=True)
+    # each root of the union-find is a member: singletons are their point
+    centers = pts[reps]
+    for k in np.flatnonzero(counts > 1):
+        centers[k] = pts[member == k].mean()
     final = np.lexsort((centers.imag, centers.real))
     centers, counts = centers[final], counts[final]
 
+    rank = np.empty(reps.size, np.int64)
+    rank[final] = np.arange(reps.size)
     labels = np.empty(N, np.int64)
-    rep_to_label = {reps[final[k]]: k for k in range(reps.size)}
-    for i in range(N):
-        labels[order[i]] = rep_to_label[comp[i]]
+    labels[order] = rank[member]
     return centers, counts, labels

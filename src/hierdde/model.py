@@ -16,13 +16,14 @@ trustworthy.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _backend
 from .errors import ConfigError, DimensionError, EvaluationRangeError
-from .linalg import as_square
+from .linalg import as_square, poly_roots_batch
 
 __all__ = [
     "EXP_ARG_LIMIT",
@@ -35,6 +36,7 @@ __all__ = [
     "char_values",
     "char_derivative",
     "char_function",
+    "axis_seeds",
     "system_to_dict",
     "system_from_dict",
     "save_system",
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 EXP_ARG_LIMIT = 700.0  # |Re lam| * delay beyond this would overflow exp
+SEED_STEPS = 3         # fixed-point steps of axis_seeds; Newton finishes
+BRANCH_SEP = 1e-6      # relative |Y_b - Y_b'| below which branches coincide
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +198,59 @@ def char_function(sys, eps):
         return _backend.char_and_deriv(lams, mats, taus)[1]
 
     return f, fprime
+
+
+def axis_seeds(sys, eps, rect):
+    """Candidate roots in ``rect`` from the exact top-scale fixed point.
+
+    With ``Y = exp(-lam tau_n)`` the determinant vanishes exactly when Y is a
+    root of the degree-d polynomial ``det(B(lam) + Y A_n)``, where ``B(lam) =
+    -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``.  So every root solves
+    ``lam = -(Log Y_b(lam) - 2 pi i m) / tau_n`` for a branch b and an
+    integer m, and near the imaginary axis this map contracts by
+    O(tau_{n-1} / tau_n).  Each branch starts at ``2 pi i m / tau_n`` for
+    every m whose line crosses ``rect`` (one more on each side), takes
+    ``SEED_STEPS`` steps and follows the polynomial root nearest its
+    previous Y.
+
+    Seeds are candidates, certified by ``find_roots``.  Dropped are seeds
+    ending outside ``rect``, and at any step those whose Y_b is zero or not
+    finite, whose polynomial loses degree (A_n singular) or whose branch
+    coincides with another: near the axis only coinciding branches give a
+    multiple root.  Returns a complex array.
+    """
+    taus = delays(sys, eps)
+    mats, d, tau = sys.stacked(), sys.d, taus[-1]
+    scale = np.linalg.norm(mats[-1])
+    if scale == 0.0:
+        return np.empty(0, np.complex128)
+    lo = math.floor(rect.im_min * tau / (2.0 * math.pi)) - 1
+    hi = math.ceil(rect.im_max * tau / (2.0 * math.pi)) + 1
+    m = np.repeat(np.arange(lo, hi + 1), d)  # one candidate per (m, branch)
+    pick = np.tile(np.arange(d), hi - lo + 1)
+    lam, Y = 2j * np.pi * m / tau, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(SEED_STEPS):
+            B = mats[0] - lam[:, None, None] * np.eye(d)
+            for k in range(sys.n - 1):
+                B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
+            radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / scale
+            Ys, neff = poly_roots_batch(
+                _backend.det_poly_coeffs(B, mats[-1], radii))
+            rows = np.arange(m.size)
+            if Y is not None:
+                pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
+            Y = Ys[rows, pick]
+            gap = np.abs(Ys - Y[:, None])
+            gap[rows, pick] = np.inf
+            ok = ((neff == d) & np.isfinite(Y) & (Y != 0.0)
+                  & (np.min(gap, axis=1, initial=np.inf)
+                     > BRANCH_SEP * np.abs(Y)))
+            m, Y = m[ok], Y[ok]
+            lam = (2j * np.pi * m - np.log(Y)) / tau
+    inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
+              & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
+    return lam[inside]
 
 
 # ---------------------------------------------------------------------------

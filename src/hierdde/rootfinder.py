@@ -8,9 +8,12 @@ tolerance (reported as a multiple-root cluster).  The sum of reported
 multiplicities always equals the boundary count of the original rectangle;
 a violation raises instead of returning silently wrong data.
 
-Functions are evaluated in batches: ``f`` (and the optional ``fprime``)
+Functions are evaluated in batches: ``f`` and its derivative ``fprime``
 must accept a complex ndarray and return a matching ndarray, which is what
 lets the backend kernels carry the load on dense spectra.
+
+Candidate locations (``seeds``) stop the subdivision in any cell whose
+count equals its number of distinct Newton-converged seeds.
 """
 
 import logging
@@ -111,48 +114,14 @@ def _boundary_points(box, t):
                                       x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
-def _secant_dist(z, fz, absf, nxt, good):
-    """First-order distance to a zero at each sample: |f| over the steeper
-    of the secant slopes of the intervals after and before it.
-
-    Only ``good`` intervals, which pass the phase and magnitude tests, give
-    a slope.  Across a longer one the secant of a bending f (a cluster of
-    roots just off the contour) can be far steeper than f' at the sample,
-    which would read as a zero on the contour; on a good interval |f|
-    changes by at most a factor of 4, so the distance is at least a fifth
-    of its length.
-
-    A slope past the float maximum, as when |f| nears it, would read as a
-    zero on the contour; such an interval (finite |f| at both ends) takes
-    its distances with f divided by the larger |f| of its two ends."""
-    dz = np.abs(z[nxt] - z)
-    slope = np.where(good & (dz > 0.0), np.abs(fz[nxt] - fz) / dz, 0.0)
-    over = np.flatnonzero(np.isinf(slope))
-    if over.size:
-        m = np.maximum(absf[over], absf[nxt[over]])
-        fin = np.isfinite(m)
-        over, m = over[fin], m[fin]
-        slope[over] = 0.0
-    # argsort inverts nxt: the slope of the interval before
-    steep = np.maximum(slope, slope[np.argsort(nxt)])
-    dist = np.where(steep > 0.0, absf / steep, np.inf)
-    if over.size:
-        ends = nxt[over]
-        rel = np.abs(fz[ends] / m - fz[over] / m) / dz[over]
-        for i in (over, ends):
-            dist[i] = np.minimum(dist[i], absf[i] / m / rel)
-    return dist
-
-
 def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
                    max_samples=2_000_000):
     """Winding numbers of f around each rectangle, by adaptive sampling.
 
     Intervals are refined until the phase step, the log-magnitude step and
-    (when fprime is given) the first-order phase estimate |dz| |f'/f| are all
-    small; intervals much longer than the resolved median are split as well,
-    which stops an interval whose endpoints happen to agree from hiding a
-    full extra turn.
+    the first-order phase estimate |dz| |f'/f| are all small; intervals much
+    longer than the resolved median are split as well, which stops an
+    interval whose endpoints happen to agree from hiding a full extra turn.
 
     All rectangles share the kernel calls of each round, in one sample set
     sorted by (cell, t), yet each sees exactly the samples it would see
@@ -165,8 +134,7 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
     cid = np.repeat(np.arange(len(rects)), n0)
     t = np.tile(np.arange(n0, dtype=np.float64) / n0, len(rects))
     z = _boundary_points(box[:, cid], t)
-    fz = f(z)
-    dfz = None if fprime is None else fprime(z)
+    fz, dfz = f(z), fprime(z)
     out = [None] * len(rects)
     for _ in range(max_depth + 1):
         cells, starts, seg, sizes = np.unique(
@@ -183,21 +151,17 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
                    | (np.abs(logf[nxt] - logf) > MAX_MAG_JUMP))
             # on-boundary zero test: |f| spans many orders of magnitude along
             # these boundaries (exponential growth off the imaginary axis),
-            # so flag a root estimated first-order, as |f| / |f'| or via a
-            # secant slope, within boundary_tol * diag of the contour
-            if dfz is not None:
-                dist = absf / np.abs(dfz)
-            else:
-                dist = _secant_dist(z, fz, absf, nxt, ~bad)
+            # so flag a root estimated first-order, as |f| / |f'|, within
+            # boundary_tol * diag of the contour
+            dist = absf / np.abs(dfz)
             on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
                        | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
             lens = t[nxt] - t
             lens[ends] = t[starts] + 1.0 - t[ends]
             P = (2.0 * ((box[1] - box[0]) + (box[3] - box[2])))[cid]
-            if dfz is not None:
-                w_over_f = np.abs(dfz) / absf
-                pair = np.maximum(w_over_f, w_over_f[nxt])
-                bad |= (lens * P * pair) > DERIV_EST_LIMIT
+            w_over_f = np.abs(dfz) / absf
+            pair = np.maximum(w_over_f, w_over_f[nxt])
+            bad |= (lens * P * pair) > DERIV_EST_LIMIT
         # per-cell median of the good lengths, taken as np.median takes it
         srt = lens[np.lexsort((lens, bad, seg))]
         k = np.add.reduceat(~bad, starts, dtype=np.int64)
@@ -227,13 +191,14 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
         new = bad & keep
         tmid = np.mod(t[new] + 0.5 * lens[new], 1.0)
         znew = _boundary_points(box[:, cid[new]], tmid)
-        order = np.lexsort((np.r_[t[keep], tmid], np.r_[cid[keep], cid[new]]))
-        t = np.r_[t[keep], tmid][order]
-        cid = np.r_[cid[keep], cid[new]][order]
-        z = np.r_[z[keep], znew][order]
-        fz = np.r_[fz[keep], f(znew)][order]
-        if fprime is not None:
-            dfz = np.r_[dfz[keep], fprime(znew)][order]
+        # kept and new samples, one array at a time: one order for all
+        t, cid = (np.concatenate([t[keep], tmid]),
+                  np.concatenate([cid[keep], cid[new]]))
+        order = np.lexsort((t, cid))
+        t, cid = t[order], cid[order]
+        z = np.concatenate([z[keep], znew])[order]
+        fz = np.concatenate([fz[keep], f(znew)])[order]
+        dfz = np.concatenate([dfz[keep], fprime(znew)])[order]
     raise ResolutionError(f"boundary refinement did not settle in "
                           f"{max_depth} rounds on {rects[cid[0]]}")
 
@@ -251,7 +216,7 @@ def _count_with_inflation(f, fprime, rect, boundary_tol, max_depth,
         f"inflation retries did not clear it")
 
 
-def count_zeros(f, rect, fprime=None, boundary_tol=1e-13, max_depth=96):
+def count_zeros(f, rect, fprime, boundary_tol=1e-13, max_depth=96):
     """Number of zeros of f in rect, counted with multiplicity.
 
     ``f`` must be analytic on a neighbourhood of the closed rectangle and
@@ -271,9 +236,10 @@ def _split(f, fprime, cells, boundary_tol, max_depth):
     bisected across the long axis (spectral windows are extreme strips and
     quadrisection would waste a dimension).  Split lines are jittered when a
     child count fails to add up, which moves the lines off any root they
-    grazed.  Returns the (child, count) pairs with zeros, the cells whose
-    every jitter hit a (noise) zero on a split line -- their zeros cannot be
-    separated in double precision -- and the cells failing each jitter.
+    grazed.  Returns the (child, count, index of its parent) triples with
+    zeros, the cells whose every jitter hit a (noise) zero on a split line
+    -- their zeros cannot be separated in double precision -- and the cells
+    failing each jitter.
     """
     split, failed, mismatched = {}, [0] * len(_JITTERS), set()
     todo = range(len(cells))
@@ -309,26 +275,25 @@ def _split(f, fprime, cells, boundary_tol, max_depth):
     for i in mismatched.intersection(todo):
         raise ResolutionError(f"child counts never matched the parent count "
                               f"{cells[i][1]} on {cells[i][0]}")
-    return ([kid for i in sorted(split) for kid in split[i]],
+    return ([(c, n, i) for i in sorted(split) for c, n in split[i]],
             [cells[i] for i in todo], failed)
 
 
-def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None):
+def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None,
+                  within=None):
     """Vectorized Newton (or secant) polish with per-point escape leashes.
 
     ``mult`` (per-point integer, default 1) scales the step to m*f/f', the
     variant that restores quadratic convergence on an m-fold root.  For
     m > 1 the convergence test uses a floor at the m-fold noise radius
     times the local scale: below that distance the value of f is
-    evaluation noise and no smaller step can be certified.
+    evaluation noise and no smaller step can be certified.  A step leaving
+    the rectangle ``within`` also escapes, so f is never evaluated outside.
     """
     z = z0.copy()
     active = np.ones(z.size, bool)
     converged = np.zeros(z.size, bool)
-    if mult is None:
-        mult = np.ones(z.size)
-    else:
-        mult = np.asarray(mult, np.float64)
+    mult = np.ones(z.size) if mult is None else np.asarray(mult, np.float64)
     # the m-scaled step of a noisy m-fold root bottoms out near twice the
     # noise radius (the noise term eta/(A delta^(m-1)) grows again below
     # it), so certification needs headroom above that turning point
@@ -346,15 +311,15 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None):
             break
         zi = z[idx]
         fz = f(zi)
-        if secant:
-            denom = fz - fprev[idx]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(denom != 0, fz * (zi - zprev[idx]) / denom, np.inf)
-        else:
-            dfz = fprime(zi)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if secant:
+                denom = fz - fprev[idx]
+                step = np.where(denom != 0, fz * (zi - zprev[idx]) / denom,
+                                np.inf)
+            else:
+                dfz = fprime(zi)
                 step = np.where(dfz != 0, fz / dfz, np.inf)
-        step = mult[idx] * step
+            step = mult[idx] * step  # m * inf (a zero slope) is nan
         ok = np.isfinite(step)
         znew = zi - np.where(ok, step, 0.0)
         drift = znew - z0[idx]
@@ -364,6 +329,8 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None):
         escaped = (~ok
                    | (np.abs(drift.real) > 1.1 * half_w[idx] + step_tol[idx])
                    | (np.abs(drift.imag) > 1.1 * half_h[idx] + step_tol[idx]))
+        if within is not None:
+            escaped |= ~_inside(within, znew)
         done = ok & ~escaped & (np.abs(step) < step_tol[idx])
         if secant:
             zprev[idx] = zi
@@ -374,8 +341,29 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None):
     return z, converged
 
 
-def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
-               max_depth=96, newton_maxit=50, max_passes=200):
+def _inside(rect, z, margin=0.0):
+    """Mask of z at least ``margin`` inside rect, right and top edges
+    excluded: split children share out their parent's points."""
+    return ((rect.re_min + margin <= z.real) & (z.real < rect.re_max - margin)
+            & (rect.im_min + margin <= z.imag) & (z.imag < rect.im_max - margin))
+
+
+def _polish_seeds(f, fprime, seeds, rect, tol, maxit):
+    """Newton-converged seeds in rect, and whether each is distinct: no
+    other lies within the cluster resolution limit of a double root (taken
+    at the largest |z|)."""
+    z = np.asarray([] if seeds is None else seeds, np.complex128).ravel()
+    z = z[_inside(rect, z)]  # nan and inf compare False
+    leash = np.full(z.size, np.inf)
+    z, ok = _newton_batch(f, fprime, z, leash, leash, tol, maxit, within=rect)
+    z = z[ok]
+    _, counts, labels = cluster_points(
+        z, radius=8.0 * _noise_radius(2) * (1.0 + np.abs(z).max(initial=0.0)))
+    return z, counts[labels] == 1
+
+
+def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
+               newton_maxit=50, max_passes=200, seeds=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
     Returns a list of ``RootResult`` sorted by (real, imag).  Roots closer
@@ -383,21 +371,28 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
     from the member with the smallest residual).  If a zero sits on the
     requested boundary the rectangle is inflated as in ``count_zeros`` and
     results refer to the inflated window.
+
+    ``seeds`` (complex array, optional) are candidate locations.  They are
+    polished by Newton, leashed to ``rect``; a cell whose count equals the
+    number of distinct converged seeds in it (each seed belongs to one cell,
+    none within ``tol`` of its edges) holds exactly those simple roots and
+    is not split further.
     """
     total, base = _count_with_inflation(f, fprime, rect, boundary_tol,
                                         max_depth)
     if total == 0:
         return []
-
-    found = []  # (location, multiplicity, converged)
-    work, failed = [(base, total, False)], [0] * len(_JITTERS)
+    pts, lone = _polish_seeds(f, fprime, seeds, rect, tol, newton_maxit)
+    found, seeded = [], 0  # (location, multiplicity, converged); roots
+    own = np.arange(pts.size)  # every polished seed lies in rect
+    work, failed = [(base, total, False, own)], [0] * len(_JITTERS)
     for _ in range(max_passes):
         if not work:
             break
         singles, clusters, generation, work = [], [], work, []
         while generation:
             to_split = []
-            for cell, cnt, force in generation:
+            for cell, cnt, force, own in generation:
                 # a cell holding a few zeros stops splitting near the cluster
                 # resolution limit: the noise zone of an m-fold root has
                 # radius ~ (machine eps)^(1/m), which jittered split lines
@@ -407,25 +402,33 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
                 # true high-order root is still caught as unsplittable below
                 stop = max(tol, 8.0 * _noise_radius(cnt) * (
                     1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
-                if cell.diag < stop:
+                if (own.size == cnt and lone[own].all()
+                        and _inside(cell, pts[own], margin=tol).all()):
+                    found += [(complex(z), 1, True) for z in pts[own]]
+                    seeded += cnt
+                elif cell.diag < stop:
                     clusters.append((cell, cnt))
                 elif cnt == 1 and not force:
-                    singles.append(cell)
+                    singles.append((cell, own))
                 else:
-                    to_split.append((cell, cnt))
-            kids, stuck, fails = _split(f, fprime, to_split, boundary_tol,
-                                        max_depth)
-            generation = [(c, n, False) for c, n in kids]
+                    to_split.append((cell, cnt, own))
+            kids, stuck, fails = _split(f, fprime, [c[:2] for c in to_split],
+                                        boundary_tol, max_depth)
+            generation = []
+            for c, n, i in kids:  # the seeds of a parent go to its children
+                own = to_split[i][2]
+                generation.append((c, n, False, own[_inside(c, pts[own])]
+                                   if own.size else own))
             clusters += stuck
             failed = [a + b for a, b in zip(failed, fails)]
 
         if singles:
-            centers = np.array([c.center for c in singles])
-            hw = np.array([0.5 * c.width for c in singles])
-            hh = np.array([0.5 * c.height for c in singles])
+            centers = np.array([c.center for c, _ in singles])
+            hw = np.array([0.5 * c.width for c, _ in singles])
+            hh = np.array([0.5 * c.height for c, _ in singles])
             roots, conv = _newton_batch(f, fprime, centers, hw, hh,
                                         tol, newton_maxit)
-            for cell, root, ok in zip(singles, roots, conv):
+            for (cell, own), root, ok in zip(singles, roots, conv):
                 if ok and cell.contains(root):
                     found.append((complex(root), 1, True))
                 elif cell.diag < max(tol, MULTI_ROOT_RES
@@ -436,7 +439,7 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
                         else cell.center
                     found.append((loc, 1, False))
                 else:
-                    work.append((cell, 1, True))
+                    work.append((cell, 1, True, own))
         if clusters:
             centers = np.array([c.center for c, _ in clusters])
             hw = np.array([0.5 * c.width for c, _ in clusters])
@@ -450,18 +453,13 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
                 roots[i], conv[i] = _newton_batch(
                     f, fprime, centers[i], hw[i], hh[i], tol, newton_maxit)
             if multi.any():
+                # an m-fold zero of f is an (m-1)-fold zero of f', which is
+                # better conditioned by one noise-radius order; for m = 2 it
+                # is a simple zero, locatable to full precision
                 i = np.nonzero(multi)[0]
-                if fprime is not None:
-                    # an m-fold zero of f is an (m-1)-fold zero of f', which
-                    # is better conditioned by one noise-radius order; for
-                    # m = 2 it is a simple zero, locatable to full precision
-                    roots[i], conv[i] = _newton_batch(
-                        fprime, None, centers[i], hw[i], hh[i], tol,
-                        newton_maxit, mult=np.maximum(mults[i] - 1, 1))
-                else:
-                    roots[i], conv[i] = _newton_batch(
-                        f, None, centers[i], hw[i], hh[i], tol,
-                        newton_maxit, mult=mults[i])
+                roots[i], conv[i] = _newton_batch(
+                    fprime, None, centers[i], hw[i], hh[i], tol,
+                    newton_maxit, mult=np.maximum(mults[i] - 1, 1))
             slack = np.maximum(tol, 8.0 * np.array(
                 [_noise_radius(m) for m in mults]) * (1.0 + np.abs(centers)))
             for (cell, cnt), root, ok, sl in zip(clusters, roots, conv, slack):
@@ -492,8 +490,9 @@ def find_roots(f, rect, fprime=None, tol=1e-9, boundary_tol=1e-13,
             f"located multiplicities do not sum to the boundary count "
             f"{total} on {rect}")
     unconverged = sum(not r.newton_converged for r in results)
-    _log.debug("find_roots on %s: %d roots, %d not Newton-converged; window "
-               "inflated: %s; cells failing each split jitter (the last are "
-               "unsplittable): %s", rect, len(results), unconverged,
-               base is not rect, failed)
+    _log.debug("find_roots on %s: %d roots, %d not Newton-converged; "
+               "certified with multiplicity: %d from seeds, %d by "
+               "subdivision; window inflated: %s; cells failing each split "
+               "jitter (the last are unsplittable): %s", rect, len(results),
+               unconverged, seeded, total - seeded, base is not rect, failed)
     return results

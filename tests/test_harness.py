@@ -186,6 +186,23 @@ def test_run_validate_report(tmp_path):
     assert (tmp_path / "validate.csv").exists()
 
 
+def test_run_validate_through_subdivision_alone(monkeypatch):
+    # without seeds every root comes from subdivision: the same counts,
+    # scales and eigenvalues (to tol) as the seeded route
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
+    seeded = h.run_validate(cfg, write=False)
+    monkeypatch.setattr(harness, "axis_seeds",
+                        lambda sys_, eps, rect: np.empty(0, complex))
+    alone = h.run_validate(cfg, write=False)
+    (a,), (b,) = seeded.records, alone.records
+    assert a.count == b.count == 383
+    assert [x.scale for x in a.assignments] == [x.scale for x in b.assignments]
+    za = np.array([x.eigenvalue for x in a.assignments])
+    zb = np.array([x.eigenvalue for x in b.assignments])
+    assert np.abs(za - zb).max() <= cfg.tol
+    assert a.max_distance[2] == pytest.approx(b.max_distance[2], abs=1e-6)
+
+
 def test_run_example_artifacts(tmp_path):
     summary = h.run_example("fig2-stable", out_dir=str(tmp_path))
     assert sorted(summary.keys()) == [

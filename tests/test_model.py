@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import lambertw
 
 import hierdde as h
 from hierdde.errors import ConfigError, DimensionError, EvaluationRangeError
@@ -149,6 +150,70 @@ def test_char_function_closures_match_pointwise():
         assert b == pytest.approx(h.char_derivative(s, 0.05, complex(z)), rel=1e-12)
     with pytest.raises(EvaluationRangeError):
         f(np.array([complex(-2.0, 0.0)]))
+
+
+def _nearest(want, got):
+    return np.abs(want[:, None] - got[None, :]).min(axis=1)
+
+
+def test_axis_seeds_match_lambert_w():
+    # lam = a + b exp(-lam tau) has the roots a + W_k(b tau e^{-a tau}) / tau;
+    # the fixed-point map contracts by 1 / |W_k| < 1/300 here, so three
+    # steps from the axis leave an error below 1e-8
+    a, b, eps = -0.3, 0.5, 1e-3
+    rect = h.Rectangle(-0.01, 0.01, -1.0, 1.0)
+    seeds = h.axis_seeds(h.DelaySystem.scalar(a, (b,)), eps, rect)
+    arg = b / eps * np.exp(-a / eps)
+    lam = np.array([a + eps * lambertw(arg, k) for k in range(-170, 171)])
+    want = lam[np.abs(lam.imag) < 1.0]
+    assert np.all(np.abs(want.real) < 0.01) and want.size == 319
+    assert seeds.size == want.size
+    assert _nearest(want, seeds).max() <= 1e-8
+
+
+def test_axis_seeds_of_two_scales_are_the_roots():
+    # the map is exact for n = 2 as well: Newton-free seeds of fig2-unstable
+    # sit on the subdivision roots, one each
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
+    (rect,) = h.validation_window(cfg)
+    f, fp = h.char_function(cfg.system, 0.05)
+    want = np.array([r.location for r in h.find_roots(f, rect, fp)])
+    seeds = h.axis_seeds(cfg.system, 0.05, rect)
+    assert seeds.size == want.size == 383
+    assert _nearest(want, seeds).max() <= 1e-6
+    assert _nearest(seeds, want).max() <= 1e-6
+
+
+def test_axis_seeds_of_a_block_diagonal_system_are_the_union():
+    eps, rect = 1e-3, h.Rectangle(-0.01, 0.01, -1.0, 1.0)
+    blocks = ((-0.3, 0.5), (-0.2 + 0.1j, 0.8))
+    union = np.concatenate([h.axis_seeds(h.DelaySystem.scalar(a, (b,)), eps,
+                                         rect) for a, b in blocks])
+    both = h.DelaySystem(matrices=(np.diag([a for a, _ in blocks]),
+                                   np.diag([b for _, b in blocks])),
+                         sigma=(1.0,))
+    seeds = h.axis_seeds(both, eps, rect)
+    assert seeds.size == union.size > 600
+    assert _nearest(union, seeds).max() <= 1e-12
+    assert _nearest(seeds, union).max() <= 1e-12
+
+
+def test_axis_seeds_drop_coinciding_and_singular_branches():
+    rect = h.Rectangle(-0.05, 0.05, -3.0, 3.0)
+    q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.3))
+    for top in (q @ (0.3 * np.eye(2)) @ q.conj().T,  # coinciding branches
+                np.array([[0.0, 1.0], [0.0, 0.0]]),  # degree 0 in Y
+                np.diag([0.3, 0.0]),                 # degree drops to 1
+                np.zeros((2, 2))):
+        mats = (q @ (s.matrices[0][0, 0] * np.eye(2)) @ q.conj().T,
+                0.1 * np.eye(2), top)
+        sys_ = h.DelaySystem(matrices=mats, sigma=(1.0, 1.0))
+        assert h.axis_seeds(sys_, 0.05, rect).size == 0
+    # the scalar system itself has seeds, all inside the window
+    seeds = h.axis_seeds(s, 0.05, rect)
+    assert seeds.size > 300
+    assert np.all((np.abs(seeds.real) <= 0.05) & (np.abs(seeds.imag) <= 3.0))
 
 
 def test_serialization_round_trip_exact():

@@ -1,7 +1,6 @@
 """Winding-number root counting and subdivision-based root location."""
 
 import logging
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,14 +42,31 @@ def test_rectangle_rejects_degenerate():
 
 def test_count_zeros_polynomials():
     box = h.Rectangle(-2.0, 2.0, -2.0, 2.0)
-    assert h.count_zeros(lambda z: z * z + 1.0, box) == 2
-    assert h.count_zeros(lambda z: z * z, box) == 2  # multiplicity counts
-    assert h.count_zeros(lambda z: z - 5.0, box) == 0
+    assert h.count_zeros(lambda z: z * z + 1.0, box, lambda z: 2.0 * z) == 2
+    # multiplicity counts
+    assert h.count_zeros(lambda z: z * z, box, lambda z: 2.0 * z) == 2
+    assert h.count_zeros(lambda z: z - 5.0, box, np.ones_like) == 0
 
 
 def test_count_zeros_transcendental():
     box = h.Rectangle(0.0, 1.0, -1.0, 1.0)
-    assert h.count_zeros(lambda z: -z + np.exp(-z), box) == 1
+    assert h.count_zeros(lambda z: -z + np.exp(-z), box,
+                         lambda z: -1.0 - np.exp(-z)) == 1
+
+
+def test_count_of_an_aliasing_lambert_w_window():
+    # the 32 starting samples are 0.78 apart, where exp(-8 i y) turns by
+    # almost exactly 2 pi: the phase steps alone cannot see the 15 turns,
+    # the derivative's |dz| |f'/f| test does
+    f = lambda z: -z + np.exp(-8.0 * z)
+    fp = lambda z: -1.0 - 8.0 * np.exp(-8.0 * z)
+    box = h.Rectangle(-0.408, 0.401, -6.0, 6.0)
+    assert h.count_zeros(f, box, fp) == 15
+    want = np.array([lambertw(8.0, k) / 8.0 for k in range(-8, 9)])
+    inside = want[np.abs(want.imag) < 6.0]
+    assert inside.size == 15
+    found = np.array([r.location for r in h.find_roots(f, box, fp)])
+    assert _nearest(inside, found).max() <= 1e-10
 
 
 def test_find_roots_quadratic():
@@ -75,13 +91,11 @@ def test_find_roots_transcendental_oracle():
 
 def test_double_root_with_neighbor():
     f, fp = _poly_pair([1.0, 1.0, -1j])
-    box = h.Rectangle(-2.0, 4.0, -3.0, 3.0)
-    for kwargs in ({"fprime": fp}, {}):
-        roots = h.find_roots(f, box, **kwargs)
-        bymult = {r.multiplicity: r for r in roots}
-        assert set(bymult) == {1, 2}
-        assert abs(bymult[2].location - 1.0) <= 1e-6
-        assert abs(bymult[1].location + 1j) <= 1e-8
+    roots = h.find_roots(f, h.Rectangle(-2.0, 4.0, -3.0, 3.0), fprime=fp)
+    bymult = {r.multiplicity: r for r in roots}
+    assert set(bymult) == {1, 2}
+    assert abs(bymult[2].location - 1.0) <= 1e-6
+    assert abs(bymult[1].location + 1j) <= 1e-8
 
 
 def test_double_root_off_axis():
@@ -112,14 +126,15 @@ def test_mixed_multiplicities():
 def test_root_on_window_corner_counted_once():
     f, fp = _poly_pair([0.0, 3.0])
     box = h.Rectangle(0.0, 1.0, 0.0, 1.0)
-    assert h.count_zeros(f, box) == 1
+    assert h.count_zeros(f, box, fprime=fp) == 1
     roots = h.find_roots(f, box, fprime=fp)
     assert len(roots) == 1
     assert abs(roots[0].location) <= 1e-6
 
 
 def test_root_on_window_edge():
-    assert h.count_zeros(lambda z: z - 0.5, h.Rectangle(0.5, 1.0, -0.5, 0.5)) == 1
+    assert h.count_zeros(lambda z: z - 0.5, h.Rectangle(0.5, 1.0, -0.5, 0.5),
+                         np.ones_like) == 1
 
 
 def test_split_window_counts_add_up():
@@ -128,8 +143,8 @@ def test_split_window_counts_add_up():
     whole = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
     left = h.Rectangle(-1.0, 0.05, -1.0, 1.0)
     right = h.Rectangle(0.05, 1.0, -1.0, 1.0)
-    assert h.count_zeros(f, whole) == 3
-    assert h.count_zeros(f, left) + h.count_zeros(f, right) == 3
+    assert h.count_zeros(f, whole, fp) == 3
+    assert h.count_zeros(f, left, fp) + h.count_zeros(f, right, fp) == 3
     got = sorted([r.location for r in h.find_roots(f, left, fprime=fp)]
                  + [r.location for r in h.find_roots(f, right, fprime=fp)],
                  key=lambda z: z.real)
@@ -177,10 +192,11 @@ def test_resolution_error_when_depth_exhausted():
     # a zero-free function whose boundary phase needs several refinement
     # rounds: a depth cap of 1 cannot settle, a modest cap can
     f = lambda z: np.exp(50j * z)
+    fp = lambda z: 50j * np.exp(50j * z)
     box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
     with pytest.raises(h.ResolutionError):
-        h.count_zeros(f, box, max_depth=1)
-    assert h.count_zeros(f, box, max_depth=6) == 0
+        h.count_zeros(f, box, fp, max_depth=1)
+    assert h.count_zeros(f, box, fp, max_depth=6) == 0
 
 
 def test_residuals_certified_small():
@@ -227,7 +243,7 @@ def _reference_count(f, fprime, rect, boundary_tol=1e-13, max_depth=96,
     t = np.arange(n0, dtype=np.float64) / n0
     z = points(t)
     fz = f(z)
-    dfz = None if fprime is None else fprime(z)
+    dfz = fprime(z)
     for _ in range(max_depth + 1):
         absf = np.abs(fz)
         if float(absf.min()) == 0.0:
@@ -237,24 +253,12 @@ def _reference_count(f, fprime, rect, boundary_tol=1e-13, max_depth=96,
                       2.0 * np.pi) - np.pi
         magjump = np.abs(np.diff(np.log(absf), append=np.log(absf[0])))
         bad = (np.abs(dphi) > rf.MAX_PHASE_STEP) | (magjump > rf.MAX_MAG_JUMP)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if dfz is not None:
-                dist = absf / np.abs(dfz)
-            else:
-                # secant slopes of the intervals that pass the tests above
-                dz = np.abs(np.diff(z, append=z[0]))
-                df = np.abs(np.diff(fz, append=fz[0]))
-                slope = np.where(~bad & (dz > 0.0),
-                                 df / np.where(dz > 0.0, dz, 1.0), 0.0)
-                slope = np.maximum(slope, np.roll(slope, 1))
-                dist = np.where(slope > 0.0, absf / slope, np.inf)
-        if float(np.min(dist)) <= boundary_tol * rect.diag:
+        if float(np.min(absf / np.abs(dfz))) <= boundary_tol * rect.diag:
             return None
         lens = np.diff(t, append=t[0] + 1.0)
-        if dfz is not None:
-            w_over_f = np.abs(dfz) / absf
-            pair = np.maximum(w_over_f, np.roll(w_over_f, -1))
-            bad |= (lens * P * pair) > rf.DERIV_EST_LIMIT
+        w_over_f = np.abs(dfz) / absf
+        pair = np.maximum(w_over_f, np.roll(w_over_f, -1))
+        bad |= (lens * P * pair) > rf.DERIV_EST_LIMIT
         if (~bad).any():
             med = float(np.median(lens[~bad]))
             bad |= lens > rf.LEN_OUTLIER_FACTOR * max(med, 1.0 / max_samples)
@@ -269,13 +273,11 @@ def _reference_count(f, fprime, rect, boundary_tol=1e-13, max_depth=96,
         t = t[order]
         z = np.concatenate([z, znew])[order]
         fz = np.concatenate([fz, f(znew)])[order]
-        if dfz is not None:
-            dfz = np.concatenate([dfz, fprime(znew)])[order]
+        dfz = np.concatenate([dfz, fprime(znew)])[order]
     raise AssertionError("reference count did not settle")
 
 
-@pytest.mark.parametrize("with_derivative", [True, False])
-def test_batched_count_matches_cells_counted_alone(with_derivative):
+def test_batched_count_matches_cells_counted_alone():
     # exp(50j z) makes every contour take many refinement rounds; the
     # polynomial puts simple roots and a double root in some cells, and a
     # root on the left edge of the last cell
@@ -290,8 +292,7 @@ def test_batched_count_matches_cells_counted_alone(with_derivative):
     pts = {"batch": [], "alone": [], "reference": []}
 
     def handles(key):
-        return (_recording(f, pts[key]),
-                _recording(fp, []) if with_derivative else None)
+        return _recording(f, pts[key]), _recording(fp, [])
 
     batch = rf._winding_count(*handles("batch"), rects, 1e-13, 96)
     alone = [rf._winding_count(*handles("alone"), [r], 1e-13, 96)[0]
@@ -329,13 +330,12 @@ def test_batched_samples_match_reference_near_edge_roots(roots, width):
     rects = [h.Rectangle(0.0, width, 0.0, 1.0),
              h.Rectangle(-width, 0.0, 0.0, 1.0),
              h.Rectangle(0.0, width, -1.0, 0.0)]
-    for fprime in (fp, None):
-        got, want = [], []
-        batch = rf._winding_count(_recording(f, got), fprime, rects, 1e-13, 96)
-        assert batch == [_reference_count(_recording(f, want), fprime, r)
-                         for r in rects]
-        assert np.array_equal(np.sort_complex(np.concatenate(got)),
-                              np.sort_complex(np.concatenate(want)))
+    got, want = [], []
+    batch = rf._winding_count(_recording(f, got), fp, rects, 1e-13, 96)
+    assert batch == [_reference_count(_recording(f, want), fp, r)
+                     for r in rects]
+    assert np.array_equal(np.sort_complex(np.concatenate(got)),
+                          np.sort_complex(np.concatenate(want)))
 
 
 def test_boundary_zero_error_after_every_inflation():
@@ -347,42 +347,31 @@ def test_boundary_zero_error_after_every_inflation():
                 0.5 - 3 * base * 1j]
 
     f, fp = _product(on_edges)
-    for kwargs in ({"fprime": fp}, {}):
-        with pytest.raises(h.BoundaryZeroError):
-            h.count_zeros(f, box, **kwargs)
+    with pytest.raises(h.BoundaryZeroError):
+        h.count_zeros(f, box, fp)
     # without the last root the third inflation clears the other three
-    assert h.count_zeros(_product(on_edges[:3])[0], box) == 3
-
-
-def test_secant_slope_overflow_is_no_boundary_zero():
-    # |f| reaches 3.5e307 on the right edge, where secant slopes pass the
-    # float maximum; the only zero is the centre of the square
-    f = lambda z: 5e307 * np.exp(5.0 * (z - 1.0)) * (z - 0.5 - 0.5j)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert h.count_zeros(f, h.Rectangle(0.0, 1.0, 0.0, 1.0)) == 1
+    f, fp = _product(on_edges[:3])
+    assert h.count_zeros(f, box, fp) == 3
 
 
 def test_root_cluster_off_the_edge_is_no_boundary_zero():
     # three simple roots just right of the right edge, none within
-    # boundary_tol * diag: a secant from the edge sample 1 + 0.5j across a
-    # long interval is far steeper than f' there, and read as a zero on the
-    # contour before secant slopes were taken from good intervals only
+    # boundary_tol * diag of it
     box = h.Rectangle(0.0, 1.0, 0.0, 1.0)
     f, fp = _product([1 + 1.4e-6 + 0.5j, 1 + 2.8e-6 + 0.5j,
                       1 + 4.2e-6 + 0.5j])
     assert h.count_zeros(f, box, fprime=fp) == 0
-    assert h.count_zeros(f, box) == 0
     # counted on the rectangle itself, not an inflated one
-    assert rf._winding_count(f, None, [box], 1e-13, 96) == [0]
+    assert rf._winding_count(f, fp, [box], 1e-13, 96) == [0]
 
 
 def test_sample_budget_raises_from_batched_count():
     f = lambda z: np.exp(50j * z)
+    fp = lambda z: 50j * np.exp(50j * z)
     cells = [h.Rectangle(-1.0, 0.0, -1.0, 1.0), h.Rectangle(0.0, 1.0, -1.0, 1.0)]
     with pytest.raises(h.ResolutionError, match="exceeded 100 samples"):
-        rf._winding_count(f, None, cells, 1e-13, 96, max_samples=100)
-    assert rf._winding_count(f, None, cells, 1e-13, 96) == [0, 0]
+        rf._winding_count(f, fp, cells, 1e-13, 96, max_samples=100)
+    assert rf._winding_count(f, fp, cells, 1e-13, 96) == [0, 0]
 
 
 def test_batch_cap_changes_no_result(monkeypatch):
@@ -396,16 +385,105 @@ def test_batch_cap_changes_no_result(monkeypatch):
 def test_fallback_summary_logged_once_without_changing_results(caplog):
     f, fp = _poly_pair([1.0, 1.0, -1j])
     box = h.Rectangle(-2.0, 4.0, -3.0, 3.0)
-    quiet = h.find_roots(f, box, fprime=fp)
-    with caplog.at_level(logging.DEBUG, logger="hierdde"):
-        loud = h.find_roots(f, box, fprime=fp)
-    assert loud == quiet
-    (record,) = [r for r in caplog.records if r.name == "hierdde"]
-    assert record.levelno == logging.DEBUG
-    msg = record.getMessage()
-    assert "2 roots" in msg and "split jitter" in msg
-    # the double root's cell needed jittered split lines
-    assert sum(record.args[-1]) > 0
+    # (seeds, roots certified from seeds and by subdivision): a seed on
+    # the double root cannot explain its count of 2
+    for seeds, routes in ((None, (0, 3)), ([-1j, 1.0], (1, 2))):
+        quiet = h.find_roots(f, box, fprime=fp, seeds=seeds)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hierdde"):
+            loud = h.find_roots(f, box, fprime=fp, seeds=seeds)
+        assert loud == quiet
+        (record,) = [r for r in caplog.records if r.name == "hierdde"]
+        assert record.levelno == logging.DEBUG
+        msg = record.getMessage()
+        assert "2 roots" in msg and "split jitter" in msg
+        assert "%d from seeds, %d by subdivision" % routes in msg
+        assert record.args[3:5] == routes
+        # the double root's cell needed jittered split lines
+        assert sum(record.args[-1]) > 0
+
+
+def _routes(*args, **kwargs):
+    """find_roots, and how many roots (with multiplicity) it certified from
+    seeds and by subdivision, read from its DEBUG summary."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    log = logging.getLogger("hierdde")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        roots = h.find_roots(*args, **kwargs)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    (record,) = records
+    return roots, record.args[3], record.args[4]
+
+
+def test_junk_seeds_give_the_seedless_roots():
+    roots = [0.4 + 0.3j, -0.6 - 0.2j, 0.1 - 0.7j, 0.75 + 0.75j, -0.3 + 0.6j]
+    box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    f, fp = _poly_pair(roots + [1.05 + 1.05j])  # one root outside the window
+    plain = h.find_roots(f, box, fp)
+    junk = [roots[0], roots[0],         # a duplicate: its cell is split
+            roots[1] + 1e-3,            # polished onto its root
+            0.99 + 0.99j,               # Newton heads out of the window
+            2.0 + 0.5j, 0.5 - 3.0j, np.nan, np.inf,  # outside, not finite
+            roots[2], roots[3]]         # and roots[4] has no seed
+    seen = []
+    found, seeded, split = _routes(_recording(f, seen), box,
+                                   _recording(fp, seen), seeds=junk)
+    assert (seeded, split) == (3, 2)
+    assert [r.multiplicity for r in found] == [r.multiplicity for r in plain]
+    a = np.array([r.location for r in plain])
+    b = np.array([r.location for r in found])
+    assert _nearest(a, b).max() <= 1e-9 and _nearest(b, a).max() <= 1e-9
+    # no seed is evaluated outside the window
+    z = np.concatenate(seen)
+    assert np.all((np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0))
+
+
+def test_seeded_route_matches_subdivision_on_fig3():
+    # the scale-1 roots of fig3 have no seed of the top-scale fixed point:
+    # their cells are split, the rest is certified from seeds
+    cfg = h.preset_config("fig3", eps_list=(0.01,))
+    (box,) = h.validation_window(cfg)
+    f, fp = h.char_function(cfg.system, 0.01)
+    plain = h.find_roots(f, box, fp)
+    found, seeded, split = _routes(
+        f, box, fp, seeds=h.axis_seeds(cfg.system, 0.01, box))
+    assert seeded > 0 and split > 0
+    assert [r.multiplicity for r in found] == [r.multiplicity for r in plain]
+    assert seeded + split == sum(r.multiplicity for r in plain) == 9549
+    a = np.array([r.location for r in plain])
+    b = np.array([r.location for r in found])
+    assert _nearest(a, b).max() <= 1e-9 and _nearest(b, a).max() <= 1e-9
+
+
+def test_seeds_never_explain_double_roots():
+    # the spectrum-double system Q diag(s, s) Q^H: its branches coincide,
+    # so it has no axis seeds; seeds put on every double root (one each)
+    # cannot explain a count of 2, and the result is the seedless one
+    s = h.preset_system("fig2-unstable")
+    z = np.random.default_rng(21).standard_normal((2, 2, 2))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    double = h.DelaySystem(
+        matrices=tuple(q @ (M[0, 0] * np.eye(2)) @ q.conj().T
+                       for M in s.matrices), sigma=s.sigma)
+    (box,) = h.validation_window(h.preset_config("fig2-unstable",
+                                                 eps_list=(0.1,)))
+    f, fp = h.char_function(double, 0.1)
+    assert h.axis_seeds(double, 0.1, box).size == 0
+    plain = h.find_roots(f, box, fp)
+    assert len(plain) >= 40
+    found, seeded, split = _routes(f, box, fp,
+                                   seeds=[r.location for r in plain])
+    assert found == plain
+    assert seeded == 0 and split == 2 * len(plain)
+    assert all(r.multiplicity == 2 for r in found)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +551,50 @@ def test_count_with_an_edge_next_to_a_lambert_w_root(a, b, negative, tau,
         return
     assert count == np.sum((counted.re_min < want.real)
                            & (want.real < counted.re_max))
+
+
+# b > 0 > a keeps Y = (lam - a) / b near the axis in the right half plane,
+# away from the cut of Log (where two roots can share one m, and one of them
+# goes to subdivision), and |W_k(b tau exp(-a tau))| >= W_0(60) = 3 makes
+# the fixed-point map contract by a factor 3 at least
+@_ORACLE
+@given(a=st.floats(-0.5, -0.1), b=st.floats(0.1, 1.0), tau=st.floats(30.0, 60.0),
+       half_im=st.floats(2.0, 4.0))
+def test_seeded_roots_match_lambert_w(a, b, tau, half_im):
+    box, want = _lambert_window(a, b, tau, half_im)
+    sys_ = h.DelaySystem.scalar(a, (b,))
+    f, fp = h.char_function(sys_, 1.0 / tau)
+    found, seeded, split = _routes(
+        f, box, fp, seeds=h.axis_seeds(sys_, 1.0 / tau, box))
+    assert (seeded, split) == (want.size, 0)
+    assert all(r.multiplicity == 1 and r.newton_converged for r in found)
+    assert len(found) == want.size
+    assert _nearest(want, np.array([r.location for r in found])).max() <= 1e-9
+
+
+# blocks x' = a x + b_i x(t - tau) whose branches Y_i = (lam - a) / b_i stay
+# a factor 2.3 apart, while one fixed-point step moves Y by under 20% (tau
+# of a few hundred): each branch follows its own root
+@settings(_ORACLE, max_examples=6)
+@given(a=st.floats(-0.5, -0.1), b=st.floats(0.1, 0.3), b2=st.floats(0.7, 1.0),
+       tau=st.floats(200.0, 400.0), half_im=st.floats(1.0, 2.0))
+def test_seeded_block_diagonal_is_the_union_of_its_blocks(a, b, b2, tau,
+                                                          half_im):
+    box, want = _lambert_window(a, b, tau, half_im)
+    box2, want2 = _lambert_window(a, b2, tau, half_im)
+    want = np.concatenate([want, want2])
+    box = replace(box, re_min=min(box.re_min, box2.re_min),
+                  re_max=max(box.re_max, box2.re_max))
+    sys_ = h.DelaySystem(matrices=(a * np.eye(2), np.diag([b, b2])),
+                         sigma=(1.0,))
+    f, fp = h.char_function(sys_, 1.0 / tau)
+    found, seeded, split = _routes(
+        f, box, fp, seeds=h.axis_seeds(sys_, 1.0 / tau, box))
+    assert (seeded, split) == (want.size, 0)
+    got = np.array([r.location for r in found])
+    assert len(got) == want.size
+    assert _nearest(want, got).max() <= 1e-9
+    assert _nearest(got, want).max() <= 1e-9
 
 
 @settings(_ORACLE, max_examples=6)
