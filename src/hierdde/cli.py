@@ -12,8 +12,8 @@ from . import harness
 from .errors import ConfigError, DegenerateSystemError, EvaluationRangeError
 
 
-def _add_common(sp, need_config=True):
-    sp.add_argument("--config", metavar="PATH", required=need_config,
+def _add_common(sp):
+    sp.add_argument("--config", metavar="PATH", required=True,
                     help="JSON run configuration")
     sp.add_argument("--eps", metavar="LIST",
                     help="comma-separated eps values, strictly decreasing")

@@ -120,19 +120,19 @@ def _build(sys, rank_tol):
     return True, records, k_under
 
 
-def _nd_from(an_singular, records, k_under, rank_tol):
+def _nd_from(an_singular, records, k_under):
     if not an_singular or k_under != 1:
         return True
     bottom = records[-1]
     J1 = bottom["J1"]
-    if rank(J1, rank_tol) == bottom["dim"]:
+    if rank(J1) == bottom["dim"]:
         return True
-    Ue, Ve = kernel_vectors(J1, rank_tol)
+    Ue, Ve = kernel_vectors(J1)
     P = _sandwich(Ue, bottom["A_proj"][0], Ve)
-    return rank(P, rank_tol) == P.shape[0]
+    return rank(P) == P.shape[0]
 
 
-def build_ladder(sys, rank_tol=RANK_TOL):
+def build_ladder(sys):
     """Construct the projection ladder of a system.
 
     A full-rank top matrix yields an empty ladder.  Otherwise levels are
@@ -144,10 +144,10 @@ def build_ladder(sys, rank_tol=RANK_TOL):
     rank decisions then sit near the threshold and downstream results
     deserve suspicion.
     """
-    an_singular, records, k_under = _build(sys, rank_tol)
-    nd = _nd_from(an_singular, records, k_under, rank_tol)
+    an_singular, records, k_under = _build(sys, RANK_TOL)
+    nd = _nd_from(an_singular, records, k_under)
 
-    loose_sing, loose_records, loose_ku = _build(sys, rank_tol * 10.0)
+    loose_sing, loose_records, loose_ku = _build(sys, RANK_TOL * 10.0)
     if (loose_sing != an_singular or loose_ku != k_under
             or [r["dim"] for r in loose_records] != [r["dim"] for r in records]):
         warnings.warn("ladder rank decisions change at 10x looser tolerance; "
@@ -161,7 +161,7 @@ def build_ladder(sys, rank_tol=RANK_TOL):
     return DegeneracyLadder(an_singular=an_singular, levels=levels,
                             k_under=k_under, nd_satisfied=nd,
                             sigma=sys.sigma, d=sys.d, n=sys.n,
-                            rank_tol=rank_tol)
+                            rank_tol=RANK_TOL)
 
 
 def check_nd(ladder):

@@ -304,10 +304,6 @@ class ValidationReport:
     records: tuple
     nonincreasing: dict
 
-    def scale_max_distances(self, k):
-        return [rec.max_distance[k] for rec in self.records
-                if k in rec.max_distance]
-
     def as_dict(self):
         recs = []
         for rec in self.records:
@@ -337,12 +333,11 @@ class ValidationReport:
                                   in sorted(self.nonincreasing.items())}}
 
 
-def validation_window(cfg, sup_top=None):
+def validation_window(cfg):
     """Per-eps validation windows, one Rectangle per configured eps.
 
     An explicit config window wins; otherwise the half-width rule applies
-    (see RunConfig).  ``sup_top`` feeds the default rule; pass the top-scale
-    supremum when already known to avoid recomputation.
+    (see RunConfig).
     """
     if cfg.window is not None:
         return [cfg.window for _ in cfg.eps_list]
@@ -350,8 +345,7 @@ def validation_window(cfg, sup_top=None):
         coef, power = float(cfg.re_halfwidth_coef), cfg.re_halfwidth_power
         hws = [coef * eps ** power for eps in cfg.eps_list]
     else:
-        if sup_top is None:
-            sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
+        sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
         if not math.isfinite(sup_top):
             raise ConfigError(
                 "top-scale supremum is not finite; give an explicit window "
@@ -540,14 +534,12 @@ def run_manifolds(cfg, write=True):
     return ManifoldsResult(plain=plain, tilde=tilde, paths=tuple(paths))
 
 
-def run_classify(cfg, write=True):
+def run_classify(cfg):
     """Stability verdict for the configured system; emits classify.json."""
     ladder = build_ladder(cfg.system)
     verdict = classify(cfg.system, ladder, margin=cfg.margin,
                        search_cfg=cfg.grid)
-    if write:
-        _write_json(os.path.join(cfg.out_dir, "classify.json"),
-                    verdict.as_dict())
+    _write_json(os.path.join(cfg.out_dir, "classify.json"), verdict.as_dict())
     return verdict
 
 
@@ -592,8 +584,7 @@ def preset_system(name):
     return DelaySystem.scalar(p.a, (p.b, p.c))
 
 
-def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir=".",
-                  out_format="csv", tol=1e-9):
+def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir="."):
     """Validation-ready RunConfig for a named preset.
 
     The last preset has an unbounded top-scale supremum, so its windows come
@@ -602,8 +593,7 @@ def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir=".",
     the default sup-based rule.
     """
     kw = dict(system=preset_system(name), eps_list=tuple(eps_list),
-              grid=_PRESET_GRIDS[name], out_dir=out_dir,
-              out_format=out_format, tol=tol, im_max=3.0)
+              grid=_PRESET_GRIDS[name], out_dir=out_dir, im_max=3.0)
     if name == "fig3":
         kw["re_halfwidth_coef"] = 0.4
         kw["re_halfwidth_power"] = 1.0
@@ -617,35 +607,24 @@ def _diff_ext(closed, general):
     return abs(closed - general)
 
 
-def _gamma1_comparison(p, sys_, grid):
-    samples = manifold_grid(sys_, 1, grid)
-    rows = [["omega", "gamma_closed", "gamma_general", "abs_diff"]]
+def _gamma_comparison(p, sys_, grid, k):
+    """Rows comparing the closed-form scale-k (1 or 2) gamma with the
+    general one over the grid, and the largest discrepancy."""
+    closed_form = scalar2.gamma1 if k == 1 else scalar2.gamma2
+    rows = [["omega"] + [f"phi_{j}" for j in range(1, k)]
+            + ["gamma_closed", "gamma_general", "abs_diff"]]
     worst = 0.0
-    for s in samples:
-        closed = scalar2.gamma1(p, s.point.omega)
+    for s in manifold_grid(sys_, k, grid):
+        closed = closed_form(p, s.point.omega, *s.point.phi)
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
-        rows.append([_fmt(s.point.omega), str(_ext(closed)),
-                     str(_ext(s.gamma)),
-                     "inf" if diff == math.inf else _fmt(diff)])
+        rows.append([_fmt(s.point.omega)] + [_fmt(x) for x in s.point.phi]
+                    + [str(_ext(closed)), str(_ext(s.gamma)),
+                       "inf" if diff == math.inf else _fmt(diff)])
     return rows, worst
 
 
-def _gamma2_comparison(p, sys_, grid):
-    samples = manifold_grid(sys_, 2, grid)
-    rows = [["omega", "phi_1", "gamma_closed", "gamma_general", "abs_diff"]]
-    worst = 0.0
-    for s in samples:
-        closed = scalar2.gamma2(p, s.point.omega, s.point.phi[0])
-        diff = _diff_ext(closed, s.gamma)
-        worst = max(worst, diff)
-        rows.append([_fmt(s.point.omega), _fmt(s.point.phi[0]),
-                     str(_ext(closed)), str(_ext(s.gamma)),
-                     "inf" if diff == math.inf else _fmt(diff)])
-    return rows, worst
-
-
-def run_example(name, out_dir=".", out_format="csv", write=True):
+def run_example(name, out_dir=".", out_format="csv"):
     """Closed-form vs general-machinery comparison for a named preset.
 
     Emits the scale-1 curve and scale-2 surface sampled both ways with
@@ -657,8 +636,8 @@ def run_example(name, out_dir=".", out_format="csv", write=True):
     sys_ = preset_system(name)
     grid1 = GridSpec(omega_count=201, phase_count=32, omega_range=(-3.2, 3.2))
     grid2 = GridSpec(omega_count=101, phase_count=32, omega_range=(-3.2, 3.2))
-    rows1, worst1 = _gamma1_comparison(p, sys_, grid1)
-    rows2, worst2 = _gamma2_comparison(p, sys_, grid2)
+    rows1, worst1 = _gamma_comparison(p, sys_, grid1, 1)
+    rows2, worst2 = _gamma_comparison(p, sys_, grid2, 2)
 
     ladder = build_ladder(sys_)
     search = GridSpec(omega_count=401, phase_count=64,
@@ -686,13 +665,10 @@ def run_example(name, out_dir=".", out_format="csv", write=True):
         "gamma1_zeros": None if zeros is None else list(zeros),
         "singular_phases": None if phis is None else list(phis),
     }
-    if write:
-        _write_json(os.path.join(out_dir, f"example_{name}.json"), summary)
-        if out_format == "csv":
-            _write_rows(os.path.join(out_dir, f"example_{name}_gamma1.csv"),
-                        rows1)
-            _write_rows(os.path.join(out_dir, f"example_{name}_gamma2.csv"),
-                        rows2)
+    _write_json(os.path.join(out_dir, f"example_{name}.json"), summary)
+    if out_format == "csv":
+        _write_rows(os.path.join(out_dir, f"example_{name}_gamma1.csv"), rows1)
+        _write_rows(os.path.join(out_dir, f"example_{name}_gamma2.csv"), rows2)
     return summary
 
 

@@ -108,23 +108,22 @@ def _companion_eigvals(stack):
     return np.linalg.eigvals(C)
 
 
-def poly_roots(coeffs, trim_tol=TRIM_TOL, max_degree=None):
+def poly_roots(coeffs):
     """Roots of ``sum_j coeffs[j] Y**j`` with noise-aware degree trimming.
 
-    Leading coefficients below ``trim_tol`` times the largest magnitude are
+    Leading coefficients below ``TRIM_TOL`` times the largest magnitude are
     treated as zero (they are interpolation noise in this package); the
     remaining polynomial's roots come from its companion matrix.  Returns the
     roots sorted by (real, imag); an (effectively) constant polynomial has
     none.  Raises ``DimensionError`` for an identically zero input.
     """
-    roots, neff = poly_roots_batch(np.asarray(coeffs, np.complex128)[None, :],
-                                   trim_tol, max_degree)
+    roots, neff = poly_roots_batch(np.asarray(coeffs, np.complex128)[None, :])
     if neff[0] < 0:
         raise DimensionError("polynomial is identically zero")
     return roots[0, :neff[0]]
 
 
-def poly_roots_batch(coeffs, trim_tol=TRIM_TOL, max_degree=None):
+def poly_roots_batch(coeffs, max_degree=None):
     """Vectorized ``poly_roots`` over rows.
 
     Returns ``(roots, neff)`` where ``roots`` is (N, max_degree) padded with
@@ -142,7 +141,7 @@ def poly_roots_batch(coeffs, trim_tol=TRIM_TOL, max_degree=None):
 
     mags = np.abs(work)
     biggest = mags.max(axis=1)
-    keep = mags > trim_tol * np.maximum(biggest, 1e-300)[:, None]
+    keep = mags > TRIM_TOL * np.maximum(biggest, 1e-300)[:, None]
     # effective degree: highest index still above the noise floor
     degs = np.where(keep.any(axis=1),
                     (max_degree - np.argmax(keep[:, ::-1], axis=1)), -1)

@@ -51,6 +51,7 @@ ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
 _CHUNK_POINTS = 4096    # lattice points decoded (and CSV lines joined) at once
+_CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
 
 
 def canonical_phase(phi, sigma_j):
@@ -178,12 +179,12 @@ def strong_spectrum(sys):
 # (J = I for the plain spectra, J = ladder projection for the tilde spectra)
 # ---------------------------------------------------------------------------
 
-def _restricted_smin(Ak, rank_tol=RANK_TOL):
+def _restricted_smin(Ak):
     """Smallest nonzero singular value of Ak, and its rank."""
     s = np.linalg.svd(Ak, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0.0, 0
-    r = int(np.sum(s > rank_tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     return float(s[r - 1]) if r else 0.0, r
 
 
@@ -196,13 +197,13 @@ def _assemble_B(J, A_list, sigma, omegas, phis):
     return B
 
 
-def _poly_grid(J, A_list, sigma, Ak, omegas, phis, radii, chunk=1 << 16):
+def _poly_grid(J, A_list, sigma, Ak, omegas, phis, radii):
     """Coefficient rows of det(B + Y Ak) over all grid points."""
     N = omegas.shape[0]
     m = Ak.shape[0]
     coeffs = np.empty((N, m + 1), np.complex128)
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
+    for lo in range(0, N, _CHUNK_ROWS):
+        hi = min(N, lo + _CHUNK_ROWS)
         B = _assemble_B(J, A_list, sigma, omegas[lo:hi], phis[lo:hi])
         coeffs[lo:hi] = _backend.det_poly_coeffs(B, Ak, radii[lo:hi])
     return coeffs
@@ -503,15 +504,15 @@ def _projected_from_grid(omegas, gammas, neff, keep):
     return (gammas[valid] + 1j * om[valid]).astype(np.complex128)
 
 
-def assemble_A_k(sys, ladder, k, grid=None, include_heuristic=False):
+def assemble_A_k(sys, ladder, k, grid=None):
     """Sampled asymptotic spectrum for scale k, as projected complex values.
 
     k=0: the unstable instantaneous eigenvalues plus the stable truncated
     pencil roots from the ladder.  0<k<n: unstable part of the scale-k
-    manifolds plus, when ladder level k+1 exists, the stable part of the
-    tilde manifolds (heuristic levels only on request).  k=n: every finite
-    manifold value.  Order follows the grid (point-major), tilde samples
-    appended after the plain ones.
+    manifolds plus, when ladder level k+1 exists and is not heuristic, the
+    stable part of the tilde manifolds.  k=n: every finite manifold value.
+    Order follows the grid (point-major), tilde samples appended after the
+    plain ones.
     """
     grid = grid or GridSpec()
     if k == 0:
@@ -534,7 +535,7 @@ def assemble_A_k(sys, ladder, k, grid=None, include_heuristic=False):
 
     parts = [_projected_from_grid(omegas, gammas, neff, keep="positive")]
     if (ladder is not None and ladder.has_level(k + 1)
-            and (include_heuristic or not ladder.level(k + 1).heuristic)):
+            and not ladder.level(k + 1).heuristic):
         tdata = _tilde_level_data(ladder, k)
         _, tg, tneff, tdk, _ = _grid_gammas(tdata, sys.sigma,
                                             sys.sigma[k - 1], omegas, phis)

@@ -132,6 +132,14 @@ def _guard(taus, max_abs_re, eps):
                 f"(eps={eps:g})", scale=k + 1)
 
 
+def _guarded(taus, eps, lams):
+    """``lams`` as a 1-D complex array, once the overflow guard passed."""
+    lams = np.atleast_1d(np.asarray(lams, np.complex128))
+    if lams.size:
+        _guard(taus, float(np.max(np.abs(lams.real))), eps)
+    return lams
+
+
 def guard_real_extent(sys, eps, max_abs_re):
     """Raise if ``|Re lam| <= max_abs_re`` is not safely evaluable."""
     _guard(delays(sys, eps), float(max_abs_re), check_eps(eps))
@@ -151,10 +159,7 @@ def char_matrix(sys, eps, lam):
 def char_values(sys, eps, lams):
     """Characteristic determinant over an array of points."""
     taus = delays(sys, eps)
-    lams = np.atleast_1d(np.asarray(lams, np.complex128))
-    if lams.size:
-        _guard(taus, float(np.max(np.abs(lams.real))), eps)
-    return _backend.char_values(lams, sys.stacked(), taus)
+    return _backend.char_values(_guarded(taus, eps, lams), sys.stacked(), taus)
 
 
 def char_value(sys, eps, lam):
@@ -169,9 +174,8 @@ def char_derivative(sys, eps, lam):
     to a central difference wherever the characteristic matrix is singular.
     """
     taus = delays(sys, eps)
-    lam = complex(lam)
-    _guard(taus, abs(lam.real), eps)
-    _, dchi = _backend.char_and_deriv(np.array([lam]), sys.stacked(), taus)
+    _, dchi = _backend.char_and_deriv(_guarded(taus, eps, complex(lam)),
+                                      sys.stacked(), taus)
     return complex(dchi[0])
 
 
@@ -186,16 +190,11 @@ def char_function(sys, eps):
     eps = check_eps(eps)
 
     def f(lams):
-        lams = np.atleast_1d(np.asarray(lams, np.complex128))
-        if lams.size:
-            _guard(taus, float(np.max(np.abs(lams.real))), eps)
-        return _backend.char_values(lams, mats, taus)
+        return _backend.char_values(_guarded(taus, eps, lams), mats, taus)
 
     def fprime(lams):
-        lams = np.atleast_1d(np.asarray(lams, np.complex128))
-        if lams.size:
-            _guard(taus, float(np.max(np.abs(lams.real))), eps)
-        return _backend.char_and_deriv(lams, mats, taus)[1]
+        return _backend.char_and_deriv(_guarded(taus, eps, lams), mats,
+                                       taus)[1]
 
     return f, fprime
 

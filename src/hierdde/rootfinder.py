@@ -36,6 +36,13 @@ _INFLATE_FRACTION = 1e-6
 _EPS_MACH = 2.0 ** -52
 MULTI_ROOT_RES = 2.0 ** -26   # sqrt(machine eps): cluster resolution limit
 MAX_BATCH_CELLS = 256         # cells per batched count: bounds kernel memory
+BOUNDARY_TOL = 1e-13          # root this close (times diag) to a contour: on it
+MAX_DEPTH = 96                # refinement rounds of one boundary count
+MAX_SAMPLES = 2_000_000       # boundary samples of one cell
+_START_SAMPLES = 32           # boundary samples of a cell before refinement
+NEWTON_MAXIT = 50             # Newton steps of one polish
+MAX_PASSES = 200              # Newton-and-resplit passes of find_roots
+INFLATE_TRIES = 3             # retries on an inflated window
 _log = logging.getLogger("hierdde")
 
 
@@ -114,8 +121,7 @@ def _boundary_points(box, t):
                                       x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
-def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
-                   max_samples=2_000_000):
+def _winding_count(f, fprime, rects):
     """Winding numbers of f around each rectangle, by adaptive sampling.
 
     Intervals are refined until the phase step, the log-magnitude step and
@@ -130,13 +136,14 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
     """
     box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
                     for r in rects]).T
-    ztol = np.array([boundary_tol * r.diag for r in rects])
-    cid = np.repeat(np.arange(len(rects)), n0)
-    t = np.tile(np.arange(n0, dtype=np.float64) / n0, len(rects))
+    ztol = np.array([BOUNDARY_TOL * r.diag for r in rects])
+    cid = np.repeat(np.arange(len(rects)), _START_SAMPLES)
+    t = np.tile(np.arange(_START_SAMPLES, dtype=np.float64) / _START_SAMPLES,
+                len(rects))
     z = _boundary_points(box[:, cid], t)
     fz, dfz = f(z), fprime(z)
     out = [None] * len(rects)
-    for _ in range(max_depth + 1):
+    for _ in range(MAX_DEPTH + 1):
         cells, starts, seg, sizes = np.unique(
             cid, return_index=True, return_inverse=True, return_counts=True)
         ends = starts + sizes - 1
@@ -152,7 +159,7 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
             # on-boundary zero test: |f| spans many orders of magnitude along
             # these boundaries (exponential growth off the imaginary axis),
             # so flag a root estimated first-order, as |f| / |f'|, within
-            # boundary_tol * diag of the contour
+            # BOUNDARY_TOL * diag of the contour
             dist = absf / np.abs(dfz)
             on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
                        | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
@@ -168,7 +175,7 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
         lo = starts + (k - 1) // 2
         med = np.where(k > 0, (srt[lo] + srt[lo + 1 - k % 2]) / 2.0, np.inf)
         bad |= lens > (LEN_OUTLIER_FACTOR
-                       * np.maximum(med, 1.0 / max_samples))[seg]
+                       * np.maximum(med, 1.0 / MAX_SAMPLES))[seg]
         # an interval still bad at the floating-point spacing of its own
         # endpoints cannot be refined: f is evaluation noise there, as when a
         # (possibly multiple) root sits on or next to the contour
@@ -182,9 +189,9 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
                 raise ResolutionError(f"non-integer winding {turns[j]:.3f} "
                                       f"on {rects[cells[j]]}")
         going = ~on_zero & (nbad > 0)
-        if np.any(going & (sizes + nbad > max_samples)):
+        if np.any(going & (sizes + nbad > MAX_SAMPLES)):
             raise ResolutionError(
-                f"boundary refinement exceeded {max_samples} samples")
+                f"boundary refinement exceeded {MAX_SAMPLES} samples")
         keep = going[seg]
         if not keep.any():
             return out
@@ -200,36 +207,35 @@ def _winding_count(f, fprime, rects, boundary_tol, max_depth, n0=32,
         fz = np.concatenate([fz[keep], f(znew)])[order]
         dfz = np.concatenate([dfz[keep], fprime(znew)])[order]
     raise ResolutionError(f"boundary refinement did not settle in "
-                          f"{max_depth} rounds on {rects[cid[0]]}")
+                          f"{MAX_DEPTH} rounds on {rects[cid[0]]}")
 
 
-def _count_with_inflation(f, fprime, rect, boundary_tol, max_depth,
-                          inflate_tries=3):
+def _count_with_inflation(f, fprime, rect):
     base = _INFLATE_FRACTION * rect.diag
-    for attempt in range(inflate_tries + 1):
+    for attempt in range(INFLATE_TRIES + 1):
         grown = rect if attempt == 0 else rect.inflate(attempt * base)
-        count, = _winding_count(f, fprime, [grown], boundary_tol, max_depth)
+        count, = _winding_count(f, fprime, [grown])
         if count is not None:
             return count, grown
     raise BoundaryZeroError(
-        f"a zero sits on the boundary of {rect} and {inflate_tries} "
+        f"a zero sits on the boundary of {rect} and {INFLATE_TRIES} "
         f"inflation retries did not clear it")
 
 
-def count_zeros(f, rect, fprime, boundary_tol=1e-13, max_depth=96):
+def count_zeros(f, rect, fprime):
     """Number of zeros of f in rect, counted with multiplicity.
 
     ``f`` must be analytic on a neighbourhood of the closed rectangle and
     nonzero on its boundary; a root estimated (via |f|/|f'|) to lie within
-    ``boundary_tol`` times the diagonal of the contour triggers up to three
-    retries on a rectangle inflated by 1e-6 of the diagonal per attempt (the
-    count then refers to the inflated rectangle), after which
-    ``BoundaryZeroError`` is raised.
+    ``BOUNDARY_TOL`` times the diagonal of the contour triggers up to
+    ``INFLATE_TRIES`` retries on a rectangle inflated by 1e-6 of the diagonal
+    per attempt (the count then refers to the inflated rectangle), after
+    which ``BoundaryZeroError`` is raised.
     """
-    return _count_with_inflation(f, fprime, rect, boundary_tol, max_depth)[0]
+    return _count_with_inflation(f, fprime, rect)[0]
 
 
-def _split(f, fprime, cells, boundary_tol, max_depth):
+def _split(f, fprime, cells):
     """Split each (rect, count) cell into 2 or 4 children with counts.
 
     Near-square cells are quadrisected; cells with aspect ratio beyond 2 are
@@ -256,9 +262,8 @@ def _split(f, fprime, cells, boundary_tol, max_depth):
                          for c, d in zip(ys, ys[1:])])
         flat = [c for ks in kids for c in ks]
         counts = iter([c for lo in range(0, len(flat), MAX_BATCH_CELLS)
-                       for c in _winding_count(f, fprime,
-                                               flat[lo:lo + MAX_BATCH_CELLS],
-                                               boundary_tol, max_depth)])
+                       for c in _winding_count(
+                           f, fprime, flat[lo:lo + MAX_BATCH_CELLS])])
         retry = []
         for i, ks in zip(todo, kids):
             got = [next(counts) for _ in ks]
@@ -279,7 +284,7 @@ def _split(f, fprime, cells, boundary_tol, max_depth):
             [cells[i] for i in todo], failed)
 
 
-def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None,
+def _newton_batch(f, fprime, z0, half_w, half_h, tol, mult=None,
                   within=None):
     """Vectorized Newton (or secant) polish with per-point escape leashes.
 
@@ -305,7 +310,7 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, maxit, mult=None,
     if secant:
         zprev = z0 + (half_w * 1e-3 + tol) + 1j * (half_h * 1e-3 + tol)
         fprev = f(zprev)
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAXIT):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -348,22 +353,21 @@ def _inside(rect, z, margin=0.0):
             & (rect.im_min + margin <= z.imag) & (z.imag < rect.im_max - margin))
 
 
-def _polish_seeds(f, fprime, seeds, rect, tol, maxit):
+def _polish_seeds(f, fprime, seeds, rect, tol):
     """Newton-converged seeds in rect, and whether each is distinct: no
     other lies within the cluster resolution limit of a double root (taken
     at the largest |z|)."""
     z = np.asarray([] if seeds is None else seeds, np.complex128).ravel()
     z = z[_inside(rect, z)]  # nan and inf compare False
     leash = np.full(z.size, np.inf)
-    z, ok = _newton_batch(f, fprime, z, leash, leash, tol, maxit, within=rect)
+    z, ok = _newton_batch(f, fprime, z, leash, leash, tol, within=rect)
     z = z[ok]
     _, counts, labels = cluster_points(
         z, radius=8.0 * _noise_radius(2) * (1.0 + np.abs(z).max(initial=0.0)))
     return z, counts[labels] == 1
 
 
-def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
-               newton_maxit=50, max_passes=200, seeds=None):
+def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
     Returns a list of ``RootResult`` sorted by (real, imag).  Roots closer
@@ -378,15 +382,14 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
     none within ``tol`` of its edges) holds exactly those simple roots and
     is not split further.
     """
-    total, base = _count_with_inflation(f, fprime, rect, boundary_tol,
-                                        max_depth)
+    total, base = _count_with_inflation(f, fprime, rect)
     if total == 0:
         return []
-    pts, lone = _polish_seeds(f, fprime, seeds, rect, tol, newton_maxit)
+    pts, lone = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (location, multiplicity, converged); roots
     own = np.arange(pts.size)  # every polished seed lies in rect
     work, failed = [(base, total, False, own)], [0] * len(_JITTERS)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         if not work:
             break
         singles, clusters, generation, work = [], [], work, []
@@ -412,8 +415,7 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
                     singles.append((cell, own))
                 else:
                     to_split.append((cell, cnt, own))
-            kids, stuck, fails = _split(f, fprime, [c[:2] for c in to_split],
-                                        boundary_tol, max_depth)
+            kids, stuck, fails = _split(f, fprime, [c[:2] for c in to_split])
             generation = []
             for c, n, i in kids:  # the seeds of a parent go to its children
                 own = to_split[i][2]
@@ -426,8 +428,7 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
             centers = np.array([c.center for c, _ in singles])
             hw = np.array([0.5 * c.width for c, _ in singles])
             hh = np.array([0.5 * c.height for c, _ in singles])
-            roots, conv = _newton_batch(f, fprime, centers, hw, hh,
-                                        tol, newton_maxit)
+            roots, conv = _newton_batch(f, fprime, centers, hw, hh, tol)
             for (cell, own), root, ok in zip(singles, roots, conv):
                 if ok and cell.contains(root):
                     found.append((complex(root), 1, True))
@@ -451,7 +452,7 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
             if (~multi).any():
                 i = np.nonzero(~multi)[0]
                 roots[i], conv[i] = _newton_batch(
-                    f, fprime, centers[i], hw[i], hh[i], tol, newton_maxit)
+                    f, fprime, centers[i], hw[i], hh[i], tol)
             if multi.any():
                 # an m-fold zero of f is an (m-1)-fold zero of f', which is
                 # better conditioned by one noise-radius order; for m = 2 it
@@ -459,7 +460,7 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
                 i = np.nonzero(multi)[0]
                 roots[i], conv[i] = _newton_batch(
                     fprime, None, centers[i], hw[i], hh[i], tol,
-                    newton_maxit, mult=np.maximum(mults[i] - 1, 1))
+                    mult=np.maximum(mults[i] - 1, 1))
             slack = np.maximum(tol, 8.0 * np.array(
                 [_noise_radius(m) for m in mults]) * (1.0 + np.abs(centers)))
             for (cell, cnt), root, ok, sl in zip(clusters, roots, conv, slack):
@@ -468,7 +469,7 @@ def find_roots(f, rect, fprime, tol=1e-9, boundary_tol=1e-13, max_depth=96,
                 found.append((loc, cnt, bool(ok)))
     else:
         raise ResolutionError(f"root isolation did not finish in "
-                              f"{max_passes} passes on {rect}")
+                              f"{MAX_PASSES} passes on {rect}")
 
     locs = np.array([loc for loc, _, _ in found])
     residuals = np.abs(f(locs))

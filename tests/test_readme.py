@@ -1,7 +1,10 @@
-"""The library quick start in README.md runs as written."""
+"""The library quick start and the run configuration in README.md work as
+written."""
 
 import pathlib
 import re
+
+import hierdde as h
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,20 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) > 2
     assert lines[-2].startswith("Stable ")
     assert lines[-1].startswith("StrongSpectrum(")
+
+
+def _json_block(heading):
+    """The first json code block after a README heading."""
+    text = README.read_text().split(heading, 1)[1]
+    return re.search(r"```json\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_run_configuration_loads(tmp_path):
+    (tmp_path / "system.json").write_text(
+        _json_block("### System description (JSON)"))
+    (tmp_path / "run.json").write_text(
+        _json_block("### Run configuration (JSON)"))
+    cfg = h.load_config(str(tmp_path / "run.json"))
+    assert cfg.grid == h.GridSpec(omega_count=801, phase_count=64,
+                                  omega_range=(-3.2, 3.2))
+    assert cfg.window == h.Rectangle(-0.1, 0.1, -3.0, 3.0)

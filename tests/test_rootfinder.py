@@ -188,15 +188,17 @@ def test_find_roots_random_separated():
         done += 1
 
 
-def test_resolution_error_when_depth_exhausted():
+def test_resolution_error_when_depth_exhausted(monkeypatch):
     # a zero-free function whose boundary phase needs several refinement
     # rounds: a depth cap of 1 cannot settle, a modest cap can
     f = lambda z: np.exp(50j * z)
     fp = lambda z: 50j * np.exp(50j * z)
     box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    monkeypatch.setattr(rf, "MAX_DEPTH", 1)
     with pytest.raises(h.ResolutionError):
-        h.count_zeros(f, box, fp, max_depth=1)
-    assert h.count_zeros(f, box, fp, max_depth=6) == 0
+        h.count_zeros(f, box, fp)
+    monkeypatch.setattr(rf, "MAX_DEPTH", 6)
+    assert h.count_zeros(f, box, fp) == 0
 
 
 def test_residuals_certified_small():
@@ -294,8 +296,8 @@ def test_batched_count_matches_cells_counted_alone():
     def handles(key):
         return _recording(f, pts[key]), _recording(fp, [])
 
-    batch = rf._winding_count(*handles("batch"), rects, 1e-13, 96)
-    alone = [rf._winding_count(*handles("alone"), [r], 1e-13, 96)[0]
+    batch = rf._winding_count(*handles("batch"), rects)
+    alone = [rf._winding_count(*handles("alone"), [r])[0]
              for r in rects]
     reference = [_reference_count(*handles("reference"), r) for r in rects]
     assert batch == alone == reference
@@ -331,7 +333,7 @@ def test_batched_samples_match_reference_near_edge_roots(roots, width):
              h.Rectangle(-width, 0.0, 0.0, 1.0),
              h.Rectangle(0.0, width, -1.0, 0.0)]
     got, want = [], []
-    batch = rf._winding_count(_recording(f, got), fp, rects, 1e-13, 96)
+    batch = rf._winding_count(_recording(f, got), fp, rects)
     assert batch == [_reference_count(_recording(f, want), fp, r)
                      for r in rects]
     assert np.array_equal(np.sort_complex(np.concatenate(got)),
@@ -362,16 +364,18 @@ def test_root_cluster_off_the_edge_is_no_boundary_zero():
                       1 + 4.2e-6 + 0.5j])
     assert h.count_zeros(f, box, fprime=fp) == 0
     # counted on the rectangle itself, not an inflated one
-    assert rf._winding_count(f, fp, [box], 1e-13, 96) == [0]
+    assert rf._winding_count(f, fp, [box]) == [0]
 
 
-def test_sample_budget_raises_from_batched_count():
+def test_sample_budget_raises_from_batched_count(monkeypatch):
     f = lambda z: np.exp(50j * z)
     fp = lambda z: 50j * np.exp(50j * z)
     cells = [h.Rectangle(-1.0, 0.0, -1.0, 1.0), h.Rectangle(0.0, 1.0, -1.0, 1.0)]
+    monkeypatch.setattr(rf, "MAX_SAMPLES", 100)
     with pytest.raises(h.ResolutionError, match="exceeded 100 samples"):
-        rf._winding_count(f, fp, cells, 1e-13, 96, max_samples=100)
-    assert rf._winding_count(f, fp, cells, 1e-13, 96) == [0, 0]
+        rf._winding_count(f, fp, cells)
+    monkeypatch.undo()
+    assert rf._winding_count(f, fp, cells) == [0, 0]
 
 
 def test_batch_cap_changes_no_result(monkeypatch):
@@ -546,7 +550,7 @@ def test_count_with_an_edge_next_to_a_lambert_w_root(a, b, negative, tau,
     f = lambda z: -z + a + b * np.exp(-z * tau)
     fp = lambda z: -1.0 - b * tau * np.exp(-z * tau)
     try:
-        count, counted = rf._count_with_inflation(f, fp, box, 1e-13, 96)
+        count, counted = rf._count_with_inflation(f, fp, box)
     except h.BoundaryZeroError:
         return
     assert count == np.sum((counted.re_min < want.real)
