@@ -21,8 +21,8 @@ import numpy as np
 
 from .degeneracy import check_nd
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import (GridSpec, PhasePoint, _grid_gammas, _grid_points,
-                        _level_data, canonical_phase, strong_spectrum)
+from .manifolds import (GridSpec, PhasePoint, _grid_points, _Level,
+                        strong_spectrum)
 
 __all__ = [
     "SupEstimate",
@@ -116,10 +116,9 @@ def _row_max(gammas, neff):
     return val, np.where(val == -math.inf, -1, branch)
 
 
-def _eval_max(data, sigma, sigma_k, X):
+def _eval_max(level, X):
     """``_row_max`` at the search points X[i] = [omega, phi...]."""
-    _, gammas, neff, _, _ = _grid_gammas(data, sigma, sigma_k, X[:, 0],
-                                         X[:, 1:])
+    _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
     return _row_max(gammas, neff)
 
 
@@ -231,12 +230,11 @@ def sup_gamma(sys, k, search_cfg=None):
     exists, and the scale imposes no constraint: sup is -inf.
     """
     grid = search_cfg or GridSpec()
-    data = _level_data(sys, k)
-    sigma_k = sys.sigma[k - 1]
+    level = _Level.plain(sys, k)
+    sigma_k = level.sigma_k
     omegas, phis = _grid_points(sys, k, grid)
-    _, gammas, neff, dk, _ = _grid_gammas(data, sys.sigma, sigma_k,
-                                          omegas, phis)
-    if dk == 0:
+    _, gammas, neff, _ = level.gammas(omegas, phis)
+    if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
     if neff.size and np.all(neff < 0):
         raise TrivialityError(f"scale-{k} polynomial vanishes identically")
@@ -265,7 +263,7 @@ def sup_gamma(sys, k, search_cfg=None):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        val, _ = _eval_max(data, sys.sigma, sigma_k, X)
+        val, _ = _eval_max(level, X)
         return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
                         np.where(np.isfinite(val), -val, 1e6))
 
@@ -281,7 +279,7 @@ def sup_gamma(sys, k, search_cfg=None):
     probe = np.diag(spacings / 100.0)
     X = np.concatenate([[point.omega], point.phi]) + np.vstack(
         [np.zeros(k), -probe, probe])
-    vals, branches = _eval_max(data, sys.sigma, sigma_k, X)
+    vals, branches = _eval_max(level, X)
     branch = int(branches[0])
     if np.isfinite(vals[0]):
         best_val = max(best_val, float(vals[0]))
@@ -293,12 +291,12 @@ def sup_gamma(sys, k, search_cfg=None):
     near = vals[1:][np.isfinite(vals[1:])]
     unc = np.abs(near - best_val).max(initial=0.0)
 
-    _leak_check(sys, k, grid, data, sigma_k, point, best_val)
+    _leak_check(sys, grid, level, point, best_val)
     return SupEstimate(k=k, sup=float(best_val), argmax=(point, branch),
                        uncertainty=float(unc))
 
 
-def _leak_check(sys, k, grid, data, sigma_k, point, best_val):
+def _leak_check(sys, grid, level, point, best_val):
     """Log a warning when the argmax hugs the omega window edge.
 
     Only fires for the default window; a doubled window is then sampled to
@@ -314,13 +312,11 @@ def _leak_check(sys, k, grid, data, sigma_k, point, best_val):
     wide = GridSpec(omega_count=grid.omega_count,
                     phase_count=grid.phase_count,
                     omega_range=(2.0 * lo, 2.0 * hi))
-    omegas, phis = _grid_points(sys, k, wide)
-    _, gammas, neff, _, _ = _grid_gammas(data, sys.sigma, sigma_k,
-                                         omegas, phis)
+    _, gammas, neff, _ = level.gammas(*_grid_points(sys, level.k, wide))
     outside = _row_max(gammas, neff)[0].max()
     _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
                  "edge; doubled-window grid max is %.6g vs refined %.6g",
-                 k, outside, best_val)
+                 level.k, outside, best_val)
 
 
 def classify(sys, ladder, margin=1e-6, search_cfg=None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend, model
-from .errors import ConfigError, DegenerateSystemError, EvaluationRangeError
+from .errors import ConfigError, DegenerateSystemError
 from .linalg import (CLUSTER_RADIUS, RANK_TOL, cluster_points, kernel_vectors,
                      poly_roots, rank, spectral_norm)
 
@@ -76,8 +76,11 @@ class DegeneracyLadder:
         raise ConfigError(f"ladder has no level {k} "
                           f"(levels: {[l.k for l in self.levels]})")
 
-    def has_level(self, k):
-        return any(lev.k == k for lev in self.levels)
+    def has_tilde(self, k):
+        """Whether scale k has tilde manifolds: ladder level k+1 exists
+        and is not heuristic."""
+        return any(lev.k == k + 1 and not lev.heuristic
+                   for lev in self.levels)
 
 
 def _sandwich(U, M, V):
@@ -188,13 +191,11 @@ def truncated_char(ladder, k, eps, lam):
     M = -lam * lev.J1 + lev.A_proj[0]
     if k >= 1:
         eps = model.check_eps(eps)
+        taus = np.array([ladder.sigma[j - 1] * eps ** (-j)
+                         for j in range(1, k + 1)])
+        model._guard(taus, abs(lam.real), eps)
         for j in range(1, k + 1):
-            tau = ladder.sigma[j - 1] * eps ** (-j)
-            if abs(lam.real) * tau > model.EXP_ARG_LIMIT:
-                raise EvaluationRangeError(
-                    f"truncated evaluation refused at scale j={j}: "
-                    f"|Re lam|*tau = {abs(lam.real) * tau:g}", scale=j)
-            M = M + lev.A_proj[j] * np.exp(-lam * tau)
+            M = M + lev.A_proj[j] * np.exp(-lam * taus[j - 1])
     return complex(np.linalg.det(M))
 
 

@@ -91,13 +91,6 @@ class RunConfig:
             raise ConfigError("half-width coefficient must be positive")
 
 
-_CONFIG_KEYS = {"system", "eps", "window", "grid", "tol", "out", "format",
-                "validation", "margin"}
-_VALIDATION_KEYS = {"im_max", "re_halfwidth_coef", "re_halfwidth_power",
-                    "cap"}
-_GRID_KEYS = {"omega", "phase", "omega_range"}
-
-
 def _window_from_list(vals):
     try:
         a, b, c, d = (float(v) for v in vals)
@@ -107,68 +100,80 @@ def _window_from_list(vals):
     return Rectangle(a, b, c, d)
 
 
-def _grid_from_dict(data):
-    extra = set(data) - _GRID_KEYS
+def _eps_list(eps):
+    if isinstance(eps, (int, float)):
+        eps = [eps]
+    elif not isinstance(eps, (list, tuple)):
+        raise TypeError("need a number or a list of numbers")
+    return tuple(float(e) for e in eps)
+
+
+def _pair(vals):
+    lo, hi = vals
+    return float(lo), float(hi)
+
+
+def _fields(data, fields, what):
+    """Keyword arguments parsed from one config object.
+
+    ``fields`` maps each key to its keyword argument and parser.  Unknown
+    keys and malformed values (a parser's TypeError or ValueError) raise
+    ConfigError naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{what}' must be an object")
+    extra = set(data) - set(fields)
     if extra:
-        raise ConfigError(f"unknown grid keys: {sorted(extra)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
     kw = {}
-    if "omega" in data:
-        kw["omega_count"] = int(data["omega"])
-    if "phase" in data:
-        kw["phase_count"] = int(data["phase"])
-    if "omega_range" in data:
-        lo, hi = data["omega_range"]
-        kw["omega_range"] = (float(lo), float(hi))
-    return GridSpec(**kw)
+    for key, (name, parse) in fields.items():
+        if key in data:
+            try:
+                kw[name] = parse(data[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed {what} value {key}="
+                                  f"{data[key]!r}: {exc}") from exc
+    return kw
+
+
+_GRID_FIELDS = {"omega": ("omega_count", int), "phase": ("phase_count", int),
+                "omega_range": ("omega_range", _pair)}
+_VALIDATION_FIELDS = {"im_max": ("im_max", float),
+                      "re_halfwidth_coef": ("re_halfwidth_coef", float),
+                      "re_halfwidth_power": ("re_halfwidth_power", float),
+                      "cap": ("distance_cap", float)}
+# every top-level key but system and validation
+_CONFIG_FIELDS = {
+    "eps": ("eps_list", _eps_list),
+    "window": ("window",
+               lambda v: None if v is None else _window_from_list(v)),
+    "grid": ("grid", lambda v: GridSpec(**_fields(v, _GRID_FIELDS, "grid"))),
+    "tol": ("tol", float),
+    "out": ("out_dir", str),
+    "format": ("out_format", str),
+    "margin": ("margin", float),
+}
 
 
 def config_from_dict(data, base_dir="."):
     """RunConfig from a parsed JSON object; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    extra = set(data) - _CONFIG_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    kw = _fields({k: v for k, v in data.items()
+                  if k not in ("system", "validation")},
+                 _CONFIG_FIELDS, "config")
+    kw.update(_fields(data.get("validation", {}), _VALIDATION_FIELDS,
+                      "validation"))
     if "system" not in data:
         raise ConfigError("config needs a 'system' entry")
+    if "eps" not in data:
+        raise ConfigError("config needs an 'eps' entry")
     src = data["system"]
     if isinstance(src, str):
         path = src if os.path.isabs(src) else os.path.join(base_dir, src)
-        system = load_system(path)
+        kw["system"] = load_system(path)
     else:
-        system = system_from_dict(src)
-    if "eps" not in data:
-        raise ConfigError("config needs an 'eps' entry")
-    eps = data["eps"]
-    if isinstance(eps, (int, float)):
-        eps = [eps]
-    kw = dict(system=system, eps_list=tuple(float(e) for e in eps))
-    if data.get("window") is not None:
-        kw["window"] = _window_from_list(data["window"])
-    if "grid" in data:
-        kw["grid"] = _grid_from_dict(data["grid"])
-    if "tol" in data:
-        kw["tol"] = float(data["tol"])
-    if "out" in data:
-        kw["out_dir"] = str(data["out"])
-    if "format" in data:
-        kw["out_format"] = str(data["format"])
-    if "margin" in data:
-        kw["margin"] = float(data["margin"])
-    val = data.get("validation", {})
-    if not isinstance(val, dict):
-        raise ConfigError("'validation' must be an object")
-    extra = set(val) - _VALIDATION_KEYS
-    if extra:
-        raise ConfigError(f"unknown validation keys: {sorted(extra)}")
-    if "im_max" in val:
-        kw["im_max"] = float(val["im_max"])
-    if "re_halfwidth_coef" in val:
-        kw["re_halfwidth_coef"] = float(val["re_halfwidth_coef"])
-    if "re_halfwidth_power" in val:
-        kw["re_halfwidth_power"] = float(val["re_halfwidth_power"])
-    if "cap" in val:
-        kw["distance_cap"] = float(val["cap"])
+        kw["system"] = system_from_dict(src)
     return RunConfig(**kw)
 
 
@@ -510,10 +515,8 @@ def run_manifolds(cfg, write=True):
             plain[k] = manifold_grid(sys_, k, cfg.grid)
         except TrivialityError:
             plain[k] = ()
-        if k < sys_.n and ladder.has_level(k + 1) \
-                and not ladder.level(k + 1).heuristic:
-            tilde[k] = manifold_grid(sys_, k, cfg.grid, ladder=ladder,
-                                     tilde=True)
+        if ladder.has_tilde(k):
+            tilde[k] = manifold_grid(sys_, k, cfg.grid, ladder=ladder)
     paths = []
     if write:
         if cfg.out_format == "csv":

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import _backend
 from .errors import ConfigError, TrivialityError
-from .linalg import (RANK_TOL, eigenvalues, kernel_vectors, poly_roots_batch,
-                     rank, spectral_norm)
+from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
+                     poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
 from .model import check_eps
 
@@ -188,64 +188,79 @@ def _restricted_smin(Ak):
     return float(s[r - 1]) if r else 0.0, r
 
 
-def _assemble_B(J, A_list, sigma, omegas, phis):
-    """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j)."""
-    B = (-1j * omegas)[:, None, None] * J + A_list[0]
-    for j in range(1, len(A_list)):
-        fac = np.exp(-1j * sigma[j - 1] * phis[:, j - 1])
-        B = B + fac[:, None, None] * A_list[j]
-    return B
+class _Level:
+    """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
+    exp(-i sigma_j phi_j) + Y Ak) of one system.
 
+    ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
+    k+1 (the projected J1 and A_proj).  ``smin`` and ``dk`` are the
+    smallest kept singular value and the rank of Ak; ``J_norm`` and
+    ``norms`` the spectral norms of J and of A0..A(k-1).
+    """
 
-def _poly_grid(J, A_list, sigma, Ak, omegas, phis, radii):
-    """Coefficient rows of det(B + Y Ak) over all grid points."""
-    N = omegas.shape[0]
-    m = Ak.shape[0]
-    coeffs = np.empty((N, m + 1), np.complex128)
-    for lo in range(0, N, _CHUNK_ROWS):
-        hi = min(N, lo + _CHUNK_ROWS)
-        B = _assemble_B(J, A_list, sigma, omegas[lo:hi], phis[lo:hi])
-        coeffs[lo:hi] = _backend.det_poly_coeffs(B, Ak, radii[lo:hi])
-    return coeffs
+    def __init__(self, k, sigma, J, mats):
+        if not 1 <= k <= len(sigma):
+            raise ConfigError(f"scale k must be in 1..{len(sigma)}, got {k}")
+        self.k, self.sigma, self.sigma_k, self.J = k, sigma, sigma[k - 1], J
+        self.A_list = [mats[j] for j in range(k)]
+        self.Ak = mats[k]
+        self.smin, self.dk = _restricted_smin(self.Ak)
+        self.J_norm = spectral_norm(J)
+        self.norms = [spectral_norm(M) for M in self.A_list]
 
+    @classmethod
+    def plain(cls, sys, k):
+        return cls(k, sys.sigma, np.eye(sys.d, dtype=np.complex128),
+                   sys.matrices)
 
-def _radii(J_norm, A_norms, smin, omegas):
-    """Interpolation node radii: 1 + |B| bound over the smallest kept
-    singular value of the top matrix."""
-    bound = np.abs(omegas) * J_norm + sum(A_norms)
-    if smin == 0.0:
-        return np.ones_like(bound)
-    return 1.0 + bound / smin
+    @classmethod
+    def tilde(cls, ladder, k):
+        lev = ladder.level(k + 1)
+        return cls(k, ladder.sigma, lev.J1, lev.A_proj)
 
+    def B(self, omegas, phis):
+        """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j)."""
+        B = (-1j * omegas)[:, None, None] * self.J + self.A_list[0]
+        for j in range(1, self.k):
+            fac = np.exp(-1j * self.sigma[j - 1] * phis[:, j - 1])
+            B = B + fac[:, None, None] * self.A_list[j]
+        return B
 
-def _level_data(sys, k):
-    """Matrices, norms and top-matrix data for the plain scale-k polynomial."""
-    if not 1 <= k <= sys.n:
-        raise ConfigError(f"scale k must be in 1..{sys.n}, got {k}")
-    J = np.eye(sys.d, dtype=np.complex128)
-    A_list = [sys.matrices[j] for j in range(k)]
-    Ak = sys.matrices[k]
-    smin, dk = _restricted_smin(Ak)
-    norms = [spectral_norm(M) for M in A_list]
-    return J, A_list, Ak, smin, dk, 1.0, norms
+    def coeffs(self, omegas, phis):
+        """Coefficient rows of det(B + Y Ak) at the points, and their
+        interpolation node radii: 1 + |B| bound over ``smin``."""
+        bound = np.abs(omegas) * self.J_norm + sum(self.norms)
+        if self.smin == 0.0:
+            radii = np.ones_like(bound)
+        else:
+            radii = 1.0 + bound / self.smin
+        N = omegas.shape[0]
+        coeffs = np.empty((N, self.Ak.shape[0] + 1), np.complex128)
+        for lo in range(0, N, _CHUNK_ROWS):
+            hi = min(N, lo + _CHUNK_ROWS)
+            coeffs[lo:hi] = _backend.det_poly_coeffs(
+                self.B(omegas[lo:hi], phis[lo:hi]), self.Ak, radii[lo:hi])
+        return coeffs, radii
 
+    def gammas(self, omegas, phis):
+        """Roots and gammas at the points: (roots, gammas, neff, radii).
 
-def _tilde_level_data(ladder, k):
-    """Same data read from ladder level k+1 for the tilde polynomial."""
-    lev = ladder.level(k + 1)
-    J = lev.J1
-    A_list = [lev.A_proj[j] for j in range(k)]
-    Ak = lev.A_proj[k]
-    smin, dk = _restricted_smin(Ak)
-    norms = [spectral_norm(M) for M in A_list]
-    return J, A_list, Ak, smin, dk, spectral_norm(J), norms
-
-
-def _coeffs_at_points(data, sigma, omegas, phis):
-    J, A_list, Ak, smin, dk, J_norm, norms = data
-    radii = _radii(J_norm, norms, smin, omegas)
-    coeffs = _poly_grid(J, A_list, sigma, Ak, omegas, phis, radii)
-    return coeffs, radii, dk
+        gammas hold +-inf at zero roots, nan beyond each row's count; rows
+        with neff=-1 are identically zero points (skipped by callers unless
+        all rows are).
+        """
+        coeffs, radii = self.coeffs(omegas, phis)
+        if self.dk == 0:
+            N = omegas.shape[0]
+            return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
+                    np.zeros(N, np.int64), radii)
+        roots, neff = poly_roots_batch(coeffs, max_degree=self.dk)
+        absY = np.abs(roots)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gammas = -np.log(absY) / self.sigma_k
+        zero_mask = absY <= ZERO_ROOT_TOL * radii[:, None]
+        gammas = np.where(zero_mask, math.inf, gammas)
+        return roots, gammas, neff, radii
 
 
 def _point_arrays(point, k):
@@ -263,17 +278,16 @@ def truncated_char_poly(sys, k, point):
     chi_k(omega, phi; Y) = det(-i omega I + A0 + sum_{j<k} Aj
     exp(-i sigma_j phi_j) + Ak Y) has degree rank(Ak); coefficients are
     recovered by node interpolation and leading noise is trimmed at
-    1e-10 of the largest magnitude.  An identically zero polynomial (joint
+    ``TRIM_TOL`` of the largest magnitude.  An identically zero polynomial (joint
     kernel through every node) raises ``TrivialityError``.
     """
-    data = _level_data(sys, k)
-    omegas, phis = _point_arrays(point, k)
-    coeffs, _, dk = _coeffs_at_points(data, sys.sigma, omegas, phis)
-    row = coeffs[0, :dk + 1]
+    level = _Level.plain(sys, k)
+    coeffs, _ = level.coeffs(*_point_arrays(point, k))
+    row = coeffs[0, :level.dk + 1]
     mags = np.abs(row)
     if mags.max() == 0.0 or not np.isfinite(mags.max()):
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
-    keep = np.nonzero(mags > 1e-10 * mags.max())[0]
+    keep = np.nonzero(mags > TRIM_TOL * mags.max())[0]
     if keep.size == 0:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     return row[:keep[-1] + 1]
@@ -286,9 +300,9 @@ def gamma_branches(sys, k, point):
     gamma + i omega; zero roots carry +inf, degree deficiencies -inf.
     Branches are ordered by root (real, imag), deficiency slots last.
     """
-    data = _level_data(sys, k)
+    level = _Level.plain(sys, k)
     omegas, phis = _point_arrays(point, k)
-    table = _table(data, sys.sigma, k, [omegas, *phis.T])
+    table = _table(level, [omegas, *phis.T])
     if table.dk and not table.rows.size:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     return list(table)
@@ -303,13 +317,12 @@ def singularity_test(sys, k, point):
     projection is empty, its determinant is the empty product 1, and the
     -inf condition is False by construction.
     """
-    J, A_list, Ak, smin, dk, J_norm, norms = _level_data(sys, k)
-    omegas, phis = _point_arrays(point, k)
-    B = _assemble_B(J, A_list, sys.sigma, omegas, phis)[0]
-    bound = max(1.0, abs(point.omega) + sum(norms))
+    level = _Level.plain(sys, k)
+    B = level.B(*_point_arrays(point, k))[0]
+    bound = max(1.0, abs(point.omega) + sum(level.norms))
     detB = complex(np.linalg.det(B))
     scaleB = bound ** sys.d
-    U1, V1 = kernel_vectors(Ak)
+    U1, V1 = kernel_vectors(level.Ak)
     sub = U1.conj().T @ B @ V1
     detP = complex(np.linalg.det(sub)) if sub.shape[0] else 1.0 + 0.0j
     scaleP = bound ** max(1, sub.shape[0])
@@ -351,27 +364,6 @@ def _lattice(axes):
 def _grid_points(sys, k, grid):
     """Flattened (omega, phi) lattice, omega-major then phase-major."""
     return _lattice(_grid_axes(sys, k, grid))
-
-
-def _grid_gammas(data, sigma, sigma_k, omegas, phis):
-    """Roots and gammas over a flattened lattice.
-
-    Returns (roots, gammas, neff, dk, radii); gammas hold +-inf at zero
-    roots, nan beyond each row's count; rows with neff=-1 are identically
-    zero points (skipped by callers unless all rows are).
-    """
-    coeffs, radii, dk = _coeffs_at_points(data, sigma, omegas, phis)
-    if dk == 0:
-        N = omegas.shape[0]
-        return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
-                np.zeros(N, np.int64), 0, radii)
-    roots, neff = poly_roots_batch(coeffs, max_degree=dk)
-    absY = np.abs(roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gammas = -np.log(absY) / sigma_k
-    zero_mask = absY <= ZERO_ROOT_TOL * radii[:, None]
-    gammas = np.where(zero_mask, math.inf, gammas)
-    return roots, gammas, neff, dk, radii
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,33 +449,26 @@ class ManifoldTable(Sequence):
         return out
 
 
-def _table(data, sigma, k, axes):
+def _table(level, axes):
     """ManifoldTable of one level's scale-k polynomial over ``axes``."""
-    omegas, phis = _lattice(axes)
-    roots, _, neff, dk, radii = _grid_gammas(data, sigma, sigma[k - 1],
-                                             omegas, phis)
+    roots, _, neff, radii = level.gammas(*_lattice(axes))
     rows = np.flatnonzero(neff >= 0)
-    return ManifoldTable(k, sigma[k - 1], tuple(axes), rows, roots[rows],
-                         neff[rows], dk, radii[rows])
+    return ManifoldTable(level.k, level.sigma_k, tuple(axes), rows,
+                         roots[rows], neff[rows], level.dk, radii[rows])
 
 
-def manifold_grid(sys, k, grid=None, ladder=None, tilde=False):
+def manifold_grid(sys, k, grid=None, ladder=None):
     """ManifoldSamples over the full lattice, ordered by (point, branch),
     as a read-only ``ManifoldTable``.
 
-    With ``tilde=True`` the polynomial comes from ladder level k+1 (the
-    projected system); otherwise from the plain coefficient matrices.
-    Identically-zero points are skipped; if every point is trivial the
-    polynomial itself is trivial and that raises.
+    Given a ladder, these are the tilde manifolds: the polynomial comes
+    from ladder level k+1 (the projected system); otherwise from the plain
+    coefficient matrices.  Identically-zero points are skipped; if every
+    point is trivial the polynomial itself is trivial and that raises.
     """
     grid = grid or GridSpec()
-    if tilde:
-        if ladder is None:
-            raise ConfigError("tilde grids need the degeneracy ladder")
-        data = _tilde_level_data(ladder, k)
-    else:
-        data = _level_data(sys, k)
-    table = _table(data, sys.sigma, k, _grid_axes(sys, k, grid))
+    level = _Level.plain(sys, k) if ladder is None else _Level.tilde(ladder, k)
+    table = _table(level, _grid_axes(sys, k, grid))
     if table.dk and not table.rows.size:
         raise TrivialityError(f"scale-{k} polynomial vanishes on the "
                               f"entire grid")
@@ -524,24 +509,18 @@ def assemble_A_k(sys, ladder, k, grid=None):
             if any(p.size for p in parts) else np.empty(0, np.complex128)
 
     omegas, phis = _grid_points(sys, k, grid)
-    data = _level_data(sys, k)
-    _, gammas, neff, dk, _ = _grid_gammas(data, sys.sigma, sys.sigma[k - 1],
-                                          omegas, phis)
-    if dk and neff.size and np.all(neff < 0):
+    level = _Level.plain(sys, k)
+    _, gammas, neff, _ = level.gammas(omegas, phis)
+    if level.dk and neff.size and np.all(neff < 0):
         raise TrivialityError(f"scale-{k} polynomial vanishes on the "
                               f"entire grid")
     if k == sys.n:
         return _projected_from_grid(omegas, gammas, neff, keep="all")
 
     parts = [_projected_from_grid(omegas, gammas, neff, keep="positive")]
-    if (ladder is not None and ladder.has_level(k + 1)
-            and not ladder.level(k + 1).heuristic):
-        tdata = _tilde_level_data(ladder, k)
-        _, tg, tneff, tdk, _ = _grid_gammas(tdata, sys.sigma,
-                                            sys.sigma[k - 1], omegas, phis)
-        if tdk:
-            parts.append(_projected_from_grid(omegas, tg, tneff,
-                                              keep="negative"))
+    if ladder is not None and ladder.has_tilde(k):
+        _, tg, tneff, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
+        parts.append(_projected_from_grid(omegas, tg, tneff, keep="negative"))
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
 

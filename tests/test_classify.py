@@ -12,7 +12,7 @@ from scipy.optimize import minimize as scipy_minimize
 import hierdde as h
 from hierdde.classify import _NM_OPTIONS, _leak_check, minimize
 from hierdde.errors import DegenerateSystemError
-from hierdde.manifolds import PhasePoint, _level_data
+from hierdde.manifolds import PhasePoint, _Level
 
 
 def _scalar_two_delay(a, b, c):
@@ -220,8 +220,7 @@ def _leak_case(omega_range=None):
 
 
 def _run_leak_check(s, grid, omega):
-    _leak_check(s, 1, grid, _level_data(s, 1), s.sigma[0],
-                PhasePoint(omega=omega), -0.5)
+    _leak_check(s, grid, _Level.plain(s, 1), PhasePoint(omega=omega), -0.5)
 
 
 def test_leak_check_logs_argmax_at_window_edge(caplog):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hierdde as h
-from hierdde.errors import ConfigError, DegenerateSystemError
+from hierdde.errors import (ConfigError, DegenerateSystemError,
+                            EvaluationRangeError)
 
 
 def _two_dim_system(a3, a1=-1.2, a2=0.7, a4=0.5):
@@ -99,6 +100,37 @@ def test_chain_break_truncation_magnitude():
     assert abs(got) == pytest.approx(abs(want), rel=1e-12)
     with pytest.raises(ConfigError):
         h.truncated_char(lad, 0, None, lam)
+
+
+def test_truncated_char_guard_names_the_scale():
+    # |Re lam| * sigma_1 / eps = 400 * 2 passes the exp argument limit
+    lad = h.build_ladder(_chain_break_system()[0])
+    with pytest.raises(EvaluationRangeError) as exc:
+        h.truncated_char(lad, 1, 0.5, 400 + 0j)
+    assert exc.value.scale == 1
+
+
+def _two_level_system():
+    """d=3, n=2 with ladder levels 2 and 1: tilde manifolds at scale 1."""
+    A0 = np.array([[-1 + 0.3j, 0.2, 0], [0.1, -0.5 + 1j, 0.1],
+                   [0, 0.2, -0.7 - 0.4j]])
+    A1 = np.array([[0.3, 0.1, 0], [0.05, 0.25, 0], [0, 0, 0]], complex)
+    A2 = np.diag([0.2, 0, 0]).astype(complex)
+    return h.DelaySystem(matrices=(A0, A1, A2), sigma=(1.0, 1.3))
+
+
+def test_has_tilde():
+    full = h.build_ladder(h.DelaySystem(
+        matrices=(np.zeros((2, 2), complex), np.eye(2, dtype=complex)),
+        sigma=(1.0,)))
+    assert not any(full.has_tilde(k) for k in range(3))
+    broken = h.build_ladder(_chain_break_system()[0])
+    assert not any(broken.has_tilde(k) for k in range(3))
+    lad = h.build_ladder(_two_level_system())
+    assert [lv.k for lv in lad.levels] == [2, 1]
+    assert lad.k_under == 1
+    assert lad.has_tilde(1)
+    assert not lad.has_tilde(2)
 
 
 def test_strong_stable_pencil_root():

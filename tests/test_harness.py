@@ -44,6 +44,25 @@ def test_config_rejects_bad_input():
             h.config_from_dict(_base_cfg(**patch))
 
 
+@pytest.mark.parametrize("key, patch", [
+    ("omega_range", {"grid": {"omega_range": [1]}}),
+    ("omega", {"grid": {"omega": "many"}}),
+    ("tol", {"tol": "small"}),
+    ("eps", {"eps": ["a"]}),
+    ("eps", {"eps": "0.05"}),
+    ("cap", {"validation": {"cap": None}}),
+], ids=["omega_range", "omega", "tol", "eps-list", "eps-string", "cap"])
+def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
+                                                  capsys):
+    data = _base_cfg(**patch)
+    with pytest.raises(ConfigError, match=f"malformed .* value {key}="):
+        h.config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["spectrum", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_config_loads_system_from_relative_path(tmp_path):
     s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.2))
     h.save_system(s, tmp_path / "sys.json")

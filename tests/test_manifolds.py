@@ -240,11 +240,11 @@ def _reference_samples(sys_, k, grid, ladder=None):
     """One PhasePoint and one ManifoldSample per sample, built row by row:
     what manifold_grid returned as a list before it kept its samples as
     arrays.  Raises TrivialityError when every point is identically zero."""
-    data = (mf._level_data(sys_, k) if ladder is None
-            else mf._tilde_level_data(ladder, k))
+    level = (mf._Level.plain(sys_, k) if ladder is None
+             else mf._Level.tilde(ladder, k))
     omegas, phis = mf._grid_points(sys_, k, grid)
-    roots, _, neff, dk, radii = mf._grid_gammas(
-        data, sys_.sigma, sys_.sigma[k - 1], omegas, phis)
+    roots, _, neff, radii = level.gammas(omegas, phis)
+    dk = level.dk
     if dk and np.all(neff < 0):
         raise TrivialityError("trivial grid")
     out = []
@@ -306,8 +306,7 @@ def _reference_files(sys_, grid):
             plain[k] = _reference_samples(sys_, k, grid)
         except TrivialityError:
             plain[k] = []
-        if k < sys_.n and ladder.has_level(k + 1) \
-                and not ladder.level(k + 1).heuristic:
+        if ladder.has_tilde(k):
             tilde[k] = _reference_samples(sys_, k, grid, ladder)
     files = {"manifolds.csv": _reference_csv(
         [s for k in sorted(plain) for s in plain[k]], sys_.n)}
@@ -396,8 +395,7 @@ def test_manifold_table_indexes_like_the_sample_list(case):
                                                                   grid))
               for k in range(1, sys_.n + 1)]
     if case == "tilde":
-        tables.append((h.manifold_grid(sys_, 1, grid, ladder=ladder,
-                                       tilde=True),
+        tables.append((h.manifold_grid(sys_, 1, grid, ladder=ladder),
                        _reference_samples(sys_, 1, grid, ladder)))
     for table, ref in tables:
         n = len(ref)
