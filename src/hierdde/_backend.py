@@ -87,13 +87,28 @@ def char_and_deriv(lams, mats, taus):
     return chi, dchi
 
 
+_INTERP = {}
+
+
+def _interp(m):
+    """Nodes ``zeta**l``, inverse DFT matrix and radius exponents of the
+    size-m interpolation, built once per m; the arrays are read-only."""
+    if m not in _INTERP:
+        nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+        idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1),
+                                             np.arange(m + 1))
+                      / (m + 1)) / (m + 1)
+        powers = np.arange(m + 1)[None, :]
+        for a in (nodes, idft, powers):
+            a.flags.writeable = False
+        _INTERP[m] = nodes, idft, powers
+    return _INTERP[m]
+
+
 def det_poly_coeffs(B, Ak, radii):
     N, m = B.shape[0], B.shape[1]
-    nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    nodes, idft, powers = _interp(m)
     coeffs = np.empty((N, m + 1), np.complex128)
-    # inverse DFT matrix; the radius rescale follows per chunk
-    idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
-                  / (m + 1)) / (m + 1)
     chunk = max(1, (1 << 20) // max(1, (m + 1) * m * m))
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
@@ -101,6 +116,6 @@ def det_poly_coeffs(B, Ak, radii):
         Mstack = B[lo:hi, None, :, :] + Y[:, :, None, None] * Ak
         dets = np.linalg.det(Mstack)  # (c, m+1)
         raw = dets @ idft.T  # (c, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
-        scale = radii[lo:hi, None] ** np.arange(m + 1)[None, :]
-        coeffs[lo:hi] = raw / scale
+        # the radius rescale, per chunk
+        coeffs[lo:hi] = raw / radii[lo:hi, None] ** powers
     return coeffs

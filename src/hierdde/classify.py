@@ -35,6 +35,14 @@ __all__ = [
 UNBOUNDED_GAMMA = math.log(1e8)
 _NM_OPTIONS = dict(xatol=1e-12, fatol=1e-11, maxiter=4000, maxfev=6000)
 _SEED_COUNT = 5
+# scipy's non-adaptive Nelder-Mead constants, and each step's speculative
+# points as c0 * xbar + c1 * worst: reflection, expansion, outside and
+# inside contraction (c1 * worst is -(rho * worst) etc. exactly, so the
+# points carry scipy's bits)
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_STEP_COEFS = np.array([[1 + _RHO, -_RHO], [1 + _RHO * _CHI, -_RHO * _CHI],
+                        [1 + _PSI * _RHO, -_PSI * _RHO], [1 - _PSI, _PSI]],
+                       np.float64)
 _log = logging.getLogger("hierdde")
 
 
@@ -106,13 +114,11 @@ def _row_max(gammas, neff):
     M = gammas.shape[0]
     if gammas.shape[1] == 0:
         return np.full(M, -math.inf), np.full(M, -1)
-    valid = np.arange(gammas.shape[1])[None, :] < neff[:, None]
-    inf = valid & (gammas == math.inf)
-    safe = np.where(valid & np.isfinite(gammas), gammas, -math.inf)
-    has_inf = inf.any(axis=1)
-    branch = np.where(has_inf, np.argmax(inf, axis=1),
-                      np.argmax(safe, axis=1))
-    val = np.where(has_inf, math.inf, safe[np.arange(M), branch])
+    valid = np.arange(gammas.shape[1]) < neff[:, None]
+    # +inf is the largest value, and argmax takes the first of equals
+    safe = np.where(valid & ~np.isnan(gammas), gammas, -math.inf)
+    branch = np.argmax(safe, axis=1)
+    val = safe[np.arange(M), branch]
     return val, np.where(val == -math.inf, -1, branch)
 
 
@@ -124,8 +130,8 @@ def _eval_max(level, X):
 
 def _sort_simplices(sim, fsim):
     order = np.argsort(fsim, axis=1)
-    return (np.take_along_axis(sim, order[:, :, None], axis=1),
-            np.take_along_axis(fsim, order, axis=1))
+    rows = np.arange(fsim.shape[0])[:, None]
+    return sim[rows, order], fsim[rows, order]
 
 
 def minimize(fun, simplices):
@@ -137,12 +143,11 @@ def minimize(fun, simplices):
     seed that reaches ``maxfev`` mid-step stops where scipy stops).  Only
     the evaluation order differs: ``fun`` maps an (M, N) array of points
     to M values, and one call per step evaluates the reflection,
-    expansion, outside and inside contraction points of all active seeds;
+    expansion, outside and inside contraction points of all live seeds;
     the seeds that shrink share one more call.  Returns ``x`` (S, N),
     ``fun`` (S,) and ``nfev``, the evaluations scipy would have counted,
     summed over seeds.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     opts = _NM_OPTIONS
     sim = np.array(simplices, np.float64)
     S, N = sim.shape[0], sim.shape[2]
@@ -150,63 +155,63 @@ def minimize(fun, simplices):
     n0 = min(N + 1, opts["maxfev"])
     fsim[:, :n0] = np.reshape(fun(sim[:, :n0].reshape(-1, N)), (S, n0))
     fcalls = np.full(S, n0)
-    iters = np.ones(S, np.int64)
     sim, fsim = _sort_simplices(sim, fsim)
     cols = np.arange(1, N + 1)
+    # the live seeds' simplices and counters; a seed that stops leaves
+    # them, and its result goes back to sim, fsim and fcalls
+    live = np.nonzero(fcalls < opts["maxfev"])[0]
+    s, f, calls = sim[live], fsim[live], fcalls[live]
+    iters = np.ones(live.size, np.int64)
 
-    while True:
-        a = np.nonzero((fcalls < opts["maxfev"])
-                       & (iters < opts["maxiter"]))[0]
-        s, f = sim[a], fsim[a]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2))
-                 <= opts["xatol"])
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= opts["fatol"]))
-        a, s, f = a[~done], s[~done], f[~done]
-        if a.size == 0:
-            break
+    while live.size:
+        stop = ((calls >= opts["maxfev"]) | (iters >= opts["maxiter"])
+                | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2))
+                    <= opts["xatol"])
+                   & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1)
+                      <= opts["fatol"])))
+        if stop.any():
+            out, go = live[stop], ~stop
+            sim[out], fsim[out], fcalls[out] = s[stop], f[stop], calls[stop]
+            live, s, f = live[go], s[go], f[go]
+            calls, iters = calls[go], iters[go]
+            if not live.size:
+                break
         xbar = np.add.reduce(s[:, :-1], 1) / N
-        worst = s[:, -1]
-        points = np.concatenate([
-            (1 + rho) * xbar - rho * worst,
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            (1 + psi * rho) * xbar - psi * rho * worst,
-            (1 - psi) * xbar + psi * worst])
-        vals = np.reshape(fun(points), (4, a.size))
+        points = (_STEP_COEFS[:, :1, None] * xbar
+                  + _STEP_COEFS[:, 1:, None] * s[:, -1])
+        vals = np.reshape(fun(points.reshape(-1, N)), (4, live.size))
         fr, fe, fc, fcc = vals
 
-        # scipy's branches; a failed comparison (nan) takes the else branch
+        # scipy's branches as the row of the accepted point, -1 for a
+        # shrink; a failed comparison (nan) takes the else branch
         expand = fr < f[:, 0]
-        contract = ~expand & ~(fr < f[:, -2])
-        outside = contract & (fr < f[:, -1])
-        inside = contract & ~(fr < f[:, -1])
-        take_e = expand & (fe < fr)
-        take_c = outside & (fc <= fr)
-        take_cc = inside & (fcc < f[:, -1])
-        shrink = contract & ~take_c & ~take_cc
+        second = expand | ~(fr < f[:, -2])
+        pick = np.where(expand, np.where(fe < fr, 1, 0),
+                        np.where(~second, 0,
+                                 np.where(fr < f[:, -1],
+                                          np.where(fc <= fr, 2, -1),
+                                          np.where(fcc < f[:, -1], 3, -1))))
         # a seed whose second evaluation would pass maxfev stops unchanged
-        budget = opts["maxfev"] - fcalls[a]
-        second = expand | contract
+        budget = opts["maxfev"] - calls
         halted = second & (budget < 2)
-        keep = ~halted & ~shrink
-        pick = (np.select([take_e, take_c, take_cc], [1, 2, 3])[keep],
-                np.nonzero(keep)[0])
-        s[keep, -1] = points.reshape(4, a.size, N)[pick]
-        f[keep, -1] = vals[pick]
-        fcalls[a] += 1 + (second & ~halted)
-        iters[a] += 1
+        keep = np.nonzero(~halted & (pick >= 0))[0]
+        s[keep, -1] = points[pick[keep], keep]
+        f[keep, -1] = vals[pick[keep], keep]
+        calls += 1 + (second & ~halted)
+        iters += 1
 
-        shr = np.nonzero(shrink & ~halted)[0]
+        shr = np.nonzero(~halted & (pick < 0))[0]
         if shr.size:
             base = s[shr, :1]
-            moved = base + sigma * (s[shr, 1:] - base)
+            moved = base + _SIGMA * (s[shr, 1:] - base)
             fmoved = np.reshape(fun(moved.reshape(-1, N)), (shr.size, N))
             # only the vertices the remaining budget evaluates move
             left = budget[shr] - 2
             moves = cols <= left[:, None]
             s[shr, 1:] = np.where(moves[:, :, None], moved, s[shr, 1:])
             f[shr, 1:] = np.where(moves, fmoved, f[shr, 1:])
-            fcalls[a[shr]] += np.minimum(left, N)
-        sim[a], fsim[a] = _sort_simplices(s, f)
+            calls[shr] += np.minimum(left, N)
+        s, f = _sort_simplices(s, f)
 
     return SimpleNamespace(x=sim[:, 0], fun=fsim.min(axis=1),
                            nfev=int(fcalls.sum()))

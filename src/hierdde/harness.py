@@ -8,11 +8,11 @@ byte-identical files.
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .classify import _ext, classify, sup_gamma
 from .degeneracy import build_ladder
@@ -92,6 +92,8 @@ class RunConfig:
 
 
 def _window_from_list(vals):
+    if isinstance(vals, str):
+        raise TypeError("need a list of four numbers, not a string")
     try:
         a, b, c, d = (float(v) for v in vals)
     except (TypeError, ValueError) as exc:
@@ -106,6 +108,15 @@ def _eps_list(eps):
     elif not isinstance(eps, (list, tuple)):
         raise TypeError("need a number or a list of numbers")
     return tuple(float(e) for e in eps)
+
+
+def _count(v):
+    """A whole number; booleans and fractions are refused, not truncated."""
+    if isinstance(v, bool):
+        raise TypeError("need a whole number, not a boolean")
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return operator.index(v)
 
 
 def _pair(vals):
@@ -136,7 +147,8 @@ def _fields(data, fields, what):
     return kw
 
 
-_GRID_FIELDS = {"omega": ("omega_count", int), "phase": ("phase_count", int),
+_GRID_FIELDS = {"omega": ("omega_count", _count),
+                "phase": ("phase_count", _count),
                 "omega_range": ("omega_range", _pair)}
 _VALIDATION_FIELDS = {"im_max": ("im_max", float),
                       "re_halfwidth_coef": ("re_halfwidth_coef", float),
@@ -413,6 +425,10 @@ def run_validate(cfg, write=True):
     within the strong matching radius.  Emits validate.json (always) and
     validate.csv with per-eigenvalue rows when the format is csv.
     """
+    # imported here, not with the package: scipy.spatial is most of the
+    # package's import time, and no other workflow needs it
+    from scipy.spatial import cKDTree
+
     sys_ = cfg.system
     ladder = build_ladder(sys_)
     sets = _sample_sets(sys_, ladder, cfg.grid)

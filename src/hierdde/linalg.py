@@ -129,7 +129,11 @@ def poly_roots_batch(coeffs, max_degree=None):
     Returns ``(roots, neff)`` where ``roots`` is (N, max_degree) padded with
     nan beyond each row's count and ``neff[i]`` is the number of finite roots
     of row i (-1 flags an identically zero row).  Rows are processed grouped
-    by effective degree so the companion eigensolves stay batched.
+    by effective degree so the companion eigensolves stay batched; a row of
+    effective degree 1 takes its root as ``-c0 / c1``, the entry of its 1x1
+    companion matrix.  LAPACK returns that entry unchanged (bit for bit)
+    whenever its modulus lies between about 1e-138 and 1e138; outside that
+    band it rescales the matrix first, so the two differ in the last bits.
     """
     coeffs = np.asarray(coeffs, np.complex128)
     if coeffs.ndim != 2:
@@ -137,27 +141,28 @@ def poly_roots_batch(coeffs, max_degree=None):
     N, width = coeffs.shape
     if max_degree is None:
         max_degree = width - 1
-    work = coeffs[:, :max_degree + 1].copy()
+    work = coeffs[:, :max_degree + 1]
 
     mags = np.abs(work)
-    biggest = mags.max(axis=1)
-    keep = mags > TRIM_TOL * np.maximum(biggest, 1e-300)[:, None]
-    # effective degree: highest index still above the noise floor
+    keep = mags > TRIM_TOL * np.maximum(mags.max(axis=1), 1e-300)[:, None]
+    # effective degree: highest index still above the noise floor; an
+    # all-zero row keeps nothing (the floor is positive)
     degs = np.where(keep.any(axis=1),
-                    (max_degree - np.argmax(keep[:, ::-1], axis=1)), -1)
-    degs = np.where(biggest == 0.0, -1, degs)
+                    max_degree - np.argmax(keep[:, ::-1], axis=1), -1)
 
     roots = np.full((N, max_degree), np.nan + 0j, np.complex128)
-    neff = degs.astype(np.int64)
     for g in range(1, max_degree + 1):
         sel = np.nonzero(degs == g)[0]
         if sel.size == 0:
+            continue
+        if g == 1:
+            roots[sel, 0] = -work[sel, 0] / work[sel, 1]
             continue
         vals = _companion_eigvals(work[sel, :g + 1])
         order = np.lexsort((vals.imag, vals.real))
         rows = np.arange(sel.size)[:, None]
         roots[sel, :g] = vals[rows, order]
-    return roots, neff
+    return roots, degs
 
 
 def cluster_points(points, radius=CLUSTER_RADIUS):

@@ -194,8 +194,8 @@ class _Level:
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
     k+1 (the projected J1 and A_proj).  ``smin`` and ``dk`` are the
-    smallest kept singular value and the rank of Ak; ``J_norm`` and
-    ``norms`` the spectral norms of J and of A0..A(k-1).
+    smallest kept singular value and the rank of Ak; ``J_norm`` is the
+    spectral norm of J and ``norm_sum`` the sum of those of A0..A(k-1).
     """
 
     def __init__(self, k, sigma, J, mats):
@@ -206,7 +206,7 @@ class _Level:
         self.Ak = mats[k]
         self.smin, self.dk = _restricted_smin(self.Ak)
         self.J_norm = spectral_norm(J)
-        self.norms = [spectral_norm(M) for M in self.A_list]
+        self.norm_sum = sum(spectral_norm(M) for M in self.A_list)
 
     @classmethod
     def plain(cls, sys, k):
@@ -229,7 +229,7 @@ class _Level:
     def coeffs(self, omegas, phis):
         """Coefficient rows of det(B + Y Ak) at the points, and their
         interpolation node radii: 1 + |B| bound over ``smin``."""
-        bound = np.abs(omegas) * self.J_norm + sum(self.norms)
+        bound = np.abs(omegas) * self.J_norm + self.norm_sum
         if self.smin == 0.0:
             radii = np.ones_like(bound)
         else:
@@ -319,7 +319,7 @@ def singularity_test(sys, k, point):
     """
     level = _Level.plain(sys, k)
     B = level.B(*_point_arrays(point, k))[0]
-    bound = max(1.0, abs(point.omega) + sum(level.norms))
+    bound = max(1.0, abs(point.omega) + level.norm_sum)
     detB = complex(np.linalg.det(B))
     scaleB = bound ** sys.d
     U1, V1 = kernel_vectors(level.Ak)

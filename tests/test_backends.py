@@ -65,3 +65,35 @@ def test_derivative_fallback_where_matrix_is_singular():
     dv = h.char_derivative(s, 1.0, lam)
     want = -1.0 - np.exp(-lam)
     assert dv == pytest.approx(want, rel=1e-6)
+
+
+def _det_poly_coeffs_formula(B, Ak, radii):
+    """The interpolation of ``det_poly_coeffs``, every array built anew."""
+    m = B.shape[1]
+    nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
+                  / (m + 1)) / (m + 1)
+    Y = radii[:, None] * nodes[None, :]
+    dets = np.linalg.det(B[:, None, :, :] + Y[:, :, None, None] * Ak)
+    return dets @ idft.T / radii[:, None] ** np.arange(m + 1)[None, :]
+
+
+def test_det_poly_coeffs_cached_interpolation_is_the_formula():
+    rng = np.random.default_rng(505)
+    for m in (1, 3, 2, 4, 1, 4, 2, 3):  # sizes alternate over one cache
+        B = rng.standard_normal((7, m, m)) + 1j * rng.standard_normal((7, m, m))
+        Ak = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        radii = 1.0 + rng.uniform(0.0, 3.0, 7)
+        got = _backend.det_poly_coeffs(B, Ak, radii)
+        assert np.array_equal(got, _det_poly_coeffs_formula(B, Ak, radii))
+        # and the coefficients are those of det(B + Y Ak)
+        Y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        want = np.linalg.det(B + Y[:, None, None] * Ak)
+        poly = (got * Y[:, None] ** np.arange(m + 1)).sum(axis=1)
+        assert np.allclose(poly, want, rtol=1e-10, atol=1e-10)
+    for m in range(1, 5):
+        assert _backend._interp(m) is _backend._interp(m)
+        for arr in _backend._interp(m):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0

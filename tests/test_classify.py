@@ -1,7 +1,10 @@
 """Per-scale growth-rate suprema and the overall stability verdict."""
 
+import importlib.util
 import logging
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +13,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
-from hierdde.classify import _NM_OPTIONS, _leak_check, minimize
+from hierdde import linalg
+from hierdde.classify import _NM_OPTIONS, _leak_check, _row_max, minimize
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import PhasePoint, _Level
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "workloads.py"
 
 
 def _scalar_two_delay(a, b, c):
@@ -185,6 +192,57 @@ def test_lockstep_minimize_stops_mid_step_at_maxfev_like_scipy(monkeypatch):
         for i, ref in enumerate(refs):
             assert np.array_equal(res.x[i], ref.x), maxfev
             assert res.fun[i] == ref.fun, maxfev
+
+
+def test_row_max_takes_first_zero_root_else_first_largest_finite_gamma():
+    rng = np.random.default_rng(606)
+    gammas = rng.choice([0.5, -0.25, 0.0, -0.0, math.inf, -math.inf, math.nan],
+                        size=(400, 3))
+    neff = rng.integers(-1, 4, 400)
+    val, branch = _row_max(gammas, neff)
+    for g, n, v, b in zip(gammas, neff, val, branch):
+        row = list(g[:max(n, 0)])
+        if math.inf in row:
+            want = math.inf, row.index(math.inf)
+        else:
+            finite = [x for x in row if math.isfinite(x)]
+            want = (max(finite), row.index(max(finite))) if finite \
+                else (-math.inf, -1)
+        assert (v, b) == want
+        assert math.copysign(1.0, v) == math.copysign(1.0, want[0])
+
+
+# --- classify-random systems, every root from a companion eigensolve --------
+
+def _classify_random_systems(seed):
+    """The benchmark's classify-random systems of one seed."""
+    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    params = workloads.draw_scalar_params(np.random.default_rng(seed), h)
+    return [h.DelaySystem.scalar(p.a, (p.b, p.c)) for p in params]
+
+
+def _companion_roots(coeffs, max_degree=None):
+    """``poly_roots_batch`` with the degree-1 roots taken from their 1x1
+    companion matrices by LAPACK, as every degree is."""
+    roots, neff = linalg.poly_roots_batch(coeffs, max_degree)
+    one = np.nonzero(neff == 1)[0]
+    c = coeffs[one]
+    roots[one, 0] = np.linalg.eigvals((-c[:, 0] / c[:, 1])[:, None, None])[:, 0]
+    return roots, neff
+
+
+def test_classify_random_verdicts_bit_equal_with_companion_roots(monkeypatch):
+    # the closed-form degree-1 root moves no supremum, argmax or
+    # uncertainty by one bit
+    systems = _classify_random_systems(1)
+    assert len(systems) == 100
+    fast = [h.classify(s, h.build_ladder(s)).as_dict() for s in systems]
+    monkeypatch.setattr(sys.modules["hierdde.manifolds"], "poly_roots_batch",
+                        _companion_roots)
+    ref = [h.classify(s, h.build_ladder(s)).as_dict() for s in systems]
+    assert fast == ref
 
 
 # --- suprema against the closed forms ----------------------------------------

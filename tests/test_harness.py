@@ -47,11 +47,15 @@ def test_config_rejects_bad_input():
 @pytest.mark.parametrize("key, patch", [
     ("omega_range", {"grid": {"omega_range": [1]}}),
     ("omega", {"grid": {"omega": "many"}}),
+    ("omega", {"grid": {"omega": 41.9}}),
+    ("phase", {"grid": {"phase": True}}),
     ("tol", {"tol": "small"}),
     ("eps", {"eps": ["a"]}),
     ("eps", {"eps": "0.05"}),
+    ("window", {"window": "0123"}),
     ("cap", {"validation": {"cap": None}}),
-], ids=["omega_range", "omega", "tol", "eps-list", "eps-string", "cap"])
+], ids=["omega_range", "omega", "omega-fraction", "phase-bool", "tol",
+        "eps-list", "eps-string", "window-string", "cap"])
 def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
                                                   capsys):
     data = _base_cfg(**patch)

@@ -135,6 +135,41 @@ def test_poly_roots_batch_matches_single():
         assert np.all(np.isnan(roots[i, neff[i]:].real))
 
 
+def test_poly_roots_batch_mixed_degrees_and_degree_one_closed_form():
+    # degree-1 rows take -c0 / c1, bit-equal to their 1x1 companion
+    # eigenvalue on well-scaled rows; the other rows keep the companion
+    # path, and every row its nan padding
+    rng = np.random.default_rng(404)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rows = np.zeros((45, 4), complex)
+    rows[:10, :2] = cplx(10, 2) * 10.0 ** rng.integers(-30, 31, (10, 1))
+    rows[:10, 0] *= 10.0 ** rng.integers(-8, 9, 10)
+    rows[10:15, :3] = cplx(5, 3)
+    rows[10:15, 2] *= 1e-13                  # degree 2, trimmed to 1
+    rows[15:25] = cplx(10, 4)                # degree 3
+    rows[25:35, :3] = cplx(10, 3)            # degree 2
+    rows[35:40, 0] = cplx(5)                 # constant: no root
+    kind = np.array([1] * 15 + [3] * 10 + [2] * 10 + [0] * 5 + [-1] * 5)
+    order = rng.permutation(45)              # the last five rows are zero
+    rows, kind = rows[order], kind[order]
+    roots, neff = linalg.poly_roots_batch(rows)
+
+    assert np.array_equal(neff, kind)
+    one = np.nonzero(kind == 1)[0]
+    companion = (-rows[one, 0] / rows[one, 1])[:, None, None]
+    assert np.array_equal(roots[one, 0], np.linalg.eigvals(companion)[:, 0])
+    for i in np.nonzero(kind >= 2)[0]:
+        want = linalg.poly_roots(rows[i])
+        assert np.array_equal(roots[i, :kind[i]], want)
+        assert np.allclose(np.polyval(rows[i, :kind[i] + 1][::-1], want), 0,
+                           atol=1e-9)
+    for i in range(45):
+        assert np.all(np.isnan(roots[i, max(kind[i], 0):]))
+
+
 def test_cluster_points_groups_nearby():
     pts = np.array([0.0, 1e-9, 1.0, 1.0 + 5e-9j, 5.0], dtype=complex)
     centers, counts, labels = linalg.cluster_points(pts, 1e-8)

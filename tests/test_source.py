@@ -1,7 +1,10 @@
-"""Static checks over the package source."""
+"""Checks over the package source and what importing it loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +24,13 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_import_does_not_load_scipy_spatial():
+    # about 0.45 s of import time, paid only by run_validate
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, hierdde; assert 'scipy.spatial' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
