@@ -10,13 +10,16 @@ Kernel contracts:
     ``lams`` complex (N,), ``mats`` complex (n+1, d, d) holding the
     instantaneous matrix first and one matrix per delay after it, ``taus``
     real (n,) absolute delays.  Returns ``det(-lam I + mats[0] +
-    sum_k mats[k+1] exp(-lam taus[k]))`` for each entry.
+    sum_k mats[k+1] exp(-lam taus[k]))`` for each entry: the entry itself
+    for d = 1, ``m00 m11 - m01 m10`` for d = 2, LU beyond.
 
 ``char_and_deriv(lams, mats, taus)``
-    Same model; additionally returns the analytic derivative via the
-    determinant derivative identity ``chi' = chi * trace(M^-1 M')`` with
-    ``M' = -I - sum_k taus[k] mats[k+1] exp(-lam taus[k])``.  Entries where
-    the linear solve degenerates (singular M) are finished with a central
+    Same model and the same values; additionally returns the derivative
+    ``chi' = tr(adj(M) M')`` with ``M' = -I - sum_k taus[k] mats[k+1]
+    exp(-lam taus[k])``.  For d <= 2 the adjugate is written out (``M'``
+    itself for d = 1), which stays exact where M is singular.  For d >= 3
+    it is ``chi * trace(M^-1 M')`` by a stacked solve, and entries where
+    the solve degenerates (singular M) are finished with a central
     difference of step ``1e-7 * (1 + |lam|)``.
 
 ``det_poly_coeffs(B, Ak, radii)``
@@ -45,28 +48,43 @@ def backend_name():
     return "numpy"
 
 
-def _assemble(lams, mats, taus):
-    """Stacked value and derivative matrices, shapes (N, d, d)."""
-    d = mats.shape[1]
-    eye = np.eye(d)
-    expo = np.exp(-np.outer(lams, taus))  # (N, n)
-    M = mats[0] - lams[:, None, None] * eye
-    Mp = np.broadcast_to(-eye.astype(np.complex128), M.shape).copy()
-    for k in range(taus.shape[0]):
-        term = expo[:, k, None, None] * mats[k + 1]
-        M = M + term
-        Mp = Mp - taus[k] * term
-    return M, Mp
-
-
-def char_values(lams, mats, taus):
-    M, _ = _assemble(lams, mats, taus)
+def _det(M):
+    """Determinant over the last two axes: closed forms for d <= 2."""
+    d = M.shape[-1]
+    if d == 1:
+        return M[..., 0, 0]
+    if d == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     return np.linalg.det(M)
 
 
+def _table(lams, mats, taus):
+    """``M`` as an (N, d*d) table of row-major entries, and the delay
+    factors ``exp(-lam taus)`` it was built from."""
+    d = mats.shape[1]
+    expo = np.exp(-np.outer(lams, taus))  # (N, n)
+    M = expo @ mats[1:].reshape(-1, d * d) + mats[0].ravel()
+    M[:, :: d + 1] -= lams[:, None]
+    return M, expo
+
+
+def char_values(lams, mats, taus):
+    d = mats.shape[1]
+    return _det(_table(lams, mats, taus)[0].reshape(-1, d, d))
+
+
 def char_and_deriv(lams, mats, taus):
-    M, Mp = _assemble(lams, mats, taus)
-    chi = np.linalg.det(M)
+    d = mats.shape[1]
+    M, expo = _table(lams, mats, taus)
+    Mp = (expo * -taus) @ mats[1:].reshape(-1, d * d)
+    Mp[:, :: d + 1] -= 1.0
+    M, Mp = M.reshape(-1, d, d), Mp.reshape(-1, d, d)
+    chi = _det(M)
+    if d == 1:
+        return chi, Mp[:, 0, 0]
+    if d == 2:
+        return chi, (Mp[:, 0, 0] * M[:, 1, 1] + M[:, 0, 0] * Mp[:, 1, 1]
+                     - Mp[:, 0, 1] * M[:, 1, 0] - M[:, 0, 1] * Mp[:, 1, 0])
     dchi = np.full_like(chi, np.nan)
     try:
         X = np.linalg.solve(M, Mp)
@@ -114,7 +132,7 @@ def det_poly_coeffs(B, Ak, radii):
         hi = min(N, lo + chunk)
         Y = radii[lo:hi, None] * nodes[None, :]  # (c, m+1)
         Mstack = B[lo:hi, None, :, :] + Y[:, :, None, None] * Ak
-        dets = np.linalg.det(Mstack)  # (c, m+1)
+        dets = _det(Mstack)  # (c, m+1)
         raw = dets @ idft.T  # (c, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
         # the radius rescale, per chunk
         coeffs[lo:hi] = raw / radii[lo:hi, None] ** powers

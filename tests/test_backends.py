@@ -7,8 +7,8 @@ import hierdde as h
 from hierdde import _backend
 
 
-def _random_batch(rng):
-    d = int(rng.integers(1, 5))
+def _random_batch(rng, d=None):
+    d = int(rng.integers(1, 5)) if d is None else d
     n = int(rng.integers(1, 4))
     mats = (rng.standard_normal((n + 1, d, d))
             + 1j * rng.standard_normal((n + 1, d, d)))
@@ -35,15 +35,51 @@ def test_derivative_matches_central_difference():
 
 
 def test_derivative_of_exactly_singular_row():
-    # M = -lam is exactly 0 at lam = 0: the stacked solve raises, the other
-    # row is solved alone, and the singular one is finished by differences
+    # M = -lam is exactly 0 at lam = 0, where a stacked solve would raise;
+    # for d = 1 the derivative is M' itself, exact at the singular row too
     mats = np.zeros((2, 1, 1), complex)
     lams = np.array([0.0, 0.5], complex)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(-lams[:, None, None], -np.ones((2, 1, 1)))
     chi, dchi = _backend.char_and_deriv(lams, mats, np.array([1.0]))
     assert chi.tolist() == [0.0, -0.5]
-    assert np.abs(dchi + 1.0).max() <= 1e-12  # det rounds via its logarithm
+    assert dchi.tolist() == [-1.0, -1.0]
+
+
+def _stacked(lams, mats, taus):
+    """``M`` and ``M'`` as (N, d, d) stacks, one matrix product at a time."""
+    d = mats.shape[1]
+    M = np.array([mats[0] - lam * np.eye(d) for lam in lams], complex)
+    Mp = np.broadcast_to(-np.eye(d), M.shape).astype(complex)
+    for k, tau in enumerate(taus):
+        term = np.exp(-lams * tau)[:, None, None] * mats[k + 1]
+        M, Mp = M + term, Mp - tau * term
+    return M, Mp
+
+
+def test_derivative_fallback_of_singular_rows_for_d3():
+    # diag(m, B): the scalar block m = -lam + 1 - exp(-lam tau) is exactly 0
+    # at lam = 0, so the stacked solve raises and that row is finished by
+    # central differences; the product rule gives m'(0) det B(0) there
+    rng = np.random.default_rng(37)
+    taus = np.array([0.7, 2.5])
+    mats = np.zeros((3, 3, 3), complex)
+    mats[:, 0, 0] = [1.0, -1.0, 0.0]
+    mats[:, 1:, 1:] = (rng.standard_normal((3, 2, 2))
+                       + 1j * rng.standard_normal((3, 2, 2)))
+    lams = np.array([0.0, 0.3 + 1.1j, -0.2 - 0.4j])
+    M, Mp = _stacked(lams, mats, taus)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, Mp)
+    chi, dchi = _backend.char_and_deriv(lams, mats, taus)
+    scalar = mats[:, :1, :1]
+    m, dm = _backend.char_and_deriv(lams, scalar, taus)
+    b, db = _backend.char_and_deriv(lams, mats[:, 1:, 1:], taus)
+    assert m[0] == 0.0
+    assert np.allclose(chi, m * b, rtol=1e-13, atol=0.0)
+    want = dm * b + m * db
+    assert abs(dchi[0] - want[0]) <= 1e-6 * abs(want[0])
+    assert np.allclose(dchi[1:], want[1:], rtol=1e-12, atol=0.0)
 
 
 def test_dispatcher_value_example():
@@ -56,25 +92,51 @@ def test_dispatcher_value_example():
     assert fp[0] == pytest.approx(-1.0 - np.exp(-0.5), abs=1e-12)
 
 
-def test_derivative_fallback_where_matrix_is_singular():
-    # at a root the characteristic matrix is singular, so the trace formula
-    # is unusable and the difference fallback must take over seamlessly
+def test_derivative_where_matrix_is_singular():
+    # at a root the characteristic matrix is singular; the d = 1 derivative
+    # is M' itself, so it needs no solve there
     s = h.DelaySystem.scalar(0.0, (1.0,))
     lam = 0.567143290409784 + 0.0j
     assert abs(h.char_value(s, 1.0, lam)) <= 1e-14
     dv = h.char_derivative(s, 1.0, lam)
     want = -1.0 - np.exp(-lam)
-    assert dv == pytest.approx(want, rel=1e-6)
+    assert dv == pytest.approx(want, rel=1e-14)
+
+
+def test_closed_forms_agree_with_lu():
+    rng = np.random.default_rng(818)
+    for d in (1, 2) * 8:
+        lams, mats, taus = _random_batch(rng, d)
+        chi, dchi = _backend.char_and_deriv(lams, mats, taus)
+        assert np.array_equal(chi, _backend.char_values(lams, mats, taus))
+        M, Mp = _stacked(lams, mats, taus)  # the LU reference
+        want = np.linalg.det(M)
+        dwant = want * np.trace(np.linalg.solve(M, Mp), axis1=1, axis2=2)
+        assert np.allclose(chi, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(dchi, dwant, rtol=1e-12, atol=0.0)
+
+
+def test_closed_form_of_block_diagonal_is_the_product():
+    rng = np.random.default_rng(909)
+    for _ in range(12):
+        lams, mats, taus = _random_batch(rng, 2)
+        mats[:, 0, 1] = mats[:, 1, 0] = 0.0
+        chi, dchi = _backend.char_and_deriv(lams, mats, taus)
+        a, da = _backend.char_and_deriv(lams, mats[:, :1, :1], taus)
+        b, db = _backend.char_and_deriv(lams, mats[:, 1:, 1:], taus)
+        assert np.allclose(chi, a * b, rtol=1e-14, atol=0.0)
+        assert np.allclose(dchi, da * b + a * db, rtol=1e-13, atol=0.0)
 
 
 def _det_poly_coeffs_formula(B, Ak, radii):
-    """The interpolation of ``det_poly_coeffs``, every array built anew."""
+    """The interpolation of ``det_poly_coeffs``, every array built anew and
+    with the library's determinant, so only the cache is under test."""
     m = B.shape[1]
     nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
     idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
                   / (m + 1)) / (m + 1)
     Y = radii[:, None] * nodes[None, :]
-    dets = np.linalg.det(B[:, None, :, :] + Y[:, :, None, None] * Ak)
+    dets = _backend._det(B[:, None, :, :] + Y[:, :, None, None] * Ak)
     return dets @ idft.T / radii[:, None] ** np.arange(m + 1)[None, :]
 
 
