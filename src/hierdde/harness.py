@@ -216,13 +216,22 @@ def _write_rows(path, rows):
 def _write_json(path, obj):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(obj, indent=1, sort_keys=True))
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
+
+def _locate(sys_, eps, window, tol):
+    """Certified roots of the system at eps in window, seeded by
+    ``axis_seeds``; the real extent of the window is guarded first."""
+    guard_real_extent(sys_, eps, max(abs(window.re_min), abs(window.re_max)))
+    f, fp = char_function(sys_, eps)
+    return find_roots(f, window, fprime=fp, tol=tol,
+                      seeds=axis_seeds(sys_, eps, window))
+
 
 @dataclass(frozen=True)
 class SpectrumRun:
@@ -264,14 +273,9 @@ def run_spectrum(cfg, write=True):
     if cfg.window is None:
         raise ConfigError("spectrum needs an explicit window")
     sys_ = cfg.system
-    runs = []
-    for eps in cfg.eps_list:
-        guard_real_extent(sys_, eps, max(abs(cfg.window.re_min),
-                                         abs(cfg.window.re_max)))
-        f, fp = char_function(sys_, eps)
-        roots = find_roots(f, cfg.window, fprime=fp, tol=cfg.tol,
-                           seeds=axis_seeds(sys_, eps, cfg.window))
-        runs.append(SpectrumRun(eps=eps, roots=tuple(roots)))
+    runs = [SpectrumRun(eps=eps, roots=tuple(_locate(sys_, eps, cfg.window,
+                                                     cfg.tol)))
+            for eps in cfg.eps_list]
     path = None
     if write:
         if cfg.out_format == "csv":
@@ -438,11 +442,7 @@ def run_validate(cfg, write=True):
     windows = validation_window(cfg)
     records = []
     for eps, window in zip(cfg.eps_list, windows):
-        guard_real_extent(sys_, eps, max(abs(window.re_min),
-                                         abs(window.re_max)))
-        f, fp = char_function(sys_, eps)
-        roots = find_roots(f, window, fprime=fp, tol=cfg.tol,
-                           seeds=axis_seeds(sys_, eps, window))
+        roots = _locate(sys_, eps, window, cfg.tol)
         assigns = []
         max_d = {}
         strong_matches = 0
@@ -483,7 +483,7 @@ def run_validate(cfg, write=True):
                         "" if a.scale is None else "%d" % a.scale,
                         "" if a.rescaled is None else _fmt(a.rescaled.real),
                         "" if a.rescaled is None else _fmt(a.rescaled.imag),
-                        "inf" if a.distance == math.inf else _fmt(a.distance),
+                        _fmt(a.distance),
                         "" if a.runner_up_scale is None
                         else "%d" % a.runner_up_scale,
                         "" if a.runner_up_distance is None
@@ -638,8 +638,7 @@ def _gamma_comparison(p, sys_, grid, k):
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
         rows.append([_fmt(s.point.omega)] + [_fmt(x) for x in s.point.phi]
-                    + [str(_ext(closed)), str(_ext(s.gamma)),
-                       "inf" if diff == math.inf else _fmt(diff)])
+                    + [str(_ext(closed)), str(_ext(s.gamma)), _fmt(diff)])
     return rows, worst
 
 

@@ -4,9 +4,11 @@ The count of zeros inside a rectangle comes from the argument principle:
 the winding number of f along the boundary, measured on an adaptively
 refined sample of the perimeter.  Rectangles are then subdivided until each
 piece holds one zero (polished by Newton) or is smaller than the requested
-tolerance (reported as a multiple-root cluster).  The sum of reported
-multiplicities always equals the boundary count of the original rectangle;
-a violation raises instead of returning silently wrong data.
+tolerance (reported as a multiple-root cluster).  A single-root piece whose
+Newton polish fails is split in the same generation; clusters are polished
+once, after the subdivision ends.  The sum of reported multiplicities
+always equals the boundary count of the original rectangle; a violation
+raises instead of returning silently wrong data.
 
 Functions are evaluated in batches: ``f`` and its derivative ``fprime``
 must accept a complex ndarray and return a matching ndarray, which is what
@@ -30,7 +32,7 @@ __all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
 MAX_PHASE_STEP = math.pi / 4       # largest trusted phase change per interval
 MAX_MAG_JUMP = math.log(4.0)       # largest trusted |log|f|| change
 DERIV_EST_LIMIT = math.pi / 2      # largest trusted |dz| * |f'/f| estimate
-LEN_OUTLIER_FACTOR = 8.0           # force-split intervals this far over median
+LEN_OUTLIER_FACTOR = 8.0           # split intervals this far over the median
 _JITTERS = (0.0, 0.033, -0.051, 0.017)
 _INFLATE_FRACTION = 1e-6
 _EPS_MACH = 2.0 ** -52
@@ -41,7 +43,6 @@ MAX_DEPTH = 96                # refinement rounds of one boundary count
 MAX_SAMPLES = 2_000_000       # boundary samples of one cell
 _START_SAMPLES = 32           # boundary samples of a cell before refinement
 NEWTON_MAXIT = 50             # Newton steps of one polish
-MAX_PASSES = 200              # Newton-and-resplit passes of find_roots
 INFLATE_TRIES = 3             # retries on an inflated window
 _log = logging.getLogger("hierdde")
 
@@ -367,6 +368,28 @@ def _polish_seeds(f, fprime, seeds, rect, tol):
     return z, counts[labels] == 1
 
 
+def _polish(f, fprime, cells, tol):
+    """Polished location and convergence flag of each (rect, count) cell.
+
+    A count of 1 takes Newton on f.  An m-fold zero of f is an (m-1)-fold
+    zero of f', which is better conditioned by one noise-radius order (for
+    m = 2 a simple zero, locatable to full precision), so larger counts take
+    the secant on f' with the step scaled by m - 1.
+    """
+    centers = np.array([c.center for c, _ in cells], np.complex128)
+    hw = np.array([0.5 * c.width for c, _ in cells])
+    hh = np.array([0.5 * c.height for c, _ in cells])
+    mults = np.array([cnt for _, cnt in cells])
+    roots, conv = centers.copy(), np.zeros(len(cells), bool)
+    for i, g, gp in ((np.flatnonzero(mults == 1), f, fprime),
+                     (np.flatnonzero(mults > 1), fprime, None)):
+        if i.size:
+            roots[i], conv[i] = _newton_batch(
+                g, gp, centers[i], hw[i], hh[i], tol,
+                mult=np.maximum(mults[i] - 1, 1))
+    return roots, conv
+
+
 def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
@@ -381,95 +404,68 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     number of distinct converged seeds in it (each seed belongs to one cell,
     none within ``tol`` of its edges) holds exactly those simple roots and
     is not split further.
+
+    Each generation of cells polishes its single-root cells by Newton and
+    splits those whose polish fails; clusters are polished once, at the end.
     """
     total, base = _count_with_inflation(f, fprime, rect)
     if total == 0:
         return []
     pts, lone = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (location, multiplicity, converged); roots
-    own = np.arange(pts.size)  # every polished seed lies in rect
-    work, failed = [(base, total, False, own)], [0] * len(_JITTERS)
-    for _ in range(MAX_PASSES):
-        if not work:
-            break
-        singles, clusters, generation, work = [], [], work, []
-        while generation:
-            to_split = []
-            for cell, cnt, force, own in generation:
-                # a cell holding a few zeros stops splitting near the cluster
-                # resolution limit: the noise zone of an m-fold root has
-                # radius ~ (machine eps)^(1/m), which jittered split lines
-                # cannot avoid once the cell is a few times that size.  Only
-                # low-order clusters stop early: for larger counts the radius
-                # would dwarf genuine root spacings of dense spectra, and a
-                # true high-order root is still caught as unsplittable below
-                stop = max(tol, 8.0 * _noise_radius(cnt) * (
-                    1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
-                if (own.size == cnt and lone[own].all()
-                        and _inside(cell, pts[own], margin=tol).all()):
-                    found += [(complex(z), 1, True) for z in pts[own]]
-                    seeded += cnt
-                elif cell.diag < stop:
-                    clusters.append((cell, cnt))
-                elif cnt == 1 and not force:
-                    singles.append((cell, own))
-                else:
-                    to_split.append((cell, cnt, own))
+    clusters, failed = [], [0] * len(_JITTERS)
+    generation = [(base, total, np.arange(pts.size))]  # seeds all in rect
+    while generation:
+        singles, to_split = [], []
+        for cell, cnt, own in generation:
+            # a cell holding a few zeros stops splitting near the cluster
+            # resolution limit: the noise zone of an m-fold root has radius
+            # ~ (machine eps)^(1/m), which jittered split lines cannot avoid
+            # once the cell is a few times that size.  Only low-order
+            # clusters stop early: for larger counts the radius would dwarf
+            # genuine root spacings of dense spectra, and a true high-order
+            # root is still caught as unsplittable below
+            stop = max(tol, 8.0 * _noise_radius(cnt) * (
+                1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
+            if (own.size == cnt and lone[own].all()
+                    and _inside(cell, pts[own], margin=tol).all()):
+                found += [(complex(z), 1, True) for z in pts[own]]
+                seeded += cnt
+            elif cell.diag < stop:
+                clusters.append((cell, cnt))
+            elif cnt == 1:
+                singles.append((cell, own))
+            else:
+                to_split.append((cell, cnt, own))
+        roots, conv = _polish(f, fprime, [(c, 1) for c, _ in singles], tol)
+        for (cell, own), root, ok in zip(singles, roots, conv):
+            if ok and cell.contains(root):
+                found.append((complex(root), 1, True))
+            elif cell.diag < max(tol, MULTI_ROOT_RES
+                                 * (1.0 + abs(cell.center))):
+                # already at the evaluation-noise scale: accept the best
+                # available point instead of splitting into noise
+                loc = complex(root) if cell.contains(root, slack=tol) \
+                    else cell.center
+                found.append((loc, 1, False))
+            else:
+                to_split.append((cell, 1, own))
+        generation = []
+        if to_split:
             kids, stuck, fails = _split(f, fprime, [c[:2] for c in to_split])
-            generation = []
             for c, n, i in kids:  # the seeds of a parent go to its children
                 own = to_split[i][2]
-                generation.append((c, n, False, own[_inside(c, pts[own])]
+                generation.append((c, n, own[_inside(c, pts[own])]
                                    if own.size else own))
             clusters += stuck
             failed = [a + b for a, b in zip(failed, fails)]
 
-        if singles:
-            centers = np.array([c.center for c, _ in singles])
-            hw = np.array([0.5 * c.width for c, _ in singles])
-            hh = np.array([0.5 * c.height for c, _ in singles])
-            roots, conv = _newton_batch(f, fprime, centers, hw, hh, tol)
-            for (cell, own), root, ok in zip(singles, roots, conv):
-                if ok and cell.contains(root):
-                    found.append((complex(root), 1, True))
-                elif cell.diag < max(tol, MULTI_ROOT_RES
-                                     * (1.0 + abs(cell.center))):
-                    # already at the evaluation-noise scale: accept the best
-                    # available point instead of splitting into noise
-                    loc = complex(root) if cell.contains(root, slack=tol) \
-                        else cell.center
-                    found.append((loc, 1, False))
-                else:
-                    work.append((cell, 1, True, own))
-        if clusters:
-            centers = np.array([c.center for c, _ in clusters])
-            hw = np.array([0.5 * c.width for c, _ in clusters])
-            hh = np.array([0.5 * c.height for c, _ in clusters])
-            mults = np.array([cnt for _, cnt in clusters])
-            multi = mults > 1
-            roots = centers.copy()
-            conv = np.zeros(len(clusters), bool)
-            if (~multi).any():
-                i = np.nonzero(~multi)[0]
-                roots[i], conv[i] = _newton_batch(
-                    f, fprime, centers[i], hw[i], hh[i], tol)
-            if multi.any():
-                # an m-fold zero of f is an (m-1)-fold zero of f', which is
-                # better conditioned by one noise-radius order; for m = 2 it
-                # is a simple zero, locatable to full precision
-                i = np.nonzero(multi)[0]
-                roots[i], conv[i] = _newton_batch(
-                    fprime, None, centers[i], hw[i], hh[i], tol,
-                    mult=np.maximum(mults[i] - 1, 1))
-            slack = np.maximum(tol, 8.0 * np.array(
-                [_noise_radius(m) for m in mults]) * (1.0 + np.abs(centers)))
-            for (cell, cnt), root, ok, sl in zip(clusters, roots, conv, slack):
-                loc = complex(root) if ok and cell.contains(root, slack=sl) \
-                    else cell.center
-                found.append((loc, cnt, bool(ok)))
-    else:
-        raise ResolutionError(f"root isolation did not finish in "
-                              f"{MAX_PASSES} passes on {rect}")
+    for (cell, cnt), root, ok in zip(clusters,
+                                     *_polish(f, fprime, clusters, tol)):
+        slack = max(tol, 8.0 * _noise_radius(cnt) * (1.0 + abs(cell.center)))
+        loc = complex(root) if ok and cell.contains(root, slack=slack) \
+            else cell.center
+        found.append((loc, cnt, bool(ok)))
 
     locs = np.array([loc for loc, _, _ in found])
     residuals = np.abs(f(locs))

@@ -123,6 +123,35 @@ def test_mixed_multiplicities():
         assert len(match) == 1 and match[0].multiplicity == m
 
 
+def test_roots_closer_than_tol_end_as_single_root_clusters():
+    # two simple roots 6e-4 apart, under tol = 1e-3: each ends in a
+    # count-1 cell below tol, and the two merge into one double entry
+    r1 = 0.127 + 0.2j
+    r2 = r1 + 6e-4
+    roots = h.find_roots(
+        lambda z: (z - r1) * (z - r2) * np.exp(z),
+        h.Rectangle(0.0, 0.25, 0.1, 0.35),
+        lambda z: (2.0 * z - r1 - r2 + (z - r1) * (z - r2)) * np.exp(z),
+        tol=1e-3)
+    assert len(roots) == 1 and roots[0].multiplicity == 2
+    assert abs(roots[0].location - r1) <= 1e-3
+    assert abs(roots[0].location - r2) <= 1e-3
+    assert roots == [h.RootResult(
+        location=0.12759476322884702 + 0.19996548903452557j, multiplicity=2,
+        residual=2.3625884293926503e-08, newton_converged=True)]
+
+
+def test_single_root_accepted_at_the_noise_scale():
+    # a zero derivative stops every Newton step, so the cell is split down
+    # to the evaluation-noise scale and its best point accepted unconverged
+    r = 0.3 + 0.4j
+    roots = h.find_roots(lambda z: (z - r) * np.exp(z),
+                         h.Rectangle(0.0, 1.0, 0.0, 1.0), np.zeros_like)
+    assert len(roots) == 1 and roots[0].multiplicity == 1
+    assert not roots[0].newton_converged
+    assert abs(roots[0].location - r) <= 1e-8
+
+
 def test_root_on_window_corner_counted_once():
     f, fp = _poly_pair([0.0, 3.0])
     box = h.Rectangle(0.0, 1.0, 0.0, 1.0)

@@ -34,3 +34,42 @@ def test_import_does_not_load_scipy_spatial():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _definitions(tree):
+    """Names of the module-level functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def _references(tree):
+    """Names read, attributes taken and strings listed in ``__all__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            for elt in ast.walk(node.value):
+                if isinstance(elt, ast.Constant) and isinstance(elt.value,
+                                                                str):
+                    yield elt.value
+
+
+def test_every_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = sorted(f"{module}:{name}" for module, tree in trees.items()
+                  for name in _definitions(tree)
+                  if name not in used and name != "__all__")
+    assert dead == [], f"unreferenced definitions {dead}"
