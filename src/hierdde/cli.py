@@ -52,21 +52,28 @@ def _parser():
     return p
 
 
-def _parse_list(text, what):
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
+# config key of each override flag; eps and window are comma-separated
+_OVERRIDES = (("eps", "eps"), ("window", "window"), ("out", "out"),
+              ("format", "format"), ("tol", "tol"),
+              ("grid_omega", "grid.omega"), ("grid_phase", "grid.phase"))
 
 
 def _configured(args):
-    cfg = harness.load_config(args.config)
-    eps = _parse_list(args.eps, "eps") if args.eps else None
-    window = _parse_list(args.window, "window") if args.window else None
-    return harness.apply_overrides(
-        cfg, eps=eps, window=window, out_dir=args.out,
-        out_format=args.format, grid_omega=args.grid_omega,
-        grid_phase=args.grid_phase, tol=args.tol)
+    """The config file's object with each given flag written in under its
+    config key, parsed once: a flag gets the checks of the entry it
+    replaces."""
+    data, base_dir = harness.read_config(args.config)
+    for flag, key in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is None or not isinstance(data, dict):
+            continue
+        if flag in ("eps", "window"):
+            value = value.split(",")
+        outer, _, inner = key.rpartition(".")
+        entry = data.setdefault(outer, {}) if outer else data
+        if isinstance(entry, dict):  # else config_from_dict refuses it
+            entry[inner] = value
+    return harness.config_from_dict(data, base_dir=base_dir)
 
 
 def _dispatch(args):

@@ -190,9 +190,7 @@ def truncated_char(ladder, k, eps, lam):
     lam = complex(lam)
     M = -lam * lev.J1 + lev.A_proj[0]
     if k >= 1:
-        eps = model.check_eps(eps)
-        taus = np.array([ladder.sigma[j - 1] * eps ** (-j)
-                         for j in range(1, k + 1)])
+        taus = model._delays(ladder.sigma[:k], eps)
         model._guard(taus, abs(lam.real), eps)
         for j in range(1, k + 1):
             M = M + lev.A_proj[j] * np.exp(-lam * taus[j - 1])

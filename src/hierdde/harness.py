@@ -10,7 +10,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,13 +189,20 @@ def config_from_dict(data, base_dir="."):
     return RunConfig(**kw)
 
 
-def load_config(path):
+def read_config(path):
+    """The parsed JSON object of a config file, and the directory that its
+    relative system path is resolved against."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(data, base_dir=os.path.dirname(path) or ".")
+    return data, os.path.dirname(path) or "."
+
+
+def load_config(path):
+    data, base_dir = read_config(path)
+    return config_from_dict(data, base_dir=base_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +225,29 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=1, sort_keys=True))
         fh.write("\n")
+
+
+def _cell(v):
+    """One CSV cell of a JSON field value: 17 digits for a float, blank for
+    None, 1/0 for a flag, a whole number or ``_ext``'s "inf" as is."""
+    if isinstance(v, float):
+        return _FMT % v
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, int):
+        return "%d" % v
+    return v
+
+
+def _csv_rows(columns, groups):
+    """Header ``eps`` plus ``columns``, then one row per field object of
+    each ``(eps, objects)`` group: its eps and its values in column order."""
+    yield ("eps",) + columns
+    for eps, objs in groups:
+        for obj in objs:
+            yield [_fmt(eps)] + [_cell(obj[c]) for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +275,13 @@ class SpectrumResult:
     path: object
 
 
-def _spectrum_rows(runs):
-    rows = [["eps", "re", "im", "multiplicity", "residual"]]
-    for run in runs:
-        for r in run.roots:
-            rows.append([_fmt(run.eps), _fmt(r.location.real),
-                         _fmt(r.location.imag), "%d" % r.multiplicity,
-                         _fmt(r.residual)])
-    return rows
+_ROOT_COLUMNS = ("re", "im", "multiplicity", "residual")
 
 
-def _spectrum_obj(runs):
-    return {"runs": [
-        {"eps": run.eps,
-         "roots": [{"re": r.location.real, "im": r.location.imag,
-                    "multiplicity": r.multiplicity, "residual": r.residual}
-                   for r in run.roots]}
-        for run in runs]}
+def _root_fields(r):
+    """JSON object of one located root, keyed by ``_ROOT_COLUMNS``."""
+    return dict(zip(_ROOT_COLUMNS, (r.location.real, r.location.imag,
+                                    r.multiplicity, r.residual)))
 
 
 def run_spectrum(cfg, write=True):
@@ -278,12 +298,15 @@ def run_spectrum(cfg, write=True):
             for eps in cfg.eps_list]
     path = None
     if write:
+        path = os.path.join(cfg.out_dir, "spectrum." + cfg.out_format)
+        obj = {"runs": [{"eps": run.eps,
+                         "roots": [_root_fields(r) for r in run.roots]}
+                        for run in runs]}
         if cfg.out_format == "csv":
-            path = os.path.join(cfg.out_dir, "spectrum.csv")
-            _write_rows(path, _spectrum_rows(runs))
+            _write_rows(path, _csv_rows(_ROOT_COLUMNS, (
+                (run["eps"], run["roots"]) for run in obj["runs"])))
         else:
-            path = os.path.join(cfg.out_dir, "spectrum.json")
-            _write_json(path, _spectrum_obj(runs))
+            _write_json(path, obj)
     return SpectrumResult(runs=tuple(runs), path=path)
 
 
@@ -303,6 +326,21 @@ class Assignment:
     runner_up_scale: object
     runner_up_distance: object
     assigned: bool
+
+
+_ASSIGNMENT_COLUMNS = ("re", "im", "multiplicity", "scale", "rescaled_re",
+                       "rescaled_im", "distance", "runner_up_scale",
+                       "runner_up_distance", "assigned")
+
+
+def _assignment_fields(a):
+    """JSON object of one Assignment, keyed by ``_ASSIGNMENT_COLUMNS``."""
+    z, rd = a.rescaled, a.runner_up_distance
+    return dict(zip(_ASSIGNMENT_COLUMNS, (
+        a.eigenvalue.real, a.eigenvalue.imag, a.multiplicity, a.scale,
+        None if z is None else z.real, None if z is None else z.imag,
+        _ext(a.distance), a.runner_up_scale,
+        None if rd is None else _ext(rd), a.assigned)))
 
 
 @dataclass(frozen=True)
@@ -326,29 +364,13 @@ class ValidationReport:
     nonincreasing: dict
 
     def as_dict(self):
-        recs = []
-        for rec in self.records:
-            assigns = []
-            for a in rec.assignments:
-                assigns.append({
-                    "re": a.eigenvalue.real, "im": a.eigenvalue.imag,
-                    "multiplicity": a.multiplicity,
-                    "scale": a.scale,
-                    "rescaled_re": None if a.rescaled is None
-                    else a.rescaled.real,
-                    "rescaled_im": None if a.rescaled is None
-                    else a.rescaled.imag,
-                    "distance": _ext(a.distance),
-                    "runner_up_scale": a.runner_up_scale,
-                    "runner_up_distance": None if a.runner_up_distance is None
-                    else _ext(a.runner_up_distance),
-                    "assigned": a.assigned,
-                })
-            recs.append({"eps": rec.eps, "count": rec.count,
-                         "strong_matches": rec.strong_matches,
-                         "max_distance": {str(k): _ext(v) for k, v
-                                          in sorted(rec.max_distance.items())},
-                         "assignments": assigns})
+        recs = [{"eps": rec.eps, "count": rec.count,
+                 "strong_matches": rec.strong_matches,
+                 "max_distance": {str(k): _ext(v) for k, v
+                                  in sorted(rec.max_distance.items())},
+                 "assignments": [_assignment_fields(a)
+                                 for a in rec.assignments]}
+                for rec in self.records]
         return {"records": recs,
                 "nonincreasing": {str(k): bool(v) for k, v
                                   in sorted(self.nonincreasing.items())}}
@@ -377,47 +399,54 @@ def validation_window(cfg):
     return [Rectangle(-hw, hw, -cfg.im_max, cfg.im_max) for hw in hws]
 
 
-def _sample_sets(sys_, ladder, grid):
-    """Asymptotic point sets per scale (k=0 strong, 1..n projected)."""
-    sets = {}
+def _sample_trees(sys_, ladder, grid):
+    """k-d trees over the sampled asymptotic point sets per scale (k=0
+    strong, 1..n projected); scales without points are left out."""
+    # imported here, not with the package: scipy.spatial is most of the
+    # package's import time, and no other workflow needs it
+    from scipy.spatial import cKDTree
+
+    trees = {}
     for k in range(sys_.n + 1):
         try:
             pts = assemble_A_k(sys_, ladder, k, grid)
         except TrivialityError:
             continue
         if pts.size:
-            sets[k] = pts
-    return sets
+            trees[k] = cKDTree(np.column_stack([pts.real, pts.imag]))
+    return trees
 
 
-def _assign_roots(roots, eps, sets, trees, strong_r):
-    """Min-distance scale assignment for one eps worth of roots."""
-    if not roots:
-        return []
-    locs = np.array([r.location for r in roots])
-    per_scale = {}
-    for k, tree in trees.items():
-        resc = locs.real * eps ** (-k) + 1j * locs.imag
-        d, _ = tree.query(np.column_stack([resc.real, resc.imag]))
-        per_scale[k] = (d, resc)
+def _assign_roots(roots, eps, trees, strong_r, cap):
+    """One Assignment per root: the scale whose sampled set lies nearest
+    the root rescaled by ``eps**-k``, and the next nearest as runner-up.
+
+    Strong (scale-0) candidates beyond ``strong_r`` do not count; ties go
+    to the lower scale.  A root is assigned when a scale within ``cap``
+    explains it.
+    """
+    scales = sorted(trees)
+    locs = np.array([r.location for r in roots], dtype=complex)
+    resc = np.array([locs.real * eps ** (-k) + 1j * locs.imag
+                     for k in scales]).reshape(len(scales), len(roots))
+    dist = np.array([trees[k].query(np.column_stack([z.real, z.imag]))[0]
+                     for k, z in zip(scales, resc)]).reshape(resc.shape)
+    if scales[:1] == [0]:
+        dist[0, dist[0] > strong_r] = math.inf
+    order = np.argsort(dist, axis=0, kind="stable")[:2]
     out = []
-    for i, r in enumerate(roots):
-        cands = []
-        for k in sorted(per_scale):
-            d, resc = per_scale[k]
-            if k == 0 and d[i] > strong_r:
-                continue
-            cands.append((float(d[i]), k, complex(resc[i])))
-        cands.sort(key=lambda t: (t[0], t[1]))
-        if not cands:
-            out.append((r, None, None, math.inf, None, None))
-        elif len(cands) == 1:
-            d0, k0, z0 = cands[0]
-            out.append((r, k0, z0, d0, None, None))
-        else:
-            d0, k0, z0 = cands[0]
-            d1, k1, _ = cands[1]
-            out.append((r, k0, z0, d0, k1, d1))
+    for r, ds, zs, js in zip(roots, dist.T.tolist(), resc.T.tolist(),
+                             order.T.tolist()):
+        near = [j for j in js if ds[j] < math.inf]
+        k, d, z, rk, rd = None, math.inf, None, None, None
+        if near:
+            k, d, z = scales[near[0]], ds[near[0]], zs[near[0]]
+        if len(near) > 1:
+            rk, rd = scales[near[1]], ds[near[1]]
+        out.append(Assignment(
+            eigenvalue=r.location, multiplicity=r.multiplicity, scale=k,
+            rescaled=z, distance=d, runner_up_scale=rk,
+            runner_up_distance=rd, assigned=k is not None and d <= cap))
     return out
 
 
@@ -429,67 +458,38 @@ def run_validate(cfg, write=True):
     within the strong matching radius.  Emits validate.json (always) and
     validate.csv with per-eigenvalue rows when the format is csv.
     """
-    # imported here, not with the package: scipy.spatial is most of the
-    # package's import time, and no other workflow needs it
-    from scipy.spatial import cKDTree
-
     sys_ = cfg.system
-    ladder = build_ladder(sys_)
-    sets = _sample_sets(sys_, ladder, cfg.grid)
-    trees = {k: cKDTree(np.column_stack([p.real, p.imag]))
-             for k, p in sets.items()}
+    trees = _sample_trees(sys_, build_ladder(sys_), cfg.grid)
     strong_r = strong_spectrum(sys_).r
     windows = validation_window(cfg)
     records = []
     for eps, window in zip(cfg.eps_list, windows):
         roots = _locate(sys_, eps, window, cfg.tol)
-        assigns = []
+        assigns = _assign_roots(roots, eps, trees, strong_r,
+                                cfg.distance_cap)
         max_d = {}
-        strong_matches = 0
-        for r, k, z, d, rk, rd in _assign_roots(roots, eps, sets, trees,
-                                                strong_r):
-            assigned = k is not None and d <= cfg.distance_cap
-            assigns.append(Assignment(
-                eigenvalue=r.location, multiplicity=r.multiplicity,
-                scale=k, rescaled=z, distance=d, runner_up_scale=rk,
-                runner_up_distance=rd, assigned=assigned))
-            if assigned:
-                max_d[k] = max(max_d.get(k, 0.0), d)
-                if k == 0:
-                    strong_matches += 1
+        for a in assigns:
+            if a.assigned:
+                max_d[a.scale] = max(max_d.get(a.scale, 0.0), a.distance)
         records.append(EpsRecord(
             eps=eps, count=sum(r.multiplicity for r in roots),
             assignments=tuple(assigns), max_distance=max_d,
-            strong_matches=strong_matches))
+            strong_matches=sum(a.assigned and a.scale == 0
+                               for a in assigns)))
     noninc = {}
-    for k in sorted(sets):
+    for k in sorted(trees):
         seq = [rec.max_distance[k] for rec in records
                if k in rec.max_distance]
         if len(seq) >= 2:
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
     report = ValidationReport(records=tuple(records), nonincreasing=noninc)
     if write:
-        _write_json(os.path.join(cfg.out_dir, "validate.json"),
-                    report.as_dict())
+        obj = report.as_dict()
+        _write_json(os.path.join(cfg.out_dir, "validate.json"), obj)
         if cfg.out_format == "csv":
-            rows = [["eps", "re", "im", "multiplicity", "scale",
-                     "rescaled_re", "rescaled_im", "distance",
-                     "runner_up_scale", "runner_up_distance", "assigned"]]
-            for rec in report.records:
-                for a in rec.assignments:
-                    rows.append([
-                        _fmt(rec.eps), _fmt(a.eigenvalue.real),
-                        _fmt(a.eigenvalue.imag), "%d" % a.multiplicity,
-                        "" if a.scale is None else "%d" % a.scale,
-                        "" if a.rescaled is None else _fmt(a.rescaled.real),
-                        "" if a.rescaled is None else _fmt(a.rescaled.imag),
-                        _fmt(a.distance),
-                        "" if a.runner_up_scale is None
-                        else "%d" % a.runner_up_scale,
-                        "" if a.runner_up_distance is None
-                        else _fmt(a.runner_up_distance),
-                        "1" if a.assigned else "0"])
-            _write_rows(os.path.join(cfg.out_dir, "validate.csv"), rows)
+            _write_rows(os.path.join(cfg.out_dir, "validate.csv"), _csv_rows(
+                _ASSIGNMENT_COLUMNS,
+                ((rec["eps"], rec["assignments"]) for rec in obj["records"])))
     return report
 
 
@@ -566,32 +566,22 @@ def run_classify(cfg):
 # figure presets and the example driver
 # ---------------------------------------------------------------------------
 
+# name: (a, b, c, phase samples of the grid).  Every preset grid has 801
+# frequencies over [-3.2, 3.2], covering the |Im| <= 3 validation strip
+# with margin; the singular funnels of fig3 need the denser phase sampling
 _PRESET_PARAMS = {
-    "fig2-stable": (-0.4 + 0.5j, 0.1, 0.2),
-    "fig2-neutral": (-0.4 + 0.5j, 0.1, 0.3),
-    "fig2-unstable": (-0.4 + 0.5j, 0.1, 0.4),
-    "fig3": (-0.4 + 0.5j, 0.5, 0.3),
+    "fig2-stable": (-0.4 + 0.5j, 0.1, 0.2, 64),
+    "fig2-neutral": (-0.4 + 0.5j, 0.1, 0.3, 64),
+    "fig2-unstable": (-0.4 + 0.5j, 0.1, 0.4, 64),
+    "fig3": (-0.4 + 0.5j, 0.5, 0.3, 256),
 }
 PRESET_NAMES = tuple(sorted(_PRESET_PARAMS))
-
-# grids cover the |Im| <= 3 validation strip with margin; the singular
-# funnels of the last preset need the denser phase sampling
-_PRESET_GRIDS = {
-    "fig2-stable": GridSpec(omega_count=801, phase_count=64,
-                            omega_range=(-3.2, 3.2)),
-    "fig2-neutral": GridSpec(omega_count=801, phase_count=64,
-                             omega_range=(-3.2, 3.2)),
-    "fig2-unstable": GridSpec(omega_count=801, phase_count=64,
-                              omega_range=(-3.2, 3.2)),
-    "fig3": GridSpec(omega_count=801, phase_count=256,
-                     omega_range=(-3.2, 3.2)),
-}
 
 
 def preset_params(name):
     """The scalar coefficients behind a named example preset."""
     try:
-        a, b, c = _PRESET_PARAMS[name]
+        a, b, c, _ = _PRESET_PARAMS[name]
     except KeyError:
         raise ConfigError(f"unknown example {name!r}; choose from "
                           f"{', '.join(PRESET_NAMES)}") from None
@@ -611,8 +601,11 @@ def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir="."):
     scale-1 family, narrow enough for the evaluation guard); the others use
     the default sup-based rule.
     """
-    kw = dict(system=preset_system(name), eps_list=tuple(eps_list),
-              grid=_PRESET_GRIDS[name], out_dir=out_dir, im_max=3.0)
+    system = preset_system(name)  # refuses an unknown name
+    grid = GridSpec(omega_count=801, phase_count=_PRESET_PARAMS[name][3],
+                    omega_range=(-3.2, 3.2))
+    kw = dict(system=system, eps_list=tuple(eps_list), grid=grid,
+              out_dir=out_dir, im_max=3.0)
     if name == "fig3":
         kw["re_halfwidth_coef"] = 0.4
         kw["re_halfwidth_power"] = 1.0
@@ -688,26 +681,3 @@ def run_example(name, out_dir=".", out_format="csv"):
         _write_rows(os.path.join(out_dir, f"example_{name}_gamma1.csv"), rows1)
         _write_rows(os.path.join(out_dir, f"example_{name}_gamma2.csv"), rows2)
     return summary
-
-
-def apply_overrides(cfg, eps=None, window=None, out_dir=None, out_format=None,
-                    grid_omega=None, grid_phase=None, tol=None):
-    """Config with individual fields replaced (used by the command line)."""
-    kw = {}
-    if eps is not None:
-        kw["eps_list"] = tuple(float(e) for e in eps)
-    if window is not None:
-        kw["window"] = _window_from_list(window)
-    if out_dir is not None:
-        kw["out_dir"] = out_dir
-    if out_format is not None:
-        kw["out_format"] = out_format
-    if grid_omega is not None or grid_phase is not None:
-        g = cfg.grid
-        kw["grid"] = GridSpec(
-            omega_count=g.omega_count if grid_omega is None else grid_omega,
-            phase_count=g.phase_count if grid_phase is None else grid_phase,
-            omega_range=g.omega_range)
-    if tol is not None:
-        kw["tol"] = float(tol)
-    return replace(cfg, **kw) if kw else cfg

@@ -112,10 +112,16 @@ def check_eps(eps):
 
 def delays(sys, eps):
     """Absolute delays ``sigma_k * eps**-k``, k = 1..n."""
+    return _delays(sys.sigma, eps)
+
+
+def _delays(sigma, eps):
+    """``sigma[k-1] * eps**-k`` for k = 1..len(sigma); a delay that
+    overflows raises EvaluationRangeError naming its scale."""
     eps = check_eps(eps)
-    ks = np.arange(1, sys.n + 1, dtype=np.float64)
+    ks = np.arange(1, len(sigma) + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
-        taus = np.asarray(sys.sigma) * eps ** (-ks)
+        taus = np.asarray(sigma) * eps ** (-ks)
     if not np.all(np.isfinite(taus)):
         k = int(np.argmax(~np.isfinite(taus))) + 1
         raise EvaluationRangeError(
@@ -170,8 +176,8 @@ def char_value(sys, eps, lam):
 def char_derivative(sys, eps, lam):
     """d/dlam of the characteristic determinant at one point.
 
-    Uses the determinant derivative identity through the backend; falls back
-    to a central difference wherever the characteristic matrix is singular.
+    Uses Jacobi's formula through the backend, which stays exact where the
+    characteristic matrix is singular.
     """
     taus = delays(sys, eps)
     _, dchi = _backend.char_and_deriv(_guarded(taus, eps, complex(lam)),

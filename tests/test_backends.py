@@ -57,10 +57,10 @@ def _stacked(lams, mats, taus):
     return M, Mp
 
 
-def test_derivative_fallback_of_singular_rows_for_d3():
+def test_derivative_of_singular_rows_for_d3():
     # diag(m, B): the scalar block m = -lam + 1 - exp(-lam tau) is exactly 0
-    # at lam = 0, so the stacked solve raises and that row is finished by
-    # central differences; the product rule gives m'(0) det B(0) there
+    # at lam = 0, so a solve with M raises there; Jacobi's formula needs no
+    # solve and matches the product rule m'(0) det B(0) to rounding
     rng = np.random.default_rng(37)
     taus = np.array([0.7, 2.5])
     mats = np.zeros((3, 3, 3), complex)
@@ -78,7 +78,7 @@ def test_derivative_fallback_of_singular_rows_for_d3():
     assert m[0] == 0.0
     assert np.allclose(chi, m * b, rtol=1e-13, atol=0.0)
     want = dm * b + m * db
-    assert abs(dchi[0] - want[0]) <= 1e-6 * abs(want[0])
+    assert abs(dchi[0] - want[0]) <= 1e-12 * abs(want[0])
     assert np.allclose(dchi[1:], want[1:], rtol=1e-12, atol=0.0)
 
 

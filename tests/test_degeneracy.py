@@ -110,6 +110,15 @@ def test_truncated_char_guard_names_the_scale():
     assert exc.value.scale == 1
 
 
+def test_truncated_char_overflowing_delay_names_the_scale():
+    # sigma_1 / eps overflows a float at eps = 1e-309: refused as in
+    # model.delays, not a bare OverflowError
+    lad = h.build_ladder(_chain_break_system()[0])
+    with pytest.raises(EvaluationRangeError) as exc:
+        h.truncated_char(lad, 1, 1e-309, 0.1j)
+    assert exc.value.scale == 1
+
+
 def _two_level_system():
     """d=3, n=2 with ladder levels 2 and 1: tilde manifolds at scale 1."""
     A0 = np.array([[-1 + 0.3j, 0.2, 0], [0.1, -0.5 + 1j, 0.1],

@@ -1,6 +1,7 @@
 """Run configs, deterministic artifacts, validation windows, CLI exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,19 +118,77 @@ def test_spectrum_json_format(tmp_path):
     assert root["multiplicity"] == 1
 
 
-def test_apply_overrides():
-    cfg = h.config_from_dict(_base_cfg())
-    cfg2 = harness.apply_overrides(cfg, eps=[0.5, 0.25],
-                                   window=[-1.0, 1.0, -2.0, 2.0],
-                                   out_dir="x", out_format="json",
-                                   grid_omega=21, grid_phase=8, tol=1e-8)
-    assert cfg2.eps_list == (0.5, 0.25)
-    assert cfg2.window == h.Rectangle(-1.0, 1.0, -2.0, 2.0)
-    assert cfg2.out_dir == "x" and cfg2.out_format == "json"
-    assert cfg2.grid.omega_count == 21 and cfg2.grid.phase_count == 8
-    assert cfg2.tol == 1e-8
-    # the original config is untouched
-    assert cfg.eps_list == (1.0,) and cfg.out_format == "csv"
+def test_cli_flags_are_parsed_as_config_entries(tmp_path, monkeypatch,
+                                                capsys):
+    # the file lacks eps, which the flag supplies; grid.omega_range is
+    # kept while the grid flags replace omega and phase
+    data = _base_cfg(grid={"omega": 5, "omega_range": [-2.0, 2.0]})
+    del data["eps"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    seen = []
+    monkeypatch.setattr(harness, "run_spectrum", lambda cfg: seen.append(cfg)
+                        or h.SpectrumResult(runs=(), path=None))
+    assert cli.main(["spectrum", "--config", str(path), "--eps", "0.5,0.25",
+                     "--window=-1,1,-2,2", "--out", "x", "--format", "json",
+                     "--grid-omega", "21", "--grid-phase", "8",
+                     "--tol", "1e-8"]) == 0
+    (cfg,) = seen
+    assert cfg.eps_list == (0.5, 0.25)
+    assert cfg.window == h.Rectangle(-1.0, 1.0, -2.0, 2.0)
+    assert cfg.out_dir == "x" and cfg.out_format == "json"
+    assert cfg.grid == h.GridSpec(omega_count=21, phase_count=8,
+                                  omega_range=(-2.0, 2.0))
+    assert cfg.tol == 1e-8
+    # a malformed flag is refused like the config entry it replaces
+    for flags in (["--eps", "0.5", "--window", "1,2,3"],
+                  ["--eps", "0.5,0.5"], ["--eps", "0.5,x"]):
+        assert cli.main(["spectrum", "--config", str(path)] + flags) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert len(seen) == 1
+
+
+def _matches(cell, value):
+    """Whether a CSV cell holds the JSON field value it was written from."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("1" if value else "0")
+    return float(cell) == float(value)  # float("inf") reads "inf" too
+
+
+def _check_csv_against_json(csv_path, groups):
+    """Every CSV row equals, column by column, its JSON field object;
+    ``groups`` gives (eps, objects) in file order."""
+    header, *rows = [line.split(",") for line
+                     in csv_path.read_text().splitlines()]
+    want = [(eps, obj) for eps, objs in groups for obj in objs]
+    assert len(rows) == len(want) > 0
+    for row, (eps, obj) in zip(rows, want):
+        assert sorted(header) == sorted(["eps", *obj])
+        cells = dict(zip(header, row))
+        assert float(cells.pop("eps")) == eps
+        for col, cell in cells.items():
+            assert _matches(cell, obj[col]), (col, cell, obj[col])
+
+
+def test_csv_rows_equal_json_fields(tmp_path):
+    # validate.json is written in both formats; the low cap leaves some
+    # roots unassigned, so both flag values occur
+    cfg = replace(h.preset_config("fig2-unstable", eps_list=(0.05,),
+                                  out_dir=str(tmp_path)), distance_cap=2e-3)
+    h.run_validate(cfg)
+    data = json.loads((tmp_path / "validate.json").read_text())
+    groups = [(rec["eps"], rec["assignments"]) for rec in data["records"]]
+    assert {a["assigned"] for _, objs in groups for a in objs} == {True, False}
+    _check_csv_against_json(tmp_path / "validate.csv", groups)
+
+    (window,) = h.validation_window(cfg)
+    for fmt in ("csv", "json"):
+        h.run_spectrum(replace(cfg, window=window, out_format=fmt))
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    _check_csv_against_json(tmp_path / "spectrum.csv",
+                            [(run["eps"], run["roots"]) for run in data["runs"]])
 
 
 def test_validation_window_precedence():
