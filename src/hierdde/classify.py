@@ -241,8 +241,7 @@ def sup_gamma(sys, k, search_cfg=None):
     _, gammas, neff, _ = level.gammas(omegas, phis)
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
-    if neff.size and np.all(neff < 0):
-        raise TrivialityError(f"scale-{k} polynomial vanishes identically")
+    level.check_nonvanishing(neff)
 
     # exact zero root already on the lattice: unbounded without refinement
     inf_rows = np.nonzero((gammas == math.inf).any(axis=1))[0]

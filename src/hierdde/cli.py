@@ -1,15 +1,18 @@
 """Command line interface.
 
 Subcommands: spectrum, manifolds, classify, validate, example.  Exit codes:
-0 success, 2 configuration problem, 3 numerical evaluation guard violation,
-4 degenerate system refused by the classifier.
+0 success, 1 any other library error (a trivial polynomial, a root search
+that cannot resolve its window), 2 configuration problem, 3 numerical
+evaluation guard violation, 4 degenerate system refused by the classifier.
+Each error exit prints one line on stderr.
 """
 
 import argparse
 import sys as _sys
 
 from . import harness
-from .errors import ConfigError, DegenerateSystemError, EvaluationRangeError
+from .errors import (ConfigError, DegenerateSystemError,
+                     EvaluationRangeError, HierDdeError)
 
 
 def _add_common(sp):
@@ -56,6 +59,18 @@ def _parser():
 _OVERRIDES = (("eps", "eps"), ("window", "window"), ("out", "out"),
               ("format", "format"), ("tol", "tol"),
               ("grid_omega", "grid.omega"), ("grid_phase", "grid.phase"))
+
+
+def _glued(argv):
+    """``argv`` with each ``--eps``/``--window`` joined to the token after
+    it as ``--window=<value>``: argparse takes a separate value that starts
+    with ``-`` (a negative re_min) for an option."""
+    out, i = list(argv), 0
+    while i < len(out) - 1:
+        if out[i] in ("--eps", "--window"):
+            out[i:i + 2] = [out[i] + "=" + out[i + 1]]
+        i += 1
+    return out
 
 
 def _configured(args):
@@ -109,7 +124,8 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(
+        _glued(_sys.argv[1:] if argv is None else argv))
     try:
         _dispatch(args)
     except ConfigError as exc:
@@ -121,6 +137,9 @@ def main(argv=None):
     except DegenerateSystemError as exc:
         print(f"degenerate system: {exc}", file=_sys.stderr)
         return 4
+    except HierDdeError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
     return 0
 
 

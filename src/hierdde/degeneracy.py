@@ -3,14 +3,16 @@
 When the highest-scale matrix loses rank, the leading delay term cannot
 balance the rest of the characteristic matrix on part of the space; the
 limit behaviour is governed by the system projected onto the kernel
-directions.  Repeating the projection while the top remaining delay matrix
-stays singular yields a ladder of shrinking systems; its lowest level
+directions.  One loop builds the ladder: from the identity and the
+system's matrices at k = n, while the scale-k matrix stays singular, it
+sandwiches the identity replacement and the matrices of scales 0..k-1
+with that matrix's kernel bases and steps to k - 1.  The lowest level
 determines the nondegeneracy condition and the truncated spectra that the
 stability theory needs.
 
-Level record ``k`` stores the projected identity-replacement matrix ``J1``
-and the projected coefficient matrices for scales ``0..k-1``, together with
-the kernel bases that produced the level.
+Level ``k`` stores the projected identity-replacement matrix ``J1``, the
+projected coefficient matrices for scales ``0..k-1`` and the kernel bases
+that produced it.
 """
 
 import json
@@ -65,8 +67,6 @@ class DegeneracyLadder:
     k_under: object  # int or None
     nd_satisfied: bool
     sigma: tuple
-    d: int
-    n: int
     rank_tol: float
 
     def level(self, k):
@@ -87,84 +87,56 @@ def _sandwich(U, M, V):
     return U.conj().T @ M @ V
 
 
-def _build(sys, rank_tol):
-    """Raw ladder construction at one rank tolerance."""
-    An = sys.matrices[sys.n]
-    if rank(An, rank_tol) == sys.d:
-        return False, [], None
-
-    # level n: project everything onto the kernel directions of An
-    U1, V1 = kernel_vectors(An, rank_tol)
-    records = [dict(k=sys.n, J1=_sandwich(U1, np.eye(sys.d), V1),
-                    A_proj=[_sandwich(U1, sys.matrices[j], V1)
-                            for j in range(sys.n)],
-                    U1=U1, V1=V1, dim=U1.shape[1])]
-
-    # descend while the top projected delay matrix stays singular
-    while True:
-        cur = records[-1]
-        lev = cur["k"]
-        if lev < 2:
+def _levels(sys, rank_tol):
+    """Levels (k, J1, A_proj, U1, V1) at one rank tolerance, top first."""
+    J, mats, out = np.eye(sys.d), sys.matrices, []
+    for k in range(sys.n, 0, -1):
+        top = mats[k]
+        if rank(top, rank_tol) == top.shape[0]:
             break
-        top = cur["A_proj"][lev - 1]
-        if rank(top, rank_tol) == cur["dim"]:
-            break
-        Ut, Vt = kernel_vectors(top, rank_tol)
-        records.append(dict(k=lev - 1, J1=_sandwich(Ut, cur["J1"], Vt),
-                            A_proj=[_sandwich(Ut, cur["A_proj"][j], Vt)
-                                    for j in range(lev - 1)],
-                            U1=Ut, V1=Vt, dim=Ut.shape[1]))
-
-    lowest = records[-1]["k"]
-    if sys.n == 1 or lowest <= sys.n - 1:
-        k_under = lowest
-    else:
-        k_under = None
-    return True, records, k_under
-
-
-def _nd_from(an_singular, records, k_under):
-    if not an_singular or k_under != 1:
-        return True
-    bottom = records[-1]
-    J1 = bottom["J1"]
-    if rank(J1) == bottom["dim"]:
-        return True
-    Ue, Ve = kernel_vectors(J1)
-    P = _sandwich(Ue, bottom["A_proj"][0], Ve)
-    return rank(P) == P.shape[0]
+        U1, V1 = kernel_vectors(top, rank_tol)
+        J = _sandwich(U1, J, V1)
+        mats = tuple(_sandwich(U1, M, V1) for M in mats[:k])
+        out.append((k, J, mats, U1, V1))
+    return out
 
 
 def build_ladder(sys):
-    """Construct the projection ladder of a system.
+    """Construct the projection ladder of a system in one loop
+    (``_levels``) and derive its flags from the list of levels.
 
-    A full-rank top matrix yields an empty ladder.  Otherwise levels are
-    built downward while singularity persists; ``k_under`` is the lowest
-    level when the chain got below the top scale (by convention also for a
-    one-delay system, whose first projection already is level 1) and None
-    when it stopped immediately.  The construction is repeated at 10x looser
-    rank tolerance and a warning is emitted if the level structure differs:
+    A full-rank top matrix yields an empty ladder.  ``k_under`` is the
+    lowest level when the chain got below the top scale (by convention also
+    for a one-delay system, whose first projection already is level 1) and
+    None when it stopped immediately, which makes the levels heuristic.
+    Nondegeneracy is read off level 1.  The loop is repeated at 10x looser
+    rank tolerance and a warning is emitted if the level dimensions differ:
     rank decisions then sit near the threshold and downstream results
     deserve suspicion.
     """
-    an_singular, records, k_under = _build(sys, RANK_TOL)
-    nd = _nd_from(an_singular, records, k_under)
-
-    loose_sing, loose_records, loose_ku = _build(sys, RANK_TOL * 10.0)
-    if (loose_sing != an_singular or loose_ku != k_under
-            or [r["dim"] for r in loose_records] != [r["dim"] for r in records]):
+    levels = _levels(sys, RANK_TOL)
+    if ([U1.shape[1] for *_, U1, _ in _levels(sys, RANK_TOL * 10.0)]
+            != [U1.shape[1] for *_, U1, _ in levels]):
         warnings.warn("ladder rank decisions change at 10x looser tolerance; "
                       "the system sits near a rank threshold", stacklevel=2)
 
-    heuristic = an_singular and k_under is None
-    levels = tuple(LadderLevel(k=r["k"], dim=r["dim"], J1=r["J1"],
-                               A_proj=tuple(r["A_proj"]), U1=r["U1"],
-                               V1=r["V1"], heuristic=heuristic)
-                   for r in records)
-    return DegeneracyLadder(an_singular=an_singular, levels=levels,
-                            k_under=k_under, nd_satisfied=nd,
-                            sigma=sys.sigma, d=sys.d, n=sys.n,
-                            rank_tol=RANK_TOL)
+    k_under = None
+    if levels and (sys.n == 1 or levels[-1][0] < sys.n):
+        k_under = levels[-1][0]
+    nd = True
+    if k_under == 1:
+        _, J1, A_proj, _, _ = levels[-1]
+        if rank(J1) < J1.shape[0]:
+            Ue, Ve = kernel_vectors(J1)
+            P = _sandwich(Ue, A_proj[0], Ve)
+            nd = rank(P) == P.shape[0]
+    heuristic = bool(levels) and k_under is None
+    return DegeneracyLadder(
+        an_singular=bool(levels), k_under=k_under, nd_satisfied=nd,
+        levels=tuple(LadderLevel(k=k, dim=U1.shape[1], J1=J1, A_proj=A_proj,
+                                 U1=U1, V1=V1, heuristic=heuristic)
+                     for k, J1, A_proj, U1, V1 in levels),
+        sigma=sys.sigma, rank_tol=RANK_TOL)
 
 
 def check_nd(ladder):

@@ -507,16 +507,21 @@ class ManifoldsResult:
     paths: tuple
 
 
-def _samples_obj(by_scale):
+def _samples_obj(tables):
+    """JSON objects of each scale's samples, read from the columns of its
+    ManifoldTable as ``manifold_csv`` does; a trivial scale's () has none."""
     out = {}
-    for k, samples in sorted(by_scale.items()):
-        items = []
-        for s in samples:
-            items.append({"omega": s.point.omega, "phi": list(s.point.phi),
-                          "branch": s.branch, "gamma": _ext(s.gamma),
-                          "Y": None if s.Y is None
-                          else [s.Y.real, s.Y.imag]})
-        out[str(k)] = items
+    for k, t in sorted(tables.items()):
+        items = out[str(k)] = []
+        if not t:
+            continue
+        points = list(zip(*t._coords(0, t.rows.size,
+                                     [ax.tolist() for ax in t.axes])))
+        for p, b, Y, gam, _ in t._branches(0, t.rows.size):
+            omega, *phi = points[p]
+            items.append({"omega": omega, "phi": phi, "branch": b,
+                          "gamma": _ext(gam),
+                          "Y": None if Y is None else [Y.real, Y.imag]})
     return out
 
 

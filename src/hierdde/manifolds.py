@@ -218,6 +218,13 @@ class _Level:
         lev = ladder.level(k + 1)
         return cls(k, ladder.sigma, lev.J1, lev.A_proj)
 
+    def check_nonvanishing(self, neff):
+        """Raise TrivialityError when the polynomial has positive degree and
+        vanishes identically at every point (each row ``neff < 0``)."""
+        if self.dk and neff.size and np.all(neff < 0):
+            raise TrivialityError(f"scale-{self.k} polynomial vanishes "
+                                  f"identically")
+
     def B(self, omegas, phis):
         """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j)."""
         B = (-1j * omegas)[:, None, None] * self.J + self.A_list[0]
@@ -302,10 +309,7 @@ def gamma_branches(sys, k, point):
     """
     level = _Level.plain(sys, k)
     omegas, phis = _point_arrays(point, k)
-    table = _table(level, [omegas, *phis.T])
-    if table.dk and not table.rows.size:
-        raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
-    return list(table)
+    return list(_table(level, [omegas, *phis.T]))
 
 
 def singularity_test(sys, k, point):
@@ -452,6 +456,7 @@ class ManifoldTable(Sequence):
 def _table(level, axes):
     """ManifoldTable of one level's scale-k polynomial over ``axes``."""
     roots, _, neff, radii = level.gammas(*_lattice(axes))
+    level.check_nonvanishing(neff)
     rows = np.flatnonzero(neff >= 0)
     return ManifoldTable(level.k, level.sigma_k, tuple(axes), rows,
                          roots[rows], neff[rows], level.dk, radii[rows])
@@ -468,11 +473,7 @@ def manifold_grid(sys, k, grid=None, ladder=None):
     """
     grid = grid or GridSpec()
     level = _Level.plain(sys, k) if ladder is None else _Level.tilde(ladder, k)
-    table = _table(level, _grid_axes(sys, k, grid))
-    if table.dk and not table.rows.size:
-        raise TrivialityError(f"scale-{k} polynomial vanishes on the "
-                              f"entire grid")
-    return table
+    return _table(level, _grid_axes(sys, k, grid))
 
 
 def _projected_from_grid(omegas, gammas, neff, keep):
@@ -511,9 +512,7 @@ def assemble_A_k(sys, ladder, k, grid=None):
     omegas, phis = _grid_points(sys, k, grid)
     level = _Level.plain(sys, k)
     _, gammas, neff, _ = level.gammas(omegas, phis)
-    if level.dk and neff.size and np.all(neff < 0):
-        raise TrivialityError(f"scale-{k} polynomial vanishes on the "
-                              f"entire grid")
+    level.check_nonvanishing(neff)
     if k == sys.n:
         return _projected_from_grid(omegas, gammas, neff, keep="all")
 

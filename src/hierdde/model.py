@@ -164,8 +164,7 @@ def char_matrix(sys, eps, lam):
 
 def char_values(sys, eps, lams):
     """Characteristic determinant over an array of points."""
-    taus = delays(sys, eps)
-    return _backend.char_values(_guarded(taus, eps, lams), sys.stacked(), taus)
+    return char_function(sys, eps)[0](lams)
 
 
 def char_value(sys, eps, lam):
@@ -179,10 +178,7 @@ def char_derivative(sys, eps, lam):
     Uses Jacobi's formula through the backend, which stays exact where the
     characteristic matrix is singular.
     """
-    taus = delays(sys, eps)
-    _, dchi = _backend.char_and_deriv(_guarded(taus, eps, complex(lam)),
-                                      sys.stacked(), taus)
-    return complex(dchi[0])
+    return complex(char_function(sys, eps)[1](complex(lam))[0])
 
 
 def char_function(sys, eps):

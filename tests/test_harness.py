@@ -16,6 +16,16 @@ SCALAR_SYS = {"d": 1, "n": 1, "sigma": [1.0],
 TWO_DELAY_SYS = {"d": 1, "n": 2, "sigma": [1.0, 1.0],
                  "A0": [[[0.3, 0.0]]], "A1": [[[0.1, 0.0]]], "A2": [[[0.1, 0.0]]]}
 
+# A0 = diag(-i, i, -1), A1 = diag(0, 0, 1): det(-i omega I + A0 + Y A1)
+# vanishes identically in Y at omega = -1 and at omega = 1
+TRIVIAL_SYS = {"d": 3, "n": 1, "sigma": [1.0],
+               "A0": [[[0.0, -1.0], [0.0, 0.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]],
+               "A1": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+
 
 def _base_cfg(out=None, **extra):
     data = {"system": SCALAR_SYS, "eps": [1.0], "window": [0.0, 1.0, -1.0, 1.0]}
@@ -129,23 +139,26 @@ def test_cli_flags_are_parsed_as_config_entries(tmp_path, monkeypatch,
     seen = []
     monkeypatch.setattr(harness, "run_spectrum", lambda cfg: seen.append(cfg)
                         or h.SpectrumResult(runs=(), path=None))
-    assert cli.main(["spectrum", "--config", str(path), "--eps", "0.5,0.25",
-                     "--window=-1,1,-2,2", "--out", "x", "--format", "json",
-                     "--grid-omega", "21", "--grid-phase", "8",
-                     "--tol", "1e-8"]) == 0
-    (cfg,) = seen
-    assert cfg.eps_list == (0.5, 0.25)
-    assert cfg.window == h.Rectangle(-1.0, 1.0, -2.0, 2.0)
-    assert cfg.out_dir == "x" and cfg.out_format == "json"
-    assert cfg.grid == h.GridSpec(omega_count=21, phase_count=8,
-                                  omega_range=(-2.0, 2.0))
-    assert cfg.tol == 1e-8
+    # a list value starting with "-" may follow its flag as the next token
+    for window in (["--window=-1,1,-2,2"], ["--window", "-1,1,-2,2"]):
+        assert cli.main(["spectrum", "--config", str(path), "--eps",
+                         "0.5,0.25", *window, "--out", "x", "--format",
+                         "json", "--grid-omega", "21", "--grid-phase", "8",
+                         "--tol", "1e-8"]) == 0
+    assert len(seen) == 2
+    for cfg in seen:
+        assert cfg.eps_list == (0.5, 0.25)
+        assert cfg.window == h.Rectangle(-1.0, 1.0, -2.0, 2.0)
+        assert cfg.out_dir == "x" and cfg.out_format == "json"
+        assert cfg.grid == h.GridSpec(omega_count=21, phase_count=8,
+                                      omega_range=(-2.0, 2.0))
+        assert cfg.tol == 1e-8
     # a malformed flag is refused like the config entry it replaces
     for flags in (["--eps", "0.5", "--window", "1,2,3"],
                   ["--eps", "0.5,0.5"], ["--eps", "0.5,x"]):
         assert cli.main(["spectrum", "--config", str(path)] + flags) == 2
         assert "configuration error" in capsys.readouterr().err
-    assert len(seen) == 1
+    assert len(seen) == 2
 
 
 def _matches(cell, value):
@@ -331,6 +344,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         "eps": [0.1], "out": str(tmp_path / "out4")}))
     assert cli.main(["classify", "--config", str(degen)]) == 4
     capsys.readouterr()
+
+    # any other library error: the scale-1 polynomial vanishes at both
+    # lattice points, so classify raises TrivialityError
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps({
+        "system": TRIVIAL_SYS, "eps": [0.1], "out": str(tmp_path / "out5"),
+        "grid": {"omega": 2, "phase": 1, "omega_range": [-1.0, 1.0]}}))
+    assert cli.main(["classify", "--config", str(trivial)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_overrides_and_example(tmp_path, capsys):

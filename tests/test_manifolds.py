@@ -232,6 +232,38 @@ def test_assembled_sets():
     assert pts2.real.min() < 0.0 < pts2.real.max()
 
 
+def _trivial_system():
+    # det(-i omega I + diag(-i, i, -1) + Y diag(0, 0, 1)) vanishes for
+    # every Y at omega = -1 and at omega = 1
+    return h.DelaySystem(matrices=(np.diag([-1j, 1j, -1.0]),
+                                   np.diag([0.0, 0.0, 1.0])), sigma=(1.0,))
+
+
+def test_vanishing_polynomial_raises_on_every_path(tmp_path):
+    # the grid's two frequencies are both points where the polynomial
+    # vanishes identically
+    sys_ = _trivial_system()
+    grid = GridSpec(omega_count=2, phase_count=1, omega_range=(-1.0, 1.0))
+    ladder = h.build_ladder(sys_)
+    for call in (lambda: h.manifold_grid(sys_, 1, grid),
+                 lambda: h.gamma_branches(sys_, 1, PhasePoint(1.0)),
+                 lambda: h.sup_gamma(sys_, 1, grid),
+                 lambda: h.assemble_A_k(sys_, ladder, 1, grid),
+                 lambda: h.classify(sys_, ladder, search_cfg=grid)):
+        with pytest.raises(TrivialityError):
+            call()
+    # run_manifolds maps the scale to () and writes no sample for it
+    want = _reference_files(sys_, grid)
+    assert want["manifolds.csv"] == "k,omega,branch,gamma,Y_re,Y_im,flags\n"
+    for fmt in ("csv", "json"):
+        cfg = h.RunConfig(system=sys_, eps_list=(0.1,), grid=grid,
+                          out_dir=str(tmp_path), out_format=fmt)
+        res = h.run_manifolds(cfg)
+        assert res.plain == {1: ()} and res.tilde == {}
+        (path,) = res.paths
+        assert open(path).read() == want["manifolds." + fmt]
+
+
 # ---------------------------------------------------------------------------
 # sample tables against the per-object samples and per-sample formatters
 # ---------------------------------------------------------------------------
