@@ -64,11 +64,13 @@ _OVERRIDES = (("eps", "eps"), ("window", "window"), ("out", "out"),
 def _glued(argv):
     """``argv`` with each ``--eps``/``--window`` joined to the token after
     it as ``--window=<value>``: argparse takes a separate value that starts
-    with ``-`` (a negative re_min) for an option."""
+    with ``-`` (a negative re_min) for an option.  Prefixes such as
+    ``--win`` are joined too, as argparse resolves them to the flag."""
     out, i = list(argv), 0
     while i < len(out) - 1:
-        if out[i] in ("--eps", "--window"):
-            out[i:i + 2] = [out[i] + "=" + out[i + 1]]
+        t = out[i]
+        if len(t) > 2 and ("--eps".startswith(t) or "--window".startswith(t)):
+            out[i:i + 2] = [t + "=" + out[i + 1]]
         i += 1
     return out
 

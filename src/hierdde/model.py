@@ -45,7 +45,7 @@ __all__ = [
 
 EXP_ARG_LIMIT = 700.0  # |Re lam| * delay beyond this would overflow exp
 SEED_STEPS = 3         # fixed-point steps of axis_seeds; Newton finishes
-BRANCH_SEP = 1e-6      # relative |Y_b - Y_b'| below which branches coincide
+BRANCH_SEP = 1e-6      # relative |Y_b - Y_b'| up to which branches coincide
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +214,15 @@ def axis_seeds(sys, eps, rect):
     ``SEED_STEPS`` steps and follows the polynomial root nearest its
     previous Y.
 
+    Branches within ``BRANCH_SEP`` (relative) of the followed one form a
+    cluster: near the axis only coinciding branches give a multiple root.
+    The map then iterates on the cluster mean, and on the first step each
+    cluster keeps one candidate, that of its lowest branch index.
+
     Seeds are candidates, certified by ``find_roots``.  Dropped are seeds
-    ending outside ``rect``, and at any step those whose Y_b is zero or not
-    finite, whose polynomial loses degree (A_n singular) or whose branch
-    coincides with another: near the axis only coinciding branches give a
-    multiple root.  Returns a complex array.
+    ending outside ``rect``, and at any step those whose Y is zero or not
+    finite or whose polynomial loses degree (A_n singular).  Returns a
+    complex array holding an m-fold cluster as m copies of its seed.
     """
     taus = delays(sys, eps)
     mats, d, tau = sys.stacked(), sys.d, taus[-1]
@@ -238,20 +242,21 @@ def axis_seeds(sys, eps, rect):
             radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / scale
             Ys, neff = poly_roots_batch(
                 _backend.det_poly_coeffs(B, mats[-1], radii))
-            rows = np.arange(m.size)
-            if Y is not None:
+            first = Y is None
+            if not first:
                 pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
-            Y = Ys[rows, pick]
-            gap = np.abs(Ys - Y[:, None])
-            gap[rows, pick] = np.inf
-            ok = ((neff == d) & np.isfinite(Y) & (Y != 0.0)
-                  & (np.min(gap, axis=1, initial=np.inf)
-                     > BRANCH_SEP * np.abs(Y)))
-            m, Y = m[ok], Y[ok]
+            Yb = Ys[np.arange(m.size), pick]
+            near = np.abs(Ys - Yb[:, None]) <= BRANCH_SEP * np.abs(Yb)[:, None]
+            mult = near.sum(axis=1)
+            Y = np.where(near, Ys, 0.0).sum(axis=1) / mult
+            ok = (neff == d) & np.isfinite(Y) & (Y != 0.0)
+            if first:
+                ok &= np.argmax(near, axis=1) == pick
+            m, Y, mult = m[ok], Y[ok], mult[ok]
             lam = (2j * np.pi * m - np.log(Y)) / tau
     inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
               & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
-    return lam[inside]
+    return np.repeat(lam[inside], mult[inside])
 
 
 # ---------------------------------------------------------------------------

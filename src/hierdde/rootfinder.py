@@ -14,8 +14,10 @@ Functions are evaluated in batches: ``f`` and its derivative ``fprime``
 must accept a complex ndarray and return a matching ndarray, which is what
 lets the backend kernels carry the load on dense spectra.
 
-Candidate locations (``seeds``) stop the subdivision in any cell whose
-count equals its number of distinct Newton-converged seeds.
+Candidate locations (``seeds``, a location given m times being an m-fold
+candidate) stop the subdivision in any cell whose count equals the number
+of its distinct converged seeds, each counted with its multiplicity; an
+m-fold seed is converged when the small box around it counts m zeros.
 """
 
 import logging
@@ -130,11 +132,14 @@ def _winding_count(f, fprime, rects):
     longer than the resolved median are split as well, which stops an
     interval whose endpoints happen to agree from hiding a full extra turn.
 
-    All rectangles share the kernel calls of each round, in one sample set
-    sorted by (cell, t), yet each sees exactly the samples it would see
-    alone.  Returns one count per rectangle, None where a zero sits on its
-    contour; a ``ResolutionError`` in any rectangle raises.
+    Up to ``MAX_BATCH_CELLS`` rectangles share the kernel calls of each
+    round, in one sample set sorted by (cell, t), yet each sees exactly the
+    samples it would see alone.  Returns one count per rectangle, None where
+    a zero sits on its contour; a ``ResolutionError`` in any one raises.
     """
+    if not 0 < len(rects) <= MAX_BATCH_CELLS:  # none, or several batches
+        return [c for lo in range(0, len(rects), MAX_BATCH_CELLS) for c in
+                _winding_count(f, fprime, rects[lo:lo + MAX_BATCH_CELLS])]
     box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
                     for r in rects]).T
     ztol = np.array([BOUNDARY_TOL * r.diag for r in rects])
@@ -262,9 +267,7 @@ def _split(f, fprime, cells):
             kids.append([Rectangle(a, b, c, d) for a, b in zip(xs, xs[1:])
                          for c, d in zip(ys, ys[1:])])
         flat = [c for ks in kids for c in ks]
-        counts = iter([c for lo in range(0, len(flat), MAX_BATCH_CELLS)
-                       for c in _winding_count(
-                           f, fprime, flat[lo:lo + MAX_BATCH_CELLS])])
+        counts = iter(_winding_count(f, fprime, flat))
         retry = []
         for i, ks in zip(todo, kids):
             got = [next(counts) for _ in ks]
@@ -355,20 +358,46 @@ def _inside(rect, z, margin=0.0):
 
 
 def _polish_seeds(f, fprime, seeds, rect, tol):
-    """Newton-converged seeds in rect, and whether each is distinct: no
-    other lies within the cluster resolution limit of a double root (taken
-    at the largest |z|)."""
+    """Converged seeds in rect (an m-fold one m times), whether each is lone
+    (no other within the cluster resolution limit of a double root, taken
+    at the largest |z|) and the margin each needs from a cell's edges.
+
+    Simple seeds take Newton on f.  m-fold ones take the secant on f' as
+    clusters do in ``_polish``.  They are kept when lone, when their box (a
+    square a quarter of that limit wide on each side, so no two overlap)
+    counts m zeros and when the cluster polish of that box converges inside
+    it; their margin is twice the box half-width, at least ``tol``.
+    """
     z = np.asarray([] if seeds is None else seeds, np.complex128).ravel()
     z = z[_inside(rect, z)]  # nan and inf compare False
-    leash = np.full(z.size, np.inf)
-    z, ok = _newton_batch(f, fprime, z, leash, leash, tol, within=rect)
-    z = z[ok]
-    _, counts, labels = cluster_points(
-        z, radius=8.0 * _noise_radius(2) * (1.0 + np.abs(z).max(initial=0.0)))
-    return z, counts[labels] == 1
+    _, first, m = np.unique(z, return_index=True, return_counts=True)
+    z, m = z[np.sort(first)], m[np.argsort(first)]  # in first-seen order
+    one, half = m == 1, 0.5 * min(rect.width, rect.height)
+    leash = np.full(one.sum(), np.inf)
+    z1, ok = _newton_batch(f, fprime, z[one], leash, leash, tol, within=rect)
+    zm, okm = _polish(f, fprime, [(_square(c, half), k) for c, k in
+                                  zip(z[~one], m[~one])], tol, within=rect)
+    z, m = np.append(z1[ok], zm[okm]), np.append(m[one][ok], m[~one][okm])
+    radius = 8.0 * _noise_radius(2) * (1.0 + np.abs(z).max(initial=0.0))
+    _, counts, labels = cluster_points(z, radius=radius)
+    lone, hw = counts[labels] == 1, 0.25 * radius
+    boxed = np.flatnonzero(lone & (m > 1) & _inside(rect, z, margin=hw))
+    boxes = [(_square(c, hw), k) for c, k in zip(z[boxed], m[boxed])]
+    got = _winding_count(f, fprime, [b for b, _ in boxes])
+    zb, conv = _polish(f, fprime, boxes, tol, within=rect)  # as clusters
+    keep = m == 1
+    keep[boxed] = [n == k and done and b.contains(w)
+                   for (b, k), n, done, w in zip(boxes, got, conv, zb)]
+    z[boxed] = zb  # a box then lies within 2 hw of its seed
+    rep, margin = m * keep, np.where(m > 1, max(tol, 2.0 * hw), tol)
+    return np.repeat(z, rep), np.repeat(lone, rep), np.repeat(margin, rep)
 
 
-def _polish(f, fprime, cells, tol):
+def _square(c, hw):
+    return Rectangle(c.real - hw, c.real + hw, c.imag - hw, c.imag + hw)
+
+
+def _polish(f, fprime, cells, tol, within=None):
     """Polished location and convergence flag of each (rect, count) cell.
 
     A count of 1 takes Newton on f.  An m-fold zero of f is an (m-1)-fold
@@ -386,7 +415,7 @@ def _polish(f, fprime, cells, tol):
         if i.size:
             roots[i], conv[i] = _newton_batch(
                 g, gp, centers[i], hw[i], hh[i], tol,
-                mult=np.maximum(mults[i] - 1, 1))
+                mult=np.maximum(mults[i] - 1, 1), within=within)
     return roots, conv
 
 
@@ -399,11 +428,12 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     requested boundary the rectangle is inflated as in ``count_zeros`` and
     results refer to the inflated window.
 
-    ``seeds`` (complex array, optional) are candidate locations.  They are
-    polished by Newton, leashed to ``rect``; a cell whose count equals the
-    number of distinct converged seeds in it (each seed belongs to one cell,
-    none within ``tol`` of its edges) holds exactly those simple roots and
-    is not split further.
+    ``seeds`` (complex array, optional) are candidate locations; one given
+    m times is an m-fold candidate (see ``_polish_seeds``).  A cell whose
+    count equals its number of converged seeds, each lone, m-fold ones
+    counted m times and none within its margin of the edges (each seed
+    belongs to one cell), holds exactly those roots and is not split
+    further.  The merge joins the m copies of a seed into one m-fold root.
 
     Each generation of cells polishes its single-root cells by Newton and
     splits those whose polish fails; clusters are polished once, at the end.
@@ -411,7 +441,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     total, base = _count_with_inflation(f, fprime, rect)
     if total == 0:
         return []
-    pts, lone = _polish_seeds(f, fprime, seeds, rect, tol)
+    pts, lone, margin = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (location, multiplicity, converged); roots
     clusters, failed = [], [0] * len(_JITTERS)
     generation = [(base, total, np.arange(pts.size))]  # seeds all in rect
@@ -428,7 +458,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
             stop = max(tol, 8.0 * _noise_radius(cnt) * (
                 1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
             if (own.size == cnt and lone[own].all()
-                    and _inside(cell, pts[own], margin=tol).all()):
+                    and _inside(cell, pts[own], margin=margin[own]).all()):
                 found += [(complex(z), 1, True) for z in pts[own]]
                 seeded += cnt
             elif cell.diag < stop:

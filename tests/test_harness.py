@@ -139,13 +139,15 @@ def test_cli_flags_are_parsed_as_config_entries(tmp_path, monkeypatch,
     seen = []
     monkeypatch.setattr(harness, "run_spectrum", lambda cfg: seen.append(cfg)
                         or h.SpectrumResult(runs=(), path=None))
-    # a list value starting with "-" may follow its flag as the next token
-    for window in (["--window=-1,1,-2,2"], ["--window", "-1,1,-2,2"]):
+    # a list value starting with "-" may follow its flag, or a prefix of
+    # its flag, as the next token
+    for window in (["--window=-1,1,-2,2"], ["--window", "-1,1,-2,2"],
+                   ["--win", "-1,1,-2,2"]):
         assert cli.main(["spectrum", "--config", str(path), "--eps",
                          "0.5,0.25", *window, "--out", "x", "--format",
                          "json", "--grid-omega", "21", "--grid-phase", "8",
                          "--tol", "1e-8"]) == 0
-    assert len(seen) == 2
+    assert len(seen) == 3
     for cfg in seen:
         assert cfg.eps_list == (0.5, 0.25)
         assert cfg.window == h.Rectangle(-1.0, 1.0, -2.0, 2.0)
@@ -158,7 +160,7 @@ def test_cli_flags_are_parsed_as_config_entries(tmp_path, monkeypatch,
                   ["--eps", "0.5,0.5"], ["--eps", "0.5,x"]):
         assert cli.main(["spectrum", "--config", str(path)] + flags) == 2
         assert "configuration error" in capsys.readouterr().err
-    assert len(seen) == 2
+    assert len(seen) == 3
 
 
 def _matches(cell, value):

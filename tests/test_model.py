@@ -198,22 +198,30 @@ def test_axis_seeds_of_a_block_diagonal_system_are_the_union():
     assert _nearest(seeds, union).max() <= 1e-12
 
 
-def test_axis_seeds_drop_coinciding_and_singular_branches():
+def test_axis_seeds_double_coinciding_and_drop_singular_branches():
     rect = h.Rectangle(-0.05, 0.05, -3.0, 3.0)
     q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
     s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.3))
-    for top in (q @ (0.3 * np.eye(2)) @ q.conj().T,  # coinciding branches
-                np.array([[0.0, 1.0], [0.0, 0.0]]),  # degree 0 in Y
-                np.diag([0.3, 0.0]),                 # degree drops to 1
-                np.zeros((2, 2))):
-        mats = (q @ (s.matrices[0][0, 0] * np.eye(2)) @ q.conj().T,
-                0.1 * np.eye(2), top)
-        sys_ = h.DelaySystem(matrices=mats, sigma=(1.0, 1.0))
-        assert h.axis_seeds(sys_, 0.05, rect).size == 0
     # the scalar system itself has seeds, all inside the window
     seeds = h.axis_seeds(s, 0.05, rect)
     assert seeds.size > 300
     assert np.all((np.abs(seeds.real) <= 0.05) & (np.abs(seeds.imag) <= 3.0))
+
+    def seeds_with(top):
+        mats = (q @ (s.matrices[0][0, 0] * np.eye(2)) @ q.conj().T,
+                0.1 * np.eye(2), top)
+        return h.axis_seeds(h.DelaySystem(matrices=mats, sigma=(1.0, 1.0)),
+                            0.05, rect)
+
+    # coinciding branches: one double cluster per scalar seed, given twice
+    double = seeds_with(q @ (0.3 * np.eye(2)) @ q.conj().T)
+    assert double.size == 2 * seeds.size
+    assert np.abs(np.sort_complex(double)
+                  - np.sort_complex(np.repeat(seeds, 2))).max() <= 1e-12
+    for top in (np.array([[0.0, 1.0], [0.0, 0.0]]),  # degree 0 in Y
+                np.diag([0.3, 0.0]),                 # degree drops to 1
+                np.zeros((2, 2))):
+        assert seeds_with(top).size == 0
 
 
 def test_serialization_round_trip_exact():

@@ -495,10 +495,10 @@ def test_seeded_route_matches_subdivision_on_fig3():
     assert _nearest(a, b).max() <= 1e-9 and _nearest(b, a).max() <= 1e-9
 
 
-def test_seeds_never_explain_double_roots():
+def test_double_seeds_certify_every_double_root():
     # the spectrum-double system Q diag(s, s) Q^H: its branches coincide,
-    # so it has no axis seeds; seeds put on every double root (one each)
-    # cannot explain a count of 2, and the result is the seedless one
+    # so its axis seeds are the scalar seeds, each given twice; every
+    # double root is certified by the count of a small box around its seed
     s = h.preset_system("fig2-unstable")
     z = np.random.default_rng(21).standard_normal((2, 2, 2))
     q, r = np.linalg.qr(z[0] + 1j * z[1])
@@ -508,15 +508,48 @@ def test_seeds_never_explain_double_roots():
                        for M in s.matrices), sigma=s.sigma)
     (box,) = h.validation_window(h.preset_config("fig2-unstable",
                                                  eps_list=(0.1,)))
+    seeds = h.axis_seeds(double, 0.1, box)
+    scalar = np.repeat(h.axis_seeds(s, 0.1, box), 2)
+    assert seeds.size == scalar.size == 190
+    assert np.abs(np.sort_complex(seeds) - np.sort_complex(scalar)).max() \
+        <= 1e-12
     f, fp = h.char_function(double, 0.1)
-    assert h.axis_seeds(double, 0.1, box).size == 0
     plain = h.find_roots(f, box, fp)
-    assert len(plain) >= 40
-    found, seeded, split = _routes(f, box, fp,
-                                   seeds=[r.location for r in plain])
-    assert found == plain
-    assert seeded == 0 and split == 2 * len(plain)
+    found, seeded, split = _routes(f, box, fp, seeds=seeds)
+    assert (seeded, split) == (190, 0)
+    assert len(found) == len(plain) == 95
     assert all(r.multiplicity == 2 for r in found)
+    a = np.array([r.location for r in plain])
+    b = np.array([r.location for r in found])
+    assert _nearest(a, b).max() <= 1e-9 and _nearest(b, a).max() <= 1e-9
+
+
+_SIMPLE, _DOUBLE, _DOUBLE2 = 0.3 + 0.2j, -0.4 + 0.1j, 0.2 - 0.5j
+
+
+@pytest.mark.parametrize("seeds, routes", [
+    # a simple root seeded twice: its secant on f' leaves it, and no box
+    # counts 2; the other double root is certified from its seeds
+    ([_SIMPLE, _SIMPLE, _DOUBLE2, _DOUBLE2], (2, 3)),
+    # a double root seeded three times: its box counts 2, not 3
+    ([_DOUBLE] * 3 + [_DOUBLE2] * 2, (2, 3)),
+    # two doubled seeds within the resolution limit: neither is lone
+    ([_DOUBLE2] * 2 + [_DOUBLE2 + 1e-9] * 2 + [_SIMPLE], (1, 4)),
+])
+def test_wrong_multiple_seeds_give_the_seedless_roots(seeds, routes):
+    box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    f, fp = _poly_pair([_SIMPLE, _DOUBLE, _DOUBLE, _DOUBLE2, _DOUBLE2])
+    plain = h.find_roots(f, box, fp)
+    seen = []
+    found, seeded, split = _routes(_recording(f, seen), box,
+                                   _recording(fp, seen), seeds=seeds)
+    assert (seeded, split) == routes
+    assert [r.multiplicity for r in found] == [r.multiplicity for r in plain]
+    a = np.array([r.location for r in plain])
+    b = np.array([r.location for r in found])
+    assert _nearest(a, b).max() <= 1e-9 and _nearest(b, a).max() <= 1e-9
+    z = np.concatenate(seen)
+    assert np.all((np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +634,24 @@ def test_seeded_roots_match_lambert_w(a, b, tau, half_im):
         f, box, fp, seeds=h.axis_seeds(sys_, 1.0 / tau, box))
     assert (seeded, split) == (want.size, 0)
     assert all(r.multiplicity == 1 and r.newton_converged for r in found)
+    assert len(found) == want.size
+    assert _nearest(want, np.array([r.location for r in found])).max() <= 1e-9
+
+
+# the same region with a I and b I: both branches of every m coincide, so
+# each Lambert W root is seeded twice and certified by its box count
+@settings(_ORACLE, max_examples=6)
+@given(a=st.floats(-0.5, -0.1), b=st.floats(0.1, 1.0), tau=st.floats(30.0, 60.0),
+       half_im=st.floats(2.0, 4.0))
+def test_seeded_double_roots_match_lambert_w(a, b, tau, half_im):
+    box, want = _lambert_window(a, b, tau, half_im)
+    sys_ = h.DelaySystem(matrices=(a * np.eye(2), b * np.eye(2)),
+                         sigma=(1.0,))
+    f, fp = h.char_function(sys_, 1.0 / tau)
+    found, seeded, split = _routes(
+        f, box, fp, seeds=h.axis_seeds(sys_, 1.0 / tau, box))
+    assert (seeded, split) == (2 * want.size, 0)
+    assert all(r.multiplicity == 2 and r.newton_converged for r in found)
     assert len(found) == want.size
     assert _nearest(want, np.array([r.location for r in found])).max() <= 1e-9
 
