@@ -21,8 +21,8 @@ import numpy as np
 
 from .degeneracy import check_nd
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import (GridSpec, PhasePoint, _grid_points, _Level,
-                        strong_spectrum)
+from .manifolds import (GridSpec, PhasePoint, _grid_axes, _grid_points,
+                        _lattice, _Level, strong_spectrum)
 
 __all__ = [
     "SupEstimate",
@@ -237,7 +237,8 @@ def sup_gamma(sys, k, search_cfg=None):
     grid = search_cfg or GridSpec()
     level = _Level.plain(sys, k)
     sigma_k = level.sigma_k
-    omegas, phis = _grid_points(sys, k, grid)
+    axes = _grid_axes(sys, k, grid)
+    omegas, phis = _lattice(axes)
     _, gammas, neff, _ = level.gammas(omegas, phis)
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
@@ -259,8 +260,7 @@ def sup_gamma(sys, k, search_cfg=None):
     seeds = np.argsort(row_max)[::-1][:_SEED_COUNT]
     seeds = seeds[np.isfinite(row_max[seeds])]
 
-    om_vals = grid.omega_values(sys)
-    spacings = [float(om_vals[1] - om_vals[0])]
+    spacings = [float(axes[0][1] - axes[0][0])]
     for j in range(1, k):
         period = 2.0 * math.pi / sys.sigma[j - 1]
         spacings.append(period / grid.phase_count)
@@ -295,20 +295,19 @@ def sup_gamma(sys, k, search_cfg=None):
     near = vals[1:][np.isfinite(vals[1:])]
     unc = np.abs(near - best_val).max(initial=0.0)
 
-    _leak_check(sys, grid, level, point, best_val)
+    _leak_check(sys, grid, level, axes[0], point, best_val)
     return SupEstimate(k=k, sup=float(best_val), argmax=(point, branch),
                        uncertainty=float(unc))
 
 
-def _leak_check(sys, grid, level, point, best_val):
-    """Log a warning when the argmax hugs the omega window edge.
+def _leak_check(sys, grid, level, om, point, best_val):
+    """Log a warning when the argmax hugs the edge of the omega axis ``om``.
 
     Only fires for the default window; a doubled window is then sampled to
     say whether anything bigger lives outside.
     """
     if grid.omega_range is not None:
         return
-    om = grid.omega_values(sys)
     lo, hi = float(om[0]), float(om[-1])
     edge = 0.05 * (hi - lo)
     if min(point.omega - lo, hi - point.omega) > edge:

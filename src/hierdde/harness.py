@@ -6,6 +6,7 @@ collection is sorted deterministically, so identical configs produce
 byte-identical files.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -17,8 +18,8 @@ import numpy as np
 from .classify import _ext, classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
-from .manifolds import (GridSpec, assemble_A_k, manifold_csv, manifold_grid,
-                        strong_spectrum)
+from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, manifold_csv,
+                        manifold_grid, strong_spectrum)
 from .model import (DelaySystem, axis_seeds, char_function, check_eps,
                     guard_real_extent, load_system, system_from_dict)
 from .rootfinder import Rectangle, find_roots
@@ -221,10 +222,101 @@ def _write_rows(path, rows):
 
 
 def _write_json(path, obj):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=1, sort_keys=True))
-        fh.write("\n")
+    _write_text(path, itertools.chain(_json_chunks(obj, 0), ("\n",)))
+
+
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(v):
+    """json's text for one scalar: ``float.__repr__`` (NaN, Infinity),
+    null, true/false, ``int.__repr__``, or a quoted string."""
+    if isinstance(v, float):
+        s = float.__repr__(v)
+        return _JSON_WORDS.get(s, s)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
+def _flat_keys(objs):
+    """The sorted keys shared by a list of flat objects (string keys,
+    scalar values), or None when ``objs`` is not such a list."""
+    if not (isinstance(objs, (list, tuple)) and objs
+            and isinstance(objs[0], dict) and objs[0]):
+        return None
+    keys = objs[0].keys()
+    if (all(isinstance(k, str) for k in keys)
+            and all(type(o) is dict and o.keys() == keys for o in objs)
+            and all(v is None or isinstance(v, (str, int, float))
+                    for o in objs for v in o.values())):
+        return sorted(keys)
+    return None
+
+
+def _json_chunks(obj, depth):
+    """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
+    nested ``depth`` containers deep, in chunks.  A list of flat objects
+    with the same keys is one ``%`` over a row template, a ManifoldTable
+    is written by ``_manifold_json``, and every other value as json lays it
+    out."""
+    pad = "\n" + " " * depth
+    keys = _flat_keys(obj)
+    if keys:
+        row = "{" + ",".join(f"{pad}  {json.dumps(k).replace('%', '%%')}: %s"
+                             for k in keys) + pad + " }"
+        yield (f"[{pad} " + f",{pad} ".join([row] * len(obj)) + pad + "]") \
+            % tuple([_json_value(o[k]) for o in obj for k in keys])
+    elif isinstance(obj, ManifoldTable):
+        yield from _manifold_json(obj, depth)
+    elif (isinstance(obj, dict) and obj
+          and all(isinstance(k, str) for k in obj)):
+        for i, k in enumerate(sorted(obj)):
+            yield ("," if i else "{") + pad + " " + json.dumps(k) + ": "
+            yield from _json_chunks(obj[k], depth + 1)
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, v in enumerate(obj):
+            yield ("," if i else "[") + pad + " "
+            yield from _json_chunks(v, depth + 1)
+        yield pad + "]"
+    else:
+        yield json.dumps(obj, indent=1, sort_keys=True).replace("\n", pad)
+
+
+def _manifold_json(table, depth):
+    """A ManifoldTable's samples in the layout of ``json.dumps(...,
+    indent=1, sort_keys=True)`` for their list nested ``depth`` containers
+    deep: objects with keys Y, branch, gamma, omega and phi, where gamma is
+    "inf"/"-inf" and Y null at the infinities.  The text comes in chunks,
+    from the row templates that ``manifold_csv`` uses too.
+
+    Values are written by ``%s``, which is json's ``float.__repr__`` for
+    the finite floats here: a finite gamma has |Y| above the zero-root
+    threshold, and roots come from finite coefficients.
+    """
+    if not len(table):
+        yield "[]"
+        return
+    k = table.k
+    i1, i2, i3 = ("\n" + " " * (depth + j) for j in (1, 2, 3))
+    Y = (f'{i2}"Y": [{i3}%s,{i3}%s{i2}],', f'{i2}"Y": null%.0s%.0s,')
+    gamma = ("%s", '"inf"%.0s', '"-inf"%.0s')
+    phi = ",".join([i3 + "%s"] * (k - 1))
+    point = (f'{i2}"omega": %s,{i2}"phi": '
+             + (f"[{phi}{i2}]" if phi else "[]") + f"{i1}}}")
+    fmts = [f',{i1}{{{Y[c == 2]}{i2}"branch": {b},{i2}"gamma": {gamma[c]},'
+            f'{point}' for c in range(3) for b in range(table.dk)]
+    chunks = table._text(fmts, [list(map(repr, ax.tolist()))
+                                for ax in table.axes],
+                         (k + 1, k + 2, k, *range(k)))
+    yield "[" + next(chunks)[1:]
+    yield from chunks
+    yield i1[:-1] + "]"
 
 
 def _cell(v):
@@ -241,13 +333,15 @@ def _cell(v):
     return v
 
 
-def _csv_rows(columns, groups):
+def _csv_text(columns, groups):
     """Header ``eps`` plus ``columns``, then one row per field object of
-    each ``(eps, objects)`` group: its eps and its values in column order."""
-    yield ("eps",) + columns
+    each ``(eps, objects)`` group: its eps and its values in column order,
+    one ``%`` over a row template per group."""
+    yield ",".join(("eps",) + columns) + "\n"
     for eps, objs in groups:
-        for obj in objs:
-            yield [_fmt(eps)] + [_cell(obj[c]) for c in columns]
+        row = _fmt(eps) + ",%s" * len(columns) + "\n"
+        yield (row * len(objs)) % tuple([_cell(obj[c]) for obj in objs
+                                         for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +397,7 @@ def run_spectrum(cfg, write=True):
                          "roots": [_root_fields(r) for r in run.roots]}
                         for run in runs]}
         if cfg.out_format == "csv":
-            _write_rows(path, _csv_rows(_ROOT_COLUMNS, (
+            _write_text(path, _csv_text(_ROOT_COLUMNS, (
                 (run["eps"], run["roots"]) for run in obj["runs"])))
         else:
             _write_json(path, obj)
@@ -487,7 +581,7 @@ def run_validate(cfg, write=True):
         obj = report.as_dict()
         _write_json(os.path.join(cfg.out_dir, "validate.json"), obj)
         if cfg.out_format == "csv":
-            _write_rows(os.path.join(cfg.out_dir, "validate.csv"), _csv_rows(
+            _write_text(os.path.join(cfg.out_dir, "validate.csv"), _csv_text(
                 _ASSIGNMENT_COLUMNS,
                 ((rec["eps"], rec["assignments"]) for rec in obj["records"])))
     return report
@@ -505,24 +599,6 @@ class ManifoldsResult:
     plain: dict
     tilde: dict
     paths: tuple
-
-
-def _samples_obj(tables):
-    """JSON objects of each scale's samples, read from the columns of its
-    ManifoldTable as ``manifold_csv`` does; a trivial scale's () has none."""
-    out = {}
-    for k, t in sorted(tables.items()):
-        items = out[str(k)] = []
-        if not t:
-            continue
-        points = list(zip(*t._coords(0, t.rows.size,
-                                     [ax.tolist() for ax in t.axes])))
-        for p, b, Y, gam, _ in t._branches(0, t.rows.size):
-            omega, *phi = points[p]
-            items.append({"omega": omega, "phi": phi, "branch": b,
-                          "gamma": _ext(gam),
-                          "Y": None if Y is None else [Y.real, Y.imag]})
-    return out
 
 
 def run_manifolds(cfg, write=True):
@@ -552,8 +628,9 @@ def run_manifolds(cfg, write=True):
                 paths.append(path)
         else:
             path = os.path.join(cfg.out_dir, "manifolds.json")
-            _write_json(path, {"plain": _samples_obj(plain),
-                               "tilde": _samples_obj(tilde)})
+            _write_json(path, {
+                name: {str(k): t for k, t in tables.items()}
+                for name, tables in (("plain", plain), ("tilde", tilde))})
             paths.append(path)
     return ManifoldsResult(plain=plain, tilde=tilde, paths=tuple(paths))
 

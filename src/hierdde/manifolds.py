@@ -50,7 +50,7 @@ __all__ = [
 ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
-_CHUNK_POINTS = 4096    # lattice points decoded (and CSV lines joined) at once
+_CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
 _CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
 
 
@@ -416,41 +416,64 @@ class ManifoldTable(Sequence):
         return [[ax[i] for i in ix.tolist()] for ax, ix in zip(axes, idx)]
 
     def _branches(self, lo, hi):
-        """(point, branch, Y, gamma, zero) per sample of kept points
-        lo..hi-1, with Y a Python complex (None on -inf slots) and ``zero``
-        marking a zero root (+inf).
+        """(kind, gamma, Y) of the samples of kept points lo..hi-1, in
+        (point, branch) order: kind 0 for a finite gamma, 1 for a zero root
+        (+inf), 2 for a -inf slot (Y nan); gamma as a list, Y as an array.
 
-        gamma is -math.log(abs(Y)) / sigma_k per sample, not np.log over
-        the array, whose last bits can differ."""
-        out = []
-        sigma_k, dk = self.sigma_k, self.dk
-        thresholds = (ZERO_ROOT_TOL * self.radii[lo:hi]).tolist()
-        for p, (row, m, tol) in enumerate(
-                zip(self.roots[lo:hi].tolist(), self.neff[lo:hi].tolist(),
-                    thresholds), lo):
-            for b in range(m):
-                Y = row[b]
-                a = abs(Y)
-                if a <= tol:
-                    out.append((p, b, Y, math.inf, True))
-                else:
-                    out.append((p, b, Y, -math.log(a) / sigma_k, False))
-            for b in range(m, dk):
-                out.append((p, b, None, -math.inf, False))
-        return out
+        gamma is -math.log(abs(Y)) / sigma_k over the Python complexes, not
+        np.abs and np.log over the array, whose last bits can differ."""
+        Y = self.roots[lo:hi]
+        a = np.array(list(map(abs, Y.reshape(-1).tolist()))).reshape(Y.shape)
+        kind = np.where(np.arange(self.dk) >= self.neff[lo:hi, None], 2,
+                        a <= ZERO_ROOT_TOL * self.radii[lo:hi, None])
+        kind = kind.reshape(-1)
+        logs = map(math.log, np.where(kind == 0, a.reshape(-1), 1.0).tolist())
+        gamma = np.choose(kind, (-np.array(list(logs)) / self.sigma_k,
+                                 math.inf, -math.inf))
+        return kind, gamma.tolist(), Y.reshape(-1)
 
     def _samples(self, lo, hi):
         omegas, *phis = self._coords(lo, hi,
                                      [ax.tolist() for ax in self.axes])
         points = [PhasePoint(omega=om, phi=tuple(ph))
                   for om, *ph in zip(omegas, *phis)]
+        kind, gamma, Y = self._branches(lo, hi)
         out = []
-        for p, b, Y, gam, zero in self._branches(lo, hi):
-            point = points[p - lo]
-            proj = None if Y is None or zero else complex(gam, point.omega)
-            out.append(ManifoldSample(k=self.k, point=point, branch=b, Y=Y,
-                                      gamma=gam, projected=proj))
+        for i, (kd, gam, y) in enumerate(zip(kind.tolist(), gamma,
+                                             Y.tolist())):
+            p, b = divmod(i, self.dk)
+            point = points[p]
+            out.append(ManifoldSample(
+                k=self.k, point=point, branch=b, Y=None if kd == 2 else y,
+                gamma=gam, projected=complex(gam, point.omega)
+                if kd == 0 else None))
         return out
+
+    def _text(self, fmts, axes, order):
+        """The samples as text, one string per ``_CHUNK_POINTS`` points,
+        each from a single ``%``: sample i of kind c (see ``_branches``)
+        and branch b takes the format ``fmts[c * dk + b]``, filled with its
+        columns in ``order``.  The columns are the point's coordinate on
+        each lattice axis, read from ``axes``, then gamma, Y_re and Y_im."""
+        dk = self.dk
+        if dk == 0:
+            return
+        finite = "".join(fmts[:dk])
+        for lo in range(0, self.rows.size, _CHUNK_POINTS):
+            hi = lo + _CHUNK_POINTS
+            kind, gamma, Y = self._branches(lo, hi)
+            cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
+                    for c in self._coords(lo, hi, axes)]
+            cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
+            args = [None] * (len(order) * kind.size)
+            for i, c in enumerate(order):
+                args[i::len(order)] = cols[c]
+            if kind.any():
+                codes = kind * dk + np.arange(kind.size) % dk
+                template = "".join([fmts[c] for c in codes.tolist()])
+            else:
+                template = finite * (kind.size // dk)
+            yield template % tuple(args)
 
 
 def _table(level, axes):
@@ -530,26 +553,17 @@ def manifold_csv(tables, n):
     Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
     branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
     flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
-    is formatted once per table; only gamma and Y are formatted per sample.
+    is formatted once per table.  A chunk of ``_CHUNK_POINTS`` points is
+    one ``%`` over a row template: one line format per kind and branch,
+    where ``%.0s`` takes the values a kind leaves blank.
     """
     yield ",".join(["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
                    + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
     for t in tables:
-        strs = [["%.17g" % v for v in ax.tolist()] for ax in t.axes]
-        head, pad = "%d," % t.k, "," * (n - t.k)
-        for lo in range(0, t.rows.size, _CHUNK_POINTS):
-            hi = lo + _CHUNK_POINTS
-            prefix = [head + ",".join(c) + pad
-                      for c in zip(*t._coords(lo, hi, strs))]
-            lines = []
-            for p, b, Y, gam, _ in t._branches(lo, hi):
-                if gam == -math.inf:
-                    lines.append("%s,%d,-inf,,,minus_inf\n"
-                                 % (prefix[p - lo], b))
-                elif gam == math.inf:
-                    lines.append("%s,%d,inf,%.17g,%.17g,plus_inf\n"
-                                 % (prefix[p - lo], b, Y.real, Y.imag))
-                else:
-                    lines.append("%s,%d,%.17g,%.17g,%.17g,\n"
-                                 % (prefix[p - lo], b, gam, Y.real, Y.imag))
-            yield "".join(lines)
+        lead = "%d," % t.k + ",".join(["%s"] * t.k) + "," * (n - t.k)
+        tails = (",%.17g,%.17g,%.17g,\n", ",inf%.0s,%.17g,%.17g,plus_inf\n",
+                 ",-inf%.0s,%.0s,%.0s,minus_inf\n")
+        fmts = [f"{lead},{b}{tail}" for tail in tails for b in range(t.dk)]
+        yield from t._text(fmts, [["%.17g" % v for v in ax.tolist()]
+                                  for ax in t.axes], range(t.k + 3))
+

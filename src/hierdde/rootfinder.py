@@ -467,7 +467,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
                 singles.append((cell, own))
             else:
                 to_split.append((cell, cnt, own))
-        roots, conv = _polish(f, fprime, [(c, 1) for c, _ in singles], tol)
+        roots, conv = _polish(f, fprime, [(c, 1) for c, _ in singles], tol,
+                              within=base)
         for (cell, own), root, ok in zip(singles, roots, conv):
             if ok and cell.contains(root):
                 found.append((complex(root), 1, True))
@@ -491,7 +492,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
             failed = [a + b for a, b in zip(failed, fails)]
 
     for (cell, cnt), root, ok in zip(clusters,
-                                     *_polish(f, fprime, clusters, tol)):
+                                     *_polish(f, fprime, clusters, tol,
+                                              within=base)):
         slack = max(tol, 8.0 * _noise_radius(cnt) * (1.0 + abs(cell.center)))
         loc = complex(root) if ok and cell.contains(root, slack=slack) \
             else cell.center

@@ -278,7 +278,8 @@ def _leak_case(omega_range=None):
 
 
 def _run_leak_check(s, grid, omega):
-    _leak_check(s, grid, _Level.plain(s, 1), PhasePoint(omega=omega), -0.5)
+    _leak_check(s, grid, _Level.plain(s, 1), grid.omega_values(s),
+                PhasePoint(omega=omega), -0.5)
 
 
 def test_leak_check_logs_argmax_at_window_edge(caplog):

@@ -206,6 +206,24 @@ def test_csv_rows_equal_json_fields(tmp_path):
                             [(run["eps"], run["roots"]) for run in data["runs"]])
 
 
+def test_json_emitter_equals_json_dumps():
+    rows = [{"x": 1.5, "flag": True, "n": 3, "s": "inf", "none": None},
+            {"x": float("nan"), "flag": False, "n": -2, "s": "-inf",
+             "none": 5e-324}]
+    obj = {"empty": {}, "list": [], "none": None, "yes": True, "no": False,
+           "int": 7, "neg0": -0.0, "tiny": 5e-324, "huge": 1e300,
+           "nan": float("nan"), "inf": float("inf"), "strs": ["inf", "-inf"],
+           "rows": rows, "nested": [[rows], {"deep": rows[:1]}],
+           "odd %s keys": [{"a%": 1.0, "é": "ü\n"}],
+           # differing keys, and a nested value: both fall back
+           "mixed": [{"a": 1}, {"b": 2}], "not_flat": [{"a": [1.0]}]}
+    want = json.dumps(obj, indent=1, sort_keys=True)
+    assert "".join(harness._json_chunks(obj, 0)) == want
+    for part in obj.values():
+        assert "".join(harness._json_chunks(part, 0)) == json.dumps(
+            part, indent=1, sort_keys=True)
+
+
 def test_validation_window_precedence():
     # an explicit window applies to every eps as-is
     cfgw = h.config_from_dict({"system": SCALAR_SYS, "eps": [0.5, 0.25],

@@ -413,6 +413,15 @@ def test_manifold_files_match_per_sample_formatters(case, tmp_path):
         assert len(res.plain[1]) == 4
 
 
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_manifold_files_match_across_chunk_boundaries(case, tmp_path,
+                                                      monkeypatch):
+    # two points per chunk: finite, infinite and skipped rows fall on both
+    # sides of chunk boundaries, and chunks with and without infinities mix
+    monkeypatch.setattr(mf, "_CHUNK_POINTS", 2)
+    test_manifold_files_match_per_sample_formatters(case, tmp_path)
+
+
 def _fields(sample):
     """Every field of a sample with its type, PhasePoint included."""
     vals = dataclasses.astuple(sample)

@@ -478,6 +478,22 @@ def test_junk_seeds_give_the_seedless_roots():
     assert np.all((np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0))
 
 
+def test_subdivision_polish_stays_in_the_window():
+    # a cell on the window's edge holds a simple root near its corner: the
+    # Newton leash reaches past the window, which polish must not step to
+    roots = [0.3 + 0.2j, -0.4 + 0.1j, -0.4 + 0.1j, 0.2 - 0.5j, 0.2 - 0.5j,
+             -0.6 - 0.6j]
+    box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    f, fp = _poly_pair(roots)
+    seen = []
+    found = h.find_roots(_recording(f, seen), box, _recording(fp, seen))
+    assert [r.multiplicity for r in found] == [1, 2, 2, 1]
+    want = np.array([-0.6 - 0.6j, -0.4 + 0.1j, 0.2 - 0.5j, 0.3 + 0.2j])
+    assert np.abs(np.array([r.location for r in found]) - want).max() < 1e-7
+    z = np.concatenate(seen)
+    assert np.all((np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0))
+
+
 def test_seeded_route_matches_subdivision_on_fig3():
     # the scale-1 roots of fig3 have no seed of the top-scale fixed point:
     # their cells are split, the rest is certified from seeds
