@@ -6,7 +6,7 @@ coefficients of ``det(B + Y Ak)`` over many matrices ``B``.
 
 Kernel contracts:
 
-``char_values(lams, mats, taus)``
+``char_det(lams, mats, taus)``
     ``lams`` complex (N,), ``mats`` complex (n+1, d, d) holding the
     instantaneous matrix first and one matrix per delay after it, ``taus``
     real (n,) absolute delays.  Returns ``det(-lam I + mats[0] +
@@ -34,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "backend_name",
-    "char_values",
+    "char_det",
     "char_and_deriv",
     "det_poly_coeffs",
 ]
@@ -65,7 +65,7 @@ def _table(lams, mats, taus):
     return M, expo
 
 
-def char_values(lams, mats, taus):
+def char_det(lams, mats, taus):
     d = mats.shape[1]
     return _det(_table(lams, mats, taus)[0].reshape(-1, d, d))
 

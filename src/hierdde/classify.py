@@ -19,10 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .degeneracy import check_nd
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import (GridSpec, PhasePoint, _grid_axes, _grid_points,
-                        _lattice, _Level, strong_spectrum)
+from .manifolds import (GridSpec, PhasePoint, _grid_axes, _lattice, _Level,
+                        strong_spectrum)
 
 __all__ = [
     "SupEstimate",
@@ -33,6 +32,7 @@ __all__ = [
 
 # refinement past this height is treated as an unbounded (singular) branch
 UNBOUNDED_GAMMA = math.log(1e8)
+MARGIN = 1e-6  # half-width of the band around zero that no verdict trusts
 _NM_OPTIONS = dict(xatol=1e-12, fatol=1e-11, maxiter=4000, maxfev=6000)
 _SEED_COUNT = 5
 # scipy's non-adaptive Nelder-Mead constants, and each step's speculative
@@ -315,26 +315,27 @@ def _leak_check(sys, grid, level, om, point, best_val):
     wide = GridSpec(omega_count=grid.omega_count,
                     phase_count=grid.phase_count,
                     omega_range=(2.0 * lo, 2.0 * hi))
-    _, gammas, neff, _ = level.gammas(*_grid_points(sys, level.k, wide))
+    wide_axes = _grid_axes(sys, level.k, wide)
+    _, gammas, neff, _ = level.gammas(*_lattice(wide_axes))
     outside = _row_max(gammas, neff)[0].max()
     _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
                  "edge; doubled-window grid max is %.6g vs refined %.6g",
                  level.k, outside, best_val)
 
 
-def classify(sys, ladder, margin=1e-6, search_cfg=None):
+def classify(sys, ladder, search_cfg=None):
     """Stability verdict for small eps.
 
     Refuses degenerate systems (the asymptotic description breaks down
     there).  StronglyUnstable on any unstable instantaneous eigenvalue;
     otherwise scales are examined in increasing order and the first sup
-    beyond +(margin + uncertainty) gives WeaklyUnstable at that scale.
-    Stable needs every sup below -(margin + uncertainty); anything else is
+    beyond +(MARGIN + uncertainty) gives WeaklyUnstable at that scale.
+    Stable needs every sup below -(MARGIN + uncertainty); anything else is
     Marginal.  Phases are searched over the canonical box only: each delay
     exponential covers the unit circle exactly once there, so no larger box
     can enlarge the range of any manifold.
     """
-    if not check_nd(ladder):
+    if not ladder.nd_satisfied:
         raise DegenerateSystemError(
             "nondegeneracy fails: the level-1 pencil is singular in every "
             "direction, the hierarchy does not determine the spectrum")
@@ -343,7 +344,7 @@ def classify(sys, ladder, margin=1e-6, search_cfg=None):
         order = np.lexsort((strong.S0_plus.imag, strong.S0_plus.real))
         wit = complex(strong.S0_plus[order[-1]])
         return StabilityVerdict(status="StronglyUnstable", scale=None,
-                                witness=wit, sup_gammas=(), margin=margin,
+                                witness=wit, sup_gammas=(), margin=MARGIN,
                                 notes=())
 
     notes = []
@@ -357,7 +358,7 @@ def classify(sys, ladder, margin=1e-6, search_cfg=None):
             notes.append(f"scale-{k} polynomial trivial, scale skipped")
             continue
         sups.append(est)
-        band = margin + est.uncertainty
+        band = MARGIN + est.uncertainty
         if est.sup == math.inf or est.sup > band:
             if k < sys.n:
                 notes.append("destabilization found below the top scale; "
@@ -366,12 +367,12 @@ def classify(sys, ladder, margin=1e-6, search_cfg=None):
             point, branch = est.argmax
             return StabilityVerdict(status="WeaklyUnstable", scale=k,
                                     witness=(k, point, branch, est.sup),
-                                    sup_gammas=tuple(sups), margin=margin,
+                                    sup_gammas=tuple(sups), margin=MARGIN,
                                     notes=tuple(notes))
-    if all(s.sup < -(margin + s.uncertainty) for s in sups):
+    if all(s.sup < -(MARGIN + s.uncertainty) for s in sups):
         status = "Stable"
     else:
         status = "Marginal"
     return StabilityVerdict(status=status, scale=None, witness=None,
-                            sup_gammas=tuple(sups), margin=margin,
+                            sup_gammas=tuple(sups), margin=MARGIN,
                             notes=tuple(notes))

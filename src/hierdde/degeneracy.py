@@ -24,13 +24,12 @@ import numpy as np
 from . import _backend, model
 from .errors import ConfigError, DegenerateSystemError
 from .linalg import (CLUSTER_RADIUS, RANK_TOL, cluster_points, kernel_vectors,
-                     poly_roots, rank, spectral_norm)
+                     numerical_rank, poly_roots, rank, spectral_norm, svd)
 
 __all__ = [
     "LadderLevel",
     "DegeneracyLadder",
     "build_ladder",
-    "check_nd",
     "truncated_char",
     "strong_stable_spectrum",
     "dump_ladder",
@@ -60,14 +59,19 @@ class LadderLevel:
 
 @dataclass(frozen=True)
 class DegeneracyLadder:
-    """Full projection ladder plus the derived nondegeneracy verdict."""
+    """Full projection ladder plus the derived nondegeneracy verdict.
+
+    ``nd_satisfied`` is False exactly when the ladder reaches level 1, the
+    projected identity replacement there is singular, and the coefficient
+    matrix sandwiched with its kernel bases is singular as well.  It is
+    vacuously true for a full-rank top matrix.
+    """
 
     an_singular: bool
     levels: tuple
     k_under: object  # int or None
     nd_satisfied: bool
     sigma: tuple
-    rank_tol: float
 
     def level(self, k):
         for lev in self.levels:
@@ -87,18 +91,22 @@ def _sandwich(U, M, V):
     return U.conj().T @ M @ V
 
 
-def _levels(sys, rank_tol):
-    """Levels (k, J1, A_proj, U1, V1) at one rank tolerance, top first."""
-    J, mats, out = np.eye(sys.d), sys.matrices, []
+def _levels(sys):
+    """Levels (k, J1, A_proj, U1, V1), top first, and whether a 10x looser
+    rank tolerance changes a rank decision: one SVD per level gives both
+    ranks and the kernel bases, so equal ranks mean equal levels."""
+    J, mats, out, near = np.eye(sys.d), sys.matrices, [], False
     for k in range(sys.n, 0, -1):
-        top = mats[k]
-        if rank(top, rank_tol) == top.shape[0]:
+        res = svd(mats[k])
+        r = numerical_rank(res.s)
+        near |= numerical_rank(res.s, 10.0 * RANK_TOL) != r
+        if r == res.s.size:
             break
-        U1, V1 = kernel_vectors(top, rank_tol)
+        U1, V1 = res.kernel(r)
         J = _sandwich(U1, J, V1)
         mats = tuple(_sandwich(U1, M, V1) for M in mats[:k])
         out.append((k, J, mats, U1, V1))
-    return out
+    return out, near
 
 
 def build_ladder(sys):
@@ -109,14 +117,12 @@ def build_ladder(sys):
     lowest level when the chain got below the top scale (by convention also
     for a one-delay system, whose first projection already is level 1) and
     None when it stopped immediately, which makes the levels heuristic.
-    Nondegeneracy is read off level 1.  The loop is repeated at 10x looser
-    rank tolerance and a warning is emitted if the level dimensions differ:
-    rank decisions then sit near the threshold and downstream results
-    deserve suspicion.
+    Nondegeneracy is read off level 1.  A warning is emitted if a rank
+    decision changes at 10x looser rank tolerance: the decisions then sit
+    near the threshold and downstream results deserve suspicion.
     """
-    levels = _levels(sys, RANK_TOL)
-    if ([U1.shape[1] for *_, U1, _ in _levels(sys, RANK_TOL * 10.0)]
-            != [U1.shape[1] for *_, U1, _ in levels]):
+    levels, near = _levels(sys)
+    if near:
         warnings.warn("ladder rank decisions change at 10x looser tolerance; "
                       "the system sits near a rank threshold", stacklevel=2)
 
@@ -126,28 +132,16 @@ def build_ladder(sys):
     nd = True
     if k_under == 1:
         _, J1, A_proj, _, _ = levels[-1]
-        if rank(J1) < J1.shape[0]:
-            Ue, Ve = kernel_vectors(J1)
-            P = _sandwich(Ue, A_proj[0], Ve)
-            nd = rank(P) == P.shape[0]
+        Ue, Ve = kernel_vectors(J1)
+        if Ue.shape[1]:
+            nd = rank(_sandwich(Ue, A_proj[0], Ve)) == Ue.shape[1]
     heuristic = bool(levels) and k_under is None
     return DegeneracyLadder(
         an_singular=bool(levels), k_under=k_under, nd_satisfied=nd,
         levels=tuple(LadderLevel(k=k, dim=U1.shape[1], J1=J1, A_proj=A_proj,
                                  U1=U1, V1=V1, heuristic=heuristic)
                      for k, J1, A_proj, U1, V1 in levels),
-        sigma=sys.sigma, rank_tol=RANK_TOL)
-
-
-def check_nd(ladder):
-    """Nondegeneracy flag.
-
-    False exactly when the ladder reaches level 1, the projected identity
-    replacement there is singular, and the coefficient matrix sandwiched
-    with its kernel bases is singular as well.  Vacuously true for a
-    full-rank top matrix.
-    """
-    return bool(ladder.nd_satisfied)
+        sigma=sys.sigma)
 
 
 def truncated_char(ladder, k, eps, lam):
@@ -183,7 +177,7 @@ def strong_stable_spectrum(ladder):
     lev = ladder.level(1)
     J, A, m = lev.J1, lev.A_proj[0], lev.dim
     normA, normJ = spectral_norm(A), spectral_norm(J)
-    if rank(J, ladder.rank_tol) < m:
+    if rank(J) < m:
         radius = 1.0 + normA
     else:
         radius = 1.0 + normA / normJ
@@ -216,7 +210,7 @@ def dump_ladder(ladder):
         "an_singular": ladder.an_singular,
         "k_under": ladder.k_under,
         "nd_satisfied": ladder.nd_satisfied,
-        "rank_tol": ladder.rank_tol,
+        "rank_tol": RANK_TOL,
         "levels": [{
             "k": lev.k,
             "dim": lev.dim,

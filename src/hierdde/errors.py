@@ -5,6 +5,10 @@ one place: configuration problems, numerical-range refusals and degenerate
 systems are distinguishable without string matching.
 """
 
+__all__ = ["HierDdeError", "ConfigError", "DimensionError",
+           "EvaluationRangeError", "BoundaryZeroError", "ResolutionError",
+           "TrivialityError", "DegenerateSystemError"]
+
 
 class HierDdeError(Exception):
     """Base class for all package-specific errors."""

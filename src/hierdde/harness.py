@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+# a root farther than this from every sampled asymptotic set stays unassigned
+DISTANCE_CAP = 1.0
 
 
 def _fmt(x):
@@ -50,10 +52,9 @@ class RunConfig:
     """One workflow invocation: the system plus search and output settings.
 
     ``window`` is used as-is when set; otherwise validation derives a
-    per-eps window of half-width ``re_halfwidth_coef * eps**re_halfwidth_power``
-    when those are set, else ``10 * eps**n * (1 + |sup gamma top scale|)``
-    (which needs that sup to be finite).  ``distance_cap`` flags
-    eigenvalues that no asymptotic set explains.
+    per-eps window of half-width ``re_halfwidth_coef * eps`` when the
+    coefficient is set, else ``10 * eps**n * (1 + |sup gamma top scale|)``
+    (which needs that sup to be finite).
     """
 
     system: DelaySystem
@@ -65,9 +66,6 @@ class RunConfig:
     out_format: str = "csv"
     im_max: float = 3.0
     re_halfwidth_coef: object = None
-    re_halfwidth_power: float = 1.0
-    distance_cap: float = 1.0
-    margin: float = 1e-6
 
     def __post_init__(self):
         eps = tuple(check_eps(e) for e in self.eps_list)
@@ -85,8 +83,6 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if not (float(self.im_max) > 0.0):
             raise ConfigError("im_max must be positive")
-        if not (float(self.distance_cap) > 0.0):
-            raise ConfigError("distance cap must be positive")
         if self.re_halfwidth_coef is not None \
                 and not (float(self.re_halfwidth_coef) > 0.0):
             raise ConfigError("half-width coefficient must be positive")
@@ -152,9 +148,7 @@ _GRID_FIELDS = {"omega": ("omega_count", _count),
                 "phase": ("phase_count", _count),
                 "omega_range": ("omega_range", _pair)}
 _VALIDATION_FIELDS = {"im_max": ("im_max", float),
-                      "re_halfwidth_coef": ("re_halfwidth_coef", float),
-                      "re_halfwidth_power": ("re_halfwidth_power", float),
-                      "cap": ("distance_cap", float)}
+                      "re_halfwidth_coef": ("re_halfwidth_coef", float)}
 # every top-level key but system and validation
 _CONFIG_FIELDS = {
     "eps": ("eps_list", _eps_list),
@@ -164,7 +158,6 @@ _CONFIG_FIELDS = {
     "tol": ("tol", float),
     "out": ("out_dir", str),
     "format": ("out_format", str),
-    "margin": ("margin", float),
 }
 
 
@@ -479,8 +472,7 @@ def validation_window(cfg):
     if cfg.window is not None:
         return [cfg.window for _ in cfg.eps_list]
     if cfg.re_halfwidth_coef is not None:
-        coef, power = float(cfg.re_halfwidth_coef), cfg.re_halfwidth_power
-        hws = [coef * eps ** power for eps in cfg.eps_list]
+        hws = [float(cfg.re_halfwidth_coef) * eps for eps in cfg.eps_list]
     else:
         sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
         if not math.isfinite(sup_top):
@@ -511,13 +503,13 @@ def _sample_trees(sys_, ladder, grid):
     return trees
 
 
-def _assign_roots(roots, eps, trees, strong_r, cap):
+def _assign_roots(roots, eps, trees, strong_r):
     """One Assignment per root: the scale whose sampled set lies nearest
     the root rescaled by ``eps**-k``, and the next nearest as runner-up.
 
     Strong (scale-0) candidates beyond ``strong_r`` do not count; ties go
-    to the lower scale.  A root is assigned when a scale within ``cap``
-    explains it.
+    to the lower scale.  A root is assigned when a scale within
+    ``DISTANCE_CAP`` explains it.
     """
     scales = sorted(trees)
     locs = np.array([r.location for r in roots], dtype=complex)
@@ -540,7 +532,8 @@ def _assign_roots(roots, eps, trees, strong_r, cap):
         out.append(Assignment(
             eigenvalue=r.location, multiplicity=r.multiplicity, scale=k,
             rescaled=z, distance=d, runner_up_scale=rk,
-            runner_up_distance=rd, assigned=k is not None and d <= cap))
+            runner_up_distance=rd,
+            assigned=k is not None and d <= DISTANCE_CAP))
     return out
 
 
@@ -559,8 +552,7 @@ def run_validate(cfg, write=True):
     records = []
     for eps, window in zip(cfg.eps_list, windows):
         roots = _locate(sys_, eps, window, cfg.tol)
-        assigns = _assign_roots(roots, eps, trees, strong_r,
-                                cfg.distance_cap)
+        assigns = _assign_roots(roots, eps, trees, strong_r)
         max_d = {}
         for a in assigns:
             if a.assigned:
@@ -638,8 +630,7 @@ def run_manifolds(cfg, write=True):
 def run_classify(cfg):
     """Stability verdict for the configured system; emits classify.json."""
     ladder = build_ladder(cfg.system)
-    verdict = classify(cfg.system, ladder, margin=cfg.margin,
-                       search_cfg=cfg.grid)
+    verdict = classify(cfg.system, ladder, search_cfg=cfg.grid)
     _write_json(os.path.join(cfg.out_dir, "classify.json"), verdict.as_dict())
     return verdict
 
@@ -648,14 +639,15 @@ def run_classify(cfg):
 # figure presets and the example driver
 # ---------------------------------------------------------------------------
 
-# name: (a, b, c, phase samples of the grid).  Every preset grid has 801
-# frequencies over [-3.2, 3.2], covering the |Im| <= 3 validation strip
-# with margin; the singular funnels of fig3 need the denser phase sampling
+# name: (a, b, c, phase samples of the grid, half-width coefficient of the
+# validation windows).  Every preset grid has 801 frequencies over
+# [-3.2, 3.2], covering the |Im| <= 3 validation strip with margin; the
+# singular funnels of fig3 need the denser phase sampling
 _PRESET_PARAMS = {
-    "fig2-stable": (-0.4 + 0.5j, 0.1, 0.2, 64),
-    "fig2-neutral": (-0.4 + 0.5j, 0.1, 0.3, 64),
-    "fig2-unstable": (-0.4 + 0.5j, 0.1, 0.4, 64),
-    "fig3": (-0.4 + 0.5j, 0.5, 0.3, 256),
+    "fig2-stable": (-0.4 + 0.5j, 0.1, 0.2, 64, None),
+    "fig2-neutral": (-0.4 + 0.5j, 0.1, 0.3, 64, None),
+    "fig2-unstable": (-0.4 + 0.5j, 0.1, 0.4, 64, None),
+    "fig3": (-0.4 + 0.5j, 0.5, 0.3, 256, 0.4),
 }
 PRESET_NAMES = tuple(sorted(_PRESET_PARAMS))
 
@@ -663,7 +655,7 @@ PRESET_NAMES = tuple(sorted(_PRESET_PARAMS))
 def preset_params(name):
     """The scalar coefficients behind a named example preset."""
     try:
-        a, b, c, _ = _PRESET_PARAMS[name]
+        a, b, c, _, _ = _PRESET_PARAMS[name]
     except KeyError:
         raise ConfigError(f"unknown example {name!r}; choose from "
                           f"{', '.join(PRESET_NAMES)}") from None
@@ -684,14 +676,11 @@ def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir="."):
     the default sup-based rule.
     """
     system = preset_system(name)  # refuses an unknown name
-    grid = GridSpec(omega_count=801, phase_count=_PRESET_PARAMS[name][3],
+    *_, phases, coef = _PRESET_PARAMS[name]
+    grid = GridSpec(omega_count=801, phase_count=phases,
                     omega_range=(-3.2, 3.2))
-    kw = dict(system=system, eps_list=tuple(eps_list), grid=grid,
-              out_dir=out_dir, im_max=3.0)
-    if name == "fig3":
-        kw["re_halfwidth_coef"] = 0.4
-        kw["re_halfwidth_power"] = 1.0
-    return RunConfig(**kw)
+    return RunConfig(system=system, eps_list=tuple(eps_list), grid=grid,
+                     out_dir=out_dir, im_max=3.0, re_halfwidth_coef=coef)
 
 
 def _diff_ext(closed, general):

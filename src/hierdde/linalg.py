@@ -21,6 +21,7 @@ __all__ = [
     "det",
     "eigenvalues",
     "svd",
+    "numerical_rank",
     "rank",
     "kernel_vectors",
     "spectral_norm",
@@ -41,6 +42,11 @@ class SvdResult:
     U: np.ndarray
     s: np.ndarray
     Vh: np.ndarray
+
+    def kernel(self, r):
+        """``(U1, V1)``: the left and right singular vectors past the
+        first ``r``, shape (d, d-r)."""
+        return self.U[:, r:], self.Vh[r:, :].conj().T
 
 
 def as_square(M, name="matrix"):
@@ -72,26 +78,29 @@ def svd(M):
     return SvdResult(U=U, s=s, Vh=Vh)
 
 
-def rank(M, rank_tol=RANK_TOL):
-    """Numerical rank: singular values above ``rank_tol`` times the largest."""
-    s = np.linalg.svd(as_square(M), compute_uv=False)
-    if s[0] == 0.0:
+def numerical_rank(s, rank_tol=RANK_TOL):
+    """Rank from descending singular values ``s``: the count above
+    ``rank_tol`` times the largest.  Every rank decision takes this rule."""
+    if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def kernel_vectors(M, rank_tol=RANK_TOL):
+def rank(M):
+    """Numerical rank of ``M`` from its singular values alone."""
+    return numerical_rank(np.linalg.svd(as_square(M), compute_uv=False))
+
+
+def kernel_vectors(M):
     """Orthonormal bases of the left and right kernels.
 
     Returns ``(U1, V1)`` with shape (d, d-rank): the singular vectors of the
     (numerically) zero singular values, so ``U1* M`` and ``M V1`` vanish to
     working precision.  For a full-rank matrix both factors have zero columns.
+    The rank and the bases come from one SVD.
     """
     res = svd(M)
-    r = rank(M, rank_tol)
-    U1 = res.U[:, r:]
-    V1 = res.Vh[r:, :].conj().T
-    return U1, V1
+    return res.kernel(numerical_rank(res.s))
 
 
 def spectral_norm(M):

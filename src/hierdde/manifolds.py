@@ -25,7 +25,7 @@ import numpy as np
 from . import _backend
 from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
-                     poly_roots_batch, spectral_norm)
+                     numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
 from .model import check_eps
 
@@ -37,6 +37,7 @@ __all__ = [
     "GridSpec",
     "SingularityFlags",
     "canonical_phase",
+    "default_omega_bound",
     "strong_spectrum",
     "truncated_char_poly",
     "gamma_branches",
@@ -182,9 +183,7 @@ def strong_spectrum(sys):
 def _restricted_smin(Ak):
     """Smallest nonzero singular value of Ak, and its rank."""
     s = np.linalg.svd(Ak, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0, 0
-    r = int(np.sum(s > RANK_TOL * s[0]))
+    r = numerical_rank(s)
     return float(s[r - 1]) if r else 0.0, r
 
 
@@ -365,11 +364,6 @@ def _lattice(axes):
     return omegas, phis
 
 
-def _grid_points(sys, k, grid):
-    """Flattened (omega, phi) lattice, omega-major then phase-major."""
-    return _lattice(_grid_axes(sys, k, grid))
-
-
 @dataclass(frozen=True, eq=False)
 class ManifoldTable(Sequence):
     """The ManifoldSamples of one lattice, ordered by (point, branch) and
@@ -532,7 +526,7 @@ def assemble_A_k(sys, ladder, k, grid=None):
         return np.concatenate([p for p in parts if p.size]) \
             if any(p.size for p in parts) else np.empty(0, np.complex128)
 
-    omegas, phis = _grid_points(sys, k, grid)
+    omegas, phis = _lattice(_grid_axes(sys, k, grid))
     level = _Level.plain(sys, k)
     _, gammas, neff, _ = level.gammas(omegas, phis)
     level.check_nonvanishing(neff)

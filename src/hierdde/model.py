@@ -31,10 +31,6 @@ __all__ = [
     "check_eps",
     "delays",
     "guard_real_extent",
-    "char_matrix",
-    "char_value",
-    "char_values",
-    "char_derivative",
     "char_function",
     "axis_seeds",
     "system_to_dict",
@@ -151,36 +147,6 @@ def guard_real_extent(sys, eps, max_abs_re):
     _guard(delays(sys, eps), float(max_abs_re), check_eps(eps))
 
 
-def char_matrix(sys, eps, lam):
-    """The characteristic matrix at one point."""
-    taus = delays(sys, eps)
-    lam = complex(lam)
-    _guard(taus, abs(lam.real), eps)
-    M = sys.matrices[0] - lam * np.eye(sys.d)
-    for k in range(sys.n):
-        M = M + sys.matrices[k + 1] * np.exp(-lam * taus[k])
-    return M
-
-
-def char_values(sys, eps, lams):
-    """Characteristic determinant over an array of points."""
-    return char_function(sys, eps)[0](lams)
-
-
-def char_value(sys, eps, lam):
-    """Characteristic determinant at one point."""
-    return complex(char_values(sys, eps, [lam])[0])
-
-
-def char_derivative(sys, eps, lam):
-    """d/dlam of the characteristic determinant at one point.
-
-    Uses Jacobi's formula through the backend, which stays exact where the
-    characteristic matrix is singular.
-    """
-    return complex(char_function(sys, eps)[1](complex(lam))[0])
-
-
 def char_function(sys, eps):
     """Vectorized evaluation handles ``(f, fprime)`` for the root finder.
 
@@ -192,7 +158,7 @@ def char_function(sys, eps):
     eps = check_eps(eps)
 
     def f(lams):
-        return _backend.char_values(_guarded(taus, eps, lams), mats, taus)
+        return _backend.char_det(_guarded(taus, eps, lams), mats, taus)
 
     def fprime(lams):
         return _backend.char_and_deriv(_guarded(taus, eps, lams), mats,

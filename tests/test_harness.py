@@ -1,6 +1,7 @@
 """Run configs, deterministic artifacts, validation windows, CLI exit codes."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -64,9 +65,9 @@ def test_config_rejects_bad_input():
     ("eps", {"eps": ["a"]}),
     ("eps", {"eps": "0.05"}),
     ("window", {"window": "0123"}),
-    ("cap", {"validation": {"cap": None}}),
+    ("im_max", {"validation": {"im_max": None}}),
 ], ids=["omega_range", "omega", "omega-fraction", "phase-bool", "tol",
-        "eps-list", "eps-string", "window-string", "cap"])
+        "eps-list", "eps-string", "window-string", "im_max"])
 def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
                                                   capsys):
     data = _base_cfg(**patch)
@@ -187,11 +188,12 @@ def _check_csv_against_json(csv_path, groups):
             assert _matches(cell, obj[col]), (col, cell, obj[col])
 
 
-def test_csv_rows_equal_json_fields(tmp_path):
+def test_csv_rows_equal_json_fields(tmp_path, monkeypatch):
     # validate.json is written in both formats; the low cap leaves some
     # roots unassigned, so both flag values occur
-    cfg = replace(h.preset_config("fig2-unstable", eps_list=(0.05,),
-                                  out_dir=str(tmp_path)), distance_cap=2e-3)
+    monkeypatch.setattr(harness, "DISTANCE_CAP", 2e-3)
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.05,),
+                          out_dir=str(tmp_path))
     h.run_validate(cfg)
     data = json.loads((tmp_path / "validate.json").read_text())
     groups = [(rec["eps"], rec["assignments"]) for rec in data["records"]]
@@ -234,7 +236,7 @@ def test_validation_window_precedence():
         "system": {"d": 1, "n": 2, "sigma": [1.0, 1.0], "A0": [[[-0.4, 0.5]]],
                    "A1": [[[0.1, 0.0]]], "A2": [[[0.2, 0.0]]]},
         "eps": [0.5, 0.25],
-        "validation": {"re_halfwidth_coef": 0.4, "re_halfwidth_power": 1.0}})
+        "validation": {"re_halfwidth_coef": 0.4}})
     wins = h.validation_window(cfgc)
     assert wins[0].re_max == pytest.approx(0.2)
     assert wins[1].re_max == pytest.approx(0.1)
@@ -385,3 +387,57 @@ def test_cli_overrides_and_example(tmp_path, capsys):
     assert cli.main(["example", "fig2-stable", "--out", str(tmp_path / "ex")]) == 0
     assert (tmp_path / "ex" / "example_fig2-stable.json").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"eps_list": ()}, "eps list must be nonempty"),
+    ({"eps_list": (0.05, 0.05)}, "eps list must be strictly decreasing"),
+    ({"window": (0.0, 1.0, -1.0, 1.0)}, "window must be a Rectangle"),
+    ({"out_format": "xml"}, "format must be csv or json, got 'xml'"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"im_max": -1.0}, "im_max must be positive"),
+    ({"re_halfwidth_coef": 0.0}, "half-width coefficient must be positive"),
+], ids=["eps-empty", "eps-not-decreasing", "window", "format", "tol",
+        "im_max", "halfwidth-coef"])
+def test_run_config_refuses(change, message):
+    system = h.config_from_dict(_base_cfg()).system
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        h.RunConfig(**{"system": system, "eps_list": (0.5,), **change})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "config must be a JSON object"),
+    ({"eps": [0.5]}, "config needs a 'system' entry"),
+    ({"system": SCALAR_SYS}, "config needs an 'eps' entry"),
+], ids=["not-object", "no-system", "no-eps"])
+def test_config_from_dict_refuses(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        h.config_from_dict(data)
+
+
+def test_run_spectrum_refuses_missing_window():
+    cfg = h.config_from_dict({"system": SCALAR_SYS, "eps": [0.5]})
+    with pytest.raises(ConfigError, match="^spectrum needs an explicit window$"):
+        h.run_spectrum(cfg, write=False)
+
+
+# the fig2-unstable system at eps 0.05 on a coarse grid
+CLI_CFG = {"system": TWO_DELAY_SYS | {"A0": [[[-0.4, 0.5]]],
+                                      "A2": [[[0.4, 0.0]]]},
+           "eps": [0.05], "window": [-0.03, 0.03, -3.0, 3.0],
+           "grid": {"omega": 41, "phase": 8}}
+
+
+@pytest.mark.parametrize("command, summary", [
+    ("manifolds", r"manifolds: \d+ samples -> .*manifolds\.csv"),
+    ("classify", r"classify: WeaklyUnstable at scale 2"),
+    ("validate", r"validate eps=0\.05: \d+ eigenvalues, worst assigned "
+                 r"distance \S+"),
+])
+def test_cli_subcommand_prints_summary(command, summary, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(CLI_CFG | {"out": str(tmp_path / "out")}))
+    assert cli.main([command, "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert re.fullmatch(summary, out.strip())

@@ -232,6 +232,26 @@ def test_assembled_sets():
     assert pts2.real.min() < 0.0 < pts2.real.max()
 
 
+def test_assembled_sets_take_the_ladder():
+    # a d = 3 system whose ladder has levels 2 and 1 (k_under = 1), so
+    # scale 0 gains the level-1 pencil roots and scale 1 its tilde manifolds
+    A0 = np.array([[-1.0 + 0.3j, 0.2, 0.0], [0.1, -0.5 + 1.0j, 0.1],
+                   [0.0, 0.2, -0.7 - 0.4j]])
+    A1 = np.array([[0.3, 0.1, 0.0], [0.05, 0.25, 0.0], [0.0, 0.0, 0.0]])
+    A2 = np.zeros((3, 3))
+    A2[0, 0] = 0.2
+    sys_ = h.DelaySystem(matrices=(A0, A1, A2), sigma=(1.0, 1.3))
+    ladder = h.build_ladder(sys_)
+    assert ladder.k_under == 1 and ladder.has_tilde(1)
+    pts0 = h.assemble_A_k(sys_, ladder, 0)
+    assert np.array_equal(pts0, h.strong_stable_spectrum(ladder))
+    assert np.allclose(pts0, [-0.7 - 0.4j], rtol=0.0, atol=1e-12)
+    grid = GridSpec(omega_count=41, phase_count=8)
+    pts1 = h.assemble_A_k(sys_, ladder, 1, grid)
+    assert pts1.size == 41 and (pts1.real < 0.0).all()
+    assert h.assemble_A_k(sys_, None, 1, grid).size == 0
+
+
 def _trivial_system():
     # det(-i omega I + diag(-i, i, -1) + Y diag(0, 0, 1)) vanishes for
     # every Y at omega = -1 and at omega = 1
@@ -274,7 +294,7 @@ def _reference_samples(sys_, k, grid, ladder=None):
     arrays.  Raises TrivialityError when every point is identically zero."""
     level = (mf._Level.plain(sys_, k) if ladder is None
              else mf._Level.tilde(ladder, k))
-    omegas, phis = mf._grid_points(sys_, k, grid)
+    omegas, phis = mf._lattice(mf._grid_axes(sys_, k, grid))
     roots, _, neff, radii = level.gammas(omegas, phis)
     dk = level.dk
     if dk and np.all(neff < 0):

@@ -34,6 +34,44 @@ def test_system_validation():
         h.DelaySystem(matrices=(np.array([[np.nan]]), np.ones((1, 1))), sigma=(1.0,))
 
 
+@pytest.mark.parametrize("mats, sigma, error, message", [
+    ((np.ones((1, 1)),), (), DimensionError,
+     "need the instantaneous matrix plus at least one delay matrix"),
+    ((np.eye(2), np.eye(3)), (1.0,), DimensionError,
+     "all matrices must share one dimension"),
+    ((np.eye(2), np.eye(2)), (1.0, 2.0), DimensionError,
+     "need exactly one base delay per delay matrix"),
+    ((np.eye(2), np.eye(2)), (float("inf"),), ConfigError,
+     "base delays must be finite and positive"),
+], ids=["one-matrix", "dimension-mismatch", "delay-count", "delay-value"])
+def test_delay_system_refuses(mats, sigma, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        h.DelaySystem(matrices=mats, sigma=sigma)
+
+
+_SYS = {"d": 1, "n": 1, "sigma": [1.0], "A0": [[[0.0, 0.0]]],
+        "A1": [[[1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], r"system description must be a JSON object"),
+    ({k: v for k, v in _SYS.items() if k != "d"},
+     r"system description missing or malformed field: 'd'"),
+    (_SYS | {"sigma": "x"},
+     r"system description missing or malformed field: could not convert"),
+    (_SYS | {"sigma": [1.0, 2.0]}, r"sigma must have n=1 entries, got 2"),
+    ({k: v for k, v in _SYS.items() if k != "A1"},
+     r"system description missing matrix A1"),
+    (_SYS | {"A0": [[1.0]]}, r"A0: entries must be \[re, im\] pairs"),
+    (_SYS | {"A1": [[[1.0, 0.0], [0.0, 0.0]]]},
+     r"A1: expected shape \(1, 1\), got \(1, 2\)"),
+], ids=["not-object", "no-d", "bad-sigma", "sigma-count", "no-matrix",
+        "not-pairs", "shape"])
+def test_system_from_dict_refuses(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        h.system_from_dict(data)
+
+
 def test_eps_validation():
     assert h.check_eps(1.0) == 1.0
     assert h.check_eps(0.25) == 0.25
@@ -60,14 +98,6 @@ def test_delay_overflow_names_scale():
     assert exc.value.scale == 2
 
 
-def test_char_matrix_entries():
-    mats = (np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex), np.eye(2, dtype=complex))
-    s = h.DelaySystem(matrices=mats, sigma=(1.0,))
-    m = h.char_matrix(s, 0.5, 1.0 + 0.0j)
-    want = -1.0 * np.eye(2) + mats[0] + np.exp(-2.0) * mats[1]
-    assert np.allclose(m, want, rtol=1e-14)
-
-
 def test_char_at_zero_is_det_of_matrix_sum():
     rng = np.random.default_rng(404)
     mats = tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -75,31 +105,35 @@ def test_char_at_zero_is_det_of_matrix_sum():
     s = h.DelaySystem(matrices=mats, sigma=(1.0, 0.7))
     want = np.linalg.det(mats[0] + mats[1] + mats[2])
     for eps in (0.9, 0.3):
-        assert h.char_value(s, eps, 0.0 + 0.0j) == pytest.approx(want, rel=1e-12)
+        f, _ = h.char_function(s, eps)
+        assert f(0.0 + 0.0j)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_char_root_oracle():
     # -lam + exp(-lam) vanishes at the positive solution of x = exp(-x)
     s = h.DelaySystem.scalar(0.0, (1.0,))
+    f, _ = h.char_function(s, 1.0)
     x = scipy.optimize.brentq(
-        lambda t: h.char_value(s, 1.0, complex(t, 0.0)).real, 0.1, 1.0, xtol=1e-15)
+        lambda t: f(complex(t, 0.0))[0].real, 0.1, 1.0, xtol=1e-15)
     assert x == pytest.approx(0.567143290409784, abs=1e-12)
-    assert abs(h.char_value(s, 1.0, 0.567143 + 0.0j)) <= 1e-5
+    assert abs(f(0.567143 + 0.0j)[0]) <= 1e-5
 
 
 def test_absent_delay_term_is_allowed():
     s = h.DelaySystem.scalar(-1.0, (0.0,))
-    assert h.char_value(s, 0.5, 2.0 + 0.0j) == pytest.approx(-3.0)
+    f, _ = h.char_function(s, 0.5)
+    assert f(2.0 + 0.0j)[0] == pytest.approx(-3.0)
 
 
 def test_real_data_conjugate_symmetry():
     rng = np.random.default_rng(505)
     mats = tuple(rng.standard_normal((2, 2)) for _ in range(3))
     s = h.DelaySystem(matrices=mats, sigma=(1.0, 1.0))
+    f, _ = h.char_function(s, 0.5)
     for _ in range(20):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-3, 3))
-        v1 = h.char_value(s, 0.5, lam)
-        v2 = h.char_value(s, 0.5, lam.conjugate())
+        v1 = f(lam)[0]
+        v2 = f(lam.conjugate())[0]
         assert v2 == pytest.approx(v1.conjugate(), rel=1e-12, abs=1e-12)
 
 
@@ -113,24 +147,25 @@ def test_derivative_matches_central_difference():
         sig = tuple(float(x) for x in rng.uniform(0.5, 1.5, n))
         s = h.DelaySystem(matrices=mats, sigma=sig)
         eps = float(rng.uniform(0.3, 1.0))
+        f, fp = h.char_function(s, eps)
         for _ in range(5):
             lam = complex(rng.uniform(-0.5, 0.5), rng.uniform(-2, 2))
-            dv = h.char_derivative(s, eps, lam)
+            dv = fp(lam)[0]
             step = 1e-7 * (1 + abs(lam))
-            cd = (h.char_value(s, eps, lam + step)
-                  - h.char_value(s, eps, lam - step)) / (2 * step)
+            cd = (f(lam + step)[0] - f(lam - step)[0]) / (2 * step)
             assert abs(dv - cd) <= 1e-6 * (1 + abs(dv))
 
 
 def test_evaluation_guard_names_offending_scale():
     s = h.DelaySystem.scalar(0.0, (1.0, 1.0))
+    f, _ = h.char_function(s, 0.01)
     with pytest.raises(EvaluationRangeError) as exc:
-        h.char_value(s, 0.01, complex(-0.08, 0.0))
+        f(complex(-0.08, 0.0))
     assert exc.value.scale == 2
     assert "scale-2" in str(exc.value)
     assert "700" in str(exc.value)
     # 0.06 * 1e4 = 600 stays inside the representable range
-    assert np.isfinite(abs(h.char_value(s, 0.01, complex(-0.06, 0.0))))
+    assert np.isfinite(abs(f(complex(-0.06, 0.0))[0]))
 
 
 def test_guard_real_extent():
@@ -146,8 +181,8 @@ def test_char_function_closures_match_pointwise():
     zs = np.array([0.1 + 0.2j, -0.01 + 1.5j, 0.02 - 0.3j])
     fv, dv = f(zs), fp(zs)
     for z, a, b in zip(zs, fv, dv):
-        assert a == pytest.approx(h.char_value(s, 0.05, complex(z)), rel=1e-12)
-        assert b == pytest.approx(h.char_derivative(s, 0.05, complex(z)), rel=1e-12)
+        assert a == pytest.approx(f(complex(z))[0], rel=1e-12)
+        assert b == pytest.approx(fp(complex(z))[0], rel=1e-12)
     with pytest.raises(EvaluationRangeError):
         f(np.array([complex(-2.0, 0.0)]))
 

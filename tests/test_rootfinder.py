@@ -340,11 +340,27 @@ def test_batched_count_matches_cells_counted_alone():
 
 
 def _product(roots):
-    """f(z) = prod(z - r) evaluated as a product, and its derivative."""
+    """f(z) = prod(z - r) evaluated as a product, and its derivative.
+
+    Each term of f' leaves out one factor by its index: a root listed twice
+    can be one object (equal literals in a function are one constant)."""
     f = lambda z: np.prod([z - r for r in roots], axis=0)
-    fp = lambda z: sum(np.prod([z - r for r in roots if r is not s], axis=0)
-                       for s in roots)
+    fp = lambda z: sum(np.prod([z - r for i, r in enumerate(roots) if i != j],
+                               axis=0) for j in range(len(roots)))
     return f, fp
+
+
+def test_product_helper_with_repeated_roots():
+    a, b = -0.4 + 0.1j, 0.2 - 0.5j
+    roots = [0.3 + 0.2j, a, a, b, b, -0.6 - 0.6j]
+    f, fp = _product(roots)
+    z = np.array([0.7 + 0.1j, -0.2 - 0.9j, 0.05 + 0.45j, -1.0 + 1.0j])
+    dcoeffs = np.polyder(np.poly(roots))
+    assert np.allclose(fp(z), np.polyval(dcoeffs, z), rtol=1e-12, atol=1e-12)
+    got = h.find_roots(f, h.Rectangle(-1.0, 1.0, -1.0, 1.0), fprime=fp)
+    assert sorted((r.multiplicity, round(r.location.real, 6),
+                   round(r.location.imag, 6)) for r in got) == sorted(
+        [(1, 0.3, 0.2), (2, -0.4, 0.1), (2, 0.2, -0.5), (1, -0.6, -0.6)])
 
 
 @pytest.mark.parametrize("roots, width", [
@@ -405,6 +421,23 @@ def test_sample_budget_raises_from_batched_count(monkeypatch):
         rf._winding_count(f, fp, cells)
     monkeypatch.undo()
     assert rf._winding_count(f, fp, cells) == [0, 0]
+
+
+def test_split_raises_when_child_counts_never_match(monkeypatch):
+    # every split of the two-root window reports one zero too many, so no
+    # jitter of the split lines makes the children add up to the parent
+    f, fp = _poly_pair([0.4 + 0.3j, -0.6 - 0.2j])
+    count = rf._winding_count
+
+    def overcount(f, fprime, rects):
+        got = count(f, fprime, rects)
+        return got if len(rects) < 2 else [got[0] + 1] + got[1:]
+
+    monkeypatch.setattr(rf, "_winding_count", overcount)
+    with pytest.raises(h.ResolutionError,
+                       match=r"^child counts never matched the parent count "
+                             r"2 on Rectangle\("):
+        h.find_roots(f, h.Rectangle(-1.0, 1.0, -1.0, 1.0), fprime=fp)
 
 
 def test_batch_cap_changes_no_result(monkeypatch):
