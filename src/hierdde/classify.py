@@ -20,8 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import (GridSpec, PhasePoint, _grid_axes, _lattice, _Level,
-                        strong_spectrum)
+from .manifolds import GridSpec, PhasePoint, _Level, strong_spectrum
 
 __all__ = [
     "SupEstimate",
@@ -122,12 +121,6 @@ def _row_max(gammas, neff):
     return val, np.where(val == -math.inf, -1, branch)
 
 
-def _eval_max(level, X):
-    """``_row_max`` at the search points X[i] = [omega, phi...]."""
-    _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
-    return _row_max(gammas, neff)
-
-
 def _sort_simplices(sim, fsim):
     order = np.argsort(fsim, axis=1)
     rows = np.arange(fsim.shape[0])[:, None]
@@ -217,7 +210,7 @@ def minimize(fun, simplices):
                            nfev=int(fcalls.sum()))
 
 
-def sup_gamma(sys, k, search_cfg=None):
+def sup_gamma(sys, k, grid=GridSpec()):
     """Supremum of the scale-k manifold branches over the canonical box.
 
     Coarse lattice (defaults as in the manifold grids), then Nelder-Mead
@@ -234,15 +227,12 @@ def sup_gamma(sys, k, search_cfg=None):
     top-scale matrix has rank zero the polynomial is constant, no branch
     exists, and the scale imposes no constraint: sup is -inf.
     """
-    grid = search_cfg or GridSpec()
     level = _Level.plain(sys, k)
     sigma_k = level.sigma_k
-    axes = _grid_axes(sys, k, grid)
-    omegas, phis = _lattice(axes)
-    _, gammas, neff, _ = level.gammas(omegas, phis)
+    axes = grid.axes(sys, k)
+    omegas, phis, _, gammas, neff, _ = level.lattice(axes)
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
-    level.check_nonvanishing(neff)
 
     # exact zero root already on the lattice: unbounded without refinement
     inf_rows = np.nonzero((gammas == math.inf).any(axis=1))[0]
@@ -267,7 +257,8 @@ def sup_gamma(sys, k, search_cfg=None):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        val, _ = _eval_max(level, X)
+        _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
+        val, _ = _row_max(gammas, neff)
         return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
                         np.where(np.isfinite(val), -val, 1e6))
 
@@ -283,7 +274,8 @@ def sup_gamma(sys, k, search_cfg=None):
     probe = np.diag(spacings / 100.0)
     X = np.concatenate([[point.omega], point.phi]) + np.vstack(
         [np.zeros(k), -probe, probe])
-    vals, branches = _eval_max(level, X)
+    _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
+    vals, branches = _row_max(gammas, neff)
     branch = int(branches[0])
     if np.isfinite(vals[0]):
         best_val = max(best_val, float(vals[0]))
@@ -315,15 +307,14 @@ def _leak_check(sys, grid, level, om, point, best_val):
     wide = GridSpec(omega_count=grid.omega_count,
                     phase_count=grid.phase_count,
                     omega_range=(2.0 * lo, 2.0 * hi))
-    wide_axes = _grid_axes(sys, level.k, wide)
-    _, gammas, neff, _ = level.gammas(*_lattice(wide_axes))
+    _, _, _, gammas, neff, _ = level.lattice(wide.axes(sys, level.k))
     outside = _row_max(gammas, neff)[0].max()
     _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
                  "edge; doubled-window grid max is %.6g vs refined %.6g",
                  level.k, outside, best_val)
 
 
-def classify(sys, ladder, search_cfg=None):
+def classify(sys, ladder, grid=GridSpec()):
     """Stability verdict for small eps.
 
     Refuses degenerate systems (the asymptotic description breaks down
@@ -351,7 +342,7 @@ def classify(sys, ladder, search_cfg=None):
     sups = []
     for k in range(1, sys.n + 1):
         try:
-            est = sup_gamma(sys, k, search_cfg)
+            est = sup_gamma(sys, k, grid)
         except TrivialityError:
             if k == sys.n:
                 raise

@@ -630,7 +630,7 @@ def run_manifolds(cfg, write=True):
 def run_classify(cfg):
     """Stability verdict for the configured system; emits classify.json."""
     ladder = build_ladder(cfg.system)
-    verdict = classify(cfg.system, ladder, search_cfg=cfg.grid)
+    verdict = classify(cfg.system, ladder, cfg.grid)
     _write_json(os.path.join(cfg.out_dir, "classify.json"), verdict.as_dict())
     return verdict
 
@@ -725,9 +725,9 @@ def run_example(name, out_dir=".", out_format="csv"):
     search = GridSpec(omega_count=401, phase_count=64,
                       omega_range=(-3.2, 3.2))
     sup_closed = scalar2.sup_gamma2(p)
-    sup_general = sup_gamma(sys_, 2, search_cfg=search).sup
+    sup_general = sup_gamma(sys_, 2, search).sup
     verdict_closed = scalar2.classify_scalar(p)
-    verdict_general = classify(sys_, ladder, search_cfg=search)
+    verdict_general = classify(sys_, ladder, search)
 
     zeros = scalar2.gamma1_zeros(p)
     phis = scalar2.phi_singular(p)

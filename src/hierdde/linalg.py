@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: determinants, spectra, kernels, clustering.
+"""Dense linear-algebra substrate: spectra, kernels, polynomials, clustering.
 
 Thin, validated wrappers around LAPACK (via numpy) plus the small amount of
 polynomial and clustering machinery the rest of the package shares.  All
@@ -18,7 +18,6 @@ __all__ = [
     "TRIM_TOL",
     "SvdResult",
     "as_square",
-    "det",
     "eigenvalues",
     "svd",
     "numerical_rank",
@@ -59,11 +58,6 @@ def as_square(M, name="matrix"):
     if not np.all(np.isfinite(M)):
         raise DimensionError(f"{name} contains non-finite entries")
     return M
-
-
-def det(M):
-    """Determinant.  Exact (a diagonal product) for triangular inputs."""
-    return complex(np.linalg.det(as_square(M)))
 
 
 def eigenvalues(M):

@@ -13,6 +13,11 @@ flagged rather than folded into float arithmetic.
 The sampled asymptotic set for scale k joins the unstable part of these
 manifolds with the stable part of the projected (tilde) manifolds from the
 degeneracy ladder, when one exists.
+
+``_Level`` is the one evaluator of these polynomials, plain or projected:
+grids (``GridSpec.axes``) and single points (``PhasePoint.axes``) both give
+it lattice axes, and ``_Level.lattice`` evaluates a lattice under the one
+identically-zero rule.
 """
 
 import math
@@ -76,6 +81,13 @@ class PhasePoint:
         phi = tuple(canonical_phase(p, sigma[j]) for j, p in enumerate(phi))
         return cls(omega=float(omega), phi=phi)
 
+    def axes(self, k):
+        """One-point scale-k lattice axes: [omega], [phi_1]..[phi_{k-1}]."""
+        if len(self.phi) != k - 1:
+            raise ConfigError(f"scale-{k} point needs {k - 1} phases, "
+                              f"got {len(self.phi)}")
+        return [np.array([v], np.float64) for v in (self.omega, *self.phi)]
+
 
 @dataclass(frozen=True)
 class ManifoldSample:
@@ -137,7 +149,9 @@ class GridSpec:
     phase_count: int = 64
     omega_range: object = None
 
-    def omega_values(self, sys):
+    def axes(self, sys, k):
+        """Scale-k lattice axes: the omega values, then phi_1..phi_{k-1},
+        each phase over its canonical period."""
         if self.omega_range is not None:
             lo, hi = float(self.omega_range[0]), float(self.omega_range[1])
         else:
@@ -145,13 +159,12 @@ class GridSpec:
             lo, hi = -om, om
         if not (lo < hi) or self.omega_count < 2:
             raise ConfigError("need omega range lo < hi and >= 2 samples")
-        return np.linspace(lo, hi, self.omega_count)
-
-    def phase_values(self, sys, j):
-        if self.phase_count < 1:
+        if k > 1 and self.phase_count < 1:
             raise ConfigError("need at least one phase sample")
-        period = 2.0 * math.pi / sys.sigma[j - 1]
-        return np.arange(self.phase_count) * (period / self.phase_count)
+        n = self.phase_count
+        return [np.linspace(lo, hi, self.omega_count)] + [
+            np.arange(n) * ((2.0 * math.pi / s) / n)
+            for s in sys.sigma[:k - 1]]
 
 
 def default_omega_bound(sys):
@@ -189,7 +202,8 @@ def _restricted_smin(Ak):
 
 class _Level:
     """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
-    exp(-i sigma_j phi_j) + Y Ak) of one system.
+    exp(-i sigma_j phi_j) + Y Ak) of one system, and its one evaluator:
+    ``lattice`` over grid or one-point axes, ``gammas`` at arbitrary points.
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
     k+1 (the projected J1 and A_proj).  ``smin`` and ``dk`` are the
@@ -216,13 +230,6 @@ class _Level:
     def tilde(cls, ladder, k):
         lev = ladder.level(k + 1)
         return cls(k, ladder.sigma, lev.J1, lev.A_proj)
-
-    def check_nonvanishing(self, neff):
-        """Raise TrivialityError when the polynomial has positive degree and
-        vanishes identically at every point (each row ``neff < 0``)."""
-        if self.dk and neff.size and np.all(neff < 0):
-            raise TrivialityError(f"scale-{self.k} polynomial vanishes "
-                                  f"identically")
 
     def B(self, omegas, phis):
         """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j)."""
@@ -268,13 +275,30 @@ class _Level:
         gammas = np.where(zero_mask, math.inf, gammas)
         return roots, gammas, neff, radii
 
+    def lattice(self, axes):
+        """The lattice of ``axes`` and ``gammas`` over it: (omegas, phis,
+        roots, gammas, neff, radii).
 
-def _point_arrays(point, k):
-    if len(point.phi) != k - 1:
-        raise ConfigError(f"scale-{k} point needs {k - 1} phases, "
-                          f"got {len(point.phi)}")
-    omegas = np.array([point.omega], np.float64)
-    phis = np.array([point.phi], np.float64).reshape(1, k - 1)
+        Raises TrivialityError when the polynomial has positive degree and
+        vanishes identically at every lattice point (each ``neff < 0``).
+        """
+        omegas, phis = _lattice(axes)
+        roots, gammas, neff, radii = self.gammas(omegas, phis)
+        if self.dk and neff.size and np.all(neff < 0):
+            raise TrivialityError(f"scale-{self.k} polynomial vanishes "
+                                  f"identically")
+        return omegas, phis, roots, gammas, neff, radii
+
+
+def _lattice(axes):
+    """Flattened (omega, phi) lattice, omega-major then phase-major."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = [ax.reshape(-1) for ax in mesh]
+    omegas = flat[0]
+    if len(flat) > 1:
+        phis = np.stack(flat[1:], axis=1)
+    else:
+        phis = np.empty((omegas.shape[0], 0))
     return omegas, phis
 
 
@@ -288,14 +312,12 @@ def truncated_char_poly(sys, k, point):
     kernel through every node) raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
-    coeffs, _ = level.coeffs(*_point_arrays(point, k))
+    coeffs, _ = level.coeffs(*_lattice(point.axes(k)))
     row = coeffs[0, :level.dk + 1]
     mags = np.abs(row)
     if mags.max() == 0.0 or not np.isfinite(mags.max()):
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     keep = np.nonzero(mags > TRIM_TOL * mags.max())[0]
-    if keep.size == 0:
-        raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     return row[:keep[-1] + 1]
 
 
@@ -306,9 +328,7 @@ def gamma_branches(sys, k, point):
     gamma + i omega; zero roots carry +inf, degree deficiencies -inf.
     Branches are ordered by root (real, imag), deficiency slots last.
     """
-    level = _Level.plain(sys, k)
-    omegas, phis = _point_arrays(point, k)
-    return list(_table(level, [omegas, *phis.T]))
+    return list(_table(_Level.plain(sys, k), point.axes(k)))
 
 
 def singularity_test(sys, k, point):
@@ -321,7 +341,7 @@ def singularity_test(sys, k, point):
     -inf condition is False by construction.
     """
     level = _Level.plain(sys, k)
-    B = level.B(*_point_arrays(point, k))[0]
+    B = level.B(*_lattice(point.axes(k)))[0]
     bound = max(1.0, abs(point.omega) + level.norm_sum)
     detB = complex(np.linalg.det(B))
     scaleB = bound ** sys.d
@@ -345,24 +365,6 @@ def rescale(eps, k, lam):
 # ---------------------------------------------------------------------------
 # grid evaluation and assembled asymptotic sets
 # ---------------------------------------------------------------------------
-
-def _grid_axes(sys, k, grid):
-    """Lattice axes: the omega values, then phi_1..phi_{k-1}."""
-    return [grid.omega_values(sys)] + [grid.phase_values(sys, j)
-                                       for j in range(1, k)]
-
-
-def _lattice(axes):
-    """Flattened (omega, phi) lattice, omega-major then phase-major."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [ax.reshape(-1) for ax in mesh]
-    omegas = flat[0]
-    if len(flat) > 1:
-        phis = np.stack(flat[1:], axis=1)
-    else:
-        phis = np.empty((omegas.shape[0], 0))
-    return omegas, phis
-
 
 @dataclass(frozen=True, eq=False)
 class ManifoldTable(Sequence):
@@ -472,14 +474,13 @@ class ManifoldTable(Sequence):
 
 def _table(level, axes):
     """ManifoldTable of one level's scale-k polynomial over ``axes``."""
-    roots, _, neff, radii = level.gammas(*_lattice(axes))
-    level.check_nonvanishing(neff)
+    _, _, roots, _, neff, radii = level.lattice(axes)
     rows = np.flatnonzero(neff >= 0)
     return ManifoldTable(level.k, level.sigma_k, tuple(axes), rows,
                          roots[rows], neff[rows], level.dk, radii[rows])
 
 
-def manifold_grid(sys, k, grid=None, ladder=None):
+def manifold_grid(sys, k, grid=GridSpec(), ladder=None):
     """ManifoldSamples over the full lattice, ordered by (point, branch),
     as a read-only ``ManifoldTable``.
 
@@ -488,26 +489,11 @@ def manifold_grid(sys, k, grid=None, ladder=None):
     coefficient matrices.  Identically-zero points are skipped; if every
     point is trivial the polynomial itself is trivial and that raises.
     """
-    grid = grid or GridSpec()
     level = _Level.plain(sys, k) if ladder is None else _Level.tilde(ladder, k)
-    return _table(level, _grid_axes(sys, k, grid))
+    return _table(level, grid.axes(sys, k))
 
 
-def _projected_from_grid(omegas, gammas, neff, keep):
-    """Finite projected values gamma + i omega filtered by ``keep`` sign."""
-    if gammas.shape[1] == 0:
-        return np.empty(0, np.complex128)
-    cols = np.arange(gammas.shape[1])[None, :]
-    valid = (cols < neff[:, None]) & np.isfinite(gammas)
-    if keep == "positive":
-        valid &= gammas > 0.0
-    elif keep == "negative":
-        valid &= gammas < 0.0
-    om = np.broadcast_to(omegas[:, None], gammas.shape)
-    return (gammas[valid] + 1j * om[valid]).astype(np.complex128)
-
-
-def assemble_A_k(sys, ladder, k, grid=None):
+def assemble_A_k(sys, ladder, k, grid=GridSpec()):
     """Sampled asymptotic spectrum for scale k, as projected complex values.
 
     k=0: the unstable instantaneous eigenvalues plus the stable truncated
@@ -517,26 +503,28 @@ def assemble_A_k(sys, ladder, k, grid=None):
     Order follows the grid (point-major), tilde samples appended after the
     plain ones.
     """
-    grid = grid or GridSpec()
+    if not 0 <= k <= sys.n:
+        raise ConfigError(f"scale k must be in 0..{sys.n}, got {k}")
     if k == 0:
         parts = [strong_spectrum(sys).S0_plus]
         if ladder is not None and ladder.k_under == 1:
             parts.append(np.array(strong_stable_spectrum(ladder),
                                   np.complex128))
-        return np.concatenate([p for p in parts if p.size]) \
-            if any(p.size for p in parts) else np.empty(0, np.complex128)
-
-    omegas, phis = _lattice(_grid_axes(sys, k, grid))
-    level = _Level.plain(sys, k)
-    _, gammas, neff, _ = level.gammas(omegas, phis)
-    level.check_nonvanishing(neff)
-    if k == sys.n:
-        return _projected_from_grid(omegas, gammas, neff, keep="all")
-
-    parts = [_projected_from_grid(omegas, gammas, neff, keep="positive")]
-    if ladder is not None and ladder.has_tilde(k):
-        _, tg, tneff, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
-        parts.append(_projected_from_grid(omegas, tg, tneff, keep="negative"))
+    else:
+        omegas, phis, _, gammas, neff, _ = _Level.plain(sys, k).lattice(
+            grid.axes(sys, k))
+        # (gammas, root counts, kept signs): every finite value at the top
+        # scale; below it the unstable plain and the stable tilde values
+        sets = [(gammas, neff, gammas > 0.0 if k < sys.n else True)]
+        if k < sys.n and ladder is not None and ladder.has_tilde(k):
+            _, tg, tneff, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
+            sets.append((tg, tneff, tg < 0.0))
+        parts = []
+        for g, ne, keep in sets:
+            valid = ((np.arange(g.shape[1]) < ne[:, None]) & np.isfinite(g)
+                     & keep)
+            om = np.broadcast_to(omegas[:, None], g.shape)
+            parts.append(g[valid] + 1j * om[valid])
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
 

@@ -288,8 +288,7 @@ def _split(f, fprime, cells):
             [cells[i] for i in todo], failed)
 
 
-def _newton_batch(f, fprime, z0, half_w, half_h, tol, mult=None,
-                  within=None):
+def _newton_batch(f, fprime, z0, half_w, half_h, tol, within, mult=None):
     """Vectorized Newton (or secant) polish with per-point escape leashes.
 
     ``mult`` (per-point integer, default 1) scales the step to m*f/f', the
@@ -338,8 +337,7 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, mult=None,
         escaped = (~ok
                    | (np.abs(drift.real) > 1.1 * half_w[idx] + step_tol[idx])
                    | (np.abs(drift.imag) > 1.1 * half_h[idx] + step_tol[idx]))
-        if within is not None:
-            escaped |= ~_inside(within, znew)
+        escaped |= ~_inside(within, znew)
         done = ok & ~escaped & (np.abs(step) < step_tol[idx])
         if secant:
             zprev[idx] = zi
@@ -397,7 +395,7 @@ def _square(c, hw):
     return Rectangle(c.real - hw, c.real + hw, c.imag - hw, c.imag + hw)
 
 
-def _polish(f, fprime, cells, tol, within=None):
+def _polish(f, fprime, cells, tol, within):
     """Polished location and convergence flag of each (rect, count) cell.
 
     A count of 1 takes Newton on f.  An m-fold zero of f is an (m-1)-fold

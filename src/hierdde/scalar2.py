@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_MARGIN = 1e-12  # half-width of the band of boundary equalities
 
 
 @dataclass(frozen=True)
@@ -135,43 +136,43 @@ def _sup_entries(p):
     return entries
 
 
-def classify_scalar(p, margin=1e-12):
+def classify_scalar(p):
     """Parameter-region classifier for the scalar two-delay family.
 
     Re a > 0 strongly unstable; |b| > |Re a| weakly unstable at scale 1;
     |c| > |Re a| - |b| weakly unstable at scale 2; otherwise stable.
-    Boundary equalities (within margin) are marginal.
+    Boundary equalities (within ``_MARGIN``) are marginal.
     """
     ra = p.a.real
-    if ra > margin:
+    if ra > _MARGIN:
         return StabilityVerdict(status="StronglyUnstable", scale=None,
-                                witness=p.a, sup_gammas=(), margin=margin,
+                                witness=p.a, sup_gammas=(), margin=_MARGIN,
                                 notes=())
-    if abs(ra) <= margin:
+    if abs(ra) <= _MARGIN:
         return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=(), margin=margin, notes=())
+                                sup_gammas=(), margin=_MARGIN, notes=())
     sups = _sup_entries(p)
     t1 = abs(p.b) - abs(ra)
-    if t1 > margin:
+    if t1 > _MARGIN:
         point, branch = sups[0].argmax
         return StabilityVerdict(status="WeaklyUnstable", scale=1,
                                 witness=(1, point, branch, sups[0].sup),
-                                sup_gammas=tuple(sups[:1]), margin=margin,
+                                sup_gammas=tuple(sups[:1]), margin=_MARGIN,
                                 notes=())
-    if abs(t1) <= margin:
+    if abs(t1) <= _MARGIN:
         return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=tuple(sups[:1]), margin=margin,
+                                sup_gammas=tuple(sups[:1]), margin=_MARGIN,
                                 notes=())
     t2 = abs(p.c) - (abs(ra) - abs(p.b))
-    if t2 > margin:
+    if t2 > _MARGIN:
         point, branch = sups[1].argmax
         return StabilityVerdict(status="WeaklyUnstable", scale=2,
                                 witness=(2, point, branch, sups[1].sup),
-                                sup_gammas=tuple(sups), margin=margin,
+                                sup_gammas=tuple(sups), margin=_MARGIN,
                                 notes=())
-    if abs(t2) <= margin:
+    if abs(t2) <= _MARGIN:
         return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=tuple(sups), margin=margin,
+                                sup_gammas=tuple(sups), margin=_MARGIN,
                                 notes=())
     return StabilityVerdict(status="Stable", scale=None, witness=None,
-                            sup_gammas=tuple(sups), margin=margin, notes=())
+                            sup_gammas=tuple(sups), margin=_MARGIN, notes=())

@@ -273,12 +273,12 @@ def test_sup_gamma_matches_closed_forms(re_a, im_a, b, b_arg, c, c_arg,
 def _leak_case(omega_range=None):
     s = _scalar_two_delay(-0.4 + 0.5j, 0.1, 0.2)
     grid = h.GridSpec(omega_range=omega_range)
-    om = grid.omega_values(s)
+    om = grid.axes(s, 1)[0]
     return s, grid, float(om[0]), float(om[-1])
 
 
 def _run_leak_check(s, grid, omega):
-    _leak_check(s, grid, _Level.plain(s, 1), grid.omega_values(s),
+    _leak_check(s, grid, _Level.plain(s, 1), grid.axes(s, 1)[0],
                 PhasePoint(omega=omega), -0.5)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hierdde as h
 from hierdde import manifolds as mf
-from hierdde.errors import TrivialityError
+from hierdde.errors import ConfigError, TrivialityError
 from hierdde.manifolds import GridSpec, ManifoldSample, PhasePoint
 
 
@@ -269,7 +269,7 @@ def test_vanishing_polynomial_raises_on_every_path(tmp_path):
                  lambda: h.gamma_branches(sys_, 1, PhasePoint(1.0)),
                  lambda: h.sup_gamma(sys_, 1, grid),
                  lambda: h.assemble_A_k(sys_, ladder, 1, grid),
-                 lambda: h.classify(sys_, ladder, search_cfg=grid)):
+                 lambda: h.classify(sys_, ladder, grid=grid)):
         with pytest.raises(TrivialityError):
             call()
     # run_manifolds maps the scale to () and writes no sample for it
@@ -294,7 +294,7 @@ def _reference_samples(sys_, k, grid, ladder=None):
     arrays.  Raises TrivialityError when every point is identically zero."""
     level = (mf._Level.plain(sys_, k) if ladder is None
              else mf._Level.tilde(ladder, k))
-    omegas, phis = mf._lattice(mf._grid_axes(sys_, k, grid))
+    omegas, phis = mf._lattice(grid.axes(sys_, k))
     roots, _, neff, radii = level.gammas(omegas, phis)
     dk = level.dk
     if dk and np.all(neff < 0):
@@ -503,3 +503,55 @@ def test_manifold_grids_match_scalar2_closed_forms(re_a, im_a, b, b_arg, c,
     assert len(samples2) == 41 * 16
     for smp in samples2:
         check(h.gamma2(p, smp.point.omega, smp.point.phi[0]), smp.gamma)
+
+
+# ---------------------------------------------------------------------------
+# refused arguments: each message names what the call needs
+# ---------------------------------------------------------------------------
+
+_OMEGA_MSG = "need omega range lo < hi and >= 2 samples"
+_PHASE_MSG = "need at least one phase sample"
+_GRID_CALLS = {
+    "manifold_grid": lambda s, k, grid: h.manifold_grid(s, k, grid),
+    "sup_gamma": lambda s, k, grid: h.sup_gamma(s, k, grid),
+    "assemble_A_k": lambda s, k, grid: h.assemble_A_k(s, None, k, grid),
+    "classify": lambda s, k, grid: h.classify(s, h.build_ladder(s), grid),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_GRID_CALLS))
+@pytest.mark.parametrize("grid, k, msg", [
+    (GridSpec(omega_count=1, omega_range=(-1.0, 1.0)), 1, _OMEGA_MSG),
+    (GridSpec(omega_count=5, omega_range=(1.0, 1.0)), 1, _OMEGA_MSG),
+    (GridSpec(omega_count=5, phase_count=0, omega_range=(-1.0, 1.0)), 2,
+     _PHASE_MSG),
+], ids=["one-omega", "empty-range", "no-phase"])
+def test_bad_grid_refused(call, grid, k, msg):
+    s = h.preset_system("fig2-unstable")
+    with pytest.raises(ConfigError, match=msg):
+        _GRID_CALLS[call](s, k, grid)
+
+
+def test_scale_one_takes_no_phase_sample():
+    s = h.preset_system("fig2-unstable")
+    grid = GridSpec(omega_count=5, phase_count=0, omega_range=(-1.0, 1.0))
+    assert len(h.manifold_grid(s, 1, grid)) == 5
+    assert math.isfinite(h.sup_gamma(s, 1, grid).sup)
+
+
+@pytest.mark.parametrize("fn", [h.truncated_char_poly, h.gamma_branches,
+                                h.singularity_test])
+@pytest.mark.parametrize("k, phi", [(1, (0.5,)), (2, ()), (2, (0.1, 0.2))])
+def test_point_with_wrong_phase_count_refused(fn, k, phi):
+    s = h.preset_system("fig2-unstable")
+    with pytest.raises(ConfigError, match=rf"scale-{k} point needs {k - 1} "
+                                          rf"phases, got {len(phi)}"):
+        fn(s, k, PhasePoint(0.3, phi))
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_assemble_refuses_scale_outside_zero_to_n(k):
+    s = h.preset_system("fig2-unstable")
+    with pytest.raises(ConfigError, match=rf"scale k must be in 0\.\.2, "
+                                          rf"got {k}"):
+        h.assemble_A_k(s, h.build_ladder(s), k)
