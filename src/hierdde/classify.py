@@ -104,18 +104,17 @@ def _ext(x):
     return x
 
 
-def _row_max(gammas, neff):
+def _row_max(gammas):
     """Largest gamma per grid row and its branch.
 
     A zero root gives +inf at the first such branch; a row without a finite
-    gamma gives -inf and branch -1.
+    gamma gives -inf and branch -1.  Missing branches (nan) are skipped.
     """
     M = gammas.shape[0]
     if gammas.shape[1] == 0:
         return np.full(M, -math.inf), np.full(M, -1)
-    valid = np.arange(gammas.shape[1]) < neff[:, None]
     # +inf is the largest value, and argmax takes the first of equals
-    safe = np.where(valid & ~np.isnan(gammas), gammas, -math.inf)
+    safe = np.where(np.isnan(gammas), -math.inf, gammas)
     branch = np.argmax(safe, axis=1)
     val = safe[np.arange(M), branch]
     return val, np.where(val == -math.inf, -1, branch)
@@ -230,7 +229,7 @@ def sup_gamma(sys, k, grid=GridSpec()):
     level = _Level.plain(sys, k)
     sigma_k = level.sigma_k
     axes = grid.axes(sys, k)
-    omegas, phis, _, gammas, neff, _ = level.lattice(axes)
+    omegas, phis, _, gammas, _ = level.lattice(axes)
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
 
@@ -244,7 +243,7 @@ def sup_gamma(sys, k, grid=GridSpec()):
         return SupEstimate(k=k, sup=math.inf, argmax=(point, b),
                            uncertainty=0.0)
 
-    row_max, _ = _row_max(gammas, neff)
+    row_max, _ = _row_max(gammas)
     if not np.isfinite(row_max).any():
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
     seeds = np.argsort(row_max)[::-1][:_SEED_COUNT]
@@ -257,8 +256,7 @@ def sup_gamma(sys, k, grid=GridSpec()):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
-        val, _ = _row_max(gammas, neff)
+        val, _ = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
         return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
                         np.where(np.isfinite(val), -val, 1e6))
 
@@ -274,8 +272,7 @@ def sup_gamma(sys, k, grid=GridSpec()):
     probe = np.diag(spacings / 100.0)
     X = np.concatenate([[point.omega], point.phi]) + np.vstack(
         [np.zeros(k), -probe, probe])
-    _, gammas, neff, _ = level.gammas(X[:, 0], X[:, 1:])
-    vals, branches = _row_max(gammas, neff)
+    vals, branches = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
     branch = int(branches[0])
     if np.isfinite(vals[0]):
         best_val = max(best_val, float(vals[0]))
@@ -307,8 +304,8 @@ def _leak_check(sys, grid, level, om, point, best_val):
     wide = GridSpec(omega_count=grid.omega_count,
                     phase_count=grid.phase_count,
                     omega_range=(2.0 * lo, 2.0 * hi))
-    _, _, _, gammas, neff, _ = level.lattice(wide.axes(sys, level.k))
-    outside = _row_max(gammas, neff)[0].max()
+    gammas = level.lattice(wide.axes(sys, level.k))[3]
+    outside = _row_max(gammas)[0].max()
     _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
                  "edge; doubled-window grid max is %.6g vs refined %.6g",
                  level.k, outside, best_val)

@@ -9,7 +9,6 @@ byte-identical files.
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -18,10 +17,11 @@ import numpy as np
 from .classify import _ext, classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
-from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, manifold_csv,
-                        manifold_grid, strong_spectrum)
-from .model import (DelaySystem, axis_seeds, char_function, check_eps,
-                    guard_real_extent, load_system, system_from_dict)
+from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
+                        manifold_csv, manifold_grid, strong_spectrum)
+from .model import (DelaySystem, _count, _fields, _real, _reals,
+                    char_function, check_eps, guard_real_extent, load_system,
+                    system_from_dict)
 from .rootfinder import Rectangle, find_roots
 from . import scalar2
 
@@ -88,74 +88,19 @@ class RunConfig:
             raise ConfigError("half-width coefficient must be positive")
 
 
-def _window_from_list(vals):
-    if isinstance(vals, str):
-        raise TypeError("need a list of four numbers, not a string")
-    try:
-        a, b, c, d = (float(v) for v in vals)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("window must be four numbers: re_min, re_max, "
-                          "im_min, im_max") from exc
-    return Rectangle(a, b, c, d)
-
-
-def _eps_list(eps):
-    if isinstance(eps, (int, float)):
-        eps = [eps]
-    elif not isinstance(eps, (list, tuple)):
-        raise TypeError("need a number or a list of numbers")
-    return tuple(float(e) for e in eps)
-
-
-def _count(v):
-    """A whole number; booleans and fractions are refused, not truncated."""
-    if isinstance(v, bool):
-        raise TypeError("need a whole number, not a boolean")
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return operator.index(v)
-
-
-def _pair(vals):
-    lo, hi = vals
-    return float(lo), float(hi)
-
-
-def _fields(data, fields, what):
-    """Keyword arguments parsed from one config object.
-
-    ``fields`` maps each key to its keyword argument and parser.  Unknown
-    keys and malformed values (a parser's TypeError or ValueError) raise
-    ConfigError naming the key.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"'{what}' must be an object")
-    extra = set(data) - set(fields)
-    if extra:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-    kw = {}
-    for key, (name, parse) in fields.items():
-        if key in data:
-            try:
-                kw[name] = parse(data[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed {what} value {key}="
-                                  f"{data[key]!r}: {exc}") from exc
-    return kw
-
-
 _GRID_FIELDS = {"omega": ("omega_count", _count),
                 "phase": ("phase_count", _count),
-                "omega_range": ("omega_range", _pair)}
-_VALIDATION_FIELDS = {"im_max": ("im_max", float),
-                      "re_halfwidth_coef": ("re_halfwidth_coef", float)}
+                "omega_range": ("omega_range", lambda v: tuple(_reals(v, 2)))}
+_VALIDATION_FIELDS = {"im_max": ("im_max", _real),
+                      "re_halfwidth_coef": ("re_halfwidth_coef", _real)}
 # every top-level key but system and validation
 _CONFIG_FIELDS = {
-    "eps": ("eps_list", _eps_list),
+    "eps": ("eps_list", lambda v: tuple(
+        _reals([v] if isinstance(v, (int, float)) else v))),
     "window": ("window",
-               lambda v: None if v is None else _window_from_list(v)),
+               lambda v: None if v is None else Rectangle(*_reals(v, 4))),
     "grid": ("grid", lambda v: GridSpec(**_fields(v, _GRID_FIELDS, "grid"))),
-    "tol": ("tol", float),
+    "tol": ("tol", _real),
     "out": ("out_dir", str),
     "format": ("out_format", str),
 }

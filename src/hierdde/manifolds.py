@@ -17,7 +17,9 @@ degeneracy ladder, when one exists.
 ``_Level`` is the one evaluator of these polynomials, plain or projected:
 grids (``GridSpec.axes``) and single points (``PhasePoint.axes``) both give
 it lattice axes, and ``_Level.lattice`` evaluates a lattice under the one
-identically-zero rule.
+identically-zero rule.  ``_Level.gammas`` is the only place a root becomes
+a height or a zero-root flag; every height array, manifold tables
+included, marks a missing branch with nan.
 """
 
 import math
@@ -32,7 +34,7 @@ from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
                      numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
-from .model import check_eps
+from .model import check_eps, delays
 
 __all__ = [
     "PhasePoint",
@@ -51,6 +53,7 @@ __all__ = [
     "manifold_grid",
     "assemble_A_k",
     "manifold_csv",
+    "axis_seeds",
 ]
 
 ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
@@ -58,6 +61,8 @@ DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
 _CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
 _CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
+SEED_STEPS = 3          # fixed-point steps of axis_seeds; Newton finishes
+BRANCH_SEP = 1e-6       # relative |Y_b - Y_b'| up to which branches coincide
 
 
 def canonical_phase(phi, sigma_j):
@@ -204,6 +209,7 @@ class _Level:
     """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
     exp(-i sigma_j phi_j) + Y Ak) of one system, and its one evaluator:
     ``lattice`` over grid or one-point axes, ``gammas`` at arbitrary points.
+    Heights come only from ``gammas``; nan there marks a missing branch.
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
     k+1 (the projected J1 and A_proj).  ``smin`` and ``dk`` are the
@@ -256,9 +262,11 @@ class _Level:
         return coeffs, radii
 
     def gammas(self, omegas, phis):
-        """Roots and gammas at the points: (roots, gammas, neff, radii).
+        """Roots and heights at the points: (roots, gammas, neff).
 
-        gammas hold +-inf at zero roots, nan beyond each row's count; rows
+        The one place a root becomes a height gamma = -ln|Y| / sigma_k:
+        +inf at a zero root (|Y| up to ``ZERO_ROOT_TOL`` times the node
+        radius), nan past each row's root count (a missing branch).  Rows
         with neff=-1 are identically zero points (skipped by callers unless
         all rows are).
         """
@@ -266,28 +274,27 @@ class _Level:
         if self.dk == 0:
             N = omegas.shape[0]
             return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
-                    np.zeros(N, np.int64), radii)
+                    np.zeros(N, np.int64))
         roots, neff = poly_roots_batch(coeffs, max_degree=self.dk)
         absY = np.abs(roots)
         with np.errstate(divide="ignore", invalid="ignore"):
             gammas = -np.log(absY) / self.sigma_k
-        zero_mask = absY <= ZERO_ROOT_TOL * radii[:, None]
-        gammas = np.where(zero_mask, math.inf, gammas)
-        return roots, gammas, neff, radii
+        return roots, np.where(absY <= ZERO_ROOT_TOL * radii[:, None],
+                               math.inf, gammas), neff
 
     def lattice(self, axes):
         """The lattice of ``axes`` and ``gammas`` over it: (omegas, phis,
-        roots, gammas, neff, radii).
+        roots, gammas, neff).
 
         Raises TrivialityError when the polynomial has positive degree and
         vanishes identically at every lattice point (each ``neff < 0``).
         """
         omegas, phis = _lattice(axes)
-        roots, gammas, neff, radii = self.gammas(omegas, phis)
+        roots, gammas, neff = self.gammas(omegas, phis)
         if self.dk and neff.size and np.all(neff < 0):
             raise TrivialityError(f"scale-{self.k} polynomial vanishes "
                                   f"identically")
-        return omegas, phis, roots, gammas, neff, radii
+        return omegas, phis, roots, gammas, neff
 
 
 def _lattice(axes):
@@ -363,6 +370,68 @@ def rescale(eps, k, lam):
 
 
 # ---------------------------------------------------------------------------
+# root finder seeds: the top-scale polynomial in Y = exp(-lam tau_n)
+# ---------------------------------------------------------------------------
+
+def axis_seeds(sys, eps, rect):
+    """Candidate roots in ``rect`` from the exact top-scale fixed point.
+
+    With ``Y = exp(-lam tau_n)`` the determinant vanishes exactly when Y is a
+    root of the degree-d polynomial ``det(B(lam) + Y A_n)``, where ``B(lam) =
+    -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``.  So every root solves
+    ``lam = -(Log Y_b(lam) - 2 pi i m) / tau_n`` for a branch b and an
+    integer m, and near the imaginary axis this map contracts by
+    O(tau_{n-1} / tau_n).  Each branch starts at ``2 pi i m / tau_n`` for
+    every m whose line crosses ``rect`` (one more on each side), takes
+    ``SEED_STEPS`` steps and follows the polynomial root nearest its
+    previous Y.
+
+    Branches within ``BRANCH_SEP`` (relative) of the followed one form a
+    cluster: near the axis only coinciding branches give a multiple root.
+    The map then iterates on the cluster mean, and on the first step each
+    cluster keeps one candidate, that of its lowest branch index.
+
+    Seeds are candidates, certified by ``find_roots``.  Dropped are seeds
+    ending outside ``rect``, and at any step those whose Y is zero or not
+    finite or whose polynomial loses degree (A_n singular).  Returns a
+    complex array holding an m-fold cluster as m copies of its seed.
+    """
+    taus = delays(sys, eps)
+    mats, d, tau = sys.stacked(), sys.d, taus[-1]
+    scale = np.linalg.norm(mats[-1])
+    if scale == 0.0:
+        return np.empty(0, np.complex128)
+    lo = math.floor(rect.im_min * tau / (2.0 * math.pi)) - 1
+    hi = math.ceil(rect.im_max * tau / (2.0 * math.pi)) + 1
+    m = np.repeat(np.arange(lo, hi + 1), d)  # one candidate per (m, branch)
+    pick = np.tile(np.arange(d), hi - lo + 1)
+    lam, Y = 2j * np.pi * m / tau, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(SEED_STEPS):
+            B = mats[0] - lam[:, None, None] * np.eye(d)
+            for k in range(sys.n - 1):
+                B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
+            radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / scale
+            Ys, neff = poly_roots_batch(
+                _backend.det_poly_coeffs(B, mats[-1], radii))
+            first = Y is None
+            if not first:
+                pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
+            Yb = Ys[np.arange(m.size), pick]
+            near = np.abs(Ys - Yb[:, None]) <= BRANCH_SEP * np.abs(Yb)[:, None]
+            mult = near.sum(axis=1)
+            Y = np.where(near, Ys, 0.0).sum(axis=1) / mult
+            ok = (neff == d) & np.isfinite(Y) & (Y != 0.0)
+            if first:
+                ok &= np.argmax(near, axis=1) == pick
+            m, Y, mult = m[ok], Y[ok], mult[ok]
+            lam = (2j * np.pi * m - np.log(Y)) / tau
+    inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
+              & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
+    return np.repeat(lam[inside], mult[inside])
+
+
+# ---------------------------------------------------------------------------
 # grid evaluation and assembled asymptotic sets
 # ---------------------------------------------------------------------------
 
@@ -374,18 +443,17 @@ class ManifoldTable(Sequence):
     Every kept point (identically-zero points are skipped) has ``dk``
     samples: its roots in order, then -inf slots for a degree deficiency.
     ``axes`` are the lattice axes (omega, phi_1..phi_{k-1}), ``rows`` the
-    lattice index of each kept point, and ``roots``, ``neff`` and ``radii``
-    the root row, root count and node radius of each kept point.
+    lattice index of each kept point, and ``roots`` and ``gammas`` its rows
+    of ``_Level.gammas``, the only source of heights: a nan height marks a
+    missing branch, and the sample's gamma is then -inf.
     """
 
     k: int
-    sigma_k: float
     axes: tuple
     rows: np.ndarray
     roots: np.ndarray
-    neff: np.ndarray
+    gammas: np.ndarray
     dk: int
-    radii: np.ndarray
 
     def __len__(self):
         return self.rows.size * self.dk
@@ -414,19 +482,12 @@ class ManifoldTable(Sequence):
     def _branches(self, lo, hi):
         """(kind, gamma, Y) of the samples of kept points lo..hi-1, in
         (point, branch) order: kind 0 for a finite gamma, 1 for a zero root
-        (+inf), 2 for a -inf slot (Y nan); gamma as a list, Y as an array.
-
-        gamma is -math.log(abs(Y)) / sigma_k over the Python complexes, not
-        np.abs and np.log over the array, whose last bits can differ."""
-        Y = self.roots[lo:hi]
-        a = np.array(list(map(abs, Y.reshape(-1).tolist()))).reshape(Y.shape)
-        kind = np.where(np.arange(self.dk) >= self.neff[lo:hi, None], 2,
-                        a <= ZERO_ROOT_TOL * self.radii[lo:hi, None])
-        kind = kind.reshape(-1)
-        logs = map(math.log, np.where(kind == 0, a.reshape(-1), 1.0).tolist())
-        gamma = np.choose(kind, (-np.array(list(logs)) / self.sigma_k,
-                                 math.inf, -math.inf))
-        return kind, gamma.tolist(), Y.reshape(-1)
+        (+inf), 2 for a missing branch (nan height, gamma -inf, Y nan);
+        gamma as a list, Y as an array."""
+        g = self.gammas[lo:hi].reshape(-1)
+        kind = np.where(np.isnan(g), 2, g == math.inf)
+        gamma = np.where(kind == 2, -math.inf, g)
+        return kind, gamma.tolist(), self.roots[lo:hi].reshape(-1)
 
     def _samples(self, lo, hi):
         omegas, *phis = self._coords(lo, hi,
@@ -474,10 +535,10 @@ class ManifoldTable(Sequence):
 
 def _table(level, axes):
     """ManifoldTable of one level's scale-k polynomial over ``axes``."""
-    _, _, roots, _, neff, radii = level.lattice(axes)
+    _, _, roots, gammas, neff = level.lattice(axes)
     rows = np.flatnonzero(neff >= 0)
-    return ManifoldTable(level.k, level.sigma_k, tuple(axes), rows,
-                         roots[rows], neff[rows], level.dk, radii[rows])
+    return ManifoldTable(level.k, tuple(axes), rows, roots[rows],
+                         gammas[rows], level.dk)
 
 
 def manifold_grid(sys, k, grid=GridSpec(), ladder=None):
@@ -511,18 +572,17 @@ def assemble_A_k(sys, ladder, k, grid=GridSpec()):
             parts.append(np.array(strong_stable_spectrum(ladder),
                                   np.complex128))
     else:
-        omegas, phis, _, gammas, neff, _ = _Level.plain(sys, k).lattice(
+        omegas, phis, _, gammas, _ = _Level.plain(sys, k).lattice(
             grid.axes(sys, k))
-        # (gammas, root counts, kept signs): every finite value at the top
-        # scale; below it the unstable plain and the stable tilde values
-        sets = [(gammas, neff, gammas > 0.0 if k < sys.n else True)]
+        # (gammas, kept signs): every finite value at the top scale; below
+        # it the unstable plain and the stable tilde values
+        sets = [(gammas, gammas > 0.0 if k < sys.n else True)]
         if k < sys.n and ladder is not None and ladder.has_tilde(k):
-            _, tg, tneff, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
-            sets.append((tg, tneff, tg < 0.0))
+            _, tg, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
+            sets.append((tg, tg < 0.0))
         parts = []
-        for g, ne, keep in sets:
-            valid = ((np.arange(g.shape[1]) < ne[:, None]) & np.isfinite(g)
-                     & keep)
+        for g, keep in sets:
+            valid = np.isfinite(g) & keep
             om = np.broadcast_to(omegas[:, None], g.shape)
             parts.append(g[valid] + 1j * om[valid])
     parts = [p for p in parts if p.size]

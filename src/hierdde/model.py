@@ -16,14 +16,14 @@ trustworthy.
 """
 
 import json
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _backend
 from .errors import ConfigError, DimensionError, EvaluationRangeError
-from .linalg import as_square, poly_roots_batch
+from .linalg import as_square
 
 __all__ = [
     "EXP_ARG_LIMIT",
@@ -32,7 +32,6 @@ __all__ = [
     "delays",
     "guard_real_extent",
     "char_function",
-    "axis_seeds",
     "system_to_dict",
     "system_from_dict",
     "save_system",
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 EXP_ARG_LIMIT = 700.0  # |Re lam| * delay beyond this would overflow exp
-SEED_STEPS = 3         # fixed-point steps of axis_seeds; Newton finishes
-BRANCH_SEP = 1e-6      # relative |Y_b - Y_b'| up to which branches coincide
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,67 +164,60 @@ def char_function(sys, eps):
     return f, fprime
 
 
-def axis_seeds(sys, eps, rect):
-    """Candidate roots in ``rect`` from the exact top-scale fixed point.
+# ---------------------------------------------------------------------------
+# serialization: floats as [re, im] pairs, bit-exact through json's repr;
+# the readers below parse system and run-config files alike
+# ---------------------------------------------------------------------------
 
-    With ``Y = exp(-lam tau_n)`` the determinant vanishes exactly when Y is a
-    root of the degree-d polynomial ``det(B(lam) + Y A_n)``, where ``B(lam) =
-    -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``.  So every root solves
-    ``lam = -(Log Y_b(lam) - 2 pi i m) / tau_n`` for a branch b and an
-    integer m, and near the imaginary axis this map contracts by
-    O(tau_{n-1} / tau_n).  Each branch starts at ``2 pi i m / tau_n`` for
-    every m whose line crosses ``rect`` (one more on each side), takes
-    ``SEED_STEPS`` steps and follows the polynomial root nearest its
-    previous Y.
+def _real(v):
+    """A real number: a number, or a string that reads as one (flags give
+    strings); a boolean is refused, not read as 0 or 1."""
+    if isinstance(v, bool):
+        raise TypeError("need a number, not a boolean")
+    return float(v)
 
-    Branches within ``BRANCH_SEP`` (relative) of the followed one form a
-    cluster: near the axis only coinciding branches give a multiple root.
-    The map then iterates on the cluster mean, and on the first step each
-    cluster keeps one candidate, that of its lowest branch index.
 
-    Seeds are candidates, certified by ``find_roots``.  Dropped are seeds
-    ending outside ``rect``, and at any step those whose Y is zero or not
-    finite or whose polynomial loses degree (A_n singular).  Returns a
-    complex array holding an m-fold cluster as m copies of its seed.
+def _reals(vals, size=None):
+    """A list of ``_real`` values, of ``size`` entries when given; a string
+    or any other non-list is refused, not read item by item."""
+    if not isinstance(vals, (list, tuple)):
+        raise TypeError("need a list of numbers")
+    if size is not None and len(vals) != size:
+        raise ValueError(f"need {size} numbers, got {len(vals)}")
+    return [_real(v) for v in vals]
+
+
+def _count(v):
+    """A whole number; booleans and fractions are refused, not truncated."""
+    if isinstance(v, bool):
+        raise TypeError("need a whole number, not a boolean")
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return operator.index(v)
+
+
+def _fields(data, fields, what):
+    """Keyword arguments parsed from one config object.
+
+    ``fields`` maps each key to its keyword argument and parser.  Unknown
+    keys and malformed values (a parser's TypeError or ValueError) raise
+    ConfigError naming the key.
     """
-    taus = delays(sys, eps)
-    mats, d, tau = sys.stacked(), sys.d, taus[-1]
-    scale = np.linalg.norm(mats[-1])
-    if scale == 0.0:
-        return np.empty(0, np.complex128)
-    lo = math.floor(rect.im_min * tau / (2.0 * math.pi)) - 1
-    hi = math.ceil(rect.im_max * tau / (2.0 * math.pi)) + 1
-    m = np.repeat(np.arange(lo, hi + 1), d)  # one candidate per (m, branch)
-    pick = np.tile(np.arange(d), hi - lo + 1)
-    lam, Y = 2j * np.pi * m / tau, None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(SEED_STEPS):
-            B = mats[0] - lam[:, None, None] * np.eye(d)
-            for k in range(sys.n - 1):
-                B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
-            radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / scale
-            Ys, neff = poly_roots_batch(
-                _backend.det_poly_coeffs(B, mats[-1], radii))
-            first = Y is None
-            if not first:
-                pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
-            Yb = Ys[np.arange(m.size), pick]
-            near = np.abs(Ys - Yb[:, None]) <= BRANCH_SEP * np.abs(Yb)[:, None]
-            mult = near.sum(axis=1)
-            Y = np.where(near, Ys, 0.0).sum(axis=1) / mult
-            ok = (neff == d) & np.isfinite(Y) & (Y != 0.0)
-            if first:
-                ok &= np.argmax(near, axis=1) == pick
-            m, Y, mult = m[ok], Y[ok], mult[ok]
-            lam = (2j * np.pi * m - np.log(Y)) / tau
-    inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
-              & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
-    return np.repeat(lam[inside], mult[inside])
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{what}' must be an object")
+    extra = set(data) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    kw = {}
+    for key, (name, parse) in fields.items():
+        if key in data:
+            try:
+                kw[name] = parse(data[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed {what} value {key}="
+                                  f"{data[key]!r}: {exc}") from exc
+    return kw
 
-
-# ---------------------------------------------------------------------------
-# serialization: floats as [re, im] pairs, bit-exact through json's repr
-# ---------------------------------------------------------------------------
 
 def _matrix_to_pairs(M):
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
@@ -235,9 +225,9 @@ def _matrix_to_pairs(M):
 
 def _matrix_from_pairs(rows, d, name):
     try:
-        arr = np.array([[complex(p[0], p[1]) for p in row] for row in rows],
+        arr = np.array([[complex(*_reals(p, 2)) for p in row] for row in rows],
                        np.complex128)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: entries must be [re, im] pairs") from exc
     if arr.shape != (d, d):
         raise ConfigError(f"{name}: expected shape ({d}, {d}), "
@@ -253,17 +243,20 @@ def system_to_dict(sys):
     return out
 
 
+_SYSTEM_FIELDS = {"d": ("d", _count), "n": ("n", _count),
+                  "sigma": ("sigma", _reals)}
+
+
 def system_from_dict(data):
     """Inverse of ``system_to_dict`` with schema validation."""
     if not isinstance(data, dict):
         raise ConfigError("system description must be a JSON object")
-    try:
-        d = int(data["d"])
-        n = int(data["n"])
-        sigma = [float(s) for s in data["sigma"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"system description missing or malformed "
-                          f"field: {exc}") from exc
+    missing = [key for key in _SYSTEM_FIELDS if key not in data]
+    if missing:
+        raise ConfigError(f"system description missing field {missing[0]}")
+    kw = _fields({key: data[key] for key in _SYSTEM_FIELDS}, _SYSTEM_FIELDS,
+                 "system")
+    d, n, sigma = kw["d"], kw["n"], kw["sigma"]
     if len(sigma) != n:
         raise ConfigError(f"sigma must have n={n} entries, got {len(sigma)}")
     mats = []

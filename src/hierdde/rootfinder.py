@@ -32,13 +32,12 @@ from .linalg import cluster_points
 __all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
 
 MAX_PHASE_STEP = math.pi / 4       # largest trusted phase change per interval
-MAX_MAG_JUMP = math.log(4.0)       # largest trusted |log|f|| change
+MAX_MAG_JUMP = np.log(4.0)         # largest trusted |log|f|| change
 DERIV_EST_LIMIT = math.pi / 2      # largest trusted |dz| * |f'/f| estimate
 LEN_OUTLIER_FACTOR = 8.0           # split intervals this far over the median
 _JITTERS = (0.0, 0.033, -0.051, 0.017)
 _INFLATE_FRACTION = 1e-6
 _EPS_MACH = 2.0 ** -52
-MULTI_ROOT_RES = 2.0 ** -26   # sqrt(machine eps): cluster resolution limit
 MAX_BATCH_CELLS = 256         # cells per batched count: bounds kernel memory
 BOUNDARY_TOL = 1e-13          # root this close (times diag) to a contour: on it
 MAX_DEPTH = 96                # refinement rounds of one boundary count
@@ -57,6 +56,11 @@ def _noise_radius(mult):
     split or Newton step can be trusted there.
     """
     return _EPS_MACH ** (1.0 / max(1.0, float(mult)))
+
+
+def _noise_scale(mult, size):
+    """Eight m-fold noise radii at a point of modulus ``size``."""
+    return 8.0 * _noise_radius(mult) * (1.0 + size)
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def _polish_seeds(f, fprime, seeds, rect, tol):
     zm, okm = _polish(f, fprime, [(_square(c, half), k) for c, k in
                                   zip(z[~one], m[~one])], tol, within=rect)
     z, m = np.append(z1[ok], zm[okm]), np.append(m[one][ok], m[~one][okm])
-    radius = 8.0 * _noise_radius(2) * (1.0 + np.abs(z).max(initial=0.0))
+    radius = _noise_scale(2, np.abs(z).max(initial=0.0))
     _, counts, labels = cluster_points(z, radius=radius)
     lone, hw = counts[labels] == 1, 0.25 * radius
     boxed = np.flatnonzero(lone & (m > 1) & _inside(rect, z, margin=hw))
@@ -453,8 +457,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
             # clusters stop early: for larger counts the radius would dwarf
             # genuine root spacings of dense spectra, and a true high-order
             # root is still caught as unsplittable below
-            stop = max(tol, 8.0 * _noise_radius(cnt) * (
-                1.0 + abs(cell.center))) if 2 <= cnt <= 3 else tol
+            stop = (max(tol, _noise_scale(cnt, abs(cell.center)))
+                    if 2 <= cnt <= 3 else tol)
             if (own.size == cnt and lone[own].all()
                     and _inside(cell, pts[own], margin=margin[own]).all()):
                 found += [(complex(z), 1, True) for z in pts[own]]
@@ -470,7 +474,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
         for (cell, own), root, ok in zip(singles, roots, conv):
             if ok and cell.contains(root):
                 found.append((complex(root), 1, True))
-            elif cell.diag < max(tol, MULTI_ROOT_RES
+            elif cell.diag < max(tol, _noise_radius(2)
                                  * (1.0 + abs(cell.center))):
                 # already at the evaluation-noise scale: accept the best
                 # available point instead of splitting into noise
@@ -492,7 +496,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     for (cell, cnt), root, ok in zip(clusters,
                                      *_polish(f, fprime, clusters, tol,
                                               within=base)):
-        slack = max(tol, 8.0 * _noise_radius(cnt) * (1.0 + abs(cell.center)))
+        slack = max(tol, _noise_scale(cnt, abs(cell.center)))
         loc = complex(root) if ok and cell.contains(root, slack=slack) \
             else cell.center
         found.append((loc, cnt, bool(ok)))

@@ -79,6 +79,28 @@ def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("match, patch", [
+    ("config value eps=True", {"eps": True}),
+    ("config value tol=True", {"tol": True}),
+    ("config value window=[True,", {"window": [True, 2, -3, 3]}),
+    ("validation value im_max=True", {"validation": {"im_max": True}}),
+    ("validation value re_halfwidth_coef=True",
+     {"validation": {"re_halfwidth_coef": True}}),
+    ("grid value omega_range=[False,", {"grid": {"omega_range": [False, 1]}}),
+    ("system value d=True", {"system": SCALAR_SYS | {"d": True}}),
+    ("system value n=2.7", {"system": TWO_DELAY_SYS | {"n": 2.7}}),
+    ("system value sigma=[True]", {"system": SCALAR_SYS | {"sigma": [True]}}),
+    ("A1: entries must be [re, im] pairs",
+     {"system": SCALAR_SYS | {"A1": [[[True, 0.0]]]}}),
+], ids=["eps", "tol", "window", "im_max", "re_halfwidth_coef", "omega_range",
+        "d", "n-fraction", "sigma", "matrix-entry"])
+def test_boolean_or_fraction_is_refused_naming_its_key(match, patch):
+    # a boolean is no real number and a fraction no count: each is refused,
+    # not read as 0 or 1 or truncated
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        h.config_from_dict(_base_cfg(**patch))
+
+
 def test_config_loads_system_from_relative_path(tmp_path):
     s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.2))
     h.save_system(s, tmp_path / "sys.json")

@@ -232,6 +232,18 @@ def test_assembled_sets():
     assert pts2.real.min() < 0.0 < pts2.real.max()
 
 
+def test_manifold_heights_are_the_assembled_heights():
+    # one height rule: on the preset grid the manifold table's finite
+    # gammas are the top-scale assembled values, in order and bit for bit
+    cfg = h.preset_config("fig2-unstable")
+    sys_ = cfg.system
+    gammas = np.array([s.gamma for s in h.manifold_grid(sys_, 2, cfg.grid)])
+    finite = gammas[np.isfinite(gammas)]
+    assembled = h.assemble_A_k(sys_, h.build_ladder(sys_), 2, cfg.grid)
+    assert finite.size == assembled.size > 50_000
+    assert np.array_equal(finite, assembled.real)
+
+
 def test_assembled_sets_take_the_ladder():
     # a d = 3 system whose ladder has levels 2 and 1 (k_under = 1), so
     # scale 0 gains the level-1 pencil roots and scale 1 its tilde manifolds
@@ -295,7 +307,7 @@ def _reference_samples(sys_, k, grid, ladder=None):
     level = (mf._Level.plain(sys_, k) if ladder is None
              else mf._Level.tilde(ladder, k))
     omegas, phis = mf._lattice(grid.axes(sys_, k))
-    roots, _, neff, radii = level.gammas(omegas, phis)
+    roots, gammas, neff = level.gammas(omegas, phis)
     dk = level.dk
     if dk and np.all(neff < 0):
         raise TrivialityError("trivial grid")
@@ -309,10 +321,8 @@ def _reference_samples(sys_, k, grid, ladder=None):
             Y, gam, proj = None, -math.inf, None
             if branch < neff[i]:
                 Y = complex(roots[i, branch])
-                if abs(Y) <= mf.ZERO_ROOT_TOL * float(radii[i]):
-                    gam = math.inf
-                else:
-                    gam = -math.log(abs(Y)) / sys_.sigma[k - 1]
+                gam = float(gammas[i, branch])
+                if gam != math.inf:
                     proj = complex(gam, point.omega)
             out.append(ManifoldSample(k=k, point=point, branch=branch, Y=Y,
                                       gamma=gam, projected=proj))

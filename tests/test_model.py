@@ -56,9 +56,9 @@ _SYS = {"d": 1, "n": 1, "sigma": [1.0], "A0": [[[0.0, 0.0]]],
 @pytest.mark.parametrize("data, message", [
     ([], r"system description must be a JSON object"),
     ({k: v for k, v in _SYS.items() if k != "d"},
-     r"system description missing or malformed field: 'd'"),
+     r"system description missing field d"),
     (_SYS | {"sigma": "x"},
-     r"system description missing or malformed field: could not convert"),
+     r"malformed system value sigma='x': need a list of numbers"),
     (_SYS | {"sigma": [1.0, 2.0]}, r"sigma must have n=1 entries, got 2"),
     ({k: v for k, v in _SYS.items() if k != "A1"},
      r"system description missing matrix A1"),
