@@ -109,10 +109,10 @@ def _row_max(gammas):
 
     A zero root gives +inf at the first such branch; a row without a finite
     gamma gives -inf and branch -1.  Missing branches (nan) are skipped.
+    ``gammas`` has a column: ``sup_gamma`` returns before it reaches here
+    for a scale without branches.
     """
     M = gammas.shape[0]
-    if gammas.shape[1] == 0:
-        return np.full(M, -math.inf), np.full(M, -1)
     # +inf is the largest value, and argmax takes the first of equals
     safe = np.where(np.isnan(gammas), -math.inf, gammas)
     branch = np.argmax(safe, axis=1)

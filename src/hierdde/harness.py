@@ -19,7 +19,7 @@ from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
                         manifold_csv, manifold_grid, strong_spectrum)
-from .model import (DelaySystem, _count, _fields, _real, _reals,
+from .model import (DelaySystem, _checked, _count, _fields, _real, _reals,
                     char_function, check_eps, guard_real_extent, load_system,
                     system_from_dict)
 from .rootfinder import Rectangle, find_roots
@@ -79,13 +79,17 @@ class RunConfig:
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "
                               f"got {self.out_format!r}")
-        if not (float(self.tol) > 0.0):
-            raise ConfigError("tol must be positive")
-        if not (float(self.im_max) > 0.0):
-            raise ConfigError("im_max must be positive")
-        if self.re_halfwidth_coef is not None \
-                and not (float(self.re_halfwidth_coef) > 0.0):
-            raise ConfigError("half-width coefficient must be positive")
+
+        def positive(name, what):
+            v = _checked(_real, getattr(self, name), name)
+            if not v > 0.0:
+                raise ConfigError(f"{what} must be positive")
+            object.__setattr__(self, name, v)
+
+        positive("tol", "tol")
+        positive("im_max", "im_max")
+        if self.re_halfwidth_coef is not None:
+            positive("re_halfwidth_coef", "half-width coefficient")
 
 
 _GRID_FIELDS = {"omega": ("omega_count", _count),
@@ -181,34 +185,30 @@ def _json_value(v):
     return json.dumps(v)
 
 
-def _flat_keys(objs):
-    """The sorted keys shared by a list of flat objects (string keys,
-    scalar values), or None when ``objs`` is not such a list."""
-    if not (isinstance(objs, (list, tuple)) and objs
-            and isinstance(objs[0], dict) and objs[0]):
-        return None
-    keys = objs[0].keys()
-    if (all(isinstance(k, str) for k in keys)
-            and all(type(o) is dict and o.keys() == keys for o in objs)
-            and all(v is None or isinstance(v, (str, int, float))
-                    for o in objs for v in o.values())):
-        return sorted(keys)
-    return None
+@dataclass(frozen=True)
+class _Rows:
+    """Records of one layout for the file writers: ``rows`` holds one
+    tuple of values per record, in the order of ``columns``."""
+
+    columns: tuple
+    rows: list
 
 
 def _json_chunks(obj, depth):
     """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
-    nested ``depth`` containers deep, in chunks.  A list of flat objects
-    with the same keys is one ``%`` over a row template, a ManifoldTable
-    is written by ``_manifold_json``, and every other value as json lays it
-    out."""
+    nested ``depth`` containers deep, in chunks, where a ``_Rows`` stands
+    for its list of objects.  A ``_Rows`` is one ``%`` over a row template
+    of its sorted columns, a ManifoldTable is written by ``_manifold_json``,
+    and every other value as json lays it out."""
     pad = "\n" + " " * depth
-    keys = _flat_keys(obj)
-    if keys:
-        row = "{" + ",".join(f"{pad}  {json.dumps(k).replace('%', '%%')}: %s"
-                             for k in keys) + pad + " }"
-        yield (f"[{pad} " + f",{pad} ".join([row] * len(obj)) + pad + "]") \
-            % tuple([_json_value(o[k]) for o in obj for k in keys])
+    if isinstance(obj, _Rows):
+        keys = sorted(range(len(obj.columns)), key=obj.columns.__getitem__)
+        row = "{" + ",".join(
+            f"{pad}  {json.dumps(obj.columns[i]).replace('%', '%%')}: %s"
+            for i in keys) + pad + " }"
+        text = f"[{pad} " + f",{pad} ".join([row] * len(obj.rows)) + pad + "]"
+        yield (text if obj.rows else "[]") % tuple(
+            [_json_value(r[i]) for r in obj.rows for i in keys])
     elif isinstance(obj, ManifoldTable):
         yield from _manifold_json(obj, depth)
     elif (isinstance(obj, dict) and obj
@@ -258,8 +258,8 @@ def _manifold_json(table, depth):
 
 
 def _cell(v):
-    """One CSV cell of a JSON field value: 17 digits for a float, blank for
-    None, 1/0 for a flag, a whole number or ``_ext``'s "inf" as is."""
+    """One CSV cell of a row value: 17 digits for a float, blank for None,
+    1/0 for a flag, a whole number or ``_ext``'s "inf" as is."""
     if isinstance(v, float):
         return _FMT % v
     if v is None:
@@ -272,14 +272,14 @@ def _cell(v):
 
 
 def _csv_text(columns, groups):
-    """Header ``eps`` plus ``columns``, then one row per field object of
-    each ``(eps, objects)`` group: its eps and its values in column order,
-    one ``%`` over a row template per group."""
+    """Header ``eps`` plus ``columns``, then one line per row of each
+    ``(eps, rows)`` group, rows being tuples of values in column order:
+    its eps and its values, one ``%`` over a row template per group."""
     yield ",".join(("eps",) + columns) + "\n"
-    for eps, objs in groups:
-        row = _fmt(eps) + ",%s" * len(columns) + "\n"
-        yield (row * len(objs)) % tuple([_cell(obj[c]) for obj in objs
-                                         for c in columns])
+    for eps, rows in groups:
+        line = _fmt(eps) + ",%s" * len(columns) + "\n"
+        yield (line * len(rows)) % tuple([_cell(v) for r in rows
+                                          for v in r])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +311,8 @@ _ROOT_COLUMNS = ("re", "im", "multiplicity", "residual")
 
 
 def _root_fields(r):
-    """JSON object of one located root, keyed by ``_ROOT_COLUMNS``."""
-    return dict(zip(_ROOT_COLUMNS, (r.location.real, r.location.imag,
-                                    r.multiplicity, r.residual)))
+    """Row of one located root, in the order of ``_ROOT_COLUMNS``."""
+    return (r.location.real, r.location.imag, r.multiplicity, r.residual)
 
 
 def run_spectrum(cfg, write=True):
@@ -331,14 +330,14 @@ def run_spectrum(cfg, write=True):
     path = None
     if write:
         path = os.path.join(cfg.out_dir, "spectrum." + cfg.out_format)
-        obj = {"runs": [{"eps": run.eps,
-                         "roots": [_root_fields(r) for r in run.roots]}
-                        for run in runs]}
+        groups = [(run.eps, [_root_fields(r) for r in run.roots])
+                  for run in runs]
         if cfg.out_format == "csv":
-            _write_text(path, _csv_text(_ROOT_COLUMNS, (
-                (run["eps"], run["roots"]) for run in obj["runs"])))
+            _write_text(path, _csv_text(_ROOT_COLUMNS, groups))
         else:
-            _write_json(path, obj)
+            _write_json(path, {"runs": [
+                {"eps": eps, "roots": _Rows(_ROOT_COLUMNS, rows)}
+                for eps, rows in groups]})
     return SpectrumResult(runs=tuple(runs), path=path)
 
 
@@ -366,13 +365,12 @@ _ASSIGNMENT_COLUMNS = ("re", "im", "multiplicity", "scale", "rescaled_re",
 
 
 def _assignment_fields(a):
-    """JSON object of one Assignment, keyed by ``_ASSIGNMENT_COLUMNS``."""
+    """Row of one Assignment, in the order of ``_ASSIGNMENT_COLUMNS``."""
     z, rd = a.rescaled, a.runner_up_distance
-    return dict(zip(_ASSIGNMENT_COLUMNS, (
-        a.eigenvalue.real, a.eigenvalue.imag, a.multiplicity, a.scale,
-        None if z is None else z.real, None if z is None else z.imag,
-        _ext(a.distance), a.runner_up_scale,
-        None if rd is None else _ext(rd), a.assigned)))
+    return (a.eigenvalue.real, a.eigenvalue.imag, a.multiplicity, a.scale,
+            None if z is None else z.real, None if z is None else z.imag,
+            _ext(a.distance), a.runner_up_scale,
+            None if rd is None else _ext(rd), a.assigned)
 
 
 @dataclass(frozen=True)
@@ -395,18 +393,6 @@ class ValidationReport:
     records: tuple
     nonincreasing: dict
 
-    def as_dict(self):
-        recs = [{"eps": rec.eps, "count": rec.count,
-                 "strong_matches": rec.strong_matches,
-                 "max_distance": {str(k): _ext(v) for k, v
-                                  in sorted(rec.max_distance.items())},
-                 "assignments": [_assignment_fields(a)
-                                 for a in rec.assignments]}
-                for rec in self.records]
-        return {"records": recs,
-                "nonincreasing": {str(k): bool(v) for k, v
-                                  in sorted(self.nonincreasing.items())}}
-
 
 def validation_window(cfg):
     """Per-eps validation windows, one Rectangle per configured eps.
@@ -417,7 +403,7 @@ def validation_window(cfg):
     if cfg.window is not None:
         return [cfg.window for _ in cfg.eps_list]
     if cfg.re_halfwidth_coef is not None:
-        hws = [float(cfg.re_halfwidth_coef) * eps for eps in cfg.eps_list]
+        hws = [cfg.re_halfwidth_coef * eps for eps in cfg.eps_list]
     else:
         sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
         if not math.isfinite(sup_top):
@@ -513,15 +499,22 @@ def run_validate(cfg, write=True):
                if k in rec.max_distance]
         if len(seq) >= 2:
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
-    report = ValidationReport(records=tuple(records), nonincreasing=noninc)
     if write:
-        obj = report.as_dict()
-        _write_json(os.path.join(cfg.out_dir, "validate.json"), obj)
+        groups = [(rec.eps, [_assignment_fields(a) for a in rec.assignments])
+                  for rec in records]
+        _write_json(os.path.join(cfg.out_dir, "validate.json"), {
+            "records": [{"eps": rec.eps, "count": rec.count,
+                         "strong_matches": rec.strong_matches,
+                         "max_distance": {str(k): _ext(v) for k, v
+                                          in sorted(rec.max_distance.items())},
+                         "assignments": _Rows(_ASSIGNMENT_COLUMNS, rows)}
+                        for rec, (_, rows) in zip(records, groups)],
+            "nonincreasing": {str(k): bool(v)
+                              for k, v in sorted(noninc.items())}})
         if cfg.out_format == "csv":
-            _write_text(os.path.join(cfg.out_dir, "validate.csv"), _csv_text(
-                _ASSIGNMENT_COLUMNS,
-                ((rec["eps"], rec["assignments"]) for rec in obj["records"])))
-    return report
+            _write_text(os.path.join(cfg.out_dir, "validate.csv"),
+                        _csv_text(_ASSIGNMENT_COLUMNS, groups))
+    return ValidationReport(records=tuple(records), nonincreasing=noninc)
 
 
 # ---------------------------------------------------------------------------

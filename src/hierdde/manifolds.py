@@ -34,7 +34,7 @@ from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
                      numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
-from .model import check_eps, delays
+from .model import _checked, _count, check_eps, delays
 
 __all__ = [
     "PhasePoint",
@@ -162,12 +162,13 @@ class GridSpec:
         else:
             om = default_omega_bound(sys)
             lo, hi = -om, om
-        if not (lo < hi) or self.omega_count < 2:
+        count = _checked(_count, self.omega_count, "omega_count")
+        n = _checked(_count, self.phase_count, "phase_count")
+        if not (lo < hi) or count < 2:
             raise ConfigError("need omega range lo < hi and >= 2 samples")
-        if k > 1 and self.phase_count < 1:
+        if k > 1 and n < 1:
             raise ConfigError("need at least one phase sample")
-        n = self.phase_count
-        return [np.linspace(lo, hi, self.omega_count)] + [
+        return [np.linspace(lo, hi, count)] + [
             np.arange(n) * ((2.0 * math.pi / s) / n)
             for s in sys.sigma[:k - 1]]
 

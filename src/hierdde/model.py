@@ -70,7 +70,7 @@ class DelaySystem:
                 raise DimensionError("all matrices must share one dimension")
             M.flags.writeable = False
             frozen.append(M)
-        sig = tuple(float(s) for s in self.sigma)
+        sig = tuple(_checked(_real, s, "sigma entry") for s in self.sigma)
         if len(sig) != len(frozen) - 1:
             raise DimensionError("need exactly one base delay per delay "
                                  "matrix")
@@ -97,7 +97,7 @@ class DelaySystem:
 
 def check_eps(eps):
     """Validate the scale separation parameter, returning it as float."""
-    eps = float(eps)
+    eps = _checked(_real, eps, "eps")
     if not np.isfinite(eps) or not (0.0 < eps <= 1.0):
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     return eps
@@ -196,6 +196,15 @@ def _count(v):
     return operator.index(v)
 
 
+def _checked(parse, v, name):
+    """``parse(v)``; its TypeError or ValueError becomes a ConfigError
+    naming ``name`` and the value."""
+    try:
+        return parse(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {name}={v!r}: {exc}") from exc
+
+
 def _fields(data, fields, what):
     """Keyword arguments parsed from one config object.
 
@@ -208,15 +217,8 @@ def _fields(data, fields, what):
     extra = set(data) - set(fields)
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-    kw = {}
-    for key, (name, parse) in fields.items():
-        if key in data:
-            try:
-                kw[name] = parse(data[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed {what} value {key}="
-                                  f"{data[key]!r}: {exc}") from exc
-    return kw
+    return {name: _checked(parse, data[key], f"{what} value {key}")
+            for key, (name, parse) in fields.items() if key in data}
 
 
 def _matrix_to_pairs(M):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryZeroError, DimensionError, ResolutionError
+from .errors import (BoundaryZeroError, ConfigError, DimensionError,
+                     ResolutionError)
 from .linalg import cluster_points
 
 __all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
@@ -194,10 +195,11 @@ def _winding_count(f, fprime, rects):
         on_zero |= np.logical_or.reduceat(stuck, starts)
         turns = np.add.reduceat(dphi, starts) / (2.0 * np.pi)
         for j in np.flatnonzero(~on_zero & (nbad == 0)):
-            out[cells[j]] = count = int(round(float(turns[j])))
-            if abs(turns[j] - count) > 0.25:
+            count = np.rint(turns[j])
+            if not abs(turns[j] - count) <= 0.25:  # a nan f gives nan turns
                 raise ResolutionError(f"non-integer winding {turns[j]:.3f} "
                                       f"on {rects[cells[j]]}")
+            out[cells[j]] = int(count)
         going = ~on_zero & (nbad > 0)
         if np.any(going & (sizes + nbad > MAX_SAMPLES)):
             raise ResolutionError(
@@ -240,7 +242,8 @@ def count_zeros(f, rect, fprime):
     ``BOUNDARY_TOL`` times the diagonal of the contour triggers up to
     ``INFLATE_TRIES`` retries on a rectangle inflated by 1e-6 of the diagonal
     per attempt (the count then refers to the inflated rectangle), after
-    which ``BoundaryZeroError`` is raised.
+    which ``BoundaryZeroError`` is raised.  A nan value of f on the contour
+    raises ``ResolutionError``.
     """
     return _count_with_inflation(f, fprime, rect)[0]
 
@@ -360,15 +363,17 @@ def _inside(rect, z, margin=0.0):
 
 
 def _polish_seeds(f, fprime, seeds, rect, tol):
-    """Converged seeds in rect (an m-fold one m times), whether each is lone
-    (no other within the cluster resolution limit of a double root, taken
-    at the largest |z|) and the margin each needs from a cell's edges.
+    """Converged lone seeds in rect (an m-fold one m times) and the margin
+    each needs from a cell's edges.
 
     Simple seeds take Newton on f.  m-fold ones take the secant on f' as
-    clusters do in ``_polish``.  They are kept when lone, when their box (a
-    square a quarter of that limit wide on each side, so no two overlap)
-    counts m zeros and when the cluster polish of that box converges inside
-    it; their margin is twice the box half-width, at least ``tol``.
+    clusters do in ``_polish``.  A converged seed is lone when no other lies
+    within the cluster resolution limit of a double root, taken at the
+    largest |z|; only lone seeds are kept.  m-fold ones are kept when their
+    box (a square a quarter of that limit wide on each side, so no two
+    overlap) counts m zeros and when the cluster polish of that box
+    converges inside it; their margin is twice the box half-width, at least
+    ``tol``.
     """
     z = np.asarray([] if seeds is None else seeds, np.complex128).ravel()
     z = z[_inside(rect, z)]  # nan and inf compare False
@@ -387,12 +392,12 @@ def _polish_seeds(f, fprime, seeds, rect, tol):
     boxes = [(_square(c, hw), k) for c, k in zip(z[boxed], m[boxed])]
     got = _winding_count(f, fprime, [b for b, _ in boxes])
     zb, conv = _polish(f, fprime, boxes, tol, within=rect)  # as clusters
-    keep = m == 1
+    keep = lone & (m == 1)
     keep[boxed] = [n == k and done and b.contains(w)
                    for (b, k), n, done, w in zip(boxes, got, conv, zb)]
     z[boxed] = zb  # a box then lies within 2 hw of its seed
     rep, margin = m * keep, np.where(m > 1, max(tol, 2.0 * hw), tol)
-    return np.repeat(z, rep), np.repeat(lone, rep), np.repeat(margin, rep)
+    return np.repeat(z, rep), np.repeat(margin, rep)
 
 
 def _square(c, hw):
@@ -431,19 +436,22 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     results refer to the inflated window.
 
     ``seeds`` (complex array, optional) are candidate locations; one given
-    m times is an m-fold candidate (see ``_polish_seeds``).  A cell whose
-    count equals its number of converged seeds, each lone, m-fold ones
-    counted m times and none within its margin of the edges (each seed
-    belongs to one cell), holds exactly those roots and is not split
-    further.  The merge joins the m copies of a seed into one m-fold root.
+    m times is an m-fold candidate (see ``_polish_seeds``, which keeps the
+    converged lone ones).  A cell whose count equals its number of kept
+    seeds, m-fold ones counted m times and none within its margin of the
+    edges (each seed belongs to one cell), holds exactly those roots and is
+    not split further.  The merge joins the m copies of a seed into one
+    m-fold root.  ``tol`` must be finite and positive.
 
     Each generation of cells polishes its single-root cells by Newton and
     splits those whose polish fails; clusters are polished once, at the end.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     total, base = _count_with_inflation(f, fprime, rect)
     if total == 0:
         return []
-    pts, lone, margin = _polish_seeds(f, fprime, seeds, rect, tol)
+    pts, margin = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (location, multiplicity, converged); roots
     clusters, failed = [], [0] * len(_JITTERS)
     generation = [(base, total, np.arange(pts.size))]  # seeds all in rect
@@ -459,7 +467,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
             # root is still caught as unsplittable below
             stop = (max(tol, _noise_scale(cnt, abs(cell.center)))
                     if 2 <= cnt <= 3 else tol)
-            if (own.size == cnt and lone[own].all()
+            if (own.size == cnt
                     and _inside(cell, pts[own], margin=margin[own]).all()):
                 found += [(complex(z), 1, True) for z in pts[own]]
                 seeded += cnt

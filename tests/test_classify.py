@@ -52,6 +52,26 @@ def test_sup_unbounded_when_first_scale_crosses():
     assert min(abs(point.omega - 0.2), abs(point.omega - 0.8)) <= 0.1
 
 
+def test_scale_with_zero_matrix_imposes_no_constraint():
+    # A1 = 0 leaves scale 1 without a branch (sup -inf); scale 2 then has
+    # the closed form ln(|a2| / (|Re a0| - |a1|)) = ln(0.2 / 0.4)
+    s = h.DelaySystem(([[-0.4 + 0.5j]], [[0.0]], [[0.2]]), (1.0, 1.0))
+    v = h.classify(s, h.build_ladder(s))
+    assert v.status == "Stable" and v.scale is None
+    one, two = v.sup_gammas
+    assert (one.sup, one.argmax, one.uncertainty) == (-math.inf, None, 0.0)
+    assert two.sup == pytest.approx(-math.log(2.0), abs=1e-6)
+
+
+def test_sup_unbounded_at_exact_zero_root_on_the_lattice():
+    # -i omega + 0.5i + 0.3 Y = 0 has the root Y = 0 at omega = 0.5, a
+    # lattice point of five omegas over [-1, 1]
+    s = h.DelaySystem.scalar(0.5j, (0.3, 0.1))
+    est = h.sup_gamma(s, 1, h.GridSpec(5, 4, (-1.0, 1.0)))
+    assert est.sup == math.inf and est.uncertainty == 0.0
+    assert est.argmax == (PhasePoint(omega=0.5, phi=()), 0)
+
+
 def test_classify_matches_scalar_shortcut_on_presets():
     for name in h.PRESET_NAMES:
         s = h.preset_system(name)

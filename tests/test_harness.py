@@ -101,6 +101,32 @@ def test_boolean_or_fraction_is_refused_naming_its_key(match, patch):
         h.config_from_dict(_base_cfg(**patch))
 
 
+_SCALAR = h.DelaySystem.scalar(-1.0, (0.5,))
+
+
+@pytest.mark.parametrize("match, build", [
+    ("eps=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(True,))),
+    ("tol=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
+                                     tol=True)),
+    ("im_max=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
+                                        im_max=True)),
+    ("re_halfwidth_coef=True",
+     lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
+                         re_halfwidth_coef=True)),
+    ("sigma entry=True",
+     lambda: h.DelaySystem.scalar(-1.0, (0.5,), sigma=(True,))),
+    ("eps=True", lambda: h.check_eps(True)),
+    ("eps=True", lambda: h.char_function(_SCALAR, True)),
+    ("eps=True", lambda: h.rescale(True, 2, 0.1 + 1j)),
+], ids=["run-eps", "run-tol", "run-im_max", "run-re_halfwidth_coef",
+        "sigma", "check_eps", "char_function", "rescale"])
+def test_python_constructors_refuse_booleans(match, build):
+    # the constructors read real values as the file readers do
+    with pytest.raises(ConfigError, match=f"^malformed {match}: need a "
+                                          f"number, not a boolean$"):
+        build()
+
+
 def test_config_loads_system_from_relative_path(tmp_path):
     s = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.2))
     h.save_system(s, tmp_path / "sys.json")
@@ -239,13 +265,41 @@ def test_json_emitter_equals_json_dumps():
            "nan": float("nan"), "inf": float("inf"), "strs": ["inf", "-inf"],
            "rows": rows, "nested": [[rows], {"deep": rows[:1]}],
            "odd %s keys": [{"a%": 1.0, "é": "ü\n"}],
-           # differing keys, and a nested value: both fall back
            "mixed": [{"a": 1}, {"b": 2}], "not_flat": [{"a": [1.0]}]}
     want = json.dumps(obj, indent=1, sort_keys=True)
     assert "".join(harness._json_chunks(obj, 0)) == want
     for part in obj.values():
         assert "".join(harness._json_chunks(part, 0)) == json.dumps(
             part, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_rows_json_equals_json_dumps_of_their_objects(depth):
+    # a _Rows is written as json writes the same rows as objects, keys
+    # sorted, at any depth
+    columns = ("re", "im", "flag", "scale", "distance", "odd %s")
+    rows = [(1.5, -0.0, True, 2, "inf", "%"),
+            (float("nan"), 5e-324, False, None, "-inf", "é"),
+            (-2.0, 1e300, True, 0, 0.25, None)]
+    for part in (rows, rows[:1], []):
+        table = harness._Rows(columns, part)
+        objs = [dict(zip(columns, r)) for r in part]
+        obj, want = table, objs
+        for _ in range(depth):
+            obj, want = {"k": [obj]}, {"k": [want]}
+        assert "".join(harness._json_chunks(obj, 0)) == json.dumps(
+            want, indent=1, sort_keys=True)
+
+
+def test_example_json_writes_infinite_sup_as_a_string(tmp_path):
+    # fig3's scale-2 supremum is unbounded both ways: "inf" in the file
+    h.run_example("fig3", out_dir=str(tmp_path), out_format="json")
+    text = (tmp_path / "example_fig3.json").read_text()
+    data = json.loads(text)
+    assert data["sup_gamma2_closed"] == data["sup_gamma2_general"] == "inf"
+    assert data["sup_gamma2_discrepancy"] == 0.0
+    assert text == json.dumps(data, indent=1, sort_keys=True) + "\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validation_window_precedence():

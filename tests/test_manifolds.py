@@ -535,7 +535,14 @@ _GRID_CALLS = {
     (GridSpec(omega_count=5, omega_range=(1.0, 1.0)), 1, _OMEGA_MSG),
     (GridSpec(omega_count=5, phase_count=0, omega_range=(-1.0, 1.0)), 2,
      _PHASE_MSG),
-], ids=["one-omega", "empty-range", "no-phase"])
+    (GridSpec(omega_count=3.5, omega_range=(-1.0, 1.0)), 1,
+     r"^malformed omega_count=3\.5: "),
+    (GridSpec(omega_count=5, phase_count=2.5, omega_range=(-1.0, 1.0)), 2,
+     r"^malformed phase_count=2\.5: "),
+    (GridSpec(omega_count=5, phase_count=True, omega_range=(-1.0, 1.0)), 2,
+     r"^malformed phase_count=True: "),
+], ids=["one-omega", "empty-range", "no-phase", "omega-fraction",
+        "phase-fraction", "phase-bool"])
 def test_bad_grid_refused(call, grid, k, msg):
     s = h.preset_system("fig2-unstable")
     with pytest.raises(ConfigError, match=msg):
@@ -565,3 +572,18 @@ def test_assemble_refuses_scale_outside_zero_to_n(k):
     with pytest.raises(ConfigError, match=rf"scale k must be in 0\.\.2, "
                                           rf"got {k}"):
         h.assemble_A_k(s, h.build_ladder(s), k)
+
+
+def test_scale_with_zero_matrix_has_no_branch(tmp_path):
+    # A1 = 0: the scale-1 polynomial is constant and has no root in Y
+    s = h.DelaySystem(([[-0.4 + 0.5j]], [[0.0]], [[0.2]]), (1.0, 1.0))
+    grid = GridSpec(omega_count=11, phase_count=4)
+    assert len(h.manifold_grid(s, 1, grid)) == 0
+    assert len(h.manifold_grid(s, 2, grid)) == 11 * 4
+    cfg = h.RunConfig(system=s, eps_list=(0.1,), grid=grid,
+                      out_dir=str(tmp_path), out_format="json")
+    (path,) = h.run_manifolds(cfg).paths
+    text = open(path).read()
+    assert json.loads(text)["plain"]["1"] == []
+    assert text == json.dumps(json.loads(text), indent=1,
+                              sort_keys=True) + "\n"

@@ -401,6 +401,35 @@ def test_boundary_zero_error_after_every_inflation():
     assert h.count_zeros(f, box, fp) == 3
 
 
+@pytest.mark.parametrize("count", [
+    lambda f, box, fp: h.count_zeros(f, box, fprime=fp),
+    lambda f, box, fp: h.find_roots(f, box, fprime=fp),
+], ids=["count_zeros", "find_roots"])
+def test_nan_on_the_contour_is_a_resolution_error(count):
+    # f is nan on the right half of the window, its contour included
+    box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    f = lambda z: np.where(z.real > 0.5, np.nan, z - 0.1)
+    fp = lambda z: np.ones_like(z)
+    with pytest.raises(h.ResolutionError,
+                       match=r"^non-integer winding nan on Rectangle\("
+                             r"re_min=-1\.0, re_max=1\.0"):
+        count(f, box, fp)
+    # an infinite value stops the refinement as a zero on the contour
+    # does: inflation, then BoundaryZeroError
+    f = lambda z: np.where(z.real > 0.5, np.inf, z - 0.1)
+    with pytest.raises(h.BoundaryZeroError):
+        count(f, box, fp)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_find_roots_refuses_tol_not_finite_and_positive(tol):
+    f, fp = _poly_pair([0.1])
+    with pytest.raises(h.ConfigError,
+                       match=r"^tol must be finite and positive, got "):
+        h.find_roots(f, h.Rectangle(-1.0, 1.0, -1.0, 1.0), fprime=fp,
+                     tol=tol)
+
+
 def test_root_cluster_off_the_edge_is_no_boundary_zero():
     # three simple roots just right of the right edge, none within
     # boundary_tol * diag of it
