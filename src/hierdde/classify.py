@@ -72,37 +72,6 @@ class StabilityVerdict:
     margin: float
     notes: tuple
 
-    def as_dict(self):
-        sups = []
-        for s in self.sup_gammas:
-            entry = {"k": s.k, "sup": _ext(s.sup),
-                     "uncertainty": _ext(s.uncertainty)}
-            if s.argmax is not None:
-                point, branch = s.argmax
-                entry["argmax"] = {"omega": point.omega,
-                                   "phi": list(point.phi), "branch": branch}
-            sups.append(entry)
-        wit = self.witness
-        if isinstance(wit, complex):
-            wit = {"eigenvalue": [wit.real, wit.imag]}
-        elif wit is not None:
-            k, point, branch, gamma = wit
-            wit = {"k": k, "omega": point.omega, "phi": list(point.phi),
-                   "branch": branch, "gamma": _ext(gamma)}
-        return {"status": self.status, "scale": self.scale, "witness": wit,
-                "sup_gammas": sups, "margin": self.margin,
-                "notes": list(self.notes)}
-
-
-def _ext(x):
-    """inf-tolerant JSON encoding for extended reals."""
-    x = float(x)
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
-
 
 def _row_max(gammas):
     """Largest gamma per grid row and its branch.

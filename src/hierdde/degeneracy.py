@@ -10,9 +10,8 @@ with that matrix's kernel bases and steps to k - 1.  The lowest level
 determines the nondegeneracy condition and the truncated spectra that the
 stability theory needs.
 
-Level ``k`` stores the projected identity-replacement matrix ``J1``, the
-projected coefficient matrices for scales ``0..k-1`` and the kernel bases
-that produced it.
+Level ``k`` stores the projected identity-replacement matrix ``J1`` and
+the projected coefficient matrices for scales ``0..k-1``.
 """
 
 import json
@@ -41,19 +40,16 @@ class LadderLevel:
     """One projection level: reduced system of ``dim`` dimensions.
 
     ``A_proj[j]`` is the projected coefficient matrix of scale j for
-    j = 0..k-1; ``U1``/``V1`` are the kernel bases (of the parent's top
-    delay matrix) whose sandwich produced this level.  ``heuristic`` marks
-    levels of a ladder whose singularity chain broke before reaching the
-    bottom: their truncated spectra are exposed but carry no convergence
-    guarantee.
+    j = 0..k-1, sandwiched with the kernel bases of the parent's top delay
+    matrix.  ``heuristic`` marks levels of a ladder whose singularity chain
+    broke before reaching the bottom: their truncated spectra are exposed
+    but carry no convergence guarantee.
     """
 
     k: int
     dim: int
     J1: np.ndarray
     A_proj: tuple
-    U1: np.ndarray
-    V1: np.ndarray
     heuristic: bool
 
 
@@ -92,7 +88,7 @@ def _sandwich(U, M, V):
 
 
 def _levels(sys):
-    """Levels (k, J1, A_proj, U1, V1), top first, and whether a 10x looser
+    """Levels (k, J1, A_proj), top first, and whether a 10x looser
     rank tolerance changes a rank decision: one SVD per level gives both
     ranks and the kernel bases, so equal ranks mean equal levels."""
     J, mats, out, near = np.eye(sys.d), sys.matrices, [], False
@@ -105,7 +101,7 @@ def _levels(sys):
         U1, V1 = res.kernel(r)
         J = _sandwich(U1, J, V1)
         mats = tuple(_sandwich(U1, M, V1) for M in mats[:k])
-        out.append((k, J, mats, U1, V1))
+        out.append((k, J, mats))
     return out, near
 
 
@@ -131,16 +127,16 @@ def build_ladder(sys):
         k_under = levels[-1][0]
     nd = True
     if k_under == 1:
-        _, J1, A_proj, _, _ = levels[-1]
+        _, J1, A_proj = levels[-1]
         Ue, Ve = kernel_vectors(J1)
         if Ue.shape[1]:
             nd = rank(_sandwich(Ue, A_proj[0], Ve)) == Ue.shape[1]
     heuristic = bool(levels) and k_under is None
     return DegeneracyLadder(
         an_singular=bool(levels), k_under=k_under, nd_satisfied=nd,
-        levels=tuple(LadderLevel(k=k, dim=U1.shape[1], J1=J1, A_proj=A_proj,
-                                 U1=U1, V1=V1, heuristic=heuristic)
-                     for k, J1, A_proj, U1, V1 in levels),
+        levels=tuple(LadderLevel(k=k, dim=J1.shape[0], J1=J1, A_proj=A_proj,
+                                 heuristic=heuristic)
+                     for k, J1, A_proj in levels),
         sigma=sys.sigma)
 
 

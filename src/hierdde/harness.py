@@ -1,9 +1,10 @@
 """Run configuration, workflow drivers, and file emission.
 
 The command line wraps the ``run_*`` functions here; tests drive them
-directly.  Every emitted float uses 17 significant digits and every
-collection is sorted deterministically, so identical configs produce
-byte-identical files.
+directly.  This module alone turns results into file text.  A CSV float
+has 17 significant digits, a JSON float is json's repr with every infinity
+the string "inf" or "-inf", and every collection is sorted
+deterministically, so identical configs produce byte-identical files.
 """
 
 import itertools
@@ -14,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _ext, classify, sup_gamma
+from .classify import classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
-                        manifold_csv, manifold_grid, strong_spectrum)
+                        manifold_grid, strong_spectrum)
 from .model import (DelaySystem, _checked, _count, _fields, _real, _reals,
                     char_function, check_eps, guard_real_extent, load_system,
                     system_from_dict)
@@ -31,16 +32,11 @@ __all__ = [
     "config_from_dict", "load_config", "validation_window",
     "run_spectrum", "run_validate", "run_manifolds", "run_classify",
     "run_example", "preset_params", "preset_system", "preset_config",
-    "PRESET_NAMES",
+    "PRESET_NAMES", "manifold_csv",
 ]
 
-_FMT = "%.17g"
 # a root farther than this from every sampled asymptotic set stays unassigned
 DISTANCE_CAP = 1.0
-
-
-def _fmt(x):
-    return _FMT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +78,8 @@ class RunConfig:
 
         def positive(name, what):
             v = _checked(_real, getattr(self, name), name)
-            if not v > 0.0:
-                raise ConfigError(f"{what} must be positive")
+            if not 0.0 < v < math.inf:
+                raise ConfigError(f"{what} must be finite and positive")
             object.__setattr__(self, name, v)
 
         positive("tol", "tol")
@@ -159,20 +155,17 @@ def _write_text(path, chunks):
             fh.write(chunk)
 
 
-def _write_rows(path, rows):
-    _write_text(path, (",".join(row) + "\n" for row in rows))
-
-
 def _write_json(path, obj):
     _write_text(path, itertools.chain(_json_chunks(obj, 0), ("\n",)))
 
 
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 
 
 def _json_value(v):
-    """json's text for one scalar: ``float.__repr__`` (NaN, Infinity),
-    null, true/false, ``int.__repr__``, or a quoted string."""
+    """json's text for one scalar or empty container: ``float.__repr__``
+    (NaN), null, true/false, ``int.__repr__``, or ``json.dumps``.  An
+    infinity is the string "inf" or "-inf", in every written JSON file."""
     if isinstance(v, float):
         s = float.__repr__(v)
         return _JSON_WORDS.get(s, s)
@@ -197,9 +190,10 @@ class _Rows:
 def _json_chunks(obj, depth):
     """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
     nested ``depth`` containers deep, in chunks, where a ``_Rows`` stands
-    for its list of objects.  A ``_Rows`` is one ``%`` over a row template
-    of its sorted columns, a ManifoldTable is written by ``_manifold_json``,
-    and every other value as json lays it out."""
+    for its list of objects and an infinity for "inf" or "-inf".  A
+    ``_Rows`` is one ``%`` over a row template of its sorted columns, a
+    ManifoldTable is written by ``_manifold_json``, dicts (string keys) and
+    lists as json lays them out, and each leaf by ``_json_value``."""
     pad = "\n" + " " * depth
     if isinstance(obj, _Rows):
         keys = sorted(range(len(obj.columns)), key=obj.columns.__getitem__)
@@ -211,8 +205,7 @@ def _json_chunks(obj, depth):
             [_json_value(r[i]) for r in obj.rows for i in keys])
     elif isinstance(obj, ManifoldTable):
         yield from _manifold_json(obj, depth)
-    elif (isinstance(obj, dict) and obj
-          and all(isinstance(k, str) for k in obj)):
+    elif isinstance(obj, dict) and obj:
         for i, k in enumerate(sorted(obj)):
             yield ("," if i else "{") + pad + " " + json.dumps(k) + ": "
             yield from _json_chunks(obj[k], depth + 1)
@@ -223,7 +216,7 @@ def _json_chunks(obj, depth):
             yield from _json_chunks(v, depth + 1)
         yield pad + "]"
     else:
-        yield json.dumps(obj, indent=1, sort_keys=True).replace("\n", pad)
+        yield _json_value(obj)
 
 
 def _manifold_json(table, depth):
@@ -257,11 +250,33 @@ def _manifold_json(table, depth):
     yield i1[:-1] + "]"
 
 
+def manifold_csv(tables, n):
+    """CSV text of manifold tables, in chunks of whole lines.
+
+    Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
+    branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
+    flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
+    is formatted once per table.  A chunk of points is one ``%`` over a
+    row template: one line format per kind and branch, where ``%.0s``
+    takes the values a kind leaves blank.
+    """
+    yield ",".join(["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
+                   + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
+    for t in tables:
+        lead = "%d," % t.k + ",".join(["%s"] * t.k) + "," * (n - t.k)
+        tails = (",%.17g,%.17g,%.17g,\n", ",inf%.0s,%.17g,%.17g,plus_inf\n",
+                 ",-inf%.0s,%.0s,%.0s,minus_inf\n")
+        fmts = [f"{lead},{b}{tail}" for tail in tails for b in range(t.dk)]
+        yield from t._text(fmts, [["%.17g" % v for v in ax.tolist()]
+                                  for ax in t.axes], range(t.k + 3))
+
+
 def _cell(v):
-    """One CSV cell of a row value: 17 digits for a float, blank for None,
-    1/0 for a flag, a whole number or ``_ext``'s "inf" as is."""
+    """One CSV cell of a value: 17 digits for a float (an infinity is
+    "inf" or "-inf"), blank for None, 1/0 for a flag, a whole number or a
+    string as is."""
     if isinstance(v, float):
-        return _FMT % v
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -272,12 +287,14 @@ def _cell(v):
 
 
 def _csv_text(columns, groups):
-    """Header ``eps`` plus ``columns``, then one line per row of each
-    ``(eps, rows)`` group, rows being tuples of values in column order:
-    its eps and its values, one ``%`` over a row template per group."""
-    yield ",".join(("eps",) + columns) + "\n"
-    for eps, rows in groups:
-        line = _fmt(eps) + ",%s" * len(columns) + "\n"
+    """Header ``columns``, then one line per row of each ``(lead, rows)``
+    group: the group's leading values, then the row's values, which fill
+    the remaining columns in order; one ``%`` over a row template per
+    group."""
+    yield ",".join(columns) + "\n"
+    for lead, rows in groups:
+        line = ",".join([_cell(v) for v in lead]
+                        + ["%s"] * (len(columns) - len(lead))) + "\n"
         yield (line * len(rows)) % tuple([_cell(v) for r in rows
                                           for v in r])
 
@@ -330,14 +347,14 @@ def run_spectrum(cfg, write=True):
     path = None
     if write:
         path = os.path.join(cfg.out_dir, "spectrum." + cfg.out_format)
-        groups = [(run.eps, [_root_fields(r) for r in run.roots])
+        groups = [((run.eps,), [_root_fields(r) for r in run.roots])
                   for run in runs]
         if cfg.out_format == "csv":
-            _write_text(path, _csv_text(_ROOT_COLUMNS, groups))
+            _write_text(path, _csv_text(("eps",) + _ROOT_COLUMNS, groups))
         else:
             _write_json(path, {"runs": [
                 {"eps": eps, "roots": _Rows(_ROOT_COLUMNS, rows)}
-                for eps, rows in groups]})
+                for (eps,), rows in groups]})
     return SpectrumResult(runs=tuple(runs), path=path)
 
 
@@ -366,11 +383,10 @@ _ASSIGNMENT_COLUMNS = ("re", "im", "multiplicity", "scale", "rescaled_re",
 
 def _assignment_fields(a):
     """Row of one Assignment, in the order of ``_ASSIGNMENT_COLUMNS``."""
-    z, rd = a.rescaled, a.runner_up_distance
+    z = a.rescaled
     return (a.eigenvalue.real, a.eigenvalue.imag, a.multiplicity, a.scale,
             None if z is None else z.real, None if z is None else z.imag,
-            _ext(a.distance), a.runner_up_scale,
-            None if rd is None else _ext(rd), a.assigned)
+            a.distance, a.runner_up_scale, a.runner_up_distance, a.assigned)
 
 
 @dataclass(frozen=True)
@@ -500,20 +516,21 @@ def run_validate(cfg, write=True):
         if len(seq) >= 2:
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
     if write:
-        groups = [(rec.eps, [_assignment_fields(a) for a in rec.assignments])
+        groups = [((rec.eps,), [_assignment_fields(a)
+                                for a in rec.assignments])
                   for rec in records]
         _write_json(os.path.join(cfg.out_dir, "validate.json"), {
             "records": [{"eps": rec.eps, "count": rec.count,
                          "strong_matches": rec.strong_matches,
-                         "max_distance": {str(k): _ext(v) for k, v
-                                          in sorted(rec.max_distance.items())},
+                         "max_distance": {str(k): v for k, v
+                                          in rec.max_distance.items()},
                          "assignments": _Rows(_ASSIGNMENT_COLUMNS, rows)}
                         for rec, (_, rows) in zip(records, groups)],
             "nonincreasing": {str(k): bool(v)
                               for k, v in sorted(noninc.items())}})
         if cfg.out_format == "csv":
             _write_text(os.path.join(cfg.out_dir, "validate.csv"),
-                        _csv_text(_ASSIGNMENT_COLUMNS, groups))
+                        _csv_text(("eps",) + _ASSIGNMENT_COLUMNS, groups))
     return ValidationReport(records=tuple(records), nonincreasing=noninc)
 
 
@@ -565,11 +582,30 @@ def run_manifolds(cfg, write=True):
     return ManifoldsResult(plain=plain, tilde=tilde, paths=tuple(paths))
 
 
+def _at(point, branch):
+    """classify.json's fields of one manifold point and branch."""
+    return {"omega": point.omega, "phi": point.phi, "branch": branch}
+
+
 def run_classify(cfg):
-    """Stability verdict for the configured system; emits classify.json."""
-    ladder = build_ladder(cfg.system)
-    verdict = classify(cfg.system, ladder, cfg.grid)
-    _write_json(os.path.join(cfg.out_dir, "classify.json"), verdict.as_dict())
+    """Stability verdict for the configured system; emits classify.json:
+    status, scale, margin, notes, the witness (the unstable eigenvalue as
+    [re, im], or k, gamma and the point) and each supremum computed, with
+    its argmax where it has one."""
+    verdict = classify(cfg.system, build_ladder(cfg.system), cfg.grid)
+    wit = verdict.witness
+    if isinstance(wit, complex):
+        wit = {"eigenvalue": [wit.real, wit.imag]}
+    elif wit is not None:
+        k, point, branch, gamma = wit
+        wit = {"k": k, "gamma": gamma, **_at(point, branch)}
+    sups = [{"k": s.k, "sup": s.sup, "uncertainty": s.uncertainty,
+             **({} if s.argmax is None else {"argmax": _at(*s.argmax)})}
+            for s in verdict.sup_gammas]
+    _write_json(os.path.join(cfg.out_dir, "classify.json"), {
+        "status": verdict.status, "scale": verdict.scale, "witness": wit,
+        "sup_gammas": sups, "margin": verdict.margin,
+        "notes": verdict.notes})
     return verdict
 
 
@@ -629,19 +665,21 @@ def _diff_ext(closed, general):
 
 
 def _gamma_comparison(p, sys_, grid, k):
-    """Rows comparing the closed-form scale-k (1 or 2) gamma with the
-    general one over the grid, and the largest discrepancy."""
+    """CSV text comparing the closed-form scale-k (1 or 2) gamma with the
+    general one over the grid, and the largest discrepancy.  The two
+    gammas are written by ``str``, the other columns at 17 digits."""
     closed_form = scalar2.gamma1 if k == 1 else scalar2.gamma2
-    rows = [["omega"] + [f"phi_{j}" for j in range(1, k)]
-            + ["gamma_closed", "gamma_general", "abs_diff"]]
+    columns = ("omega", *[f"phi_{j}" for j in range(1, k)],
+               "gamma_closed", "gamma_general", "abs_diff")
+    rows = []
     worst = 0.0
     for s in manifold_grid(sys_, k, grid):
         closed = closed_form(p, s.point.omega, *s.point.phi)
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
-        rows.append([_fmt(s.point.omega)] + [_fmt(x) for x in s.point.phi]
-                    + [str(_ext(closed)), str(_ext(s.gamma)), _fmt(diff)])
-    return rows, worst
+        rows.append((s.point.omega, *s.point.phi, str(closed), str(s.gamma),
+                     diff))
+    return _csv_text(columns, [((), rows)]), worst
 
 
 def run_example(name, out_dir=".", out_format="csv"):
@@ -656,8 +694,8 @@ def run_example(name, out_dir=".", out_format="csv"):
     sys_ = preset_system(name)
     grid1 = GridSpec(omega_count=201, phase_count=32, omega_range=(-3.2, 3.2))
     grid2 = GridSpec(omega_count=101, phase_count=32, omega_range=(-3.2, 3.2))
-    rows1, worst1 = _gamma_comparison(p, sys_, grid1, 1)
-    rows2, worst2 = _gamma_comparison(p, sys_, grid2, 2)
+    text1, worst1 = _gamma_comparison(p, sys_, grid1, 1)
+    text2, worst2 = _gamma_comparison(p, sys_, grid2, 2)
 
     ladder = build_ladder(sys_)
     search = GridSpec(omega_count=401, phase_count=64,
@@ -673,11 +711,11 @@ def run_example(name, out_dir=".", out_format="csv"):
         "name": name,
         "params": {"a": [p.a.real, p.a.imag], "b": [p.b.real, p.b.imag],
                    "c": [p.c.real, p.c.imag]},
-        "max_gamma1_discrepancy": _ext(worst1),
-        "max_gamma2_discrepancy": _ext(worst2),
-        "sup_gamma2_closed": _ext(sup_closed),
-        "sup_gamma2_general": _ext(sup_general),
-        "sup_gamma2_discrepancy": _ext(_diff_ext(sup_closed, sup_general)),
+        "max_gamma1_discrepancy": worst1,
+        "max_gamma2_discrepancy": worst2,
+        "sup_gamma2_closed": sup_closed,
+        "sup_gamma2_general": sup_general,
+        "sup_gamma2_discrepancy": _diff_ext(sup_closed, sup_general),
         "status_closed": verdict_closed.status,
         "scale_closed": verdict_closed.scale,
         "status_general": verdict_general.status,
@@ -687,6 +725,6 @@ def run_example(name, out_dir=".", out_format="csv"):
     }
     _write_json(os.path.join(out_dir, f"example_{name}.json"), summary)
     if out_format == "csv":
-        _write_rows(os.path.join(out_dir, f"example_{name}_gamma1.csv"), rows1)
-        _write_rows(os.path.join(out_dir, f"example_{name}_gamma2.csv"), rows2)
+        _write_text(os.path.join(out_dir, f"example_{name}_gamma1.csv"), text1)
+        _write_text(os.path.join(out_dir, f"example_{name}_gamma2.csv"), text2)
     return summary

@@ -34,7 +34,7 @@ from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
                      numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
-from .model import _checked, _count, check_eps, delays
+from .model import _checked, _count, _reals, check_eps, delays
 
 __all__ = [
     "PhasePoint",
@@ -52,7 +52,6 @@ __all__ = [
     "rescale",
     "manifold_grid",
     "assemble_A_k",
-    "manifold_csv",
     "axis_seeds",
 ]
 
@@ -158,13 +157,14 @@ class GridSpec:
         """Scale-k lattice axes: the omega values, then phi_1..phi_{k-1},
         each phase over its canonical period."""
         if self.omega_range is not None:
-            lo, hi = float(self.omega_range[0]), float(self.omega_range[1])
+            lo, hi = _checked(lambda v: _reals(v, 2), self.omega_range,
+                              "omega_range")
         else:
             om = default_omega_bound(sys)
             lo, hi = -om, om
         count = _checked(_count, self.omega_count, "omega_count")
         n = _checked(_count, self.phase_count, "phase_count")
-        if not (lo < hi) or count < 2:
+        if not -math.inf < lo < hi < math.inf or count < 2:
             raise ConfigError("need omega range lo < hi and >= 2 samples")
         if k > 1 and n < 1:
             raise ConfigError("need at least one phase sample")
@@ -588,25 +588,3 @@ def assemble_A_k(sys, ladder, k, grid=GridSpec()):
             parts.append(g[valid] + 1j * om[valid])
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
-
-
-def manifold_csv(tables, n):
-    """CSV text of manifold tables, in chunks of whole lines.
-
-    Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
-    branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
-    flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
-    is formatted once per table.  A chunk of ``_CHUNK_POINTS`` points is
-    one ``%`` over a row template: one line format per kind and branch,
-    where ``%.0s`` takes the values a kind leaves blank.
-    """
-    yield ",".join(["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
-                   + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
-    for t in tables:
-        lead = "%d," % t.k + ",".join(["%s"] * t.k) + "," * (n - t.k)
-        tails = (",%.17g,%.17g,%.17g,\n", ",inf%.0s,%.17g,%.17g,plus_inf\n",
-                 ",-inf%.0s,%.0s,%.0s,minus_inf\n")
-        fmts = [f"{lead},{b}{tail}" for tail in tails for b in range(t.dk)]
-        yield from t._text(fmts, [["%.17g" % v for v in ax.tolist()]
-                                  for ax in t.axes], range(t.k + 3))
-

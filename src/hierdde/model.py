@@ -9,10 +9,12 @@ parameter ``0 < eps <= 1``.  Roots of the characteristic determinant
 are the system's spectrum; everything downstream (root finding, limit
 manifolds, stability verdicts) consumes the evaluation handles built here.
 
-Evaluation is refused, rather than silently overflowed, once any
-``|Re lam| * sigma_k * eps**-k`` exceeds ``EXP_ARG_LIMIT``: beyond that the
-delay exponentials leave double range and no downstream quantity is
-trustworthy.
+Evaluation is refused, rather than silently overflowed, at a point whose
+``-Re lam * sigma_k * eps**-k`` exceeds ``EXP_ARG_LIMIT`` for some k: beyond
+that the delay exponentials leave double range and no downstream quantity
+is trustworthy.  Points with ``Re lam > 0`` are evaluated, since there the
+exponentials only underflow; ``guard_real_extent`` checks a window's
+real extent on both sides.
 """
 
 import json
@@ -132,10 +134,11 @@ def _guard(taus, max_abs_re, eps):
 
 
 def _guarded(taus, eps, lams):
-    """``lams`` as a 1-D complex array, once the overflow guard passed."""
+    """``lams`` as a 1-D complex array, once the overflow guard passed for
+    its most negative real part (``exp(-lam tau)`` overflows only there)."""
     lams = np.atleast_1d(np.asarray(lams, np.complex128))
     if lams.size:
-        _guard(taus, float(np.max(np.abs(lams.real))), eps)
+        _guard(taus, float(-np.min(lams.real)), eps)
     return lams
 
 
@@ -148,7 +151,8 @@ def char_function(sys, eps):
     """Vectorized evaluation handles ``(f, fprime)`` for the root finder.
 
     Both accept a complex ndarray and return a matching ndarray; each call
-    re-checks the overflow guard for the points it receives.
+    re-checks the overflow guard for the points it receives, which refuses
+    only a real part too far left of the axis.
     """
     taus = delays(sys, eps)
     mats = sys.stacked()

@@ -260,10 +260,10 @@ def test_classify_random_verdicts_bit_equal_with_companion_roots(monkeypatch):
     # uncertainty by one bit
     systems = _classify_random_systems(1)
     assert len(systems) == 100
-    fast = [h.classify(s, h.build_ladder(s)).as_dict() for s in systems]
+    fast = [h.classify(s, h.build_ladder(s)) for s in systems]
     monkeypatch.setattr(sys.modules["hierdde.manifolds"], "poly_roots_batch",
                         _companion_roots)
-    ref = [h.classify(s, h.build_ladder(s)).as_dict() for s in systems]
+    ref = [h.classify(s, h.build_ladder(s)) for s in systems]
     assert fast == ref
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hierdde as h
-from hierdde.linalg import RANK_TOL
+from hierdde.linalg import RANK_TOL, kernel_vectors
 from hierdde.errors import (ConfigError, DegenerateSystemError,
                             EvaluationRangeError)
 
@@ -186,9 +186,14 @@ def test_projection_annihilates_top_coefficient():
         assert lad.an_singular
         lv = lad.levels[0]
         assert lv.dim == d - r
+        # the level is the sandwich with An's kernel bases, which annihilate An
+        U1, V1 = kernel_vectors(An)
         smax = float(np.linalg.svd(An, compute_uv=False)[0])
-        sandwich = lv.U1.conj().T @ An @ lv.V1
+        sandwich = U1.conj().T @ An @ V1
         assert np.linalg.norm(sandwich) <= 10 * RANK_TOL * smax
+        assert np.allclose(lv.J1, U1.conj().T @ V1, rtol=0, atol=1e-14)
+        assert np.allclose(lv.A_proj[0], U1.conj().T @ A0 @ V1, rtol=0,
+                           atol=1e-14 * np.linalg.norm(A0))
 
 
 def test_degenerate_spectrum_is_eps_independent():

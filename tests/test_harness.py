@@ -1,6 +1,7 @@
 """Run configs, deterministic artifacts, validation windows, CLI exit codes."""
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -256,21 +257,35 @@ def test_csv_rows_equal_json_fields(tmp_path, monkeypatch):
                             [(run["eps"], run["roots"]) for run in data["runs"]])
 
 
+def _spell_infinities(v):
+    """``v`` with each infinite float replaced by "inf" or "-inf", as the
+    JSON writer spells it."""
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    if isinstance(v, dict):
+        return {k: _spell_infinities(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_spell_infinities(x) for x in v]
+    return v
+
+
 def test_json_emitter_equals_json_dumps():
     rows = [{"x": 1.5, "flag": True, "n": 3, "s": "inf", "none": None},
             {"x": float("nan"), "flag": False, "n": -2, "s": "-inf",
              "none": 5e-324}]
     obj = {"empty": {}, "list": [], "none": None, "yes": True, "no": False,
            "int": 7, "neg0": -0.0, "tiny": 5e-324, "huge": 1e300,
-           "nan": float("nan"), "inf": float("inf"), "strs": ["inf", "-inf"],
+           "nan": float("nan"), "inf": float("inf"),
+           "ninf": float("-inf"), "strs": ["inf", "-inf"],
            "rows": rows, "nested": [[rows], {"deep": rows[:1]}],
            "odd %s keys": [{"a%": 1.0, "é": "ü\n"}],
            "mixed": [{"a": 1}, {"b": 2}], "not_flat": [{"a": [1.0]}]}
-    want = json.dumps(obj, indent=1, sort_keys=True)
+    spelled = _spell_infinities(obj)
+    want = json.dumps(spelled, indent=1, sort_keys=True)
     assert "".join(harness._json_chunks(obj, 0)) == want
-    for part in obj.values():
+    for part, spelled_part in zip(obj.values(), spelled.values()):
         assert "".join(harness._json_chunks(part, 0)) == json.dumps(
-            part, indent=1, sort_keys=True)
+            spelled_part, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("depth", [0, 3])
@@ -470,11 +485,20 @@ def test_cli_overrides_and_example(tmp_path, capsys):
     ({"eps_list": (0.05, 0.05)}, "eps list must be strictly decreasing"),
     ({"window": (0.0, 1.0, -1.0, 1.0)}, "window must be a Rectangle"),
     ({"out_format": "xml"}, "format must be csv or json, got 'xml'"),
-    ({"tol": 0.0}, "tol must be positive"),
-    ({"im_max": -1.0}, "im_max must be positive"),
-    ({"re_halfwidth_coef": 0.0}, "half-width coefficient must be positive"),
+    ({"tol": 0.0}, "tol must be finite and positive"),
+    ({"tol": math.inf}, "tol must be finite and positive"),
+    ({"tol": math.nan}, "tol must be finite and positive"),
+    ({"im_max": -1.0}, "im_max must be finite and positive"),
+    ({"im_max": math.inf}, "im_max must be finite and positive"),
+    ({"re_halfwidth_coef": 0.0},
+     "half-width coefficient must be finite and positive"),
+    ({"re_halfwidth_coef": math.inf},
+     "half-width coefficient must be finite and positive"),
+    ({"re_halfwidth_coef": math.nan},
+     "half-width coefficient must be finite and positive"),
 ], ids=["eps-empty", "eps-not-decreasing", "window", "format", "tol",
-        "im_max", "halfwidth-coef"])
+        "tol-inf", "tol-nan", "im_max", "im_max-inf", "halfwidth-coef",
+        "halfwidth-coef-inf", "halfwidth-coef-nan"])
 def test_run_config_refuses(change, message):
     system = h.config_from_dict(_base_cfg()).system
     with pytest.raises(ConfigError, match=f"^{message}$"):

@@ -541,8 +541,14 @@ _GRID_CALLS = {
      r"^malformed phase_count=2\.5: "),
     (GridSpec(omega_count=5, phase_count=True, omega_range=(-1.0, 1.0)), 2,
      r"^malformed phase_count=True: "),
+    (GridSpec(omega_count=5, omega_range=(True, 3.0)), 1,
+     r"^malformed omega_range=\(True, 3\.0\): "),
+    (GridSpec(omega_count=5, omega_range=("x", 3.0)), 1,
+     r"^malformed omega_range=\('x', 3\.0\): "),
+    (GridSpec(omega_count=5, omega_range=(0.0, math.inf)), 1, _OMEGA_MSG),
 ], ids=["one-omega", "empty-range", "no-phase", "omega-fraction",
-        "phase-fraction", "phase-bool"])
+        "phase-fraction", "phase-bool", "omega-range-bool",
+        "omega-range-string", "omega-range-inf"])
 def test_bad_grid_refused(call, grid, k, msg):
     s = h.preset_system("fig2-unstable")
     with pytest.raises(ConfigError, match=msg):

@@ -168,6 +168,28 @@ def test_evaluation_guard_names_offending_scale():
     assert np.isfinite(abs(f(complex(-0.06, 0.0))[0]))
 
 
+def test_evaluation_guard_is_one_sided():
+    # exp(-lam tau) only underflows right of the axis, so the handles
+    # evaluate there and refuse the mirrored point
+    f, _ = h.char_function(h.preset_system("fig2-unstable"), 0.01)
+    assert np.isfinite(f(complex(0.5, 1.0))[0])
+    with pytest.raises(EvaluationRangeError) as exc:
+        f(complex(-0.5, 1.0))
+    assert exc.value.scale == 2
+
+
+@pytest.mark.parametrize("name, count", [
+    ("fig2-stable", 0), ("fig2-neutral", 0), ("fig2-unstable", 13),
+    ("fig3", 16)])
+def test_right_half_plane_roots_counted(name, count):
+    # a root with Re lam >= 0 has |lam| <= sum_k ||A_k||_2, so this box
+    # holds every unstable root
+    s = h.preset_system(name)
+    R = sum(np.linalg.norm(M, 2) for M in s.matrices) + 0.1
+    f, fp = h.char_function(s, 0.05)
+    assert h.count_zeros(f, h.Rectangle(0.0, R, -R, R), fprime=fp) == count
+
+
 def test_guard_real_extent():
     s = h.DelaySystem.scalar(0.0, (1.0, 1.0))
     h.guard_real_extent(s, 0.01, 0.06)
