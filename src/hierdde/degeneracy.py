@@ -11,10 +11,10 @@ determines the nondegeneracy condition and the truncated spectra that the
 stability theory needs.
 
 Level ``k`` stores the projected identity-replacement matrix ``J1`` and
-the projected coefficient matrices for scales ``0..k-1``.
+the projected coefficient matrices for scales ``0..k-1``.  A ladder is
+read through these objects; the module defines no file format.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +31,6 @@ __all__ = [
     "build_ladder",
     "truncated_char",
     "strong_stable_spectrum",
-    "dump_ladder",
 ]
 
 
@@ -192,28 +191,3 @@ def strong_stable_spectrum(ladder):
     for c, m_ in zip(centers, counts):
         out.extend([complex(c)] * int(m_))
     return out
-
-
-def dump_ladder(ladder):
-    """JSON dump of the ladder for debugging.
-
-    Schema: {an_singular, k_under, nd_satisfied, rank_tol, levels: [{k, dim,
-    heuristic, J1, A0p..A(k-1)p}]} with every matrix as a d x d array of
-    [re, im] pairs.
-    """
-    _matrix_to_pairs = model._matrix_to_pairs
-    out = {
-        "an_singular": ladder.an_singular,
-        "k_under": ladder.k_under,
-        "nd_satisfied": ladder.nd_satisfied,
-        "rank_tol": RANK_TOL,
-        "levels": [{
-            "k": lev.k,
-            "dim": lev.dim,
-            "heuristic": lev.heuristic,
-            "J1": _matrix_to_pairs(lev.J1),
-            **{f"A{j}p": _matrix_to_pairs(lev.A_proj[j])
-               for j in range(lev.k)},
-        } for lev in ladder.levels],
-    }
-    return json.dumps(out, indent=1)

@@ -1,10 +1,13 @@
-"""Run configuration, workflow drivers, and file emission.
+"""Run configuration, system files, workflow drivers, and file emission.
 
 The command line wraps the ``run_*`` functions here; tests drive them
-directly.  This module alone turns results into file text.  A CSV float
+directly.  This module alone reads and writes files: config and system
+files are parsed here, and results become file text here.  A CSV float
 has 17 significant digits, a JSON float is json's repr with every infinity
 the string "inf" or "-inf", and every collection is sorted
 deterministically, so identical configs produce byte-identical files.
+Every written JSON file, a saved system included, is laid out as
+``json.dumps(obj, indent=1, sort_keys=True)`` plus a newline.
 """
 
 import itertools
@@ -20,15 +23,15 @@ from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
                         manifold_grid, strong_spectrum)
-from .model import (DelaySystem, _checked, _count, _fields, _real, _reals,
-                    char_function, check_eps, guard_real_extent, load_system,
-                    system_from_dict)
+from .model import (DelaySystem, _checked, _count, _real, _reals,
+                    char_function, check_eps, guard_real_extent)
 from .rootfinder import Rectangle, find_roots
 from . import scalar2
 
 __all__ = [
     "RunConfig", "Assignment", "EpsRecord", "ValidationReport",
     "SpectrumRun", "SpectrumResult", "ManifoldsResult",
+    "system_to_dict", "system_from_dict", "save_system", "load_system",
     "config_from_dict", "load_config", "validation_window",
     "run_spectrum", "run_validate", "run_manifolds", "run_classify",
     "run_example", "preset_params", "preset_system", "preset_config",
@@ -37,6 +40,8 @@ __all__ = [
 
 # a root farther than this from every sampled asymptotic set stays unassigned
 DISTANCE_CAP = 1.0
+# half-height of every derived validation window, |Im lam| <= IM_MAX
+IM_MAX = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +55,7 @@ class RunConfig:
     ``window`` is used as-is when set; otherwise validation derives a
     per-eps window of half-width ``re_halfwidth_coef * eps`` when the
     coefficient is set, else ``10 * eps**n * (1 + |sup gamma top scale|)``
-    (which needs that sup to be finite).
+    (which needs that sup to be finite), and of half-height ``IM_MAX``.
     """
 
     system: DelaySystem
@@ -60,7 +65,6 @@ class RunConfig:
     tol: float = 1e-9
     out_dir: str = "."
     out_format: str = "csv"
-    im_max: float = 3.0
     re_halfwidth_coef: object = None
 
     def __post_init__(self):
@@ -83,16 +87,101 @@ class RunConfig:
             object.__setattr__(self, name, v)
 
         positive("tol", "tol")
-        positive("im_max", "im_max")
         if self.re_halfwidth_coef is not None:
             positive("re_halfwidth_coef", "half-width coefficient")
+
+
+def _fields(data, fields, what):
+    """Keyword arguments parsed from one config object.
+
+    ``fields`` maps each key to its keyword argument and parser.  Unknown
+    keys and malformed values (a parser's TypeError or ValueError) raise
+    ConfigError naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{what}' must be an object")
+    extra = set(data) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    return {name: _checked(parse, data[key], f"{what} value {key}")
+            for key, (name, parse) in fields.items() if key in data}
+
+
+def _read_json(path, what):
+    """The parsed JSON content of a file; ``what`` names the file in the
+    ConfigError that an unreadable or malformed file raises."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# system files: d, n, sigma and A0..An, each matrix entry an [re, im] pair,
+# bit-exact through json's float repr
+
+def _matrix_to_pairs(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def _matrix_from_pairs(rows, d, name):
+    try:
+        arr = np.array([[complex(*_reals(p, 2)) for p in row] for row in rows],
+                       np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: entries must be [re, im] pairs") from exc
+    if arr.shape != (d, d):
+        raise ConfigError(f"{name}: expected shape ({d}, {d}), "
+                          f"got {arr.shape}")
+    return arr
+
+
+def system_to_dict(sys):
+    """JSON-ready dict with fields d, n, sigma and A0..An."""
+    out = {"d": sys.d, "n": sys.n, "sigma": list(sys.sigma)}
+    for i, M in enumerate(sys.matrices):
+        out[f"A{i}"] = _matrix_to_pairs(M)
+    return out
+
+
+_SYSTEM_FIELDS = {"d": ("d", _count), "n": ("n", _count),
+                  "sigma": ("sigma", _reals)}
+
+
+def system_from_dict(data):
+    """Inverse of ``system_to_dict`` with schema validation."""
+    if not isinstance(data, dict):
+        raise ConfigError("system description must be a JSON object")
+    missing = [key for key in _SYSTEM_FIELDS if key not in data]
+    if missing:
+        raise ConfigError(f"system description missing field {missing[0]}")
+    kw = _fields({key: data[key] for key in _SYSTEM_FIELDS}, _SYSTEM_FIELDS,
+                 "system")
+    d, n, sigma = kw["d"], kw["n"], kw["sigma"]
+    if len(sigma) != n:
+        raise ConfigError(f"sigma must have n={n} entries, got {len(sigma)}")
+    mats = []
+    for i in range(n + 1):
+        key = f"A{i}"
+        if key not in data:
+            raise ConfigError(f"system description missing matrix {key}")
+        mats.append(_matrix_from_pairs(data[key], d, key))
+    return DelaySystem(matrices=tuple(mats), sigma=tuple(sigma))
+
+
+def save_system(sys, path):
+    """Write ``system_to_dict(sys)`` as a JSON file."""
+    _write_json(path, system_to_dict(sys))
+
+
+def load_system(path):
+    return system_from_dict(_read_json(path, "system file"))
 
 
 _GRID_FIELDS = {"omega": ("omega_count", _count),
                 "phase": ("phase_count", _count),
                 "omega_range": ("omega_range", lambda v: tuple(_reals(v, 2)))}
-_VALIDATION_FIELDS = {"im_max": ("im_max", _real),
-                      "re_halfwidth_coef": ("re_halfwidth_coef", _real)}
+_VALIDATION_FIELDS = {"re_halfwidth_coef": ("re_halfwidth_coef", _real)}
 # every top-level key but system and validation
 _CONFIG_FIELDS = {
     "eps": ("eps_list", lambda v: tuple(
@@ -131,12 +220,7 @@ def config_from_dict(data, base_dir="."):
 def read_config(path):
     """The parsed JSON object of a config file, and the directory that its
     relative system path is resolved against."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return data, os.path.dirname(path) or "."
+    return _read_json(path, "config"), os.path.dirname(path) or "."
 
 
 def load_config(path):
@@ -305,8 +389,9 @@ def _csv_text(columns, groups):
 
 def _locate(sys_, eps, window, tol):
     """Certified roots of the system at eps in window, seeded by
-    ``axis_seeds``; the real extent of the window is guarded first."""
-    guard_real_extent(sys_, eps, max(abs(window.re_min), abs(window.re_max)))
+    ``axis_seeds``; how far the window reaches left of the imaginary axis
+    is guarded first (right of it the exponentials only underflow)."""
+    guard_real_extent(sys_, eps, max(0.0, -window.re_min))
     f, fp = char_function(sys_, eps)
     return find_roots(f, window, fprime=fp, tol=tol,
                       seeds=axis_seeds(sys_, eps, window))
@@ -429,7 +514,7 @@ def validation_window(cfg):
         n = cfg.system.n
         hws = [10.0 * eps ** n * (1.0 + abs(sup_top))
                for eps in cfg.eps_list]
-    return [Rectangle(-hw, hw, -cfg.im_max, cfg.im_max) for hw in hws]
+    return [Rectangle(-hw, hw, -IM_MAX, IM_MAX) for hw in hws]
 
 
 def _sample_trees(sys_, ladder, grid):
@@ -654,7 +739,7 @@ def preset_config(name, eps_list=(0.05, 0.02, 0.01), out_dir="."):
     grid = GridSpec(omega_count=801, phase_count=phases,
                     omega_range=(-3.2, 3.2))
     return RunConfig(system=system, eps_list=tuple(eps_list), grid=grid,
-                     out_dir=out_dir, im_max=3.0, re_halfwidth_coef=coef)
+                     out_dir=out_dir, re_halfwidth_coef=coef)
 
 
 def _diff_ext(closed, general):

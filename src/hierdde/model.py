@@ -8,16 +8,18 @@ parameter ``0 < eps <= 1``.  Roots of the characteristic determinant
 
 are the system's spectrum; everything downstream (root finding, limit
 manifolds, stability verdicts) consumes the evaluation handles built here.
+The module is pure computation: system files are read and written by
+``harness``, which alone knows how a file looks.
 
 Evaluation is refused, rather than silently overflowed, at a point whose
 ``-Re lam * sigma_k * eps**-k`` exceeds ``EXP_ARG_LIMIT`` for some k: beyond
 that the delay exponentials leave double range and no downstream quantity
 is trustworthy.  Points with ``Re lam > 0`` are evaluated, since there the
-exponentials only underflow; ``guard_real_extent`` checks a window's
-real extent on both sides.
+exponentials only underflow; ``guard_real_extent`` checks how far a window
+reaches left of the imaginary axis, and the handles check each point the
+same one-sided way.
 """
 
-import json
 import operator
 from dataclasses import dataclass, field
 
@@ -34,10 +36,6 @@ __all__ = [
     "delays",
     "guard_real_extent",
     "char_function",
-    "system_to_dict",
-    "system_from_dict",
-    "save_system",
-    "load_system",
 ]
 
 EXP_ARG_LIMIT = 700.0  # |Re lam| * delay beyond this would overflow exp
@@ -143,7 +141,9 @@ def _guarded(taus, eps, lams):
 
 
 def guard_real_extent(sys, eps, max_abs_re):
-    """Raise if ``|Re lam| <= max_abs_re`` is not safely evaluable."""
+    """Raise if a window reaching ``max_abs_re`` left of the imaginary
+    axis (``Re lam >= -max_abs_re``) is not safely evaluable; right of the
+    axis the exponentials only underflow."""
     _guard(delays(sys, eps), float(max_abs_re), check_eps(eps))
 
 
@@ -169,8 +169,8 @@ def char_function(sys, eps):
 
 
 # ---------------------------------------------------------------------------
-# serialization: floats as [re, im] pairs, bit-exact through json's repr;
-# the readers below parse system and run-config files alike
+# value readers: the constructors of every module and harness's file
+# readers read real values and counts through these
 # ---------------------------------------------------------------------------
 
 def _real(v):
@@ -207,83 +207,3 @@ def _checked(parse, v, name):
         return parse(v)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {name}={v!r}: {exc}") from exc
-
-
-def _fields(data, fields, what):
-    """Keyword arguments parsed from one config object.
-
-    ``fields`` maps each key to its keyword argument and parser.  Unknown
-    keys and malformed values (a parser's TypeError or ValueError) raise
-    ConfigError naming the key.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"'{what}' must be an object")
-    extra = set(data) - set(fields)
-    if extra:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-    return {name: _checked(parse, data[key], f"{what} value {key}")
-            for key, (name, parse) in fields.items() if key in data}
-
-
-def _matrix_to_pairs(M):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
-def _matrix_from_pairs(rows, d, name):
-    try:
-        arr = np.array([[complex(*_reals(p, 2)) for p in row] for row in rows],
-                       np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: entries must be [re, im] pairs") from exc
-    if arr.shape != (d, d):
-        raise ConfigError(f"{name}: expected shape ({d}, {d}), "
-                          f"got {arr.shape}")
-    return arr
-
-
-def system_to_dict(sys):
-    """JSON-ready dict with fields d, n, sigma and A0..An."""
-    out = {"d": sys.d, "n": sys.n, "sigma": list(sys.sigma)}
-    for i, M in enumerate(sys.matrices):
-        out[f"A{i}"] = _matrix_to_pairs(M)
-    return out
-
-
-_SYSTEM_FIELDS = {"d": ("d", _count), "n": ("n", _count),
-                  "sigma": ("sigma", _reals)}
-
-
-def system_from_dict(data):
-    """Inverse of ``system_to_dict`` with schema validation."""
-    if not isinstance(data, dict):
-        raise ConfigError("system description must be a JSON object")
-    missing = [key for key in _SYSTEM_FIELDS if key not in data]
-    if missing:
-        raise ConfigError(f"system description missing field {missing[0]}")
-    kw = _fields({key: data[key] for key in _SYSTEM_FIELDS}, _SYSTEM_FIELDS,
-                 "system")
-    d, n, sigma = kw["d"], kw["n"], kw["sigma"]
-    if len(sigma) != n:
-        raise ConfigError(f"sigma must have n={n} entries, got {len(sigma)}")
-    mats = []
-    for i in range(n + 1):
-        key = f"A{i}"
-        if key not in data:
-            raise ConfigError(f"system description missing matrix {key}")
-        mats.append(_matrix_from_pairs(data[key], d, key))
-    return DelaySystem(matrices=tuple(mats), sigma=tuple(sigma))
-
-
-def save_system(sys, path):
-    with open(path, "w") as fh:
-        json.dump(system_to_dict(sys), fh, indent=1)
-        fh.write("\n")
-
-
-def load_system(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read system file {path}: {exc}") from exc
-    return system_from_dict(data)

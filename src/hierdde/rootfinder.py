@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (BoundaryZeroError, ConfigError, DimensionError,
                      ResolutionError)
 from .linalg import cluster_points
+from .model import _checked, _real
 
 __all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
 
@@ -64,9 +65,13 @@ def _noise_scale(mult, size):
     return 8.0 * _noise_radius(mult) * (1.0 + size)
 
 
+_BOUNDS = ("re_min", "re_max", "im_min", "im_max")
+
+
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned closed rectangle in the complex plane."""
+    """Axis-aligned closed rectangle in the complex plane; the bounds are
+    read as real numbers (a boolean is refused) and kept as floats."""
 
     re_min: float
     re_max: float
@@ -74,11 +79,14 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
-        vals = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(math.isfinite(v) for v in vals):
+        vals = tuple(_checked(_real, getattr(self, name), name)
+                     for name in _BOUNDS)
+        if not all(map(math.isfinite, vals)):
             raise DimensionError("rectangle bounds must be finite")
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+        if not (vals[0] < vals[1] and vals[2] < vals[3]):
             raise DimensionError(f"degenerate rectangle {vals}")
+        for name, v in zip(_BOUNDS, vals):
+            object.__setattr__(self, name, v)
 
     @property
     def width(self):

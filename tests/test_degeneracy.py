@@ -1,7 +1,5 @@
 """Reduction ladder for rank-deficient top coefficients and its spectra."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -235,19 +233,3 @@ def test_borderline_rank_warns():
         lad = h.build_ladder(s)
     # under the strict tolerance the top coefficient still counts as full rank
     assert not lad.an_singular
-
-
-def test_dump_ladder_schema():
-    lad = h.build_ladder(_two_dim_system(0.4))
-    data = json.loads(h.dump_ladder(lad))
-    assert sorted(data.keys()) == [
-        "an_singular", "k_under", "levels", "nd_satisfied", "rank_tol"]
-    assert data["an_singular"] is True
-    assert data["k_under"] == 1
-    assert data["nd_satisfied"] is True
-    (level,) = data["levels"]
-    assert level["k"] == 1 and level["dim"] == 1
-    assert level["heuristic"] is False
-    assert "J1" in level and "A0p" in level
-    # serialization is deterministic
-    assert h.dump_ladder(lad) == h.dump_ladder(h.build_ladder(_two_dim_system(0.4)))

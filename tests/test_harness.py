@@ -57,22 +57,24 @@ def test_config_rejects_bad_input():
             h.config_from_dict(_base_cfg(**patch))
 
 
-@pytest.mark.parametrize("key, patch", [
-    ("omega_range", {"grid": {"omega_range": [1]}}),
-    ("omega", {"grid": {"omega": "many"}}),
-    ("omega", {"grid": {"omega": 41.9}}),
-    ("phase", {"grid": {"phase": True}}),
-    ("tol", {"tol": "small"}),
-    ("eps", {"eps": ["a"]}),
-    ("eps", {"eps": "0.05"}),
-    ("window", {"window": "0123"}),
-    ("im_max", {"validation": {"im_max": None}}),
+@pytest.mark.parametrize("match, patch", [
+    ("malformed .* value omega_range=", {"grid": {"omega_range": [1]}}),
+    ("malformed .* value omega=", {"grid": {"omega": "many"}}),
+    ("malformed .* value omega=", {"grid": {"omega": 41.9}}),
+    ("malformed .* value phase=", {"grid": {"phase": True}}),
+    ("malformed .* value tol=", {"tol": "small"}),
+    ("malformed .* value eps=", {"eps": ["a"]}),
+    ("malformed .* value eps=", {"eps": "0.05"}),
+    ("malformed .* value window=", {"window": "0123"}),
+    # the validation strip is the constant IM_MAX, no settable value
+    (r"^unknown validation keys: \['im_max'\]$",
+     {"validation": {"im_max": None}}),
 ], ids=["omega_range", "omega", "omega-fraction", "phase-bool", "tol",
         "eps-list", "eps-string", "window-string", "im_max"])
-def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
+def test_malformed_config_value_is_a_config_error(match, patch, tmp_path,
                                                   capsys):
     data = _base_cfg(**patch)
-    with pytest.raises(ConfigError, match=f"malformed .* value {key}="):
+    with pytest.raises(ConfigError, match=match):
         h.config_from_dict(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -84,7 +86,7 @@ def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
     ("config value eps=True", {"eps": True}),
     ("config value tol=True", {"tol": True}),
     ("config value window=[True,", {"window": [True, 2, -3, 3]}),
-    ("validation value im_max=True", {"validation": {"im_max": True}}),
+    ("unknown validation keys: ['im_max']", {"validation": {"im_max": True}}),
     ("validation value re_halfwidth_coef=True",
      {"validation": {"re_halfwidth_coef": True}}),
     ("grid value omega_range=[False,", {"grid": {"omega_range": [False, 1]}}),
@@ -93,8 +95,8 @@ def test_malformed_config_value_is_a_config_error(key, patch, tmp_path,
     ("system value sigma=[True]", {"system": SCALAR_SYS | {"sigma": [True]}}),
     ("A1: entries must be [re, im] pairs",
      {"system": SCALAR_SYS | {"A1": [[[True, 0.0]]]}}),
-], ids=["eps", "tol", "window", "im_max", "re_halfwidth_coef", "omega_range",
-        "d", "n-fraction", "sigma", "matrix-entry"])
+], ids=["eps", "tol", "window", "im_max", "re_halfwidth_coef",
+        "omega_range", "d", "n-fraction", "sigma", "matrix-entry"])
 def test_boolean_or_fraction_is_refused_naming_its_key(match, patch):
     # a boolean is no real number and a fraction no count: each is refused,
     # not read as 0 or 1 or truncated
@@ -109,8 +111,6 @@ _SCALAR = h.DelaySystem.scalar(-1.0, (0.5,))
     ("eps=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(True,))),
     ("tol=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
                                      tol=True)),
-    ("im_max=True", lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
-                                        im_max=True)),
     ("re_halfwidth_coef=True",
      lambda: h.RunConfig(system=_SCALAR, eps_list=(0.5,),
                          re_halfwidth_coef=True)),
@@ -119,8 +119,9 @@ _SCALAR = h.DelaySystem.scalar(-1.0, (0.5,))
     ("eps=True", lambda: h.check_eps(True)),
     ("eps=True", lambda: h.char_function(_SCALAR, True)),
     ("eps=True", lambda: h.rescale(True, 2, 0.1 + 1j)),
-], ids=["run-eps", "run-tol", "run-im_max", "run-re_halfwidth_coef",
-        "sigma", "check_eps", "char_function", "rescale"])
+    ("re_min=False", lambda: h.Rectangle(False, True, 0, 1)),
+], ids=["run-eps", "run-tol", "run-re_halfwidth_coef",
+        "sigma", "check_eps", "char_function", "rescale", "rectangle"])
 def test_python_constructors_refuse_booleans(match, build):
     # the constructors read real values as the file readers do
     with pytest.raises(ConfigError, match=f"^malformed {match}: need a "
@@ -135,6 +136,55 @@ def test_config_loads_system_from_relative_path(tmp_path):
                              base_dir=str(tmp_path))
     assert cfg.system.n == 2
     assert np.array_equal(cfg.system.matrices[0], s.matrices[0])
+
+
+def _reencoded(path):
+    """``json.dumps(indent=1, sort_keys=True)`` text of a JSON file's
+    content, the layout of every written JSON file."""
+    return json.dumps(json.loads(path.read_text()), indent=1,
+                      sort_keys=True) + "\n"
+
+
+def test_saved_system_file_is_sorted_json(tmp_path):
+    rng = np.random.default_rng(11)
+    mats = tuple(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                 for _ in range(3))
+    s = h.DelaySystem(matrices=mats, sigma=(1.25, 0.3))
+    p1, p2 = tmp_path / "sys.json", tmp_path / "sub" / "sys.json"
+    h.save_system(s, p1)
+    assert p1.read_text() == _reencoded(p1)
+    assert list(json.loads(p1.read_text())) == ["A0", "A1", "A2", "d", "n",
+                                                "sigma"]
+    h.save_system(h.load_system(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_unreadable_files_name_their_kind(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    with pytest.raises(ConfigError, match="^cannot read config .*bad.json: "):
+        h.load_config(bad)
+    with pytest.raises(ConfigError,
+                       match="^cannot read system file .*bad.json: "):
+        h.load_system(bad)
+    with pytest.raises(ConfigError,
+                       match="^cannot read system file .*missing.json: "):
+        h.config_from_dict({"system": "missing.json", "eps": [0.5]},
+                           base_dir=str(tmp_path))
+
+
+def test_spectrum_right_of_the_axis_is_not_guarded():
+    # exp(-lam tau) only underflows for Re lam > 0: a window reaching
+    # Re 2 at the scale-2 delay 400 is searched, as the handles allow,
+    # and its roots right of the axis are those counted there
+    cfg = replace(h.preset_config("fig2-unstable", eps_list=(0.05,)),
+                  window=h.Rectangle(-0.01, 2.0, -1.0, 1.0))
+    (run,) = h.run_spectrum(cfg, write=False).runs
+    f, fp = h.char_function(cfg.system, 0.05)
+    right = sum(r.multiplicity for r in run.roots if r.location.real > 0)
+    assert sum(r.multiplicity for r in run.roots) == len(run.roots) == 127
+    assert right == 13 == h.count_zeros(f, h.Rectangle(0.0, 2.0, -1.0, 1.0),
+                                        fprime=fp)
 
 
 def test_spectrum_run_is_deterministic(tmp_path):
@@ -363,6 +413,28 @@ def test_run_classify_writes_verdict(tmp_path):
     assert len(data["sup_gammas"]) == 2
 
 
+def test_classify_strongly_unstable_writes_its_eigenvalue(tmp_path, capsys):
+    # Re a > 0: the eigenvalue a of the eps -> 0 limit is the witness, and
+    # no supremum is computed; the system comes from a saved system file
+    h.save_system(h.DelaySystem.scalar(0.1 + 0.5j, (0.1, 0.2)),
+                  tmp_path / "sys.json")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"system": "sys.json", "eps": [0.5]}))
+    h.run_classify(replace(h.load_config(cfg_path), out_dir=str(tmp_path)))
+    path = tmp_path / "classify.json"
+    data = json.loads(path.read_text())
+    assert data["status"] == "StronglyUnstable"
+    assert data["scale"] is None
+    assert data["sup_gammas"] == []
+    assert data["witness"] == {"eigenvalue": [0.1, 0.5]}
+    assert path.read_text() == _reencoded(path)
+    assert cli.main(["classify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "cli")]) == 0
+    assert capsys.readouterr().out == "classify: StronglyUnstable\n"
+    assert (tmp_path / "cli" / "classify.json").read_bytes() == \
+        path.read_bytes()
+
+
 def test_run_manifolds_writes_samples(tmp_path):
     cfg = h.config_from_dict({"system": SCALAR_SYS, "eps": [1.0],
                               "out": str(tmp_path), "grid": {"omega": 11}})
@@ -488,8 +560,6 @@ def test_cli_overrides_and_example(tmp_path, capsys):
     ({"tol": 0.0}, "tol must be finite and positive"),
     ({"tol": math.inf}, "tol must be finite and positive"),
     ({"tol": math.nan}, "tol must be finite and positive"),
-    ({"im_max": -1.0}, "im_max must be finite and positive"),
-    ({"im_max": math.inf}, "im_max must be finite and positive"),
     ({"re_halfwidth_coef": 0.0},
      "half-width coefficient must be finite and positive"),
     ({"re_halfwidth_coef": math.inf},
@@ -497,7 +567,7 @@ def test_cli_overrides_and_example(tmp_path, capsys):
     ({"re_halfwidth_coef": math.nan},
      "half-width coefficient must be finite and positive"),
 ], ids=["eps-empty", "eps-not-decreasing", "window", "format", "tol",
-        "tol-inf", "tol-nan", "im_max", "im_max-inf", "halfwidth-coef",
+        "tol-inf", "tol-nan", "halfwidth-coef",
         "halfwidth-coef-inf", "halfwidth-coef-nan"])
 def test_run_config_refuses(change, message):
     system = h.config_from_dict(_base_cfg()).system

@@ -11,7 +11,7 @@ from scipy.special import lambertw
 
 import hierdde as h
 from hierdde import rootfinder as rf
-from hierdde.errors import DimensionError
+from hierdde.errors import ConfigError, DimensionError
 
 
 def _poly_pair(roots):
@@ -38,6 +38,19 @@ def test_rectangle_rejects_degenerate():
                    (0.0, np.nan, 0.0, 1.0)):
         with pytest.raises(DimensionError, match="finite"):
             h.Rectangle(*bounds)
+
+
+def test_rectangle_reads_bounds_as_floats():
+    # bounds are read as config values are: a numeric string or a whole
+    # number becomes a float, anything else names its bound
+    r = h.Rectangle("0", 1, np.float64(-1.0), 1.0)
+    assert r == h.Rectangle(0.0, 1.0, -1.0, 1.0)
+    assert all(type(v) is float
+               for v in (r.re_min, r.re_max, r.im_min, r.im_max))
+    with pytest.raises(ConfigError, match="^malformed im_max='a': "):
+        h.Rectangle(0.0, 1.0, 0.0, "a")
+    with pytest.raises(ConfigError, match="^malformed re_max=None: "):
+        h.Rectangle(0.0, None, 0.0, 1.0)
 
 
 def test_count_zeros_polynomials():

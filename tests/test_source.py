@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,15 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_only_harness_reads_or_writes_files():
+    # how a file looks is decided in one module: no other imports json or
+    # opens a file
+    speaking = sorted(p.name for p in MODULES
+                      if re.search(r"^import json|open\(", p.read_text(),
+                                   re.MULTILINE))
+    assert speaking == ["harness.py"]
 
 
 def test_import_does_not_load_scipy_spatial():
