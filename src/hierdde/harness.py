@@ -22,9 +22,9 @@ from .classify import classify, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
-                        manifold_grid, strong_spectrum)
+                        manifold_grid, strong_spectrum, window_count)
 from .model import (DelaySystem, _checked, _count, _real, _reals,
-                    char_function, check_eps, guard_real_extent)
+                    char_function, check_eps)
 from .rootfinder import Rectangle, find_roots
 from . import scalar2
 
@@ -149,7 +149,8 @@ _SYSTEM_FIELDS = {"d": ("d", _count), "n": ("n", _count),
 
 
 def system_from_dict(data):
-    """Inverse of ``system_to_dict`` with schema validation."""
+    """Inverse of ``system_to_dict`` with schema validation: a key other
+    than d, n, sigma and A0..An is refused, as in a config object."""
     if not isinstance(data, dict):
         raise ConfigError("system description must be a JSON object")
     missing = [key for key in _SYSTEM_FIELDS if key not in data]
@@ -160,6 +161,9 @@ def system_from_dict(data):
     d, n, sigma = kw["d"], kw["n"], kw["sigma"]
     if len(sigma) != n:
         raise ConfigError(f"sigma must have n={n} entries, got {len(sigma)}")
+    extra = set(data) - set(_SYSTEM_FIELDS) - {f"A{i}" for i in range(n + 1)}
+    if extra:
+        raise ConfigError(f"unknown system keys: {sorted(extra)}")
     mats = []
     for i in range(n + 1):
         key = f"A{i}"
@@ -388,13 +392,14 @@ def _csv_text(columns, groups):
 # ---------------------------------------------------------------------------
 
 def _locate(sys_, eps, window, tol):
-    """Certified roots of the system at eps in window, seeded by
-    ``axis_seeds``; how far the window reaches left of the imaginary axis
-    is guarded first (right of it the exponentials only underflow)."""
-    guard_real_extent(sys_, eps, max(0.0, -window.re_min))
+    """Certified roots of the system at eps in window, counted by
+    ``window_count`` and seeded by ``axis_seeds``; the count guards first
+    how far the window reaches left of the imaginary axis (right of it the
+    exponentials only underflow)."""
+    counted = window_count(sys_, eps, window)
     f, fp = char_function(sys_, eps)
     return find_roots(f, window, fprime=fp, tol=tol,
-                      seeds=axis_seeds(sys_, eps, window))
+                      seeds=axis_seeds(sys_, eps, window), counted=counted)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ a height or a zero-root flag; every height array, manifold tables
 included, marks a missing branch with nan.
 """
 
+import logging
 import math
 import operator
 from collections.abc import Sequence
@@ -34,7 +35,9 @@ from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
                      numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
-from .model import _checked, _count, _reals, check_eps, delays
+from .model import (_checked, _count, _reals, char_function, check_eps,
+                    delays, guard_real_extent)
+from .rootfinder import BOUNDARY_TOL, _count_with_inflation, _phase_walk
 
 __all__ = [
     "PhasePoint",
@@ -53,6 +56,7 @@ __all__ = [
     "manifold_grid",
     "assemble_A_k",
     "axis_seeds",
+    "window_count",
 ]
 
 ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
@@ -62,6 +66,8 @@ _CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at onc
 _CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
 SEED_STEPS = 3          # fixed-point steps of axis_seeds; Newton finishes
 BRANCH_SEP = 1e-6       # relative |Y_b - Y_b'| up to which branches coincide
+DOMINANCE = 2.0         # |Y| / |Y_b| bound of window_count's edge factors
+_log = logging.getLogger("hierdde")
 
 
 def canonical_phase(phi, sigma_j):
@@ -371,7 +377,8 @@ def rescale(eps, k, lam):
 
 
 # ---------------------------------------------------------------------------
-# root finder seeds: the top-scale polynomial in Y = exp(-lam tau_n)
+# root finder seeds and window counts: the top-scale polynomial in
+# Y = exp(-lam tau_n)
 # ---------------------------------------------------------------------------
 
 def axis_seeds(sys, eps, rect):
@@ -399,8 +406,7 @@ def axis_seeds(sys, eps, rect):
     """
     taus = delays(sys, eps)
     mats, d, tau = sys.stacked(), sys.d, taus[-1]
-    scale = np.linalg.norm(mats[-1])
-    if scale == 0.0:
+    if np.linalg.norm(mats[-1]) == 0.0:
         return np.empty(0, np.complex128)
     lo = math.floor(rect.im_min * tau / (2.0 * math.pi)) - 1
     hi = math.ceil(rect.im_max * tau / (2.0 * math.pi)) + 1
@@ -409,12 +415,7 @@ def axis_seeds(sys, eps, rect):
     lam, Y = 2j * np.pi * m / tau, None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(SEED_STEPS):
-            B = mats[0] - lam[:, None, None] * np.eye(d)
-            for k in range(sys.n - 1):
-                B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
-            radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / scale
-            Ys, neff = poly_roots_batch(
-                _backend.det_poly_coeffs(B, mats[-1], radii))
+            Ys, neff = _top_branches(mats, taus, lam)
             first = Y is None
             if not first:
                 pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
@@ -430,6 +431,128 @@ def axis_seeds(sys, eps, rect):
     inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
               & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
     return np.repeat(lam[inside], mult[inside])
+
+
+def _top_branches(mats, taus, lam):
+    """The roots ``Y_b(lam)`` of ``det(B(lam) + Y A_n)`` at each point of
+    ``lam``, ``B(lam) = -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``, as
+    ``poly_roots_batch`` gives them: ``(roots, neff)``.  ``mats`` are the
+    stacked matrices, ``taus`` the delays; ``A_n`` must not be zero."""
+    d = mats.shape[1]
+    B = mats[0] - lam[:, None, None] * np.eye(d)
+    for k in range(taus.size - 1):
+        B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
+    radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / np.linalg.norm(mats[-1])
+    return poly_roots_batch(_backend.det_poly_coeffs(B, mats[-1], radii))
+
+
+def _edges(rect, sides):
+    """Point map and lengths of the ``sides`` of ``rect``, each walked
+    counter-clockwise (0 bottom, 1 right, 2 top, 3 left) with both ends
+    exact (see ``rootfinder._phase_walk``)."""
+    c = np.array([complex(rect.re_min, rect.im_min),
+                  complex(rect.re_max, rect.im_min),
+                  complex(rect.re_max, rect.im_max),
+                  complex(rect.re_min, rect.im_max)])
+    a, b = c[list(sides)], c[[(s + 1) % 4 for s in sides]]
+    return (lambda cid, t: a[cid] * (1.0 - t) + b[cid] * t), np.abs(b - a)
+
+
+def window_count(sys, eps, rect):
+    """Zeros of the characteristic function in ``rect``, counted with
+    multiplicity: ``(count, counted_rect)``, as
+    ``rootfinder._count_with_inflation`` returns them.
+
+    With ``Y = exp(-lam tau_n)``, ``chi(lam) = det(B(lam)) prod_b
+    (1 - Y / Y_b(lam)) = det(A_n) Y**d prod_b (1 - Y_b(lam) / Y)`` over the
+    d roots ``Y_b`` of ``det(B(lam) + Y A_n)`` (see ``axis_seeds``).  Only
+    ``Y`` turns at the fast scale ``tau_n``, and on a vertical edge ``|Y|``
+    is constant.  So the phase change of ``chi`` along each long
+    (vertical) edge comes from the factor that dominates it, at every
+    sample of the edge's adaptive sampling of ``det(B)``:
+
+    - *slow factor*, where ``|Y| <= min_b |Y_b| / DOMINANCE``: the phase
+      change of ``det(B)``, which varies on the scale ``tau_{n-1}``, plus
+      the end-point difference of ``sum_b Arg(1 - Y / Y_b)``;
+    - ``Y**d``, where ``|Y| >= DOMINANCE * max_b |Y_b|``: its exact turns,
+      ``-d tau_n`` times the rise of the edge over ``2 pi``, plus the
+      end-point difference of ``sum_b Arg(1 - Y_b / Y)``.
+
+    Each product then stays within ``1 / DOMINANCE`` of 1 and adds no
+    turn.  The short (horizontal) edges are walked on ``chi`` itself.
+    Both walks take the refinement rules of ``_winding_count``.  The whole
+    window falls back to ``_count_with_inflation`` when ``A_n`` has rank
+    below d, when neither factor dominates a long edge, when a walk flags
+    a zero near its edge, or when the turns do not sum to an integer (as a
+    nan value makes them); inflation and errors then behave as there.
+
+    Logs one DEBUG record on logger ``hierdde`` that names the route of
+    each long edge: "slow factor", "Y**d", or "fallback" and why.  The
+    window reaches ``-rect.re_min`` left of the axis, which is guarded
+    first.
+    """
+    guard_real_extent(sys, eps, max(0.0, -rect.re_min))
+    f, fp = char_function(sys, eps)
+    ztol = np.full(2, BOUNDARY_TOL * rect.diag)
+    routes, total = _long_edges(sys.stacked(), delays(sys, eps), rect, ztol)
+    if total is not None:
+        short, _ = _phase_walk(f, fp, *_edges(rect, (0, 2)), ztol,
+                               ("bottom edge", "top edge"), closed=False)
+        if None in short:
+            why = "a zero near a short edge"
+        else:
+            total += sum(short)
+            why = None if abs(total - np.rint(total)) <= 0.25 else \
+                f"non-integer turns {total:.3f}"
+        if why is not None:
+            routes, total = [f"fallback ({why})"] * 2, None
+    _log.debug("window_count on %s: right edge %s, left edge %s", rect,
+               *routes)
+    if total is None:
+        return _count_with_inflation(f, fp, rect)
+    return int(np.rint(total)), rect
+
+
+def _long_edges(mats, taus, rect, ztol):
+    """Routes of the right and left edges of ``rect`` (see
+    ``window_count``), and the turns of ``chi`` along both, upward on the
+    right and downward on the left; None in place of the turns when an
+    edge falls back."""
+    d = mats.shape[1]
+    _, rank = _restricted_smin(mats[-1])
+    if rank < d:
+        return [f"fallback (A_n of rank {rank} < {d})"] * 2, None
+    slow = mats[:-1], taus[:-1]
+    turns, points = _phase_walk(
+        lambda z: _backend.char_det(z, *slow),
+        lambda z: _backend.char_and_deriv(z, *slow)[1], *_edges(rect, (1, 3)),
+        ztol, ("right edge", "left edge"), closed=False)
+    routes, turns = zip(*[_edge_route(mats, taus, turn, z)
+                          for turn, z in zip(turns, points)])
+    return list(routes), None if None in turns else sum(turns)
+
+
+def _edge_route(mats, taus, turn, z):
+    """Route of one long edge, sampled at ``z``, along which ``det(B)``
+    turns ``turn`` times (None: a zero near it), and the turns of ``chi``
+    along it (None on a fallback)."""
+    if turn is None:
+        return "fallback (a zero of det(B) near the edge)", None
+    d, tau = mats.shape[1], taus[-1]
+    Yb, neff = _top_branches(mats, taus, z)
+    absY, absYb = math.exp(-z[0].real * tau), np.abs(Yb)
+    Y_ends, Yb_ends = np.exp(-z[[0, -1]] * tau)[:, None], Yb[[0, -1]]
+    if not (np.all(neff == d) and np.isfinite(absYb).all()):
+        return "fallback (Y_b lost a root or is not finite)", None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if DOMINANCE * absY <= absYb.min():
+            arg = np.angle(1.0 - Y_ends / Yb_ends).sum(axis=1)
+            return "slow factor", turn + (arg[1] - arg[0]) / (2.0 * math.pi)
+        if absY >= DOMINANCE * absYb.max():
+            arg = np.angle(1.0 - Yb_ends / Y_ends).sum(axis=1)
+            return "Y**d", (-d * tau * (z[-1].imag - z[0].imag)
+                            + arg[1] - arg[0]) / (2.0 * math.pi)
+    return "fallback (neither factor dominates)", None
 
 
 # ---------------------------------------------------------------------------

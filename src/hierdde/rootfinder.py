@@ -138,34 +138,60 @@ def _boundary_points(box, t):
 
 
 def _winding_count(f, fprime, rects):
-    """Winding numbers of f around each rectangle, by adaptive sampling.
-
-    Intervals are refined until the phase step, the log-magnitude step and
-    the first-order phase estimate |dz| |f'/f| are all small; intervals much
-    longer than the resolved median are split as well, which stops an
-    interval whose endpoints happen to agree from hiding a full extra turn.
+    """Winding numbers of f around each rectangle, by adaptive sampling
+    (see ``_phase_walk``).
 
     Up to ``MAX_BATCH_CELLS`` rectangles share the kernel calls of each
-    round, in one sample set sorted by (cell, t), yet each sees exactly the
-    samples it would see alone.  Returns one count per rectangle, None where
-    a zero sits on its contour; a ``ResolutionError`` in any one raises.
+    round, yet each sees exactly the samples it would see alone.  Returns
+    one count per rectangle, None where a zero sits on its contour; a
+    ``ResolutionError`` in any one raises.
     """
     if not 0 < len(rects) <= MAX_BATCH_CELLS:  # none, or several batches
         return [c for lo in range(0, len(rects), MAX_BATCH_CELLS) for c in
                 _winding_count(f, fprime, rects[lo:lo + MAX_BATCH_CELLS])]
     box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
                     for r in rects]).T
-    ztol = np.array([BOUNDARY_TOL * r.diag for r in rects])
-    cid = np.repeat(np.arange(len(rects)), _START_SAMPLES)
-    t = np.tile(np.arange(_START_SAMPLES, dtype=np.float64) / _START_SAMPLES,
-                len(rects))
-    z = _boundary_points(box[:, cid], t)
+    turns, _ = _phase_walk(
+        f, fprime, lambda cid, t: _boundary_points(box[:, cid], t),
+        2.0 * ((box[1] - box[0]) + (box[3] - box[2])),
+        np.array([BOUNDARY_TOL * r.diag for r in rects]), rects)
+    for rect, turn in zip(rects, turns):
+        # a nan f gives nan turns
+        if turn is not None and not abs(turn - np.rint(turn)) <= 0.25:
+            raise ResolutionError(f"non-integer winding {turn:.3f} "
+                                  f"on {rect}")
+    return [None if turn is None else int(np.rint(turn)) for turn in turns]
+
+
+def _phase_walk(f, fprime, at, sizes, ztol, names, closed=True):
+    """Phase change of f, in turns, along each path, by adaptive sampling.
+
+    Path i has length ``sizes[i]``, and ``at(cid, t)`` gives the points at
+    arc-length fractions ``t`` in [0, 1] of the paths ``cid``.  A closed
+    path is sampled on [0, 1), its last interval running back to t = 0; an
+    open one on [0, 1], both ends included.  Intervals are refined until
+    the phase step, the log-magnitude step and the first-order phase
+    estimate |dz| |f'/f| are all small; intervals much longer than the
+    resolved median are split as well, which stops an interval whose
+    endpoints happen to agree from hiding a full extra turn.
+
+    All paths share the kernel calls of each round, in one sample set
+    sorted by (path, t).  Returns the turns of each path, None where a
+    zero is estimated within ``ztol[i]`` of it (as |f| / |f'|), and the
+    final samples of each path in order of t (None alike); ``names[i]``
+    names path i in a ``ResolutionError``.
+    """
+    per = _START_SAMPLES + (not closed)
+    cid = np.repeat(np.arange(len(names)), per)
+    t = np.tile(np.arange(per, dtype=np.float64) / _START_SAMPLES,
+                len(names))
+    z = at(cid, t)
     fz, dfz = f(z), fprime(z)
-    out = [None] * len(rects)
+    turns, points = [None] * len(names), [None] * len(names)
     for _ in range(MAX_DEPTH + 1):
-        cells, starts, seg, sizes = np.unique(
+        cells, starts, seg, counts = np.unique(
             cid, return_index=True, return_inverse=True, return_counts=True)
-        ends = starts + sizes - 1
+        ends = starts + counts - 1
         nxt = np.arange(1, cid.size + 1)
         nxt[ends] = starts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -175,20 +201,22 @@ def _winding_count(f, fprime, rects):
             logf = np.log(absf)
             bad = ((np.abs(dphi) > MAX_PHASE_STEP)
                    | (np.abs(logf[nxt] - logf) > MAX_MAG_JUMP))
-            # on-boundary zero test: |f| spans many orders of magnitude along
-            # these boundaries (exponential growth off the imaginary axis),
-            # so flag a root estimated first-order, as |f| / |f'|, within
-            # BOUNDARY_TOL * diag of the contour
+            # on-path zero test: |f| spans many orders of magnitude along
+            # these paths (exponential growth off the imaginary axis), so
+            # flag a root estimated first-order, as |f| / |f'|, within
+            # ztol of the path
             dist = absf / np.abs(dfz)
             on_zero = ((np.minimum.reduceat(absf, starts) == 0.0)
                        | (np.minimum.reduceat(dist, starts) <= ztol[cells]))
             lens = t[nxt] - t
             lens[ends] = t[starts] + 1.0 - t[ends]
-            P = (2.0 * ((box[1] - box[0]) + (box[3] - box[2])))[cid]
+            P = sizes[cid]
             w_over_f = np.abs(dfz) / absf
             pair = np.maximum(w_over_f, w_over_f[nxt])
             bad |= (lens * P * pair) > DERIV_EST_LIMIT
-        # per-cell median of the good lengths, taken as np.median takes it
+        if not closed:  # an open path ends at t = 1: no interval back
+            dphi[ends], bad[ends] = 0.0, False
+        # per-path median of the good lengths, taken as np.median takes it
         srt = lens[np.lexsort((lens, bad, seg))]
         k = np.add.reduceat(~bad, starts, dtype=np.int64)
         lo = starts + (k - 1) // 2
@@ -197,27 +225,24 @@ def _winding_count(f, fprime, rects):
                        * np.maximum(med, 1.0 / MAX_SAMPLES))[seg]
         # an interval still bad at the floating-point spacing of its own
         # endpoints cannot be refined: f is evaluation noise there, as when a
-        # (possibly multiple) root sits on or next to the contour
+        # (possibly multiple) root sits on or next to the path
         stuck = bad & (lens * P <= 4.0 * _EPS_MACH * (1.0 + np.abs(z)))
         nbad = np.add.reduceat(bad, starts, dtype=np.int64)
         on_zero |= np.logical_or.reduceat(stuck, starts)
-        turns = np.add.reduceat(dphi, starts) / (2.0 * np.pi)
+        walked = np.add.reduceat(dphi, starts) / (2.0 * np.pi)
         for j in np.flatnonzero(~on_zero & (nbad == 0)):
-            count = np.rint(turns[j])
-            if not abs(turns[j] - count) <= 0.25:  # a nan f gives nan turns
-                raise ResolutionError(f"non-integer winding {turns[j]:.3f} "
-                                      f"on {rects[cells[j]]}")
-            out[cells[j]] = int(count)
+            turns[cells[j]] = float(walked[j])
+            points[cells[j]] = z[starts[j]:ends[j] + 1]
         going = ~on_zero & (nbad > 0)
-        if np.any(going & (sizes + nbad > MAX_SAMPLES)):
+        if np.any(going & (counts + nbad > MAX_SAMPLES)):
             raise ResolutionError(
                 f"boundary refinement exceeded {MAX_SAMPLES} samples")
         keep = going[seg]
         if not keep.any():
-            return out
+            return turns, points
         new = bad & keep
         tmid = np.mod(t[new] + 0.5 * lens[new], 1.0)
-        znew = _boundary_points(box[:, cid[new]], tmid)
+        znew = at(cid[new], tmid)
         # kept and new samples, one array at a time: one order for all
         t, cid = (np.concatenate([t[keep], tmid]),
                   np.concatenate([cid[keep], cid[new]]))
@@ -227,7 +252,7 @@ def _winding_count(f, fprime, rects):
         fz = np.concatenate([fz[keep], f(znew)])[order]
         dfz = np.concatenate([dfz[keep], fprime(znew)])[order]
     raise ResolutionError(f"boundary refinement did not settle in "
-                          f"{MAX_DEPTH} rounds on {rects[cid[0]]}")
+                          f"{MAX_DEPTH} rounds on {names[cid[0]]}")
 
 
 def _count_with_inflation(f, fprime, rect):
@@ -236,6 +261,8 @@ def _count_with_inflation(f, fprime, rect):
         grown = rect if attempt == 0 else rect.inflate(attempt * base)
         count, = _winding_count(f, fprime, [grown])
         if count is not None:
+            if attempt:
+                _log.debug("count inflated %s to %s", rect, grown)
             return count, grown
     raise BoundaryZeroError(
         f"a zero sits on the boundary of {rect} and {INFLATE_TRIES} "
@@ -434,7 +461,7 @@ def _polish(f, fprime, cells, tol, within):
     return roots, conv
 
 
-def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
+def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
     Returns a list of ``RootResult`` sorted by (real, imag).  Roots closer
@@ -451,12 +478,19 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None):
     not split further.  The merge joins the m copies of a seed into one
     m-fold root.  ``tol`` must be finite and positive.
 
+    ``counted`` (optional) is the ``(count, counted_rect)`` pair of the
+    window, as ``manifolds.window_count`` returns it: ``counted_rect`` is
+    ``rect`` or ``rect`` inflated, and ``count`` the zeros in it.  It is
+    taken in place of the boundary count of ``rect``, which is what
+    ``find_roots`` computes without it.
+
     Each generation of cells polishes its single-root cells by Newton and
     splits those whose polish fails; clusters are polished once, at the end.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
-    total, base = _count_with_inflation(f, fprime, rect)
+    total, base = (_count_with_inflation(f, fprime, rect)
+                   if counted is None else counted)
     if total == 0:
         return []
     pts, margin = _polish_seeds(f, fprime, seeds, rect, tol)

@@ -65,8 +65,11 @@ _SYS = {"d": 1, "n": 1, "sigma": [1.0], "A0": [[[0.0, 0.0]]],
     (_SYS | {"A0": [[1.0]]}, r"A0: entries must be \[re, im\] pairs"),
     (_SYS | {"A1": [[[1.0, 0.0], [0.0, 0.0]]]},
      r"A1: expected shape \(1, 1\), got \(1, 2\)"),
+    # a surplus matrix past n and a key of no system are not dropped
+    (_SYS | {"A2": [[[5.0, 0.0]]], "bogus": 1},
+     r"unknown system keys: \['A2', 'bogus'\]$"),
 ], ids=["not-object", "no-d", "bad-sigma", "sigma-count", "no-matrix",
-        "not-pairs", "shape"])
+        "not-pairs", "shape", "unknown-keys"])
 def test_system_from_dict_refuses(data, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
         h.system_from_dict(data)

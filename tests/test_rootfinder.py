@@ -482,6 +482,17 @@ def test_split_raises_when_child_counts_never_match(monkeypatch):
         h.find_roots(f, h.Rectangle(-1.0, 1.0, -1.0, 1.0), fprime=fp)
 
 
+def test_given_count_replaces_the_boundary_count():
+    # find_roots takes a caller's (count, rect) in place of its own count,
+    # and a count its cells' counts do not add up to raises
+    f, fp = _poly_pair([0.4 + 0.3j, -0.6 - 0.2j, 0.1 - 0.7j])
+    box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
+    want = h.find_roots(f, box, fprime=fp)
+    assert h.find_roots(f, box, fprime=fp, counted=(3, box)) == want
+    with pytest.raises(h.ResolutionError, match="parent count 4 on "):
+        h.find_roots(f, box, fprime=fp, counted=(4, box))
+
+
 def test_batch_cap_changes_no_result(monkeypatch):
     f, fp = _poly_pair([0.4 + 0.3j, -0.6 - 0.2j, 0.1 - 0.7j, 0.5, 0.5])
     box = h.Rectangle(-1.0, 1.0, -1.0, 1.0)
