@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import GridSpec, PhasePoint, _Level, strong_spectrum
+from .manifolds import GridSpec, PhasePoint, scale_lattice, strong_spectrum
 
 __all__ = [
     "SupEstimate",
@@ -195,10 +195,14 @@ def sup_gamma(sys, k, grid=GridSpec()):
     top-scale matrix has rank zero the polynomial is constant, no branch
     exists, and the scale imposes no constraint: sup is -inf.
     """
-    level = _Level.plain(sys, k)
-    sigma_k = level.sigma_k
-    axes = grid.axes(sys, k)
-    omegas, phis, _, gammas, _ = level.lattice(axes)
+    return lattice_sup(sys, grid, *scale_lattice(sys, k, grid))
+
+
+def lattice_sup(sys, grid, level, axes, lattice):
+    """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
+    grid)``: its level, axes and lattice."""
+    k, sigma_k = level.k, level.sigma_k
+    omegas, phis, _, gammas, _ = lattice
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import classify, sup_gamma
+from .classify import classify, lattice_sup, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
-                        manifold_grid, strong_spectrum, window_count)
+                        lattice_points, manifold_grid, scale_lattice,
+                        strong_spectrum, window_count)
 from .model import (DelaySystem, _checked, _count, _real, _reals,
                     char_function, check_eps)
 from .rootfinder import Rectangle, find_roots
@@ -506,12 +507,19 @@ def validation_window(cfg):
     An explicit config window wins; otherwise the half-width rule applies
     (see RunConfig).
     """
+    return _windows(cfg, lambda: sup_gamma(cfg.system, cfg.system.n,
+                                           cfg.grid))
+
+
+def _windows(cfg, top_sup):
+    """``validation_window``, where the sup rule alone calls ``top_sup()``
+    for the top-scale SupEstimate."""
     if cfg.window is not None:
         return [cfg.window for _ in cfg.eps_list]
     if cfg.re_halfwidth_coef is not None:
         hws = [cfg.re_halfwidth_coef * eps for eps in cfg.eps_list]
     else:
-        sup_top = sup_gamma(cfg.system, cfg.system.n, cfg.grid).sup
+        sup_top = top_sup().sup
         if not math.isfinite(sup_top):
             raise ConfigError(
                 "top-scale supremum is not finite; give an explicit window "
@@ -522,22 +530,31 @@ def validation_window(cfg):
     return [Rectangle(-hw, hw, -IM_MAX, IM_MAX) for hw in hws]
 
 
-def _sample_trees(sys_, ladder, grid):
+def _sample_trees(sys_, ladder, grid, top):
     """k-d trees over the sampled asymptotic point sets per scale (k=0
-    strong, 1..n projected); scales without points are left out."""
+    strong, 1..n projected); scales without points are left out.
+
+    Below the top scale the sets are ``assemble_A_k``'s; the scale-n set
+    comes from ``top``, the evaluated ``scale_lattice`` of that scale, or
+    None when it vanishes identically.  The trees are built unbalanced and
+    uncompacted, which builds and queries faster on these lattice points;
+    a nearest distance does not depend on the layout.
+    """
     # imported here, not with the package: scipy.spatial is most of the
     # package's import time, and no other workflow needs it
     from scipy.spatial import cKDTree
 
-    trees = {}
-    for k in range(sys_.n + 1):
+    sets = {}
+    for k in range(sys_.n):
         try:
-            pts = assemble_A_k(sys_, ladder, k, grid)
+            sets[k] = assemble_A_k(sys_, ladder, k, grid)
         except TrivialityError:
-            continue
-        if pts.size:
-            trees[k] = cKDTree(np.column_stack([pts.real, pts.imag]))
-    return trees
+            pass
+    if top is not None:
+        sets[sys_.n] = lattice_points(sys_, ladder, sys_.n, top[2])
+    return {k: cKDTree(np.column_stack([pts.real, pts.imag]),
+                       balanced_tree=False, compact_nodes=False)
+            for k, pts in sets.items() if pts.size}
 
 
 def _assign_roots(roots, eps, trees, strong_r):
@@ -579,13 +596,22 @@ def run_validate(cfg, write=True):
 
     Each root is rescaled per scale and matched to the nearest sampled
     asymptotic-set point; strong-spectrum (scale-0) candidates only count
-    within the strong matching radius.  Emits validate.json (always) and
-    validate.csv with per-eigenvalue rows when the format is csv.
+    within the strong matching radius.  The scale-n lattice is evaluated
+    once: it gives the scale-n sample set and, under the sup rule, the
+    lattice that ``validation_window``'s supremum refines.  Emits
+    validate.json (always) and validate.csv with per-eigenvalue rows when
+    the format is csv.
     """
     sys_ = cfg.system
-    trees = _sample_trees(sys_, build_ladder(sys_), cfg.grid)
+    ladder = build_ladder(sys_)
+    try:
+        top = scale_lattice(sys_, sys_.n, cfg.grid)
+    except TrivialityError:
+        top = None  # no scale-n tree; the sup rule raises again
+    trees = _sample_trees(sys_, ladder, cfg.grid, top)
     strong_r = strong_spectrum(sys_).r
-    windows = validation_window(cfg)
+    windows = _windows(cfg, lambda: sup_gamma(sys_, sys_.n, cfg.grid)
+                       if top is None else lattice_sup(sys_, cfg.grid, *top))
     records = []
     for eps, window in zip(cfg.eps_list, windows):
         roots = _locate(sys_, eps, window, cfg.tol)

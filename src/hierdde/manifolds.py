@@ -316,6 +316,15 @@ def _lattice(axes):
     return omegas, phis
 
 
+def scale_lattice(sys, k, grid):
+    """The plain scale-k ``_Level``, its grid axes, and its ``lattice``
+    over them: what ``sup_gamma`` and ``assemble_A_k`` evaluate, and what
+    one validation evaluates once for its top scale."""
+    level = _Level.plain(sys, k)
+    axes = grid.axes(sys, k)
+    return level, axes, level.lattice(axes)
+
+
 def truncated_char_poly(sys, k, point):
     """Coefficients (ascending in Y, trimmed) of the scale-k polynomial.
 
@@ -690,24 +699,29 @@ def assemble_A_k(sys, ladder, k, grid=GridSpec()):
     """
     if not 0 <= k <= sys.n:
         raise ConfigError(f"scale k must be in 0..{sys.n}, got {k}")
-    if k == 0:
-        parts = [strong_spectrum(sys).S0_plus]
-        if ladder is not None and ladder.k_under == 1:
-            parts.append(np.array(strong_stable_spectrum(ladder),
-                                  np.complex128))
-    else:
-        omegas, phis, _, gammas, _ = _Level.plain(sys, k).lattice(
-            grid.axes(sys, k))
-        # (gammas, kept signs): every finite value at the top scale; below
-        # it the unstable plain and the stable tilde values
-        sets = [(gammas, gammas > 0.0 if k < sys.n else True)]
-        if k < sys.n and ladder is not None and ladder.has_tilde(k):
-            _, tg, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
-            sets.append((tg, tg < 0.0))
-        parts = []
-        for g, keep in sets:
-            valid = np.isfinite(g) & keep
-            om = np.broadcast_to(omegas[:, None], g.shape)
-            parts.append(g[valid] + 1j * om[valid])
+    if k:
+        return lattice_points(sys, ladder, k,
+                              scale_lattice(sys, k, grid)[2])
+    parts = [strong_spectrum(sys).S0_plus]
+    if ladder is not None and ladder.k_under == 1:
+        parts.append(np.array(strong_stable_spectrum(ladder), np.complex128))
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
+
+
+def lattice_points(sys, ladder, k, lattice):
+    """``assemble_A_k`` at a scale 1 <= k <= n from its evaluated lattice,
+    the last item of ``scale_lattice(sys, k, grid)``."""
+    omegas, phis, _, gammas, _ = lattice
+    # (gammas, kept signs): every finite value at the top scale; below it
+    # the unstable plain and the stable tilde values
+    sets = [(gammas, gammas > 0.0 if k < sys.n else True)]
+    if k < sys.n and ladder is not None and ladder.has_tilde(k):
+        _, tg, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
+        sets.append((tg, tg < 0.0))
+    parts = []
+    for g, keep in sets:
+        valid = np.isfinite(g) & keep
+        om = np.broadcast_to(omegas[:, None], g.shape)
+        parts.append(g[valid] + 1j * om[valid])
+    return np.concatenate(parts)

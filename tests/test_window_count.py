@@ -172,3 +172,28 @@ def test_window_count_matches_the_collocated_generator(name, caplog):
     assert routes == _ROUCHE and counted == rect
     assert [z.size for z in inside] == [count, count] == [61 * sys_.d] * 2
     assert np.abs(inside[0] - inside[1]).max() <= 1e-8
+
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SYSTEMS))
+def test_spectrum_roots_are_the_collocated_eigenvalues(name):
+    # at two node counts, the collocation eigenvalues of the window are the
+    # located roots with multiplicity: each eigenvalue lies within 1e-10 of
+    # a root, and each root is the nearest root of as many eigenvalues as
+    # its multiplicity
+    sys_, eps = _ORACLE_SYSTEMS[name], 0.1
+    rect = h.Rectangle(-0.09, 0.09, -1.9, 1.9)
+    (run,) = h.run_spectrum(h.RunConfig(system=sys_, eps_list=(eps,),
+                                        window=rect), write=False).runs
+    roots = np.array([r.location for r in run.roots])
+    mults = [r.multiplicity for r in run.roots]
+    taus = h.delays(sys_, eps)
+    inside = [np.sort_complex(in_rect(
+        generator_eigenvalues(sys_.matrices, taus, N), rect.re_min,
+        rect.re_max, rect.im_min, rect.im_max)) for N in (150, 200)]
+    assert inside[0].size == inside[1].size == sum(mults) == 61 * sys_.d
+    assert np.abs(inside[0] - inside[1]).max() <= 1e-10
+    for eigs in inside:
+        nearest = np.abs(eigs[:, None] - roots[None, :]).argmin(axis=1)
+        assert np.bincount(nearest, minlength=roots.size).tolist() == mults
+        assert np.abs(eigs - roots[nearest]).max() <= 1e-10
