@@ -781,16 +781,15 @@ def _diff_ext(closed, general):
 
 
 def _gamma_comparison(p, sys_, grid, k):
-    """CSV text comparing the closed-form scale-k (1 or 2) gamma with the
-    general one over the grid, and the largest discrepancy.  The two
-    gammas are written by ``str``, the other columns at 17 digits."""
-    closed_form = scalar2.gamma1 if k == 1 else scalar2.gamma2
+    """CSV text comparing the closed-form scale-k gamma with the general
+    one over the grid, and the largest discrepancy.  The two gammas are
+    written by ``str``, the other columns at 17 digits."""
     columns = ("omega", *[f"phi_{j}" for j in range(1, k)],
                "gamma_closed", "gamma_general", "abs_diff")
     rows = []
     worst = 0.0
     for s in manifold_grid(sys_, k, grid):
-        closed = closed_form(p, s.point.omega, *s.point.phi)
+        closed = scalar2.gamma_k(p.coefs, s.point.omega, *s.point.phi)
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
         rows.append((s.point.omega, *s.point.phi, str(closed), str(s.gamma),
@@ -808,10 +807,11 @@ def run_example(name, out_dir=".", out_format="csv"):
     """
     p = preset_params(name)
     sys_ = preset_system(name)
-    grid1 = GridSpec(omega_count=201, phase_count=32, omega_range=(-3.2, 3.2))
-    grid2 = GridSpec(omega_count=101, phase_count=32, omega_range=(-3.2, 3.2))
-    text1, worst1 = _gamma_comparison(p, sys_, grid1, 1)
-    text2, worst2 = _gamma_comparison(p, sys_, grid2, 2)
+    texts, worst = {}, {}
+    for k, omega_count in ((1, 201), (2, 101)):
+        grid = GridSpec(omega_count=omega_count, phase_count=32,
+                        omega_range=(-3.2, 3.2))
+        texts[k], worst[k] = _gamma_comparison(p, sys_, grid, k)
 
     ladder = build_ladder(sys_)
     search = GridSpec(omega_count=401, phase_count=64,
@@ -827,8 +827,7 @@ def run_example(name, out_dir=".", out_format="csv"):
         "name": name,
         "params": {"a": [p.a.real, p.a.imag], "b": [p.b.real, p.b.imag],
                    "c": [p.c.real, p.c.imag]},
-        "max_gamma1_discrepancy": worst1,
-        "max_gamma2_discrepancy": worst2,
+        **{f"max_gamma{k}_discrepancy": w for k, w in worst.items()},
         "sup_gamma2_closed": sup_closed,
         "sup_gamma2_general": sup_general,
         "sup_gamma2_discrepancy": _diff_ext(sup_closed, sup_general),
@@ -841,6 +840,7 @@ def run_example(name, out_dir=".", out_format="csv"):
     }
     _write_json(os.path.join(out_dir, f"example_{name}.json"), summary)
     if out_format == "csv":
-        _write_text(os.path.join(out_dir, f"example_{name}_gamma1.csv"), text1)
-        _write_text(os.path.join(out_dir, f"example_{name}_gamma2.csv"), text2)
+        for k, text in texts.items():
+            _write_text(os.path.join(out_dir, f"example_{name}_gamma{k}.csv"),
+                        text)
     return summary

@@ -1,14 +1,14 @@
-"""Closed forms for the scalar system with two hierarchical delays.
+"""Closed forms for the scalar system with hierarchical delays.
 
-Everything here is elementary arithmetic on the three coefficients of
-
-    -lam + a + b exp(-lam/eps) + c exp(-lam/eps**2) = 0,
-
-written out by hand: the two manifold heights, their zero points, the
-singular phases and the supremum, plus the parameter-region classifier.
-The module deliberately never touches the general machinery (only the
-verdict containers are shared), so that agreement between this oracle and
-the grid/refinement route is a meaningful check of both.
+Elementary arithmetic on the coefficients (a0, ..., an) of
+``-lam + a0 + sum_k a_k exp(-lam/eps**k) = 0``, written once for every
+scale k: the height ``gamma_k``, its supremum ``sup_gamma_k`` and the
+verdict ``classify_coefs``.  The exported names are the two-delay family
+``ScalarParams(a, b, c)`` = (a0, a1, a2) and its scale-1 zero points and
+singular phases.  The module deliberately never touches the general
+machinery (only the verdict containers are shared), so that agreement
+between this oracle and the grid/refinement route is a meaningful check of
+both.
 """
 
 import cmath
@@ -49,17 +49,92 @@ class ScalarParams:
                 raise ConfigError(f"parameter {name} must be finite nonzero")
             object.__setattr__(self, name, v)
 
+    @property
+    def coefs(self):
+        """(a, b, c) as the coefficients (a0, a1, a2) of the forms below."""
+        return (self.a, self.b, self.c)
+
+
+def gamma_k(coefs, omega, *phis):
+    """Scale-k height at (omega, phi_1..phi_{k-1}), k = len(phis) + 1.
+
+    The scale-k root is Y = z / a_k, z = i omega - a0 - sum_{j<k} a_j
+    exp(-i phi_j) = -t1 + i t2, and the height is -ln(|z| / |a_k|); +inf
+    where z = 0 (only reachable when g_k <= 0, see ``sup_gamma_k``).
+    """
+    t1, t2 = coefs[0].real, float(omega) - coefs[0].imag
+    for a, phi in zip(coefs[1:], phis):
+        delta = phi - cmath.phase(a)
+        t1 += abs(a) * math.cos(delta)
+        t2 += abs(a) * math.sin(delta)
+    s = t1 * t1 + t2 * t2
+    if s == 0.0:
+        return math.inf
+    return -0.5 * math.log(s / abs(coefs[len(phis) + 1]) ** 2)
+
+
+def _gap(coefs, k):
+    """g_k = |Re a0| - sum_{j<k} |a_j|, the least |z| at scale k."""
+    return abs(coefs[0].real) - sum(abs(a) for a in coefs[1:k])
+
+
+def sup_gamma_k(coefs, k):
+    """Supremum of gamma_k: -ln(g_k / |a_k|) at omega = Im a0, phi_j =
+    Arg a_j when g_k > 0, else +inf (the singular points are reachable)."""
+    gap = _gap(coefs, k)
+    return -math.log(gap / abs(coefs[k])) if gap > 0.0 else math.inf
+
+
+def classify_coefs(coefs):
+    """Parameter-region classifier for the scalar family of any depth.
+
+    Re a0 > 0 strongly unstable; else the first scale k with |a_k| > g_k
+    is weakly unstable, and stable when there is none.  An equality
+    (within ``_MARGIN``) before that is marginal.
+    """
+    a0 = coefs[0]
+    if a0.real > _MARGIN:
+        return _verdict("StronglyUnstable", None, a0, ())
+    if abs(a0.real) <= _MARGIN:
+        return _verdict("Marginal", None, None, ())
+    sups = []
+    for k in range(1, len(coefs)):
+        phis = tuple(cmath.phase(a) % _TWO_PI for a in coefs[1:k])
+        argmax = (PhasePoint(omega=a0.imag, phi=phis), 0)
+        sups.append(SupEstimate(k=k, sup=sup_gamma_k(coefs, k),
+                                argmax=argmax, uncertainty=0.0))
+        excess = abs(coefs[k]) - _gap(coefs, k)
+        if excess > _MARGIN:
+            return _verdict("WeaklyUnstable", k, (k, *argmax, sups[-1].sup),
+                            sups)
+        if abs(excess) <= _MARGIN:
+            return _verdict("Marginal", None, None, sups)
+    return _verdict("Stable", None, None, sups)
+
+
+def _verdict(status, scale, witness, sups):
+    return StabilityVerdict(status=status, scale=scale, witness=witness,
+                            sup_gammas=tuple(sups), margin=_MARGIN, notes=())
+
 
 def gamma1(p, omega):
-    """Scale-1 manifold height at frequency omega (+inf at a singularity).
+    """Scale-1 height -(1/2) ln(((omega - Im a)**2 + (Re a)**2) / |b|**2)."""
+    return gamma_k(p.coefs, omega)
 
-    Equals -(1/2) ln(((omega - Im a)**2 + (Re a)**2) / |b|**2): the root of
-    the scale-1 polynomial is Y = (i omega - a)/b and the height is -ln|Y|.
-    """
-    num = (float(omega) - p.a.imag) ** 2 + p.a.real ** 2
-    if num == 0.0:
-        return math.inf
-    return -0.5 * math.log(num / abs(p.b) ** 2)
+
+def gamma2(p, omega, phi1):
+    """Scale-2 height at (omega, phi1)."""
+    return gamma_k(p.coefs, omega, phi1)
+
+
+def sup_gamma2(p):
+    """Supremum of gamma2: -ln((|Re a| - |b|)/|c|), or +inf."""
+    return sup_gamma_k(p.coefs, 2)
+
+
+def classify_scalar(p):
+    """Verdict of ``classify_coefs`` for the two-delay family."""
+    return classify_coefs(p.coefs)
 
 
 def gamma1_zeros(p):
@@ -75,30 +150,9 @@ def gamma1_zeros(p):
     return (p.a.imag - s, p.a.imag + s)
 
 
-def gamma2(p, omega, phi1):
-    """Scale-2 manifold height at (omega, phi1), +inf where both bracket
-    terms vanish (only reachable when |b| >= |Re a|)."""
-    delta = phi1 - cmath.phase(p.b)
-    t1 = p.a.real + abs(p.b) * math.cos(delta)
-    t2 = float(omega) - p.a.imag + abs(p.b) * math.sin(delta)
-    s = t1 * t1 + t2 * t2
-    if s == 0.0:
-        return math.inf
-    return -0.5 * math.log(s / abs(p.c) ** 2)
-
-
 def gamma2_peak_omega(p, phi1):
     """Frequency maximizing gamma2 at fixed phi1: Im a - |b| sin(phi1-Arg b)."""
     return p.a.imag - abs(p.b) * math.sin(phi1 - cmath.phase(p.b))
-
-
-def sup_gamma2(p):
-    """Global supremum of gamma2: -ln((|Re a| - |b|)/|c|) when |Re a| > |b|,
-    +inf otherwise (the singular points are reachable)."""
-    gap = abs(p.a.real) - abs(p.b)
-    if gap > 0.0:
-        return -math.log(gap / abs(p.c))
-    return math.inf
 
 
 def phi_singular(p):
@@ -121,58 +175,3 @@ def phi_singular(p):
                 f"singular-phase ansatz residual {resid:g} at omega={om:g}")
         out.append(phi)
     return tuple(out)
-
-
-def _sup_entries(p):
-    """Closed-form sup estimates for the verdict record (Re a < 0 region)."""
-    ra, b_, c_ = abs(p.a.real), abs(p.b), abs(p.c)
-    sup1 = math.inf if ra == 0.0 else math.log(b_ / ra)
-    arg1 = (PhasePoint(omega=p.a.imag), 0)
-    entries = [SupEstimate(k=1, sup=sup1, argmax=arg1, uncertainty=0.0)]
-    phi_star = cmath.phase(p.b) % _TWO_PI
-    arg2 = (PhasePoint(omega=p.a.imag, phi=(phi_star,)), 0)
-    entries.append(SupEstimate(k=2, sup=sup_gamma2(p), argmax=arg2,
-                               uncertainty=0.0))
-    return entries
-
-
-def classify_scalar(p):
-    """Parameter-region classifier for the scalar two-delay family.
-
-    Re a > 0 strongly unstable; |b| > |Re a| weakly unstable at scale 1;
-    |c| > |Re a| - |b| weakly unstable at scale 2; otherwise stable.
-    Boundary equalities (within ``_MARGIN``) are marginal.
-    """
-    ra = p.a.real
-    if ra > _MARGIN:
-        return StabilityVerdict(status="StronglyUnstable", scale=None,
-                                witness=p.a, sup_gammas=(), margin=_MARGIN,
-                                notes=())
-    if abs(ra) <= _MARGIN:
-        return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=(), margin=_MARGIN, notes=())
-    sups = _sup_entries(p)
-    t1 = abs(p.b) - abs(ra)
-    if t1 > _MARGIN:
-        point, branch = sups[0].argmax
-        return StabilityVerdict(status="WeaklyUnstable", scale=1,
-                                witness=(1, point, branch, sups[0].sup),
-                                sup_gammas=tuple(sups[:1]), margin=_MARGIN,
-                                notes=())
-    if abs(t1) <= _MARGIN:
-        return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=tuple(sups[:1]), margin=_MARGIN,
-                                notes=())
-    t2 = abs(p.c) - (abs(ra) - abs(p.b))
-    if t2 > _MARGIN:
-        point, branch = sups[1].argmax
-        return StabilityVerdict(status="WeaklyUnstable", scale=2,
-                                witness=(2, point, branch, sups[1].sup),
-                                sup_gammas=tuple(sups), margin=_MARGIN,
-                                notes=())
-    if abs(t2) <= _MARGIN:
-        return StabilityVerdict(status="Marginal", scale=None, witness=None,
-                                sup_gammas=tuple(sups), margin=_MARGIN,
-                                notes=())
-    return StabilityVerdict(status="Stable", scale=None, witness=None,
-                            sup_gammas=tuple(sups), margin=_MARGIN, notes=())

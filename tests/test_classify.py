@@ -63,6 +63,18 @@ def test_scale_with_zero_matrix_imposes_no_constraint():
     assert two.sup == pytest.approx(-math.log(2.0), abs=1e-6)
 
 
+def test_trivial_scale_below_the_top_is_skipped():
+    # A0 = diag(-i, i, -1), A1 = diag(0, 0, 1): at omega = -1 and 1, the
+    # only lattice frequencies, the scale-1 polynomial vanishes for every Y
+    s = h.DelaySystem((np.diag([-1j, 1j, -1.0]), np.diag([0.0, 0.0, 1.0]),
+                       0.1 * np.eye(3)), (1.0, 1.0))
+    grid = h.GridSpec(omega_count=2, phase_count=4, omega_range=(-1.0, 1.0))
+    v = h.classify(s, h.build_ladder(s), grid)
+    assert (v.status, v.scale) == ("WeaklyUnstable", 2)
+    assert v.notes == ("scale-1 polynomial trivial, scale skipped",)
+    assert [e.k for e in v.sup_gammas] == [2]
+
+
 def test_sup_unbounded_at_exact_zero_root_on_the_lattice():
     # -i omega + 0.5i + 0.3 Y = 0 has the root Y = 0 at omega = 0.5, a
     # lattice point of five omegas over [-1, 1]

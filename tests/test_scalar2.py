@@ -7,6 +7,7 @@ import pytest
 
 import hierdde as h
 from hierdde.errors import ConfigError
+from hierdde.scalar2 import classify_coefs, gamma_k, sup_gamma_k
 
 
 FIG2 = {name: h.preset_params(name)
@@ -165,3 +166,62 @@ def test_stable_verdict_has_both_sups():
     assert [e.k for e in v.sup_gammas] == [1, 2]
     assert v.sup_gammas[0].sup == pytest.approx(math.log(0.1 / 0.4), abs=1e-12)
     assert v.sup_gammas[1].sup == pytest.approx(-math.log(1.5), abs=1e-12)
+
+
+# a0 = -0.4+0.5i with (a1, a2, a3) = (0.1, 0.15, 0.4) loses stability at
+# scale 3; the others take one verdict region each
+_DEPTH3 = {
+    "weak-3": (-0.4 + 0.5j, 0.1, 0.15, 0.4),
+    "strong": (0.3 + 0.1j, 0.1, 0.1, 0.1),
+    "weak-1": (-0.4 + 0.5j, 0.5, 0.1, 0.1),
+    "weak-2": (-0.4 + 0.5j, 0.1, 0.35, 0.1),
+    "stable": (-0.6 - 0.3j, 0.2j, -0.15, 0.1 * np.exp(2j)),
+}
+
+
+def _random_depth3(rng, count):
+    """Seeded n = 3 coefficient tuples at least 0.02 from every boundary
+    |a_k| = g_k, so the margin bands of both classifiers stay clear."""
+    out = []
+    while len(out) < count:
+        a0 = complex(rng.uniform(-1.0, -0.2), rng.uniform(-1.0, 1.0))
+        rest = rng.uniform(0.05, 0.5, 3) * np.exp(1j * rng.uniform(0, 6.3, 3))
+        gaps = abs(a0.real) - np.concatenate([[0.0], np.cumsum(abs(rest))])
+        if np.abs(abs(rest) - gaps[:3]).min() > 0.02:
+            out.append((a0, *rest))
+    return out
+
+
+def test_classify_agrees_with_the_closed_form_at_depth_three():
+    grid = h.GridSpec(omega_count=101, phase_count=16)
+    systems = [*_DEPTH3.values(), *_random_depth3(
+        np.random.default_rng(2424), 4)]
+    for coefs in systems:
+        want = classify_coefs(coefs)
+        sys_ = h.DelaySystem.scalar(coefs[0], coefs[1:])
+        got = h.classify(sys_, h.build_ladder(sys_), grid)
+        assert (got.status, got.scale) == (want.status, want.scale)
+        assert [e.k for e in got.sup_gammas] == [e.k for e in want.sup_gammas]
+        for g, w in zip(got.sup_gammas, want.sup_gammas):
+            assert g.sup == pytest.approx(w.sup, abs=1e-12)
+    sups = [e.sup for e in classify_coefs(_DEPTH3["weak-3"]).sup_gammas]
+    assert sups == pytest.approx([-1.38629, -0.69315, 0.98083], abs=1e-5)
+    assert {classify_coefs(c).status for c in systems} == {
+        "StronglyUnstable", "WeaklyUnstable", "Stable"}
+
+
+def test_gamma_k_is_the_manifold_height_at_depth_three():
+    # every scale's closed form is the general grid's height, and the
+    # supremum is the height at omega = Im a0, phi_j = Arg a_j
+    coefs = _DEPTH3["weak-3"]
+    sys_ = h.DelaySystem.scalar(coefs[0], coefs[1:])
+    grid = h.GridSpec(omega_count=11, phase_count=4)
+    for k in (1, 2, 3):
+        samples = h.manifold_grid(sys_, k, grid)
+        assert len(samples) == 11 * 4 ** (k - 1)
+        for s in samples:
+            assert gamma_k(coefs, s.point.omega, *s.point.phi) == \
+                pytest.approx(s.gamma, abs=1e-12)
+        phis = [float(np.angle(a)) for a in coefs[1:k]]
+        assert gamma_k(coefs, coefs[0].imag, *phis) == pytest.approx(
+            sup_gamma_k(coefs, k), abs=1e-14)

@@ -65,6 +65,24 @@ def test_vanishing_top_scale_is_left_out_or_refused():
         h.run_validate(replace(cfg, window=None), write=False)
 
 
+def test_trivial_scale_below_the_top_has_no_tree(monkeypatch):
+    # the scale-1 polynomial vanishes at both lattice frequencies: that
+    # scale gets no tree, and the one root is explained at scale 2 alone
+    sys_ = h.DelaySystem(matrices=(np.diag([-1j, 1j, -1.0]),
+                                   np.diag([0.0, 0.0, 1.0]),
+                                   0.1 * np.eye(3)), sigma=(1.0, 1.0))
+    grid = h.GridSpec(omega_count=2, phase_count=4, omega_range=(-1.0, 1.0))
+    cfg = h.RunConfig(system=sys_, eps_list=(0.2,), grid=grid,
+                      window=h.Rectangle(-0.05, 0.05, -0.5, 0.5))
+    scales = []
+    _record(monkeypatch, harness, "_assign_roots", scales,
+            lambda roots, eps, trees, strong_r: sorted(trees))
+    (rec,) = h.run_validate(cfg, write=False).records
+    (a,) = rec.assignments
+    assert scales == [[2]]
+    assert rec.count == 1 and a.scale == 2 and a.runner_up_scale is None
+
+
 def _brute_nearest(pts, z, chunk=64):
     """Distance from each of ``z`` to its nearest point of ``pts``, as the
     minimum of sqrt(dx*dx + dy*dy) over every point, ``chunk`` of ``z``

@@ -126,6 +126,18 @@ def test_zero_on_a_long_edge_falls_back(rect, routes, inflated, caplog):
     assert grown == ([(rect, got[1])] if inflated else [])
 
 
+def test_zero_on_a_short_edge_falls_back(caplog):
+    # the top edge passes through the root: the walk along it flags a zero,
+    # both long edges give way to the full count, and that count inflates
+    s = h.DelaySystem.scalar(_A, (_B,))
+    rect = h.Rectangle(_ROOT.real - 0.1, _ROOT.real + 0.1, _ROOT.imag - 1.0,
+                       _ROOT.imag)
+    got, seen = _routed_count(s, _EPS, rect, caplog)
+    assert seen == ("fallback (a zero near a short edge)",) * 2
+    assert got == _full_count(s, _EPS, rect)
+    assert got[0] == 4 and got[1] != rect
+
+
 def test_route_logging_changes_no_written_file(tmp_path, caplog):
     cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
     digests = []
@@ -175,13 +187,23 @@ def test_window_count_matches_the_collocated_generator(name, caplog):
 
 
 
-@pytest.mark.parametrize("name", sorted(_ORACLE_SYSTEMS))
+# (system, eps, node counts, roots in the window): the presets and d = 2
+# systems hold d tau_2 (3.8) / (2 pi) roots at eps 0.1; the n = 3 system
+# needs a larger eps for its tau_3, and CI's d = 3 ladder more nodes
+_COLLOCATED = {name: (sys_, 0.1, (150, 200), 61 * sys_.d)
+               for name, sys_ in _ORACLE_SYSTEMS.items()}
+_COLLOCATED["n3"] = (h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.15, 0.4)),
+                     0.3, (300, 400), 23)
+_COLLOCATED["ci-ladder"] = (_LADDER, 0.1, (200, 260), 81)
+
+
+@pytest.mark.parametrize("name", sorted(_COLLOCATED))
 def test_spectrum_roots_are_the_collocated_eigenvalues(name):
     # at two node counts, the collocation eigenvalues of the window are the
     # located roots with multiplicity: each eigenvalue lies within 1e-10 of
     # a root, and each root is the nearest root of as many eigenvalues as
     # its multiplicity
-    sys_, eps = _ORACLE_SYSTEMS[name], 0.1
+    sys_, eps, nodes, count = _COLLOCATED[name]
     rect = h.Rectangle(-0.09, 0.09, -1.9, 1.9)
     (run,) = h.run_spectrum(h.RunConfig(system=sys_, eps_list=(eps,),
                                         window=rect), write=False).runs
@@ -190,8 +212,8 @@ def test_spectrum_roots_are_the_collocated_eigenvalues(name):
     taus = h.delays(sys_, eps)
     inside = [np.sort_complex(in_rect(
         generator_eigenvalues(sys_.matrices, taus, N), rect.re_min,
-        rect.re_max, rect.im_min, rect.im_max)) for N in (150, 200)]
-    assert inside[0].size == inside[1].size == sum(mults) == 61 * sys_.d
+        rect.re_max, rect.im_min, rect.im_max)) for N in nodes]
+    assert inside[0].size == inside[1].size == sum(mults) == count
     assert np.abs(inside[0] - inside[1]).max() <= 1e-10
     for eigs in inside:
         nearest = np.abs(eigs[:, None] - roots[None, :]).argmin(axis=1)
