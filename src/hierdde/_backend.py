@@ -106,17 +106,21 @@ def _interp(m):
     return _INTERP[m]
 
 
+def _chunk_coeffs(B, Ak, radii, nodes, idft, powers):
+    Y = radii[:, None] * nodes[None, :]  # (c, m+1)
+    dets = _det(B[:, None, :, :] + Y[:, :, None, None] * Ak)  # (c, m+1)
+    raw = dets @ idft.T  # (c, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
+    return raw / radii[:, None] ** powers  # the radius rescale
+
+
 def det_poly_coeffs(B, Ak, radii):
     N, m = B.shape[0], B.shape[1]
-    nodes, idft, powers = _interp(m)
-    coeffs = np.empty((N, m + 1), np.complex128)
+    interp = _interp(m)
     chunk = max(1, (1 << 20) // max(1, (m + 1) * m * m))
+    if N <= chunk:
+        return _chunk_coeffs(B, Ak, radii, *interp)
+    coeffs = np.empty((N, m + 1), np.complex128)
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
-        Y = radii[lo:hi, None] * nodes[None, :]  # (c, m+1)
-        Mstack = B[lo:hi, None, :, :] + Y[:, :, None, None] * Ak
-        dets = _det(Mstack)  # (c, m+1)
-        raw = dets @ idft.T  # (c, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
-        # the radius rescale, per chunk
-        coeffs[lo:hi] = raw / radii[lo:hi, None] ** powers
+        coeffs[lo:hi] = _chunk_coeffs(B[lo:hi], Ak, radii[lo:hi], *interp)
     return coeffs

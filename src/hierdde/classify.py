@@ -9,7 +9,9 @@ from the best cells, with an uncertainty radius from the local sample
 variation; verdicts use a margin band because numerics cannot certify an
 exact zero crossing.  The Nelder-Mead searches of one supremum run in
 lockstep: each step evaluates four speculative points per seed
-(reflection, expansion, both contractions) in one grid call.
+(reflection, expansion, both contractions) in one batched grid call, and
+keeps each seed's simplex and values as Python floats, so the bookkeeping
+between calls costs its arithmetic rather than numpy calls on tiny arrays.
 """
 
 import logging
@@ -34,14 +36,6 @@ UNBOUNDED_GAMMA = math.log(1e8)
 MARGIN = 1e-6  # half-width of the band around zero that no verdict trusts
 _NM_OPTIONS = dict(xatol=1e-12, fatol=1e-11, maxiter=4000, maxfev=6000)
 _SEED_COUNT = 5
-# scipy's non-adaptive Nelder-Mead constants, and each step's speculative
-# points as c0 * xbar + c1 * worst: reflection, expansion, outside and
-# inside contraction (c1 * worst is -(rho * worst) etc. exactly, so the
-# points carry scipy's bits)
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_STEP_COEFS = np.array([[1 + _RHO, -_RHO], [1 + _RHO * _CHI, -_RHO * _CHI],
-                        [1 + _PSI * _RHO, -_PSI * _RHO], [1 - _PSI, _PSI]],
-                       np.float64)
 _log = logging.getLogger("hierdde")
 
 
@@ -81,101 +75,148 @@ def _row_max(gammas):
     ``gammas`` has a column: ``sup_gamma`` returns before it reaches here
     for a scale without branches.
     """
-    M = gammas.shape[0]
-    # +inf is the largest value, and argmax takes the first of equals
+    # +inf is the largest value; a later column must be strictly larger to
+    # win, so the first of equals keeps the row, as argmax would.  Rows are
+    # short, so the reduction loops over columns.
     safe = np.where(np.isnan(gammas), -math.inf, gammas)
-    branch = np.argmax(safe, axis=1)
-    val = safe[np.arange(M), branch]
-    return val, np.where(val == -math.inf, -1, branch)
+    val = safe[:, 0]
+    branch = np.zeros(val.shape, np.int64)
+    for j in range(1, safe.shape[1]):
+        wins = safe[:, j] > val
+        val = np.where(wins, safe[:, j], val)
+        branch[wins] = j
+    branch[val == -math.inf] = -1
+    return val, branch
 
 
-def _sort_simplices(sim, fsim):
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(fsim.shape[0])[:, None]
-    return sim[rows, order], fsim[rows, order]
+def _sort(sim, f):
+    """Reorder one simplex and its values in place, as ``np.argsort(f)``
+    orders them.
+
+    Distinct values have one sorted order, which ``sorted`` finds without
+    a numpy call.  Ties and nan go to ``np.argsort`` itself: its order
+    among equal values depends on the machine's sort kernel (with AVX-512
+    it is not stable from four values up).
+    """
+    order = sorted(range(len(f)), key=f.__getitem__)
+    if not all(f[a] < f[b] for a, b in zip(order, order[1:])):
+        order = np.argsort(f).tolist()
+    sim[:] = [sim[i] for i in order]
+    f[:] = [f[i] for i in order]
+
+
+def _converged(sim, f):
+    """scipy's test: every vertex within xatol of the best in every
+    coordinate and every value within fatol of its value (nan fails)."""
+    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
+    best, fbest = sim[0], f[0]
+    return (all(abs(fv - fbest) <= fatol for fv in f[1:])
+            and all(abs(x - b) <= xatol
+                    for v in sim[1:] for x, b in zip(v, best)))
 
 
 def minimize(fun, simplices):
     """Nelder-Mead from each of the stacked simplices (S, N+1, N), in lockstep.
 
     Every seed follows scipy's non-adaptive Nelder-Mead step for step: the
-    same constants, the argsort re-ordering after every step, and its
-    termination test with the ``_NM_OPTIONS`` tolerances and limits (a
-    seed that reaches ``maxfev`` mid-step stops where scipy stops).  Only
-    the evaluation order differs: ``fun`` maps an (M, N) array of points
-    to M values, and one call per step evaluates the reflection,
-    expansion, outside and inside contraction points of all live seeds;
-    the seeds that shrink share one more call.  Returns ``x`` (S, N),
-    ``fun`` (S,) and ``nfev``, the evaluations scipy would have counted,
-    summed over seeds.
+    same constants and arithmetic, the ``np.argsort`` re-ordering after
+    every step, and its termination test with the ``_NM_OPTIONS``
+    tolerances and limits (a seed that reaches ``maxfev`` mid-step stops
+    where scipy stops).  Each seed's simplex, values and counters are
+    Python floats and ints, so a step costs its arithmetic rather than a
+    dozen numpy calls on tiny arrays.  Only the evaluation order differs:
+    ``fun`` maps an (M, N) array of points to an array of M values, and
+    one call per step evaluates the reflection, expansion, outside and
+    inside contraction points of all live seeds; the seeds that shrink
+    share one more call.  Returns ``x`` (S, N), ``fun`` (S,), ``nfev``,
+    the evaluations scipy would have counted, summed over seeds, and
+    ``capped``, the number of seeds stopped by ``maxiter`` or ``maxfev``
+    rather than by the tolerances.
     """
-    opts = _NM_OPTIONS
-    sim = np.array(simplices, np.float64)
-    S, N = sim.shape[0], sim.shape[2]
-    fsim = np.full((S, N + 1), math.inf)
-    n0 = min(N + 1, opts["maxfev"])
-    fsim[:, :n0] = np.reshape(fun(sim[:, :n0].reshape(-1, N)), (S, n0))
-    fcalls = np.full(S, n0)
-    sim, fsim = _sort_simplices(sim, fsim)
-    cols = np.arange(1, N + 1)
-    # the live seeds' simplices and counters; a seed that stops leaves
-    # them, and its result goes back to sim, fsim and fcalls
-    live = np.nonzero(fcalls < opts["maxfev"])[0]
-    s, f, calls = sim[live], fsim[live], fcalls[live]
-    iters = np.ones(live.size, np.int64)
+    maxfev, maxiter = _NM_OPTIONS["maxfev"], _NM_OPTIONS["maxiter"]
+    first = np.asarray(simplices, np.float64)
+    S, N = first.shape[0], first.shape[2]
+    n0 = min(N + 1, maxfev)
+    f0 = np.reshape(fun(first[:, :n0].reshape(-1, N)), (S, n0)).tolist()
+    sims, fs = first.tolist(), [f + [math.inf] * (N + 1 - n0) for f in f0]
+    for sim, f in zip(sims, fs):
+        _sort(sim, f)
+    calls, iters = [n0] * S, [1] * S
+    live, capped = list(range(S)), 0
 
-    while live.size:
-        stop = ((calls >= opts["maxfev"]) | (iters >= opts["maxiter"])
-                | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2))
-                    <= opts["xatol"])
-                   & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1)
-                      <= opts["fatol"])))
-        if stop.any():
-            out, go = live[stop], ~stop
-            sim[out], fsim[out], fcalls[out] = s[stop], f[stop], calls[stop]
-            live, s, f = live[go], s[go], f[go]
-            calls, iters = calls[go], iters[go]
-            if not live.size:
-                break
-        xbar = np.add.reduce(s[:, :-1], 1) / N
-        points = (_STEP_COEFS[:, :1, None] * xbar
-                  + _STEP_COEFS[:, 1:, None] * s[:, -1])
-        vals = np.reshape(fun(points.reshape(-1, N)), (4, live.size))
-        fr, fe, fc, fcc = vals
+    while live:
+        go = []
+        for i in live:
+            if calls[i] >= maxfev or iters[i] >= maxiter:
+                capped += 1
+            elif not _converged(sims[i], fs[i]):
+                go.append(i)
+        live = go
+        if not live:
+            break
+        # scipy's reflection, expansion, outside and inside contraction
+        # from the centroid b of all vertices but the worst w, with its
+        # rho, chi, psi = 1, 2, 0.5 multiplied out: (1 + rho) b - rho w
+        # is 2 b - w bit for bit, and so on.  The centroid sum starts at
+        # 0.0 as numpy's add.reduce does (it turns -0.0 sums into 0.0)
+        refl, expa, outc, insc = [], [], [], []
+        for i in live:
+            sim = sims[i]
+            worst = sim[-1]
+            for j, w in enumerate(worst):
+                acc = 0.0
+                for v in sim[:-1]:
+                    acc += v[j]
+                b = acc / N
+                refl.append(2 * b - w)
+                expa.append(3 * b - 2 * w)
+                outc.append(1.5 * b - 0.5 * w)
+                insc.append(0.5 * b + 0.5 * w)
+        L = len(live)
+        points = np.array(refl + expa + outc + insc).reshape(4 * L, N)
+        vals = np.ravel(fun(points)).tolist()
+        flat = points.tolist()
 
-        # scipy's branches as the row of the accepted point, -1 for a
-        # shrink; a failed comparison (nan) takes the else branch
-        expand = fr < f[:, 0]
-        second = expand | ~(fr < f[:, -2])
-        pick = np.where(expand, np.where(fe < fr, 1, 0),
-                        np.where(~second, 0,
-                                 np.where(fr < f[:, -1],
-                                          np.where(fc <= fr, 2, -1),
-                                          np.where(fcc < f[:, -1], 3, -1))))
-        # a seed whose second evaluation would pass maxfev stops unchanged
-        budget = opts["maxfev"] - calls
-        halted = second & (budget < 2)
-        keep = np.nonzero(~halted & (pick >= 0))[0]
-        s[keep, -1] = points[pick[keep], keep]
-        f[keep, -1] = vals[pick[keep], keep]
-        calls += 1 + (second & ~halted)
-        iters += 1
+        shrink = []
+        for n, i in enumerate(live):
+            sim, f = sims[i], fs[i]
+            fr = vals[n]
+            iters[i] += 1
+            if not fr < f[0] and fr < f[-2]:
+                calls[i] += 1
+                sim[-1], f[-1] = flat[n], fr
+            elif maxfev - calls[i] < 2:
+                # the second evaluation would pass maxfev: stop unchanged
+                calls[i] += 1
+            else:
+                calls[i] += 2
+                if fr < f[0]:
+                    row = L + n if vals[L + n] < fr else n
+                elif fr < f[-1]:
+                    row = 2 * L + n if vals[2 * L + n] <= fr else -1
+                else:
+                    row = 3 * L + n if vals[3 * L + n] < f[-1] else -1
+                if row < 0:
+                    shrink.append(i)
+                else:
+                    sim[-1], f[-1] = flat[row], vals[row]
 
-        shr = np.nonzero(~halted & (pick < 0))[0]
-        if shr.size:
-            base = s[shr, :1]
-            moved = base + _SIGMA * (s[shr, 1:] - base)
-            fmoved = np.reshape(fun(moved.reshape(-1, N)), (shr.size, N))
-            # only the vertices the remaining budget evaluates move
-            left = budget[shr] - 2
-            moves = cols <= left[:, None]
-            s[shr, 1:] = np.where(moves[:, :, None], moved, s[shr, 1:])
-            f[shr, 1:] = np.where(moves, fmoved, f[shr, 1:])
-            calls[shr] += np.minimum(left, N)
-        s, f = _sort_simplices(s, f)
+        if shrink:  # towards the best vertex, scipy's sigma = 0.5
+            moved = [[b + 0.5 * (x - b) for x, b in zip(v, sims[i][0])]
+                     for i in shrink for v in sims[i][1:]]
+            fmoved = np.ravel(fun(np.array(moved))).tolist()
+            for n, i in enumerate(shrink):
+                # only the vertices the remaining budget evaluates move
+                m = min(maxfev - calls[i], N)
+                sims[i][1:m + 1] = moved[n * N:n * N + m]
+                fs[i][1:m + 1] = fmoved[n * N:n * N + m]
+                calls[i] += m
+        for i in live:
+            _sort(sims[i], fs[i])
 
-    return SimpleNamespace(x=sim[:, 0], fun=fsim.min(axis=1),
-                           nfev=int(fcalls.sum()))
+    return SimpleNamespace(x=np.array([sim[0] for sim in sims]),
+                           fun=np.array(fs).min(axis=1), nfev=sum(calls),
+                           capped=capped)
 
 
 def sup_gamma(sys, k, grid=GridSpec()):
@@ -183,13 +224,16 @@ def sup_gamma(sys, k, grid=GridSpec()):
 
     Coarse lattice (defaults as in the manifold grids), then Nelder-Mead
     from the best ``_SEED_COUNT`` cells, all seeds in lockstep
-    (``minimize``: four speculative points per seed and step, one grid call
-    per step); a refined value above ``UNBOUNDED_GAMMA / sigma_k`` (or an
-    exact zero root on the lattice) is reported as +inf with the singular
-    point as witness — the supremum is genuinely unbounded exactly when the
-    branch polynomial has a zero root there.  The uncertainty is the
-    largest change of gamma over steps of 1/100 lattice spacing around the
-    argmax; the argmax and these 2k probes are evaluated in one call.
+    (``minimize``: four speculative points per seed and step, one batched
+    grid call per step, the simplices kept as Python floats between calls;
+    seeds stopped by an iteration or evaluation cap are logged at DEBUG on
+    logger ``hierdde``); a refined value above ``UNBOUNDED_GAMMA /
+    sigma_k`` (or an exact zero root on the lattice) is reported as +inf
+    with the singular point as witness — the supremum is genuinely
+    unbounded exactly when the branch polynomial has a zero root there.
+    The uncertainty is the largest change of gamma over steps of 1/100
+    lattice spacing around the argmax; the argmax and these 2k probes are
+    evaluated in one call.
     Projected (ladder) branches live in the closed left half-plane and
     cannot raise the supremum, so the ladder is not consulted.  If the
     top-scale matrix has rank zero the polynomial is constant, no branch
@@ -236,6 +280,10 @@ def lattice_sup(sys, grid, level, axes, lattice):
     x0 = np.column_stack([omegas[seeds], phis[seeds]])
     steps = np.vstack([np.zeros(k), np.diag(0.5 * spacings)])
     res = minimize(objective, x0[:, None, :] + steps)
+    if res.capped:
+        _log.debug("scale-%d sup refinement: %d of %d Nelder-Mead seeds "
+                   "stopped on maxiter or maxfev, not on tolerance",
+                   k, res.capped, len(seeds))
     found = -res.fun
     best = int(np.argmax(found))
     best_val, best_x = float(found[best]), res.x[best]

@@ -146,24 +146,31 @@ def poly_roots_batch(coeffs, max_degree=None):
         max_degree = width - 1
     work = coeffs[:, :max_degree + 1]
 
-    mags = np.abs(work)
-    keep = mags > TRIM_TOL * np.maximum(mags.max(axis=1), 1e-300)[:, None]
+    mags = [np.abs(work[:, j]) for j in range(max_degree + 1)]
+    top = mags[0]
+    for m in mags[1:]:
+        top = np.maximum(top, m)
+    floor = TRIM_TOL * np.maximum(top, 1e-300)
     # effective degree: highest index still above the noise floor; an
-    # all-zero row keeps nothing (the floor is positive)
-    degs = np.where(keep.any(axis=1),
-                    max_degree - np.argmax(keep[:, ::-1], axis=1), -1)
+    # all-zero row keeps nothing (the floor is positive).  Rows are short,
+    # so the reductions run as loops over columns.
+    degs = np.full(N, -1)
+    for j, m in enumerate(mags):
+        degs[m > floor] = j
 
     roots = np.full((N, max_degree), np.nan + 0j, np.complex128)
     for g in range(1, max_degree + 1):
-        sel = np.nonzero(degs == g)[0]
+        sel = np.flatnonzero(degs == g)
         if sel.size == 0:
             continue
+        if sel.size == N:  # every row: slices, not fancy indexing
+            sel = slice(None)
         if g == 1:
             roots[sel, 0] = -work[sel, 0] / work[sel, 1]
             continue
         vals = _companion_eigvals(work[sel, :g + 1])
         order = np.lexsort((vals.imag, vals.real))
-        rows = np.arange(sel.size)[:, None]
+        rows = np.arange(vals.shape[0])[:, None]
         roots[sel, :g] = vals[rows, order]
     return roots, degs
 

@@ -261,6 +261,9 @@ class _Level:
         else:
             radii = 1.0 + bound / self.smin
         N = omegas.shape[0]
+        if N <= _CHUNK_ROWS:
+            return _backend.det_poly_coeffs(self.B(omegas, phis), self.Ak,
+                                            radii), radii
         coeffs = np.empty((N, self.Ak.shape[0] + 1), np.complex128)
         for lo in range(0, N, _CHUNK_ROWS):
             hi = min(N, lo + _CHUNK_ROWS)

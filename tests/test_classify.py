@@ -14,7 +14,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import _NM_OPTIONS, _leak_check, _row_max, minimize
+from hierdde.classify import (_NM_OPTIONS, _leak_check, _row_max, _sort,
+                              minimize)
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import PhasePoint, _Level
 
@@ -224,6 +225,109 @@ def test_lockstep_minimize_stops_mid_step_at_maxfev_like_scipy(monkeypatch):
         for i, ref in enumerate(refs):
             assert np.array_equal(res.x[i], ref.x), maxfev
             assert res.fun[i] == ref.fun, maxfev
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_simplex_sort_orders_as_numpy_argsort(size):
+    # random arrangements of values with ties, signed zeros, infinities
+    # and nan: np.argsort puts nan last, and its order among equal values
+    # is whatever the machine's sort kernel gives, which _sort reproduces
+    values = [0.0, -0.0, 1.0, -2.0, 1e6, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(size)
+    for f in rng.choice(values, size=(3000, size)).tolist():
+        sim = [[float(i)] for i in range(size)]
+        got = list(f)
+        _sort(sim, got)
+        order = np.argsort(f).tolist()
+        assert [v[0] for v in sim] == order, f
+        assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
+
+
+def _captured_refinement(sys_, k, monkeypatch):
+    """The objective and the stacked simplices that ``sup_gamma`` hands to
+    ``minimize``."""
+    seen = []
+
+    def record(fun, simplices):
+        seen.append((fun, np.array(simplices)))
+        return minimize(fun, simplices)
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules["hierdde.classify"], "minimize", record)
+        h.sup_gamma(sys_, k)
+    (got,) = seen
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_minimize_is_scipy_on_the_sup_objective(k, monkeypatch):
+    # the lattice_sup objective of a classify-random system, seeded from
+    # its lattice, plus a simplex far out on the 1e6 plateau (every value
+    # ties); then the same with nan at some points.  A row's last bits
+    # depend on the rows evaluated with it (ROADMAP item 9), so both sides
+    # evaluate the objective one row at a time
+    monkeypatch.setitem(_NM_OPTIONS, "maxfev", 800)
+    sys_ = _classify_random_systems(1)[0]
+    fun, sims = _captured_refinement(sys_, k, monkeypatch)
+    assert sims.shape == (5, k + 1, k)
+    sims = np.concatenate([sims, (1e12 + sims[0] - sims[0, 0])[None]])
+
+    def rows(X):
+        return np.array([fun(x[None])[0] for x in X])
+
+    def holes(X):
+        return np.where(np.floor(40.0 * X[:, 0]) % 3 == 0, math.nan, rows(X))
+
+    for f in (rows, holes):
+        res = minimize(f, sims)
+        refs = [scipy_minimize(lambda x: f(x[None])[0], sim[0],
+                               method="Nelder-Mead",
+                               options=dict(_NM_OPTIONS, initial_simplex=sim))
+                for sim in sims]
+        for i, ref in enumerate(refs):
+            assert np.array_equal(res.x[i], ref.x), (f.__name__, i)
+            assert np.array_equal(res.fun[i], ref.fun, equal_nan=True)
+        assert res.nfev == sum(ref.nfev for ref in refs)
+        assert res.capped == sum(ref.status != 0 for ref in refs)
+        assert res.fun[-1] == 1e6
+    # the nan case really leaves nan in a final simplex
+    assert any(np.isnan(ref.final_simplex[1]).any() for ref in refs)
+
+
+def test_capped_seeds_are_logged_at_debug(monkeypatch, caplog):
+    sys_ = _classify_random_systems(1)[0]
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        h.sup_gamma(sys_, 2)
+    assert not [r for r in caplog.records if "Nelder-Mead" in r.getMessage()]
+    monkeypatch.setitem(_NM_OPTIONS, "maxiter", 7)
+    fun, sims = _captured_refinement(sys_, 2, monkeypatch)
+    assert minimize(fun, sims).capped == len(sims)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        h.sup_gamma(sys_, 2)
+    (rec,) = [r for r in caplog.records if "Nelder-Mead" in r.getMessage()]
+    assert rec.name == "hierdde" and rec.levelno == logging.DEBUG
+    assert "5 of 5 Nelder-Mead seeds" in rec.getMessage()
+
+
+def _argmax_row_max(gammas):
+    """``_row_max`` as a reduction over the row axis: the reference."""
+    safe = np.where(np.isnan(gammas), -math.inf, gammas)
+    branch = np.argmax(safe, axis=1)
+    val = safe[np.arange(gammas.shape[0]), branch]
+    return val, np.where(val == -math.inf, -1, branch)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_row_max_column_loop_is_the_argmax_rule(width):
+    rng = np.random.default_rng(width)
+    gammas = rng.choice([0.5, -0.25, 0.0, -0.0, math.inf, -math.inf,
+                         math.nan, 1.25], size=(2000, width))
+    val, branch = _row_max(gammas)
+    want_val, want_branch = _argmax_row_max(gammas)
+    assert np.array_equal(branch, want_branch)
+    assert np.array_equal(val, want_val)
+    assert np.array_equal(np.signbit(val), np.signbit(want_val))
 
 
 def test_row_max_takes_first_zero_root_else_first_largest_finite_gamma():

@@ -188,3 +188,58 @@ def test_cluster_points_empty_and_order():
     centers, _, _ = linalg.cluster_points(pts, 1e-8)
     key = [(z.real, z.imag) for z in centers]
     assert key == sorted(key)
+
+
+def _argmax_degrees(work):
+    """The effective-degree rule as reductions over the row axis: the
+    reference for ``poly_roots_batch``'s column loop."""
+    mags = np.abs(work)
+    floor = linalg.TRIM_TOL * np.maximum(mags.max(axis=1), 1e-300)
+    keep = mags > floor[:, None]
+    return np.where(keep.any(axis=1),
+                    work.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), -1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
+    rng = np.random.default_rng(505 + width)
+    N = 3000
+    rows = (rng.standard_normal((N, width))
+            + 1j * rng.standard_normal((N, width)))
+    rows *= 10.0 ** rng.integers(-200, 200, (N, 1))
+    rows[rng.random((N, width)) < 0.3] = 0.0
+    rows[rng.random((N, width)) < 0.05] = -0.0
+    rows[:100] = 0.0                          # all-zero rows
+    special = rng.choice([np.inf, -np.inf, np.nan, 1j * np.inf],
+                         size=(N, width))
+    odd = rng.random((N, width)) < 0.01
+    rows[odd] = special[odd]
+    # leading coefficients on, just above and just below the noise floor
+    mags = np.abs(rows)
+    floor = linalg.TRIM_TOL * np.maximum(mags.max(axis=1), 1e-300)
+    for i in range(100, 400):
+        lead = int(rng.integers(0, width))
+        if mags[i, lead] == mags[i].max():
+            continue
+        rows[i, lead] = np.nextafter(floor[i], [0.0, floor[i], np.inf][i % 3])
+    with np.errstate(invalid="ignore"):
+        want = _argmax_degrees(rows)
+        roots, degs = linalg.poly_roots_batch(rows)
+    assert degs.dtype == want.dtype
+    assert np.array_equal(degs, want)
+    assert {-1, width - 1} <= set(degs.tolist())
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_poly_roots_batch_full_degree_slices_match_fancy_indexing(degree):
+    # a batch whose rows all have full degree takes slices; with one
+    # constant row more it takes the row indices, and the roots agree bit
+    # for bit
+    rng = np.random.default_rng(degree)
+    rows = rng.standard_normal((50, degree + 1)) \
+        + 1j * rng.standard_normal((50, degree + 1))
+    full, _ = linalg.poly_roots_batch(rows)
+    mixed, neff = linalg.poly_roots_batch(
+        np.vstack([rows, np.eye(1, degree + 1)]))
+    assert neff[-1] == 0
+    assert np.array_equal(full, mixed[:-1])
