@@ -19,7 +19,9 @@ grids (``GridSpec.axes``) and single points (``PhasePoint.axes``) both give
 it lattice axes, and ``_Level.lattice`` evaluates a lattice under the one
 identically-zero rule.  ``_Level.gammas`` is the only place a root becomes
 a height or a zero-root flag; every height array, manifold tables
-included, marks a missing branch with nan.
+included, marks a missing branch with nan.  The root finder's seeds and
+window counts read the top scale at complex frequency (``_Level.branches``)
+and take its rank ``_Level.dk``.
 """
 
 import logging
@@ -35,8 +37,8 @@ from .errors import ConfigError, TrivialityError
 from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
                      numerical_rank, poly_roots_batch, spectral_norm)
 from .degeneracy import strong_stable_spectrum
-from .model import (_checked, _count, _reals, char_function, check_eps,
-                    delays, guard_real_extent)
+from .model import (_checked, _count, _handles, _reals, char_function,
+                    check_eps, delays, guard_real_extent)
 from .rootfinder import BOUNDARY_TOL, _count_with_inflation, _phase_walk
 
 __all__ = [
@@ -205,13 +207,6 @@ def strong_spectrum(sys):
 # (J = I for the plain spectra, J = ladder projection for the tilde spectra)
 # ---------------------------------------------------------------------------
 
-def _restricted_smin(Ak):
-    """Smallest nonzero singular value of Ak, and its rank."""
-    s = np.linalg.svd(Ak, compute_uv=False)
-    r = numerical_rank(s)
-    return float(s[r - 1]) if r else 0.0, r
-
-
 class _Level:
     """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
     exp(-i sigma_j phi_j) + Y Ak) of one system, and its one evaluator:
@@ -230,7 +225,9 @@ class _Level:
         self.k, self.sigma, self.sigma_k, self.J = k, sigma, sigma[k - 1], J
         self.A_list = [mats[j] for j in range(k)]
         self.Ak = mats[k]
-        self.smin, self.dk = _restricted_smin(self.Ak)
+        s = np.linalg.svd(self.Ak, compute_uv=False)
+        self.dk = numerical_rank(s)
+        self.smin = float(s[self.dk - 1]) if self.dk else 0.0
         self.J_norm = spectral_norm(J)
         self.norm_sum = sum(spectral_norm(M) for M in self.A_list)
 
@@ -291,6 +288,15 @@ class _Level:
             gammas = -np.log(absY) / self.sigma_k
         return roots, np.where(absY <= ZERO_ROOT_TOL * radii[:, None],
                                math.inf, gammas), neff
+
+    def branches(self, eps, lam):
+        """The roots in Y at ``omega = -i lam``, ``phi_j = omega eps**-j``;
+        as ``exp(-i sigma_j phi_j) = exp(-lam tau_j)``, at the top scale
+        these are the roots ``Y_b(lam)`` of ``det(B(lam) + Y A_n)`` (see
+        ``axis_seeds``), nan past a lost degree."""
+        omegas = -1j * lam
+        return self.gammas(omegas, omegas[:, None]
+                           * eps ** -np.arange(1.0, self.k))[0]
 
     def lattice(self, axes):
         """The lattice of ``axes`` and ``gammas`` over it: (omegas, phis,
@@ -398,28 +404,29 @@ def axis_seeds(sys, eps, rect):
 
     With ``Y = exp(-lam tau_n)`` the determinant vanishes exactly when Y is a
     root of the degree-d polynomial ``det(B(lam) + Y A_n)``, where ``B(lam) =
-    -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``.  So every root solves
-    ``lam = -(Log Y_b(lam) - 2 pi i m) / tau_n`` for a branch b and an
-    integer m, and near the imaginary axis this map contracts by
-    O(tau_{n-1} / tau_n).  Each branch starts at ``2 pi i m / tau_n`` for
-    every m whose line crosses ``rect`` (one more on each side), takes
-    ``SEED_STEPS`` steps and follows the polynomial root nearest its
-    previous Y.
+    -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``, with roots ``Y_b(lam)``
+    from ``_Level.branches``.  So every root solves ``lam = -(Log Y_b(lam)
+    - 2 pi i m) / tau_n`` for a branch b and an integer m, and near the
+    imaginary axis this map contracts by O(tau_{n-1} / tau_n).  Each branch
+    starts at ``2 pi i m / tau_n`` for every m whose line crosses ``rect``
+    (one more on each side), takes ``SEED_STEPS`` steps and follows the
+    polynomial root nearest its previous Y.
 
     Branches within ``BRANCH_SEP`` (relative) of the followed one form a
     cluster: near the axis only coinciding branches give a multiple root.
     The map then iterates on the cluster mean, and on the first step each
     cluster keeps one candidate, that of its lowest branch index.
 
-    Seeds are candidates, certified by ``find_roots``.  Dropped are seeds
-    ending outside ``rect``, and at any step those whose Y is zero or not
-    finite or whose polynomial loses degree (A_n singular).  Returns a
-    complex array holding an m-fold cluster as m copies of its seed.
+    Seeds are candidates, certified by ``find_roots``.  There are none when
+    ``dk < d``.  Dropped are seeds ending outside ``rect``, and at any step
+    those whose Y is zero or whose branches are not all finite (as at a
+    lost degree).  Returns a complex array holding an m-fold cluster as m
+    copies of its seed.
     """
-    taus = delays(sys, eps)
-    mats, d, tau = sys.stacked(), sys.d, taus[-1]
-    if np.linalg.norm(mats[-1]) == 0.0:
+    level, d = _Level.plain(sys, sys.n), sys.d
+    if level.dk < d:
         return np.empty(0, np.complex128)
+    tau = delays(sys, eps)[-1]
     lo = math.floor(rect.im_min * tau / (2.0 * math.pi)) - 1
     hi = math.ceil(rect.im_max * tau / (2.0 * math.pi)) + 1
     m = np.repeat(np.arange(lo, hi + 1), d)  # one candidate per (m, branch)
@@ -427,7 +434,7 @@ def axis_seeds(sys, eps, rect):
     lam, Y = 2j * np.pi * m / tau, None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(SEED_STEPS):
-            Ys, neff = _top_branches(mats, taus, lam)
+            Ys = level.branches(eps, lam)
             first = Y is None
             if not first:
                 pick = np.argmin(np.abs(Ys - Y[:, None]), axis=1)
@@ -435,7 +442,7 @@ def axis_seeds(sys, eps, rect):
             near = np.abs(Ys - Yb[:, None]) <= BRANCH_SEP * np.abs(Yb)[:, None]
             mult = near.sum(axis=1)
             Y = np.where(near, Ys, 0.0).sum(axis=1) / mult
-            ok = (neff == d) & np.isfinite(Y) & (Y != 0.0)
+            ok = np.isfinite(Ys).all(axis=1) & (Y != 0.0)
             if first:
                 ok &= np.argmax(near, axis=1) == pick
             m, Y, mult = m[ok], Y[ok], mult[ok]
@@ -443,19 +450,6 @@ def axis_seeds(sys, eps, rect):
     inside = ((rect.re_min <= lam.real) & (lam.real <= rect.re_max)
               & (rect.im_min <= lam.imag) & (lam.imag <= rect.im_max))
     return np.repeat(lam[inside], mult[inside])
-
-
-def _top_branches(mats, taus, lam):
-    """The roots ``Y_b(lam)`` of ``det(B(lam) + Y A_n)`` at each point of
-    ``lam``, ``B(lam) = -lam I + A0 + sum_{k<n} A_k exp(-lam tau_k)``, as
-    ``poly_roots_batch`` gives them: ``(roots, neff)``.  ``mats`` are the
-    stacked matrices, ``taus`` the delays; ``A_n`` must not be zero."""
-    d = mats.shape[1]
-    B = mats[0] - lam[:, None, None] * np.eye(d)
-    for k in range(taus.size - 1):
-        B = B + np.exp(-lam * taus[k])[:, None, None] * mats[k + 1]
-    radii = 1.0 + np.linalg.norm(B, axis=(1, 2)) / np.linalg.norm(mats[-1])
-    return poly_roots_batch(_backend.det_poly_coeffs(B, mats[-1], radii))
 
 
 def _edges(rect, sides):
@@ -477,7 +471,7 @@ def window_count(sys, eps, rect):
 
     With ``Y = exp(-lam tau_n)``, ``chi(lam) = det(B(lam)) prod_b
     (1 - Y / Y_b(lam)) = det(A_n) Y**d prod_b (1 - Y_b(lam) / Y)`` over the
-    d roots ``Y_b`` of ``det(B(lam) + Y A_n)`` (see ``axis_seeds``).  Only
+    d roots ``Y_b`` of ``det(B(lam) + Y A_n)`` (``_Level.branches``).  Only
     ``Y`` turns at the fast scale ``tau_n``, and on a vertical edge ``|Y|``
     is constant.  So the phase change of ``chi`` along each long
     (vertical) edge comes from the factor that dominates it, at every
@@ -493,10 +487,10 @@ def window_count(sys, eps, rect):
     Each product then stays within ``1 / DOMINANCE`` of 1 and adds no
     turn.  The short (horizontal) edges are walked on ``chi`` itself.
     Both walks take the refinement rules of ``_winding_count``.  The whole
-    window falls back to ``_count_with_inflation`` when ``A_n`` has rank
-    below d, when neither factor dominates a long edge, when a walk flags
-    a zero near its edge, or when the turns do not sum to an integer (as a
-    nan value makes them); inflation and errors then behave as there.
+    window falls back to ``_count_with_inflation`` when ``dk < d``, when
+    neither factor dominates a long edge, when a walk flags a zero near its
+    edge, or when the turns do not sum to an integer (as a nan value makes
+    them); inflation and errors then behave as there.
 
     Logs one DEBUG record on logger ``hierdde`` that names the route of
     each long edge: "slow factor", "Y**d", or "fallback" and why.  The
@@ -506,7 +500,7 @@ def window_count(sys, eps, rect):
     guard_real_extent(sys, eps, max(0.0, -rect.re_min))
     f, fp = char_function(sys, eps)
     ztol = np.full(2, BOUNDARY_TOL * rect.diag)
-    routes, total = _long_edges(sys.stacked(), delays(sys, eps), rect, ztol)
+    routes, total = _long_edges(sys, eps, rect, ztol)
     if total is not None:
         short, _ = _phase_walk(f, fp, *_edges(rect, (0, 2)), ztol,
                                ("bottom edge", "top edge"), closed=False)
@@ -525,46 +519,41 @@ def window_count(sys, eps, rect):
     return int(np.rint(total)), rect
 
 
-def _long_edges(mats, taus, rect, ztol):
+def _long_edges(sys, eps, rect, ztol):
     """Routes of the right and left edges of ``rect`` (see
     ``window_count``), and the turns of ``chi`` along both, upward on the
     right and downward on the left; None in place of the turns when an
     edge falls back."""
-    d = mats.shape[1]
-    _, rank = _restricted_smin(mats[-1])
-    if rank < d:
-        return [f"fallback (A_n of rank {rank} < {d})"] * 2, None
-    slow = mats[:-1], taus[:-1]
+    level, d = _Level.plain(sys, sys.n), sys.d
+    if level.dk < d:
+        return [f"fallback (A_n of rank {level.dk} < {d})"] * 2, None
+    mats, taus = sys.stacked(), delays(sys, eps)
     turns, points = _phase_walk(
-        lambda z: _backend.char_det(z, *slow),
-        lambda z: _backend.char_and_deriv(z, *slow)[1], *_edges(rect, (1, 3)),
-        ztol, ("right edge", "left edge"), closed=False)
-    routes, turns = zip(*[_edge_route(mats, taus, turn, z)
-                          for turn, z in zip(turns, points)])
-    return list(routes), None if None in turns else sum(turns)
-
-
-def _edge_route(mats, taus, turn, z):
-    """Route of one long edge, sampled at ``z``, along which ``det(B)``
-    turns ``turn`` times (None: a zero near it), and the turns of ``chi``
-    along it (None on a fallback)."""
-    if turn is None:
-        return "fallback (a zero of det(B) near the edge)", None
-    d, tau = mats.shape[1], taus[-1]
-    Yb, neff = _top_branches(mats, taus, z)
-    absY, absYb = math.exp(-z[0].real * tau), np.abs(Yb)
-    Y_ends, Yb_ends = np.exp(-z[[0, -1]] * tau)[:, None], Yb[[0, -1]]
-    if not (np.all(neff == d) and np.isfinite(absYb).all()):
-        return "fallback (Y_b lost a root or is not finite)", None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if DOMINANCE * absY <= absYb.min():
-            arg = np.angle(1.0 - Y_ends / Yb_ends).sum(axis=1)
-            return "slow factor", turn + (arg[1] - arg[0]) / (2.0 * math.pi)
-        if absY >= DOMINANCE * absYb.max():
-            arg = np.angle(1.0 - Yb_ends / Y_ends).sum(axis=1)
-            return "Y**d", (-d * tau * (z[-1].imag - z[0].imag)
-                            + arg[1] - arg[0]) / (2.0 * math.pi)
-    return "fallback (neither factor dominates)", None
+        *_handles(mats[:-1], taus[:-1], eps), *_edges(rect, (1, 3)), ztol,
+        ("right edge", "left edge"), closed=False)
+    routes, parts, tau = [], [], taus[-1]
+    for turn, z in zip(turns, points):
+        route, part = "fallback (a zero of det(B) near the edge)", None
+        if turn is not None:
+            Yb = level.branches(eps, z)
+            absY, absYb = math.exp(-z[0].real * tau), np.abs(Yb)
+            Y_ends, Yb_ends = np.exp(-z[[0, -1]] * tau)[:, None], Yb[[0, -1]]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if not np.isfinite(absYb).all():
+                    route = "fallback (Y_b lost a root or is not finite)"
+                elif DOMINANCE * absY <= absYb.min():
+                    arg = np.angle(1.0 - Y_ends / Yb_ends).sum(axis=1)
+                    route, part = "slow factor", turn + (arg[1] - arg[0]) \
+                        / (2.0 * math.pi)
+                elif absY >= DOMINANCE * absYb.max():
+                    arg = np.angle(1.0 - Yb_ends / Y_ends).sum(axis=1)
+                    route, part = "Y**d", (-d * tau * (z[-1].imag - z[0].imag)
+                                           + arg[1] - arg[0]) / (2.0 * math.pi)
+                else:
+                    route = "fallback (neither factor dominates)"
+        routes.append(route)
+        parts.append(part)
+    return routes, None if None in parts else sum(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,12 @@ def char_function(sys, eps):
     re-checks the overflow guard for the points it receives, which refuses
     only a real part too far left of the axis.
     """
-    taus = delays(sys, eps)
-    mats = sys.stacked()
-    eps = check_eps(eps)
+    return _handles(sys.stacked(), delays(sys, eps), check_eps(eps))
+
+
+def _handles(mats, taus, eps):
+    """``char_function``'s handles for stacked matrices and delays; a
+    system's leading ones give ``det(B)`` of ``manifolds.window_count``."""
 
     def f(lams):
         return _backend.char_det(_guarded(taus, eps, lams), mats, taus)

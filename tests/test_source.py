@@ -36,6 +36,35 @@ def test_only_harness_reads_or_writes_files():
     assert speaking == ["harness.py"]
 
 
+def test_only_the_level_evaluates_level_polynomials():
+    # manifolds has one evaluator of the level polynomial: its coefficient
+    # interpolation and its roots are taken in _Level's methods alone
+    tree = ast.parse((SRC / "manifolds.py").read_text())
+    owners = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owners[child] = node
+    callers = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not ((isinstance(func, ast.Name) and func.id == "poly_roots_batch")
+                or (isinstance(func, ast.Attribute)
+                    and func.attr == "det_poly_coeffs"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "_backend")):
+            continue
+        scope = node
+        while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+            scope = owners[scope]
+        owner = owners.get(scope)
+        callers.append(f"{owner.name}.{scope.name}"
+                       if isinstance(owner, ast.ClassDef) else
+                       getattr(scope, "name", "<module>"))
+    assert callers and all(c.startswith("_Level.") for c in callers), callers
+
+
 def test_import_does_not_load_scipy_spatial():
     # about 0.45 s of import time, paid only by run_validate
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

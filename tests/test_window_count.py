@@ -11,6 +11,7 @@ from scipy.special import lambertw
 
 import hierdde as h
 from hierdde import rootfinder as rf
+from hierdde.manifolds import _Level
 
 from _collocation import generator_eigenvalues, in_rect
 
@@ -187,28 +188,48 @@ def test_window_count_matches_the_collocated_generator(name, caplog):
 
 
 
+_N3 = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.15, 0.4))
+
 # (system, eps, node counts, roots in the window): the presets and d = 2
 # systems hold d tau_2 (3.8) / (2 pi) roots at eps 0.1; the n = 3 system
 # needs a larger eps for its tau_3, and CI's d = 3 ladder more nodes
 _COLLOCATED = {name: (sys_, 0.1, (150, 200), 61 * sys_.d)
                for name, sys_ in _ORACLE_SYSTEMS.items()}
-_COLLOCATED["n3"] = (h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.15, 0.4)),
-                     0.3, (300, 400), 23)
+_COLLOCATED["n3"] = (_N3, 0.3, (300, 400), 23)
 _COLLOCATED["ci-ladder"] = (_LADDER, 0.1, (200, 260), 81)
 
 
-@pytest.mark.parametrize("name", sorted(_COLLOCATED))
+def _spectrum_roots(sys_, eps, rect):
+    (run,) = h.run_spectrum(h.RunConfig(system=sys_, eps_list=(eps,),
+                                        window=rect), write=False).runs
+    return run.roots
+
+
+def _unseeded_roots(sys_, eps, rect):
+    # find_roots alone: its own boundary count, no seeds, only subdivision
+    f, fp = h.char_function(sys_, eps)
+    return h.find_roots(f, rect, fp)
+
+
+# run_spectrum on every collocated system, and the unseeded find_roots on
+# the six oracle systems
+_ROUTES = {name: (_spectrum_roots, name) for name in _COLLOCATED}
+_ROUTES.update({f"unseeded-{name}": (_unseeded_roots, name)
+                for name in _ORACLE_SYSTEMS})
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
 def test_spectrum_roots_are_the_collocated_eigenvalues(name):
     # at two node counts, the collocation eigenvalues of the window are the
     # located roots with multiplicity: each eigenvalue lies within 1e-10 of
     # a root, and each root is the nearest root of as many eigenvalues as
     # its multiplicity
-    sys_, eps, nodes, count = _COLLOCATED[name]
+    locate, system = _ROUTES[name]
+    sys_, eps, nodes, count = _COLLOCATED[system]
     rect = h.Rectangle(-0.09, 0.09, -1.9, 1.9)
-    (run,) = h.run_spectrum(h.RunConfig(system=sys_, eps_list=(eps,),
-                                        window=rect), write=False).runs
-    roots = np.array([r.location for r in run.roots])
-    mults = [r.multiplicity for r in run.roots]
+    located = locate(sys_, eps, rect)
+    roots = np.array([r.location for r in located])
+    mults = [r.multiplicity for r in located]
     taus = h.delays(sys_, eps)
     inside = [np.sort_complex(in_rect(
         generator_eigenvalues(sys_.matrices, taus, N), rect.re_min,
@@ -219,3 +240,44 @@ def test_spectrum_roots_are_the_collocated_eigenvalues(name):
         nearest = np.abs(eigs[:, None] - roots[None, :]).argmin(axis=1)
         assert np.bincount(nearest, minlength=roots.size).tolist() == mults
         assert np.abs(eigs - roots[nearest]).max() <= 1e-10
+
+
+# the complex-frequency evaluator of axis_seeds and window_count: the
+# top-scale level polynomial at omega = -i lam, phi_j = omega eps**-j
+_BRANCH_CASES = {"fig2-unstable": (_ORACLE_SYSTEMS["fig2-unstable"], 0.05),
+                 "generic-d2": (_ORACLE_SYSTEMS["generic-d2"], 0.1),
+                 "n3": (_N3, 0.1)}
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+def test_level_branches_factor_the_characteristic_function(name):
+    # chi(lam) = det(A_n) prod_b (Y - Y_b(lam)), Y = exp(-lam tau_n), at
+    # random points of the validation window
+    sys_, eps = _BRANCH_CASES[name]
+    (rect,) = h.validation_window(h.RunConfig(system=sys_, eps_list=(eps,)))
+    rng = np.random.default_rng(11)
+    lam = (rng.uniform(rect.re_min, rect.re_max, 200)
+           + 1j * rng.uniform(rect.im_min, rect.im_max, 200))
+    Yb = _Level.plain(sys_, sys_.n).branches(eps, lam)
+    assert Yb.shape == (200, sys_.d)
+    Y = np.exp(-lam * h.delays(sys_, eps)[-1])
+    got = np.linalg.det(sys_.matrices[-1]) * np.prod(Y[:, None] - Yb, axis=1)
+    f, _ = h.char_function(sys_, eps)
+    want = f(lam)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+def test_level_branches_on_the_axis_are_the_manifold_roots(name):
+    # at lam = i omega the phases are phi_j = omega eps**-j, and the roots
+    # are gamma_branches' at the canonical phase point
+    sys_, eps = _BRANCH_CASES[name]
+    omegas = np.random.default_rng(12).uniform(-3.0, 3.0, 40)
+    Yb = _Level.plain(sys_, sys_.n).branches(eps, 1j * omegas)
+    for om, got in zip(omegas, Yb):
+        point = h.PhasePoint.make(om, [om * eps ** -j
+                                       for j in range(1, sys_.n)],
+                                  sys_.sigma)
+        want = [b.Y for b in h.gamma_branches(sys_, sys_.n, point)]
+        assert np.abs(np.sort_complex(got)
+                      - np.sort_complex(want)).max() <= 1e-13
