@@ -27,7 +27,12 @@ Kernel contracts:
     Returns complex (N, m+1): coefficients ``c[i, j]`` of ``Y**j`` in the
     polynomial ``det(B[i] + Y * Ak)``, recovered exactly (up to rounding)
     by evaluation at the m+1 scaled roots of unity ``radii[i] * zeta**l``
-    followed by an inverse discrete Fourier transform.
+    followed by an inverse discrete Fourier transform.  All N rows are
+    taken at once; ``manifolds._Level.coeffs`` is the one loop that splits
+    a lattice into batches of bounded memory.
+
+``_det(M)`` is the package's only determinant (the kernels, the singularity
+flags and the ladder's ``truncated_char``); a 0x0 matrix has determinant 1.
 """
 
 import numpy as np
@@ -106,21 +111,9 @@ def _interp(m):
     return _INTERP[m]
 
 
-def _chunk_coeffs(B, Ak, radii, nodes, idft, powers):
-    Y = radii[:, None] * nodes[None, :]  # (c, m+1)
-    dets = _det(B[:, None, :, :] + Y[:, :, None, None] * Ak)  # (c, m+1)
-    raw = dets @ idft.T  # (c, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
-    return raw / radii[:, None] ** powers  # the radius rescale
-
-
 def det_poly_coeffs(B, Ak, radii):
-    N, m = B.shape[0], B.shape[1]
-    interp = _interp(m)
-    chunk = max(1, (1 << 20) // max(1, (m + 1) * m * m))
-    if N <= chunk:
-        return _chunk_coeffs(B, Ak, radii, *interp)
-    coeffs = np.empty((N, m + 1), np.complex128)
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
-        coeffs[lo:hi] = _chunk_coeffs(B[lo:hi], Ak, radii[lo:hi], *interp)
-    return coeffs
+    nodes, idft, powers = _interp(B.shape[1])
+    Y = radii[:, None] * nodes[None, :]  # (N, m+1)
+    dets = _det(B[:, None, :, :] + Y[:, :, None, None] * Ak)  # (N, m+1)
+    raw = dets @ idft.T  # (N, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
+    return raw / radii[:, None] ** powers  # the radius rescale

@@ -23,7 +23,8 @@ import numpy as np
 from . import _backend, model
 from .errors import ConfigError, DegenerateSystemError
 from .linalg import (CLUSTER_RADIUS, RANK_TOL, cluster_points, kernel_vectors,
-                     numerical_rank, poly_roots, rank, spectral_norm, svd)
+                     numerical_rank, poly_roots_batch, rank, spectral_norm,
+                     svd)
 
 __all__ = [
     "LadderLevel",
@@ -145,17 +146,18 @@ def truncated_char(ladder, k, eps, lam):
     For k >= 1 this is det(-lam J1 + A0p + sum_{j=1..k} Ajp
     exp(-lam sigma_j eps**-j)) with all matrices from ladder level k+1;
     for k = 0 it is the eps-independent pencil det(-lam J1 + A0p) of
-    level 1.
+    level 1.  Its guard is one-sided, as the handles' is: ``Re lam > 0``
+    only underflows ``exp(-lam tau_j)``, so only ``-Re lam`` is limited.
     """
     lev = ladder.level(k + 1)
     lam = complex(lam)
     M = -lam * lev.J1 + lev.A_proj[0]
     if k >= 1:
         taus = model._delays(ladder.sigma[:k], eps)
-        model._guard(taus, abs(lam.real), eps)
+        model._guard(taus, -lam.real, eps)
         for j in range(1, k + 1):
             M = M + lev.A_proj[j] * np.exp(-lam * taus[j - 1])
-    return complex(np.linalg.det(M))
+    return complex(_backend._det(M))
 
 
 def strong_stable_spectrum(ladder):
@@ -176,13 +178,12 @@ def strong_stable_spectrum(ladder):
         radius = 1.0 + normA
     else:
         radius = 1.0 + normA / normJ
-    coeffs = _backend.det_poly_coeffs(A[None, :, :], -J,
-                                      np.array([radius]))[0]
+    coeffs = _backend.det_poly_coeffs(A[None, :, :], -J, np.array([radius]))
     floor = 1e-12 * max(1.0, normA + radius * normJ) ** m
     if np.max(np.abs(coeffs)) <= floor:
         raise DegenerateSystemError(
             "level-1 pencil determinant vanishes identically")
-    roots = poly_roots(coeffs)
+    roots = poly_roots_batch(coeffs)[0][0]  # nan past the degree: not < 0
     stable = roots[roots.real < 0.0]
     if stable.size == 0:
         return []

@@ -24,7 +24,6 @@ __all__ = [
     "rank",
     "kernel_vectors",
     "spectral_norm",
-    "poly_roots",
     "poly_roots_batch",
     "cluster_points",
 ]
@@ -111,32 +110,21 @@ def _companion_eigvals(stack):
     return np.linalg.eigvals(C)
 
 
-def poly_roots(coeffs):
-    """Roots of ``sum_j coeffs[j] Y**j`` with noise-aware degree trimming.
-
-    Leading coefficients below ``TRIM_TOL`` times the largest magnitude are
-    treated as zero (they are interpolation noise in this package); the
-    remaining polynomial's roots come from its companion matrix.  Returns the
-    roots sorted by (real, imag); an (effectively) constant polynomial has
-    none.  Raises ``DimensionError`` for an identically zero input.
-    """
-    roots, neff = poly_roots_batch(np.asarray(coeffs, np.complex128)[None, :])
-    if neff[0] < 0:
-        raise DimensionError("polynomial is identically zero")
-    return roots[0, :neff[0]]
-
-
 def poly_roots_batch(coeffs, max_degree=None):
-    """Vectorized ``poly_roots`` over rows.
+    """Roots of ``sum_j coeffs[i, j] Y**j`` for each row i of a 2-D batch
+    (else ``DimensionError``): the package's one polynomial root solver.
 
-    Returns ``(roots, neff)`` where ``roots`` is (N, max_degree) padded with
-    nan beyond each row's count and ``neff[i]`` is the number of finite roots
-    of row i (-1 flags an identically zero row).  Rows are processed grouped
-    by effective degree so the companion eigensolves stay batched; a row of
-    effective degree 1 takes its root as ``-c0 / c1``, the entry of its 1x1
-    companion matrix.  LAPACK returns that entry unchanged (bit for bit)
-    whenever its modulus lies between about 1e-138 and 1e138; outside that
-    band it rescales the matrix first, so the two differ in the last bits.
+    Leading coefficients below ``TRIM_TOL`` times the row's largest
+    magnitude are interpolation noise and are trimmed; the roots of the
+    rest come from its companion matrix, sorted by (real, imag).  Returns
+    ``(roots, neff)``: ``roots`` is (N, max_degree), nan past each row's
+    count ``neff[i]`` (0 for a constant row, -1 for an identically zero
+    one).  Rows are processed grouped by effective degree so the companion
+    eigensolves stay batched; a row of effective degree 1 takes its root as
+    ``-c0 / c1``, the entry of its 1x1 companion matrix.  LAPACK returns
+    that entry unchanged (bit for bit) whenever its modulus lies between
+    about 1e-138 and 1e138; outside that band it rescales the matrix first,
+    so the two differ in the last bits.
     """
     coeffs = np.asarray(coeffs, np.complex128)
     if coeffs.ndim != 2:

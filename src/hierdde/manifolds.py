@@ -251,21 +251,24 @@ class _Level:
 
     def coeffs(self, omegas, phis):
         """Coefficient rows of det(B + Y Ak) at the points, and their
-        interpolation node radii: 1 + |B| bound over ``smin``."""
+        interpolation node radii: 1 + |B| bound over ``smin``.  The one
+        loop over row chunks: ``_CHUNK_ROWS`` rows, fewer for d >= 3 so
+        that the (rows, d+1, d, d) node stack stays below 2**20 entries."""
         bound = np.abs(omegas) * self.J_norm + self.norm_sum
         if self.smin == 0.0:
             radii = np.ones_like(bound)
         else:
             radii = 1.0 + bound / self.smin
-        N = omegas.shape[0]
-        if N <= _CHUNK_ROWS:
+        N, d = omegas.shape[0], self.Ak.shape[0]
+        chunk = max(1, min(_CHUNK_ROWS, 2 ** 20 // ((d + 1) * d * d)))
+        if N <= chunk:  # one chunk is the result: no copy into a new array
             return _backend.det_poly_coeffs(self.B(omegas, phis), self.Ak,
                                             radii), radii
-        coeffs = np.empty((N, self.Ak.shape[0] + 1), np.complex128)
-        for lo in range(0, N, _CHUNK_ROWS):
-            hi = min(N, lo + _CHUNK_ROWS)
-            coeffs[lo:hi] = _backend.det_poly_coeffs(
-                self.B(omegas[lo:hi], phis[lo:hi]), self.Ak, radii[lo:hi])
+        coeffs = np.empty((N, d + 1), np.complex128)
+        for lo in range(0, N, chunk):
+            rows = slice(lo, lo + chunk)
+            coeffs[rows] = _backend.det_poly_coeffs(
+                self.B(omegas[rows], phis[rows]), self.Ak, radii[rows])
         return coeffs, radii
 
     def gammas(self, omegas, phis):
@@ -375,11 +378,11 @@ def singularity_test(sys, k, point):
     level = _Level.plain(sys, k)
     B = level.B(*_lattice(point.axes(k)))[0]
     bound = max(1.0, abs(point.omega) + level.norm_sum)
-    detB = complex(np.linalg.det(B))
+    detB = complex(_backend._det(B))
     scaleB = bound ** sys.d
     U1, V1 = kernel_vectors(level.Ak)
     sub = U1.conj().T @ B @ V1
-    detP = complex(np.linalg.det(sub)) if sub.shape[0] else 1.0 + 0.0j
+    detP = complex(_backend._det(sub))
     scaleP = bound ** max(1, sub.shape[0])
     b_zero = abs(detB) <= DET_ZERO_TOL * scaleB
     p_zero = abs(detP) <= DET_ZERO_TOL * scaleP

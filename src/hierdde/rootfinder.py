@@ -18,6 +18,9 @@ Candidate locations (``seeds``, a location given m times being an m-fold
 candidate) stop the subdivision in any cell whose count equals the number
 of its distinct converged seeds, each counted with its multiplicity; an
 m-fold seed is converged when the small box around it counts m zeros.
+
+Seeds, one-zero cells and clusters are all polished by ``_polish``, over
+arrays of start points, leash half-sizes and counts.
 """
 
 import logging
@@ -401,32 +404,30 @@ def _polish_seeds(f, fprime, seeds, rect, tol):
     """Converged lone seeds in rect (an m-fold one m times) and the margin
     each needs from a cell's edges.
 
-    Simple seeds take Newton on f.  m-fold ones take the secant on f' as
-    clusters do in ``_polish``.  A converged seed is lone when no other lies
-    within the cluster resolution limit of a double root, taken at the
-    largest |z|; only lone seeds are kept.  m-fold ones are kept when their
-    box (a square a quarter of that limit wide on each side, so no two
-    overlap) counts m zeros and when the cluster polish of that box
-    converges inside it; their margin is twice the box half-width, at least
-    ``tol``.
+    Every seed is polished in one ``_polish`` call from where it lies:
+    simple ones by Newton on f with no leash, m-fold ones by the secant on
+    f' within half the short side of rect.  A converged seed is lone when
+    no other lies within the cluster resolution limit of a double root,
+    taken at the largest |z|; only lone seeds are kept.  m-fold ones are
+    kept when their box (a square a quarter of that limit wide on each
+    side, so no two overlap) counts m zeros and when the cluster polish of
+    that box converges inside it; their margin is twice the box half-width,
+    at least ``tol``.
     """
     z = np.asarray([] if seeds is None else seeds, np.complex128).ravel()
     z = z[_inside(rect, z)]  # nan and inf compare False
     _, first, m = np.unique(z, return_index=True, return_counts=True)
     z, m = z[np.sort(first)], m[np.argsort(first)]  # in first-seen order
-    one, half = m == 1, 0.5 * min(rect.width, rect.height)
-    leash = np.full(one.sum(), np.inf)
-    z1, ok = _newton_batch(f, fprime, z[one], leash, leash, tol, within=rect)
-    zm, okm = _polish(f, fprime, [(_square(c, half), k) for c, k in
-                                  zip(z[~one], m[~one])], tol, within=rect)
-    z, m = np.append(z1[ok], zm[okm]), np.append(m[one][ok], m[~one][okm])
+    size = np.where(m == 1, np.inf, 0.5 * min(rect.width, rect.height))
+    z, ok = _polish(f, fprime, z, size, size, m, tol, within=rect)
+    z, m = z[ok], m[ok]
     radius = _noise_scale(2, np.abs(z).max(initial=0.0))
     _, counts, labels = cluster_points(z, radius=radius)
     lone, hw = counts[labels] == 1, 0.25 * radius
     boxed = np.flatnonzero(lone & (m > 1) & _inside(rect, z, margin=hw))
     boxes = [(_square(c, hw), k) for c, k in zip(z[boxed], m[boxed])]
     got = _winding_count(f, fprime, [b for b, _ in boxes])
-    zb, conv = _polish(f, fprime, boxes, tol, within=rect)  # as clusters
+    zb, conv = _polish(f, fprime, *_cells(boxes), tol, within=rect)
     keep = lone & (m == 1)
     keep[boxed] = [n == k and done and b.contains(w)
                    for (b, k), n, done, w in zip(boxes, got, conv, zb)]
@@ -439,24 +440,31 @@ def _square(c, hw):
     return Rectangle(c.real - hw, c.real + hw, c.imag - hw, c.imag + hw)
 
 
-def _polish(f, fprime, cells, tol, within):
-    """Polished location and convergence flag of each (rect, count) cell.
+def _cells(cells):
+    """Centres, half-widths, half-heights and counts of (rect, count)
+    cells: the arrays ``_polish`` takes."""
+    return (np.array([c.center for c, _ in cells], np.complex128),
+            np.array([0.5 * c.width for c, _ in cells]),
+            np.array([0.5 * c.height for c, _ in cells]),
+            np.array([n for _, n in cells]))
+
+
+def _polish(f, fprime, z0, hw, hh, mults, tol, within):
+    """Polished location and convergence flag of each start point ``z0``,
+    leashed to ``hw`` and ``hh`` around it, where ``mults`` zeros are
+    expected; the only caller of ``_newton_batch``.
 
     A count of 1 takes Newton on f.  An m-fold zero of f is an (m-1)-fold
     zero of f', which is better conditioned by one noise-radius order (for
     m = 2 a simple zero, locatable to full precision), so larger counts take
     the secant on f' with the step scaled by m - 1.
     """
-    centers = np.array([c.center for c, _ in cells], np.complex128)
-    hw = np.array([0.5 * c.width for c, _ in cells])
-    hh = np.array([0.5 * c.height for c, _ in cells])
-    mults = np.array([cnt for _, cnt in cells])
-    roots, conv = centers.copy(), np.zeros(len(cells), bool)
+    roots, conv = z0.copy(), np.zeros(z0.size, bool)
     for i, g, gp in ((np.flatnonzero(mults == 1), f, fprime),
                      (np.flatnonzero(mults > 1), fprime, None)):
         if i.size:
             roots[i], conv[i] = _newton_batch(
-                g, gp, centers[i], hw[i], hh[i], tol,
+                g, gp, z0[i], hw[i], hh[i], tol,
                 mult=np.maximum(mults[i] - 1, 1), within=within)
     return roots, conv
 
@@ -519,8 +527,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
                 singles.append((cell, own))
             else:
                 to_split.append((cell, cnt, own))
-        roots, conv = _polish(f, fprime, [(c, 1) for c, _ in singles], tol,
-                              within=base)
+        roots, conv = _polish(f, fprime, *_cells([(c, 1) for c, _ in singles]),
+                              tol, within=base)
         for (cell, own), root, ok in zip(singles, roots, conv):
             if ok and cell.contains(root):
                 found.append((complex(root), 1, True))
@@ -544,8 +552,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
             failed = [a + b for a, b in zip(failed, fails)]
 
     for (cell, cnt), root, ok in zip(clusters,
-                                     *_polish(f, fprime, clusters, tol,
-                                              within=base)):
+                                     *_polish(f, fprime, *_cells(clusters),
+                                              tol, within=base)):
         slack = max(tol, _noise_scale(cnt, abs(cell.center)))
         loc = complex(root) if ok and cell.contains(root, slack=slack) \
             else cell.center

@@ -99,11 +99,22 @@ def test_chain_break_truncation_magnitude():
 
 
 def test_truncated_char_guard_names_the_scale():
-    # |Re lam| * sigma_1 / eps = 400 * 2 passes the exp argument limit
+    # -Re lam * sigma_1 / eps = 400 * 2 passes the exp argument limit
     lad = h.build_ladder(_chain_break_system()[0])
     with pytest.raises(EvaluationRangeError) as exc:
-        h.truncated_char(lad, 1, 0.5, 400 + 0j)
+        h.truncated_char(lad, 1, 0.5, -400 + 0j)
     assert exc.value.scale == 1
+
+
+def test_truncated_char_guard_is_one_sided():
+    # right of the axis exp(-lam tau) only underflows: the delay term is
+    # gone and the value is that of -lam + A0[2, 2], up to the phase of
+    # the kernel bases
+    s, A0 = _chain_break_system()
+    lad = h.build_ladder(s)
+    got = h.truncated_char(lad, 1, 0.5, 400 + 0j)
+    assert np.isfinite(got)
+    assert abs(got) == pytest.approx(abs(-400.0 + A0[2, 2]), rel=1e-12)
 
 
 def test_truncated_char_overflowing_delay_names_the_scale():

@@ -579,10 +579,19 @@ def test_run_config_refuses(change, message):
     ([], "config must be a JSON object"),
     ({"eps": [0.5]}, "config needs a 'system' entry"),
     ({"system": SCALAR_SYS}, "config needs an 'eps' entry"),
-], ids=["not-object", "no-system", "no-eps"])
+    (_base_cfg(grid=5), "'grid' must be an object"),
+    (_base_cfg(validation=5), "'validation' must be an object"),
+], ids=["not-object", "no-system", "no-eps", "grid-not-object",
+        "validation-not-object"])
 def test_config_from_dict_refuses(data, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         h.config_from_dict(data)
+
+
+def test_unknown_preset_is_refused():
+    with pytest.raises(ConfigError, match="^unknown example 'nope'; choose "
+                       "from fig2-neutral, fig2-stable, fig2-unstable, fig3$"):
+        h.preset_config("nope")
 
 
 def test_run_spectrum_refuses_missing_window():

@@ -90,9 +90,16 @@ def test_spectral_norm():
     assert linalg.spectral_norm(np.zeros((2, 2))) == 0.0
 
 
+def _one_row(coeffs):
+    """Roots and count of one polynomial, as the row of a one-row batch."""
+    roots, neff = linalg.poly_roots_batch(np.asarray(coeffs, complex)[None, :])
+    return roots[0, :max(neff[0], 0)], neff[0]
+
+
 def test_poly_roots_cubic():
     # (Y - 1)(Y - 2)(Y - 3), coefficients listed from the constant term up
-    roots = linalg.poly_roots(np.array([-6.0, 11.0, -6.0, 1.0], dtype=complex))
+    roots, neff = _one_row([-6.0, 11.0, -6.0, 1.0])
+    assert neff == 3
     assert np.allclose(np.sort(roots.real), [1.0, 2.0, 3.0], atol=1e-10)
     assert np.allclose(roots.imag, 0.0, atol=1e-10)
 
@@ -100,14 +107,21 @@ def test_poly_roots_cubic():
 def test_poly_roots_trims_leading_noise():
     # a tiny top coefficient is treated as absent instead of spawning a
     # spurious huge root
-    roots = linalg.poly_roots(np.array([-6.0, 11.0, -6.0, 1.0, 1e-16], dtype=complex))
-    assert len(roots) == 3
+    roots, neff = _one_row([-6.0, 11.0, -6.0, 1.0, 1e-16])
+    assert neff == 3 and len(roots) == 3
+    assert np.all(np.isfinite(roots))
 
 
 def test_poly_roots_degenerate_inputs():
-    assert len(linalg.poly_roots(np.array([5.0 + 0.0j]))) == 0
-    with pytest.raises(DimensionError):
-        linalg.poly_roots(np.array([0.0 + 0.0j, 0.0 + 0.0j]))
+    roots, neff = _one_row([5.0])  # a constant has no root
+    assert neff == 0 and len(roots) == 0
+    roots, neff = _one_row([0.0, 0.0])  # an identically zero row is flagged
+    assert neff == -1 and len(roots) == 0
+
+
+def test_poly_roots_batch_refuses_a_non_2d_batch():
+    with pytest.raises(DimensionError, match="^coefficient batch must be 2-D$"):
+        linalg.poly_roots_batch(np.array([-6.0, 11.0, -6.0, 1.0], complex))
 
 
 def test_poly_roots_batch_matches_single():
@@ -122,7 +136,7 @@ def test_poly_roots_batch_matches_single():
     roots, neff = linalg.poly_roots_batch(np.array(rows))
     assert neff[-1] == -1
     for i, c in enumerate(rows[:-1]):
-        single = linalg.poly_roots(c)
+        single, _ = _one_row(c)
         assert neff[i] == len(single)
         got = np.sort_complex(roots[i, : neff[i]])
         assert np.allclose(got, np.sort_complex(single), atol=1e-8)
@@ -156,7 +170,7 @@ def test_poly_roots_batch_mixed_degrees_and_degree_one_closed_form():
     companion = (-rows[one, 0] / rows[one, 1])[:, None, None]
     assert np.array_equal(roots[one, 0], np.linalg.eigvals(companion)[:, 0])
     for i in np.nonzero(kind >= 2)[0]:
-        want = linalg.poly_roots(rows[i])
+        want, _ = _one_row(rows[i])
         assert np.array_equal(roots[i, :kind[i]], want)
         assert np.allclose(np.polyval(rows[i, :kind[i] + 1][::-1], want), 0,
                            atol=1e-9)

@@ -67,6 +67,39 @@ def test_truncated_char_poly_nilpotent_block():
     assert np.allclose(coeffs, want, atol=1e-13)
 
 
+def test_truncated_char_poly_identically_zero_is_refused():
+    # det(-0.5i I + diag(0.5i, -1) + Y diag(0, 0.3)) = 0 * (-1 - 0.5i + 0.3 Y)
+    s = h.DelaySystem(matrices=(np.diag([0.5j, -1.0]), np.diag([0.0, 0.3])),
+                      sigma=(1.0,))
+    with pytest.raises(TrivialityError, match="^scale-1 polynomial vanishes "
+                       "at PhasePoint"):
+        h.truncated_char_poly(s, 1, PhasePoint(omega=0.5, phi=()))
+
+
+def test_manifold_grid_refuses_a_scale_out_of_range():
+    with pytest.raises(ConfigError, match="^scale k must be in 1..2, got 0$"):
+        h.manifold_grid(h.preset_system("fig3"), 0)
+
+
+def test_coefficient_chunks_of_a_d3_lattice_are_the_one_row_values():
+    # a d = 3 lattice is split in chunks of 2**20 // 36 = 29,127 rows (the
+    # node stack of each stays below 2**20 entries); the rows on both sides
+    # of the first boundary equal their one-row evaluations
+    rng = np.random.default_rng(2027)
+    mats = tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                 for _ in range(3))
+    s = h.DelaySystem(matrices=mats, sigma=(1.0, 1.3))
+    level = mf._Level.plain(s, 2)
+    omegas, phis = mf._lattice(GridSpec(460, 64).axes(s, 2))
+    assert omegas.size == 29_440
+    coeffs, radii = level.coeffs(omegas, phis)
+    for i in (0, 29_125, 29_126, 29_127, 29_128, 29_439):
+        one, one_radii = level.coeffs(omegas[i:i + 1], phis[i:i + 1])
+        assert one_radii[0] == radii[i]
+        scale = np.abs(one[0]).max()
+        assert np.abs(coeffs[i] - one[0]).max() <= 1e-12 * scale, i
+
+
 def test_double_branch_on_unit_circle():
     # identity delayed coefficient at frequency 1: both branches sit at Y = i,
     # giving growth rate zero twice

@@ -43,7 +43,10 @@ def test_system_validation():
      "need exactly one base delay per delay matrix"),
     ((np.eye(2), np.eye(2)), (float("inf"),), ConfigError,
      "base delays must be finite and positive"),
-], ids=["one-matrix", "dimension-mismatch", "delay-count", "delay-value"])
+    ((np.zeros((0, 0)), np.zeros((0, 0))), (1.0,), DimensionError,
+     "matrix 0 must be nonempty"),
+], ids=["one-matrix", "dimension-mismatch", "delay-count", "delay-value",
+        "empty"])
 def test_delay_system_refuses(mats, sigma, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         h.DelaySystem(matrices=mats, sigma=sigma)

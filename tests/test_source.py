@@ -36,33 +36,58 @@ def test_only_harness_reads_or_writes_files():
     assert speaking == ["harness.py"]
 
 
+def _callers(name):
+    """``module:function`` (``module:Class.method``) of every call of a
+    function named ``name``, by plain name or as an attribute."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owners = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owners[child] = node
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))):
+                continue
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = owners[scope]
+            owner = owners.get(scope)
+            where = (f"{owner.name}.{scope.name}"
+                     if isinstance(owner, ast.ClassDef) else
+                     getattr(scope, "name", "<module>"))
+            out.append(f"{path.stem}:{where}")
+    return out
+
+
 def test_only_the_level_evaluates_level_polynomials():
-    # manifolds has one evaluator of the level polynomial: its coefficient
-    # interpolation and its roots are taken in _Level's methods alone
-    tree = ast.parse((SRC / "manifolds.py").read_text())
-    owners = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            owners[child] = node
-    callers = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not ((isinstance(func, ast.Name) and func.id == "poly_roots_batch")
-                or (isinstance(func, ast.Attribute)
-                    and func.attr == "det_poly_coeffs"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "_backend")):
-            continue
-        scope = node
-        while not isinstance(scope, (ast.FunctionDef, ast.Module)):
-            scope = owners[scope]
-        owner = owners.get(scope)
-        callers.append(f"{owner.name}.{scope.name}"
-                       if isinstance(owner, ast.ClassDef) else
-                       getattr(scope, "name", "<module>"))
-    assert callers and all(c.startswith("_Level.") for c in callers), callers
+    # one coefficient interpolation and one root solver: they are taken in
+    # _Level's methods, and once for the ladder's level-1 pencil
+    for name in ("det_poly_coeffs", "poly_roots_batch"):
+        callers = _callers(name)
+        assert callers and all(
+            c.startswith("manifolds:_Level.")
+            or c == "degeneracy:strong_stable_spectrum" for c in callers), \
+            (name, callers)
+
+
+def test_only_polish_runs_newton():
+    # seeds, one-zero cells and clusters are polished through one entry
+    assert _callers("_newton_batch") == ["rootfinder:_polish"]
+
+
+def test_only_the_backend_takes_determinants():
+    # every determinant is _backend._det: closed forms for d <= 2, LU beyond
+    calls = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "det"
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"):
+                calls.append(path.name)
+    assert calls and set(calls) == {"_backend.py"}, calls
 
 
 def test_import_does_not_load_scipy_spatial():
