@@ -25,11 +25,15 @@ Kernel contracts:
 ``det_poly_coeffs(B, Ak, radii)``
     ``B`` complex (N, m, m), ``Ak`` complex (m, m), ``radii`` real (N,).
     Returns complex (N, m+1): coefficients ``c[i, j]`` of ``Y**j`` in the
-    polynomial ``det(B[i] + Y * Ak)``, recovered exactly (up to rounding)
-    by evaluation at the m+1 scaled roots of unity ``radii[i] * zeta**l``
-    followed by an inverse discrete Fourier transform.  All N rows are
-    taken at once; ``manifolds._Level.coeffs`` is the one loop that splits
-    a lattice into batches of bounded memory.
+    polynomial ``det(B[i] + Y * Ak)``.  For m <= 2 they are written out:
+    ``(det B, det Ak)`` for m = 1 (the entries themselves) and
+    ``(det B, tr(adj(B) Ak), det Ak)`` for m = 2, so a row's bits do not
+    depend on its batch and ``radii`` is not read.  For m >= 3 they are
+    recovered exactly (up to rounding) by evaluation at the m+1 scaled
+    roots of unity ``radii[i] * zeta**l`` followed by an inverse discrete
+    Fourier transform.  All N rows are taken at once;
+    ``manifolds._Level.coeffs`` is the one loop that splits a lattice into
+    batches of bounded memory.
 
 ``_det(M)`` is the package's only determinant (the kernels, the singularity
 flags and the ladder's ``truncated_char``); a 0x0 matrix has determinant 1.
@@ -60,6 +64,13 @@ def _det(M):
     return np.linalg.det(M)
 
 
+def _adj_trace(M, P):
+    """``tr(adj(M) P)`` over the last two axes of 2x2 stacks, written out:
+    the derivative of ``det(M + t P)`` at t = 0."""
+    return (P[..., 0, 0] * M[..., 1, 1] + M[..., 0, 0] * P[..., 1, 1]
+            - P[..., 0, 1] * M[..., 1, 0] - M[..., 0, 1] * P[..., 1, 0])
+
+
 def _table(lams, mats, taus):
     """``M`` as an (N, d*d) table of row-major entries, and the delay
     factors ``exp(-lam taus)`` it was built from."""
@@ -85,8 +96,7 @@ def char_and_deriv(lams, mats, taus):
     if d == 1:
         return chi, Mp[:, 0, 0]
     if d == 2:
-        return chi, (Mp[:, 0, 0] * M[:, 1, 1] + M[:, 0, 0] * Mp[:, 1, 1]
-                     - Mp[:, 0, 1] * M[:, 1, 0] - M[:, 0, 1] * Mp[:, 1, 0])
+        return chi, _adj_trace(M, Mp)
     swapped = np.repeat(M[:, None], d, axis=1)  # (N, j, d, d)
     for j in range(d):
         swapped[:, j, :, j] = Mp[:, :, j]
@@ -98,7 +108,8 @@ _INTERP = {}
 
 def _interp(m):
     """Nodes ``zeta**l``, inverse DFT matrix and radius exponents of the
-    size-m interpolation, built once per m; the arrays are read-only."""
+    size-m interpolation (m >= 3), built once per m; the arrays are
+    read-only."""
     if m not in _INTERP:
         nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
         idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1),
@@ -112,7 +123,15 @@ def _interp(m):
 
 
 def det_poly_coeffs(B, Ak, radii):
-    nodes, idft, powers = _interp(B.shape[1])
+    m = B.shape[1]
+    if m <= 2:  # det B, tr(adj(B) Ak) when m = 2, det Ak: no nodes
+        coeffs = np.empty((B.shape[0], m + 1), np.complex128)
+        coeffs[:, 0] = _det(B)
+        if m == 2:
+            coeffs[:, 1] = _adj_trace(B, Ak)
+        coeffs[:, m] = _det(Ak)
+        return coeffs
+    nodes, idft, powers = _interp(m)
     Y = radii[:, None] * nodes[None, :]  # (N, m+1)
     dets = _det(B[:, None, :, :] + Y[:, :, None, None] * Ak)  # (N, m+1)
     raw = dets @ idft.T  # (N, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)

@@ -163,8 +163,9 @@ def truncated_char(ladder, k, eps, lam):
 def strong_stable_spectrum(ladder):
     """Stable roots of the level-1 pencil det(-lam J1 + A0p), multiplicity.
 
-    Empty unless the ladder reaches level 1.  Roots come from
-    determinant interpolation on a circle (radius 1 + |A|/|J|, or 1 + |A|
+    Empty unless the ladder reaches level 1.  Roots come from the
+    pencil's coefficients (``det_poly_coeffs``: written out up to size 2,
+    beyond that interpolated on a circle of radius 1 + |A|/|J|, or 1 + |A|
     for singular J) followed by companion eigenvalues; infinite pencil
     eigenvalues drop out as trimmed leading coefficients.  An identically
     zero pencil would make the whole truncation meaningless and raises.

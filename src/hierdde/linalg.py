@@ -115,7 +115,7 @@ def poly_roots_batch(coeffs, max_degree=None):
     (else ``DimensionError``): the package's one polynomial root solver.
 
     Leading coefficients below ``TRIM_TOL`` times the row's largest
-    magnitude are interpolation noise and are trimmed; the roots of the
+    magnitude are noise and are trimmed; the roots of the
     rest come from its companion matrix, sorted by (real, imag).  Returns
     ``(roots, neff)``: ``roots`` is (N, max_degree), nan past each row's
     count ``neff[i]`` (0 for a constant row, -1 for an identically zero

@@ -66,6 +66,7 @@ DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
 _CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
 _CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
+                        # (d >= 3 also bounds its interpolation node stack)
 SEED_STEPS = 3          # fixed-point steps of axis_seeds; Newton finishes
 BRANCH_SEP = 1e-6       # relative |Y_b - Y_b'| up to which branches coincide
 DOMINANCE = 2.0         # |Y| / |Y_b| bound of window_count's edge factors
@@ -251,9 +252,11 @@ class _Level:
 
     def coeffs(self, omegas, phis):
         """Coefficient rows of det(B + Y Ak) at the points, and their
-        interpolation node radii: 1 + |B| bound over ``smin``.  The one
-        loop over row chunks: ``_CHUNK_ROWS`` rows, fewer for d >= 3 so
-        that the (rows, d+1, d, d) node stack stays below 2**20 entries."""
+        root radii 1 + |B| bound over ``smin`` (the interpolation's node
+        radii for d >= 3, and the scale of ``gammas``' zero-root test).
+        The one loop over row chunks: ``_CHUNK_ROWS`` rows, fewer for
+        d >= 3 so that the (rows, d+1, d, d) node stack of the
+        interpolation stays below 2**20 entries; d <= 2 builds none."""
         bound = np.abs(omegas) * self.J_norm + self.norm_sum
         if self.smin == 0.0:
             radii = np.ones_like(bound)
@@ -341,10 +344,10 @@ def truncated_char_poly(sys, k, point):
     """Coefficients (ascending in Y, trimmed) of the scale-k polynomial.
 
     chi_k(omega, phi; Y) = det(-i omega I + A0 + sum_{j<k} Aj
-    exp(-i sigma_j phi_j) + Ak Y) has degree rank(Ak); coefficients are
-    recovered by node interpolation and leading noise is trimmed at
-    ``TRIM_TOL`` of the largest magnitude.  An identically zero polynomial (joint
-    kernel through every node) raises ``TrivialityError``.
+    exp(-i sigma_j phi_j) + Ak Y) has degree rank(Ak); coefficients come
+    from ``_Level.coeffs`` (written out for d <= 2, node interpolation
+    beyond) and leading noise is trimmed at ``TRIM_TOL`` of the largest
+    magnitude.  An identically zero polynomial raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
     coeffs, _ = level.coeffs(*_lattice(point.axes(k)))

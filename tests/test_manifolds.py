@@ -100,6 +100,42 @@ def test_coefficient_chunks_of_a_d3_lattice_are_the_one_row_values():
         assert np.abs(coeffs[i] - one[0]).max() <= 1e-12 * scale, i
 
 
+def _heights_within(got, want, rel):
+    """Equal infinities, and finite heights within ``rel * (1 + |want|)``."""
+    inf = np.isinf(got) | np.isinf(want)
+    assert np.array_equal(got[inf], want[inf])
+    err = np.abs(got[~inf] - want[~inf]) / (1.0 + np.abs(want[~inf]))
+    assert err.max(initial=0.0) <= rel, err.max()
+
+
+@pytest.mark.parametrize("name", h.PRESET_NAMES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_preset_lattice_heights_are_the_closed_forms(name, k):
+    # the default lattice of each preset, against scalar2's gamma1/gamma2
+    p, s = h.preset_params(name), h.preset_system(name)
+    omegas, phis, _, gammas, _ = mf._Level.plain(s, k).lattice(
+        GridSpec().axes(s, k))
+    closed = np.array([h.gamma1(p, om) if k == 1 else h.gamma2(p, om, ph[0])
+                       for om, ph in zip(omegas.tolist(), phis.tolist())])
+    _heights_within(gammas[:, 0], closed, 2e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_diagonal_heights_are_those_of_the_blocks(k):
+    # d = 2 with distinct scalar blocks: the sorted heights at each lattice
+    # point are the sorted heights of the two scalar systems
+    blocks = [(-0.4 + 0.5j, 0.1, 0.4), (-0.7 - 0.2j, 0.25 + 0.1j, 0.3)]
+    mats = tuple(np.diag([blocks[0][i], blocks[1][i]]).astype(complex)
+                 for i in range(3))
+    s = h.DelaySystem(matrices=mats, sigma=(1.0, 1.0))
+    axes = GridSpec(omega_range=(-3.0, 3.0)).axes(s, k)
+    gammas = mf._Level.plain(s, k).lattice(axes)[3]
+    want = np.stack([
+        mf._Level.plain(h.DelaySystem.scalar(a0, ak), k).lattice(axes)[3][:, 0]
+        for a0, *ak in blocks], axis=1)
+    _heights_within(np.sort(gammas, axis=1), np.sort(want, axis=1), 1e-14)
+
+
 def test_double_branch_on_unit_circle():
     # identity delayed coefficient at frequency 1: both branches sit at Y = i,
     # giving growth rate zero twice

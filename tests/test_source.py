@@ -63,7 +63,7 @@ def _callers(name):
 
 
 def test_only_the_level_evaluates_level_polynomials():
-    # one coefficient interpolation and one root solver: they are taken in
+    # one coefficient kernel and one root solver: they are taken in
     # _Level's methods, and once for the ladder's level-1 pencil
     for name in ("det_poly_coeffs", "poly_roots_batch"):
         callers = _callers(name)
