@@ -124,7 +124,9 @@ def poly_roots_batch(coeffs, max_degree=None):
     ``-c0 / c1``, the entry of its 1x1 companion matrix.  LAPACK returns
     that entry unchanged (bit for bit) whenever its modulus lies between
     about 1e-138 and 1e138; outside that band it rescales the matrix first,
-    so the two differ in the last bits.
+    so the two differ in the last bits.  A batch of ``max_degree`` 1 (a
+    d = 1 level) takes the same trimming test and the same ``-c0 / c1`` in
+    a few whole-array operations, without grouping rows by degree.
     """
     coeffs = np.asarray(coeffs, np.complex128)
     if coeffs.ndim != 2:
@@ -133,6 +135,14 @@ def poly_roots_batch(coeffs, max_degree=None):
     if max_degree is None:
         max_degree = width - 1
     work = coeffs[:, :max_degree + 1]
+    if max_degree == 1:  # whole-array: the degree test and -c0 / c1
+        c0, c1 = work[:, 0], work[:, 1]
+        m0, m1 = np.abs(c0), np.abs(c1)
+        floor = TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
+        one = m1 > floor
+        roots = np.full((N, 1), np.nan + 0j, np.complex128)
+        np.divide(-c0, c1, out=roots[:, 0], where=one)
+        return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))
 
     mags = [np.abs(work[:, j]) for j in range(max_degree + 1)]
     top = mags[0]

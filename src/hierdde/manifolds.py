@@ -243,12 +243,24 @@ class _Level:
         return cls(k, ladder.sigma, lev.J1, lev.A_proj)
 
     def B(self, omegas, phis):
-        """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j)."""
-        B = (-1j * omegas)[:, None, None] * self.J + self.A_list[0]
+        """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j).
+
+        For d = 1 the terms are (N,) arrays times the scalar entries,
+        returned as an (N, 1, 1) view: those products round the same
+        whatever N is, while an (N, 1, 1) broadcast rounds a lone row
+        differently from the same row in a batch."""
+        if self.J.shape[0] == 1:
+            J, A, ax = self.J[0, 0], [M[0, 0] for M in self.A_list], np.s_[:]
+        else:
+            J, A, ax = self.J, self.A_list, np.s_[:, None, None]
+        B = (-1j * omegas)[ax] * J
+        # sums in place: an add rounds alike in every loop, while an
+        # in-place product rounds a lone d = 1 row differently
+        B += A[0]
         for j in range(1, self.k):
             fac = np.exp(-1j * self.sigma[j - 1] * phis[:, j - 1])
-            B = B + fac[:, None, None] * self.A_list[j]
-        return B
+            B += fac[ax] * A[j]
+        return B.reshape(-1, *self.J.shape)
 
     def coeffs(self, omegas, phis):
         """Coefficient rows of det(B + Y Ak) at the points, and their

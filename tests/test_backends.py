@@ -5,6 +5,7 @@ import pytest
 
 import hierdde as h
 from hierdde import _backend
+from hierdde.manifolds import _Level
 
 
 def _random_batch(rng, d=None):
@@ -197,3 +198,31 @@ def test_written_out_coefficient_rows_do_not_depend_on_their_batch(m):
                                           radii[lo:lo + size])
                  for lo in range(0, N, size)]
         assert np.array_equal(np.concatenate(parts), whole), size
+
+
+def _in_chunks(evaluate, N, size):
+    """``evaluate`` over rows ``0..N`` in chunks of ``size``, joined."""
+    parts = [evaluate(slice(lo, lo + size)) for lo in range(0, N, size)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scalar_level_rows_do_not_depend_on_their_batch(k):
+    # d = 1: B from the scalar entries, the degree-1 root batch and the
+    # heights give a row the same bits alone, in chunks and in one batch,
+    # at real lattice points and at the complex frequencies of branches
+    sys_ = h.DelaySystem.scalar(-0.4 + 0.5j, (0.1 - 0.2j, 0.15, 0.4 + 0.1j),
+                                sigma=(1.0, 1.3, 0.7))
+    level = _Level.plain(sys_, k)
+    rng = np.random.default_rng(300 + k)
+    N = 263
+    omegas = rng.uniform(-3.0, 3.0, N)
+    phis = rng.uniform(0.0, 2.0 * np.pi, (N, k - 1))
+    lams = rng.uniform(-0.02, 0.02, N) + 1j * rng.uniform(-3.0, 3.0, N)
+    for evaluate in (lambda r: level.gammas(omegas[r], phis[r]),
+                     lambda r: [level.branches(0.1, lams[r])]):
+        whole = evaluate(slice(None))
+        assert np.isfinite(whole[0]).all()
+        for size in (1, 2, 3, 8, 17, 64, 100):
+            for got, want in zip(_in_chunks(evaluate, N, size), whole):
+                assert np.array_equal(got, want), size

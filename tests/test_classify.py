@@ -1,6 +1,7 @@
 """Per-scale growth-rate suprema and the overall stability verdict."""
 
 import importlib.util
+import itertools
 import logging
 import math
 import pathlib
@@ -14,8 +15,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import (_NM_OPTIONS, _leak_check, _row_max, _sort,
-                              minimize)
+from hierdde.classify import (_NM_OPTIONS, _converged, _leak_check,
+                              _row_max, _sort, minimize)
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import PhasePoint, _Level
 
@@ -241,6 +242,55 @@ def test_simplex_sort_orders_as_numpy_argsort(size):
         order = np.argsort(f).tolist()
         assert [v[0] for v in sim] == order, f
         assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
+    # after a step only the last value has moved: strictly ascending heads,
+    # and a last value in every gap and beyond either end, tied with each
+    # head value, nan, +-inf and +-0.0
+    points = [-math.inf, -2.0, 0.0, 1.0, 1e6, math.inf]
+    gaps = [-5.0, -1.0, 0.5, 2.0, 2e6]
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    for head in itertools.combinations(points, size - 1):
+        for last in head + tuple(gaps + specials):
+            f = [*head, last]
+            sim = [[float(i)] for i in range(size)]
+            got = list(f)
+            _sort(sim, got)
+            order = np.argsort(f).tolist()
+            assert [v[0] for v in sim] == order, f
+            assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
+
+
+def _converged_all(sim, f):
+    """The termination test as one ``all`` per tolerance: the reference."""
+    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
+    best, fbest = sim[0], f[0]
+    return (all(abs(fv - fbest) <= fatol for fv in f[1:])
+            and all(abs(x - b) <= xatol
+                    for v in sim[1:] for x, b in zip(v, best)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_converged_stops_at_the_first_failing_tolerance(N):
+    # vertices and values at, just inside and just past xatol and fatol
+    # of the best, plus nan and inf: the same decision as the reference.
+    # Half the best coordinates and values are 0, so that the offsets are
+    # exact and the edges are met exactly
+    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
+    rng = np.random.default_rng(N)
+    dx = [0.0, 0.5 * xatol, xatol, np.nextafter(xatol, 1.0), 2 * xatol]
+    df = [0.0, 0.5 * fatol, fatol, np.nextafter(fatol, 1.0), math.nan,
+          math.inf]
+    seen = set()
+    for _ in range(3000):
+        best = rng.uniform(-3.0, 3.0, N) * (rng.random(N) < 0.5)
+        steps = rng.choice(dx, (N, N)) * rng.choice([-1.0, 1.0], (N, N))
+        sim = np.vstack([best, best + steps]).tolist()
+        f0 = float(rng.uniform(-1.0, 1.0)) * (rng.random() < 0.5)
+        f = [f0] + (f0 + rng.choice(df, N) * rng.choice([-1.0, 1.0], N)
+                    ).tolist()
+        want = _converged_all(sim, f)
+        assert _converged(sim, f) == want, (sim, f)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def _captured_refinement(sys_, k, monkeypatch):
@@ -263,22 +313,19 @@ def _captured_refinement(sys_, k, monkeypatch):
 def test_minimize_is_scipy_on_the_sup_objective(k, monkeypatch):
     # the lattice_sup objective of a classify-random system, seeded from
     # its lattice, plus a simplex far out on the 1e6 plateau (every value
-    # ties); then the same with nan at some points.  A row's last bits
-    # depend on the rows evaluated with it (ROADMAP item 9), so both sides
-    # evaluate the objective one row at a time
+    # ties); then the same with nan at some points.  A d = 1 row's bits do
+    # not depend on the rows evaluated with it, so the lockstep search on
+    # the batched objective is scipy's one-point search bit for bit
     monkeypatch.setitem(_NM_OPTIONS, "maxfev", 800)
     sys_ = _classify_random_systems(1)[0]
     fun, sims = _captured_refinement(sys_, k, monkeypatch)
     assert sims.shape == (5, k + 1, k)
     sims = np.concatenate([sims, (1e12 + sims[0] - sims[0, 0])[None]])
 
-    def rows(X):
-        return np.array([fun(x[None])[0] for x in X])
-
     def holes(X):
-        return np.where(np.floor(40.0 * X[:, 0]) % 3 == 0, math.nan, rows(X))
+        return np.where(np.floor(40.0 * X[:, 0]) % 3 == 0, math.nan, fun(X))
 
-    for f in (rows, holes):
+    for f in (fun, holes):
         res = minimize(f, sims)
         refs = [scipy_minimize(lambda x: f(x[None])[0], sim[0],
                                method="Nelder-Mead",

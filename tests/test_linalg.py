@@ -214,8 +214,10 @@ def _argmax_degrees(work):
                     work.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), -1)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
-def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
+def _noisy_rows(width):
+    """3000 coefficient rows over 400 decades with zeros, signed zeros,
+    infinities, nan, all-zero rows, and leading coefficients on, just above
+    and just below the noise floor."""
     rng = np.random.default_rng(505 + width)
     N = 3000
     rows = (rng.standard_normal((N, width))
@@ -236,6 +238,12 @@ def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
         if mags[i, lead] == mags[i].max():
             continue
         rows[i, lead] = np.nextafter(floor[i], [0.0, floor[i], np.inf][i % 3])
+    return rows
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
+    rows = _noisy_rows(width)
     with np.errstate(invalid="ignore"):
         want = _argmax_degrees(rows)
         roots, degs = linalg.poly_roots_batch(rows)
@@ -257,3 +265,20 @@ def test_poly_roots_batch_full_degree_slices_match_fancy_indexing(degree):
         np.vstack([rows, np.eye(1, degree + 1)]))
     assert neff[-1] == 0
     assert np.array_equal(full, mixed[:-1])
+
+
+def test_poly_roots_batch_degree_one_batch_is_the_grouped_path():
+    # a max_degree 1 batch takes one whole-array pass; padded with a zero
+    # column it takes the grouped path, whose degree-1 rows are -c0 / c1
+    # too: the degrees and the roots agree bit for bit, specials included
+    rows = _noisy_rows(2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        roots, degs = linalg.poly_roots_batch(rows, max_degree=1)
+        padded = np.hstack([rows, np.zeros((rows.shape[0], 1))])
+        want_roots, want_degs = linalg.poly_roots_batch(padded, max_degree=2)
+    assert degs.dtype == want_degs.dtype
+    assert np.array_equal(degs, want_degs)
+    assert roots.shape == (rows.shape[0], 1)
+    assert np.array_equal(roots, want_roots[:, :1], equal_nan=True)
+    assert np.isnan(want_roots[:, 1]).all()
+    assert {-1, 0, 1} == set(degs.tolist())
