@@ -12,11 +12,10 @@ lockstep: each step evaluates four speculative points per seed
 (reflection, expansion, both contractions) in one batched grid call, and
 keeps each seed's simplex and values as Python floats, so the bookkeeping
 between calls costs its arithmetic rather than numpy calls on tiny arrays:
-a step's re-ordering places the one replaced vertex by comparisons, and
-the termination test stops at the first tolerance that fails.  For a
-scalar (d = 1) system the objective reads its one height column directly,
-and a row's value does not depend on the points evaluated with it, so the
-lockstep search is scipy's one-point Nelder-Mead bit for bit.
+a step's re-ordering places the one replaced vertex by comparisons.  For a
+scalar (d = 1) system a row's value does not depend on the points
+evaluated with it, so the lockstep search is scipy's one-point
+Nelder-Mead bit for bit.
 """
 
 import logging
@@ -100,11 +99,10 @@ def _sort(sim, f):
 
     After a step only the last vertex has moved: when the others are
     strictly ascending and its value falls strictly between two of them
-    (or beyond either end), comparisons place it.  Otherwise distinct
-    values have one sorted order, which ``sorted`` finds without a numpy
-    call.  Ties and nan go to ``np.argsort`` itself: its order among equal
-    values depends on the machine's sort kernel (with AVX-512 it is not
-    stable from four values up).
+    (or beyond either end), comparisons place it.  Everything else (a
+    first sort, a shrink, ties and nan) goes to ``np.argsort`` itself: its
+    order among equal values depends on the machine's sort kernel (with
+    AVX-512 it is not stable from four values up).
     """
     n = len(f) - 1
     v = f[n]
@@ -123,28 +121,19 @@ def _sort(sim, f):
             sim.insert(p, sim.pop())
             f.insert(p, f.pop())
         return
-    order = sorted(range(len(f)), key=f.__getitem__)
-    if not all(f[a] < f[b] for a, b in zip(order, order[1:])):
-        order = np.array(f).argsort().tolist()
+    order = np.array(f).argsort().tolist()
     sim[:] = [sim[i] for i in order]
     f[:] = [f[i] for i in order]
 
 
 def _converged(sim, f):
     """scipy's test: every vertex within xatol of the best in every
-    coordinate and every value within fatol of its value (nan fails).
-    Stops at the first tolerance that fails."""
+    coordinate and every value within fatol of its value (nan fails)."""
     xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
-    fbest = f[0]
-    for fv in f[1:]:
-        if not abs(fv - fbest) <= fatol:
-            return False
-    best = sim[0]
-    for v in sim[1:]:
-        for x, b in zip(v, best):
-            if not abs(x - b) <= xatol:
-                return False
-    return True
+    best, fbest = sim[0], f[0]
+    return (all(abs(fv - fbest) <= fatol for fv in f[1:])
+            and all(abs(x - b) <= xatol
+                    for v in sim[1:] for x, b in zip(v, best)))
 
 
 def minimize(fun, simplices):
@@ -305,10 +294,7 @@ def lattice_sup(sys, grid, level, axes, lattice):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        gammas = level.gammas(X[:, 0], X[:, 1:])[1]
-        # one branch (d = 1): the column is the row maximum, and nan, like
-        # -inf, lands on the 1e6 plateau below
-        val = gammas[:, 0] if gammas.shape[1] == 1 else _row_max(gammas)[0]
+        val, _ = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
         return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
                         np.where(np.isfinite(val), -val, 1e6))
 

@@ -15,8 +15,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import (_NM_OPTIONS, _converged, _leak_check,
-                              _row_max, _sort, minimize)
+from hierdde.classify import (_NM_OPTIONS, _leak_check, _row_max, _sort,
+                              minimize)
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import PhasePoint, _Level
 
@@ -259,40 +259,6 @@ def test_simplex_sort_orders_as_numpy_argsort(size):
             assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
 
 
-def _converged_all(sim, f):
-    """The termination test as one ``all`` per tolerance: the reference."""
-    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
-    best, fbest = sim[0], f[0]
-    return (all(abs(fv - fbest) <= fatol for fv in f[1:])
-            and all(abs(x - b) <= xatol
-                    for v in sim[1:] for x, b in zip(v, best)))
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_converged_stops_at_the_first_failing_tolerance(N):
-    # vertices and values at, just inside and just past xatol and fatol
-    # of the best, plus nan and inf: the same decision as the reference.
-    # Half the best coordinates and values are 0, so that the offsets are
-    # exact and the edges are met exactly
-    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
-    rng = np.random.default_rng(N)
-    dx = [0.0, 0.5 * xatol, xatol, np.nextafter(xatol, 1.0), 2 * xatol]
-    df = [0.0, 0.5 * fatol, fatol, np.nextafter(fatol, 1.0), math.nan,
-          math.inf]
-    seen = set()
-    for _ in range(3000):
-        best = rng.uniform(-3.0, 3.0, N) * (rng.random(N) < 0.5)
-        steps = rng.choice(dx, (N, N)) * rng.choice([-1.0, 1.0], (N, N))
-        sim = np.vstack([best, best + steps]).tolist()
-        f0 = float(rng.uniform(-1.0, 1.0)) * (rng.random() < 0.5)
-        f = [f0] + (f0 + rng.choice(df, N) * rng.choice([-1.0, 1.0], N)
-                    ).tolist()
-        want = _converged_all(sim, f)
-        assert _converged(sim, f) == want, (sim, f)
-        seen.add(want)
-    assert seen == {True, False}
-
-
 def _captured_refinement(sys_, k, monkeypatch):
     """The objective and the stacked simplices that ``sup_gamma`` hands to
     ``minimize``."""
@@ -315,7 +281,10 @@ def test_minimize_is_scipy_on_the_sup_objective(k, monkeypatch):
     # its lattice, plus a simplex far out on the 1e6 plateau (every value
     # ties); then the same with nan at some points.  A d = 1 row's bits do
     # not depend on the rows evaluated with it, so the lockstep search on
-    # the batched objective is scipy's one-point search bit for bit
+    # the batched objective is scipy's one-point search bit for bit.  That
+    # invariance was checked with numpy 2.4.6 on x86-64 with AVX-512; other
+    # SIMD loops may round a lone row differently
+    dispatch = f"numpy {np.__version__}"
     monkeypatch.setitem(_NM_OPTIONS, "maxfev", 800)
     sys_ = _classify_random_systems(1)[0]
     fun, sims = _captured_refinement(sys_, k, monkeypatch)
@@ -332,8 +301,9 @@ def test_minimize_is_scipy_on_the_sup_objective(k, monkeypatch):
                                options=dict(_NM_OPTIONS, initial_simplex=sim))
                 for sim in sims]
         for i, ref in enumerate(refs):
-            assert np.array_equal(res.x[i], ref.x), (f.__name__, i)
-            assert np.array_equal(res.fun[i], ref.fun, equal_nan=True)
+            assert np.array_equal(res.x[i], ref.x), (f.__name__, i, dispatch)
+            assert np.array_equal(res.fun[i], ref.fun, equal_nan=True), (
+                f.__name__, i, dispatch)
         assert res.nfev == sum(ref.nfev for ref in refs)
         assert res.capped == sum(ref.status != 0 for ref in refs)
         assert res.fun[-1] == 1e6
