@@ -28,7 +28,8 @@ Kernel contracts:
     polynomial ``det(B[i] + Y * Ak)``.  For m <= 2 they are written out:
     ``(det B, det Ak)`` for m = 1 (the entries themselves) and
     ``(det B, tr(adj(B) Ak), det Ak)`` for m = 2, so a row's bits do not
-    depend on its batch and ``radii`` is not read.  For m >= 3 they are
+    depend on its batch and ``radii`` is not read (``_Level.coeffs``
+    passes None there and builds no radii).  For m >= 3 they are
     recovered exactly (up to rounding) by evaluation at the m+1 scaled
     roots of unity ``radii[i] * zeta**l`` followed by an inverse discrete
     Fourier transform.  All N rows are taken at once;

@@ -131,9 +131,14 @@ def _converged(sim, f):
     coordinate and every value within fatol of its value (nan fails)."""
     xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
     best, fbest = sim[0], f[0]
-    return (all(abs(fv - fbest) <= fatol for fv in f[1:])
-            and all(abs(x - b) <= xatol
-                    for v in sim[1:] for x, b in zip(v, best)))
+    for fv in f[1:]:
+        if not abs(fv - fbest) <= fatol:
+            return False
+    for v in sim[1:]:
+        for x, b in zip(v, best):
+            if not abs(x - b) <= xatol:
+                return False
+    return True
 
 
 def minimize(fun, simplices):
@@ -194,9 +199,8 @@ def minimize(fun, simplices):
                 outc.append(1.5 * b - 0.5 * w)
                 insc.append(0.5 * b + 0.5 * w)
         L = len(live)
-        points = np.array(refl + expa + outc + insc).reshape(4 * L, N)
-        vals = np.ravel(fun(points)).tolist()
-        flat = points.tolist()
+        flat = refl + expa + outc + insc  # row r is flat[r * N:r * N + N]
+        vals = np.ravel(fun(np.array(flat).reshape(4 * L, N))).tolist()
 
         shrink = []
         for n, i in enumerate(live):
@@ -205,7 +209,7 @@ def minimize(fun, simplices):
             iters[i] += 1
             if not fr < f[0] and fr < f[-2]:
                 calls[i] += 1
-                sim[-1], f[-1] = flat[n], fr
+                sim[-1], f[-1] = flat[n * N:n * N + N], fr
             elif maxfev - calls[i] < 2:
                 # the second evaluation would pass maxfev: stop unchanged
                 calls[i] += 1
@@ -220,7 +224,7 @@ def minimize(fun, simplices):
                 if row < 0:
                     shrink.append(i)
                 else:
-                    sim[-1], f[-1] = flat[row], vals[row]
+                    sim[-1], f[-1] = flat[row * N:row * N + N], vals[row]
 
         if shrink:  # towards the best vertex, scipy's sigma = 0.5
             moved = [[b + 0.5 * (x - b) for x, b in zip(v, sims[i][0])]
@@ -265,7 +269,15 @@ def sup_gamma(sys, k, grid=GridSpec()):
 
 def lattice_sup(sys, grid, level, axes, lattice):
     """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
-    grid)``: its level, axes and lattice."""
+    grid)``: its level, axes and lattice.
+
+    The Nelder-Mead objective is minus each row's largest gamma, with a
+    zero root (+inf) mapped to the plateau ``-10 UNBOUNDED_GAMMA /
+    sigma_k`` and a row without a finite gamma to 1e6.  A one-column
+    level's column is its own row maximum, so ``_row_max`` runs only for
+    more branches; when every value is finite (one reduction, which nan
+    fails) the plateau masks would change nothing and are skipped.
+    """
     k, sigma_k = level.k, level.sigma_k
     omegas, phis, _, gammas, _ = lattice
     if level.dk == 0:
@@ -294,9 +306,15 @@ def lattice_sup(sys, grid, level, axes, lattice):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        val, _ = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
-        return np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
-                        np.where(np.isfinite(val), -val, 1e6))
+        # minus each row's largest gamma: a one-column level's column is
+        # its own row maximum, and its nan (a missing branch) is remapped
+        # below as _row_max's -inf is
+        g = level.gammas(X[:, 0], X[:, 1:])[1]
+        val = -(g[:, 0] if g.shape[1] == 1 else _row_max(g)[0])
+        if np.isfinite(val).all():
+            return val
+        return np.where(val == -math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
+                        np.where(np.isfinite(val), val, 1e6))
 
     x0 = np.column_stack([omegas[seeds], phis[seeds]])
     steps = np.vstack([np.zeros(k), np.diag(0.5 * spacings)])

@@ -126,7 +126,9 @@ def poly_roots_batch(coeffs, max_degree=None):
     about 1e-138 and 1e138; outside that band it rescales the matrix first,
     so the two differ in the last bits.  A batch of ``max_degree`` 1 (a
     d = 1 level) takes the same trimming test and the same ``-c0 / c1`` in
-    a few whole-array operations, without grouping rows by degree.
+    a few whole-array operations, without grouping rows by degree; when
+    every row keeps its degree (nan does not), it also skips the nan
+    padding and the masked divide, which would change nothing.
     """
     coeffs = np.asarray(coeffs, np.complex128)
     if coeffs.ndim != 2:
@@ -140,6 +142,8 @@ def poly_roots_batch(coeffs, max_degree=None):
         m0, m1 = np.abs(c0), np.abs(c1)
         floor = TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
         one = m1 > floor
+        if one.all():  # no row trims (nan does): no padding, no masks
+            return (-c0 / c1)[:, None], one.astype(np.int64)
         roots = np.full((N, 1), np.nan + 0j, np.complex128)
         np.divide(-c0, c1, out=roots[:, 0], where=one)
         return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))

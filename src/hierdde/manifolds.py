@@ -231,6 +231,12 @@ class _Level:
         self.smin = float(s[self.dk - 1]) if self.dk else 0.0
         self.J_norm = spectral_norm(J)
         self.norm_sum = sum(spectral_norm(M) for M in self.A_list)
+        # what ``B`` multiplies its (N,) factors by, and how it broadcasts
+        # them: the scalar entries for d = 1, the matrices beyond
+        if J.shape[0] == 1:
+            self._terms = J[0, 0], [M[0, 0] for M in self.A_list], np.s_[:]
+        else:
+            self._terms = J, self.A_list, np.s_[:, None, None]
 
     @classmethod
     def plain(cls, sys, k):
@@ -251,10 +257,7 @@ class _Level:
         differently from the same row in a batch.  Which loop numpy picks
         decides this; it was checked with numpy 2.4.6 on x86-64 with
         AVX-512 only."""
-        if self.J.shape[0] == 1:
-            J, A, ax = self.J[0, 0], [M[0, 0] for M in self.A_list], np.s_[:]
-        else:
-            J, A, ax = self.J, self.A_list, np.s_[:, None, None]
+        J, A, ax = self._terms
         B = (-1j * omegas)[ax] * J
         # sums in place: an add rounds alike in every loop, while an
         # in-place product rounds a lone d = 1 row differently
@@ -264,49 +267,64 @@ class _Level:
             B += fac[ax] * A[j]
         return B.reshape(-1, *self.J.shape)
 
-    def coeffs(self, omegas, phis):
-        """Coefficient rows of det(B + Y Ak) at the points, and their
-        root radii 1 + |B| bound over ``smin`` (the interpolation's node
-        radii for d >= 3, and the scale of ``gammas``' zero-root test).
-        The one loop over row chunks: ``_CHUNK_ROWS`` rows, fewer for
-        d >= 3 so that the (rows, d+1, d, d) node stack of the
-        interpolation stays below 2**20 entries; d <= 2 builds none."""
+    def radii(self, omegas):
+        """Root radii 1 + |B| bound over ``smin`` at the frequencies (an
+        array or one value): the interpolation's node radii for d >= 3,
+        and the scale of ``gammas``' zero-root test.  Each step is monotone
+        in |omega|, so the largest |omega| gives the largest radius."""
         bound = np.abs(omegas) * self.J_norm + self.norm_sum
         if self.smin == 0.0:
-            radii = np.ones_like(bound)
-        else:
-            radii = 1.0 + bound / self.smin
+            return np.ones_like(bound)
+        return 1.0 + bound / self.smin
+
+    def coeffs(self, omegas, phis):
+        """Coefficient rows of det(B + Y Ak) at the points.  The one loop
+        over row chunks: ``_CHUNK_ROWS`` rows, fewer for d >= 3 so that
+        the (rows, d+1, d, d) node stack of the interpolation stays below
+        2**20 entries; d <= 2 builds no nodes and no radii."""
         N, d = omegas.shape[0], self.Ak.shape[0]
         chunk = max(1, min(_CHUNK_ROWS, 2 ** 20 // ((d + 1) * d * d)))
+        radii = self.radii(omegas) if d >= 3 else None
         if N <= chunk:  # one chunk is the result: no copy into a new array
             return _backend.det_poly_coeffs(self.B(omegas, phis), self.Ak,
-                                            radii), radii
+                                            radii)
         coeffs = np.empty((N, d + 1), np.complex128)
         for lo in range(0, N, chunk):
             rows = slice(lo, lo + chunk)
             coeffs[rows] = _backend.det_poly_coeffs(
-                self.B(omegas[rows], phis[rows]), self.Ak, radii[rows])
-        return coeffs, radii
+                self.B(omegas[rows], phis[rows]), self.Ak,
+                radii if radii is None else radii[rows])
+        return coeffs
 
     def gammas(self, omegas, phis):
         """Roots and heights at the points: (roots, gammas, neff).
 
         The one place a root becomes a height gamma = -ln|Y| / sigma_k:
-        +inf at a zero root (|Y| up to ``ZERO_ROOT_TOL`` times the node
-        radius), nan past each row's root count (a missing branch).  Rows
-        with neff=-1 are identically zero points (skipped by callers unless
-        all rows are).
+        +inf at a zero root (|Y| up to ``ZERO_ROOT_TOL`` times the row's
+        ``radii``), nan past each row's root count (a missing branch).
+        Rows with neff=-1 are identically zero points (skipped by callers
+        unless all rows are).  One bound guards the zero-root mask: when
+        the batch's smallest |Y| exceeds ``ZERO_ROOT_TOL`` times its
+        largest radius (that of its largest |omega|), no row has a zero
+        root and none a nan or log(0), so the heights are
+        ``ln|Y| / -sigma_k``, the same bits as ``-ln|Y| / sigma_k``,
+        without ``np.errstate``, the radius array or the mask.  Otherwise
+        (nan fails the bound) every row takes the masked test unchanged.
         """
-        coeffs, radii = self.coeffs(omegas, phis)
+        N = omegas.shape[0]
         if self.dk == 0:
-            N = omegas.shape[0]
             return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
                     np.zeros(N, np.int64))
-        roots, neff = poly_roots_batch(coeffs, max_degree=self.dk)
+        roots, neff = poly_roots_batch(self.coeffs(omegas, phis),
+                                       max_degree=self.dk)
         absY = np.abs(roots)
+        if N and absY.min() > ZERO_ROOT_TOL * self.radii(
+                np.abs(omegas).max()):
+            return roots, np.log(absY) / -self.sigma_k, neff
         with np.errstate(divide="ignore", invalid="ignore"):
             gammas = -np.log(absY) / self.sigma_k
-        return roots, np.where(absY <= ZERO_ROOT_TOL * radii[:, None],
+        return roots, np.where(absY <= ZERO_ROOT_TOL
+                               * self.radii(omegas)[:, None],
                                math.inf, gammas), neff
 
     def branches(self, eps, lam):
@@ -364,7 +382,7 @@ def truncated_char_poly(sys, k, point):
     magnitude.  An identically zero polynomial raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
-    coeffs, _ = level.coeffs(*_lattice(point.axes(k)))
+    coeffs = level.coeffs(*_lattice(point.axes(k)))
     row = coeffs[0, :level.dk + 1]
     mags = np.abs(row)
     if mags.max() == 0.0 or not np.isfinite(mags.max()):

@@ -6,6 +6,7 @@ import logging
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import (_NM_OPTIONS, _leak_check, _row_max, _sort,
-                              minimize)
+from hierdde.classify import (_NM_OPTIONS, UNBOUNDED_GAMMA, _leak_check,
+                              _row_max, _sort, minimize)
 from hierdde.errors import DegenerateSystemError
-from hierdde.manifolds import PhasePoint, _Level
+from hierdde.manifolds import ZERO_ROOT_TOL, PhasePoint, _Level
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
     "workloads.py"
@@ -259,7 +260,7 @@ def test_simplex_sort_orders_as_numpy_argsort(size):
             assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
 
 
-def _captured_refinement(sys_, k, monkeypatch):
+def _captured_refinement(sys_, k, monkeypatch, grid=h.GridSpec()):
     """The objective and the stacked simplices that ``sup_gamma`` hands to
     ``minimize``."""
     seen = []
@@ -270,7 +271,7 @@ def _captured_refinement(sys_, k, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(sys.modules["hierdde.classify"], "minimize", record)
-        h.sup_gamma(sys_, k)
+        h.sup_gamma(sys_, k, grid)
     (got,) = seen
     return got
 
@@ -398,6 +399,167 @@ def test_classify_random_verdicts_bit_equal_with_companion_roots(monkeypatch):
                         _companion_roots)
     ref = [h.classify(s, h.build_ladder(s)) for s in systems]
     assert fast == ref
+
+
+# --- the guarded height chain against its masked expressions ---------------
+
+def _radii(level, omegas):
+    """The zero-root test's radii, 1 + |B| bound over smin, written out."""
+    return 1.0 + (np.abs(omegas) * level.J_norm + level.norm_sum) / level.smin
+
+
+def _masked_chain(level, omegas, roots):
+    """Heights and sup objective values of ``roots`` as every row's masks
+    give them, the expressions of ``_Level.gammas`` and the objective before
+    their guards: the reference."""
+    absY = np.abs(roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gammas = -np.log(absY) / level.sigma_k
+    gammas = np.where(absY <= ZERO_ROOT_TOL * _radii(level, omegas)[:, None],
+                      math.inf, gammas)
+    val, _ = _row_max(gammas)
+    return gammas, np.where(val == math.inf,
+                            -10.0 * UNBOUNDED_GAMMA / level.sigma_k,
+                            np.where(np.isfinite(val), -val, 1e6))
+
+
+_CHAIN_CASES = ("d1-k1", "d1-k2", "d1-k3", "d2-rank1", "d2-full", "d3")
+
+
+def _chain_system(case):
+    """(system, k) of a case: d = 1 at scales 1-3, d = 2 with a rank-1 and
+    a full-rank top matrix, and d = 3."""
+    if case.startswith("d1"):
+        return h.DelaySystem.scalar(-0.4 + 0.5j, (0.1 - 0.2j, 0.15,
+                                                  0.4 + 0.1j),
+                                    sigma=(1.0, 1.3, 0.7)), int(case[-1])
+    rng = np.random.default_rng(3030)
+    u, v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    top = {"d2-rank1": 0.4 * np.outer(u, v),
+           "d2-full": 0.4 * (np.outer(u, v) + np.eye(2)),
+           "d3": 0.3 * np.eye(3) + 0.1j * np.ones((3, 3))}[case]
+    d = top.shape[0]
+    low = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    return h.DelaySystem((low[0] - 2.0 * np.eye(d), 0.3 * low[1], top),
+                         (1.0, 1.3)), 2
+
+
+def _crafted_rows(level, omega):
+    """Named (omega, roots, neff) rows at ``omega``: finite heights (also
+    at a lower omega, so a smaller radius), an exact zero root, the
+    smallest |Y| on the zero-root bound and one ulp either side of it, a
+    trimmed leading coefficient, an identically zero row, nan input and
+    |Y| = inf."""
+    dk = level.dk
+    bound = ZERO_ROOT_TOL * _radii(level, np.array([omega]))[0]
+    others = [0.8 - 0.3j, -1.2 + 0.5j, 2.0][:dk - 1]
+    nan = complex(math.nan, math.nan)
+    rows = {"finite": (omega, [0.6 + 0.2j] + others, dk),
+            "low omega": (omega / 9.0, [0.6 + 0.2j] + others, dk),
+            "zero root": (omega, [0j] + others, dk),
+            "on the bound": (omega, [complex(bound)] + others, dk),
+            "ulp above": (omega, [complex(np.nextafter(bound, 1.0))] + others,
+                          dk),
+            "ulp below": (omega, [complex(np.nextafter(bound, 0.0))] + others,
+                          dk),
+            "trimmed": (omega, ([0.6 + 0.2j] + others)[:dk - 1] + [nan],
+                        dk - 1),
+            "identically zero": (omega, [nan] * dk, -1),
+            "nan input": (math.nan, [nan] * dk, -1),
+            "infinite": (omega, [complex(math.inf)] + others, dk)}
+    assert np.abs(complex(bound)) == bound
+    return rows
+
+
+@pytest.mark.parametrize("case", _CHAIN_CASES)
+def test_guarded_heights_and_objective_are_the_masked_chain(case,
+                                                            monkeypatch):
+    # _Level.gammas and the sup objective skip the zero-root and plateau
+    # masks when one bound shows they would change nothing; every row kind,
+    # alone, with the rows that pass the bound and in one batch (empty
+    # included), gives the masked chain's bits and dtypes
+    sys_, k = _chain_system(case)
+    level = _Level.plain(sys_, k)
+    assert level.dk == {"d2-full": 2, "d3": 3}.get(case, 1)
+    fun, _ = _captured_refinement(sys_, k, monkeypatch, h.GridSpec(21, 6))
+    manifolds = sys.modules["hierdde.manifolds"]
+    rng = np.random.default_rng(k)
+
+    def check(omegas, phis, roots, neff):
+        # the module binding hands back the given roots
+        monkeypatch.setattr(manifolds, "poly_roots_batch",
+                            lambda c, max_degree: (roots.copy(), neff.copy()))
+        with np.errstate(invalid="ignore"):  # nan input: d = 3 node dets
+            got = level.gammas(omegas, phis)
+            obj = fun(np.column_stack([omegas, phis]))
+        want, want_obj = _masked_chain(level, omegas, roots)
+        for a, b in ((got[0], roots), (got[1], want), (got[2], neff),
+                     (obj, want_obj)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    rows = _crafted_rows(level, 0.9)
+    names = list(rows)
+    omegas = np.array([rows[n][0] for n in names])
+    roots = np.array([rows[n][1] for n in names], np.complex128)
+    neff = np.array([rows[n][2] for n in names], np.int64)
+    phis = rng.uniform(0.0, 2.0 * np.pi, (len(names), k - 1))
+    for i in range(len(names)):
+        check(omegas[i:i + 1], phis[i:i + 1], roots[i:i + 1], neff[i:i + 1])
+    # the bound takes the batch's largest radius: the rows past it pass
+    # together, the row on it does not pass beside a row of lower omega
+    for batch in (("finite", "low omega", "ulp above", "infinite"),
+                  ("low omega", "on the bound")):
+        sel = [names.index(n) for n in batch]
+        check(omegas[sel], phis[sel], roots[sel], neff[sel])
+    check(omegas, phis, roots, neff)
+    check(omegas[:0], phis[:0], roots[:0], neff[:0])
+
+    # and the real solver at random points (its degree-1 guard has its
+    # own test in test_linalg.py)
+    monkeypatch.undo()
+    omegas = rng.uniform(-3.0, 3.0, 40)
+    phis = rng.uniform(0.0, 2.0 * np.pi, (40, k - 1))
+    roots, neff = linalg.poly_roots_batch(level.coeffs(omegas, phis),
+                                          level.dk)
+    got = level.gammas(omegas, phis)
+    want, want_obj = _masked_chain(level, omegas, roots)
+    for a, b in zip(got + (fun(np.column_stack([omegas, phis])),),
+                    (roots, want, neff, want_obj)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_zero_and_infinite_roots_emit_no_runtime_warning(monkeypatch):
+    # the guards take log(0) and the plateau masks only on the masked
+    # path, under its np.errstate: nothing warns on a lattice with an
+    # exact zero root (-i omega + 0.5i + 0.3 Y = 0 at omega = 0.5) ...
+    s = h.DelaySystem.scalar(0.5j, (0.3, 0.1))
+    grid = h.GridSpec(5, 4, (-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert h.sup_gamma(s, 1, grid).sup == math.inf
+        assert any(b.gamma == math.inf for b in h.manifold_grid(s, 1, grid))
+        assert h.classify(s, h.build_ladder(s), grid).scale == 1
+    # ... nor with |Y| = inf.  Trimming keeps the roots of finite
+    # coefficients finite, so the solver's module binding hands back an
+    # infinite root at every third row that has one
+    real = linalg.poly_roots_batch
+
+    def infinite(coeffs, max_degree=None):
+        roots, neff = real(coeffs, max_degree)
+        roots[(neff > 0) & (np.arange(neff.size) % 3 == 0), 0] = math.inf
+        return roots, neff
+
+    monkeypatch.setattr(sys.modules["hierdde.manifolds"], "poly_roots_batch",
+                        infinite)
+    s = _classify_random_systems(1)[0]
+    grid = h.GridSpec(41, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(h.sup_gamma(s, 2, grid).sup)
+        table = h.manifold_grid(s, 2, grid)
+        assert (table.gammas == -math.inf).sum() == (len(table) + 2) // 3
+        h.classify(s, h.build_ladder(s), grid)
 
 
 # --- suprema against the closed forms ----------------------------------------

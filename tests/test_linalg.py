@@ -282,3 +282,53 @@ def test_poly_roots_batch_degree_one_batch_is_the_grouped_path():
     assert np.array_equal(roots, want_roots[:, :1], equal_nan=True)
     assert np.isnan(want_roots[:, 1]).all()
     assert {-1, 0, 1} == set(degs.tolist())
+
+
+def _masked_degree_one(coeffs):
+    """``poly_roots_batch`` at max_degree 1 with every row's masks, as
+    written before its no-trim guard: the reference."""
+    c0, c1 = coeffs[:, 0], coeffs[:, 1]
+    m0, m1 = np.abs(c0), np.abs(c1)
+    floor = linalg.TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
+    one = m1 > floor
+    roots = np.full((coeffs.shape[0], 1), np.nan + 0j, np.complex128)
+    np.divide(-c0, c1, out=roots[:, 0], where=one)
+    return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_poly_roots_batch_degree_one_guard_is_the_masked_batch(width):
+    # a max_degree 1 batch whose rows all keep their degree skips the nan
+    # padding and the masks; each row alone, the rows that keep it
+    # together, and every row in one batch (and an empty batch) give the
+    # masked batch's roots, degrees and dtypes bit for bit.  Width 3 is a
+    # d = 2 level with a rank-1 top matrix
+    floor = linalg.TRIM_TOL * 3.0  # the noise floor of a row led by 3
+    rows = [[1.5 - 0.5j, 0.25 + 2j],                   # finite root
+            [0.0, 0.7 - 0.1j],                         # zero root
+            [-0.0, -2.0],                              # signed zero root
+            [1e-305, 1e-305],                          # under the clamp
+            [3.0, np.nextafter(floor, 1.0)],           # just kept
+            [3.0, floor],                              # trimmed on the floor
+            [3.0, np.nextafter(floor, 0.0)],           # trimmed below it
+            [3.0, 0.0],                                # constant
+            [0.0, 0.0],                                # identically zero
+            [np.nan, 1.0], [1.0, np.nan],              # nan input
+            [np.inf, 1.0], [1.0, 1j * np.inf]]         # infinite input
+    rows = np.hstack([np.array(rows, np.complex128),
+                      np.full((len(rows), width - 2), 1e-3)])
+    kept = [0, 1, 2, 3, 4]
+
+    def check(batch):
+        roots, neff = linalg.poly_roots_batch(batch, max_degree=1)
+        want_roots, want_neff = _masked_degree_one(batch)
+        for got, want in ((roots, want_roots), (neff, want_neff)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return neff
+
+    for i in range(len(rows)):
+        check(rows[i:i + 1])
+    assert check(rows[kept]).tolist() == [1] * len(kept)
+    assert check(rows).tolist() == [1] * 5 + [0] * 3 + [-1] * 5
+    check(rows[:0])

@@ -92,10 +92,10 @@ def test_coefficient_chunks_of_a_d3_lattice_are_the_one_row_values():
     level = mf._Level.plain(s, 2)
     omegas, phis = mf._lattice(GridSpec(460, 64).axes(s, 2))
     assert omegas.size == 29_440
-    coeffs, radii = level.coeffs(omegas, phis)
+    coeffs, radii = level.coeffs(omegas, phis), level.radii(omegas)
     for i in (0, 29_125, 29_126, 29_127, 29_128, 29_439):
-        one, one_radii = level.coeffs(omegas[i:i + 1], phis[i:i + 1])
-        assert one_radii[0] == radii[i]
+        one = level.coeffs(omegas[i:i + 1], phis[i:i + 1])
+        assert level.radii(omegas[i:i + 1])[0] == radii[i]
         scale = np.abs(one[0]).max()
         assert np.abs(coeffs[i] - one[0]).max() <= 1e-12 * scale, i
 
