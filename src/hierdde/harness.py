@@ -12,8 +12,11 @@ Every written JSON file, a saved system included, is laid out as
 
 import itertools
 import json
+import logging
 import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,8 @@ from .rootfinder import Rectangle, find_roots
 from . import scalar2
 
 __all__ = [
-    "RunConfig", "Assignment", "EpsRecord", "ValidationReport",
+    "RunConfig", "Assignment", "AssignmentTable", "EpsRecord",
+    "ValidationReport",
     "SpectrumRun", "SpectrumResult", "ManifoldsResult",
     "system_to_dict", "system_from_dict", "save_system", "load_system",
     "config_from_dict", "load_config", "validation_window",
@@ -43,6 +47,7 @@ __all__ = [
 DISTANCE_CAP = 1.0
 # half-height of every derived validation window, |Im lam| <= IM_MAX
 IM_MAX = 3.0
+_log = logging.getLogger("hierdde")
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +254,8 @@ def _write_json(path, obj):
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
+_JSON_FLAGS = ("false", "true")
+_CSV_FLAGS = ("0", "1")
 
 
 def _json_value(v):
@@ -267,13 +274,39 @@ def _json_value(v):
     return json.dumps(v)
 
 
+def _json_column(values):
+    """``_json_value`` of each value of one column: one conversion for the
+    whole column when its values are all floats, all ints, all flags or
+    all None, else value by value."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        return list(map(_JSON_WORDS.get, text, text))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return list(map(_JSON_FLAGS.__getitem__, values))
+    if kinds == {type(None)}:
+        return ["null"] * len(values)
+    return list(map(_json_value, values))
+
+
+def _interleave(columns, n):
+    """The values of ``n`` records, record by record, from one list per
+    column."""
+    flat = [None] * (n * len(columns))
+    for j, col in enumerate(columns):
+        flat[j::len(columns)] = col
+    return tuple(flat)
+
+
 @dataclass(frozen=True)
 class _Rows:
-    """Records of one layout for the file writers: ``rows`` holds one
-    tuple of values per record, in the order of ``columns``."""
+    """Records of one layout for the file writers: ``values`` holds one
+    list per column of ``columns``, each with one value per record."""
 
     columns: tuple
-    rows: list
+    values: tuple
 
 
 def _json_chunks(obj, depth):
@@ -286,12 +319,13 @@ def _json_chunks(obj, depth):
     pad = "\n" + " " * depth
     if isinstance(obj, _Rows):
         keys = sorted(range(len(obj.columns)), key=obj.columns.__getitem__)
+        n = len(obj.values[0])
         row = "{" + ",".join(
             f"{pad}  {json.dumps(obj.columns[i]).replace('%', '%%')}: %s"
             for i in keys) + pad + " }"
-        text = f"[{pad} " + f",{pad} ".join([row] * len(obj.rows)) + pad + "]"
-        yield (text if obj.rows else "[]") % tuple(
-            [_json_value(r[i]) for r in obj.rows for i in keys])
+        text = f"[{pad} " + f",{pad} ".join([row] * n) + pad + "]"
+        yield (text if n else "[]") % _interleave(
+            [_json_column(obj.values[i]) for i in keys], n)
     elif isinstance(obj, ManifoldTable):
         yield from _manifold_json(obj, depth)
     elif isinstance(obj, dict) and obj:
@@ -375,17 +409,33 @@ def _cell(v):
     return v
 
 
+def _csv_column(values):
+    """``_cell`` of each value of one column: one conversion for the whole
+    column when its values are all floats, all ints, all flags or all
+    None, else value by value."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map("%.17g".__mod__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return list(map(_CSV_FLAGS.__getitem__, values))
+    if kinds == {type(None)}:
+        return [""] * len(values)
+    return list(map(_cell, values))
+
+
 def _csv_text(columns, groups):
-    """Header ``columns``, then one line per row of each ``(lead, rows)``
-    group: the group's leading values, then the row's values, which fill
-    the remaining columns in order; one ``%`` over a row template per
+    """Header ``columns``, then one line per record of each ``(lead,
+    values)`` group: the group's leading values, then the record's values,
+    from one list per remaining column; one ``%`` over a row template per
     group."""
     yield ",".join(columns) + "\n"
-    for lead, rows in groups:
+    for lead, values in groups:
+        n = len(values[0])
         line = ",".join([_cell(v) for v in lead]
                         + ["%s"] * (len(columns) - len(lead))) + "\n"
-        yield (line * len(rows)) % tuple([_cell(v) for r in rows
-                                          for v in r])
+        yield (line * n) % _interleave(list(map(_csv_column, values)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +468,10 @@ class SpectrumResult:
 _ROOT_COLUMNS = ("re", "im", "multiplicity", "residual")
 
 
-def _root_fields(r):
-    """Row of one located root, in the order of ``_ROOT_COLUMNS``."""
-    return (r.location.real, r.location.imag, r.multiplicity, r.residual)
+def _root_values(roots):
+    """One list per column of ``_ROOT_COLUMNS`` over located roots."""
+    return ([r.location.real for r in roots], [r.location.imag for r in roots],
+            [r.multiplicity for r in roots], [r.residual for r in roots])
 
 
 def run_spectrum(cfg, write=True):
@@ -438,14 +489,13 @@ def run_spectrum(cfg, write=True):
     path = None
     if write:
         path = os.path.join(cfg.out_dir, "spectrum." + cfg.out_format)
-        groups = [((run.eps,), [_root_fields(r) for r in run.roots])
-                  for run in runs]
+        groups = [((run.eps,), _root_values(run.roots)) for run in runs]
         if cfg.out_format == "csv":
             _write_text(path, _csv_text(("eps",) + _ROOT_COLUMNS, groups))
         else:
             _write_json(path, {"runs": [
-                {"eps": eps, "roots": _Rows(_ROOT_COLUMNS, rows)}
-                for (eps,), rows in groups]})
+                {"eps": eps, "roots": _Rows(_ROOT_COLUMNS, values)}
+                for (eps,), values in groups]})
     return SpectrumResult(runs=tuple(runs), path=path)
 
 
@@ -472,12 +522,55 @@ _ASSIGNMENT_COLUMNS = ("re", "im", "multiplicity", "scale", "rescaled_re",
                        "runner_up_distance", "assigned")
 
 
-def _assignment_fields(a):
-    """Row of one Assignment, in the order of ``_ASSIGNMENT_COLUMNS``."""
-    z = a.rescaled
-    return (a.eigenvalue.real, a.eigenvalue.imag, a.multiplicity, a.scale,
-            None if z is None else z.real, None if z is None else z.imag,
-            a.distance, a.runner_up_scale, a.runner_up_distance, a.assigned)
+def _assignment(re, im, multiplicity, scale, rescaled_re, rescaled_im,
+                distance, runner_up_scale, runner_up_distance, assigned):
+    """The Assignment of one record's values, in the order of
+    ``_ASSIGNMENT_COLUMNS``."""
+    return Assignment(
+        eigenvalue=complex(re, im), multiplicity=multiplicity, scale=scale,
+        rescaled=None if scale is None else complex(rescaled_re, rescaled_im),
+        distance=distance, runner_up_scale=runner_up_scale,
+        runner_up_distance=runner_up_distance, assigned=assigned)
+
+
+def _masked(values, mask):
+    """``values`` (an array) as a list, None where ``mask`` is False."""
+    if mask.all():
+        return values.tolist()
+    return [v if m else None for v, m in zip(values.tolist(), mask.tolist())]
+
+
+@dataclass(frozen=True, eq=False)
+class AssignmentTable(Sequence):
+    """The Assignments of one eps, kept as columns; an Assignment is built
+    only when one is read.
+
+    ``values`` holds one list per column of ``_ASSIGNMENT_COLUMNS``, as the
+    files take them (None where a root has no scale or no runner-up); the
+    arrays ``scale`` (-1 for none), ``distance``, ``assigned`` and
+    ``multiplicity`` give the record's summaries.
+    """
+
+    values: tuple
+    scale: np.ndarray
+    distance: np.ndarray
+    assigned: np.ndarray
+    multiplicity: np.ndarray
+
+    def __len__(self):
+        return self.scale.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("assignment index out of range")
+        return _assignment(*[col[i] for col in self.values])
+
+    def __iter__(self):
+        return itertools.starmap(_assignment, zip(*self.values))
 
 
 @dataclass(frozen=True)
@@ -557,9 +650,23 @@ def _sample_trees(sys_, ladder, grid, top):
             for k, pts in sets.items() if pts.size}
 
 
+def _warn_past_omega_axis(windows, omega, k):
+    """Log a WARNING when a window reaches past the omega axis of the
+    scale-k lattice: roots there rescale to frequencies the lattice does
+    not sample and are matched to its edge."""
+    lo = min(w.im_min for w in windows)
+    hi = max(w.im_max for w in windows)
+    if lo < omega[0] or hi > omega[-1]:
+        _log.warning("validation windows reach Im %g..%g, past the omega "
+                     "axis %g..%g of the scale-%d lattice: roots beyond it "
+                     "are matched to the lattice edge", lo, hi, omega[0],
+                     omega[-1], k)
+
+
 def _assign_roots(roots, eps, trees, strong_r):
-    """One Assignment per root: the scale whose sampled set lies nearest
-    the root rescaled by ``eps**-k``, and the next nearest as runner-up.
+    """The AssignmentTable of the roots: for each, the scale whose sampled
+    set lies nearest the root rescaled by ``eps**-k``, and the next nearest
+    as runner-up.
 
     Strong (scale-0) candidates beyond ``strong_r`` do not count; ties go
     to the lower scale.  A root is assigned when a scale within
@@ -567,28 +674,32 @@ def _assign_roots(roots, eps, trees, strong_r):
     """
     scales = sorted(trees)
     locs = np.array([r.location for r in roots], dtype=complex)
+    mult = np.array([r.multiplicity for r in roots], dtype=np.int64)
     resc = np.array([locs.real * eps ** (-k) + 1j * locs.imag
                      for k in scales]).reshape(len(scales), len(roots))
     dist = np.array([trees[k].query(np.column_stack([z.real, z.imag]))[0]
                      for k, z in zip(scales, resc)]).reshape(resc.shape)
     if scales[:1] == [0]:
         dist[0, dist[0] > strong_r] = math.inf
-    order = np.argsort(dist, axis=0, kind="stable")[:2]
-    out = []
-    for r, ds, zs, js in zip(roots, dist.T.tolist(), resc.T.tolist(),
-                             order.T.tolist()):
-        near = [j for j in js if ds[j] < math.inf]
-        k, d, z, rk, rd = None, math.inf, None, None, None
-        if near:
-            k, d, z = scales[near[0]], ds[near[0]], zs[near[0]]
-        if len(near) > 1:
-            rk, rd = scales[near[1]], ds[near[1]]
-        out.append(Assignment(
-            eigenvalue=r.location, multiplicity=r.multiplicity, scale=k,
-            rescaled=z, distance=d, runner_up_scale=rk,
-            runner_up_distance=rd,
-            assigned=k is not None and d <= DISTANCE_CAP))
-    return out
+    # the nearest and the runner-up scale of each root, as rows of an inf
+    # distance where fewer than two scales have a tree
+    m, cols = min(2, len(scales)), np.arange(locs.size)
+    near = np.zeros((2, locs.size), np.intp)
+    near[:m] = np.argsort(dist, axis=0, kind="stable")[:2]
+    d = np.full((2, locs.size), math.inf)
+    d[:m] = dist[near[:m], cols]
+    has = d < math.inf
+    d[~has] = math.inf
+    z = resc[near[0], cols] if scales else np.zeros(locs.size, complex)
+    scale = np.where(has, np.array([*scales, -1])[near], -1)
+    assigned = has[0] & (d[0] <= DISTANCE_CAP)
+    values = (locs.real.tolist(), locs.imag.tolist(), mult.tolist(),
+              _masked(scale[0], has[0]), _masked(z.real, has[0]),
+              _masked(z.imag, has[0]), d[0].tolist(),
+              _masked(scale[1], has[1]), _masked(d[1], has[1]),
+              assigned.tolist())
+    return AssignmentTable(values=values, scale=scale[0], distance=d[0],
+                           assigned=assigned, multiplicity=mult)
 
 
 def run_validate(cfg, write=True):
@@ -612,19 +723,22 @@ def run_validate(cfg, write=True):
     strong_r = strong_spectrum(sys_).r
     windows = _windows(cfg, lambda: sup_gamma(sys_, sys_.n, cfg.grid)
                        if top is None else lattice_sup(sys_, cfg.grid, *top))
+    if top is not None:
+        _warn_past_omega_axis(windows, top[1][0], sys_.n)
     records = []
     for eps, window in zip(cfg.eps_list, windows):
         roots = _locate(sys_, eps, window, cfg.tol)
-        assigns = _assign_roots(roots, eps, trees, strong_r)
-        max_d = {}
-        for a in assigns:
-            if a.assigned:
-                max_d[a.scale] = max(max_d.get(a.scale, 0.0), a.distance)
+        table = _assign_roots(roots, eps, trees, strong_r)
+        # each assigned scale, in the order of its first root, and the
+        # largest distance among its roots
+        scale = table.scale[table.assigned]
+        distance = table.distance[table.assigned]
+        ks, first = np.unique(scale, return_index=True)
+        max_d = {k: distance[scale == k].max(initial=0.0).item()
+                 for k in ks[np.argsort(first)].tolist()}
         records.append(EpsRecord(
-            eps=eps, count=sum(r.multiplicity for r in roots),
-            assignments=tuple(assigns), max_distance=max_d,
-            strong_matches=sum(a.assigned and a.scale == 0
-                               for a in assigns)))
+            eps=eps, count=int(table.multiplicity.sum()), assignments=table,
+            max_distance=max_d, strong_matches=int((scale == 0).sum())))
     noninc = {}
     for k in sorted(trees):
         seq = [rec.max_distance[k] for rec in records
@@ -632,16 +746,15 @@ def run_validate(cfg, write=True):
         if len(seq) >= 2:
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
     if write:
-        groups = [((rec.eps,), [_assignment_fields(a)
-                                for a in rec.assignments])
-                  for rec in records]
+        groups = [((rec.eps,), rec.assignments.values) for rec in records]
         _write_json(os.path.join(cfg.out_dir, "validate.json"), {
             "records": [{"eps": rec.eps, "count": rec.count,
                          "strong_matches": rec.strong_matches,
                          "max_distance": {str(k): v for k, v
                                           in rec.max_distance.items()},
-                         "assignments": _Rows(_ASSIGNMENT_COLUMNS, rows)}
-                        for rec, (_, rows) in zip(records, groups)],
+                         "assignments": _Rows(_ASSIGNMENT_COLUMNS,
+                                              rec.assignments.values)}
+                        for rec in records],
             "nonincreasing": {str(k): bool(v)
                               for k, v in sorted(noninc.items())}})
         if cfg.out_format == "csv":
@@ -786,15 +899,16 @@ def _gamma_comparison(p, sys_, grid, k):
     written by ``str``, the other columns at 17 digits."""
     columns = ("omega", *[f"phi_{j}" for j in range(1, k)],
                "gamma_closed", "gamma_general", "abs_diff")
-    rows = []
+    values = tuple([] for _ in columns)
     worst = 0.0
     for s in manifold_grid(sys_, k, grid):
         closed = scalar2.gamma_k(p.coefs, s.point.omega, *s.point.phi)
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
-        rows.append((s.point.omega, *s.point.phi, str(closed), str(s.gamma),
-                     diff))
-    return _csv_text(columns, [((), rows)]), worst
+        for col, v in zip(values, (s.point.omega, *s.point.phi, str(closed),
+                                   str(s.gamma), diff)):
+            col.append(v)
+    return _csv_text(columns, [((), values)]), worst
 
 
 def run_example(name, out_dir=".", out_format="csv"):

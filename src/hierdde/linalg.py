@@ -177,13 +177,41 @@ def poly_roots_batch(coeffs, max_degree=None):
     return roots, degs
 
 
+def _components(n, a, b):
+    """The smallest member of each node's connected component, for the
+    graph on nodes 0..n-1 with edges (a[i], b[i]).
+
+    Each round hooks every root met by an edge between two trees onto the
+    smaller root, then shortcuts every node to its root.  A node only ever
+    points at a smaller one of its component, so the root that remains is
+    the component's smallest member.
+    """
+    lab = np.arange(n)
+    while True:
+        la, lb = lab[a], lab[b]
+        cross = la != lb
+        if not cross.any():
+            return lab
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+
+
 def cluster_points(points, radius=CLUSTER_RADIUS):
     """Group complex points whose single-linkage distance is <= radius.
 
     Returns ``(centers, counts, labels)``: cluster centroids sorted by
     (real, imag), member counts, and for each input point the index of its
-    cluster in that order.  The sweep only compares points whose real parts
-    are within radius, so well-separated inputs cluster in near-linear time.
+    cluster in that order.  The sweep runs along the wider of the two axes:
+    one whole-array step per shift of that sorted coordinate, for as long as
+    some pair that far apart is within radius on it, and ``|dz| <= radius``
+    is tested on those pairs alone.  Its cost grows with the pairs within
+    radius along that axis: near-linear for points spread along a line,
+    either axis, and quadratic for points crowded within radius on both.
     """
     points = np.atleast_1d(np.asarray(points, np.complex128))
     N = points.shape[0]
@@ -193,30 +221,38 @@ def cluster_points(points, radius=CLUSTER_RADIUS):
     order = np.lexsort((points.imag, points.real))
     pts = points[order]
 
-    parent = np.arange(N)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(N):
-        j = i + 1
-        while j < N and pts[j].real - pts[i].real <= radius:
-            if abs(pts[j] - pts[i]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            j += 1
-
-    comp = np.array([find(i) for i in range(N)])
-    reps, member, counts = np.unique(comp, return_inverse=True,
-                                     return_counts=True)
-    # each root of the union-find is a member: singletons are their point
+    key = pts.real if np.ptp(pts.real) >= np.ptp(pts.imag) else pts.imag
+    by = np.argsort(key, kind="stable")
+    skey = key[by]
+    src, dst = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    live, shift = np.arange(N - 1), 1
+    while live.size:
+        live = live[skey[live + shift] - skey[live] <= radius]
+        i, j = by[live], by[live + shift]
+        close = np.abs(pts[j] - pts[i]) <= radius
+        src.append(i[close])
+        dst.append(j[close])
+        shift += 1
+        live = live[live < N - shift]
+    # each component is labelled by its smallest index in (real, imag)
+    # order, and so is its cluster's representative
+    comp = _components(N, np.concatenate(src), np.concatenate(dst))
+    is_rep = comp == np.arange(N)
+    reps = np.flatnonzero(is_rep)
+    member = (np.cumsum(is_rep) - 1)[comp]
+    counts = np.bincount(member, minlength=reps.size)
+    # singletons are their point; a larger cluster is the mean of its
+    # members in (real, imag) order, as numpy takes it of that 1-D array
+    # (a row of a 2-D mean reduces alike), one batch per member count
     centers = pts[reps]
-    for k in np.flatnonzero(counts > 1):
-        centers[k] = pts[member == k].mean()
+    multi = np.flatnonzero(counts > 1)
+    if multi.size:
+        grouped = np.argsort(member, kind="stable")
+        starts = np.cumsum(counts) - counts
+        for size in np.unique(counts[multi]).tolist():
+            ks = multi[counts[multi] == size]
+            centers[ks] = pts[grouped[starts[ks, None]
+                                      + np.arange(size)]].mean(axis=1)
     final = np.lexsort((centers.imag, centers.real))
     centers, counts = centers[final], counts[final]
 

@@ -502,7 +502,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     if total == 0:
         return []
     pts, margin = _polish_seeds(f, fprime, seeds, rect, tol)
-    found, seeded = [], 0  # (location, multiplicity, converged); roots
+    found, seeded = [], 0  # (locations, multiplicity, converged); roots
     clusters, failed = [], [0] * len(_JITTERS)
     generation = [(base, total, np.arange(pts.size))]  # seeds all in rect
     while generation:
@@ -519,7 +519,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
                     if 2 <= cnt <= 3 else tol)
             if (own.size == cnt
                     and _inside(cell, pts[own], margin=margin[own]).all()):
-                found += [(complex(z), 1, True) for z in pts[own]]
+                found.append((pts[own], 1, True))
                 seeded += cnt
             elif cell.diag < stop:
                 clusters.append((cell, cnt))
@@ -559,26 +559,34 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
             else cell.center
         found.append((loc, cnt, bool(ok)))
 
-    locs = np.array([loc for loc, _, _ in found])
+    # the merge: a cluster adds its members' multiplicities, is converged
+    # when one member is, and lies at its first member (in the order found)
+    # of least residual below inf, else at its first member
+    sizes = [np.size(z) for z, _, _ in found]
+    locs = np.concatenate([np.empty(0, np.complex128)]
+                          + [np.atleast_1d(z) for z, _, _ in found])
     residuals = np.abs(f(locs))
-    _, _, labels = cluster_points(locs, radius=tol)
-    merged = {}
-    for i, (loc, mult, conv) in enumerate(found):
-        lab = int(labels[i])
-        entry = merged.setdefault(lab, [loc, 0, float("inf"), False])
-        entry[1] += mult
-        if residuals[i] < entry[2]:
-            entry[0], entry[2] = loc, float(residuals[i])
-        entry[3] = entry[3] or conv
-    results = [RootResult(location=e[0], multiplicity=e[1], residual=e[2],
-                          newton_converged=e[3]) for e in merged.values()]
-    results.sort(key=lambda r: (r.location.real, r.location.imag))
+    residuals[~(residuals < math.inf)] = math.inf
+    _, counts, labels = cluster_points(locs, radius=tol)
+    best = np.lexsort((residuals, labels))[np.cumsum(counts) - counts]
+    mults = np.bincount(labels, np.repeat([m for _, m, _ in found], sizes),
+                        counts.size).astype(np.int64)
+    conv = np.bincount(labels, np.repeat([c for _, _, c in found], sizes),
+                       counts.size) > 0
+    rank = np.lexsort((locs[best].imag, locs[best].real))
+    best = best[rank]
+    results = [RootResult(location=z, multiplicity=m, residual=r,
+                          newton_converged=c)
+               for z, m, r, c in zip(locs[best].tolist(),
+                                     mults[rank].tolist(),
+                                     residuals[best].tolist(),
+                                     conv[rank].tolist())]
 
-    if sum(r.multiplicity for r in results) != total:
+    if int(mults.sum()) != total:
         raise ResolutionError(
             f"located multiplicities do not sum to the boundary count "
             f"{total} on {rect}")
-    unconverged = sum(not r.newton_converged for r in results)
+    unconverged = int(conv.size - conv.sum())
     _log.debug("find_roots on %s: %d roots, %d not Newton-converged; "
                "certified with multiplicity: %d from seeds, %d by "
                "subdivision; window inflated: %s; cells failing each split "

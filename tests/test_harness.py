@@ -338,6 +338,11 @@ def test_json_emitter_equals_json_dumps():
             spelled_part, indent=1, sort_keys=True)
 
 
+def _columns(rows, width):
+    """One list per column of ``width`` columns, from row tuples."""
+    return tuple([r[i] for r in rows] for i in range(width))
+
+
 @pytest.mark.parametrize("depth", [0, 3])
 def test_rows_json_equals_json_dumps_of_their_objects(depth):
     # a _Rows is written as json writes the same rows as objects, keys
@@ -347,13 +352,59 @@ def test_rows_json_equals_json_dumps_of_their_objects(depth):
             (float("nan"), 5e-324, False, None, "-inf", "é"),
             (-2.0, 1e300, True, 0, 0.25, None)]
     for part in (rows, rows[:1], []):
-        table = harness._Rows(columns, part)
+        table = harness._Rows(columns, _columns(part, len(columns)))
         objs = [dict(zip(columns, r)) for r in part]
         obj, want = table, objs
         for _ in range(depth):
             obj, want = {"k": [obj]}, {"k": [want]}
         assert "".join(harness._json_chunks(obj, 0)) == json.dumps(
             want, indent=1, sort_keys=True)
+
+
+_FLOATS = [0.1, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, float("nan"),
+           float("inf"), float("-inf"), 1.0 / 3.0, -123456789.125]
+# one column of each kind: the writers convert a float, int or flag column
+# at once and a column that mixes kinds value by value
+_KINDS = {"float": _FLOATS, "int": [0, -1, 7, 2 ** 70, -(2 ** 63)],
+          "none": [None, None], "bool": [True, False, False],
+          "float-none": [0.5, None, float("-inf")], "int-none": [2, None, 0],
+          "int-float": [1, 1.0, -0.0], "bool-int": [True, 1, 0],
+          "str": ["inf", "-inf", "x"]}
+
+
+def _oracle_cell(v):
+    """A CSV cell as the file format defines it, value by value."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_column_writers_equal_per_value_oracles(kind, size):
+    # a column beside a float column of other values: JSON as json.dumps
+    # writes the objects, CSV as "%.17g" (or the cell rule) writes each
+    # value, with the group's leading eps first
+    values = (_KINDS[kind] * size)[:size]
+    other = np.random.default_rng(size).standard_normal(size).tolist()
+    if kind == "float" and size == 1000:  # subnormal to near overflow
+        rng = np.random.default_rng(1)
+        values = np.ldexp(rng.standard_normal(size),
+                          rng.integers(-1070, 1020, size)).tolist()
+    objs = [{"a": v, "b": w} for v, w in zip(values, other)]
+    got = "".join(harness._json_chunks(
+        harness._Rows(("b", "a"), (other, values)), 0))
+    assert got == json.dumps(_spell_infinities(objs), indent=1,
+                             sort_keys=True)
+    got = "".join(harness._csv_text(("eps", "a", "b"),
+                                    [((0.25,), (values, other))]))
+    assert got == "eps,a,b\n" + "".join(
+        f"0.25,{_oracle_cell(v)},{_oracle_cell(w)}\n"
+        for v, w in zip(values, other))
 
 
 def test_example_json_writes_infinite_sup_as_a_string(tmp_path):

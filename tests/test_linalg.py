@@ -204,6 +204,57 @@ def test_cluster_points_empty_and_order():
     assert key == sorted(key)
 
 
+def _single_linkage(z, radius):
+    """Component of each point of the graph joining every pair within
+    ``radius``: all pairwise distances, then a depth-first search."""
+    near = np.abs(z[:, None] - z[None, :]) <= radius
+    comp = np.full(z.size, -1)
+    for start in range(z.size):
+        if comp[start] >= 0:
+            continue
+        comp[start], stack = start, [start]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(near[i] & (comp < 0)):
+                comp[j] = start
+                stack.append(j)
+    return comp
+
+
+def _clouds():
+    rng = np.random.default_rng(11)
+    for n in (2, 30, 300):
+        yield "random", rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n), 0.1
+    for n in (50, 400):  # the validation shape: a strip along Im, and Re
+        re, im = rng.uniform(-1e-4, 1e-4, n), rng.uniform(-3, 3, n)
+        yield "strip-im", re + 1j * im, 0.02
+        yield "strip-re", im + 1j * re, 0.02
+    steps = np.full(40, 0.9e-3)  # chains many radii long, along each axis
+    yield "chain-re", np.cumsum(steps) + 1j * rng.uniform(0, 1e-4, 40), 1e-3
+    yield "chain-im", rng.uniform(0, 1e-4, 40) + 1j * np.cumsum(steps), 1e-3
+    t = np.linspace(0, 6, 60)  # a zigzag chain: no axis order follows it
+    yield "zigzag", 0.09 * t + 1j * (0.1 * (np.arange(60) % 2)), 0.1
+    grid = 0.5 * (rng.integers(0, 5, 80) + 1j * rng.integers(0, 5, 80))
+    yield "ties", grid, 0.5  # duplicates, and neighbours exactly radius apart
+    yield "apart", grid, 0.49  # duplicates alone
+    yield "one", np.array([0.3 - 2j]), 1e-8
+    yield "none", np.empty(0, complex), 1e-8
+
+
+@pytest.mark.parametrize("name, z, radius", list(_clouds()),
+                         ids=[c[0] + str(c[1].size) for c in _clouds()])
+def test_cluster_points_equals_single_linkage_oracle(name, z, radius):
+    centers, counts, labels = linalg.cluster_points(z, radius)
+    comp = _single_linkage(z, radius)
+    assert np.array_equal(labels[:, None] == labels[None, :],
+                          comp[:, None] == comp[None, :])
+    assert np.array_equal(counts, np.bincount(labels))
+    for k, c in enumerate(centers):
+        assert c == pytest.approx(z[labels == k].mean(), abs=1e-15)
+    key = [(c.real, c.imag) for c in centers]
+    assert key == sorted(key)
+
+
 def _argmax_degrees(work):
     """The effective-degree rule as reductions over the row axis: the
     reference for ``poly_roots_batch``'s column loop."""

@@ -1,7 +1,10 @@
 """run_validate's asymptotic side: one scale-n lattice per call, the
 windows it searches, and its nearest distances against brute force."""
 
+import csv
 import importlib
+import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -130,3 +133,108 @@ def test_distances_are_the_brute_force_nearest(cfg):
     assert len(rec.assignments) > 0
     if sys_ is _LADDER:
         assert ladder.has_tilde(1) and 1 in near
+
+
+def test_paper_regime_at_eps_0_005():
+    # the pseudo-continuous spectrum: about eps**-2 roots in a strip about
+    # eps**2 wide, every one on the scale-2 family.  The largest distance
+    # no longer falls here (0.0085 at 0.01, 0.0100 at 0.005): it is set by
+    # the lattice's sampling, whose frequency step alone is 0.008
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.01, 0.005))
+    rep = h.run_validate(cfg, write=False)
+    coarse, fine = rep.records
+    assert (coarse.count, fine.count) == (9549, 38197)
+    assert int(fine.assignments.multiplicity.sum()) == fine.count
+    assert fine.assignments.assigned.all()
+    assert (fine.assignments.scale == 2).all()
+    assert list(fine.max_distance) == [2]
+    assert rep.nonincreasing == {2: True}
+    assert fine.max_distance[2] < 0.02
+
+
+def test_assignment_table_reads_like_a_tuple():
+    # the records are kept as columns: index, slice and iteration build the
+    # same Assignments, and the record's summaries agree with them
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
+    (rec,) = h.run_validate(cfg, write=False).records
+    table = rec.assignments
+    objs = tuple(table)
+    assert len(objs) == len(table) == 383
+    assert objs == tuple(table[i] for i in range(len(table)))
+    assert table[-1] == objs[-1] and table[np.int64(3)] == objs[3]
+    assert table[5:40:7] == objs[5:40:7] and table[::-1] == objs[::-1]
+    for i in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    assert all(isinstance(a, h.Assignment) for a in objs)
+    assert all(type(a.eigenvalue) is complex and type(a.scale) is int
+               and type(a.distance) is float and type(a.assigned) is bool
+               for a in objs)
+    assert rec.count == sum(a.multiplicity for a in objs)
+    want = {}
+    for a in objs:
+        if a.assigned:
+            want[a.scale] = max(want.get(a.scale, 0.0), a.distance)
+    assert rec.max_distance == want
+    assert rec.strong_matches == sum(a.assigned and a.scale == 0
+                                     for a in objs)
+
+
+_TWO_DELAY = h.DelaySystem.scalar(0.3, (0.1, 0.1))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_window_without_roots_writes_empty_records(tmp_path, fmt):
+    cfg = h.RunConfig(system=_TWO_DELAY, eps_list=(0.1,), out_dir=str(tmp_path),
+                      out_format=fmt, window=h.Rectangle(0.7, 1.0, -0.5, 0.5))
+    (rec,) = h.run_validate(cfg).records
+    assert rec.count == 0 and len(rec.assignments) == 0
+    assert list(rec.assignments) == [] and rec.assignments[:] == ()
+    assert rec.max_distance == {} and rec.strong_matches == 0
+    data = json.loads((tmp_path / "validate.json").read_text())
+    assert data["records"] == [{"eps": 0.1, "count": 0, "strong_matches": 0,
+                                "max_distance": {}, "assignments": []}]
+    if fmt == "csv":
+        assert (tmp_path / "validate.csv").read_text() == (
+            "eps,re,im,multiplicity,scale,rescaled_re,rescaled_im,distance,"
+            "runner_up_scale,runner_up_distance,assigned\n")
+
+
+def test_root_without_any_tree_is_written_unassigned(tmp_path):
+    # the vanishing top scale of the test above, and no other tree: the
+    # root has no scale, no rescaled point and no runner-up
+    sys_ = h.DelaySystem(matrices=(np.diag([-1j, 1j, -1.0]),
+                                   np.diag([0.0, 0.0, 1.0])), sigma=(1.0,))
+    grid = h.GridSpec(omega_count=2, phase_count=1, omega_range=(-1.0, 1.0))
+    cfg = h.RunConfig(system=sys_, eps_list=(0.1,), grid=grid,
+                      out_dir=str(tmp_path),
+                      window=h.Rectangle(-0.05, 0.05, -0.5, 0.5))
+    (rec,) = h.run_validate(cfg).records
+    assert rec.max_distance == {} and rec.strong_matches == 0
+    (obj,) = json.loads((tmp_path / "validate.json").read_text()
+                        )["records"][0]["assignments"]
+    assert obj == {"re": 0.0, "im": 0.0, "multiplicity": 1, "scale": None,
+                   "rescaled_re": None, "rescaled_im": None,
+                   "distance": "inf", "runner_up_scale": None,
+                   "runner_up_distance": None, "assigned": False}
+    (row,) = csv.DictReader(open(tmp_path / "validate.csv"))
+    assert [row[k] for k in ("scale", "rescaled_re", "rescaled_im",
+                             "distance", "runner_up_scale",
+                             "runner_up_distance", "assigned")] == [
+        "", "", "", "inf", "", "", "0"]
+
+
+def test_window_past_the_omega_axis_is_logged(caplog):
+    # roots above the lattice's last frequency are matched to its edge;
+    # the preset grid covers the |Im| <= 3 windows and logs nothing
+    cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
+    with caplog.at_level(logging.WARNING, logger="hierdde"):
+        h.run_validate(cfg, write=False)
+    assert caplog.records == []
+    narrow = replace(cfg, grid=h.GridSpec(omega_count=401, phase_count=64,
+                                          omega_range=(-2.5, 2.5)))
+    with caplog.at_level(logging.WARNING, logger="hierdde"):
+        h.run_validate(narrow, write=False)
+    (rec,) = caplog.records
+    assert rec.name == "hierdde" and rec.levelno == logging.WARNING
+    assert "past the omega axis -2.5..2.5 of the scale-2" in rec.getMessage()
