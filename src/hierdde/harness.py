@@ -577,7 +577,7 @@ class AssignmentTable(Sequence):
 class EpsRecord:
     eps: float
     count: int
-    assignments: tuple
+    assignments: Sequence  # an AssignmentTable from run_validate
     max_distance: dict
     strong_matches: int
 
