@@ -14,7 +14,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -29,12 +28,11 @@ from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
                         strong_spectrum, window_count)
 from .model import (DelaySystem, _checked, _count, _real, _reals,
                     char_function, check_eps)
-from .rootfinder import Rectangle, find_roots
+from .rootfinder import _ROOT_COLUMNS, Records, Rectangle, find_roots
 from . import scalar2
 
 __all__ = [
-    "RunConfig", "Assignment", "AssignmentTable", "EpsRecord",
-    "ValidationReport",
+    "RunConfig", "Assignment", "EpsRecord", "ValidationReport",
     "SpectrumRun", "SpectrumResult", "ManifoldsResult",
     "system_to_dict", "system_from_dict", "save_system", "load_system",
     "config_from_dict", "load_config", "validation_window",
@@ -254,8 +252,7 @@ def _write_json(path, obj):
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
-_JSON_FLAGS = ("false", "true")
-_CSV_FLAGS = ("0", "1")
+_CHUNK_RECORDS = 4096  # records of a record file formatted by one %
 
 
 def _json_value(v):
@@ -274,58 +271,64 @@ def _json_value(v):
     return json.dumps(v)
 
 
-def _json_column(values):
-    """``_json_value`` of each value of one column: one conversion for the
-    whole column when its values are all floats, all ints, all flags or
-    all None, else value by value."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        text = list(map(float.__repr__, values))
-        return list(map(_JSON_WORDS.get, text, text))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {bool}:
-        return list(map(_JSON_FLAGS.__getitem__, values))
-    if kinds == {type(None)}:
-        return ["null"] * len(values)
-    return list(map(_json_value, values))
+def _json_floats(values):
+    """``_json_value`` of each of ``values``, all floats."""
+    text = list(map(float.__repr__, values))
+    return list(map(_JSON_WORDS.get, text, text))
 
 
-def _interleave(columns, n):
-    """The values of ``n`` records, record by record, from one list per
-    column."""
-    flat = [None] * (n * len(columns))
-    for j, col in enumerate(columns):
-        flat[j::len(columns)] = col
-    return tuple(flat)
+# the text of a column whose values are all of one kind, in one pass
+_JSON_KINDS = {float: _json_floats,
+               int: lambda col: list(map(int.__repr__, col)),
+               bool: lambda col: list(map(("false", "true").__getitem__, col)),
+               type(None): lambda col: ["null"] * len(col)}
+_CSV_KINDS = {float: lambda col: list(map("%.17g".__mod__, col)),
+              int: _JSON_KINDS[int],
+              bool: lambda col: list(map(("0", "1").__getitem__, col)),
+              type(None): lambda col: [""] * len(col)}
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Records of one layout for the file writers: ``values`` holds one
-    list per column of ``columns``, each with one value per record."""
-
-    columns: tuple
-    values: tuple
+def _formatted(values, kinds, each, row):
+    """The text of ``row`` once per record, filled with the record's values
+    from one list per column of ``values``; one ``%`` per
+    ``_CHUNK_RECORDS`` records.  A column's text comes in one pass from
+    ``kinds[kind]`` when its values are all of one kind there, else value
+    by value from ``each``."""
+    for lo in range(0, len(values[0]), _CHUNK_RECORDS):
+        cols = []
+        for col in values:
+            col = col[lo:lo + _CHUNK_RECORDS]
+            kind = set(map(type, col))
+            one = kinds.get(kind.pop()) if len(kind) == 1 else None
+            cols.append(one(col) if one else list(map(each, col)))
+        flat = [None] * (len(cols[0]) * len(cols))
+        for j, col in enumerate(cols):
+            flat[j::len(cols)] = col
+        yield (row * len(cols[0])) % tuple(flat)
 
 
 def _json_chunks(obj, depth):
     """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
-    nested ``depth`` containers deep, in chunks, where a ``_Rows`` stands
-    for its list of objects and an infinity for "inf" or "-inf".  A
-    ``_Rows`` is one ``%`` over a row template of its sorted columns, a
-    ManifoldTable is written by ``_manifold_json``, dicts (string keys) and
-    lists as json lays them out, and each leaf by ``_json_value``."""
+    nested ``depth`` containers deep, in chunks, where ``Records`` stand
+    for their list of objects keyed by their columns, and an infinity for
+    "inf" or "-inf".  ``Records`` are written by ``_formatted`` from a row
+    template of their sorted columns, a ManifoldTable by ``_manifold_json``,
+    dicts (string keys) and lists as json lays them out, and each leaf by
+    ``_json_value``."""
     pad = "\n" + " " * depth
-    if isinstance(obj, _Rows):
+    if isinstance(obj, Records):
+        if not len(obj):
+            yield "[]"
+            return
         keys = sorted(range(len(obj.columns)), key=obj.columns.__getitem__)
-        n = len(obj.values[0])
-        row = "{" + ",".join(
+        row = f",{pad} {{" + ",".join(
             f"{pad}  {json.dumps(obj.columns[i]).replace('%', '%%')}: %s"
             for i in keys) + pad + " }"
-        text = f"[{pad} " + f",{pad} ".join([row] * n) + pad + "]"
-        yield (text if n else "[]") % _interleave(
-            [_json_column(obj.values[i]) for i in keys], n)
+        chunks = _formatted([obj.values[i] for i in keys], _JSON_KINDS,
+                            _json_value, row)
+        yield "[" + next(chunks)[1:]
+        yield from chunks
+        yield pad + "]"
     elif isinstance(obj, ManifoldTable):
         yield from _manifold_json(obj, depth)
     elif isinstance(obj, dict) and obj:
@@ -409,33 +412,15 @@ def _cell(v):
     return v
 
 
-def _csv_column(values):
-    """``_cell`` of each value of one column: one conversion for the whole
-    column when its values are all floats, all ints, all flags or all
-    None, else value by value."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map("%.17g".__mod__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {bool}:
-        return list(map(_CSV_FLAGS.__getitem__, values))
-    if kinds == {type(None)}:
-        return [""] * len(values)
-    return list(map(_cell, values))
-
-
 def _csv_text(columns, groups):
     """Header ``columns``, then one line per record of each ``(lead,
     values)`` group: the group's leading values, then the record's values,
-    from one list per remaining column; one ``%`` over a row template per
-    group."""
+    from one list per remaining column, by ``_formatted``."""
     yield ",".join(columns) + "\n"
     for lead, values in groups:
-        n = len(values[0])
         line = ",".join([_cell(v) for v in lead]
                         + ["%s"] * (len(columns) - len(lead))) + "\n"
-        yield (line * n) % _interleave(list(map(_csv_column, values)), n)
+        yield from _formatted(values, _CSV_KINDS, _cell, line)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +441,7 @@ def _locate(sys_, eps, window, tol):
 @dataclass(frozen=True)
 class SpectrumRun:
     eps: float
-    roots: tuple
+    roots: Sequence  # find_roots' Records of RootResult from run_spectrum
 
 
 @dataclass(frozen=True)
@@ -465,36 +450,28 @@ class SpectrumResult:
     path: object
 
 
-_ROOT_COLUMNS = ("re", "im", "multiplicity", "residual")
-
-
-def _root_values(roots):
-    """One list per column of ``_ROOT_COLUMNS`` over located roots."""
-    return ([r.location.real for r in roots], [r.location.imag for r in roots],
-            [r.multiplicity for r in roots], [r.residual for r in roots])
-
-
 def run_spectrum(cfg, write=True):
     """Locate all eigenvalues in the configured window for every eps.
 
-    Roots come back sorted by (re, im) per eps, eps in config order; the
-    emitted file is spectrum.csv or spectrum.json in the output directory.
+    Roots come back as ``find_roots``' Records per eps, eps in config
+    order; spectrum.csv or spectrum.json in the output directory takes
+    their first four columns (``newton_converged`` is not written).
     """
     if cfg.window is None:
         raise ConfigError("spectrum needs an explicit window")
     sys_ = cfg.system
-    runs = [SpectrumRun(eps=eps, roots=tuple(_locate(sys_, eps, cfg.window,
-                                                     cfg.tol)))
+    runs = [SpectrumRun(eps=eps, roots=_locate(sys_, eps, cfg.window, cfg.tol))
             for eps in cfg.eps_list]
     path = None
     if write:
         path = os.path.join(cfg.out_dir, "spectrum." + cfg.out_format)
-        groups = [((run.eps,), _root_values(run.roots)) for run in runs]
+        columns = _ROOT_COLUMNS[:4]
+        groups = [((run.eps,), run.roots.values[:4]) for run in runs]
         if cfg.out_format == "csv":
-            _write_text(path, _csv_text(("eps",) + _ROOT_COLUMNS, groups))
-        else:
+            _write_text(path, _csv_text(("eps",) + columns, groups))
+        else:  # each written record is the tuple of its values
             _write_json(path, {"runs": [
-                {"eps": eps, "roots": _Rows(_ROOT_COLUMNS, values)}
+                {"eps": eps, "roots": Records(columns, values, lambda *v: v)}
                 for (eps,), values in groups]})
     return SpectrumResult(runs=tuple(runs), path=path)
 
@@ -540,44 +517,15 @@ def _masked(values, mask):
     return [v if m else None for v, m in zip(values.tolist(), mask.tolist())]
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentTable(Sequence):
-    """The Assignments of one eps, kept as columns; an Assignment is built
-    only when one is read.
-
-    ``values`` holds one list per column of ``_ASSIGNMENT_COLUMNS``, as the
-    files take them (None where a root has no scale or no runner-up); the
-    arrays ``scale`` (-1 for none), ``distance``, ``assigned`` and
-    ``multiplicity`` give the record's summaries.
-    """
-
-    values: tuple
-    scale: np.ndarray
-    distance: np.ndarray
-    assigned: np.ndarray
-    multiplicity: np.ndarray
-
-    def __len__(self):
-        return self.scale.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("assignment index out of range")
-        return _assignment(*[col[i] for col in self.values])
-
-    def __iter__(self):
-        return itertools.starmap(_assignment, zip(*self.values))
-
-
 @dataclass(frozen=True)
 class EpsRecord:
+    """One eps of a validation: the roots' multiplicities summed, their
+    assignments, each assigned scale's largest distance (scales in the
+    order of their first root) and the assigned strong (scale-0) roots."""
+
     eps: float
     count: int
-    assignments: Sequence  # an AssignmentTable from run_validate
+    assignments: Sequence  # Records of Assignment from run_validate
     max_distance: dict
     strong_matches: int
 
@@ -664,42 +612,49 @@ def _warn_past_omega_axis(windows, omega, k):
 
 
 def _assign_roots(roots, eps, trees, strong_r):
-    """The AssignmentTable of the roots: for each, the scale whose sampled
-    set lies nearest the root rescaled by ``eps**-k``, and the next nearest
-    as runner-up.
+    """The EpsRecord of ``find_roots``' Records at eps: for each root, the
+    scale whose sampled set lies nearest the root rescaled by ``eps**-k``,
+    and the next nearest as runner-up, as Records of Assignment.
 
     Strong (scale-0) candidates beyond ``strong_r`` do not count; ties go
     to the lower scale.  A root is assigned when a scale within
-    ``DISTANCE_CAP`` explains it.
+    ``DISTANCE_CAP`` explains it.  ``max_distance`` lists each assigned
+    scale in the order of its first root.
     """
-    scales = sorted(trees)
-    locs = np.array([r.location for r in roots], dtype=complex)
-    mult = np.array([r.multiplicity for r in roots], dtype=np.int64)
-    resc = np.array([locs.real * eps ** (-k) + 1j * locs.imag
-                     for k in scales]).reshape(len(scales), len(roots))
+    scales, n = sorted(trees), len(roots)
+    re, im = np.array(roots.column("re")), np.array(roots.column("im"))
+    mult = np.array(roots.column("multiplicity"), dtype=np.int64)
+    resc = np.array([re * eps ** (-k) + 1j * im
+                     for k in scales]).reshape(len(scales), n)
     dist = np.array([trees[k].query(np.column_stack([z.real, z.imag]))[0]
                      for k, z in zip(scales, resc)]).reshape(resc.shape)
     if scales[:1] == [0]:
         dist[0, dist[0] > strong_r] = math.inf
     # the nearest and the runner-up scale of each root, as rows of an inf
     # distance where fewer than two scales have a tree
-    m, cols = min(2, len(scales)), np.arange(locs.size)
-    near = np.zeros((2, locs.size), np.intp)
+    m, cols = min(2, len(scales)), np.arange(n)
+    near = np.zeros((2, n), np.intp)
     near[:m] = np.argsort(dist, axis=0, kind="stable")[:2]
-    d = np.full((2, locs.size), math.inf)
+    d = np.full((2, n), math.inf)
     d[:m] = dist[near[:m], cols]
     has = d < math.inf
     d[~has] = math.inf
-    z = resc[near[0], cols] if scales else np.zeros(locs.size, complex)
+    z = resc[near[0], cols] if scales else np.zeros(n, complex)
     scale = np.where(has, np.array([*scales, -1])[near], -1)
     assigned = has[0] & (d[0] <= DISTANCE_CAP)
-    values = (locs.real.tolist(), locs.imag.tolist(), mult.tolist(),
+    values = (roots.column("re"), roots.column("im"), mult.tolist(),
               _masked(scale[0], has[0]), _masked(z.real, has[0]),
               _masked(z.imag, has[0]), d[0].tolist(),
               _masked(scale[1], has[1]), _masked(d[1], has[1]),
               assigned.tolist())
-    return AssignmentTable(values=values, scale=scale[0], distance=d[0],
-                           assigned=assigned, multiplicity=mult)
+    near, dist = scale[0][assigned], d[0][assigned]
+    ks, first = np.unique(near, return_index=True)
+    max_d = {k: dist[near == k].max(initial=0.0).item()
+             for k in ks[np.argsort(first)].tolist()}
+    return EpsRecord(
+        eps=eps, count=int(mult.sum()),
+        assignments=Records(_ASSIGNMENT_COLUMNS, values, _assignment),
+        max_distance=max_d, strong_matches=int((near == 0).sum()))
 
 
 def run_validate(cfg, write=True):
@@ -725,20 +680,9 @@ def run_validate(cfg, write=True):
                        if top is None else lattice_sup(sys_, cfg.grid, *top))
     if top is not None:
         _warn_past_omega_axis(windows, top[1][0], sys_.n)
-    records = []
-    for eps, window in zip(cfg.eps_list, windows):
-        roots = _locate(sys_, eps, window, cfg.tol)
-        table = _assign_roots(roots, eps, trees, strong_r)
-        # each assigned scale, in the order of its first root, and the
-        # largest distance among its roots
-        scale = table.scale[table.assigned]
-        distance = table.distance[table.assigned]
-        ks, first = np.unique(scale, return_index=True)
-        max_d = {k: distance[scale == k].max(initial=0.0).item()
-                 for k in ks[np.argsort(first)].tolist()}
-        records.append(EpsRecord(
-            eps=eps, count=int(table.multiplicity.sum()), assignments=table,
-            max_distance=max_d, strong_matches=int((scale == 0).sum())))
+    records = [_assign_roots(_locate(sys_, eps, window, cfg.tol), eps,
+                             trees, strong_r)
+               for eps, window in zip(cfg.eps_list, windows)]
     noninc = {}
     for k in sorted(trees):
         seq = [rec.max_distance[k] for rec in records
@@ -752,8 +696,7 @@ def run_validate(cfg, write=True):
                          "strong_matches": rec.strong_matches,
                          "max_distance": {str(k): v for k, v
                                           in rec.max_distance.items()},
-                         "assignments": _Rows(_ASSIGNMENT_COLUMNS,
-                                              rec.assignments.values)}
+                         "assignments": rec.assignments}
                         for rec in records],
             "nonincreasing": {str(k): bool(v)
                               for k, v in sorted(noninc.items())}})

@@ -23,8 +23,10 @@ Seeds, one-zero cells and clusters are all polished by ``_polish``, over
 arrays of start points, leash half-sizes and counts.
 """
 
+import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (BoundaryZeroError, ConfigError, DimensionError,
 from .linalg import cluster_points
 from .model import _checked, _real
 
-__all__ = ["Rectangle", "RootResult", "count_zeros", "find_roots"]
+__all__ = ["Rectangle", "RootResult", "Records", "count_zeros", "find_roots"]
 
 MAX_PHASE_STEP = math.pi / 4       # largest trusted phase change per interval
 MAX_MAG_JUMP = np.log(4.0)         # largest trusted |log|f|| change
@@ -125,6 +127,53 @@ class RootResult:
     multiplicity: int
     residual: float
     newton_converged: bool
+
+
+def _root(re, im, multiplicity, residual, newton_converged):
+    """The RootResult of one record of ``_ROOT_COLUMNS``."""
+    return RootResult(complex(re, im), multiplicity, residual,
+                      newton_converged)
+
+
+# the columns of find_roots' table; the spectrum files take the first four
+_ROOT_COLUMNS = ("re", "im", "multiplicity", "residual", "newton_converged")
+
+
+@dataclass(frozen=True, eq=False)
+class Records(Sequence):
+    """Records of one layout, kept as columns: ``values`` holds one list
+    per column of ``columns``, each with one value per record, and
+    ``record(*values)`` builds a record only when one is read.
+
+    Integer indices (numpy integers and negative ones too) and iteration
+    work as on a tuple, and a slice is a tuple of records.  A table equals
+    the list (or tuple, or table) of the same records.
+    """
+
+    columns: tuple
+    values: tuple
+    record: object
+
+    def __len__(self):
+        return len(self.values[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(itertools.starmap(
+                self.record, zip(*[col[i] for col in self.values])))
+        return self.record(*[col[i] for col in self.values])
+
+    def __iter__(self):
+        return itertools.starmap(self.record, zip(*self.values))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, Records)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def column(self, name):
+        """The values of the column ``name``, one per record."""
+        return self.values[self.columns.index(name)]
 
 
 def _boundary_points(box, t):
@@ -333,10 +382,10 @@ def _split(f, fprime, cells):
             [cells[i] for i in todo], failed)
 
 
-def _newton_batch(f, fprime, z0, half_w, half_h, tol, within, mult=None):
+def _newton_batch(f, fprime, z0, half_w, half_h, tol, within, mult):
     """Vectorized Newton (or secant) polish with per-point escape leashes.
 
-    ``mult`` (per-point integer, default 1) scales the step to m*f/f', the
+    ``mult`` (per-point integer) scales the step to m*f/f', the
     variant that restores quadratic convergence on an m-fold root.  For
     m > 1 the convergence test uses a floor at the m-fold noise radius
     times the local scale: below that distance the value of f is
@@ -346,11 +395,13 @@ def _newton_batch(f, fprime, z0, half_w, half_h, tol, within, mult=None):
     z = z0.copy()
     active = np.ones(z.size, bool)
     converged = np.zeros(z.size, bool)
-    mult = np.ones(z.size) if mult is None else np.asarray(mult, np.float64)
+    mult = np.asarray(mult, np.float64)
     # the m-scaled step of a noisy m-fold root bottoms out near twice the
     # noise radius (the noise term eta/(A delta^(m-1)) grows again below
-    # it), so certification needs headroom above that turning point
-    floors = np.array([4.0 * _noise_radius(m) for m in mult])
+    # it), so certification needs headroom above that turning point; one
+    # radius per distinct multiplicity
+    ms, which = np.unique(mult, return_inverse=True)
+    floors = np.array([4.0 * _noise_radius(m) for m in ms.tolist()])[which]
     step_tol = np.where(mult > 1.0,
                         np.maximum(tol, floors * (1.0 + np.abs(z0))),
                         tol)
@@ -472,7 +523,9 @@ def _polish(f, fprime, z0, hw, hh, mults, tol, within):
 def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
-    Returns a list of ``RootResult`` sorted by (real, imag).  Roots closer
+    Returns ``Records`` of ``RootResult`` sorted by (real, imag), kept as
+    the columns re, im, multiplicity, residual and newton_converged; a
+    RootResult is built only when one is read.  Roots closer
     than ``tol`` merge into one entry (multiplicities added, location taken
     from the member with the smallest residual).  If a zero sits on the
     requested boundary the rectangle is inflated as in ``count_zeros`` and
@@ -500,7 +553,7 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     total, base = (_count_with_inflation(f, fprime, rect)
                    if counted is None else counted)
     if total == 0:
-        return []
+        return Records(_ROOT_COLUMNS, tuple([] for _ in _ROOT_COLUMNS), _root)
     pts, margin = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (locations, multiplicity, converged); roots
     clusters, failed = [], [0] * len(_JITTERS)
@@ -575,12 +628,10 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
                        counts.size) > 0
     rank = np.lexsort((locs[best].imag, locs[best].real))
     best = best[rank]
-    results = [RootResult(location=z, multiplicity=m, residual=r,
-                          newton_converged=c)
-               for z, m, r, c in zip(locs[best].tolist(),
-                                     mults[rank].tolist(),
-                                     residuals[best].tolist(),
-                                     conv[rank].tolist())]
+    results = Records(_ROOT_COLUMNS, (
+        locs.real[best].tolist(), locs.imag[best].tolist(),
+        mults[rank].tolist(), residuals[best].tolist(), conv[rank].tolist()),
+        _root)
 
     if int(mults.sum()) != total:
         raise ResolutionError(

@@ -343,17 +343,24 @@ def _columns(rows, width):
     return tuple([r[i] for r in rows] for i in range(width))
 
 
+def _table(columns, values):
+    """Records of ``values`` whose records are the objects json writes for
+    them: one dict per record, keyed by ``columns``."""
+    return h.Records(columns, values, lambda *v: dict(zip(columns, v)))
+
+
 @pytest.mark.parametrize("depth", [0, 3])
 def test_rows_json_equals_json_dumps_of_their_objects(depth):
-    # a _Rows is written as json writes the same rows as objects, keys
+    # Records are written as json writes the same rows as objects, keys
     # sorted, at any depth
     columns = ("re", "im", "flag", "scale", "distance", "odd %s")
     rows = [(1.5, -0.0, True, 2, "inf", "%"),
             (float("nan"), 5e-324, False, None, "-inf", "é"),
             (-2.0, 1e300, True, 0, 0.25, None)]
     for part in (rows, rows[:1], []):
-        table = harness._Rows(columns, _columns(part, len(columns)))
+        table = _table(columns, _columns(part, len(columns)))
         objs = [dict(zip(columns, r)) for r in part]
+        assert list(table) == objs
         obj, want = table, objs
         for _ in range(depth):
             obj, want = {"k": [obj]}, {"k": [want]}
@@ -396,8 +403,8 @@ def test_column_writers_equal_per_value_oracles(kind, size):
         values = np.ldexp(rng.standard_normal(size),
                           rng.integers(-1070, 1020, size)).tolist()
     objs = [{"a": v, "b": w} for v, w in zip(values, other)]
-    got = "".join(harness._json_chunks(
-        harness._Rows(("b", "a"), (other, values)), 0))
+    got = "".join(harness._json_chunks(_table(("b", "a"), (other, values)),
+                                       0))
     assert got == json.dumps(_spell_infinities(objs), indent=1,
                              sort_keys=True)
     got = "".join(harness._csv_text(("eps", "a", "b"),
@@ -405,6 +412,43 @@ def test_column_writers_equal_per_value_oracles(kind, size):
     assert got == "eps,a,b\n" + "".join(
         f"0.25,{_oracle_cell(v)},{_oracle_cell(w)}\n"
         for v, w in zip(values, other))
+
+
+_CHUNK = harness._CHUNK_RECORDS
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  2 * _CHUNK + 3])
+def test_record_writers_across_chunk_boundaries(size):
+    # the writers format _CHUNK_RECORDS records per %: at every count
+    # around a chunk boundary the text is json.dumps of the records (at
+    # depth 0 and nested) and the per-cell CSV oracle, with a column of
+    # each kind, a column whose kind changes between chunks, and two CSV
+    # groups with their leading values
+    columns = tuple(sorted(_KINDS)) + ("chunk-kinds", "odd %s")
+    values = [(_KINDS[k] * size)[:size] for k in sorted(_KINDS)]
+    values.append([float(i) if i < _CHUNK else (None, 3)[i % 2]
+                   for i in range(size)])
+    values.append(np.random.default_rng(size).standard_normal(size).tolist())
+    table = _table(columns, tuple(values))
+    objs = _spell_infinities(list(table))
+    assert len(objs) == size
+    # texts compared line by line: a failure reports the first line that
+    # differs, not a diff of megabytes
+    got = "".join(harness._json_chunks(table, 0))
+    assert got.split("\n") == json.dumps(objs, indent=1,
+                                         sort_keys=True).split("\n")
+    got = "".join(harness._json_chunks({"runs": [{"rows": table}]}, 0))
+    assert got.split("\n") == json.dumps({"runs": [{"rows": objs}]},
+                                         indent=1, sort_keys=True).split("\n")
+    tail = tuple(col[:3] for col in values)
+    got = "".join(harness._csv_text(("eps", "n") + columns, [
+        ((0.25, 7), table.values), ((1e-300, -1), tail)]))
+    lines = [",".join(["eps", "n", *columns])]
+    for lead, cols in (((0.25, 7), table.values), ((1e-300, -1), tail)):
+        lines += [",".join(map(_oracle_cell, lead + row))
+                  for row in zip(*cols)]
+    assert got.split("\n") == lines + [""]
 
 
 def test_example_json_writes_infinite_sup_as_a_string(tmp_path):

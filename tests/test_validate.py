@@ -144,40 +144,104 @@ def test_paper_regime_at_eps_0_005():
     rep = h.run_validate(cfg, write=False)
     coarse, fine = rep.records
     assert (coarse.count, fine.count) == (9549, 38197)
-    assert int(fine.assignments.multiplicity.sum()) == fine.count
-    assert fine.assignments.assigned.all()
-    assert (fine.assignments.scale == 2).all()
+    table = fine.assignments
+    assert sum(table.column("multiplicity")) == fine.count
+    assert all(table.column("assigned"))
+    assert set(table.column("scale")) == {2}
     assert list(fine.max_distance) == [2]
     assert rep.nonincreasing == {2: True}
     assert fine.max_distance[2] < 0.02
 
 
-def test_assignment_table_reads_like_a_tuple():
-    # the records are kept as columns: index, slice and iteration build the
-    # same Assignments, and the record's summaries agree with them
+def _lambert_roots():
+    """find_roots' table on a Lambert W window: x' = a x + b x(t - tau)."""
+    a, b, tau = -0.2, 0.5, 10.0
+    f = lambda z: -z + a + b * np.exp(-z * tau)
+    fp = lambda z: -1.0 - b * tau * np.exp(-z * tau)
+    return h.find_roots(f, h.Rectangle(-0.5, 0.5, -8.0, 8.0), fprime=fp)
+
+
+def _fig2_assignments():
     cfg = h.preset_config("fig2-unstable", eps_list=(0.05,))
     (rec,) = h.run_validate(cfg, write=False).records
-    table = rec.assignments
+    return rec
+
+
+@pytest.mark.parametrize("kind", ["roots", "assignments"])
+def test_records_read_like_a_tuple(kind):
+    # a table keeps its records as columns: len, iteration, indices and
+    # slices build the same records, a slice is a tuple, and a table equals
+    # the list (or tuple) of its records
+    if kind == "roots":
+        table, size, cls = _lambert_roots(), 25, h.RootResult
+        types = {"location": complex, "multiplicity": int,
+                 "residual": float, "newton_converged": bool}
+    else:
+        rec = _fig2_assignments()
+        table, size, cls = rec.assignments, 383, h.Assignment
+        types = {"eigenvalue": complex, "multiplicity": int, "scale": int,
+                 "distance": float, "assigned": bool}
+    assert isinstance(table, h.Records)
     objs = tuple(table)
-    assert len(objs) == len(table) == 383
-    assert objs == tuple(table[i] for i in range(len(table)))
-    assert table[-1] == objs[-1] and table[np.int64(3)] == objs[3]
-    assert table[5:40:7] == objs[5:40:7] and table[::-1] == objs[::-1]
-    for i in (len(table), -len(table) - 1):
+    assert len(objs) == len(table) == size
+    assert all(len(col) == size for col in table.values)
+    assert len(table.values) == len(table.columns)
+    assert all(type(r) is cls for r in objs)
+    assert all(type(getattr(r, name)) is t
+               for r in objs for name, t in types.items())
+    assert objs == tuple(table[i] for i in range(size))
+    for i in (0, 3, -1, -size, np.int64(3), np.int64(-2)):
+        assert table[i] == objs[i]
+    for i in (size, -size - 1, np.int64(size)):
         with pytest.raises(IndexError):
             table[i]
-    assert all(isinstance(a, h.Assignment) for a in objs)
-    assert all(type(a.eigenvalue) is complex and type(a.scale) is int
-               and type(a.distance) is float and type(a.assigned) is bool
-               for a in objs)
-    assert rec.count == sum(a.multiplicity for a in objs)
-    want = {}
-    for a in objs:
-        if a.assigned:
-            want[a.scale] = max(want.get(a.scale, 0.0), a.distance)
-    assert rec.max_distance == want
-    assert rec.strong_matches == sum(a.assigned and a.scale == 0
-                                     for a in objs)
+    for part in (slice(5, 40, 7), slice(None, None, -1), slice(size, None),
+                 slice(-3, None), slice(None)):
+        assert type(table[part]) is tuple
+        assert table[part] == objs[part]
+    assert table == list(objs) and list(objs) == table and table == objs
+    assert table == table[:] and not table != list(objs)
+    assert table != list(objs[:-1]) and table != list(objs[::-1])
+    assert table != objs[0] and table != set()
+    assert table.column("multiplicity") == [r.multiplicity for r in objs]
+    if kind == "assignments":
+        assert rec.count == sum(a.multiplicity for a in objs)
+        want = {}
+        for a in objs:
+            if a.assigned:
+                want[a.scale] = max(want.get(a.scale, 0.0), a.distance)
+        assert rec.max_distance == want
+        assert rec.strong_matches == sum(a.assigned and a.scale == 0
+                                         for a in objs)
+
+
+def _counting_init(monkeypatch, cls, calls):
+    """Count the objects of ``cls`` built, through its ``__init__``."""
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cls, "__init__", counted)
+
+
+def test_written_runs_build_no_record_objects(tmp_path, monkeypatch):
+    # roots and assignments go from find_roots to the files as columns: a
+    # run with files builds no RootResult and no Assignment
+    calls = {}
+    for cls in (h.RootResult, h.Assignment):
+        _counting_init(monkeypatch, cls, calls)
+    for fmt in ("csv", "json"):
+        cfg = h.preset_config("fig2-unstable", eps_list=(0.05,),
+                              out_dir=str(tmp_path / fmt))
+        h.run_validate(replace(cfg, out_format=fmt))
+        h.run_spectrum(replace(cfg, out_format=fmt,
+                               window=h.Rectangle(-0.03, 0.03, -3.0, 3.0)))
+        assert len(list((tmp_path / fmt).iterdir())) == 1 + (fmt == "csv") + 1
+    assert calls == {}
+    h.run_validate(cfg, write=False).records[0].assignments[0]
+    _lambert_roots()[-1]
+    assert calls == {"Assignment": 1, "RootResult": 1}
 
 
 _TWO_DELAY = h.DelaySystem.scalar(0.3, (0.1, 0.1))
