@@ -1,8 +1,8 @@
 """Vectorised numpy kernels for the hot array work.
 
-The root finder and the manifold grids reduce to two batched kernels: the
-characteristic determinant (with its derivative) over many points, and the
-coefficients of ``det(B + Y Ak)`` over many matrices ``B``.
+The root finder reduces to one batched kernel: the characteristic
+determinant, with its derivative, over many points.  The manifold grids
+take the roots of ``det(B + Y Ak)`` from ``linalg.poly_roots_batch``.
 
 Kernel contracts:
 
@@ -22,22 +22,9 @@ Kernel contracts:
     determinants are taken in one stacked call.  No inverse of M enters,
     so the derivative stays exact where M is singular.
 
-``det_poly_coeffs(B, Ak, radii)``
-    ``B`` complex (N, m, m), ``Ak`` complex (m, m), ``radii`` real (N,).
-    Returns complex (N, m+1): coefficients ``c[i, j]`` of ``Y**j`` in the
-    polynomial ``det(B[i] + Y * Ak)``.  For m <= 2 they are written out:
-    ``(det B, det Ak)`` for m = 1 (the entries themselves) and
-    ``(det B, tr(adj(B) Ak), det Ak)`` for m = 2, so a row's bits do not
-    depend on its batch and ``radii`` is not read (``_Level.coeffs``
-    passes None there and builds no radii).  For m >= 3 they are
-    recovered exactly (up to rounding) by evaluation at the m+1 scaled
-    roots of unity ``radii[i] * zeta**l`` followed by an inverse discrete
-    Fourier transform.  All N rows are taken at once;
-    ``manifolds._Level.coeffs`` is the one loop that splits a lattice into
-    batches of bounded memory.
-
 ``_det(M)`` is the package's only determinant (the kernels, the singularity
-flags and the ladder's ``truncated_char``); a 0x0 matrix has determinant 1.
+flags, the pencil roots' shift and the ladder's ``truncated_char``); a 0x0
+matrix has determinant 1.
 """
 
 import numpy as np
@@ -46,7 +33,6 @@ __all__ = [
     "backend_name",
     "char_det",
     "char_and_deriv",
-    "det_poly_coeffs",
 ]
 
 def backend_name():
@@ -102,38 +88,3 @@ def char_and_deriv(lams, mats, taus):
     for j in range(d):
         swapped[:, j, :, j] = Mp[:, :, j]
     return chi, _det(swapped).sum(axis=1)
-
-
-_INTERP = {}
-
-
-def _interp(m):
-    """Nodes ``zeta**l``, inverse DFT matrix and radius exponents of the
-    size-m interpolation (m >= 3), built once per m; the arrays are
-    read-only."""
-    if m not in _INTERP:
-        nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-        idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1),
-                                             np.arange(m + 1))
-                      / (m + 1)) / (m + 1)
-        powers = np.arange(m + 1)[None, :]
-        for a in (nodes, idft, powers):
-            a.flags.writeable = False
-        _INTERP[m] = nodes, idft, powers
-    return _INTERP[m]
-
-
-def det_poly_coeffs(B, Ak, radii):
-    m = B.shape[1]
-    if m <= 2:  # det B, tr(adj(B) Ak) when m = 2, det Ak: no nodes
-        coeffs = np.empty((B.shape[0], m + 1), np.complex128)
-        coeffs[:, 0] = _det(B)
-        if m == 2:
-            coeffs[:, 1] = _adj_trace(B, Ak)
-        coeffs[:, m] = _det(Ak)
-        return coeffs
-    nodes, idft, powers = _interp(m)
-    Y = radii[:, None] * nodes[None, :]  # (N, m+1)
-    dets = _det(B[:, None, :, :] + Y[:, :, None, None] * Ak)  # (N, m+1)
-    raw = dets @ idft.T  # (N, m+1): sum_l det_l conj(zeta)^{jl} / (m+1)
-    return raw / radii[:, None] ** powers  # the radius rescale

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import _backend, model
 from .errors import ConfigError, DegenerateSystemError
-from .linalg import (CLUSTER_RADIUS, RANK_TOL, cluster_points, kernel_vectors,
-                     numerical_rank, poly_roots_batch, rank, spectral_norm,
-                     svd)
+from .linalg import (CLUSTER_RADIUS, PENCIL_SHIFT, RANK_TOL, cluster_points,
+                     kernel_vectors, numerical_rank, poly_roots_batch, rank,
+                     spectral_norm, svd)
 
 __all__ = [
     "LadderLevel",
@@ -163,28 +163,31 @@ def truncated_char(ladder, k, eps, lam):
 def strong_stable_spectrum(ladder):
     """Stable roots of the level-1 pencil det(-lam J1 + A0p), multiplicity.
 
-    Empty unless the ladder reaches level 1.  Roots come from the
-    pencil's coefficients (``det_poly_coeffs``: written out up to size 2,
-    beyond that interpolated on a circle of radius 1 + |A|/|J|, or 1 + |A|
-    for singular J) followed by companion eigenvalues; infinite pencil
-    eigenvalues drop out as trimmed leading coefficients.  An identically
-    zero pencil would make the whole truncation meaningless and raises.
+    Empty unless the ladder reaches level 1.  The roots are those of
+    ``det(A0p + lam (-J1))`` by ``poly_roots_batch``, with the root radius
+    ``1 + |A0p| / smin`` of ``manifolds._Level.radii`` (``smin`` the
+    smallest kept singular value of J1); infinite pencil eigenvalues drop
+    out as lost degrees.  An identically zero pencil would make the whole
+    truncation meaningless and raises: so does one whose determinant at
+    the shift ``sigma`` is at most ``1e-12 ((1 + |sigma|) max(1, |A0p| +
+    radius |J1|))**m``, which bounds it wherever every coefficient is at
+    most ``1e-12 max(1, |A0p| + radius |J1|)**m``.
     """
     if ladder.k_under != 1:
         return []
     lev = ladder.level(1)
     J, A, m = lev.J1, lev.A_proj[0], lev.dim
     normA, normJ = spectral_norm(A), spectral_norm(J)
-    if rank(J) < m:
-        radius = 1.0 + normA
-    else:
-        radius = 1.0 + normA / normJ
-    coeffs = _backend.det_poly_coeffs(A[None, :, :], -J, np.array([radius]))
-    floor = 1e-12 * max(1.0, normA + radius * normJ) ** m
-    if np.max(np.abs(coeffs)) <= floor:
+    pencil = svd(-J)
+    r = numerical_rank(pencil.s)
+    radius = 1.0 + normA / pencil.s[r - 1] if r else 1.0
+    sigma = PENCIL_SHIFT * radius
+    scale = (1.0 + abs(sigma)) * max(1.0, normA + radius * normJ)
+    roots, neff = poly_roots_batch(A[None], pencil, np.array([radius]))
+    if neff[0] < 0 or abs(_backend._det(A - sigma * J)) <= 1e-12 * scale ** m:
         raise DegenerateSystemError(
             "level-1 pencil determinant vanishes identically")
-    roots = poly_roots_batch(coeffs)[0][0]  # nan past the degree: not < 0
+    roots = roots[0]  # nan past the degree: not < 0
     stable = roots[roots.real < 0.0]
     if stable.size == 0:
         return []

@@ -354,7 +354,7 @@ def _manifold_json(table, depth):
 
     Values are written by ``%s``, which is json's ``float.__repr__`` for
     the finite floats here: a finite gamma has |Y| above the zero-root
-    threshold, and roots come from finite coefficients.
+    threshold, and roots of finite rows are finite or nan.
     """
     if not len(table):
         yield "[]"

@@ -10,12 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .errors import DimensionError
 
 __all__ = [
     "RANK_TOL",
     "CLUSTER_RADIUS",
     "TRIM_TOL",
+    "PENCIL_SHIFT",
     "SvdResult",
     "as_square",
     "eigenvalues",
@@ -25,12 +27,14 @@ __all__ = [
     "kernel_vectors",
     "spectral_norm",
     "poly_roots_batch",
+    "pencil_roots",
     "cluster_points",
 ]
 
 RANK_TOL = 1e-10       # relative threshold on singular values
 CLUSTER_RADIUS = 1e-8  # default merging radius for eigenvalue clusters
-TRIM_TOL = 1e-10       # relative threshold for trailing polynomial noise
+TRIM_TOL = 1e-10       # relative noise floor of a root's degree
+PENCIL_SHIFT = 2.0 * np.exp(1j)  # shift of a rank-deficient pencil, in radii
 
 
 @dataclass(frozen=True)
@@ -101,80 +105,95 @@ def spectral_norm(M):
     return float(np.linalg.svd(as_square(M), compute_uv=False)[0])
 
 
-def _companion_eigvals(stack):
-    """Eigenvalues of monic-companion matrices for coeff rows (K, g+1)."""
-    K, g = stack.shape[0], stack.shape[1] - 1
-    C = np.zeros((K, g, g), np.complex128)
-    C[:, np.arange(1, g), np.arange(g - 1)] = 1.0
-    C[:, :, -1] = -stack[:, :g] / stack[:, g, None]
-    return np.linalg.eigvals(C)
+def poly_roots_batch(rows, pencil=None, radii=None):
+    """Roots of a batch of level polynomials, the package's one root
+    solver.  Returns ``(roots, neff)``: ``roots`` is (N, degree), sorted
+    by (real, imag), nan last and past each row's root count ``neff[i]``
+    (0 for a constant row, -1 for an identically zero one).
 
+    Without ``pencil``, ``rows`` holds linear rows ``c0 + c1 Y``, shape
+    (N, 2) (a d = 1 level's ``(B, a_k)``).  A ``|c1|`` up to ``TRIM_TOL``
+    times the row's larger magnitude is noise and trimmed; the root is
+    ``-c0 / c1``, in a few whole-array operations.  When every row keeps
+    its degree (nan does not), the nan padding and the masked divide,
+    which would change nothing, are skipped.
 
-def poly_roots_batch(coeffs, max_degree=None):
-    """Roots of ``sum_j coeffs[i, j] Y**j`` for each row i of a 2-D batch
-    (else ``DimensionError``): the package's one polynomial root solver.
-
-    Leading coefficients below ``TRIM_TOL`` times the row's largest
-    magnitude are noise and are trimmed; the roots of the
-    rest come from its companion matrix, sorted by (real, imag).  Returns
-    ``(roots, neff)``: ``roots`` is (N, max_degree), nan past each row's
-    count ``neff[i]`` (0 for a constant row, -1 for an identically zero
-    one).  Rows are processed grouped by effective degree so the companion
-    eigensolves stay batched; a row of effective degree 1 takes its root as
-    ``-c0 / c1``, the entry of its 1x1 companion matrix.  LAPACK returns
-    that entry unchanged (bit for bit) whenever its modulus lies between
-    about 1e-138 and 1e138; outside that band it rescales the matrix first,
-    so the two differ in the last bits.  A batch of ``max_degree`` 1 (a
-    d = 1 level) takes the same trimming test and the same ``-c0 / c1`` in
-    a few whole-array operations, without grouping rows by degree; when
-    every row keeps its degree (nan does not), it also skips the nan
-    padding and the masked divide, which would change nothing.
+    With ``pencil``, the ``svd`` of a (d, d) matrix A, ``rows`` is a
+    stack B (N, d, d): the roots of ``det(B[i] + Y A)`` come from
+    ``pencil_roots``, which reads ``radii`` (N,) when A is rank-deficient.
+    Any other shape raises ``DimensionError``.  Every level's roots pass
+    through here, as the benchmark's tracer measures them by this name.
     """
-    coeffs = np.asarray(coeffs, np.complex128)
-    if coeffs.ndim != 2:
-        raise DimensionError("coefficient batch must be 2-D")
-    N, width = coeffs.shape
-    if max_degree is None:
-        max_degree = width - 1
-    work = coeffs[:, :max_degree + 1]
-    if max_degree == 1:  # whole-array: the degree test and -c0 / c1
-        c0, c1 = work[:, 0], work[:, 1]
-        m0, m1 = np.abs(c0), np.abs(c1)
-        floor = TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
-        one = m1 > floor
-        if one.all():  # no row trims (nan does): no padding, no masks
-            return (-c0 / c1)[:, None], one.astype(np.int64)
-        roots = np.full((N, 1), np.nan + 0j, np.complex128)
-        np.divide(-c0, c1, out=roots[:, 0], where=one)
-        return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))
+    rows = np.asarray(rows, np.complex128)
+    if pencil is not None:
+        d = pencil.s.size
+        if rows.ndim != 3 or rows.shape[1:] != (d, d):
+            raise DimensionError(f"pencil rows must be (N, {d}, {d}), got "
+                                 f"shape {rows.shape}")
+        return pencil_roots(rows, pencil, radii)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise DimensionError(f"linear rows must be (N, 2), got shape "
+                             f"{rows.shape}")
+    N, c0, c1 = rows.shape[0], rows[:, 0], rows[:, 1]
+    m0, m1 = np.abs(c0), np.abs(c1)
+    floor = TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
+    one = m1 > floor
+    if one.all():  # no row trims (nan does): no padding, no masks
+        return (-c0 / c1)[:, None], one.astype(np.int64)
+    roots = np.full((N, 1), np.nan + 0j, np.complex128)
+    np.divide(-c0, c1, out=roots[:, 0], where=one)
+    return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))
 
-    mags = [np.abs(work[:, j]) for j in range(max_degree + 1)]
-    top = mags[0]
-    for m in mags[1:]:
-        top = np.maximum(top, m)
-    floor = TRIM_TOL * np.maximum(top, 1e-300)
-    # effective degree: highest index still above the noise floor; an
-    # all-zero row keeps nothing (the floor is positive).  Rows are short,
-    # so the reductions run as loops over columns.
-    degs = np.full(N, -1)
-    for j, m in enumerate(mags):
-        degs[m > floor] = j
 
-    roots = np.full((N, max_degree), np.nan + 0j, np.complex128)
-    for g in range(1, max_degree + 1):
-        sel = np.flatnonzero(degs == g)
-        if sel.size == 0:
-            continue
-        if sel.size == N:  # every row: slices, not fancy indexing
-            sel = slice(None)
-        if g == 1:
-            roots[sel, 0] = -work[sel, 0] / work[sel, 1]
-            continue
-        vals = _companion_eigvals(work[sel, :g + 1])
-        order = np.lexsort((vals.imag, vals.real))
-        rows = np.arange(vals.shape[0])[:, None]
-        roots[sel, :g] = vals[rows, order]
-    return roots, degs
+def pencil_roots(B, A, radii=None):
+    """Roots Y of ``det(B[i] + Y A)`` over a stack B (N, d, d), A given
+    by its ``svd``, as ``poly_roots_batch`` returns them: the eigenvalues
+    of the pencil ``(B, -A)``, taken in A's singular bases, where ``C =
+    U* B V`` and A is ``diag(s, 0)`` of rank r = ``numerical_rank(s)``.
+
+    - *Full rank:* the roots are the eigenvalues of ``-C / s[:, None]``.
+    - *Rank r < d:* with the shift ``sigma = PENCIL_SHIFT * radii`` and
+      ``M = C + sigma diag(s, 0)``, ``det(M + t diag(s, 0)) = det(M)
+      prod(1 + t nu)`` over the eigenvalues ``nu`` of ``M^-1[:r, :r]
+      diag(s)``, so the roots are ``sigma - 1/nu``.  A root with ``nu = 0``
+      or ``|Y| > radii / TRIM_TOL`` is a lost degree (nan), and a row with
+      ``det(M) = 0`` vanishes identically (``neff = -1``).
+
+    A row with a non-finite entry gets nan roots and ``neff = -1``.  Each
+    row's bits come from its own matrices and radius alone, so they do not
+    depend on the batch it is in.
+    """
+    N, d = B.shape[:2]
+    r = numerical_rank(A.s)
+    s = A.s[:r]
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite row
+        C = A.U.conj().T @ B @ A.Vh.conj().T
+    ok = np.flatnonzero(np.isfinite(C).all(axis=(1, 2)))
+    roots = np.full((N, r), np.nan + 0j, np.complex128)
+    neff = np.full(N, -1, np.int64)
+    if r == d:
+        roots[ok] = np.linalg.eigvals(-C[ok] / s[:, None])
+        neff[ok] = d
+    else:
+        sigma = PENCIL_SHIFT * radii[ok]
+        M = C[ok]
+        M[:, np.arange(r), np.arange(r)] += sigma[:, None] * s
+        det = _backend._det(M)
+        live = det != 0.0
+        ok, sigma, M = ok[live], sigma[live], M[live]
+        if d == 2:  # the adjugate's (0, 0) entry over det(M)
+            inv = (M[:, 1, 1] / det[live])[:, None, None]
+        else:  # det(M) != 0: LU has no zero pivot, so inv does not raise
+            inv = np.linalg.inv(M)
+        nu = np.linalg.eigvals(inv[:, :r, :r] * s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Y = sigma[:, None] - 1.0 / nu
+        lost = (nu == 0.0) | ~(np.abs(Y) <= radii[ok, None] / TRIM_TOL)
+        Y[lost] = np.nan
+        roots[ok] = Y
+        neff[ok] = r - lost.sum(axis=1)
+    order = np.lexsort((roots.imag, roots.real))
+    return np.take_along_axis(roots, order, axis=1), neff
 
 
 def _components(n, a, b):

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _backend
 from .errors import ConfigError, TrivialityError
-from .linalg import (RANK_TOL, TRIM_TOL, eigenvalues, kernel_vectors,
-                     numerical_rank, poly_roots_batch, spectral_norm)
+from .linalg import (PENCIL_SHIFT, RANK_TOL, eigenvalues, numerical_rank,
+                     poly_roots_batch, spectral_norm, svd)
 from .degeneracy import strong_stable_spectrum
 from .model import (_checked, _count, _handles, _reals, char_function,
                     check_eps, delays, guard_real_extent)
@@ -65,8 +65,7 @@ ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
 _CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
-_CHUNK_ROWS = 1 << 16   # grid points per assembled B stack: bounds memory
-                        # (d >= 3 also bounds its interpolation node stack)
+_CHUNK_ROWS = 1 << 16   # grid points per B stack and root solve: bounds memory
 SEED_STEPS = 3          # fixed-point steps of axis_seeds; Newton finishes
 BRANCH_SEP = 1e-6       # relative |Y_b - Y_b'| up to which branches coincide
 DOMINANCE = 2.0         # |Y| / |Y_b| bound of window_count's edge factors
@@ -95,11 +94,16 @@ class PhasePoint:
         return cls(omega=float(omega), phi=phi)
 
     def axes(self, k):
-        """One-point scale-k lattice axes: [omega], [phi_1]..[phi_{k-1}]."""
+        """One-point scale-k lattice axes: [omega], [phi_1]..[phi_{k-1}],
+        each finite (else ``ConfigError``)."""
         if len(self.phi) != k - 1:
             raise ConfigError(f"scale-{k} point needs {k - 1} phases, "
                               f"got {len(self.phi)}")
-        return [np.array([v], np.float64) for v in (self.omega, *self.phi)]
+        axes = [np.array([v], np.float64) for v in (self.omega, *self.phi)]
+        if not all(np.isfinite(ax[0]) for ax in axes):
+            raise ConfigError(f"phase point coordinates must be finite, "
+                              f"got {self}")
+        return axes
 
 
 @dataclass(frozen=True)
@@ -215,9 +219,10 @@ class _Level:
     Heights come only from ``gammas``; nan there marks a missing branch.
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
-    k+1 (the projected J1 and A_proj).  ``smin`` and ``dk`` are the
-    smallest kept singular value and the rank of Ak; ``J_norm`` is the
-    spectral norm of J and ``norm_sum`` the sum of those of A0..A(k-1).
+    k+1 (the projected J1 and A_proj).  ``A`` is the ``svd`` of Ak, the
+    one its roots are taken in; ``smin`` and ``dk`` are the smallest kept
+    singular value and the rank of Ak; ``J_norm`` is the spectral norm of
+    J and ``norm_sum`` the sum of those of A0..A(k-1).
     """
 
     def __init__(self, k, sigma, J, mats):
@@ -226,7 +231,8 @@ class _Level:
         self.k, self.sigma, self.sigma_k, self.J = k, sigma, sigma[k - 1], J
         self.A_list = [mats[j] for j in range(k)]
         self.Ak = mats[k]
-        s = np.linalg.svd(self.Ak, compute_uv=False)
+        self.A = svd(self.Ak)
+        s = self.A.s
         self.dk = numerical_rank(s)
         self.smin = float(s[self.dk - 1]) if self.dk else 0.0
         self.J_norm = spectral_norm(J)
@@ -269,32 +275,39 @@ class _Level:
 
     def radii(self, omegas):
         """Root radii 1 + |B| bound over ``smin`` at the frequencies (an
-        array or one value): the interpolation's node radii for d >= 3,
-        and the scale of ``gammas``' zero-root test.  Each step is monotone
-        in |omega|, so the largest |omega| gives the largest radius."""
+        array or one value): the scale of the pencil shift of a
+        rank-deficient Ak (d >= 2) and of ``gammas``' zero-root test.  Each
+        step is monotone in |omega|, so the largest |omega| gives the
+        largest radius."""
         bound = np.abs(omegas) * self.J_norm + self.norm_sum
         if self.smin == 0.0:
             return np.ones_like(bound)
         return 1.0 + bound / self.smin
 
-    def coeffs(self, omegas, phis):
-        """Coefficient rows of det(B + Y Ak) at the points.  The one loop
-        over row chunks: ``_CHUNK_ROWS`` rows, fewer for d >= 3 so that
-        the (rows, d+1, d, d) node stack of the interpolation stays below
-        2**20 entries; d <= 2 builds no nodes and no radii."""
-        N, d = omegas.shape[0], self.Ak.shape[0]
-        chunk = max(1, min(_CHUNK_ROWS, 2 ** 20 // ((d + 1) * d * d)))
-        radii = self.radii(omegas) if d >= 3 else None
-        if N <= chunk:  # one chunk is the result: no copy into a new array
-            return _backend.det_poly_coeffs(self.B(omegas, phis), self.Ak,
-                                            radii)
-        coeffs = np.empty((N, d + 1), np.complex128)
-        for lo in range(0, N, chunk):
-            rows = slice(lo, lo + chunk)
-            coeffs[rows] = _backend.det_poly_coeffs(
-                self.B(omegas[rows], phis[rows]), self.Ak,
-                radii if radii is None else radii[rows])
-        return coeffs
+    def roots(self, omegas, phis):
+        """Roots of det(B + Y Ak) at the points, as ``poly_roots_batch``
+        gives them: (roots, neff).  The one loop over row chunks, of
+        ``_CHUNK_ROWS`` rows each; only a rank-deficient Ak builds the
+        radii, which the pencil's shift reads for d >= 2."""
+        N = omegas.shape[0]
+        radii = self.radii(omegas) if self.dk < self.J.shape[0] else None
+        if N <= _CHUNK_ROWS:  # one chunk is the result: no concatenation
+            return self._solve(omegas, phis, radii)
+        parts = [self._solve(omegas[rows], phis[rows],
+                             None if radii is None else radii[rows])
+                 for rows in (slice(lo, lo + _CHUNK_ROWS)
+                              for lo in range(0, N, _CHUNK_ROWS))]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _solve(self, omegas, phis, radii):
+        """``poly_roots_batch`` on one chunk: the linear rows (B, a_k) for
+        d = 1, the stack B and the pencil of Ak beyond."""
+        B = self.B(omegas, phis)
+        if self.J.shape[0] > 1:
+            return poly_roots_batch(B, self.A, radii)
+        rows = np.empty((B.shape[0], 2), np.complex128)
+        rows[:, 0], rows[:, 1] = B[:, 0, 0], self.Ak[0, 0]
+        return poly_roots_batch(rows)
 
     def gammas(self, omegas, phis):
         """Roots and heights at the points: (roots, gammas, neff).
@@ -315,8 +328,7 @@ class _Level:
         if self.dk == 0:
             return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
                     np.zeros(N, np.int64))
-        roots, neff = poly_roots_batch(self.coeffs(omegas, phis),
-                                       max_degree=self.dk)
+        roots, neff = self.roots(omegas, phis)
         absY = np.abs(roots)
         if N and absY.min() > ZERO_ROOT_TOL * self.radii(
                 np.abs(omegas).max()):
@@ -373,22 +385,25 @@ def scale_lattice(sys, k, grid):
 
 
 def truncated_char_poly(sys, k, point):
-    """Coefficients (ascending in Y, trimmed) of the scale-k polynomial.
+    """Coefficients (ascending in Y) of the scale-k polynomial.
 
     chi_k(omega, phi; Y) = det(-i omega I + A0 + sum_{j<k} Aj
-    exp(-i sigma_j phi_j) + Ak Y) has degree rank(Ak); coefficients come
-    from ``_Level.coeffs`` (written out for d <= 2, node interpolation
-    beyond) and leading noise is trimmed at ``TRIM_TOL`` of the largest
-    magnitude.  An identically zero polynomial raises ``TrivialityError``.
+    exp(-i sigma_j phi_j) + Ak Y) has degree rank(Ak), less its lost
+    degrees.  With the roots Y_b of ``_Level.roots`` it is ``lead
+    prod_b (Y - Y_b)``, and ``lead = chi_k(sigma) / prod_b (sigma - Y_b)``
+    at ``sigma = PENCIL_SHIFT`` times the point's root radius.  An
+    identically zero polynomial raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
-    coeffs = level.coeffs(*_lattice(point.axes(k)))
-    row = coeffs[0, :level.dk + 1]
-    mags = np.abs(row)
-    if mags.max() == 0.0 or not np.isfinite(mags.max()):
+    omegas, phis = _lattice(point.axes(k))
+    roots, neff = level.roots(omegas, phis)
+    if neff[0] < 0:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
-    keep = np.nonzero(mags > TRIM_TOL * mags.max())[0]
-    return row[:keep[-1] + 1]
+    Y = roots[0, :neff[0]]
+    sigma = PENCIL_SHIFT * level.radii(omegas[0])
+    lead = _backend._det(level.B(omegas, phis)[0] + sigma * level.Ak) \
+        / np.prod(sigma - Y)
+    return lead * np.polynomial.polynomial.polyfromroots(Y)
 
 
 def gamma_branches(sys, k, point):
@@ -415,7 +430,7 @@ def singularity_test(sys, k, point):
     bound = max(1.0, abs(point.omega) + level.norm_sum)
     detB = complex(_backend._det(B))
     scaleB = bound ** sys.d
-    U1, V1 = kernel_vectors(level.Ak)
+    U1, V1 = level.A.kernel(level.dk)
     sub = U1.conj().T @ B @ V1
     detP = complex(_backend._det(sub))
     scaleP = bound ** max(1, sub.shape[0])

@@ -130,76 +130,6 @@ def test_closed_form_of_block_diagonal_is_the_product():
         assert np.allclose(dchi, da * b + a * db, rtol=1e-13, atol=0.0)
 
 
-def _det_poly_coeffs_formula(B, Ak, radii):
-    """The interpolation of ``det_poly_coeffs`` for m >= 3, every array
-    built anew and with the library's determinant, so only the cache is
-    under test."""
-    m = B.shape[1]
-    nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-    idft = np.exp(-2j * np.pi * np.outer(np.arange(m + 1), np.arange(m + 1))
-                  / (m + 1)) / (m + 1)
-    Y = radii[:, None] * nodes[None, :]
-    dets = _backend._det(B[:, None, :, :] + Y[:, :, None, None] * Ak)
-    return dets @ idft.T / radii[:, None] ** np.arange(m + 1)[None, :]
-
-
-def _det_poly_coeffs_written_out(B, Ak):
-    """The coefficients of ``det(B + Y Ak)`` for m <= 2, spelled entry by
-    entry: (B00, A00) for m = 1, and (det B, tr(adj(B) Ak), det Ak) for
-    m = 2, the trace in the order of the library's Jacobi formula."""
-    N, m = B.shape[:2]
-    b, a = B.transpose(1, 2, 0), Ak
-    if m == 1:
-        return np.stack([b[0, 0], np.full(N, a[0, 0])], axis=1)
-    return np.stack([
-        b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0],
-        a[0, 0] * b[1, 1] + b[0, 0] * a[1, 1] - a[0, 1] * b[1, 0]
-        - b[0, 1] * a[1, 0],
-        np.full(N, a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])], axis=1)
-
-
-def test_det_poly_coeffs_cached_interpolation_is_the_formula():
-    # m = 1, 2 are written out; m >= 3 interpolate through the cache
-    rng = np.random.default_rng(505)
-    for m in (1, 3, 2, 4, 1, 4, 2, 3):  # sizes alternate over one cache
-        B = rng.standard_normal((7, m, m)) + 1j * rng.standard_normal((7, m, m))
-        Ak = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        radii = 1.0 + rng.uniform(0.0, 3.0, 7)
-        got = _backend.det_poly_coeffs(B, Ak, radii)
-        want = (_det_poly_coeffs_written_out(B, Ak) if m <= 2
-                else _det_poly_coeffs_formula(B, Ak, radii))
-        assert np.array_equal(got, want)
-        # and the coefficients are those of det(B + Y Ak)
-        Y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        want = np.linalg.det(B + Y[:, None, None] * Ak)
-        poly = (got * Y[:, None] ** np.arange(m + 1)).sum(axis=1)
-        assert np.allclose(poly, want, rtol=1e-10, atol=1e-10)
-    assert not set(_backend._INTERP) & {0, 1, 2}  # no nodes below m = 3
-    for m in (3, 4):
-        assert _backend._interp(m) is _backend._interp(m)
-        for arr in _backend._interp(m):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[...] = 0
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_written_out_coefficient_rows_do_not_depend_on_their_batch(m):
-    # a row's bits are the same alone, in chunks of any size, and in the
-    # whole stack (ROADMAP item 9's contract, for the coefficients)
-    rng = np.random.default_rng(263 + m)
-    N = 263
-    B = rng.standard_normal((N, m, m)) + 1j * rng.standard_normal((N, m, m))
-    Ak = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    radii = 1.0 + rng.uniform(0.0, 3.0, N)
-    whole = _backend.det_poly_coeffs(B, Ak, radii)
-    for size in (1, 2, 3, 8, 17, 64, 100):
-        parts = [_backend.det_poly_coeffs(B[lo:lo + size], Ak,
-                                          radii[lo:lo + size])
-                 for lo in range(0, N, size)]
-        assert np.array_equal(np.concatenate(parts), whole), size
-
-
 def _in_chunks(evaluate, N, size):
     """``evaluate`` over rows ``0..N`` in chunks of ``size``, joined."""
     parts = [evaluate(slice(lo, lo + size)) for lo in range(0, N, size)]

@@ -379,12 +379,12 @@ def _classify_random_systems(seed):
     return [h.DelaySystem.scalar(p.a, (p.b, p.c)) for p in params]
 
 
-def _companion_roots(coeffs, max_degree=None):
-    """``poly_roots_batch`` with the degree-1 roots taken from their 1x1
-    companion matrices by LAPACK, as every degree is."""
-    roots, neff = linalg.poly_roots_batch(coeffs, max_degree)
+def _companion_roots(rows, *pencil):
+    """``poly_roots_batch`` with the roots of linear rows taken from their
+    1x1 companion matrices by LAPACK."""
+    roots, neff = linalg.poly_roots_batch(rows, *pencil)
     one = np.nonzero(neff == 1)[0]
-    c = coeffs[one]
+    c = rows[one]
     roots[one, 0] = np.linalg.eigvals((-c[:, 0] / c[:, 1])[:, None, None])[:, 0]
     return roots, neff
 
@@ -448,8 +448,7 @@ def _crafted_rows(level, omega):
     """Named (omega, roots, neff) rows at ``omega``: finite heights (also
     at a lower omega, so a smaller radius), an exact zero root, the
     smallest |Y| on the zero-root bound and one ulp either side of it, a
-    trimmed leading coefficient, an identically zero row, nan input and
-    |Y| = inf."""
+    lost degree, an identically zero row, nan input and |Y| = inf."""
     dk = level.dk
     bound = ZERO_ROOT_TOL * _radii(level, np.array([omega]))[0]
     others = [0.8 - 0.3j, -1.2 + 0.5j, 2.0][:dk - 1]
@@ -462,8 +461,8 @@ def _crafted_rows(level, omega):
                           dk),
             "ulp below": (omega, [complex(np.nextafter(bound, 0.0))] + others,
                           dk),
-            "trimmed": (omega, ([0.6 + 0.2j] + others)[:dk - 1] + [nan],
-                        dk - 1),
+            "lost degree": (omega, ([0.6 + 0.2j] + others)[:dk - 1] + [nan],
+                            dk - 1),
             "identically zero": (omega, [nan] * dk, -1),
             "nan input": (math.nan, [nan] * dk, -1),
             "infinite": (omega, [complex(math.inf)] + others, dk)}
@@ -482,16 +481,14 @@ def test_guarded_heights_and_objective_are_the_masked_chain(case,
     level = _Level.plain(sys_, k)
     assert level.dk == {"d2-full": 2, "d3": 3}.get(case, 1)
     fun, _ = _captured_refinement(sys_, k, monkeypatch, h.GridSpec(21, 6))
-    manifolds = sys.modules["hierdde.manifolds"]
     rng = np.random.default_rng(k)
 
     def check(omegas, phis, roots, neff):
-        # the module binding hands back the given roots
-        monkeypatch.setattr(manifolds, "poly_roots_batch",
-                            lambda c, max_degree: (roots.copy(), neff.copy()))
-        with np.errstate(invalid="ignore"):  # nan input: d = 3 node dets
-            got = level.gammas(omegas, phis)
-            obj = fun(np.column_stack([omegas, phis]))
+        # the level's root solve hands back the given roots
+        monkeypatch.setattr(_Level, "roots",
+                            lambda self, om, ph: (roots.copy(), neff.copy()))
+        got = level.gammas(omegas, phis)
+        obj = fun(np.column_stack([omegas, phis]))
         want, want_obj = _masked_chain(level, omegas, roots)
         for a, b in ((got[0], roots), (got[1], want), (got[2], neff),
                      (obj, want_obj)):
@@ -515,13 +512,12 @@ def test_guarded_heights_and_objective_are_the_masked_chain(case,
     check(omegas, phis, roots, neff)
     check(omegas[:0], phis[:0], roots[:0], neff[:0])
 
-    # and the real solver at random points (its degree-1 guard has its
-    # own test in test_linalg.py)
+    # and the real solver at random points (its guard on linear rows has
+    # its own test in test_linalg.py)
     monkeypatch.undo()
     omegas = rng.uniform(-3.0, 3.0, 40)
     phis = rng.uniform(0.0, 2.0 * np.pi, (40, k - 1))
-    roots, neff = linalg.poly_roots_batch(level.coeffs(omegas, phis),
-                                          level.dk)
+    roots, neff = level.roots(omegas, phis)
     got = level.gammas(omegas, phis)
     want, want_obj = _masked_chain(level, omegas, roots)
     for a, b in zip(got + (fun(np.column_stack([omegas, phis])),),
@@ -540,13 +536,13 @@ def test_zero_and_infinite_roots_emit_no_runtime_warning(monkeypatch):
         assert h.sup_gamma(s, 1, grid).sup == math.inf
         assert any(b.gamma == math.inf for b in h.manifold_grid(s, 1, grid))
         assert h.classify(s, h.build_ladder(s), grid).scale == 1
-    # ... nor with |Y| = inf.  Trimming keeps the roots of finite
-    # coefficients finite, so the solver's module binding hands back an
-    # infinite root at every third row that has one
+    # ... nor with |Y| = inf.  The solver keeps the roots of finite rows
+    # finite, so its module binding hands back an infinite root at every
+    # third row that has one
     real = linalg.poly_roots_batch
 
-    def infinite(coeffs, max_degree=None):
-        roots, neff = real(coeffs, max_degree)
+    def infinite(*args):
+        roots, neff = real(*args)
         roots[(neff > 0) & (np.arange(neff.size) % 3 == 0), 0] = math.inf
         return roots, neff
 

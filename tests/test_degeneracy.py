@@ -181,6 +181,20 @@ def test_identically_zero_pencil_refused():
         h.strong_stable_spectrum(lad)
 
 
+def test_near_vanishing_pencil_refused():
+    # as above with A0[2, 1] = 1e-14: the level-1 pencil is det(diag(-3,
+    # 1e-14) - lam diag(1, 0)) = (3 + lam) (-1e-14), every coefficient far
+    # below the 1e-12 floor; it is refused although it has a root at -3
+    A1 = np.zeros((3, 3), complex)
+    A1[1, 2] = 1.0
+    A0 = np.array([[-3.0, 0, 0], [0, 7, 0], [0, 1e-14, 0]], dtype=complex)
+    lad = h.build_ladder(h.DelaySystem(matrices=(A0, A1), sigma=(1.0,)))
+    assert lad.k_under == 1 and lad.nd_satisfied
+    with pytest.raises(DegenerateSystemError, match="^level-1 pencil "
+                       "determinant vanishes identically$"):
+        h.strong_stable_spectrum(lad)
+
+
 def test_projection_annihilates_top_coefficient():
     rng = np.random.default_rng(1212)
     for _ in range(20):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hierdde import linalg
 from hierdde.errors import DimensionError
@@ -91,91 +92,166 @@ def test_spectral_norm():
 
 
 def _one_row(coeffs):
-    """Roots and count of one polynomial, as the row of a one-row batch."""
+    """Roots and count of one linear row (c0, c1), as a one-row batch."""
     roots, neff = linalg.poly_roots_batch(np.asarray(coeffs, complex)[None, :])
     return roots[0, :max(neff[0], 0)], neff[0]
 
 
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(_cplx(rng, d, d))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _with_singular_values(rng, s):
+    """A random matrix ``U diag(s) V^H``."""
+    return _unitary(rng, len(s)) @ np.diag(s) @ _unitary(rng, len(s)).conj().T
+
+
 def test_poly_roots_cubic():
-    # (Y - 1)(Y - 2)(Y - 3), coefficients listed from the constant term up
-    roots, neff = _one_row([-6.0, 11.0, -6.0, 1.0])
-    assert neff == 3
-    assert np.allclose(np.sort(roots.real), [1.0, 2.0, 3.0], atol=1e-10)
-    assert np.allclose(roots.imag, 0.0, atol=1e-10)
+    # (Y - 1)(Y - 2)(Y - 3) as det(B + Y A) with A unitary: the roots are
+    # the eigenvalues of -A^H B = Q diag(1, 2, 3) Q^H
+    rng = np.random.default_rng(100)
+    A, Q = _unitary(rng, 3), _unitary(rng, 3)
+    B = -A @ Q @ np.diag([1.0, 2.0, 3.0]) @ Q.conj().T
+    roots, neff = linalg.poly_roots_batch(B[None], linalg.svd(A))
+    assert neff.tolist() == [3]
+    assert np.allclose(roots[0], [1.0, 2.0, 3.0], rtol=0.0, atol=1e-13)
 
 
 def test_poly_roots_trims_leading_noise():
     # a tiny top coefficient is treated as absent instead of spawning a
-    # spurious huge root
-    roots, neff = _one_row([-6.0, 11.0, -6.0, 1.0, 1e-16])
-    assert neff == 3 and len(roots) == 3
+    # spurious huge root: a linear row whose c1 is noise is a constant, and
+    # a singular value of A below RANK_TOL takes one degree off the pencil
+    roots, neff = _one_row([-6.0, 1e-16])
+    assert neff == 0 and len(roots) == 0
+    rng = np.random.default_rng(101)
+    A = _with_singular_values(rng, [1.0, 0.5, 1e-16])
+    B = _cplx(rng, 1, 3, 3)
+    roots, neff = linalg.poly_roots_batch(B, linalg.svd(A), np.full(1, 9.0))
+    assert neff.tolist() == [2] and roots.shape == (1, 2)
     assert np.all(np.isfinite(roots))
 
 
 def test_poly_roots_degenerate_inputs():
-    roots, neff = _one_row([5.0])  # a constant has no root
+    roots, neff = _one_row([5.0, 0.0])  # a constant has no root
     assert neff == 0 and len(roots) == 0
     roots, neff = _one_row([0.0, 0.0])  # an identically zero row is flagged
     assert neff == -1 and len(roots) == 0
+    # det(diag(0, -1) + Y diag(0, 0.3)) = 0 for every Y, and with A = 0
+    # the pencil is the constant det B
+    B = np.diag([0.0, -1.0])[None]
+    roots, neff = linalg.poly_roots_batch(B, linalg.svd(np.diag([0.0, 0.3])),
+                                          np.ones(1))
+    assert neff.tolist() == [-1] and np.isnan(roots).all()
+    roots, neff = linalg.poly_roots_batch(np.eye(2)[None],
+                                          linalg.svd(np.zeros((2, 2))),
+                                          np.ones(1))
+    assert neff.tolist() == [0] and roots.shape == (1, 0)
 
 
 def test_poly_roots_batch_refuses_a_non_2d_batch():
-    with pytest.raises(DimensionError, match="^coefficient batch must be 2-D$"):
+    with pytest.raises(DimensionError, match=r"^linear rows must be \(N, 2\), "
+                       r"got shape \(4,\)$"):
         linalg.poly_roots_batch(np.array([-6.0, 11.0, -6.0, 1.0], complex))
+    with pytest.raises(DimensionError, match=r"^pencil rows must be "
+                       r"\(N, 2, 2\), got shape \(3, 3, 3\)$"):
+        linalg.poly_roots_batch(np.zeros((3, 3, 3)), linalg.svd(np.eye(2)))
+
+
+# (d, singular values of A): full rank and rank-deficient pencils
+_PENCILS = [(2, [1.0, 0.4]), (2, [0.7, 0.0]), (3, [1.0, 0.6, 0.3]),
+            (3, [0.8, 0.0, 0.0]), (3, [1.0, 0.5, 0.0]),
+            (4, [1.0, 0.7, 0.5, 0.2]), (4, [0.9, 0.4, 0.0, 0.0])]
 
 
 def test_poly_roots_batch_matches_single():
+    # each row alone gives its bits in the batch: linear rows, and pencils
+    # of full and deficient rank, with a nan row among them
     rng = np.random.default_rng(303)
-    rows = []
-    for _ in range(8):
-        deg = int(rng.integers(0, 4))
-        c = np.zeros(4, complex)
-        c[: deg + 1] = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        rows.append(c)
-    rows.append(np.zeros(4, complex))  # identically-zero row
-    roots, neff = linalg.poly_roots_batch(np.array(rows))
-    assert neff[-1] == -1
-    for i, c in enumerate(rows[:-1]):
-        single, _ = _one_row(c)
-        assert neff[i] == len(single)
-        got = np.sort_complex(roots[i, : neff[i]])
-        assert np.allclose(got, np.sort_complex(single), atol=1e-8)
-        assert np.all(np.isnan(roots[i, neff[i]:].real))
+    rows = _cplx(rng, 20, 2)
+    rows[3, 0], rows[5, 1] = np.nan, 0.0
+    roots, neff = linalg.poly_roots_batch(rows)
+    assert neff[3] == -1 and neff[5] == 0
+    for i in range(20):
+        one = linalg.poly_roots_batch(rows[i:i + 1])
+        assert np.array_equal(one[0][0], roots[i], equal_nan=True)
+        assert one[1][0] == neff[i]
+    for d, s in _PENCILS:
+        pencil = linalg.svd(_with_singular_values(rng, s))
+        B = _cplx(rng, 20, d, d)
+        B[7, 0, 0] = np.nan
+        radii = 1.0 + rng.uniform(0.0, 3.0, 20)
+        roots, neff = linalg.poly_roots_batch(B, pencil, radii)
+        r = int(np.count_nonzero(s))
+        assert roots.shape == (20, r) and neff[7] == -1
+        assert np.isnan(roots[7]).all() and (np.delete(neff, 7) == r).all()
+        for i in range(20):
+            one = linalg.poly_roots_batch(B[i:i + 1], pencil, radii[i:i + 1])
+            assert np.array_equal(one[0][0], roots[i], equal_nan=True), (d, s)
+            assert one[1][0] == neff[i]
 
 
 def test_poly_roots_batch_mixed_degrees_and_degree_one_closed_form():
-    # degree-1 rows take -c0 / c1, bit-equal to their 1x1 companion
-    # eigenvalue on well-scaled rows; the other rows keep the companion
-    # path, and every row its nan padding
+    # linear rows take -c0 / c1, bit-equal to their 1x1 companion
+    # eigenvalue on well-scaled rows, and rows of degree 1, 0 and -1 mix in
+    # one batch with their nan padding.  A pencil batch mixes rows of full
+    # degree, of a lost degree and identically zero ones: A = diag(0.5,
+    # 0.3, 0) is its own singular basis, so a zero B[2, 2] drops the Y**2
+    # term and a zero row of B makes every term vanish
     rng = np.random.default_rng(404)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    rows = np.zeros((45, 4), complex)
-    rows[:10, :2] = cplx(10, 2) * 10.0 ** rng.integers(-30, 31, (10, 1))
+    rows = np.zeros((25, 2), complex)
+    rows[:10] = _cplx(rng, 10, 2) * 10.0 ** rng.integers(-30, 31, (10, 1))
     rows[:10, 0] *= 10.0 ** rng.integers(-8, 9, 10)
-    rows[10:15, :3] = cplx(5, 3)
-    rows[10:15, 2] *= 1e-13                  # degree 2, trimmed to 1
-    rows[15:25] = cplx(10, 4)                # degree 3
-    rows[25:35, :3] = cplx(10, 3)            # degree 2
-    rows[35:40, 0] = cplx(5)                 # constant: no root
-    kind = np.array([1] * 15 + [3] * 10 + [2] * 10 + [0] * 5 + [-1] * 5)
-    order = rng.permutation(45)              # the last five rows are zero
+    rows[10:15] = _cplx(rng, 5, 2)
+    rows[10:15, 1] *= 1e-13                  # degree 1, trimmed to 0
+    rows[15:20, 0] = _cplx(rng, 5)           # constant: no root
+    kind = np.array([1] * 10 + [0] * 10 + [-1] * 5)
+    order = rng.permutation(25)              # the last five rows are zero
     rows, kind = rows[order], kind[order]
     roots, neff = linalg.poly_roots_batch(rows)
-
     assert np.array_equal(neff, kind)
     one = np.nonzero(kind == 1)[0]
     companion = (-rows[one, 0] / rows[one, 1])[:, None, None]
     assert np.array_equal(roots[one, 0], np.linalg.eigvals(companion)[:, 0])
-    for i in np.nonzero(kind >= 2)[0]:
-        want, _ = _one_row(rows[i])
-        assert np.array_equal(roots[i, :kind[i]], want)
-        assert np.allclose(np.polyval(rows[i, :kind[i] + 1][::-1], want), 0,
-                           atol=1e-9)
-    for i in range(45):
-        assert np.all(np.isnan(roots[i, max(kind[i], 0):]))
+    assert np.isnan(roots[kind < 1]).all()
+
+    A = np.diag([0.5, 0.3, 0.0])
+    B = _cplx(rng, 30, 3, 3)
+    B[10:20, 2, 2] = 0.0
+    B[20:, 2, :] = 0.0
+    kind = np.array([2] * 10 + [1] * 10 + [-1] * 10)
+    radii = np.full(30, 1.0 + np.abs(B).sum(axis=(1, 2)).max() / 0.3)
+    roots, neff = linalg.poly_roots_batch(B, linalg.svd(A), radii)
+    assert np.array_equal(neff, kind)
+    for i in range(20):
+        want = scipy.linalg.eigvals(B[i], -A)
+        want = np.sort_complex(want[np.isfinite(want)])
+        got = roots[i, :kind[i]]
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+        assert np.isnan(roots[i, kind[i]:]).all()
+    assert np.isnan(roots[20:]).all()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_poly_roots_batch_full_degree_slices_match_fancy_indexing(degree):
+    # a d = 2 batch whose rows are all finite solves them at once; with a
+    # non-finite row more it takes the finite rows' indices, and the roots
+    # agree bit for bit, at rank 1 (degree 1) and at full rank (degree 2)
+    rng = np.random.default_rng(degree)
+    pencil = linalg.svd(_with_singular_values(rng, [1.0, 0.4 * (degree - 1)]))
+    B = _cplx(rng, 50, 2, 2)
+    radii = 1.0 + rng.uniform(0.0, 3.0, 50)
+    full, neff = linalg.poly_roots_batch(B, pencil, radii)
+    mixed, mixed_neff = linalg.poly_roots_batch(
+        np.concatenate([B, np.full((1, 2, 2), np.inf)]), pencil,
+        np.append(radii, 1.0))
+    assert (neff == degree).all() and mixed_neff[-1] == -1
+    assert np.array_equal(full, mixed[:-1])
+    assert np.array_equal(neff, mixed_neff[:-1])
 
 
 def test_cluster_points_groups_nearby():
@@ -257,7 +333,7 @@ def test_cluster_points_equals_single_linkage_oracle(name, z, radius):
 
 def _argmax_degrees(work):
     """The effective-degree rule as reductions over the row axis: the
-    reference for ``poly_roots_batch``'s column loop."""
+    reference for the degree test of ``poly_roots_batch``'s linear rows."""
     mags = np.abs(work)
     floor = linalg.TRIM_TOL * np.maximum(mags.max(axis=1), 1e-300)
     keep = mags > floor[:, None]
@@ -292,7 +368,7 @@ def _noisy_rows(width):
     return rows
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("width", [2])  # linear rows (c0, c1)
 def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
     rows = _noisy_rows(width)
     with np.errstate(invalid="ignore"):
@@ -303,40 +379,8 @@ def test_poly_roots_batch_degree_column_loop_is_the_argmax_rule(width):
     assert {-1, width - 1} <= set(degs.tolist())
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_poly_roots_batch_full_degree_slices_match_fancy_indexing(degree):
-    # a batch whose rows all have full degree takes slices; with one
-    # constant row more it takes the row indices, and the roots agree bit
-    # for bit
-    rng = np.random.default_rng(degree)
-    rows = rng.standard_normal((50, degree + 1)) \
-        + 1j * rng.standard_normal((50, degree + 1))
-    full, _ = linalg.poly_roots_batch(rows)
-    mixed, neff = linalg.poly_roots_batch(
-        np.vstack([rows, np.eye(1, degree + 1)]))
-    assert neff[-1] == 0
-    assert np.array_equal(full, mixed[:-1])
-
-
-def test_poly_roots_batch_degree_one_batch_is_the_grouped_path():
-    # a max_degree 1 batch takes one whole-array pass; padded with a zero
-    # column it takes the grouped path, whose degree-1 rows are -c0 / c1
-    # too: the degrees and the roots agree bit for bit, specials included
-    rows = _noisy_rows(2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        roots, degs = linalg.poly_roots_batch(rows, max_degree=1)
-        padded = np.hstack([rows, np.zeros((rows.shape[0], 1))])
-        want_roots, want_degs = linalg.poly_roots_batch(padded, max_degree=2)
-    assert degs.dtype == want_degs.dtype
-    assert np.array_equal(degs, want_degs)
-    assert roots.shape == (rows.shape[0], 1)
-    assert np.array_equal(roots, want_roots[:, :1], equal_nan=True)
-    assert np.isnan(want_roots[:, 1]).all()
-    assert {-1, 0, 1} == set(degs.tolist())
-
-
 def _masked_degree_one(coeffs):
-    """``poly_roots_batch`` at max_degree 1 with every row's masks, as
+    """``poly_roots_batch`` on linear rows with every row's masks, as
     written before its no-trim guard: the reference."""
     c0, c1 = coeffs[:, 0], coeffs[:, 1]
     m0, m1 = np.abs(c0), np.abs(c1)
@@ -347,13 +391,12 @@ def _masked_degree_one(coeffs):
     return roots, np.where(one, 1, np.where(m0 > floor, 0, -1))
 
 
-@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("width", [2])  # linear rows (c0, c1)
 def test_poly_roots_batch_degree_one_guard_is_the_masked_batch(width):
-    # a max_degree 1 batch whose rows all keep their degree skips the nan
+    # a batch of linear rows that all keep their degree skips the nan
     # padding and the masks; each row alone, the rows that keep it
     # together, and every row in one batch (and an empty batch) give the
-    # masked batch's roots, degrees and dtypes bit for bit.  Width 3 is a
-    # d = 2 level with a rank-1 top matrix
+    # masked batch's roots, degrees and dtypes bit for bit
     floor = linalg.TRIM_TOL * 3.0  # the noise floor of a row led by 3
     rows = [[1.5 - 0.5j, 0.25 + 2j],                   # finite root
             [0.0, 0.7 - 0.1j],                         # zero root
@@ -366,12 +409,11 @@ def test_poly_roots_batch_degree_one_guard_is_the_masked_batch(width):
             [0.0, 0.0],                                # identically zero
             [np.nan, 1.0], [1.0, np.nan],              # nan input
             [np.inf, 1.0], [1.0, 1j * np.inf]]         # infinite input
-    rows = np.hstack([np.array(rows, np.complex128),
-                      np.full((len(rows), width - 2), 1e-3)])
+    rows = np.array(rows, np.complex128).reshape(-1, width)
     kept = [0, 1, 2, 3, 4]
 
     def check(batch):
-        roots, neff = linalg.poly_roots_batch(batch, max_degree=1)
+        roots, neff = linalg.poly_roots_batch(batch)
         want_roots, want_neff = _masked_degree_one(batch)
         for got, want in ((roots, want_roots), (neff, want_neff)):
             assert got.dtype == want.dtype and got.shape == want.shape

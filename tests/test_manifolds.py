@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -81,23 +82,174 @@ def test_manifold_grid_refuses_a_scale_out_of_range():
         h.manifold_grid(h.preset_system("fig3"), 0)
 
 
-def test_coefficient_chunks_of_a_d3_lattice_are_the_one_row_values():
-    # a d = 3 lattice is split in chunks of 2**20 // 36 = 29,127 rows (the
-    # node stack of each stays below 2**20 entries); the rows on both sides
-    # of the first boundary equal their one-row evaluations
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _pencil_system(case):
+    """(system, k) of a pencil case: random d = 1..4 systems, and d = 3
+    systems whose top matrix has rank 1 or 2 (``d3-rank1``, ``d3-rank2``)."""
     rng = np.random.default_rng(2027)
-    mats = tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                 for _ in range(3))
-    s = h.DelaySystem(matrices=mats, sigma=(1.0, 1.3))
-    level = mf._Level.plain(s, 2)
-    omegas, phis = mf._lattice(GridSpec(460, 64).axes(s, 2))
-    assert omegas.size == 29_440
-    coeffs, radii = level.coeffs(omegas, phis), level.radii(omegas)
-    for i in (0, 29_125, 29_126, 29_127, 29_128, 29_439):
-        one = level.coeffs(omegas[i:i + 1], phis[i:i + 1])
-        assert level.radii(omegas[i:i + 1])[0] == radii[i]
-        scale = np.abs(one[0]).max()
-        assert np.abs(coeffs[i] - one[0]).max() <= 1e-12 * scale, i
+    d = int(case[1])
+    u = _cplx(rng, 3, d)
+    top = {"d3-rank1": 0.4 * np.outer(u[0], u[1]),
+           "d3-rank2": 0.4 * (np.outer(u[0], u[1])
+                              + np.outer(u[2], u[1].conj()))
+           }.get(case, 0.4 * _cplx(rng, d, d))
+    return h.DelaySystem((_cplx(rng, d, d) - 2.0 * np.eye(d),
+                          0.3 * _cplx(rng, d, d), top), (1.0, 1.3)), 2
+
+
+def _qz_roots(B, Ak):
+    """The finite eigenvalues of the pencil (B, -Ak) by scipy's QZ, the
+    infinite ones (huge where Ak's rank deficiency is not exact) left out."""
+    vals = scipy.linalg.eigvals(B, -Ak)
+    return vals[np.isfinite(vals) & (np.abs(vals) < 1e8)]
+
+
+@pytest.mark.parametrize("case", ["d2", "d3", "d4", "d3-rank1", "d3-rank2"])
+def test_level_roots_are_the_qz_eigenvalues(case):
+    # every root of det(B + Y Ak) on a scale-2 lattice of 400 points is a
+    # QZ eigenvalue of the pencil (B, -Ak) within 1e-13 of (1 + |Y|), and
+    # each finite eigenvalue has its root
+    s, k = _pencil_system(case)
+    level = mf._Level.plain(s, k)
+    assert level.dk == {"d3-rank1": 1, "d3-rank2": 2}.get(case, s.d)
+    omegas, phis = mf._lattice(GridSpec(20, 20, (-3.0, 3.0)).axes(s, k))
+    roots, neff = level.roots(omegas, phis)
+    assert (neff == level.dk).all()
+    B = level.B(omegas, phis)
+    for i in range(omegas.size):
+        want = _qz_roots(B[i], level.Ak)
+        assert want.size == level.dk
+        err = np.abs(roots[i][:, None] - want[None, :]).min(axis=1)
+        assert (err <= 1e-13 * (1.0 + np.abs(roots[i]))).all(), (i, err)
+
+
+def test_partial_degree_loss_keeps_its_finite_branch():
+    # d = 3, A1 = diag(0.4, 0.3, 0), and at omega 0.5 the entry B[2, 2] =
+    # -0.5i + 0.5i vanishes: the Y**2 term drops, one branch is lost
+    # (-inf) and the other is the QZ pencil's one finite eigenvalue
+    rng = np.random.default_rng(55)
+    A0 = _cplx(rng, 3, 3)
+    A0[2, 2] = 0.5j
+    A1 = np.diag([0.4, 0.3, 0.0]).astype(complex)
+    s = h.DelaySystem((A0, A1), (1.0,))
+    point = PhasePoint(omega=0.5)
+    finite, lost = h.gamma_branches(s, 1, point)
+    assert lost.Y is None and lost.gamma == -math.inf
+    (want,) = _qz_roots(-0.5j * np.eye(3) + A0, A1)
+    assert abs(finite.Y - want) <= 1e-13 * (1.0 + abs(want))
+    coeffs = h.truncated_char_poly(s, 1, point)
+    assert coeffs.size == 2 and coeffs[1] * want + coeffs[0] \
+        == pytest.approx(0.0, abs=1e-14 * abs(coeffs).max())
+
+
+def test_jordan_block_pencil_splits_its_double_root_by_sqrt_eps():
+    # A1 = I and A0 = Q [[lam, 1], [0, lam]] Q^H: det(B + Y I) = (Y - Y0)**2
+    # with Y0 = i omega - lam, a double root of a defective pencil.  The
+    # computed pair splits about Y0 by about sqrt(machine eps) (below 1e-7
+    # here), as any backward-stable eigensolver splits a Jordan block, and
+    # its mean is Y0 within 1e-14; the split stays within BRANCH_SEP, so
+    # the root finder's seeds still see one double branch
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(_cplx(rng, 2, 2))[0]
+    lam = -0.3 + 0.2j
+    A0 = Q @ np.array([[lam, 1.0], [0.0, lam]]) @ Q.conj().T
+    s = h.DelaySystem((A0, np.eye(2)), (1.0,))
+    for om in (0.0, 0.5, 1.3):
+        Y = np.array([b.Y for b in h.gamma_branches(s, 1, PhasePoint(om))])
+        Y0 = 1j * om - lam
+        assert np.abs(Y - Y0).max() <= 1e-7
+        assert abs(Y.mean() - Y0) <= 1e-14
+        assert abs(Y[0] - Y[1]) <= mf.BRANCH_SEP * abs(Y0)
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d4", "d3-rank1",
+                                  "d3-rank2", "partial"])
+def test_truncated_char_poly_is_the_determinant(case):
+    # det(B + Y Ak) = lead prod_b (Y - Y_b) at random Y: the coefficients
+    # of truncated_char_poly are those of the determinant
+    rng = np.random.default_rng(99)
+    if case == "partial":
+        A0 = _cplx(rng, 3, 3)
+        A0[2, 2] = 0.5j
+        s, k = h.DelaySystem((A0, np.diag([0.4, 0.3, 0.0])), (1.0,)), 1
+        points = [PhasePoint(0.5)]
+    else:
+        s, k = _pencil_system(case)
+        points = [PhasePoint(om, (ph,)) for om, ph in
+                  zip(rng.uniform(-3.0, 3.0, 8), rng.uniform(0.0, 6.0, 8))]
+    level = mf._Level.plain(s, k)
+    for point in points:
+        coeffs = h.truncated_char_poly(s, k, point)
+        B = level.B(*mf._lattice(point.axes(k)))[0]
+        for Y in _cplx(rng, 5):
+            want = np.linalg.det(B + Y * level.Ak)
+            got = np.polynomial.polynomial.polyval(Y, coeffs)
+            scale = np.abs(coeffs).max() * (1.0 + abs(Y)) ** (coeffs.size - 1)
+            assert abs(got - want) <= 1e-13 * scale, (point, Y)
+
+
+def test_block_diagonal_d3_heights_are_those_of_the_blocks():
+    # d = 3 with three distinct scalar blocks: the sorted heights at each
+    # scale-2 lattice point are the sorted heights of the scalar systems
+    blocks = [(-0.4 + 0.5j, 0.1, 0.4), (-0.7 - 0.2j, 0.25 + 0.1j, 0.3),
+              (-0.2 + 1.1j, 0.15j, 0.5 - 0.1j)]
+    mats = tuple(np.diag([b[i] for b in blocks]).astype(complex)
+                 for i in range(3))
+    s = h.DelaySystem(mats, (1.0, 1.0))
+    axes = GridSpec(omega_range=(-3.0, 3.0)).axes(s, 2)
+    gammas = mf._Level.plain(s, 2).lattice(axes)[3]
+    want = np.stack([
+        mf._Level.plain(h.DelaySystem.scalar(a0, ak), 2).lattice(axes)[3][:, 0]
+        for a0, *ak in blocks], axis=1)
+    _heights_within(np.sort(gammas, axis=1), np.sort(want, axis=1), 1e-14)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["a_k I", "Q diag"])
+@pytest.mark.parametrize("name", h.PRESET_NAMES)
+def test_double_systems_take_the_closed_form_heights(name, rotated):
+    # A_k = a_k I, and Q diag(a_k, a_k) Q^H: both branches at every default
+    # lattice point of scales 1 and 2 are scalar2's gamma1 / gamma2 within
+    # 1e-14 of (1 + |gamma|)
+    p, sc = h.preset_params(name), h.preset_system(name)
+    Q = np.linalg.qr(_cplx(np.random.default_rng(3), 2, 2))[0] if rotated \
+        else np.eye(2)
+    s = h.DelaySystem(tuple(Q @ (M[0, 0] * np.eye(2)) @ Q.conj().T
+                            for M in sc.matrices), sc.sigma)
+    for k in (1, 2):
+        omegas, phis, _, gammas, _ = mf._Level.plain(s, k).lattice(
+            GridSpec().axes(s, k))
+        closed = np.array([h.gamma1(p, om) if k == 1 else
+                           h.gamma2(p, om, ph[0])
+                           for om, ph in zip(omegas.tolist(), phis.tolist())])
+        for b in range(2):
+            _heights_within(gammas[:, b], closed, 1e-14)
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d4", "d3-rank1",
+                                  "d3-rank2"])
+def test_level_rows_do_not_depend_on_their_batch(case):
+    # a lattice of 65,600 points takes two chunks of _CHUNK_ROWS rows; its
+    # roots, heights and counts at the first and last rows, on both sides
+    # of the chunk boundary and at random rows equal those of each row
+    # alone and of the picked rows in one batch, bit for bit (ROADMAP item
+    # 9's contract for the level polynomials)
+    s, k = _pencil_system(case)
+    level = mf._Level.plain(s, k)
+    omegas, phis = mf._lattice(GridSpec(1025, 64, (-3.0, 3.0)).axes(s, k))
+    N, C = omegas.size, mf._CHUNK_ROWS
+    assert C < N < 2 * C
+    whole = level.gammas(omegas, phis)
+    rng = np.random.default_rng(5)
+    picks = np.unique(np.concatenate([[0, C - 2, C - 1, C, C + 1, N - 1],
+                                      rng.integers(0, N, 60)]))
+    batch = level.gammas(omegas[picks], phis[picks])
+    for j, i in enumerate(picks.tolist()):
+        alone = level.gammas(omegas[i:i + 1], phis[i:i + 1])
+        for w, b, a in zip(whole, batch, alone):
+            assert w[i].tobytes() == b[j].tobytes() == a[0].tobytes(), i
 
 
 def _heights_within(got, want, rel):
@@ -639,6 +791,19 @@ def test_point_with_wrong_phase_count_refused(fn, k, phi):
     with pytest.raises(ConfigError, match=rf"scale-{k} point needs {k - 1} "
                                           rf"phases, got {len(phi)}"):
         fn(s, k, PhasePoint(0.3, phi))
+
+
+@pytest.mark.parametrize("fn", [h.truncated_char_poly, h.gamma_branches,
+                                h.singularity_test])
+@pytest.mark.parametrize("k, omega, phi", [
+    (2, math.nan, (0.1,)), (2, 0.3, (math.inf,)), (1, -math.inf, ()),
+    (2, 0.3, (math.nan,))])
+def test_point_with_non_finite_coordinate_refused(fn, k, omega, phi):
+    # not a vanishing polynomial, nor flags read off nan: a ConfigError
+    s = h.preset_system("fig2-unstable")
+    with pytest.raises(ConfigError, match="^phase point coordinates must be "
+                                          "finite, got PhasePoint"):
+        fn(s, k, PhasePoint(omega, phi))
 
 
 @pytest.mark.parametrize("k", [-1, 3])

@@ -63,14 +63,13 @@ def _callers(name):
 
 
 def test_only_the_level_evaluates_level_polynomials():
-    # one coefficient kernel and one root solver: they are taken in
-    # _Level's methods, and once for the ladder's level-1 pencil
-    for name in ("det_poly_coeffs", "poly_roots_batch"):
-        callers = _callers(name)
-        assert callers and all(
-            c.startswith("manifolds:_Level.")
-            or c == "degeneracy:strong_stable_spectrum" for c in callers), \
-            (name, callers)
+    # one root solver: it is taken in _Level's methods, and once for the
+    # ladder's level-1 pencil; its pencils go to pencil_roots alone
+    callers = _callers("poly_roots_batch")
+    assert callers and all(
+        c.startswith("manifolds:_Level.")
+        or c == "degeneracy:strong_stable_spectrum" for c in callers), callers
+    assert _callers("pencil_roots") == ["linalg:poly_roots_batch"]
 
 
 def test_only_polish_runs_newton():
