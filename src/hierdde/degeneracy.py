@@ -177,8 +177,8 @@ def strong_stable_spectrum(ladder):
         return []
     lev = ladder.level(1)
     J, A, m = lev.J1, lev.A_proj[0], lev.dim
-    normA, normJ = spectral_norm(A), spectral_norm(J)
     pencil = svd(-J)
+    normA, normJ = spectral_norm(A), pencil.s[0]
     r = numerical_rank(pencil.s)
     radius = 1.0 + normA / pencil.s[r - 1] if r else 1.0
     sigma = PENCIL_SHIFT * radius

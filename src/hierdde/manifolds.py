@@ -61,7 +61,7 @@ __all__ = [
     "window_count",
 ]
 
-ZERO_ROOT_TOL = 1e-14   # |Y| below this times the node radius is a zero root
+ZERO_ROOT_TOL = 1e-14   # |Y| below this times the root radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
 _CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
