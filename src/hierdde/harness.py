@@ -8,13 +8,27 @@ the string "inf" or "-inf", and every collection is sorted
 deterministically, so identical configs produce byte-identical files.
 Every written JSON file, a saved system included, is laid out as
 ``json.dumps(obj, indent=1, sort_keys=True)`` plus a newline.
+
+Each run writes its files through one writer, ``_write_files``.  It lists
+every chunk of text first, then splits the formatting near half the
+values: this process formats the first part, and one ``os.fork`` child
+the rest, the tail of a file that straddles the split going to a
+``.part`` file that this process appends.  It forks only when ``os.fork``
+exists, the process may run on at least 2 CPUs, no other Python thread
+is alive and the run formats at least ``_FORK_VALUES`` values; otherwise,
+and when the child fails, the write is this process's alone.  The bytes
+are the same either way.
 """
 
-import itertools
+import contextlib
+import functools
 import json
 import logging
 import math
 import os
+import shutil
+import signal
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -179,7 +193,7 @@ def system_from_dict(data):
 
 def save_system(sys, path):
     """Write ``system_to_dict(sys)`` as a JSON file."""
-    _write_json(path, system_to_dict(sys))
+    _write_files([(path, _json_file(system_to_dict(sys)))])
 
 
 def load_system(path):
@@ -240,19 +254,168 @@ def load_config(path):
 # file emission
 # ---------------------------------------------------------------------------
 
-def _write_text(path, chunks):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+# A producer yields a file's text as chunks: its structural text as
+# strings, and each ``%`` block deferred, as a pair (the number of values
+# it formats, a callable that returns its text).  ``_write_files`` lists
+# every chunk of a run before it formats any.
+
+# the values a run's files must format for a forked child to take half of
+# them: the fork, its waitpid and the copy-on-write faults after it cost
+# 3-6 ms on a 2-core VM, and half the formatting saves 0.2-0.45 us a value,
+# so a write broke even at 30,000-50,000 values; validate-dense's 55,400
+# gained nothing in the benchmark (see CHANGES.md)
+_FORK_VALUES = 100_000
 
 
-def _write_json(path, obj):
-    _write_text(path, itertools.chain(_json_chunks(obj, 0), ("\n",)))
+def _text(chunks):
+    """The strings of ``chunks``, each deferred chunk formatted in turn."""
+    for chunk in chunks:
+        yield chunk if isinstance(chunk, str) else chunk[1]()
+
+
+def _write_chunks(path, chunks, mode="w"):
+    with open(path, mode, newline="") as fh:
+        for text in _text(chunks):
+            fh.write(text)
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on the platform
+        return os.cpu_count() or 1
+
+
+def _in_process(counts):
+    """Why a write stays in this process, or None when a forked child
+    takes half of it; ``counts`` are the values of each chunk, per file."""
+    if not hasattr(os, "fork"):
+        return "no fork on the platform"
+    if _cpus() < 2:
+        return "one CPU"
+    if threading.active_count() > 1:
+        return "other threads"
+    deferred = [n for file_counts in counts for n in file_counts if n]
+    if sum(deferred) < _FORK_VALUES or len(deferred) < 2:
+        return "below the threshold"
+    return None
+
+
+def _split(counts):
+    """(i, j): the parent's share is the files before i and the first j
+    chunks of file i.  It ends after the deferred chunk, short of the last
+    one, whose running count of values (``counts``, per chunk and file)
+    lies nearest half of their total, the first of equals, and takes the
+    structural text that follows it in its file."""
+    total, seen, ends = sum(map(sum, counts)), 0, []
+    for i, file_counts in enumerate(counts):
+        for j, n in enumerate(file_counts, 1):
+            if n:
+                seen += n
+                ends.append((abs(2 * seen - total), i, j))
+    _, i, j = min(ends[:-1])
+    while j < len(counts[i]) and not counts[i][j]:
+        j += 1
+    return i, j
+
+
+def _append(path, part):
+    """Append the bytes of file ``part`` to file ``path``."""
+    # r+b, not append mode: copy_file_range refuses an O_APPEND descriptor
+    with open(part, "rb", buffering=0) as src, \
+            open(path, "r+b", buffering=0) as dst:
+        dst.seek(0, os.SEEK_END)
+        try:
+            while os.copy_file_range(src.fileno(), dst.fileno(), 1 << 30):
+                pass
+        except (AttributeError, OSError):  # no in-kernel copy here
+            shutil.copyfileobj(src, dst)
+
+
+def _forked(parent, child):
+    """Write the ``(path, chunks, mode)`` files of ``parent`` here and
+    those of ``child`` in a forked child, where an appended file goes to
+    ``path + ".part"``; whether the child wrote its share."""
+    pid = os.fork()
+    if not pid:
+        status = 1
+        try:
+            for path, chunks, mode in child:
+                _write_chunks(path + ".part" if mode == "a" else path,
+                              chunks)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        for path, chunks, mode in parent:
+            _write_chunks(path, chunks, mode)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return status == 0
+
+
+def _write_files(files):
+    """Write each ``(path, chunks)`` of one run, with its directories.
+
+    When ``_in_process`` gives no reason against it, the chunks are split
+    near half their values (``_split``): this process formats and writes
+    the first part, and one forked child the rest.  The child writes each
+    file wholly in its part directly, and the tail of the file that
+    straddles the split to ``path + ".part"``, which this process appends
+    after the child exits and then removes.  If the child fails, this process writes
+    the child's share itself, so an error raises here.  Either way the
+    bytes are those of writing every chunk in order.  One DEBUG record on
+    logger ``hierdde`` gives the values each side formatted, or why the
+    write stayed in-process.
+    """
+    files = [(path, list(chunks)) for path, chunks in files]
+    for path, _ in files:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    counts = [[0 if isinstance(c, str) else c[0] for c in chunks]
+              for _, chunks in files]
+    total = sum(map(sum, counts))
+    why = _in_process(counts)
+    if why:
+        _log.debug("wrote %d values in-process: %s", total, why)
+        for path, chunks in files:
+            _write_chunks(path, chunks)
+        return
+    i, j = _split(counts)
+    split, chunks = files[i]
+    tail = j < len(chunks)
+    parent = [(p, c, "w") for p, c in files[:i]] + [(split, chunks[:j], "w")]
+    child = [(split, chunks[j:], "a")] * tail \
+        + [(p, c, "w") for p, c in files[i + 1:]]
+    mine = sum(map(sum, counts[:i])) + sum(counts[i][:j])
+    try:
+        if _forked(parent, child):
+            if tail:
+                _append(split, split + ".part")
+            _log.debug("wrote %d values: %d formatted here, %d by a forked "
+                       "child", total, mine, total - mine)
+        else:
+            for path, c, mode in child:
+                _write_chunks(path, c, mode)
+            _log.debug("wrote %d values in-process: the forked child "
+                       "failed", total)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(split + ".part")
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 _CHUNK_RECORDS = 4096  # records of a record file formatted by one %
+
+
+def _json_file(obj):
+    """Chunks of a JSON file: ``json.dumps(obj, indent=1,
+    sort_keys=True)`` plus a newline."""
+    yield from _json_chunks(obj, 0)
+    yield "\n"
 
 
 def _json_value(v):
@@ -290,11 +453,11 @@ _CSV_KINDS = {float: lambda col: list(map("%.17g".__mod__, col)),
 
 def _formatted(values, kinds, each, row):
     """The text of ``row`` once per record, filled with the record's values
-    from one list per column of ``values``; one ``%`` per
-    ``_CHUNK_RECORDS`` records.  A column's text comes in one pass from
-    ``kinds[kind]`` when its values are all of one kind there, else value
-    by value from ``each``."""
-    for lo in range(0, len(values[0]), _CHUNK_RECORDS):
+    from one list per column of ``values``, as deferred chunks of
+    ``_CHUNK_RECORDS`` records, each one ``%``.  A column's text comes in
+    one pass from ``kinds[kind]`` when its values are all of one kind in
+    the chunk, else value by value from ``each``."""
+    def chunk(lo):
         cols = []
         for col in values:
             col = col[lo:lo + _CHUNK_RECORDS]
@@ -304,12 +467,27 @@ def _formatted(values, kinds, each, row):
         flat = [None] * (len(cols[0]) * len(cols))
         for j, col in enumerate(cols):
             flat[j::len(cols)] = col
-        yield (row * len(cols[0])) % tuple(flat)
+        return (row * len(cols[0])) % tuple(flat)
+
+    n = len(values[0])
+    for lo in range(0, n, _CHUNK_RECORDS):
+        yield min(_CHUNK_RECORDS, n - lo) * len(values), \
+            functools.partial(chunk, lo)
+
+
+def _json_list(chunks, close):
+    """A JSON list from the chunks of its items, each item led by a comma:
+    the first comma becomes the opening bracket, and ``close`` ends it."""
+    count, first = next(chunks)
+    yield count, lambda: "[" + first()[1:]
+    yield from chunks
+    yield close
 
 
 def _json_chunks(obj, depth):
     """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
-    nested ``depth`` containers deep, in chunks, where ``Records`` stand
+    nested ``depth`` containers deep, in chunks (strings and deferred
+    chunks), where ``Records`` stand
     for their list of objects keyed by their columns, and an infinity for
     "inf" or "-inf".  ``Records`` are written by ``_formatted`` from a row
     template of their sorted columns, a ManifoldTable by ``_manifold_json``,
@@ -324,11 +502,9 @@ def _json_chunks(obj, depth):
         row = f",{pad} {{" + ",".join(
             f"{pad}  {json.dumps(obj.columns[i]).replace('%', '%%')}: %s"
             for i in keys) + pad + " }"
-        chunks = _formatted([obj.values[i] for i in keys], _JSON_KINDS,
-                            _json_value, row)
-        yield "[" + next(chunks)[1:]
-        yield from chunks
-        yield pad + "]"
+        yield from _json_list(_formatted([obj.values[i] for i in keys],
+                                         _JSON_KINDS, _json_value, row),
+                              pad + "]")
     elif isinstance(obj, ManifoldTable):
         yield from _manifold_json(obj, depth)
     elif isinstance(obj, dict) and obj:
@@ -350,7 +526,7 @@ def _manifold_json(table, depth):
     indent=1, sort_keys=True)`` for their list nested ``depth`` containers
     deep: objects with keys Y, branch, gamma, omega and phi, where gamma is
     "inf"/"-inf" and Y null at the infinities.  The text comes in chunks,
-    from the row templates that ``manifold_csv`` uses too.
+    deferred ones from the row templates that ``manifold_csv`` uses too.
 
     Values are written by ``%s``, which is json's ``float.__repr__`` for
     the finite floats here: a finite gamma has |Y| above the zero-root
@@ -368,12 +544,10 @@ def _manifold_json(table, depth):
              + (f"[{phi}{i2}]" if phi else "[]") + f"{i1}}}")
     fmts = [f',{i1}{{{Y[c == 2]}{i2}"branch": {b},{i2}"gamma": {gamma[c]},'
             f'{point}' for c in range(3) for b in range(table.dk)]
-    chunks = table._text(fmts, [list(map(repr, ax.tolist()))
-                                for ax in table.axes],
-                         (k + 1, k + 2, k, *range(k)))
-    yield "[" + next(chunks)[1:]
-    yield from chunks
-    yield i1[:-1] + "]"
+    yield from _json_list(table._text(fmts, [list(map(repr, ax.tolist()))
+                                             for ax in table.axes],
+                                      (k + 1, k + 2, k, *range(k))),
+                          i1[:-1] + "]")
 
 
 def manifold_csv(tables, n):
@@ -386,6 +560,11 @@ def manifold_csv(tables, n):
     row template: one line format per kind and branch, where ``%.0s``
     takes the values a kind leaves blank.
     """
+    return _text(_manifold_csv(tables, n))
+
+
+def _manifold_csv(tables, n):
+    """``manifold_csv``'s chunks, the ``%`` blocks deferred."""
     yield ",".join(["k", "omega"] + [f"phi_{j}" for j in range(1, n)]
                    + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
     for t in tables:
@@ -413,9 +592,10 @@ def _cell(v):
 
 
 def _csv_text(columns, groups):
-    """Header ``columns``, then one line per record of each ``(lead,
-    values)`` group: the group's leading values, then the record's values,
-    from one list per remaining column, by ``_formatted``."""
+    """Chunks of the header ``columns``, then one line per record of each
+    ``(lead, values)`` group: the group's leading values, then the
+    record's values, from one list per remaining column, by
+    ``_formatted``."""
     yield ",".join(columns) + "\n"
     for lead, values in groups:
         line = ",".join([_cell(v) for v in lead]
@@ -468,11 +648,12 @@ def run_spectrum(cfg, write=True):
         columns = _ROOT_COLUMNS[:4]
         groups = [((run.eps,), run.roots.values[:4]) for run in runs]
         if cfg.out_format == "csv":
-            _write_text(path, _csv_text(("eps",) + columns, groups))
+            text = _csv_text(("eps",) + columns, groups)
         else:  # each written record is the tuple of its values
-            _write_json(path, {"runs": [
+            text = _json_file({"runs": [
                 {"eps": eps, "roots": Records(columns, values, lambda *v: v)}
                 for (eps,), values in groups]})
+        _write_files([(path, text)])
     return SpectrumResult(runs=tuple(runs), path=path)
 
 
@@ -691,7 +872,7 @@ def run_validate(cfg, write=True):
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
     if write:
         groups = [((rec.eps,), rec.assignments.values) for rec in records]
-        _write_json(os.path.join(cfg.out_dir, "validate.json"), {
+        files = [(os.path.join(cfg.out_dir, "validate.json"), _json_file({
             "records": [{"eps": rec.eps, "count": rec.count,
                          "strong_matches": rec.strong_matches,
                          "max_distance": {str(k): v for k, v
@@ -699,10 +880,11 @@ def run_validate(cfg, write=True):
                          "assignments": rec.assignments}
                         for rec in records],
             "nonincreasing": {str(k): bool(v)
-                              for k, v in sorted(noninc.items())}})
+                              for k, v in sorted(noninc.items())}}))]
         if cfg.out_format == "csv":
-            _write_text(os.path.join(cfg.out_dir, "validate.csv"),
-                        _csv_text(("eps",) + _ASSIGNMENT_COLUMNS, groups))
+            files.append((os.path.join(cfg.out_dir, "validate.csv"),
+                          _csv_text(("eps",) + _ASSIGNMENT_COLUMNS, groups)))
+        _write_files(files)
     return ValidationReport(records=tuple(records), nonincreasing=noninc)
 
 
@@ -733,25 +915,25 @@ def run_manifolds(cfg, write=True):
             plain[k] = ()
         if ladder.has_tilde(k):
             tilde[k] = manifold_grid(sys_, k, cfg.grid, ladder=ladder)
-    paths = []
+    files = []
     if write:
         if cfg.out_format == "csv":
-            path = os.path.join(cfg.out_dir, "manifolds.csv")
-            _write_text(path, manifold_csv(
-                [plain[k] for k in sorted(plain) if plain[k]], sys_.n))
-            paths.append(path)
+            files.append((os.path.join(cfg.out_dir, "manifolds.csv"),
+                          _manifold_csv([plain[k] for k in sorted(plain)
+                                         if plain[k]], sys_.n)))
             if tilde:
-                path = os.path.join(cfg.out_dir, "manifolds_tilde.csv")
-                _write_text(path, manifold_csv(
-                    [tilde[k] for k in sorted(tilde)], sys_.n))
-                paths.append(path)
+                files.append((os.path.join(cfg.out_dir, "manifolds_tilde.csv"),
+                              _manifold_csv([tilde[k] for k in sorted(tilde)],
+                                            sys_.n)))
         else:
-            path = os.path.join(cfg.out_dir, "manifolds.json")
-            _write_json(path, {
-                name: {str(k): t for k, t in tables.items()}
-                for name, tables in (("plain", plain), ("tilde", tilde))})
-            paths.append(path)
-    return ManifoldsResult(plain=plain, tilde=tilde, paths=tuple(paths))
+            files.append((os.path.join(cfg.out_dir, "manifolds.json"),
+                          _json_file({name: {str(k): t
+                                             for k, t in tables.items()}
+                                      for name, tables in (("plain", plain),
+                                                           ("tilde", tilde))})))
+        _write_files(files)
+    return ManifoldsResult(plain=plain, tilde=tilde,
+                           paths=tuple(path for path, _ in files))
 
 
 def _at(point, branch):
@@ -774,10 +956,10 @@ def run_classify(cfg):
     sups = [{"k": s.k, "sup": s.sup, "uncertainty": s.uncertainty,
              **({} if s.argmax is None else {"argmax": _at(*s.argmax)})}
             for s in verdict.sup_gammas]
-    _write_json(os.path.join(cfg.out_dir, "classify.json"), {
+    _write_files([(os.path.join(cfg.out_dir, "classify.json"), _json_file({
         "status": verdict.status, "scale": verdict.scale, "witness": wit,
         "sup_gammas": sups, "margin": verdict.margin,
-        "notes": verdict.notes})
+        "notes": verdict.notes}))])
     return verdict
 
 
@@ -837,7 +1019,7 @@ def _diff_ext(closed, general):
 
 
 def _gamma_comparison(p, sys_, grid, k):
-    """CSV text comparing the closed-form scale-k gamma with the general
+    """CSV chunks comparing the closed-form scale-k gamma with the general
     one over the grid, and the largest discrepancy.  The two gammas are
     written by ``str``, the other columns at 17 digits."""
     columns = ("omega", *[f"phi_{j}" for j in range(1, k)],
@@ -895,9 +1077,10 @@ def run_example(name, out_dir=".", out_format="csv"):
         "gamma1_zeros": None if zeros is None else list(zeros),
         "singular_phases": None if phis is None else list(phis),
     }
-    _write_json(os.path.join(out_dir, f"example_{name}.json"), summary)
+    files = [(os.path.join(out_dir, f"example_{name}.json"),
+              _json_file(summary))]
     if out_format == "csv":
-        for k, text in texts.items():
-            _write_text(os.path.join(out_dir, f"example_{name}_gamma{k}.csv"),
-                        text)
+        files += [(os.path.join(out_dir, f"example_{name}_gamma{k}.csv"), text)
+                  for k, text in texts.items()]
+    _write_files(files)
     return summary

@@ -24,6 +24,7 @@ window counts read the top scale at complex frequency (``_Level.branches``)
 and take its rank ``_Level.dk``.
 """
 
+import functools
 import logging
 import math
 import operator
@@ -685,17 +686,19 @@ class ManifoldTable(Sequence):
         return out
 
     def _text(self, fmts, axes, order):
-        """The samples as text, one string per ``_CHUNK_POINTS`` points,
-        each from a single ``%``: sample i of kind c (see ``_branches``)
-        and branch b takes the format ``fmts[c * dk + b]``, filled with its
-        columns in ``order``.  The columns are the point's coordinate on
-        each lattice axis, read from ``axes``, then gamma, Y_re and Y_im."""
+        """The samples as text, in deferred chunks of ``_CHUNK_POINTS``
+        points: pairs of the number of values a chunk formats and a
+        callable that formats them by a single ``%``.  Sample i of kind c
+        (see ``_branches``) and branch b takes the format
+        ``fmts[c * dk + b]``, filled with its columns in ``order``.  The
+        columns are the point's coordinate on each lattice axis, read from
+        ``axes``, then gamma, Y_re and Y_im."""
         dk = self.dk
         if dk == 0:
             return
         finite = "".join(fmts[:dk])
-        for lo in range(0, self.rows.size, _CHUNK_POINTS):
-            hi = lo + _CHUNK_POINTS
+
+        def chunk(lo, hi):
             kind, gamma, Y = self._branches(lo, hi)
             cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
                     for c in self._coords(lo, hi, axes)]
@@ -708,7 +711,11 @@ class ManifoldTable(Sequence):
                 template = "".join([fmts[c] for c in codes.tolist()])
             else:
                 template = finite * (kind.size // dk)
-            yield template % tuple(args)
+            return template % tuple(args)
+
+        for lo in range(0, self.rows.size, _CHUNK_POINTS):
+            hi = min(lo + _CHUNK_POINTS, self.rows.size)
+            yield (hi - lo) * dk * len(order), functools.partial(chunk, lo, hi)
 
 
 def _table(level, axes):

@@ -1,7 +1,9 @@
 """Run configs, deterministic artifacts, validation windows, CLI exit codes."""
 
 import json
+import logging
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -27,6 +29,18 @@ TRIVIAL_SYS = {"d": 3, "n": 1, "sigma": [1.0],
                "A1": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                       [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                       [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+
+# a d = 3 system whose ladder gives scale 1 tilde manifolds
+_TILDE_SYS = {"d": 3, "n": 2, "sigma": [1.0, 1.3],
+              "A0": [[[-1.0, 0.3], [0.2, 0.0], [0.0, 0.0]],
+                     [[0.1, 0.0], [-0.5, 1.0], [0.1, 0.0]],
+                     [[0.0, 0.0], [0.2, 0.0], [-0.7, -0.4]]],
+              "A1": [[[0.3, 0.0], [0.1, 0.0], [0.0, 0.0]],
+                     [[0.05, 0.0], [0.25, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+              "A2": [[[0.2, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
 
 
 def _base_cfg(out=None, **extra):
@@ -332,10 +346,15 @@ def test_json_emitter_equals_json_dumps():
            "mixed": [{"a": 1}, {"b": 2}], "not_flat": [{"a": [1.0]}]}
     spelled = _spell_infinities(obj)
     want = json.dumps(spelled, indent=1, sort_keys=True)
-    assert "".join(harness._json_chunks(obj, 0)) == want
+    assert _joined(harness._json_chunks(obj, 0)) == want
     for part, spelled_part in zip(obj.values(), spelled.values()):
-        assert "".join(harness._json_chunks(part, 0)) == json.dumps(
+        assert _joined(harness._json_chunks(part, 0)) == json.dumps(
             spelled_part, indent=1, sort_keys=True)
+
+
+def _joined(chunks):
+    """The text of a producer's chunks, deferred ones formatted."""
+    return "".join(harness._text(chunks))
 
 
 def _columns(rows, width):
@@ -364,7 +383,7 @@ def test_rows_json_equals_json_dumps_of_their_objects(depth):
         obj, want = table, objs
         for _ in range(depth):
             obj, want = {"k": [obj]}, {"k": [want]}
-        assert "".join(harness._json_chunks(obj, 0)) == json.dumps(
+        assert _joined(harness._json_chunks(obj, 0)) == json.dumps(
             want, indent=1, sort_keys=True)
 
 
@@ -403,11 +422,11 @@ def test_column_writers_equal_per_value_oracles(kind, size):
         values = np.ldexp(rng.standard_normal(size),
                           rng.integers(-1070, 1020, size)).tolist()
     objs = [{"a": v, "b": w} for v, w in zip(values, other)]
-    got = "".join(harness._json_chunks(_table(("b", "a"), (other, values)),
+    got = _joined(harness._json_chunks(_table(("b", "a"), (other, values)),
                                        0))
     assert got == json.dumps(_spell_infinities(objs), indent=1,
                              sort_keys=True)
-    got = "".join(harness._csv_text(("eps", "a", "b"),
+    got = _joined(harness._csv_text(("eps", "a", "b"),
                                     [((0.25,), (values, other))]))
     assert got == "eps,a,b\n" + "".join(
         f"0.25,{_oracle_cell(v)},{_oracle_cell(w)}\n"
@@ -435,20 +454,219 @@ def test_record_writers_across_chunk_boundaries(size):
     assert len(objs) == size
     # texts compared line by line: a failure reports the first line that
     # differs, not a diff of megabytes
-    got = "".join(harness._json_chunks(table, 0))
+    got = _joined(harness._json_chunks(table, 0))
     assert got.split("\n") == json.dumps(objs, indent=1,
                                          sort_keys=True).split("\n")
-    got = "".join(harness._json_chunks({"runs": [{"rows": table}]}, 0))
+    got = _joined(harness._json_chunks({"runs": [{"rows": table}]}, 0))
     assert got.split("\n") == json.dumps({"runs": [{"rows": objs}]},
                                          indent=1, sort_keys=True).split("\n")
     tail = tuple(col[:3] for col in values)
-    got = "".join(harness._csv_text(("eps", "n") + columns, [
+    got = _joined(harness._csv_text(("eps", "n") + columns, [
         ((0.25, 7), table.values), ((1e-300, -1), tail)]))
     lines = [",".join(["eps", "n", *columns])]
     for lead, cols in (((0.25, 7), table.values), ((1e-300, -1), tail)):
         lines += [",".join(map(_oracle_cell, lead + row))
                   for row in zip(*cols)]
     assert got.split("\n") == lines + [""]
+
+
+# --- the writer: one per run, half of a large write in a forked child -------
+
+def _writer_messages(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("wrote ")]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _both_ways(tmp_path, monkeypatch, caplog, run):
+    """The files ``run(out_dir)`` writes, as {name: bytes}, its return
+    value and the writer's DEBUG message: in-process (one CPU) and with a
+    forked child (threshold 0)."""
+    monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    got = {}
+    for way in ("in-process", "forked"):
+        out = tmp_path / way
+        with monkeypatch.context() as m, \
+                caplog.at_level(logging.DEBUG, logger="hierdde"):
+            if way == "in-process":
+                m.setattr(harness, "_cpus", lambda: 1)
+            caplog.clear()
+            result = run(str(out))
+        got[way] = ({p.name: p.read_bytes() for p in out.iterdir()}, result,
+                    _writer_messages(caplog))
+    _no_child_left()
+    return got["in-process"], got["forked"]
+
+
+def _manifolds(system, fmt, omegas, phases):
+    def run(out):
+        res = h.run_manifolds(h.RunConfig(
+            system=system, eps_list=(0.1,), out_dir=out, out_format=fmt,
+            grid=h.GridSpec(omegas, phases, (-3.2, 3.2))))
+        return [os.path.basename(p) for p in res.paths]
+    return run
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("omegas, phases", [(1023, 1), (1024, 1), (1025, 1),
+                                            (1024, 2), (1025, 2)])
+def test_forked_manifold_files_equal_in_process_ones(
+        fmt, omegas, phases, tmp_path, monkeypatch, caplog):
+    # fig3's one manifold file, whose lattices hold about one, two or
+    # three chunks of _CHUNK_POINTS points, straddles the split: the
+    # child writes its tail to a .part file that the parent appends
+    from hierdde.manifolds import _CHUNK_POINTS
+    assert _CHUNK_POINTS == 1024
+    run = _manifolds(h.preset_system("fig3"), fmt, omegas, phases)
+    (files, paths, log), (forked, fpaths, flog) = _both_ways(
+        tmp_path, monkeypatch, caplog, run)
+    assert list(files) == [f"manifolds.{fmt}"] == paths == fpaths
+    assert forked == files
+    (msg,) = log
+    assert msg.endswith("values in-process: one CPU")
+    (msg,) = flog
+    values, here, child = map(int, re.findall(r"\d+", msg))
+    assert "by a forked child" in msg and here + child == values
+    assert here > 0 and child > 0
+
+
+def test_forked_tilde_manifold_files_equal_in_process_ones(
+        tmp_path, monkeypatch, caplog):
+    # two files: the child writes the second whole, the first straddles
+    run = _manifolds(h.system_from_dict(_TILDE_SYS), "csv", 1025, 2)
+    (files, _, _), (forked, _, flog) = _both_ways(tmp_path, monkeypatch,
+                                                  caplog, run)
+    assert sorted(files) == ["manifolds.csv", "manifolds_tilde.csv"]
+    assert forked == files
+    assert "by a forked child" in flog[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("chunk", [191, 382, 383, 384])
+def test_forked_validate_files_equal_in_process_ones(
+        fmt, chunk, tmp_path, monkeypatch, caplog):
+    # 383 roots at eps 0.05, written in chunks of about half, one or two
+    # thirds of them: validate.json and validate.csv format as many values
+    # each, so the parent writes the JSON file and the child the CSV file;
+    # a lone validate.json straddles the split
+    monkeypatch.setattr(harness, "_CHUNK_RECORDS", chunk)
+
+    def run(out):
+        cfg = replace(h.preset_config("fig2-unstable", (0.05,), out),
+                      out_format=fmt)
+        return h.run_validate(cfg).records[0].count
+
+    (files, count, _), (forked, fcount, flog) = _both_ways(
+        tmp_path, monkeypatch, caplog, run)
+    assert count == fcount == 383
+    assert sorted(files) == (["validate.csv", "validate.json"]
+                             if fmt == "csv" else ["validate.json"])
+    assert forked == files
+    if fmt == "csv":
+        assert flog == ["wrote 7660 values: 3830 formatted here, 3830 by a "
+                        "forked child"]
+
+
+def test_forked_example_files_equal_in_process_ones(
+        tmp_path, monkeypatch, caplog):
+    def run(out):
+        return h.run_example("fig3", out_dir=out)
+
+    (files, summary, _), (forked, fsummary, _) = _both_ways(
+        tmp_path, monkeypatch, caplog, run)
+    assert len(files) == 3 and forked == files
+    assert json.dumps(fsummary) == json.dumps(summary)
+
+
+def _chunk(text, values=10):
+    """A deferred chunk of ``text`` that counts as ``values`` values."""
+    return values, lambda: text
+
+
+def _fail():
+    raise ZeroDivisionError("a failing chunk")
+
+
+@pytest.mark.parametrize("layout", ["parent", "child tail", "child file"])
+def test_a_failing_chunk_raises_in_the_caller(layout, tmp_path, monkeypatch):
+    # a chunk that raises in the parent's share, in the tail of the file
+    # that straddles the split, or in a file wholly in the child's share:
+    # the caller sees its error, and no .part file and no child is left
+    monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    one, two = str(tmp_path / "one.txt"), str(tmp_path / "two.txt")
+    bad = (10, _fail)
+    files = {"parent": [(one, ["[", bad, _chunk("a"), _chunk("b")])],
+             "child tail": [(one, ["[", _chunk("a"), _chunk("b"), bad])],
+             "child file": [(one, [_chunk("a")]), (two, [bad])]}[layout]
+    with pytest.raises(ZeroDivisionError, match="a failing chunk"):
+        harness._write_files(files)
+    assert not list(tmp_path.glob("*.part"))
+    _no_child_left()
+
+
+def test_a_chunk_failing_only_in_the_child_is_written_by_the_parent(
+        tmp_path, monkeypatch, caplog):
+    # the parent writes the failed child's share itself: the same bytes
+    monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    parent = os.getpid()
+
+    def here_only():
+        if os.getpid() != parent:
+            _fail()
+        return "c"
+
+    one, two = str(tmp_path / "one.txt"), str(tmp_path / "two.txt")
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        harness._write_files([
+            (one, ["[", _chunk("a"), _chunk("b"), (10, here_only), "]"]),
+            (two, [(5, here_only)])])
+    assert (tmp_path / "one.txt").read_text() == "[abc]"
+    assert (tmp_path / "two.txt").read_text() == "c"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.txt",
+                                                          "two.txt"]
+    assert _writer_messages(caplog) == [
+        "wrote 35 values in-process: the forked child failed"]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("reason", ["no fork on the platform", "one CPU",
+                                    "other threads", "below the threshold"])
+def test_writer_stays_in_process(reason, tmp_path, monkeypatch, caplog):
+    # each reason keeps the write in this process (os.fork is never
+    # called) and is named in the writer's one DEBUG record
+    import threading
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    if reason == "no fork on the platform":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    if reason == "one CPU":
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    if reason != "below the threshold":
+        monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if reason == "other threads":
+        other.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="hierdde"):
+            harness._write_files([(str(tmp_path / "a" / "one.txt"),
+                                   ["[", _chunk("a"), _chunk("b"), "]"])])
+    finally:
+        stop.set()
+        if reason == "other threads":
+            other.join(timeout=10.0)
+    assert not other.is_alive()
+    assert (tmp_path / "a" / "one.txt").read_text() == "[ab]"
+    assert _writer_messages(caplog) == [f"wrote 20 values in-process: "
+                                        f"{reason}"]
 
 
 def test_example_json_writes_infinite_sup_as_a_string(tmp_path):
