@@ -272,16 +272,16 @@ def _seeds(row_max):
     ``np.argsort(row_max)[::-1][:_SEED_COUNT]`` gives them.
 
     A partition finds the ``_SEED_COUNT + 1`` largest values.  When they
-    are finite and distinct, they fix the seeds and their order; anything
-    else (a tie, -inf, fewer rows) goes to ``np.argsort`` itself, whose
-    order among equal values depends on the machine's sort kernel.
+    are distinct, they fix the seeds and their order; a tie among them
+    (two -inf rows included) or fewer rows go to ``np.argsort`` itself,
+    whose order among equal values depends on the machine's sort kernel.
     """
     m = _SEED_COUNT + 1
     if row_max.size >= m:
         top = np.argpartition(row_max, -m)[-m:]
         top = top[np.argsort(row_max[top])]
         vals = row_max[top]
-        if vals[0] > -math.inf and (vals[1:] > vals[:-1]).all():
+        if (vals[1:] > vals[:-1]).all():
             return top[:0:-1]
     return np.argsort(row_max)[::-1][:_SEED_COUNT]
 

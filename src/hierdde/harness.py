@@ -27,7 +27,6 @@ import logging
 import math
 import os
 import shutil
-import signal
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -304,17 +303,18 @@ def _in_process(counts):
 
 def _split(counts):
     """(i, j): the parent's share is the files before i and the first j
-    chunks of file i.  It ends after the deferred chunk, short of the last
-    one, whose running count of values (``counts``, per chunk and file)
-    lies nearest half of their total, the first of equals, and takes the
-    structural text that follows it in its file."""
+    chunks of file i.  It ends after the deferred chunk whose running
+    count of values (``counts``, per chunk and file) lies nearest half of
+    their total, the first of equals, and takes the structural text that
+    follows it in its file.  With two deferred chunks or more, that is not
+    the last one, so the child has a share."""
     total, seen, ends = sum(map(sum, counts)), 0, []
     for i, file_counts in enumerate(counts):
         for j, n in enumerate(file_counts, 1):
             if n:
                 seen += n
                 ends.append((abs(2 * seen - total), i, j))
-    _, i, j = min(ends[:-1])
+    _, i, j = min(ends)
     while j < len(counts[i]) and not counts[i][j]:
         j += 1
     return i, j
@@ -350,10 +350,7 @@ def _forked(parent, child):
     try:
         for path, chunks, mode in parent:
             _write_chunks(path, chunks, mode)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
+    finally:  # reaped even when this share raises
         status = os.waitpid(pid, 0)[1]
     return status == 0
 
@@ -366,11 +363,11 @@ def _write_files(files):
     the first part, and one forked child the rest.  The child writes each
     file wholly in its part directly, and the tail of the file that
     straddles the split to ``path + ".part"``, which this process appends
-    after the child exits and then removes.  If the child fails, this process writes
-    the child's share itself, so an error raises here.  Either way the
-    bytes are those of writing every chunk in order.  One DEBUG record on
-    logger ``hierdde`` gives the values each side formatted, or why the
-    write stayed in-process.
+    after the child exits and then removes.  If the child fails, this
+    process writes the child's share itself, so an error raises here.
+    Either way the bytes are those of writing every chunk in order.  One
+    DEBUG record on logger ``hierdde`` gives the values each side
+    formatted, or why the write stayed in-process.
     """
     files = [(path, list(chunks)) for path, chunks in files]
     for path, _ in files:
@@ -487,12 +484,11 @@ def _json_list(chunks, close):
 def _json_chunks(obj, depth):
     """Text of ``json.dumps(obj, indent=1, sort_keys=True)`` for ``obj``
     nested ``depth`` containers deep, in chunks (strings and deferred
-    chunks), where ``Records`` stand
-    for their list of objects keyed by their columns, and an infinity for
-    "inf" or "-inf".  ``Records`` are written by ``_formatted`` from a row
-    template of their sorted columns, a ManifoldTable by ``_manifold_json``,
-    dicts (string keys) and lists as json lays them out, and each leaf by
-    ``_json_value``."""
+    chunks), where ``Records`` stand for their list of objects keyed by
+    their columns, and an infinity for "inf" or "-inf".  ``Records`` are
+    written by ``_formatted`` from a row template of their sorted columns,
+    a ManifoldTable by ``_manifold_json``, dicts (string keys) and lists as
+    json lays them out, and each leaf by ``_json_value``."""
     pad = "\n" + " " * depth
     if isinstance(obj, Records):
         if not len(obj):
@@ -926,11 +922,10 @@ def run_manifolds(cfg, write=True):
                               _manifold_csv([tilde[k] for k in sorted(tilde)],
                                             sys_.n)))
         else:
+            obj = {name: {str(k): t for k, t in tables.items()}
+                   for name, tables in (("plain", plain), ("tilde", tilde))}
             files.append((os.path.join(cfg.out_dir, "manifolds.json"),
-                          _json_file({name: {str(k): t
-                                             for k, t in tables.items()}
-                                      for name, tables in (("plain", plain),
-                                                           ("tilde", tilde))})))
+                          _json_file(obj)))
         _write_files(files)
     return ManifoldsResult(plain=plain, tilde=tilde,
                            paths=tuple(path for path, _ in files))

@@ -260,11 +260,20 @@ def test_simplex_sort_orders_as_numpy_argsort(size):
             assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
 
 
-def test_seeds_are_numpy_argsort_order():
+def _ties_reversed(a):
+    """An argsort whose order among equal values is by falling index, as
+    another machine's sort kernel may give it."""
+    return np.lexsort((-np.arange(a.size), a))
+
+
+@pytest.mark.parametrize("kernel", [np.argsort, _ties_reversed])
+def test_seeds_are_numpy_argsort_order(kernel, monkeypatch):
     # the Nelder-Mead seeds from a partition equal the top of np.argsort's
     # descending order on random rows, and wherever the partition hands
     # over to np.argsort: ties among (and next to) the six largest, -inf
-    # rows, and rows too short to partition
+    # rows, and rows too short to partition.  Under a sort kernel that
+    # orders ties otherwise, the seeds follow that kernel
+    monkeypatch.setattr(np, "argsort", kernel)
     rng = np.random.default_rng(3)
     cases = [rng.standard_normal(n) for n in (6, 7, 100, 25664)]
     cases += [rng.integers(0, k, 500).astype(float) for k in (3, 6, 9, 400)]
@@ -284,7 +293,7 @@ def test_seeds_are_numpy_argsort_order():
         cases.append(part)
         cases.append(rng.standard_normal(n))
     for row_max in cases:
-        want = np.argsort(row_max)[::-1][:_SEED_COUNT]
+        want = kernel(row_max)[::-1][:_SEED_COUNT]
         assert _seeds(row_max).tolist() == want.tolist(), row_max
 
 
