@@ -260,9 +260,10 @@ def load_config(path):
 
 # the values a run's files must format for a forked child to take half of
 # them: the fork, its waitpid and the copy-on-write faults after it cost
-# 3-6 ms on a 2-core VM, and half the formatting saves 0.2-0.45 us a value,
-# so a write broke even at 30,000-50,000 values; validate-dense's 55,400
-# gained nothing in the benchmark (see CHANGES.md)
+# 3-6 ms on a 2-core VM, and half the formatting saves 0.2-0.4 us a value,
+# so a write broke even at 20,000-30,000 values of a validation and
+# 35,000-75,000 of a manifold grid; validate-dense's 55,400 gained nothing
+# in the benchmark (see CHANGES.md)
 _FORK_VALUES = 100_000
 
 
@@ -385,7 +386,7 @@ def _write_files(files):
     split, chunks = files[i]
     tail = j < len(chunks)
     parent = [(p, c, "w") for p, c in files[:i]] + [(split, chunks[:j], "w")]
-    child = [(split, chunks[j:], "a")] * tail \
+    child = ([(split, chunks[j:], "a")] if tail else []) \
         + [(p, c, "w") for p, c in files[i + 1:]]
     mine = sum(map(sum, counts[:i])) + sum(counts[i][:j])
     try:
