@@ -267,25 +267,6 @@ def sup_gamma(sys, k, grid=GridSpec()):
     return lattice_sup(sys, grid, *scale_lattice(sys, k, grid))
 
 
-def _seeds(row_max):
-    """The rows of the ``_SEED_COUNT`` largest values, largest first, as
-    ``np.argsort(row_max)[::-1][:_SEED_COUNT]`` gives them.
-
-    A partition finds the ``_SEED_COUNT + 1`` largest values.  When they
-    are distinct, they fix the seeds and their order; a tie among them
-    (two -inf rows included) or fewer rows go to ``np.argsort`` itself,
-    whose order among equal values depends on the machine's sort kernel.
-    """
-    m = _SEED_COUNT + 1
-    if row_max.size >= m:
-        top = np.argpartition(row_max, -m)[-m:]
-        top = top[np.argsort(row_max[top])]
-        vals = row_max[top]
-        if (vals[1:] > vals[:-1]).all():
-            return top[:0:-1]
-    return np.argsort(row_max)[::-1][:_SEED_COUNT]
-
-
 def lattice_sup(sys, grid, level, axes, lattice):
     """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
     grid)``: its level, axes and lattice.
@@ -315,7 +296,7 @@ def lattice_sup(sys, grid, level, axes, lattice):
     row_max, _ = _row_max(gammas)
     if not np.isfinite(row_max).any():
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
-    seeds = _seeds(row_max)
+    seeds = np.argsort(row_max)[::-1][:_SEED_COUNT]
     seeds = seeds[np.isfinite(row_max[seeds])]
 
     spacings = [float(axes[0][1] - axes[0][0])]

@@ -17,7 +17,11 @@ the rest, the tail of a file that straddles the split going to a
 exists, the process may run on at least 2 CPUs, no other Python thread
 is alive and the run formats at least ``_FORK_VALUES`` values; otherwise,
 and when the child fails, the write is this process's alone.  The bytes
-are the same either way.
+are the same either way.  Native threads, such as the BLAS pool that
+numpy starts at import, may be alive at the fork: the child only formats
+text by ``%`` from lists and element-wise numpy, writes files and ends in
+``os._exit``, so it never calls into BLAS or waits on a lock that such a
+thread may hold.
 """
 
 import contextlib
@@ -289,7 +293,9 @@ def _cpus():
 
 def _in_process(counts):
     """Why a write stays in this process, or None when a forked child
-    takes half of it; ``counts`` are the values of each chunk, per file."""
+    takes half of it; ``counts`` are the values of each chunk, per file.
+    Only Python threads count; native ones are safe to fork past (see
+    the module docstring)."""
     if not hasattr(os, "fork"):
         return "no fork on the platform"
     if _cpus() < 2:
@@ -319,19 +325,6 @@ def _split(counts):
     while j < len(counts[i]) and not counts[i][j]:
         j += 1
     return i, j
-
-
-def _append(path, part):
-    """Append the bytes of file ``part`` to file ``path``."""
-    # r+b, not append mode: copy_file_range refuses an O_APPEND descriptor
-    with open(part, "rb", buffering=0) as src, \
-            open(path, "r+b", buffering=0) as dst:
-        dst.seek(0, os.SEEK_END)
-        try:
-            while os.copy_file_range(src.fileno(), dst.fileno(), 1 << 30):
-                pass
-        except (AttributeError, OSError):  # no in-kernel copy here
-            shutil.copyfileobj(src, dst)
 
 
 def _forked(parent, child):
@@ -392,7 +385,9 @@ def _write_files(files):
     try:
         if _forked(parent, child):
             if tail:
-                _append(split, split + ".part")
+                with open(split + ".part", "rb") as src, \
+                        open(split, "ab") as dst:
+                    shutil.copyfileobj(src, dst)
             _log.debug("wrote %d values: %d formatted here, %d by a forked "
                        "child", total, mine, total - mine)
         else:

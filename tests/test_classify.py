@@ -16,8 +16,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import (_NM_OPTIONS, _SEED_COUNT, UNBOUNDED_GAMMA,
-                              _leak_check, _row_max, _seeds, _sort, minimize)
+from hierdde.classify import (_NM_OPTIONS, UNBOUNDED_GAMMA, _leak_check,
+                              _row_max, _sort, minimize)
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import ZERO_ROOT_TOL, PhasePoint, _Level
 
@@ -258,43 +258,6 @@ def test_simplex_sort_orders_as_numpy_argsort(size):
             order = np.argsort(f).tolist()
             assert [v[0] for v in sim] == order, f
             assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
-
-
-def _ties_reversed(a):
-    """An argsort whose order among equal values is by falling index, as
-    another machine's sort kernel may give it."""
-    return np.lexsort((-np.arange(a.size), a))
-
-
-@pytest.mark.parametrize("kernel", [np.argsort, _ties_reversed])
-def test_seeds_are_numpy_argsort_order(kernel, monkeypatch):
-    # the Nelder-Mead seeds from a partition equal the top of np.argsort's
-    # descending order on random rows, and wherever the partition hands
-    # over to np.argsort: ties among (and next to) the six largest, -inf
-    # rows, and rows too short to partition.  Under a sort kernel that
-    # orders ties otherwise, the seeds follow that kernel
-    monkeypatch.setattr(np, "argsort", kernel)
-    rng = np.random.default_rng(3)
-    cases = [rng.standard_normal(n) for n in (6, 7, 100, 25664)]
-    cases += [rng.integers(0, k, 500).astype(float) for k in (3, 6, 9, 400)]
-    tied = rng.standard_normal(1000)
-    tied[[5, 17, 900]] = tied.max() + 1.0  # three equal largest
-    cases.append(tied)
-    sixth = np.arange(100.0)
-    sixth[[3, 94]] = 94.0  # the sixth largest tied with a seventh
-    cases.append(sixth)
-    fifth = np.arange(100.0)
-    fifth[[3, 95]] = 95.0  # the fifth largest tied with the sixth
-    cases.append(fifth)
-    for n in (0, 1, 5, 6, 7, 50):
-        cases.append(np.full(n, -math.inf))
-        part = rng.standard_normal(n)
-        part[: n // 2] = -math.inf
-        cases.append(part)
-        cases.append(rng.standard_normal(n))
-    for row_max in cases:
-        want = kernel(row_max)[::-1][:_SEED_COUNT]
-        assert _seeds(row_max).tolist() == want.tolist(), row_max
 
 
 def _captured_refinement(sys_, k, monkeypatch, grid=h.GridSpec()):
