@@ -9,19 +9,18 @@ deterministically, so identical configs produce byte-identical files.
 Every written JSON file, a saved system included, is laid out as
 ``json.dumps(obj, indent=1, sort_keys=True)`` plus a newline.
 
-Each run writes its files through one writer, ``_write_files``.  It lists
-every chunk of text first, then splits the formatting near half the
-values: this process formats the first part, and one ``os.fork`` child
-the rest, the tail of a file that straddles the split going to a
-``.part`` file that this process appends.  It forks only when ``os.fork``
-exists, the process may run on at least 2 CPUs, no other Python thread
-is alive and the run formats at least ``_FORK_VALUES`` values; otherwise,
-and when the child fails, the write is this process's alone.  The bytes
-are the same either way.  Native threads, such as the BLAS pool that
-numpy starts at import, may be alive at the fork: the child only formats
-text by ``%`` from lists and element-wise numpy, writes files and ends in
-``os._exit``, so it never calls into BLAS or waits on a lock that such a
-thread may hold.
+Each run writes its files through one writer, ``_write_files``, which
+lists every chunk of a file's text before it formats any.  A file of at
+least ``_FORK_VALUES`` values splits near half of them: this process
+formats the head, and one ``os.fork`` child the tail, to a ``.part`` file
+that this process appends.  It forks only when ``os.fork`` exists, the
+process may run on at least 2 CPUs and no other Python thread is alive;
+otherwise, and when the child fails, the file is this process's alone.
+The bytes are the same either way.  Native threads, such as the BLAS
+pool that numpy starts at import, may be alive at the fork: the child
+only formats text by ``%`` from lists and element-wise numpy, writes its
+file and ends in ``os._exit``, so it never calls into BLAS or waits on a
+lock that such a thread may hold.
 """
 
 import contextlib
@@ -260,14 +259,14 @@ def load_config(path):
 # A producer yields a file's text as chunks: its structural text as
 # strings, and each ``%`` block deferred, as a pair (the number of values
 # it formats, a callable that returns its text).  ``_write_files`` lists
-# every chunk of a run before it formats any.
+# every chunk of a file before it formats any.
 
-# the values a run's files must format for a forked child to take half of
-# them: the fork, its waitpid and the copy-on-write faults after it cost
-# 3-6 ms on a 2-core VM, and half the formatting saves 0.2-0.4 us a value,
-# so a write broke even at 20,000-30,000 values of a validation and
-# 35,000-75,000 of a manifold grid; validate-dense's 55,400 gained nothing
-# in the benchmark (see CHANGES.md)
+# the values a file must format for a forked child to take half of them:
+# the fork, its waitpid and the copy-on-write faults after it cost 3-6 ms
+# on a 2-core VM, and half the formatting saves 0.2-0.4 us a value, so a
+# write broke even at 20,000-30,000 values of a validation and
+# 35,000-75,000 of a manifold grid; validate-dense's 55,400, forked as one
+# split of its two files, gained nothing in the benchmark (see CHANGES.md)
 _FORK_VALUES = 100_000
 
 
@@ -275,12 +274,6 @@ def _text(chunks):
     """The strings of ``chunks``, each deferred chunk formatted in turn."""
     for chunk in chunks:
         yield chunk if isinstance(chunk, str) else chunk[1]()
-
-
-def _write_chunks(path, chunks, mode="w"):
-    with open(path, mode, newline="") as fh:
-        for text in _text(chunks):
-            fh.write(text)
 
 
 def _cpus():
@@ -292,116 +285,102 @@ def _cpus():
 
 
 def _in_process(counts):
-    """Why a write stays in this process, or None when a forked child
-    takes half of it; ``counts`` are the values of each chunk, per file.
-    Only Python threads count; native ones are safe to fork past (see
-    the module docstring)."""
+    """Why a file is written in this process alone, or None when a forked
+    child takes half of it; ``counts`` are the values of each of its
+    chunks.  Only Python threads count; native ones are safe to fork past
+    (see the module docstring)."""
     if not hasattr(os, "fork"):
         return "no fork on the platform"
     if _cpus() < 2:
         return "one CPU"
     if threading.active_count() > 1:
         return "other threads"
-    deferred = [n for file_counts in counts for n in file_counts if n]
+    deferred = [n for n in counts if n]
     if sum(deferred) < _FORK_VALUES or len(deferred) < 2:
         return "below the threshold"
     return None
 
 
 def _split(counts):
-    """(i, j): the parent's share is the files before i and the first j
-    chunks of file i.  It ends after the deferred chunk whose running
-    count of values (``counts``, per chunk and file) lies nearest half of
-    their total, the first of equals, and takes the structural text that
-    follows it in its file.  With two deferred chunks or more, that is not
-    the last one, so the child has a share."""
-    total, seen, ends = sum(map(sum, counts)), 0, []
-    for i, file_counts in enumerate(counts):
-        for j, n in enumerate(file_counts, 1):
-            if n:
-                seen += n
-                ends.append((abs(2 * seen - total), i, j))
-    _, i, j = min(ends)
-    while j < len(counts[i]) and not counts[i][j]:
-        j += 1
-    return i, j
+    """The number of chunks in the parent's share of a file: it ends after
+    the deferred chunk whose running count of values (``counts``, per
+    chunk) lies nearest half of their total, the first of equals.  With
+    two deferred chunks or more, that is not the last one, so the child
+    has a share."""
+    total, seen, ends = sum(counts), 0, []
+    for j, n in enumerate(counts, 1):
+        if n:
+            seen += n
+            ends.append((abs(2 * seen - total), j))
+    return min(ends)[1]
 
 
-def _forked(parent, child):
-    """Write the ``(path, chunks, mode)`` files of ``parent`` here and
-    those of ``child`` in a forked child, where an appended file goes to
-    ``path + ".part"``; whether the child wrote its share."""
+def _forked(path, chunks, j):
+    """Write ``chunks`` to ``path``: the first ``j`` here, and the rest in
+    a forked child, to ``path + ".part"``, which is appended here after
+    the child exits and then removed; if the child fails, the rest is
+    formatted here.  Whether the child wrote its share."""
+    part = path + ".part"
     pid = os.fork()
     if not pid:
         status = 1
         try:
-            for path, chunks, mode in child:
-                _write_chunks(path + ".part" if mode == "a" else path,
-                              chunks)
+            with open(part, "w", newline="") as fh:
+                fh.writelines(_text(chunks[j:]))
             status = 0
         finally:
             os._exit(status)
     try:
-        for path, chunks, mode in parent:
-            _write_chunks(path, chunks, mode)
-    finally:  # reaped even when this share raises
-        status = os.waitpid(pid, 0)[1]
-    return status == 0
+        with open(path, "w", newline="") as fh:
+            try:
+                fh.writelines(_text(chunks[:j]))
+            finally:  # reaped even when this share raises
+                ok = os.waitpid(pid, 0)[1] == 0
+            if ok:
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+            else:
+                fh.writelines(_text(chunks[j:]))
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+    return ok
 
 
 def _write_files(files):
     """Write each ``(path, chunks)`` of one run, with its directories.
 
-    When ``_in_process`` gives no reason against it, the chunks are split
-    near half their values (``_split``): this process formats and writes
-    the first part, and one forked child the rest.  The child writes each
-    file wholly in its part directly, and the tail of the file that
-    straddles the split to ``path + ".part"``, which this process appends
-    after the child exits and then removes.  If the child fails, this
-    process writes the child's share itself, so an error raises here.
-    Either way the bytes are those of writing every chunk in order.  One
-    DEBUG record on logger ``hierdde`` gives the values each side
-    formatted, or why the write stayed in-process.
+    A file that ``_in_process`` gives no reason against is split near half
+    its values (``_split``) and written by ``_forked``: this process
+    formats the head and one forked child the tail.  Every other file is
+    written by this process alone.  Either way the bytes are those of
+    writing every chunk in order.  One DEBUG record per file on logger
+    ``hierdde`` gives the values each side formatted, or why the file was
+    written in-process.
     """
-    files = [(path, list(chunks)) for path, chunks in files]
-    for path, _ in files:
+    for path, chunks in files:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    counts = [[0 if isinstance(c, str) else c[0] for c in chunks]
-              for _, chunks in files]
-    total = sum(map(sum, counts))
-    why = _in_process(counts)
-    if why:
-        _log.debug("wrote %d values in-process: %s", total, why)
-        for path, chunks in files:
-            _write_chunks(path, chunks)
-        return
-    i, j = _split(counts)
-    split, chunks = files[i]
-    tail = j < len(chunks)
-    parent = [(p, c, "w") for p, c in files[:i]] + [(split, chunks[:j], "w")]
-    child = ([(split, chunks[j:], "a")] if tail else []) \
-        + [(p, c, "w") for p, c in files[i + 1:]]
-    mine = sum(map(sum, counts[:i])) + sum(counts[i][:j])
-    try:
-        if _forked(parent, child):
-            if tail:
-                with open(split + ".part", "rb") as src, \
-                        open(split, "ab") as dst:
-                    shutil.copyfileobj(src, dst)
-            _log.debug("wrote %d values: %d formatted here, %d by a forked "
-                       "child", total, mine, total - mine)
+        chunks = list(chunks)
+        counts = [0 if isinstance(c, str) else c[0] for c in chunks]
+        total, why = sum(counts), _in_process(counts)
+        if why is None:
+            j = _split(counts)
+            if _forked(path, chunks, j):
+                _log.debug("wrote %d values: %d formatted here, %d by a "
+                           "forked child", total, sum(counts[:j]),
+                           sum(counts[j:]))
+                continue
+            why = "the forked child failed"
         else:
-            for path, c, mode in child:
-                _write_chunks(path, c, mode)
-            _log.debug("wrote %d values in-process: the forked child "
-                       "failed", total)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(split + ".part")
+            with open(path, "w", newline="") as fh:
+                fh.writelines(_text(chunks))
+        _log.debug("wrote %d values in-process: %s", total, why)
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
-_CHUNK_RECORDS = 4096  # records of a record file formatted by one %
+# records (lattice points of a manifold file) formatted by one %
+_CHUNK_RECORDS = 4096
 
 
 def _json_file(obj):
@@ -444,28 +423,64 @@ _CSV_KINDS = {float: lambda col: list(map("%.17g".__mod__, col)),
               type(None): lambda col: [""] * len(col)}
 
 
+def _chunked(n, width, fill):
+    """Deferred chunks of ``n`` records of ``width`` values each,
+    ``_CHUNK_RECORDS`` records a chunk.  ``fill(lo, hi)`` gives the row
+    template and the columns (one list per argument of a record) of
+    records lo..hi-1; the chunk's text is the template filled by one ``%``
+    with the columns interleaved record by record."""
+    def text(lo, hi):
+        template, cols = fill(lo, hi)
+        args = [None] * (len(cols[0]) * len(cols))
+        for j, col in enumerate(cols):
+            args[j::len(cols)] = col
+        return template % tuple(args)
+
+    for lo in range(0, n, _CHUNK_RECORDS):
+        hi = min(lo + _CHUNK_RECORDS, n)
+        yield (hi - lo) * width, functools.partial(text, lo, hi)
+
+
 def _formatted(values, kinds, each, row):
     """The text of ``row`` once per record, filled with the record's values
-    from one list per column of ``values``, as deferred chunks of
-    ``_CHUNK_RECORDS`` records, each one ``%``.  A column's text comes in
-    one pass from ``kinds[kind]`` when its values are all of one kind in
-    the chunk, else value by value from ``each``."""
-    def chunk(lo):
+    from one list per column of ``values``, as ``_chunked`` chunks.  A
+    column's text comes in one pass from ``kinds[kind]`` when its values
+    are all of one kind in the chunk, else value by value from ``each``."""
+    def fill(lo, hi):
         cols = []
         for col in values:
-            col = col[lo:lo + _CHUNK_RECORDS]
+            col = col[lo:hi]
             kind = set(map(type, col))
             one = kinds.get(kind.pop()) if len(kind) == 1 else None
             cols.append(one(col) if one else list(map(each, col)))
-        flat = [None] * (len(cols[0]) * len(cols))
-        for j, col in enumerate(cols):
-            flat[j::len(cols)] = col
-        return (row * len(cols[0])) % tuple(flat)
+        return row * (hi - lo), cols
 
-    n = len(values[0])
-    for lo in range(0, n, _CHUNK_RECORDS):
-        yield min(_CHUNK_RECORDS, n - lo) * len(values), \
-            functools.partial(chunk, lo)
+    return _chunked(len(values[0]), len(values), fill)
+
+
+def _sample_chunks(table, fmts, axes, order):
+    """A ManifoldTable's samples as ``_chunked`` chunks of its kept
+    lattice points.  Sample i of kind c (see ``ManifoldTable._branches``)
+    and branch b takes the format ``fmts[c * dk + b]``, filled with its
+    columns in ``order``.  The columns are the point's coordinate on each
+    lattice axis, read from ``axes`` (its text, once per table), then
+    gamma, Y_re and Y_im."""
+    dk = table.dk
+    finite = "".join(fmts[:dk])
+
+    def fill(lo, hi):
+        kind, gamma, Y = table._branches(lo, hi)
+        cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
+                for c in table._coords(lo, hi, axes)]
+        cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
+        if kind.any():
+            codes = kind * dk + np.arange(kind.size) % dk
+            template = "".join([fmts[c] for c in codes.tolist()])
+        else:
+            template = finite * (hi - lo)
+        return template, [cols[c] for c in order]
+
+    return _chunked(table.rows.size if dk else 0, dk * len(order), fill)
 
 
 def _json_list(chunks, close):
@@ -518,7 +533,7 @@ def _manifold_json(table, depth):
     indent=1, sort_keys=True)`` for their list nested ``depth`` containers
     deep: objects with keys Y, branch, gamma, omega and phi, where gamma is
     "inf"/"-inf" and Y null at the infinities.  The text comes in chunks,
-    deferred ones from the row templates that ``manifold_csv`` uses too.
+    deferred ones by ``_sample_chunks``, as ``manifold_csv``'s do.
 
     Values are written by ``%s``, which is json's ``float.__repr__`` for
     the finite floats here: a finite gamma has |Y| above the zero-root
@@ -536,9 +551,9 @@ def _manifold_json(table, depth):
              + (f"[{phi}{i2}]" if phi else "[]") + f"{i1}}}")
     fmts = [f',{i1}{{{Y[c == 2]}{i2}"branch": {b},{i2}"gamma": {gamma[c]},'
             f'{point}' for c in range(3) for b in range(table.dk)]
-    yield from _json_list(table._text(fmts, [list(map(repr, ax.tolist()))
-                                             for ax in table.axes],
-                                      (k + 1, k + 2, k, *range(k))),
+    axes = [list(map(repr, ax.tolist())) for ax in table.axes]
+    yield from _json_list(_sample_chunks(table, fmts, axes,
+                                         (k + 1, k + 2, k, *range(k))),
                           i1[:-1] + "]")
 
 
@@ -548,9 +563,9 @@ def manifold_csv(tables, n):
     Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
     branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
     flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
-    is formatted once per table.  A chunk of points is one ``%`` over a
-    row template: one line format per kind and branch, where ``%.0s``
-    takes the values a kind leaves blank.
+    is formatted once per table.  A chunk of ``_CHUNK_RECORDS`` points is
+    one ``%`` over a row template: one line format per kind and branch,
+    where ``%.0s`` takes the values a kind leaves blank.
     """
     return _text(_manifold_csv(tables, n))
 
@@ -564,8 +579,8 @@ def _manifold_csv(tables, n):
         tails = (",%.17g,%.17g,%.17g,\n", ",inf%.0s,%.17g,%.17g,plus_inf\n",
                  ",-inf%.0s,%.0s,%.0s,minus_inf\n")
         fmts = [f"{lead},{b}{tail}" for tail in tails for b in range(t.dk)]
-        yield from t._text(fmts, [["%.17g" % v for v in ax.tolist()]
-                                  for ax in t.axes], range(t.k + 3))
+        axes = [["%.17g" % v for v in ax.tolist()] for ax in t.axes]
+        yield from _sample_chunks(t, fmts, axes, range(t.k + 3))
 
 
 def _cell(v):
@@ -709,6 +724,11 @@ class ValidationReport:
 
     ``nonincreasing[k]`` says whether the per-eps max distance at scale k
     never grew by more than a factor of 2 along the (decreasing) eps list.
+    A max distance is floored by the lattice's own sampling, about its
+    frequency step (0.008 on the presets' grids): on fig2-unstable it
+    reads 0.0085-0.0107 from eps 0.02 down to 0.0025, so below eps 0.01
+    the verdict passes on a flat series and no longer measures
+    convergence.
     """
 
     records: tuple

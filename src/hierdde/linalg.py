@@ -33,7 +33,7 @@ __all__ = [
 
 RANK_TOL = 1e-10       # relative threshold on singular values
 CLUSTER_RADIUS = 1e-8  # default merging radius for eigenvalue clusters
-TRIM_TOL = 1e-10       # relative noise floor of a root's degree
+TRIM_TOL = 1e-10       # relative noise floor of a degree and a pencil row
 PENCIL_SHIFT = 2.0 * np.exp(1j)  # shift of a rank-deficient pencil, in radii
 
 
@@ -156,8 +156,11 @@ def pencil_roots(B, A, radii=None):
       ``M = C + sigma diag(s, 0)``, ``det(M + t diag(s, 0)) = det(M)
       prod(1 + t nu)`` over the eigenvalues ``nu`` of ``M^-1[:r, :r]
       diag(s)``, so the roots are ``sigma - 1/nu``.  A root with ``nu = 0``
-      or ``|Y| > radii / TRIM_TOL`` is a lost degree (nan), and a row with
-      ``det(M) = 0`` vanishes identically (``neff = -1``).
+      or ``|Y| > radii / TRIM_TOL`` is a lost degree (nan).  A row whose
+      ``|det(M)|`` is at most ``TRIM_TOL (|C| + |sigma| |A|)**d``, with
+      ``|C|`` its Frobenius norm and ``|A| = s[0]``, vanishes identically
+      (``neff = -1``): rounding leaves such a determinant where A's
+      singular bases are not exact.
 
     A row with a non-finite entry gets nan roots and ``neff = -1``.  Each
     row's bits come from its own matrices and radius alone, so they do not
@@ -177,9 +180,11 @@ def pencil_roots(B, A, radii=None):
     else:
         sigma = PENCIL_SHIFT * radii[ok]
         M = C[ok]
+        floor = TRIM_TOL * (np.linalg.norm(M, axis=(1, 2))
+                            + np.abs(sigma) * A.s[0]) ** d
         M[:, np.arange(r), np.arange(r)] += sigma[:, None] * s
         det = _backend._det(M)
-        live = det != 0.0
+        live = np.abs(det) > floor
         ok, sigma, M = ok[live], sigma[live], M[live]
         if d == 2:  # the adjugate's (0, 0) entry over det(M)
             inv = (M[:, 1, 1] / det[live])[:, None, None]

@@ -24,7 +24,6 @@ window counts read the top scale at complex frequency (``_Level.branches``)
 and take its rank ``_Level.dk``.
 """
 
-import functools
 import logging
 import math
 import operator
@@ -65,7 +64,7 @@ __all__ = [
 ZERO_ROOT_TOL = 1e-14   # |Y| below this times the root radius is a zero root
 DET_ZERO_TOL = 1e-10    # relative threshold for singularity flags
 PLUS_MARGIN = 1e-12     # strictness margin for Re > 0 filtering
-_CHUNK_POINTS = 1024    # lattice points decoded (and formatted by one %) at once
+_CHUNK_POINTS = 1024    # lattice points decoded into samples at once
 _CHUNK_ROWS = 1 << 16   # grid points per B stack and root solve: bounds memory
 SEED_STEPS = 3          # fixed-point steps of axis_seeds; Newton finishes
 BRANCH_SEP = 1e-6       # relative |Y_b - Y_b'| up to which branches coincide
@@ -624,7 +623,9 @@ class ManifoldTable(Sequence):
     ``axes`` are the lattice axes (omega, phi_1..phi_{k-1}), ``rows`` the
     lattice index of each kept point, and ``roots`` and ``gammas`` its rows
     of ``_Level.gammas``, the only source of heights: a nan height marks a
-    missing branch, and the sample's gamma is then -inf.
+    missing branch, and the sample's gamma is then -inf.  ``_coords`` and
+    ``_branches`` decode a run of kept points, for the sample objects here
+    and for the manifold files that ``harness`` formats.
     """
 
     k: int
@@ -684,38 +685,6 @@ class ManifoldTable(Sequence):
                 gamma=gam, projected=complex(gam, point.omega)
                 if kd == 0 else None))
         return out
-
-    def _text(self, fmts, axes, order):
-        """The samples as text, in deferred chunks of ``_CHUNK_POINTS``
-        points: pairs of the number of values a chunk formats and a
-        callable that formats them by a single ``%``.  Sample i of kind c
-        (see ``_branches``) and branch b takes the format
-        ``fmts[c * dk + b]``, filled with its columns in ``order``.  The
-        columns are the point's coordinate on each lattice axis, read from
-        ``axes``, then gamma, Y_re and Y_im."""
-        dk = self.dk
-        if dk == 0:
-            return
-        finite = "".join(fmts[:dk])
-
-        def chunk(lo, hi):
-            kind, gamma, Y = self._branches(lo, hi)
-            cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
-                    for c in self._coords(lo, hi, axes)]
-            cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
-            args = [None] * (len(order) * kind.size)
-            for i, c in enumerate(order):
-                args[i::len(order)] = cols[c]
-            if kind.any():
-                codes = kind * dk + np.arange(kind.size) % dk
-                template = "".join([fmts[c] for c in codes.tolist()])
-            else:
-                template = finite * (kind.size // dk)
-            return template % tuple(args)
-
-        for lo in range(0, self.rows.size, _CHUNK_POINTS):
-            hi = min(lo + _CHUNK_POINTS, self.rows.size)
-            yield (hi - lo) * dk * len(order), functools.partial(chunk, lo, hi)
 
 
 def _table(level, axes):

@@ -470,7 +470,7 @@ def test_record_writers_across_chunk_boundaries(size):
     assert got.split("\n") == lines + [""]
 
 
-# --- the writer: one per run, half of a large write in a forked child -------
+# --- the writer: one per run, half of each large file in a forked child -----
 
 def _writer_messages(caplog):
     return [r.getMessage() for r in caplog.records
@@ -484,8 +484,8 @@ def _no_child_left():
 
 def _both_ways(tmp_path, monkeypatch, caplog, run):
     """The files ``run(out_dir)`` writes, as {name: bytes}, its return
-    value and the writer's DEBUG message: in-process (one CPU) and with a
-    forked child (threshold 0)."""
+    value and the writer's DEBUG messages, one per file: in-process (one
+    CPU) and with forked children (threshold 0)."""
     monkeypatch.setattr(harness, "_FORK_VALUES", 0)
     got = {}
     for way in ("in-process", "forked"):
@@ -500,6 +500,15 @@ def _both_ways(tmp_path, monkeypatch, caplog, run):
                     _writer_messages(caplog))
     _no_child_left()
     return got["in-process"], got["forked"]
+
+
+def _shares(msg):
+    """(values, formatted here, formatted by the child) of a forked
+    file's DEBUG message."""
+    assert msg.endswith("by a forked child"), msg
+    values, here, child = map(int, re.findall(r"\d+", msg))
+    assert here + child == values and here > 0 and child > 0
+    return values, here, child
 
 
 def _manifolds(system, fmt, omegas, phases):
@@ -517,10 +526,12 @@ def _manifolds(system, fmt, omegas, phases):
 def test_forked_manifold_files_equal_in_process_ones(
         fmt, omegas, phases, tmp_path, monkeypatch, caplog):
     # fig3's one manifold file, whose lattices hold about one, two or
-    # three chunks of _CHUNK_POINTS points, straddles the split: the
-    # child writes its tail to a .part file that the parent appends
-    from hierdde.manifolds import _CHUNK_POINTS
-    assert _CHUNK_POINTS == 1024
+    # three chunks of _CHUNK_RECORDS points (set to 1024 here), splits
+    # near half its values: the child writes the tail to a .part file
+    # that the parent appends.  The parent's share ends at the chunk
+    # boundary nearest half, so the two shares differ by at most one
+    # chunk's values (5 a point at scale 2)
+    monkeypatch.setattr(harness, "_CHUNK_RECORDS", 1024)
     run = _manifolds(h.preset_system("fig3"), fmt, omegas, phases)
     (files, paths, log), (forked, fpaths, flog) = _both_ways(
         tmp_path, monkeypatch, caplog, run)
@@ -529,30 +540,35 @@ def test_forked_manifold_files_equal_in_process_ones(
     (msg,) = log
     assert msg.endswith("values in-process: one CPU")
     (msg,) = flog
-    values, here, child = map(int, re.findall(r"\d+", msg))
-    assert "by a forked child" in msg and here + child == values
-    assert here > 0 and child > 0
+    _, here, child = _shares(msg)
+    assert abs(here - child) <= 5 * 1024
 
 
 def test_forked_tilde_manifold_files_equal_in_process_ones(
         tmp_path, monkeypatch, caplog):
-    # two files: the child writes the second whole, the first straddles
+    # two files of two chunks or more each: each splits near half of its
+    # own values, with its own forked child and DEBUG record, the shares
+    # at most one chunk's values apart (3 branches of 5 values a point)
+    monkeypatch.setattr(harness, "_CHUNK_RECORDS", 1024)
     run = _manifolds(h.system_from_dict(_TILDE_SYS), "csv", 1025, 2)
-    (files, _, _), (forked, _, flog) = _both_ways(tmp_path, monkeypatch,
-                                                  caplog, run)
+    (files, _, log), (forked, _, flog) = _both_ways(tmp_path, monkeypatch,
+                                                    caplog, run)
     assert sorted(files) == ["manifolds.csv", "manifolds_tilde.csv"]
     assert forked == files
-    assert "by a forked child" in flog[0]
+    assert len(log) == len(flog) == 2
+    for msg in flog:
+        _, here, child = _shares(msg)
+        assert abs(here - child) <= 15 * 1024
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("chunk", [191, 382, 383, 384])
 def test_forked_validate_files_equal_in_process_ones(
         fmt, chunk, tmp_path, monkeypatch, caplog):
-    # 383 roots at eps 0.05, written in chunks of about half, one or two
-    # thirds of them: validate.json and validate.csv format as many values
-    # each, so the parent writes the JSON file and the child the CSV file;
-    # a lone validate.json straddles the split
+    # 383 roots at eps 0.05, written in chunks of about half of them, of
+    # all but one, or of all: validate.json and validate.csv format 3,830
+    # values each, and each file splits on its own at the chunk boundary
+    # nearest half of them; a file of one chunk stays in-process
     monkeypatch.setattr(harness, "_CHUNK_RECORDS", chunk)
 
     def run(out):
@@ -566,9 +582,11 @@ def test_forked_validate_files_equal_in_process_ones(
     assert sorted(files) == (["validate.csv", "validate.json"]
                              if fmt == "csv" else ["validate.json"])
     assert forked == files
-    if fmt == "csv":
-        assert flog == ["wrote 7660 values: 3830 formatted here, 3830 by a "
-                        "forked child"]
+    shares = {191: (1910, 1920), 382: (3820, 10)}.get(chunk)
+    want = ("wrote 3830 values: %d formatted here, %d by a forked child"
+            % shares if shares else
+            "wrote 3830 values in-process: below the threshold")
+    assert flog == [want] * len(files)
 
 
 def test_forked_example_files_equal_in_process_ones(
@@ -591,17 +609,20 @@ def _fail():
     raise ZeroDivisionError("a failing chunk")
 
 
-@pytest.mark.parametrize("layout", ["parent", "child tail", "child file"])
+@pytest.mark.parametrize("layout", ["parent", "child tail",
+                                    "second file tail"])
 def test_a_failing_chunk_raises_in_the_caller(layout, tmp_path, monkeypatch):
-    # a chunk that raises in the parent's share, in the tail of the file
-    # that straddles the split, or in a file wholly in the child's share:
-    # the caller sees its error, and no .part file and no child is left
+    # a chunk that raises in the parent's share, in the child's tail, or
+    # in the tail of a second forked file: the caller sees its error, and
+    # no .part file and no child is left
     monkeypatch.setattr(harness, "_FORK_VALUES", 0)
     one, two = str(tmp_path / "one.txt"), str(tmp_path / "two.txt")
     bad = (10, _fail)
     files = {"parent": [(one, ["[", bad, _chunk("a"), _chunk("b")])],
              "child tail": [(one, ["[", _chunk("a"), _chunk("b"), bad])],
-             "child file": [(one, [_chunk("a")]), (two, [bad])]}[layout]
+             "second file tail": [(one, [_chunk("a"), _chunk("b")]),
+                                  (two, [_chunk("c"), _chunk("d"), bad])],
+             }[layout]
     with pytest.raises(ZeroDivisionError, match="a failing chunk"):
         harness._write_files(files)
     assert not list(tmp_path.glob("*.part"))
@@ -610,7 +631,8 @@ def test_a_failing_chunk_raises_in_the_caller(layout, tmp_path, monkeypatch):
 
 def test_a_chunk_failing_only_in_the_child_is_written_by_the_parent(
         tmp_path, monkeypatch, caplog):
-    # the parent writes the failed child's share itself: the same bytes
+    # the parent writes each failed child's share itself: the same bytes,
+    # and one record per file
     monkeypatch.setattr(harness, "_FORK_VALUES", 0)
     parent = os.getpid()
 
@@ -623,13 +645,39 @@ def test_a_chunk_failing_only_in_the_child_is_written_by_the_parent(
     with caplog.at_level(logging.DEBUG, logger="hierdde"):
         harness._write_files([
             (one, ["[", _chunk("a"), _chunk("b"), (10, here_only), "]"]),
-            (two, [(5, here_only)])])
+            (two, ["(", _chunk("d"), (5, here_only), ")"])])
     assert (tmp_path / "one.txt").read_text() == "[abc]"
-    assert (tmp_path / "two.txt").read_text() == "c"
+    assert (tmp_path / "two.txt").read_text() == "(dc)"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.txt",
                                                           "two.txt"]
     assert _writer_messages(caplog) == [
-        "wrote 35 values in-process: the forked child failed"]
+        "wrote 30 values in-process: the forked child failed",
+        "wrote 15 values in-process: the forked child failed"]
+    _no_child_left()
+
+
+def test_each_large_file_splits_near_half_of_its_own_values(
+        tmp_path, monkeypatch, caplog):
+    # each file splits after the deferred chunk whose running count lies
+    # nearest half of its own values (the first of equals), with its own
+    # child and record; a file of one deferred chunk stays in-process
+    monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    files = [(str(tmp_path / "one.txt"),
+              ["["] + [_chunk(str(i)) for i in range(10)] + ["]"]),
+             (str(tmp_path / "two.txt"),
+              [_chunk("a", 30), ",", _chunk("b", 5), _chunk("c", 5),
+               _chunk("d", 5), _chunk("e", 30)]),
+             (str(tmp_path / "three.txt"), ["<", _chunk("f"), ">"])]
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        harness._write_files(files)
+    assert (tmp_path / "one.txt").read_text() == "[0123456789]"
+    assert (tmp_path / "two.txt").read_text() == "a,bcde"
+    assert (tmp_path / "three.txt").read_text() == "<f>"
+    assert _writer_messages(caplog) == [
+        "wrote 100 values: 50 formatted here, 50 by a forked child",
+        "wrote 75 values: 35 formatted here, 40 by a forked child",
+        "wrote 10 values in-process: below the threshold"]
+    assert not list(tmp_path.glob("*.part"))
     _no_child_left()
 
 

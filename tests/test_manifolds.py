@@ -77,6 +77,26 @@ def test_truncated_char_poly_identically_zero_is_refused():
         h.truncated_char_poly(s, 1, PhasePoint(omega=0.5, phi=()))
 
 
+def test_rotated_identically_zero_polynomial_is_refused():
+    # the system above in random unitary bases Q: the singular bases of A1
+    # are no longer exact, so det(C + sigma diag(s, 0)) keeps rounding of
+    # about 1e-18 relative to its scale, under the pencil's relative
+    # floor; no branch comes from that rounding
+    rng = np.random.default_rng(7)
+    point = PhasePoint(omega=0.5, phi=())
+    for _ in range(5):
+        q, _ = np.linalg.qr(_cplx(rng, 2, 2))
+        s = h.DelaySystem(matrices=(q @ np.diag([0.5j, -1.0]) @ q.conj().T,
+                                    q @ np.diag([0.0, 0.3]) @ q.conj().T),
+                          sigma=(1.0,))
+        with pytest.raises(TrivialityError, match="^scale-1 polynomial "
+                           "vanishes at PhasePoint"):
+            h.truncated_char_poly(s, 1, point)
+        with pytest.raises(TrivialityError, match="^scale-1 polynomial "
+                           "vanishes identically$"):
+            h.gamma_branches(s, 1, point)
+
+
 def test_manifold_grid_refuses_a_scale_out_of_range():
     with pytest.raises(ConfigError, match="^scale k must be in 1..2, got 0$"):
         h.manifold_grid(h.preset_system("fig3"), 0)
@@ -667,9 +687,11 @@ def test_manifold_files_match_per_sample_formatters(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
 def test_manifold_files_match_across_chunk_boundaries(case, tmp_path,
                                                       monkeypatch):
-    # two points per chunk: finite, infinite and skipped rows fall on both
-    # sides of chunk boundaries, and chunks with and without infinities mix
+    # two points per chunk, decoded into samples and formatted:
+    # finite, infinite and skipped rows fall on both sides of chunk
+    # boundaries, and chunks with and without infinities mix
     monkeypatch.setattr(mf, "_CHUNK_POINTS", 2)
+    monkeypatch.setattr(h.harness, "_CHUNK_RECORDS", 2)
     test_manifold_files_match_per_sample_formatters(case, tmp_path)
 
 

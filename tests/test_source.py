@@ -36,6 +36,17 @@ def test_only_harness_reads_or_writes_files():
     assert speaking == ["harness.py"]
 
 
+def test_only_harness_builds_file_text():
+    # file text is filled from row templates in one module: no other
+    # applies % to a tuple(...) of values
+    filling = sorted({
+        p.name for p in MODULES for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Call)
+        and getattr(node.right.func, "id", None) == "tuple"})
+    assert filling == ["harness.py"]
+
+
 def _callers(name):
     """``module:function`` (``module:Class.method``) of every call of a
     function named ``name``, by plain name or as an attribute."""
