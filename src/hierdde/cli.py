@@ -104,7 +104,7 @@ def _dispatch(args):
     cfg = _configured(args)
     if args.command == "spectrum":
         result = harness.run_spectrum(cfg)
-        located = sum(sum(run.roots.column("multiplicity"))
+        located = sum(int(run.roots.column("multiplicity").sum())
                       for run in result.runs)
         print(f"spectrum: {located} eigenvalues over "
               f"{len(result.runs)} eps values -> {result.path}")

@@ -18,9 +18,9 @@ process may run on at least 2 CPUs and no other Python thread is alive;
 otherwise, and when the child fails, the file is this process's alone.
 The bytes are the same either way.  Native threads, such as the BLAS
 pool that numpy starts at import, may be alive at the fork: the child
-only formats text by ``%`` from lists and element-wise numpy, writes its
-file and ends in ``os._exit``, so it never calls into BLAS or waits on a
-lock that such a thread may hold.
+only formats text by ``%`` from ``tolist`` and element-wise numpy,
+writes its file and ends in ``os._exit``, so it never calls into BLAS or
+waits on a lock that such a thread may hold.
 """
 
 import contextlib
@@ -266,7 +266,8 @@ def load_config(path):
 # on a 2-core VM, and half the formatting saves 0.2-0.4 us a value, so a
 # write broke even at 20,000-30,000 values of a validation and
 # 35,000-75,000 of a manifold grid; validate-dense's 55,400, forked as one
-# split of its two files, gained nothing in the benchmark (see CHANGES.md)
+# split of the two files that then both held its records, gained nothing
+# in the benchmark (see CHANGES.md)
 _FORK_VALUES = 100_000
 
 
@@ -443,13 +444,15 @@ def _chunked(n, width, fill):
 
 def _formatted(values, kinds, each, row):
     """The text of ``row`` once per record, filled with the record's values
-    from one list per column of ``values``, as ``_chunked`` chunks.  A
-    column's text comes in one pass from ``kinds[kind]`` when its values
-    are all of one kind in the chunk, else value by value from ``each``."""
+    from one array per column of ``values``, as ``_chunked`` chunks.  A
+    chunk of a column becomes Python values by ``tolist`` (None where a
+    masked array is masked); its text comes in one pass from
+    ``kinds[kind]`` when those values are all of one kind, else value by
+    value from ``each``."""
     def fill(lo, hi):
         cols = []
         for col in values:
-            col = col[lo:hi]
+            col = col[lo:hi].tolist()
             kind = set(map(type, col))
             one = kinds.get(kind.pop()) if len(kind) == 1 else None
             cols.append(one(col) if one else list(map(each, col)))
@@ -601,7 +604,7 @@ def _cell(v):
 def _csv_text(columns, groups):
     """Chunks of the header ``columns``, then one line per record of each
     ``(lead, values)`` group: the group's leading values, then the
-    record's values, from one list per remaining column, by
+    record's values, from one array per remaining column, by
     ``_formatted``."""
     yield ",".join(columns) + "\n"
     for lead, values in groups:
@@ -682,27 +685,22 @@ class Assignment:
     assigned: bool
 
 
+# the rescaling acts on the real part alone: the rescaled point's
+# imaginary part is the root's
 _ASSIGNMENT_COLUMNS = ("re", "im", "multiplicity", "scale", "rescaled_re",
-                       "rescaled_im", "distance", "runner_up_scale",
-                       "runner_up_distance", "assigned")
+                       "distance", "runner_up_scale", "runner_up_distance",
+                       "assigned")
 
 
-def _assignment(re, im, multiplicity, scale, rescaled_re, rescaled_im,
-                distance, runner_up_scale, runner_up_distance, assigned):
+def _assignment(re, im, multiplicity, scale, rescaled_re, distance,
+                runner_up_scale, runner_up_distance, assigned):
     """The Assignment of one record's values, in the order of
     ``_ASSIGNMENT_COLUMNS``."""
     return Assignment(
         eigenvalue=complex(re, im), multiplicity=multiplicity, scale=scale,
-        rescaled=None if scale is None else complex(rescaled_re, rescaled_im),
+        rescaled=None if scale is None else complex(rescaled_re, im),
         distance=distance, runner_up_scale=runner_up_scale,
         runner_up_distance=runner_up_distance, assigned=assigned)
-
-
-def _masked(values, mask):
-    """``values`` (an array) as a list, None where ``mask`` is False."""
-    if mask.all():
-        return values.tolist()
-    return [v if m else None for v, m in zip(values.tolist(), mask.tolist())]
 
 
 @dataclass(frozen=True)
@@ -815,12 +813,10 @@ def _assign_roots(roots, eps, trees, strong_r):
     scale in the order of its first root.
     """
     scales, n = sorted(trees), len(roots)
-    re, im = np.array(roots.column("re")), np.array(roots.column("im"))
-    mult = np.array(roots.column("multiplicity"), dtype=np.int64)
-    resc = np.array([re * eps ** (-k) + 1j * im
-                     for k in scales]).reshape(len(scales), n)
-    dist = np.array([trees[k].query(np.column_stack([z.real, z.imag]))[0]
-                     for k, z in zip(scales, resc)]).reshape(resc.shape)
+    re, im, mult = (roots.column(c) for c in ("re", "im", "multiplicity"))
+    resc = np.array([re * eps ** (-k) for k in scales]).reshape(len(scales), n)
+    dist = np.array([trees[k].query(np.column_stack([x, im]))[0]
+                     for k, x in zip(scales, resc)]).reshape(resc.shape)
     if scales[:1] == [0]:
         dist[0, dist[0] > strong_r] = math.inf
     # the nearest and the runner-up scale of each root, as rows of an inf
@@ -832,14 +828,13 @@ def _assign_roots(roots, eps, trees, strong_r):
     d[:m] = dist[near[:m], cols]
     has = d < math.inf
     d[~has] = math.inf
-    z = resc[near[0], cols] if scales else np.zeros(n, complex)
+    x = resc[near[0], cols] if scales else np.zeros(n)
     scale = np.where(has, np.array([*scales, -1])[near], -1)
     assigned = has[0] & (d[0] <= DISTANCE_CAP)
-    values = (roots.column("re"), roots.column("im"), mult.tolist(),
-              _masked(scale[0], has[0]), _masked(z.real, has[0]),
-              _masked(z.imag, has[0]), d[0].tolist(),
-              _masked(scale[1], has[1]), _masked(d[1], has[1]),
-              assigned.tolist())
+    values = (re, im, mult, np.ma.array(scale[0], mask=~has[0]),
+              np.ma.array(x, mask=~has[0]), d[0],
+              np.ma.array(scale[1], mask=~has[1]),
+              np.ma.array(d[1], mask=~has[1]), assigned)
     near, dist = scale[0][assigned], d[0][assigned]
     ks, first = np.unique(near, return_index=True)
     max_d = {k: dist[near == k].max(initial=0.0).item()
@@ -857,9 +852,12 @@ def run_validate(cfg, write=True):
     asymptotic-set point; strong-spectrum (scale-0) candidates only count
     within the strong matching radius.  The scale-n lattice is evaluated
     once: it gives the scale-n sample set and, under the sup rule, the
-    lattice that ``validation_window``'s supremum refines.  Emits
-    validate.json (always) and validate.csv with per-eigenvalue rows when
-    the format is csv.
+    lattice that ``validation_window``'s supremum refines.
+
+    Emits validate.json, with each eps's count, strong matches and largest
+    distance per scale, and the ``nonincreasing`` verdicts.  The
+    per-eigenvalue records go to validate.csv in the csv format, and to
+    each eps's ``assignments`` in validate.json in the json format.
     """
     sys_ = cfg.system
     ladder = build_ladder(sys_)
@@ -883,17 +881,19 @@ def run_validate(cfg, write=True):
         if len(seq) >= 2:
             noninc[k] = all(b <= 2.0 * a for a, b in zip(seq, seq[1:]))
     if write:
-        groups = [((rec.eps,), rec.assignments.values) for rec in records]
+        as_csv = cfg.out_format == "csv"
         files = [(os.path.join(cfg.out_dir, "validate.json"), _json_file({
             "records": [{"eps": rec.eps, "count": rec.count,
                          "strong_matches": rec.strong_matches,
                          "max_distance": {str(k): v for k, v
                                           in rec.max_distance.items()},
-                         "assignments": rec.assignments}
+                         **({} if as_csv else
+                            {"assignments": rec.assignments})}
                         for rec in records],
             "nonincreasing": {str(k): bool(v)
                               for k, v in sorted(noninc.items())}}))]
-        if cfg.out_format == "csv":
+        if as_csv:
+            groups = [((rec.eps,), rec.assignments.values) for rec in records]
             files.append((os.path.join(cfg.out_dir, "validate.csv"),
                           _csv_text(("eps",) + _ASSIGNMENT_COLUMNS, groups)))
         _write_files(files)
@@ -1035,15 +1035,14 @@ def _gamma_comparison(p, sys_, grid, k):
     written by ``str``, the other columns at 17 digits."""
     columns = ("omega", *[f"phi_{j}" for j in range(1, k)],
                "gamma_closed", "gamma_general", "abs_diff")
-    values = tuple([] for _ in columns)
-    worst = 0.0
+    rows, worst = [], 0.0
     for s in manifold_grid(sys_, k, grid):
         closed = scalar2.gamma_k(p.coefs, s.point.omega, *s.point.phi)
         diff = _diff_ext(closed, s.gamma)
         worst = max(worst, diff)
-        for col, v in zip(values, (s.point.omega, *s.point.phi, str(closed),
-                                   str(s.gamma), diff)):
-            col.append(v)
+        rows.append((s.point.omega, *s.point.phi, str(closed), str(s.gamma),
+                     diff))
+    values = tuple(map(np.array, zip(*rows)))
     return _csv_text(columns, [((), values)]), worst
 
 

@@ -141,12 +141,14 @@ _ROOT_COLUMNS = ("re", "im", "multiplicity", "residual", "newton_converged")
 
 @dataclass(frozen=True, eq=False)
 class Records(Sequence):
-    """Records of one layout, kept as columns: ``values`` holds one list
-    per column of ``columns``, each with one value per record, and
-    ``record(*values)`` builds a record only when one is read.
+    """Records of one layout, kept as columns: ``values`` holds one numpy
+    array per column of ``columns``, each with one value per record, and
+    ``record(*values)`` builds a record only when one is read.  A column
+    that can hold None is a masked array, None where it is masked.
 
     Integer indices (numpy integers and negative ones too) and iteration
-    work as on a tuple, and a slice is a tuple of records.  A table equals
+    work as on a tuple, and a slice is a tuple of records; a record is
+    built from Python scalars, as ``tolist`` gives them.  A table equals
     the list (or tuple, or table) of the same records.
     """
 
@@ -160,11 +162,13 @@ class Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(itertools.starmap(
-                self.record, zip(*[col[i] for col in self.values])))
-        return self.record(*[col[i] for col in self.values])
+                self.record, zip(*[col[i].tolist() for col in self.values])))
+        i = range(len(self))[i]  # IndexError out of range
+        return self[i:i + 1][0]
 
     def __iter__(self):
-        return itertools.starmap(self.record, zip(*self.values))
+        return itertools.starmap(
+            self.record, zip(*[col.tolist() for col in self.values]))
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple, Records)):
@@ -524,8 +528,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     """All zeros of f in rect, with multiplicities summing to the count.
 
     Returns ``Records`` of ``RootResult`` sorted by (real, imag), kept as
-    the columns re, im, multiplicity, residual and newton_converged; a
-    RootResult is built only when one is read.  Roots closer
+    the arrays re, im, multiplicity (int64), residual and newton_converged
+    (bool); a RootResult is built only when one is read.  Roots closer
     than ``tol`` merge into one entry (multiplicities added, location taken
     from the member with the smallest residual).  If a zero sits on the
     requested boundary the rectangle is inflated as in ``count_zeros`` and
@@ -553,7 +557,9 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     total, base = (_count_with_inflation(f, fprime, rect)
                    if counted is None else counted)
     if total == 0:
-        return Records(_ROOT_COLUMNS, tuple([] for _ in _ROOT_COLUMNS), _root)
+        return Records(_ROOT_COLUMNS, tuple(
+            np.empty(0, t) for t in (float, float, np.int64, float, bool)),
+            _root)
     pts, margin = _polish_seeds(f, fprime, seeds, rect, tol)
     found, seeded = [], 0  # (locations, multiplicity, converged); roots
     clusters, failed = [], [0] * len(_JITTERS)
@@ -629,9 +635,8 @@ def find_roots(f, rect, fprime, tol=1e-9, seeds=None, counted=None):
     rank = np.lexsort((locs[best].imag, locs[best].real))
     best = best[rank]
     results = Records(_ROOT_COLUMNS, (
-        locs.real[best].tolist(), locs.imag[best].tolist(),
-        mults[rank].tolist(), residuals[best].tolist(), conv[rank].tolist()),
-        _root)
+        locs.real[best], locs.imag[best], mults[rank], residuals[best],
+        conv[rank]), _root)
 
     if int(mults.sum()) != total:
         raise ResolutionError(

@@ -195,6 +195,29 @@ def test_near_vanishing_pencil_refused():
         h.strong_stable_spectrum(lad)
 
 
+def test_small_pencil_is_not_refused():
+    # two copies of a 2 x 2 block whose level-1 pencil has entries of
+    # order e: J1's singular values are e and e, yet the pencil is far
+    # from vanishing relative to its own size.  The Y coefficient of the
+    # block's det(-lam I + B0 + Y B1) is -e (lam + 3.5), so the roots are
+    # -3.5, once per block.  A floor on the determinant scaled by
+    # max(1, |A0p| + radius |J1|) refused this pencil
+    e = 5e-7
+    B1 = np.array([[e, 1.0], [0.0, 0.0]], complex)
+    B0 = np.array([[-1.0, 0.2], [3 * e, -0.5]], complex)
+    Z = np.zeros((2, 2))
+    sys_ = h.DelaySystem(matrices=(np.block([[B0, Z], [Z, B0]]),
+                                   np.block([[B1, Z], [Z, B1]])),
+                         sigma=(1.0,))
+    lad = h.build_ladder(sys_)
+    assert lad.k_under == 1 and lad.nd_satisfied
+    assert np.allclose(np.linalg.svd(lad.level(1).J1, compute_uv=False),
+                       [e, e], rtol=1e-9, atol=0)
+    roots = h.strong_stable_spectrum(lad)
+    assert len(roots) == 2
+    assert np.allclose(roots, [-3.5, -3.5], rtol=0, atol=1e-6)
+
+
 def test_projection_annihilates_top_coefficient():
     rng = np.random.default_rng(1212)
     for _ in range(20):

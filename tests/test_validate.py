@@ -169,9 +169,9 @@ def _fig2_assignments():
 
 @pytest.mark.parametrize("kind", ["roots", "assignments"])
 def test_records_read_like_a_tuple(kind):
-    # a table keeps its records as columns: len, iteration, indices and
-    # slices build the same records, a slice is a tuple, and a table equals
-    # the list (or tuple) of its records
+    # a table keeps its records as numpy columns: len, iteration, indices
+    # and slices build the same records of Python scalars, a slice is a
+    # tuple, and a table equals the list (or tuple) of its records
     if kind == "roots":
         table, size, cls = _lambert_roots(), 25, h.RootResult
         types = {"location": complex, "multiplicity": int,
@@ -184,7 +184,8 @@ def test_records_read_like_a_tuple(kind):
     assert isinstance(table, h.Records)
     objs = tuple(table)
     assert len(objs) == len(table) == size
-    assert all(len(col) == size for col in table.values)
+    assert all(isinstance(col, np.ndarray) and len(col) == size
+               for col in table.values)
     assert len(table.values) == len(table.columns)
     assert all(type(r) is cls for r in objs)
     assert all(type(getattr(r, name)) is t
@@ -203,7 +204,8 @@ def test_records_read_like_a_tuple(kind):
     assert table == table[:] and not table != list(objs)
     assert table != list(objs[:-1]) and table != list(objs[::-1])
     assert table != objs[0] and table != set()
-    assert table.column("multiplicity") == [r.multiplicity for r in objs]
+    assert table.column("multiplicity").tolist() == [r.multiplicity
+                                                     for r in objs]
     if kind == "assignments":
         assert rec.count == sum(a.multiplicity for a in objs)
         want = {}
@@ -256,11 +258,14 @@ def test_window_without_roots_writes_empty_records(tmp_path, fmt):
     assert list(rec.assignments) == [] and rec.assignments[:] == ()
     assert rec.max_distance == {} and rec.strong_matches == 0
     data = json.loads((tmp_path / "validate.json").read_text())
-    assert data["records"] == [{"eps": 0.1, "count": 0, "strong_matches": 0,
-                                "max_distance": {}, "assignments": []}]
+    # the records go to validate.csv in the csv format, else to validate.json
+    summary = {"eps": 0.1, "count": 0, "strong_matches": 0,
+               "max_distance": {}}
+    assert data["records"] == [summary if fmt == "csv"
+                               else {**summary, "assignments": []}]
     if fmt == "csv":
         assert (tmp_path / "validate.csv").read_text() == (
-            "eps,re,im,multiplicity,scale,rescaled_re,rescaled_im,distance,"
+            "eps,re,im,multiplicity,scale,rescaled_re,distance,"
             "runner_up_scale,runner_up_distance,assigned\n")
 
 
@@ -270,22 +275,24 @@ def test_root_without_any_tree_is_written_unassigned(tmp_path):
     sys_ = h.DelaySystem(matrices=(np.diag([-1j, 1j, -1.0]),
                                    np.diag([0.0, 0.0, 1.0])), sigma=(1.0,))
     grid = h.GridSpec(omega_count=2, phase_count=1, omega_range=(-1.0, 1.0))
-    cfg = h.RunConfig(system=sys_, eps_list=(0.1,), grid=grid,
-                      out_dir=str(tmp_path),
-                      window=h.Rectangle(-0.05, 0.05, -0.5, 0.5))
-    (rec,) = h.run_validate(cfg).records
-    assert rec.max_distance == {} and rec.strong_matches == 0
-    (obj,) = json.loads((tmp_path / "validate.json").read_text()
+    for fmt in ("csv", "json"):
+        cfg = h.RunConfig(system=sys_, eps_list=(0.1,), grid=grid,
+                          out_dir=str(tmp_path / fmt), out_format=fmt,
+                          window=h.Rectangle(-0.05, 0.05, -0.5, 0.5))
+        (rec,) = h.run_validate(cfg).records
+        assert rec.max_distance == {} and rec.strong_matches == 0
+    (a,) = rec.assignments
+    assert a.scale is None and a.rescaled is None and a.eigenvalue == 0
+    (obj,) = json.loads((tmp_path / "json" / "validate.json").read_text()
                         )["records"][0]["assignments"]
     assert obj == {"re": 0.0, "im": 0.0, "multiplicity": 1, "scale": None,
-                   "rescaled_re": None, "rescaled_im": None,
-                   "distance": "inf", "runner_up_scale": None,
-                   "runner_up_distance": None, "assigned": False}
-    (row,) = csv.DictReader(open(tmp_path / "validate.csv"))
-    assert [row[k] for k in ("scale", "rescaled_re", "rescaled_im",
-                             "distance", "runner_up_scale",
-                             "runner_up_distance", "assigned")] == [
-        "", "", "", "inf", "", "", "0"]
+                   "rescaled_re": None, "distance": "inf",
+                   "runner_up_scale": None, "runner_up_distance": None,
+                   "assigned": False}
+    (row,) = csv.DictReader(open(tmp_path / "csv" / "validate.csv"))
+    assert [row[k] for k in ("scale", "rescaled_re", "distance",
+                             "runner_up_scale", "runner_up_distance",
+                             "assigned")] == ["", "", "inf", "", "", "0"]
 
 
 def test_window_past_the_omega_axis_is_logged(caplog):
