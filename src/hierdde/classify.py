@@ -4,20 +4,21 @@ For small eps the zero solution is exponentially stable exactly when the
 instantaneous matrix has no unstable eigenvalue and every spectral manifold
 stays below zero; a manifold peeking above zero at scale k produces
 eigenvalues with real part ~ eps**k > 0.  The supremum of each scale's
-manifolds is estimated by a coarse lattice plus Nelder-Mead refinement
-from the best cells, with an uncertainty radius from the local sample
+manifolds is estimated by a coarse lattice, polished from the best cells by
+stencil Newton steps, with an uncertainty radius from the local sample
 variation; verdicts use a margin band because numerics cannot certify an
-exact zero crossing.  The Nelder-Mead searches of one supremum run in
-lockstep: each step evaluates four speculative points per seed
-(reflection, expansion, both contractions) in one batched grid call, and
-keeps each seed's simplex and values as Python floats, so the bookkeeping
-between calls costs its arithmetic rather than numpy calls on tiny arrays:
-a step's re-ordering places the one replaced vertex by comparisons.  For a
-scalar (d = 1) system a row's value does not depend on the points
-evaluated with it, so the lockstep search is scipy's one-point
-Nelder-Mead bit for bit.
+exact zero crossing.  The polish minimises |Y|^2 = exp(-2 sigma_k gamma_k)
+of the smallest root, which is smooth where gamma has a sharp peak.  Its
+seeds run in lockstep: one batched grid call per round evaluates every
+live seed's 3^k stencil, and each seed's centre, box and values are Python
+floats, so the bookkeeping between calls costs its arithmetic rather than
+numpy calls on tiny arrays.  Each seed's path depends only on its own
+values, so for a scalar (d = 1) system, whose row values do not depend on
+the rows evaluated with them, a seed's polish does not depend on the
+others.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ __all__ = [
 # refinement past this height is treated as an unbounded (singular) branch
 UNBOUNDED_GAMMA = math.log(1e8)
 MARGIN = 1e-6  # half-width of the band around zero that no verdict trusts
-_NM_OPTIONS = dict(xatol=1e-12, fatol=1e-11, maxiter=4000, maxfev=6000)
+_ROUNDS = 60  # round cap of one polish
+_STOP = 1e-9  # a seed stops below this many lattice spacings of half-width
 _SEED_COUNT = 5
 _log = logging.getLogger("hierdde")
 
@@ -93,169 +95,129 @@ def _row_max(gammas):
     return val, branch
 
 
-def _sort(sim, f):
-    """Reorder one simplex and its values in place, as ``np.argsort(f)``
-    orders them.
+def _newton_step(f, N):
+    """The Newton step, in half-widths, of one stencil's values ``f``.
 
-    After a step only the last vertex has moved: when the others are
-    strictly ascending and its value falls strictly between two of them
-    (or beyond either end), comparisons place it.  Everything else (a
-    first sort, a shrink, ties and nan) goes to ``np.argsort`` itself: its
-    order among equal values depends on the machine's sort kernel (with
-    AVX-512 it is not stable from four values up).
+    ``f`` holds the 3^N values of ``itertools.product((-1, 0, 1),
+    repeat=N)`` offsets in half-widths, so the centre is its middle entry.
+    The gradient and Hessian are their central differences; the step is
+    None unless the Hessian is positive definite: a Cholesky factor with
+    positive finite pivots, which a value that is not finite fails.
     """
-    n = len(f) - 1
-    v = f[n]
-    p = n
-    while p and v < f[p - 1]:
-        p -= 1
-    # v belongs at p if it lies strictly above f[p - 1] (a tie and nan do
-    # not) and the others are strictly ascending
-    placed = p == 0 or f[p - 1] < v
-    i = 1
-    while placed and i < n:
-        placed = f[i - 1] < f[i]
-        i += 1
-    if placed:
-        if p < n:
-            sim.insert(p, sim.pop())
-            f.insert(p, f.pop())
-        return
-    order = np.array(f).argsort().tolist()
-    sim[:] = [sim[i] for i in order]
-    f[:] = [f[i] for i in order]
+    mid = len(f) // 2
+    stride = [3 ** (N - 1 - i) for i in range(N)]
+    f0 = f[mid]
+    g, H = [], [[0.0] * N for _ in range(N)]
+    for i, a in enumerate(stride):
+        g.append(0.5 * (f[mid + a] - f[mid - a]))
+        H[i][i] = f[mid + a] - 2.0 * f0 + f[mid - a]
+        for j, b in enumerate(stride[:i]):
+            H[i][j] = 0.25 * (f[mid + a + b] - f[mid + a - b]
+                              - f[mid - a + b] + f[mid - a - b])
+    # H = L L^T, then L y = -g and L^T step = y
+    L = [[0.0] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1):
+            acc = H[i][j]
+            for m in range(j):
+                acc -= L[i][m] * L[j][m]
+            if i > j:
+                L[i][j] = acc / L[j][j]
+            elif 0.0 < acc < math.inf:
+                L[i][i] = math.sqrt(acc)
+            else:
+                return None
+    step = [-u for u in g]
+    for i in range(N):
+        for m in range(i):
+            step[i] -= L[i][m] * step[m]
+        step[i] /= L[i][i]
+    for i in reversed(range(N)):
+        for m in range(i + 1, N):
+            step[i] -= L[m][i] * step[m]
+        step[i] /= L[i][i]
+    return step
 
 
-def _converged(sim, f):
-    """scipy's test: every vertex within xatol of the best in every
-    coordinate and every value within fatol of its value (nan fails)."""
-    xatol, fatol = _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
-    best, fbest = sim[0], f[0]
-    for fv in f[1:]:
-        if not abs(fv - fbest) <= fatol:
-            return False
-    for v in sim[1:]:
-        for x, b in zip(v, best):
-            if not abs(x - b) <= xatol:
-                return False
-    return True
+def minimize(fun, x0, spacings):
+    """Polish each seed of ``x0`` (S, N) towards a local minimum of ``fun``
+    by stencil Newton steps, all seeds in lockstep.
 
-
-def minimize(fun, simplices):
-    """Nelder-Mead from each of the stacked simplices (S, N+1, N), in lockstep.
-
-    Every seed follows scipy's non-adaptive Nelder-Mead step for step: the
-    same constants and arithmetic, the ``np.argsort`` re-ordering after
-    every step, and its termination test with the ``_NM_OPTIONS``
-    tolerances and limits (a seed that reaches ``maxfev`` mid-step stops
-    where scipy stops).  Each seed's simplex, values and counters are
-    Python floats and ints, so a step costs its arithmetic rather than a
-    dozen numpy calls on tiny arrays.  Only the evaluation order differs:
-    ``fun`` maps an (M, N) array of points to an array of M values, and
-    one call per step evaluates the reflection, expansion, outside and
-    inside contraction points of all live seeds; the seeds that shrink
-    share one more call.  Returns ``x`` (S, N), ``fun`` (S,), ``nfev``,
-    the evaluations scipy would have counted, summed over seeds, and
-    ``capped``, the number of seeds stopped by ``maxiter`` or ``maxfev``
-    rather than by the tolerances.
+    ``fun`` maps an (M, N) array of points to an array of M values.  Each
+    round makes one call: every live seed sends the 3^N points of its
+    stencil, its centre plus -1, 0 or +1 half-widths along each axis, whose
+    central differences give a gradient and a Hessian (``_newton_step``).
+    The half-widths start at half the ``spacings`` (N,) and scale alike on
+    every axis:
+    - a positive definite Hessian gives the Newton step, scaled back into
+      the stencil's box when it leaves it.  The box then grows by 2, as
+      the minimum lies beyond it; otherwise it shrinks by 8;
+    - without one (a kink where branch moduli cross, a saddle, a value
+      that is not finite), the seed moves to its stencil's smallest value,
+      or, when the centre holds it, stays while the box shrinks by 8.
+    A seed stops when its half-widths fall below ``_STOP`` spacings or its
+    centre value is not finite, and the rest after ``_ROUNDS`` rounds.
+    Returns ``x`` (S, N) and ``fun`` (S,), each seed's smallest evaluated
+    value (the first on a tie, inf if there is none) and its point;
+    ``nfev``, the points evaluated; and ``capped``, the number of seeds
+    stopped by the round cap.
     """
-    maxfev, maxiter = _NM_OPTIONS["maxfev"], _NM_OPTIONS["maxiter"]
-    first = np.asarray(simplices, np.float64)
-    S, N = first.shape[0], first.shape[2]
-    n0 = min(N + 1, maxfev)
-    f0 = np.reshape(fun(first[:, :n0].reshape(-1, N)), (S, n0)).tolist()
-    sims, fs = first.tolist(), [f + [math.inf] * (N + 1 - n0) for f in f0]
-    for sim, f in zip(sims, fs):
-        _sort(sim, f)
-    calls, iters = [n0] * S, [1] * S
-    live, capped = list(range(S)), 0
-
-    while live:
+    x0 = np.asarray(x0, np.float64)
+    S, N = x0.shape
+    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=N)))
+    P, mid = len(offsets), len(offsets) // 2
+    centres, scale = x0.tolist(), [0.5] * S
+    best_x, best_f = x0.tolist(), [math.inf] * S
+    live, nfev, rounds = list(range(S)), 0, 0
+    while live and rounds < _ROUNDS:
+        rounds += 1
+        widths = np.array([scale[i] for i in live])[:, None] * spacings
+        X = (np.array([centres[i] for i in live])[:, None, :]
+             + offsets * widths[:, None, :]).reshape(-1, N)
+        vals = np.ravel(fun(X)).tolist()
+        nfev += len(vals)
         go = []
-        for i in live:
-            if calls[i] >= maxfev or iters[i] >= maxiter:
-                capped += 1
-            elif not _converged(sims[i], fs[i]):
+        for n, i in enumerate(live):
+            f = vals[n * P:n * P + P]
+            if not math.isfinite(f[mid]):
+                continue
+            m = mid  # the first smallest value, the centre on a tie
+            for r, v in enumerate(f):
+                if v < f[m]:
+                    m = r
+            if f[m] < best_f[i]:
+                best_x[i], best_f[i] = X[n * P + m].tolist(), f[m]
+            step = _newton_step(f, N)
+            if step is None:  # no model: a pattern move, or shrink
+                if m == mid:
+                    scale[i] *= 0.125
+                else:
+                    centres[i] = X[n * P + m].tolist()
+            else:  # the Newton step, scaled back into the box
+                over = max(abs(u) for u in step)
+                back = 1.0 / max(1.0, over)
+                centres[i] = [c + u * back * w for c, u, w in
+                              zip(centres[i], step, widths[n].tolist())]
+                scale[i] *= 2.0 if over > 1.0 else 0.125
+            if scale[i] >= _STOP:
                 go.append(i)
         live = go
-        if not live:
-            break
-        # scipy's reflection, expansion, outside and inside contraction
-        # from the centroid b of all vertices but the worst w, with its
-        # rho, chi, psi = 1, 2, 0.5 multiplied out: (1 + rho) b - rho w
-        # is 2 b - w bit for bit, and so on.  The centroid sum starts at
-        # 0.0 as numpy's add.reduce does (it turns -0.0 sums into 0.0)
-        refl, expa, outc, insc = [], [], [], []
-        for i in live:
-            sim = sims[i]
-            worst = sim[-1]
-            for j, w in enumerate(worst):
-                acc = 0.0
-                for v in sim[:-1]:
-                    acc += v[j]
-                b = acc / N
-                refl.append(2 * b - w)
-                expa.append(3 * b - 2 * w)
-                outc.append(1.5 * b - 0.5 * w)
-                insc.append(0.5 * b + 0.5 * w)
-        L = len(live)
-        flat = refl + expa + outc + insc  # row r is flat[r * N:r * N + N]
-        vals = np.ravel(fun(np.array(flat).reshape(4 * L, N))).tolist()
-
-        shrink = []
-        for n, i in enumerate(live):
-            sim, f = sims[i], fs[i]
-            fr = vals[n]
-            iters[i] += 1
-            if not fr < f[0] and fr < f[-2]:
-                calls[i] += 1
-                sim[-1], f[-1] = flat[n * N:n * N + N], fr
-            elif maxfev - calls[i] < 2:
-                # the second evaluation would pass maxfev: stop unchanged
-                calls[i] += 1
-            else:
-                calls[i] += 2
-                if fr < f[0]:
-                    row = L + n if vals[L + n] < fr else n
-                elif fr < f[-1]:
-                    row = 2 * L + n if vals[2 * L + n] <= fr else -1
-                else:
-                    row = 3 * L + n if vals[3 * L + n] < f[-1] else -1
-                if row < 0:
-                    shrink.append(i)
-                else:
-                    sim[-1], f[-1] = flat[row * N:row * N + N], vals[row]
-
-        if shrink:  # towards the best vertex, scipy's sigma = 0.5
-            moved = [[b + 0.5 * (x - b) for x, b in zip(v, sims[i][0])]
-                     for i in shrink for v in sims[i][1:]]
-            fmoved = np.ravel(fun(np.array(moved))).tolist()
-            for n, i in enumerate(shrink):
-                # only the vertices the remaining budget evaluates move
-                m = min(maxfev - calls[i], N)
-                sims[i][1:m + 1] = moved[n * N:n * N + m]
-                fs[i][1:m + 1] = fmoved[n * N:n * N + m]
-                calls[i] += m
-        for i in live:
-            _sort(sims[i], fs[i])
-
-    return SimpleNamespace(x=np.array([sim[0] for sim in sims]),
-                           fun=np.array(fs).min(axis=1), nfev=sum(calls),
-                           capped=capped)
+    return SimpleNamespace(x=np.array(best_x), fun=np.array(best_f),
+                           nfev=nfev, capped=len(live))
 
 
 def sup_gamma(sys, k, grid=GridSpec()):
     """Supremum of the scale-k manifold branches over the canonical box.
 
-    Coarse lattice (defaults as in the manifold grids), then Nelder-Mead
-    from the best ``_SEED_COUNT`` cells, all seeds in lockstep
-    (``minimize``: four speculative points per seed and step, one batched
-    grid call per step, the simplices kept as Python floats between calls;
-    seeds stopped by an iteration or evaluation cap are logged at DEBUG on
-    logger ``hierdde``); a refined value above ``UNBOUNDED_GAMMA /
-    sigma_k`` (or an exact zero root on the lattice) is reported as +inf
-    with the singular point as witness — the supremum is genuinely
-    unbounded exactly when the branch polynomial has a zero root there.
+    Coarse lattice (defaults as in the manifold grids), then the stencil
+    Newton polish (``minimize``) from the best ``_SEED_COUNT`` cells, all
+    seeds in lockstep, one batched grid call per round (seeds stopped by
+    the round cap are logged at DEBUG on logger ``hierdde``); a polished
+    value above ``UNBOUNDED_GAMMA / sigma_k`` (or an exact zero root on the
+    lattice) is reported as +inf with the singular point as witness — the
+    supremum is genuinely unbounded exactly when the branch polynomial has
+    a zero root there.  Otherwise the supremum is gamma at the canonical
+    argmax.
     The uncertainty is the largest change of gamma over steps of 1/100
     lattice spacing around the argmax; the argmax and these 2k probes are
     evaluated in one call.
@@ -271,12 +233,15 @@ def lattice_sup(sys, grid, level, axes, lattice):
     """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
     grid)``: its level, axes and lattice.
 
-    The Nelder-Mead objective is minus each row's largest gamma, with a
-    zero root (+inf) mapped to the plateau ``-10 UNBOUNDED_GAMMA /
-    sigma_k`` and a row without a finite gamma to 1e6.  A one-column
-    level's column is its own row maximum, so ``_row_max`` runs only for
-    more branches; when every value is finite (one reduction, which nan
-    fails) the plateau masks would change nothing and are skipped.
+    The polished objective is ``exp(2 sigma_k v)``, where v is minus each
+    row's largest gamma: |Y|^2 of the row's smallest root, smooth where
+    gamma has a sharp peak, on which a stencil stalls.  Before the
+    exponential, a zero root (+inf) maps to the plateau ``-10
+    UNBOUNDED_GAMMA / sigma_k`` and a row without a finite gamma to 1e6,
+    which overflows to inf and stops a seed.  A one-column level's column
+    is its own row maximum, so ``_row_max`` runs only for more branches;
+    when every v is finite (one reduction, which nan fails) the plateau
+    masks would change nothing and are skipped.
     """
     k, sigma_k = level.k, level.sigma_k
     omegas, phis, _, gammas, _ = lattice
@@ -306,26 +271,26 @@ def lattice_sup(sys, grid, level, axes, lattice):
     spacings = np.asarray(spacings)
 
     def objective(X):
-        # minus each row's largest gamma: a one-column level's column is
-        # its own row maximum, and its nan (a missing branch) is remapped
-        # below as _row_max's -inf is
+        # |Y|^2 of each row's smallest root, from minus the row's largest
+        # gamma: a one-column level's column is its own row maximum, and
+        # its nan (a missing branch) is remapped below as _row_max's -inf
+        # is.  The 1e6 plateau overflows exp to inf
         g = level.gammas(X[:, 0], X[:, 1:])[1]
         val = -(g[:, 0] if g.shape[1] == 1 else _row_max(g)[0])
-        if np.isfinite(val).all():
-            return val
-        return np.where(val == -math.inf, -10.0 * UNBOUNDED_GAMMA / sigma_k,
-                        np.where(np.isfinite(val), val, 1e6))
+        if not np.isfinite(val).all():
+            val = np.where(val == -math.inf,
+                           -10.0 * UNBOUNDED_GAMMA / sigma_k,
+                           np.where(np.isfinite(val), val, 1e6))
+        with np.errstate(over="ignore"):
+            return np.exp(2.0 * sigma_k * val)
 
     x0 = np.column_stack([omegas[seeds], phis[seeds]])
-    steps = np.vstack([np.zeros(k), np.diag(0.5 * spacings)])
-    res = minimize(objective, x0[:, None, :] + steps)
+    res = minimize(objective, x0, spacings)
     if res.capped:
-        _log.debug("scale-%d sup refinement: %d of %d Nelder-Mead seeds "
-                   "stopped on maxiter or maxfev, not on tolerance",
-                   k, res.capped, len(seeds))
-    found = -res.fun
-    best = int(np.argmax(found))
-    best_val, best_x = float(found[best]), res.x[best]
+        _log.debug("scale-%d sup refinement: %d of %d seeds stopped on the "
+                   "round cap of %d", k, res.capped, len(seeds), _ROUNDS)
+    best = int(np.argmin(res.fun))
+    best_x = res.x[best]
 
     # the canonical argmax, then steps of 1/100 spacing along each axis
     point = PhasePoint.make(best_x[0], best_x[1:], sys.sigma)
@@ -334,8 +299,11 @@ def lattice_sup(sys, grid, level, axes, lattice):
         [np.zeros(k), -probe, probe])
     vals, branches = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
     branch = int(branches[0])
-    if np.isfinite(vals[0]):
-        best_val = max(best_val, float(vals[0]))
+    # gamma at the point; where it is not finite (a zero root, or no
+    # branch), the polished value, which on the zero-root plateau lies
+    # above the unbounded threshold
+    best_val = float(vals[0]) if np.isfinite(vals[0]) else float(
+        np.log(res.fun[best]) / (-2.0 * sigma_k))
 
     if best_val > UNBOUNDED_GAMMA / sigma_k:
         return SupEstimate(k=k, sup=math.inf, argmax=(point, branch),

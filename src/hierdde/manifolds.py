@@ -73,9 +73,13 @@ _log = logging.getLogger("hierdde")
 
 
 def canonical_phase(phi, sigma_j):
-    """Reduce a phase to the canonical interval [0, 2 pi / sigma_j)."""
+    """Reduce a phase to the canonical interval [0, 2 pi / sigma_j).
+
+    A phase a rounding below 0 reduces to the period itself, which folds
+    to 0.0."""
     period = 2.0 * math.pi / sigma_j
-    return float(phi) % period
+    phi = float(phi) % period
+    return 0.0 if phi == period else phi
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Per-scale growth-rate suprema and the overall stability verdict."""
 
+import cmath
 import importlib.util
-import itertools
 import logging
 import math
 import pathlib
@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize as scipy_minimize
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import (_NM_OPTIONS, UNBOUNDED_GAMMA, _leak_check,
-                              _row_max, _sort, minimize)
+from hierdde.classify import UNBOUNDED_GAMMA, _leak_check, _row_max, minimize
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import ZERO_ROOT_TOL, PhasePoint, _Level
+from hierdde.scalar2 import classify_coefs, sup_gamma_k
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
     "workloads.py"
@@ -159,115 +158,16 @@ def test_classify_refuses_degenerate_system():
         h.classify(s, h.build_ladder(s))
 
 
-# --- lockstep Nelder-Mead against scipy -------------------------------------
-
-def _rows(X):
-    """Objective built from elementwise arithmetic only, so a row's value
-    does not depend on the rows evaluated with it; the kink and the steps
-    make contractions fail and the simplex shrink."""
-    x, y = X[:, 0], X[:, 1:]
-    v = (1.0 - x) ** 2 + 3.0 * np.abs(x - 0.3) + 0.25 * np.floor(8.0 * x)
-    for j in range(y.shape[1]):
-        v = v + 100.0 * (y[:, j] - x ** 2) ** 2 + 0.25 * np.floor(4.0 * y[:, j])
-    return v
-
-
-def _scipy_nm(sim):
-    """scipy's Nelder-Mead from one simplex, and whether it ever shrank
-    (a shrink is the only step costing more than two evaluations)."""
-    evals, per_step = [0], []
-
-    def f(x):
-        evals[0] += 1
-        return _rows(x[None])[0]
-
-    res = scipy_minimize(f, sim[0], method="Nelder-Mead",
-                         callback=lambda xk: per_step.append(evals[0]),
-                         options=dict(_NM_OPTIONS, initial_simplex=sim))
-    steps = np.diff([sim.shape[0]] + per_step)
-    return res, bool(np.any(steps > 2))
-
-
-def _simplices(N, count=6):
-    rng = np.random.default_rng(N)
-    scale = np.geomspace(0.01, 2.0, count)[:, None, None]
-    return rng.normal(size=(count, N + 1, N)) * scale
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-@pytest.mark.parametrize("maxiter", [None, 7])
-def test_lockstep_minimize_is_scipy_nelder_mead(N, maxiter, monkeypatch):
-    if maxiter is not None:
-        monkeypatch.setitem(_NM_OPTIONS, "maxiter", maxiter)
-    sims = _simplices(N)
-    res = minimize(_rows, sims)
-    refs = [_scipy_nm(sim) for sim in sims]
-    for i, (ref, _) in enumerate(refs):
-        assert np.array_equal(res.x[i], ref.x)
-        assert res.fun[i] == ref.fun
-        assert minimize(_rows, sims[i:i + 1]).nfev == ref.nfev
-    assert res.nfev == sum(ref.nfev for ref, _ in refs)
-    if maxiter is None:
-        # seeds leave the lockstep at different steps, and some shrink
-        assert len({ref.nit for ref, _ in refs}) > 1
-        assert any(shrunk for _, shrunk in refs)
-    else:
-        assert all(ref.nit == maxiter for ref, _ in refs)
-
-
-def test_lockstep_minimize_stops_mid_step_at_maxfev_like_scipy(monkeypatch):
-    # every position of the evaluation budget's end within a step: after
-    # the reflection, inside a shrink, and on a step boundary
-    sims = _simplices(3)
-    for maxfev in range(2, 30):
-        monkeypatch.setitem(_NM_OPTIONS, "maxfev", maxfev)
-        res = minimize(_rows, sims)
-        refs = [_scipy_nm(sim)[0] for sim in sims]
-        assert res.nfev == sum(ref.nfev for ref in refs), maxfev
-        for i, ref in enumerate(refs):
-            assert np.array_equal(res.x[i], ref.x), maxfev
-            assert res.fun[i] == ref.fun, maxfev
-
-
-@pytest.mark.parametrize("size", [2, 3, 4, 5])
-def test_simplex_sort_orders_as_numpy_argsort(size):
-    # random arrangements of values with ties, signed zeros, infinities
-    # and nan: np.argsort puts nan last, and its order among equal values
-    # is whatever the machine's sort kernel gives, which _sort reproduces
-    values = [0.0, -0.0, 1.0, -2.0, 1e6, math.inf, -math.inf, math.nan]
-    rng = np.random.default_rng(size)
-    for f in rng.choice(values, size=(3000, size)).tolist():
-        sim = [[float(i)] for i in range(size)]
-        got = list(f)
-        _sort(sim, got)
-        order = np.argsort(f).tolist()
-        assert [v[0] for v in sim] == order, f
-        assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
-    # after a step only the last value has moved: strictly ascending heads,
-    # and a last value in every gap and beyond either end, tied with each
-    # head value, nan, +-inf and +-0.0
-    points = [-math.inf, -2.0, 0.0, 1.0, 1e6, math.inf]
-    gaps = [-5.0, -1.0, 0.5, 2.0, 2e6]
-    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
-    for head in itertools.combinations(points, size - 1):
-        for last in head + tuple(gaps + specials):
-            f = [*head, last]
-            sim = [[float(i)] for i in range(size)]
-            got = list(f)
-            _sort(sim, got)
-            order = np.argsort(f).tolist()
-            assert [v[0] for v in sim] == order, f
-            assert np.array_equal(got, np.asarray(f)[order], equal_nan=True)
-
+# --- the stencil-Newton polish ----------------------------------------------
 
 def _captured_refinement(sys_, k, monkeypatch, grid=h.GridSpec()):
-    """The objective and the stacked simplices that ``sup_gamma`` hands to
-    ``minimize``."""
+    """The objective, seeds and lattice spacings that ``sup_gamma`` hands
+    to ``minimize``."""
     seen = []
 
-    def record(fun, simplices):
-        seen.append((fun, np.array(simplices)))
-        return minimize(fun, simplices)
+    def record(fun, x0, spacings):
+        seen.append((fun, np.array(x0), np.array(spacings)))
+        return minimize(fun, x0, spacings)
 
     with monkeypatch.context() as m:
         m.setattr(sys.modules["hierdde.classify"], "minimize", record)
@@ -276,56 +176,69 @@ def _captured_refinement(sys_, k, monkeypatch, grid=h.GridSpec()):
     return got
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_minimize_is_scipy_on_the_sup_objective(k, monkeypatch):
-    # the lattice_sup objective of a classify-random system, seeded from
-    # its lattice, plus a simplex far out on the 1e6 plateau (every value
-    # ties); then the same with nan at some points.  A d = 1 row's bits do
-    # not depend on the rows evaluated with it, so the lockstep search on
-    # the batched objective is scipy's one-point search bit for bit.  That
-    # invariance was checked with numpy 2.4.6 on x86-64 with AVX-512; other
-    # SIMD loops may round a lone row differently
-    dispatch = f"numpy {np.__version__}"
-    monkeypatch.setitem(_NM_OPTIONS, "maxfev", 800)
-    sys_ = _classify_random_systems(1)[0]
-    fun, sims = _captured_refinement(sys_, k, monkeypatch)
-    assert sims.shape == (5, k + 1, k)
-    sims = np.concatenate([sims, (1e12 + sims[0] - sims[0, 0])[None]])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_polish_takes_the_newton_step_of_a_quadratic(N):
+    # central differences are exact on a quadratic: the first round's
+    # step lands on the minimum, inside the half-spacing box, and the
+    # rest only shrink the stencil around it
+    rng = np.random.default_rng(N)
+    M = rng.normal(size=(N, N))
+    A, xmin = M @ M.T + np.eye(N), rng.uniform(-0.3, 0.3, N)
+    spacings = np.geomspace(1.0, 0.1, N)
 
+    def quad(X):
+        D = X - xmin
+        return 2.0 + np.einsum("mi,ij,mj->m", D, A, D)
+
+    x0 = xmin + rng.uniform(-0.1, 0.1, (4, N)) * spacings
+    res = minimize(quad, x0, spacings)
+    assert res.capped == 0 and res.x.shape == (4, N)
+    assert np.abs(res.x - xmin).max() < 1e-12
+    assert np.all(res.fun == quad(res.x))
+    # ten shrinks by 8 take the half-widths from 1/2 to below 1e-9
+    # spacings, one a round; rounding noise near the end may add a few
+    assert 10 <= res.nfev / (4 * 3 ** N) <= 13
+
+
+def test_polish_falls_back_to_pattern_moves_at_a_kink():
+    # a kink at the minimum, where no Hessian is positive definite, and a
+    # minimum three spacings from the seed: pattern moves reach both
+    def kink(X):
+        return np.abs(X[:, 0] - 0.31) + 2.0 * np.abs(X[:, 1] + 0.17)
+
+    res = minimize(kink, np.zeros((1, 2)), np.array([0.1, 0.05]))
+    assert res.capped == 0
+    assert np.abs(res.x[0] - [0.31, -0.17]).max() < 1e-9
+    assert res.fun[0] == kink(res.x)[0] < 1e-9
+
+
+def test_polish_stops_a_seed_on_a_value_that_is_not_finite():
+    # the centre's value is inf or nan: the seed stops at once, keeping
+    # its seed point; the finite seed beside it goes on
     def holes(X):
-        return np.where(np.floor(40.0 * X[:, 0]) % 3 == 0, math.nan, fun(X))
+        return np.where(X[:, 0] > 5.0, np.where(X[:, 0] > 8.0, math.nan,
+                                                 math.inf), X[:, 0] ** 2)
 
-    for f in (fun, holes):
-        res = minimize(f, sims)
-        refs = [scipy_minimize(lambda x: f(x[None])[0], sim[0],
-                               method="Nelder-Mead",
-                               options=dict(_NM_OPTIONS, initial_simplex=sim))
-                for sim in sims]
-        for i, ref in enumerate(refs):
-            assert np.array_equal(res.x[i], ref.x), (f.__name__, i, dispatch)
-            assert np.array_equal(res.fun[i], ref.fun, equal_nan=True), (
-                f.__name__, i, dispatch)
-        assert res.nfev == sum(ref.nfev for ref in refs)
-        assert res.capped == sum(ref.status != 0 for ref in refs)
-        assert res.fun[-1] == 1e6
-    # the nan case really leaves nan in a final simplex
-    assert any(np.isnan(ref.final_simplex[1]).any() for ref in refs)
+    res = minimize(holes, np.array([[6.0], [9.0], [0.3]]), np.array([0.1]))
+    assert np.array_equal(res.x[:2], [[6.0], [9.0]])
+    assert res.fun[0] == math.inf and res.fun[1] == math.inf
+    assert abs(res.x[2, 0]) < 1e-12 and res.capped == 0
 
 
 def test_capped_seeds_are_logged_at_debug(monkeypatch, caplog):
     sys_ = _classify_random_systems(1)[0]
     with caplog.at_level(logging.DEBUG, logger="hierdde"):
         h.sup_gamma(sys_, 2)
-    assert not [r for r in caplog.records if "Nelder-Mead" in r.getMessage()]
-    monkeypatch.setitem(_NM_OPTIONS, "maxiter", 7)
-    fun, sims = _captured_refinement(sys_, 2, monkeypatch)
-    assert minimize(fun, sims).capped == len(sims)
+    assert not [r for r in caplog.records if "round cap" in r.getMessage()]
+    monkeypatch.setattr(sys.modules["hierdde.classify"], "_ROUNDS", 2)
+    fun, x0, spacings = _captured_refinement(sys_, 2, monkeypatch)
+    assert minimize(fun, x0, spacings).capped == len(x0)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hierdde"):
         h.sup_gamma(sys_, 2)
-    (rec,) = [r for r in caplog.records if "Nelder-Mead" in r.getMessage()]
+    (rec,) = [r for r in caplog.records if "round cap" in r.getMessage()]
     assert rec.name == "hierdde" and rec.levelno == logging.DEBUG
-    assert "5 of 5 Nelder-Mead seeds" in rec.getMessage()
+    assert "5 of 5 seeds stopped on the round cap of 2" in rec.getMessage()
 
 
 def _argmax_row_max(gammas):
@@ -401,6 +314,57 @@ def test_classify_random_verdicts_bit_equal_with_companion_roots(monkeypatch):
     assert fast == ref
 
 
+def _assert_closed_form(est, coefs, tol=1e-12):
+    """A finite supremum is scalar2's -ln(g_k / |a_k|) to ``tol``, taken
+    at omega = Im a0 and phi_j = Arg a_j (mod 2 pi) to 1e-6."""
+    assert est.sup == pytest.approx(sup_gamma_k(coefs, est.k), abs=tol)
+    point, branch = est.argmax
+    assert branch == 0 and abs(point.omega - coefs[0].imag) <= 1e-6
+    for phi, a in zip(point.phi, coefs[1:est.k], strict=True):
+        assert 0.0 <= phi < 2 * math.pi
+        off = (phi - cmath.phase(a)) % (2 * math.pi)
+        assert min(off, 2 * math.pi - off) <= 1e-6, (phi, a)
+
+
+@pytest.mark.parametrize("seed", [1, 21])
+def test_classify_random_suprema_are_the_closed_forms(seed):
+    checked = 0
+    for s in _classify_random_systems(seed):
+        coefs = tuple(complex(M[0, 0]) for M in s.matrices)
+        for est in h.classify(s, h.build_ladder(s)).sup_gammas:
+            if math.isfinite(est.sup):
+                _assert_closed_form(est, coefs)
+                checked += 1
+    assert checked >= 50
+
+
+def test_n3_scalar_suprema_are_the_closed_forms():
+    # three delay scales: the scale-3 polish works on a 27-point stencil
+    coefs = (-0.4 + 0.5j, 0.1 * cmath.exp(0.7j), 0.15 * cmath.exp(-2j),
+             0.4 * cmath.exp(1.1j))
+    s = h.DelaySystem.scalar(coefs[0], coefs[1:])
+    got = h.classify(s, h.build_ladder(s), h.GridSpec(101, 16))
+    want = classify_coefs(coefs)
+    assert (got.status, got.scale) == (want.status, want.scale)
+    assert got.scale == 3
+    assert [e.k for e in got.sup_gammas] == [1, 2, 3]
+    for est in got.sup_gammas:
+        _assert_closed_form(est, coefs)
+
+
+def test_double_root_system_gives_its_scalar_blocks_verdict():
+    # A_k = a_k I: both branches of the d = 2 pencil are the scalar
+    # branch bit for bit, so the verdict is the scalar block's, to every
+    # supremum, argmax and uncertainty
+    scalar = h.preset_system("fig2-unstable")
+    double = h.DelaySystem(tuple(M[0, 0] * np.eye(2, dtype=complex)
+                                 for M in scalar.matrices), scalar.sigma)
+    want = h.classify(scalar, h.build_ladder(scalar))
+    got = h.classify(double, h.build_ladder(double))
+    assert (want.status, want.scale) == ("WeaklyUnstable", 2)
+    assert repr(got) == repr(want)
+
+
 # --- the guarded height chain against its masked expressions ---------------
 
 def _radii(level, omegas):
@@ -409,18 +373,20 @@ def _radii(level, omegas):
 
 
 def _masked_chain(level, omegas, roots):
-    """Heights and sup objective values of ``roots`` as every row's masks
-    give them, the expressions of ``_Level.gammas`` and the objective before
-    their guards: the reference."""
+    """Heights and polished values of ``roots`` as every row's masks give
+    them, the expressions of ``_Level.gammas`` and the sup objective before
+    their guards, the latter as ``exp(2 sigma_k objective)``: the
+    reference."""
     absY = np.abs(roots)
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = -np.log(absY) / level.sigma_k
     gammas = np.where(absY <= ZERO_ROOT_TOL * _radii(level, omegas)[:, None],
                       math.inf, gammas)
     val, _ = _row_max(gammas)
-    return gammas, np.where(val == math.inf,
-                            -10.0 * UNBOUNDED_GAMMA / level.sigma_k,
-                            np.where(np.isfinite(val), -val, 1e6))
+    obj = np.where(val == math.inf, -10.0 * UNBOUNDED_GAMMA / level.sigma_k,
+                   np.where(np.isfinite(val), -val, 1e6))
+    with np.errstate(over="ignore"):
+        return gammas, np.exp(2.0 * level.sigma_k * obj)
 
 
 _CHAIN_CASES = ("d1-k1", "d1-k2", "d1-k3", "d2-rank1", "d2-full", "d3")
@@ -480,7 +446,7 @@ def test_guarded_heights_and_objective_are_the_masked_chain(case,
     sys_, k = _chain_system(case)
     level = _Level.plain(sys_, k)
     assert level.dk == {"d2-full": 2, "d3": 3}.get(case, 1)
-    fun, _ = _captured_refinement(sys_, k, monkeypatch, h.GridSpec(21, 6))
+    fun, _, _ = _captured_refinement(sys_, k, monkeypatch, h.GridSpec(21, 6))
     rng = np.random.default_rng(k)
 
     def check(omegas, phis, roots, neff):

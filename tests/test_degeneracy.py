@@ -183,8 +183,9 @@ def test_identically_zero_pencil_refused():
 
 def test_near_vanishing_pencil_refused():
     # as above with A0[2, 1] = 1e-14: the level-1 pencil is det(diag(-3,
-    # 1e-14) - lam diag(1, 0)) = (3 + lam) (-1e-14), every coefficient far
-    # below the 1e-12 floor; it is refused although it has a root at -3
+    # 1e-14) - lam diag(1, 0)) = (3 + lam) (-1e-14), far below
+    # pencil_roots' relative floor (TRIM_TOL times the pencil's size); it
+    # is refused although it has a root at -3
     A1 = np.zeros((3, 3), complex)
     A1[1, 2] = 1.0
     A0 = np.array([[-3.0, 0, 0], [0, 7, 0], [0, 1e-14, 0]], dtype=complex)

@@ -429,6 +429,14 @@ def test_canonical_phase_wraps_by_period():
     assert h.canonical_phase(-0.1, 1.0) == pytest.approx(2 * np.pi - 0.1)
 
 
+def test_canonical_phase_folds_the_period_to_zero():
+    # -1e-17 % 2 pi rounds to 2 pi itself, outside [0, 2 pi)
+    assert -1e-17 % (2 * np.pi) == 2 * np.pi
+    assert h.canonical_phase(-1e-17, 1.0) == 0.0
+    assert h.canonical_phase(2 * np.pi, 1.0) == 0.0
+    assert h.canonical_phase(-1e-17, 2.0) == 0.0
+
+
 def test_default_omega_bound():
     s = h.DelaySystem(matrices=(np.diag([-1.0, 2.0]).astype(complex),
                                 np.eye(2, dtype=complex)), sigma=(1.0,))

@@ -32,7 +32,7 @@ def _record(monkeypatch, owner, name, log, key):
 @pytest.mark.parametrize("rule", ["window", "re_halfwidth_coef", "sup"])
 def test_one_top_scale_lattice_per_validation(rule, monkeypatch):
     # every rule evaluates scales 1 and 2 once each and searches the
-    # windows of validation_window; only the sup rule runs Nelder-Mead
+    # windows of validation_window; only the sup rule polishes a supremum
     cfg = h.preset_config("fig2-unstable", eps_list=(0.05, 0.02))
     if rule == "window":
         cfg = replace(cfg, window=h.Rectangle(-0.03, 0.03, -3.0, 3.0))
@@ -45,7 +45,7 @@ def test_one_top_scale_lattice_per_validation(rule, monkeypatch):
     _record(monkeypatch, harness, "_locate", windows,
             lambda sys_, eps, window, tol: window)
     _record(monkeypatch, _classify, "minimize", searches,
-            lambda fun, simplices: None)
+            lambda fun, x0, spacings: None)
     h.run_validate(cfg, write=False)
     assert sorted(scales) == [1, 2]
     assert windows == want and len(want) == 2
