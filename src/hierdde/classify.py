@@ -4,7 +4,7 @@ For small eps the zero solution is exponentially stable exactly when the
 instantaneous matrix has no unstable eigenvalue and every spectral manifold
 stays below zero; a manifold peeking above zero at scale k produces
 eigenvalues with real part ~ eps**k > 0.  The supremum of each scale's
-manifolds is estimated by a coarse lattice, polished from the best cells by
+manifolds is estimated by a coarse lattice, polished from its peaks by
 stencil Newton steps, with an uncertainty radius from the local sample
 variation; verdicts use a margin band because numerics cannot certify an
 exact zero crossing.  The polish minimises |Y|^2 = exp(-2 sigma_k gamma_k)
@@ -41,7 +41,8 @@ UNBOUNDED_GAMMA = math.log(1e8)
 MARGIN = 1e-6  # half-width of the band around zero that no verdict trusts
 _ROUNDS = 60  # round cap of one polish
 _STOP = 1e-9  # a seed stops below this many lattice spacings of half-width
-_SEED_COUNT = 5
+_FLAT = 4  # ulps of the centre value within which a stencil is flat
+_SEED_COUNT = 5  # most lattice peaks polished
 _log = logging.getLogger("hierdde")
 
 
@@ -155,8 +156,10 @@ def minimize(fun, x0, spacings):
     - without one (a kink where branch moduli cross, a saddle, a value
       that is not finite), the seed moves to its stencil's smallest value,
       or, when the centre holds it, stays while the box shrinks by 8.
-    A seed stops when its half-widths fall below ``_STOP`` spacings or its
-    centre value is not finite, and the rest after ``_ROUNDS`` rounds.
+    A seed stops when its stencil is flat to rounding (every value within
+    ``_FLAT`` ulps of the centre's, so no step is left to take), when its
+    half-widths fall below ``_STOP`` spacings or its centre value is not
+    finite, and the rest after ``_ROUNDS`` rounds.
     Returns ``x`` (S, N) and ``fun`` (S,), each seed's smallest evaluated
     value (the first on a tie, inf if there is none) and its point;
     ``nfev``, the points evaluated; and ``capped``, the number of seeds
@@ -187,6 +190,9 @@ def minimize(fun, x0, spacings):
                     m = r
             if f[m] < best_f[i]:
                 best_x[i], best_f[i] = X[n * P + m].tolist(), f[m]
+            flat = _FLAT * math.ulp(f[mid])
+            if all(abs(v - f[mid]) <= flat for v in f):
+                continue  # the stencil sees only rounding: done
             step = _newton_step(f, N)
             if step is None:  # no model: a pattern move, or shrink
                 if m == mid:
@@ -209,10 +215,12 @@ def minimize(fun, x0, spacings):
 def sup_gamma(sys, k, grid=GridSpec()):
     """Supremum of the scale-k manifold branches over the canonical box.
 
-    Coarse lattice (defaults as in the manifold grids), then the stencil
-    Newton polish (``minimize``) from the best ``_SEED_COUNT`` cells, all
-    seeds in lockstep, one batched grid call per round (seeds stopped by
-    the round cap are logged at DEBUG on logger ``hierdde``); a polished
+    Coarse lattice (defaults as in the manifold grids, each delay factor
+    taken once per phase-axis value), then the stencil Newton polish
+    (``minimize``) from one cell per lattice peak, the best
+    ``_SEED_COUNT`` peaks, all seeds in lockstep, one batched grid call
+    per round (seeds stopped by the round cap are logged at DEBUG on
+    logger ``hierdde``); a polished
     value above ``UNBOUNDED_GAMMA / sigma_k`` (or an exact zero root on the
     lattice) is reported as +inf with the singular point as witness — the
     supremum is genuinely unbounded exactly when the branch polynomial has
@@ -229,10 +237,31 @@ def sup_gamma(sys, k, grid=GridSpec()):
     return lattice_sup(sys, grid, *scale_lattice(sys, k, grid))
 
 
+def _peaks(v):
+    """Flat indices of the lattice's local maxima, best first (the first
+    cell on a tie), at most ``_SEED_COUNT``.
+
+    ``v`` holds each cell's row maximum in the lattice's shape, omega
+    first.  A peak is a finite cell no lower than its two neighbours along
+    each axis; the phase axes wrap around, the omega axis does not.
+    """
+    peak = np.isfinite(v)
+    peak[1:] &= v[1:] >= v[:-1]
+    peak[:-1] &= v[:-1] >= v[1:]
+    for axis in range(1, v.ndim):
+        peak &= (v >= np.roll(v, 1, axis)) & (v >= np.roll(v, -1, axis))
+    cells = np.flatnonzero(peak)
+    best = np.argsort(-v.reshape(-1)[cells], kind="stable")
+    return cells[best[:_SEED_COUNT]]
+
+
 def lattice_sup(sys, grid, level, axes, lattice):
     """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
     grid)``: its level, axes and lattice.
 
+    The polish starts from the lattice's peaks (``_peaks``), not its best
+    cells, which crowd on one peak: each peak is polished once, and a
+    peak that the lattice reads below another's flank is still polished.
     The polished objective is ``exp(2 sigma_k v)``, where v is minus each
     row's largest gamma: |Y|^2 of the row's smallest root, smooth where
     gamma has a sharp peak, on which a stencil stalls.  Before the
@@ -259,10 +288,9 @@ def lattice_sup(sys, grid, level, axes, lattice):
                            uncertainty=0.0)
 
     row_max, _ = _row_max(gammas)
-    if not np.isfinite(row_max).any():
+    seeds = _peaks(row_max.reshape([ax.size for ax in axes]))
+    if not seeds.size:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
-    seeds = np.argsort(row_max)[::-1][:_SEED_COUNT]
-    seeds = seeds[np.isfinite(row_max[seeds])]
 
     spacings = [float(axes[0][1] - axes[0][0])]
     for j in range(1, k):
@@ -349,7 +377,10 @@ def classify(sys, ladder, grid=GridSpec()):
     Stable needs every sup below -(MARGIN + uncertainty); anything else is
     Marginal.  Phases are searched over the canonical box only: each delay
     exponential covers the unit circle exactly once there, so no larger box
-    can enlarge the range of any manifold.
+    can enlarge the range of any manifold.  Each supremum (``sup_gamma``)
+    costs one lattice, whose delay factors are taken once per phase-axis
+    value, and one polish seed per lattice peak, each stopped once its
+    stencil is flat to rounding.
     """
     if not ladder.nd_satisfied:
         raise DegenerateSystemError(

@@ -241,12 +241,12 @@ class _Level:
         self.smin = float(s[self.dk - 1]) if self.dk else 0.0
         self.J_norm = spectral_norm(J)
         self.norm_sum = sum(spectral_norm(M) for M in self.A_list)
-        # what ``B`` multiplies its (N,) factors by, and how it broadcasts
+        # what ``B`` multiplies its factors by, and how it broadcasts
         # them: the scalar entries for d = 1, the matrices beyond
         if J.shape[0] == 1:
-            self._terms = J[0, 0], [M[0, 0] for M in self.A_list], np.s_[:]
+            self._terms = J[0, 0], [M[0, 0] for M in self.A_list], np.s_[...]
         else:
-            self._terms = J, self.A_list, np.s_[:, None, None]
+            self._terms = J, self.A_list, np.s_[..., None, None]
 
     @classmethod
     def plain(cls, sys, k):
@@ -259,22 +259,28 @@ class _Level:
         return cls(k, ladder.sigma, lev.J1, lev.A_proj)
 
     def B(self, omegas, phis):
-        """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j).
+        """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j),
+        flattened over the broadcast shape of its terms.
 
-        For d = 1 the terms are (N,) arrays times the scalar entries,
-        returned as an (N, 1, 1) view: those products round the same
-        whatever N is, while an (N, 1, 1) broadcast rounds a lone row
-        differently from the same row in a batch.  Which loop numpy picks
-        decides this; it was checked with numpy 2.4.6 on x86-64 with
-        AVX-512 only."""
+        ``phis`` is an (N, k-1) array of the points' phases, or a list of
+        the lattice's phase axes, each shaped to broadcast against
+        ``omegas`` and the others (``_axis_rows``): then each delay factor
+        is taken once per axis value and the sums broadcast, in the same
+        order, so every row has the bits it has as a point.  For d = 1 the
+        terms are arrays times the scalar entries, returned as an (N, 1, 1)
+        view: those products round the same whatever the array's size,
+        while an (N, 1, 1) broadcast rounds a lone row differently from the
+        same row in a batch.  Which loop numpy picks decides this; it was
+        checked with numpy 2.4.6 on x86-64 with AVX-512 only."""
         J, A, ax = self._terms
-        B = (-1j * omegas)[ax] * J
-        # sums in place: an add rounds alike in every loop, while an
+        if isinstance(phis, np.ndarray):
+            phis = list(phis.T)
+        # out of place: the shape grows with each phase axis, and an
         # in-place product rounds a lone d = 1 row differently
-        B += A[0]
+        B = (-1j * omegas)[ax] * J + A[0]
         for j in range(1, self.k):
-            fac = np.exp(-1j * self.sigma[j - 1] * phis[:, j - 1])
-            B += fac[ax] * A[j]
+            fac = np.exp(-1j * self.sigma[j - 1] * phis[j - 1])
+            B = B + fac[ax] * A[j]
         return B.reshape(-1, *self.J.shape)
 
     def radii(self, omegas):
@@ -290,23 +296,31 @@ class _Level:
 
     def roots(self, omegas, phis):
         """Roots of det(B + Y Ak) at the points, as ``poly_roots_batch``
-        gives them: (roots, neff).  The one loop over row chunks, of
+        gives them: (roots, neff).  ``phis`` is the points' (N, k-1)
+        phases, or, when the points are a lattice flattened omega-major,
+        the list of its phase axes: each chunk's B is then built from the
+        axes (``_axis_rows``).  The one loop over row chunks, of
         ``_CHUNK_ROWS`` rows each; only a rank-deficient Ak builds the
         radii, which the pencil's shift reads for d >= 2."""
         N = omegas.shape[0]
         radii = self.radii(omegas) if self.dk < self.J.shape[0] else None
-        if N <= _CHUNK_ROWS:  # one chunk is the result: no concatenation
-            return self._solve(omegas, phis, radii)
-        parts = [self._solve(omegas[rows], phis[rows],
-                             None if radii is None else radii[rows])
-                 for rows in (slice(lo, lo + _CHUNK_ROWS)
-                              for lo in range(0, N, _CHUNK_ROWS))]
+        parts = []
+        for lo in range(0, max(N, 1), _CHUNK_ROWS):  # no points: one chunk
+            hi = min(lo + _CHUNK_ROWS, N)
+            if isinstance(phis, np.ndarray):
+                B = self.B(omegas[lo:hi], phis[lo:hi])
+            else:
+                om, ph, off = _axis_rows(omegas, phis, lo, hi)
+                B = self.B(om, ph)[off:off + hi - lo]
+            parts.append(self._solve(B, None if radii is None
+                                     else radii[lo:hi]))
+        if len(parts) == 1:  # one chunk is the result: no concatenation
+            return parts[0]
         return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def _solve(self, omegas, phis, radii):
-        """``poly_roots_batch`` on one chunk: the linear rows (B, a_k) for
-        d = 1, the stack B and the pencil of Ak beyond."""
-        B = self.B(omegas, phis)
+    def _solve(self, B, radii):
+        """``poly_roots_batch`` on one chunk's stack B: the linear rows
+        (B, a_k) for d = 1, the stack and the pencil of Ak beyond."""
         if self.J.shape[0] > 1:
             return poly_roots_batch(B, self.A, radii)
         rows = np.empty((B.shape[0], 2), np.complex128)
@@ -327,6 +341,7 @@ class _Level:
         ``ln|Y| / -sigma_k``, the same bits as ``-ln|Y| / sigma_k``,
         without ``np.errstate``, the radius array or the mask.  Otherwise
         (nan fails the bound) every row takes the masked test unchanged.
+        ``phis`` may be a lattice's phase axes, as ``roots`` takes them.
         """
         N = omegas.shape[0]
         if self.dk == 0:
@@ -354,13 +369,14 @@ class _Level:
 
     def lattice(self, axes):
         """The lattice of ``axes`` and ``gammas`` over it: (omegas, phis,
-        roots, gammas, neff).
+        roots, gammas, neff).  Its B is built from the axes, each delay
+        factor once per phase-axis value.
 
         Raises TrivialityError when the polynomial has positive degree and
         vanishes identically at every lattice point (each ``neff < 0``).
         """
         omegas, phis = _lattice(axes)
-        roots, gammas, neff = self.gammas(omegas, phis)
+        roots, gammas, neff = self.gammas(omegas, list(axes[1:]))
         if self.dk and neff.size and np.all(neff < 0):
             raise TrivialityError(f"scale-{self.k} polynomial vanishes "
                                   f"identically")
@@ -377,6 +393,21 @@ def _lattice(axes):
     else:
         phis = np.empty((omegas.shape[0], 0))
     return omegas, phis
+
+
+def _axis_rows(omegas, phase_axes, lo, hi):
+    """Rows lo..hi-1 of a lattice flattened omega-major, whose omegas are
+    ``omegas``, as ``_Level.B`` takes them: the omegas of the omega lines
+    that hold the rows, shaped (m, 1, ..., 1), each phase axis along its
+    own dimension, and the offset of row lo in their flattened broadcast.
+    B is then built for at most two partial lines more than the rows, none
+    when a line's size divides lo and hi."""
+    K = len(phase_axes)
+    line = math.prod(a.size for a in phase_axes)
+    i0, i1 = lo // line, -(-hi // line)
+    return (omegas[i0 * line:i1 * line:line].reshape((-1,) + (1,) * K),
+            [a.reshape((1,) * (j + 1) + (-1,) + (1,) * (K - 1 - j))
+             for j, a in enumerate(phase_axes)], lo - i0 * line)
 
 
 def scale_lattice(sys, k, grid):

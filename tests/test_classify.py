@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import hierdde as h
 from hierdde import linalg
-from hierdde.classify import UNBOUNDED_GAMMA, _leak_check, _row_max, minimize
+from hierdde.classify import (UNBOUNDED_GAMMA, _leak_check, _peaks, _row_max,
+                              minimize)
 from hierdde.errors import DegenerateSystemError
 from hierdde.manifolds import ZERO_ROOT_TOL, PhasePoint, _Level
 from hierdde.scalar2 import classify_coefs, sup_gamma_k
@@ -195,9 +196,11 @@ def test_polish_takes_the_newton_step_of_a_quadratic(N):
     assert res.capped == 0 and res.x.shape == (4, N)
     assert np.abs(res.x - xmin).max() < 1e-12
     assert np.all(res.fun == quad(res.x))
-    # ten shrinks by 8 take the half-widths from 1/2 to below 1e-9
-    # spacings, one a round; rounding noise near the end may add a few
-    assert 10 <= res.nfev / (4 * 3 ** N) <= 13
+    # eight shrinks by 8 take the half-widths from 1/2 to 3e-8 spacings,
+    # one a round, where the stencil's rise w A w (|A| up to 14 here) lies
+    # within _FLAT ulps of 2 and the seed stops; a stiffer A takes a round
+    # more
+    assert 9 <= res.nfev / (4 * 3 ** N) <= 10
 
 
 def test_polish_falls_back_to_pattern_moves_at_a_kink():
@@ -238,7 +241,56 @@ def test_capped_seeds_are_logged_at_debug(monkeypatch, caplog):
         h.sup_gamma(sys_, 2)
     (rec,) = [r for r in caplog.records if "round cap" in r.getMessage()]
     assert rec.name == "hierdde" and rec.levelno == logging.DEBUG
-    assert "5 of 5 seeds stopped on the round cap of 2" in rec.getMessage()
+    # one seed per lattice peak, this lattice's five best of them
+    assert len(x0) == 5
+    assert (f"{len(x0)} of {len(x0)} seeds stopped on the round cap of 2"
+            in rec.getMessage())
+
+
+def test_a_constant_objective_stops_every_seed_in_round_1():
+    # every stencil is flat: each seed stops after one round, at its seed
+    x0 = np.array([[0.1, 0.2], [0.5, -0.3], [2.0, 0.0]])
+    res = minimize(lambda X: np.full(len(X), 3.0), x0, np.array([0.1, 0.2]))
+    assert res.nfev == 3 * 9 and res.capped == 0
+    assert np.array_equal(res.x, x0) and np.all(res.fun == 3.0)
+
+
+def test_two_peaks_are_both_polished_and_the_higher_wins(monkeypatch):
+    # d = 2, two scalar blocks: a broad peak of gamma_1 at omega 0.5 and a
+    # narrow, higher one at omega -1.005, midway between lattice cells,
+    # where the lattice reads it far below the broad peak's best 48
+    # cells.  Both peaks seed the polish, best lattice cell first, and the
+    # supremum is the narrow peak's ln(0.0121 / 0.01)
+    s = h.DelaySystem((np.diag([-0.5 + 0.5j, -0.01 - 1.005j]),
+                       np.diag([0.6, 0.0121]).astype(complex)), (1.0,))
+    grid = h.GridSpec(401, 64, (-2.0, 2.0))
+    _, x0, _ = _captured_refinement(s, 1, monkeypatch, grid)
+    assert x0[:, 0].tolist() == pytest.approx([0.5, -1.0], abs=1e-12)
+    est = h.sup_gamma(s, 1, grid)
+    assert est.sup == pytest.approx(math.log(0.0121 / 0.01), abs=1e-12)
+    assert est.argmax[0].omega == pytest.approx(-1.005, abs=1e-9)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_peaks_on_the_omega_edge_and_across_the_phase_wrap_are_seeded(ndim):
+    # v = f(omega) + g(phi_1) (+ g(phi_2)): f peaks at its first cell and,
+    # higher, its last, which would hide the first if the omega axis
+    # wrapped; g peaks only at its last cell, whose neighbour across the
+    # wrap (the first cell) is lower, and the first cell, lower than its
+    # neighbour across the wrap, is no peak
+    f = np.array([-1.0, -2.0, -3.0, -4.0, -3.5, -0.5])
+    g = np.array([-1.0, -2.0, -3.0, -2.0, 0.0])
+    v = f.reshape(-1, *[1] * (ndim - 1))
+    for j in range(1, ndim):
+        v = v + g.reshape([1] * j + [-1] + [1] * (ndim - 1 - j))
+    got = [np.unravel_index(i, v.shape) for i in _peaks(v)]
+    assert got == [(5,) + (4,) * (ndim - 1), (0,) + (4,) * (ndim - 1)]
+    # a lattice without a finite cell has no peak; at most _SEED_COUNT
+    # peaks are taken, best first, the first cell on a tie
+    assert _peaks(np.full((4, 3), -math.inf)).size == 0
+    ties = np.zeros((7, 2))
+    ties[1::2] = -1.0
+    assert _peaks(ties).tolist() == [0, 1, 4, 5, 8]
 
 
 def _argmax_row_max(gammas):

@@ -272,6 +272,50 @@ def test_level_rows_do_not_depend_on_their_batch(case):
             assert w[i].tobytes() == b[j].tobytes() == a[0].tobytes(), i
 
 
+def _three_scale_system(d):
+    """A random d x d system with three delay scales."""
+    rng = np.random.default_rng(2031 + d)
+    return h.DelaySystem((_cplx(rng, d, d) - 2.0 * np.eye(d),
+                          0.3 * _cplx(rng, d, d), 0.2 * _cplx(rng, d, d),
+                          0.4 * _cplx(rng, d, d)), (1.0, 1.3, 0.7))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("grid", [(23, 8), (9, 1), (6, 7)],
+                         ids=["23x8", "9x1", "6x7"])
+def test_lattice_is_its_points_bit_for_bit(d, k, grid):
+    # the lattice builds B from its axes, each delay factor once per axis
+    # value: its roots, heights and counts are those of its flattened
+    # points, bit for bit, also where a phase axis has one value
+    s = _three_scale_system(d)
+    level = mf._Level.plain(s, k)
+    axes = GridSpec(*grid, (-3.0, 3.0)).axes(s, k)
+    omegas, phis, *got = level.lattice(axes)
+    want = level.gammas(omegas, phis)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 100], ids=["2**16", "100"])
+def test_lattice_chunks_cut_omega_lines_bit_for_bit(chunk, monkeypatch):
+    # 1,400 omega lines of 49 phase points: 68,600 rows take two chunks
+    # of _CHUNK_ROWS, whose boundary, like those of 100-row chunks, falls
+    # inside an omega line; the chunks' rows equal the points' rows
+    if chunk is not None:
+        monkeypatch.setattr(mf, "_CHUNK_ROWS", chunk)
+    s = _three_scale_system(1)
+    level = mf._Level.plain(s, 3)
+    axes = GridSpec(1400 if chunk is None else 60, 7,
+                    (-3.0, 3.0)).axes(s, 3)
+    omegas, phis, *got = level.lattice(axes)
+    assert omegas.size % mf._CHUNK_ROWS and mf._CHUNK_ROWS % 49
+    assert omegas.size > mf._CHUNK_ROWS
+    want = level.gammas(omegas, phis)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 def _heights_within(got, want, rel):
     """Equal infinities, and finite heights within ``rel * (1 + |want|)``."""
     inf = np.isinf(got) | np.isinf(want)
