@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateSystemError, TrivialityError
-from .manifolds import GridSpec, PhasePoint, scale_lattice, strong_spectrum
+from .manifolds import GridSpec, PhasePoint, manifold_grid, strong_spectrum
 
 __all__ = [
     "SupEstimate",
@@ -215,8 +215,9 @@ def minimize(fun, x0, spacings):
 def sup_gamma(sys, k, grid=GridSpec()):
     """Supremum of the scale-k manifold branches over the canonical box.
 
-    Coarse lattice (defaults as in the manifold grids, each delay factor
-    taken once per phase-axis value), then the stencil Newton polish
+    ``lattice_sup`` on the scale-k ``manifold_grid`` table: a coarse
+    lattice (defaults as in the manifold grids, each delay factor taken
+    once per phase-axis value), then the stencil Newton polish
     (``minimize``) from one cell per lattice peak, the best
     ``_SEED_COUNT`` peaks, all seeds in lockstep, one batched grid call
     per round (seeds stopped by the round cap are logged at DEBUG on
@@ -234,7 +235,7 @@ def sup_gamma(sys, k, grid=GridSpec()):
     top-scale matrix has rank zero the polynomial is constant, no branch
     exists, and the scale imposes no constraint: sup is -inf.
     """
-    return lattice_sup(sys, grid, *scale_lattice(sys, k, grid))
+    return lattice_sup(sys, grid, manifold_grid(sys, k, grid))
 
 
 def _peaks(v):
@@ -255,9 +256,10 @@ def _peaks(v):
     return cells[best[:_SEED_COUNT]]
 
 
-def lattice_sup(sys, grid, level, axes, lattice):
-    """``sup_gamma`` from the evaluated lattice of ``scale_lattice(sys, k,
-    grid)``: its level, axes and lattice.
+def lattice_sup(sys, grid, table):
+    """``sup_gamma`` from ``table``, the ``manifold_grid(sys, k, grid)``
+    lattice: its level, axes and full-lattice heights.  A seed or witness
+    is a lattice index, decoded from the axes by ``table._coords``.
 
     The polish starts from the lattice's peaks (``_peaks``), not its best
     cells, which crowd on one peak: each peak is polished once, and a
@@ -272,8 +274,8 @@ def lattice_sup(sys, grid, level, axes, lattice):
     when every v is finite (one reduction, which nan fails) the plateau
     masks would change nothing and are skipped.
     """
+    level, axes, gammas = table.level, table.axes, table.gammas
     k, sigma_k = level.k, level.sigma_k
-    omegas, phis, _, gammas, _ = lattice
     if level.dk == 0:
         return SupEstimate(k=k, sup=-math.inf, argmax=None, uncertainty=0.0)
 
@@ -282,8 +284,9 @@ def lattice_sup(sys, grid, level, axes, lattice):
     if inf_rows.size:
         i = int(inf_rows[0])
         b = int(np.argmax(gammas[i] == math.inf))
-        point = PhasePoint(omega=float(omegas[i]),
-                           phi=tuple(float(p) for p in phis[i]))
+        omega, *phi = (c[0] for c in table._coords(
+            [i], [ax.tolist() for ax in axes]))
+        point = PhasePoint(omega=omega, phi=tuple(phi))
         return SupEstimate(k=k, sup=math.inf, argmax=(point, b),
                            uncertainty=0.0)
 
@@ -312,7 +315,7 @@ def lattice_sup(sys, grid, level, axes, lattice):
         with np.errstate(over="ignore"):
             return np.exp(2.0 * sigma_k * val)
 
-    x0 = np.column_stack([omegas[seeds], phis[seeds]])
+    x0 = np.array(table._coords(seeds, axes)).T
     res = minimize(objective, x0, spacings)
     if res.capped:
         _log.debug("scale-%d sup refinement: %d of %d seeds stopped on the "
@@ -360,7 +363,7 @@ def _leak_check(sys, grid, level, om, point, best_val):
     wide = GridSpec(omega_count=grid.omega_count,
                     phase_count=grid.phase_count,
                     omega_range=(2.0 * lo, 2.0 * hi))
-    gammas = level.lattice(wide.axes(sys, level.k))[3]
+    gammas = level.lattice(wide.axes(sys, level.k)).gammas
     outside = _row_max(gammas)[0].max()
     _log.warning("scale-%d sup argmax sits within 5%% of the omega window "
                  "edge; doubled-window grid max is %.6g vs refined %.6g",

@@ -40,8 +40,8 @@ from .classify import classify, lattice_sup, sup_gamma
 from .degeneracy import build_ladder
 from .errors import ConfigError, TrivialityError
 from .manifolds import (GridSpec, ManifoldTable, assemble_A_k, axis_seeds,
-                        lattice_points, manifold_grid, scale_lattice,
-                        strong_spectrum, window_count)
+                        lattice_points, manifold_grid, strong_spectrum,
+                        window_count)
 from .model import (DelaySystem, _checked, _count, _real, _reals,
                     char_function, check_eps)
 from .rootfinder import _ROOT_COLUMNS, Records, Rectangle, find_roots
@@ -474,7 +474,7 @@ def _sample_chunks(table, fmts, axes, order):
     def fill(lo, hi):
         kind, gamma, Y = table._branches(lo, hi)
         cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
-                for c in table._coords(lo, hi, axes)]
+                for c in table._coords(table.rows[lo:hi], axes)]
         cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
         if kind.any():
             codes = kind * dk + np.arange(kind.size) % dk
@@ -767,8 +767,8 @@ def _sample_trees(sys_, ladder, grid, top):
     strong, 1..n projected); scales without points are left out.
 
     Below the top scale the sets are ``assemble_A_k``'s; the scale-n set
-    comes from ``top``, the evaluated ``scale_lattice`` of that scale, or
-    None when it vanishes identically.  The trees are built unbalanced and
+    comes from ``top``, the ``manifold_grid`` table of that scale, or None
+    when it vanishes identically.  The trees are built unbalanced and
     uncompacted, which builds and queries faster on these lattice points;
     a nearest distance does not depend on the layout.
     """
@@ -783,7 +783,7 @@ def _sample_trees(sys_, ladder, grid, top):
         except TrivialityError:
             pass
     if top is not None:
-        sets[sys_.n] = lattice_points(sys_, ladder, sys_.n, top[2])
+        sets[sys_.n] = lattice_points(sys_, ladder, top)
     return {k: cKDTree(np.column_stack([pts.real, pts.imag]),
                        balanced_tree=False, compact_nodes=False)
             for k, pts in sets.items() if pts.size}
@@ -851,8 +851,10 @@ def run_validate(cfg, write=True):
     Each root is rescaled per scale and matched to the nearest sampled
     asymptotic-set point; strong-spectrum (scale-0) candidates only count
     within the strong matching radius.  The scale-n lattice is evaluated
-    once: it gives the scale-n sample set and, under the sup rule, the
-    lattice that ``validation_window``'s supremum refines.
+    once, as one ``ManifoldTable`` (``manifold_grid``): its full-lattice
+    heights give the scale-n sample set (``lattice_points``) and, under
+    the sup rule, the lattice that ``validation_window``'s supremum
+    refines (``lattice_sup``).
 
     Emits validate.json, with each eps's count, strong matches and largest
     distance per scale, and the ``nonincreasing`` verdicts.  The
@@ -862,15 +864,15 @@ def run_validate(cfg, write=True):
     sys_ = cfg.system
     ladder = build_ladder(sys_)
     try:
-        top = scale_lattice(sys_, sys_.n, cfg.grid)
+        top = manifold_grid(sys_, sys_.n, cfg.grid)
     except TrivialityError:
         top = None  # no scale-n tree; the sup rule raises again
     trees = _sample_trees(sys_, ladder, cfg.grid, top)
     strong_r = strong_spectrum(sys_).r
     windows = _windows(cfg, lambda: sup_gamma(sys_, sys_.n, cfg.grid)
-                       if top is None else lattice_sup(sys_, cfg.grid, *top))
+                       if top is None else lattice_sup(sys_, cfg.grid, top))
     if top is not None:
-        _warn_past_omega_axis(windows, top[1][0], sys_.n)
+        _warn_past_omega_axis(windows, top.axes[0], sys_.n)
     records = [_assign_roots(_locate(sys_, eps, window, cfg.tol), eps,
                              trees, strong_r)
                for eps, window in zip(cfg.eps_list, windows)]

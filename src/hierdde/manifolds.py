@@ -17,11 +17,12 @@ degeneracy ladder, when one exists.
 ``_Level`` is the one evaluator of these polynomials, plain or projected:
 grids (``GridSpec.axes``) and single points (``PhasePoint.axes``) both give
 it lattice axes, and ``_Level.lattice`` evaluates a lattice under the one
-identically-zero rule.  ``_Level.gammas`` is the only place a root becomes
-a height or a zero-root flag; every height array, manifold tables
-included, marks a missing branch with nan.  The root finder's seeds and
-window counts read the top scale at complex frequency (``_Level.branches``)
-and take its rank ``_Level.dk``.
+identically-zero rule into the one lattice object, a ``ManifoldTable``,
+which the sup search, the validation sets and the manifold files all read.
+``_Level.gammas`` is the only place a root becomes a height or a zero-root
+flag; every height array marks a missing branch with nan.  The root
+finder's seeds and window counts read the top scale at complex frequency
+(``_Level.branches``) and take its rank ``_Level.dk``.
 """
 
 import logging
@@ -219,8 +220,9 @@ def strong_spectrum(sys):
 class _Level:
     """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
     exp(-i sigma_j phi_j) + Y Ak) of one system, and its one evaluator:
-    ``lattice`` over grid or one-point axes, ``gammas`` at arbitrary points.
-    Heights come only from ``gammas``; nan there marks a missing branch.
+    ``lattice`` over grid or one-point axes, as a ``ManifoldTable``, and
+    ``gammas`` at arbitrary points or over a lattice's axes.  Heights come
+    only from ``gammas``; nan there marks a missing branch.
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
     k+1 (the projected J1 and A_proj).  ``A`` is the ``svd`` of Ak, the
@@ -297,13 +299,14 @@ class _Level:
     def roots(self, omegas, phis):
         """Roots of det(B + Y Ak) at the points, as ``poly_roots_batch``
         gives them: (roots, neff).  ``phis`` is the points' (N, k-1)
-        phases, or, when the points are a lattice flattened omega-major,
-        the list of its phase axes: each chunk's B is then built from the
-        axes (``_axis_rows``).  The one loop over row chunks, of
-        ``_CHUNK_ROWS`` rows each; only a rank-deficient Ak builds the
-        radii, which the pencil's shift reads for d >= 2."""
-        N = omegas.shape[0]
-        radii = self.radii(omegas) if self.dk < self.J.shape[0] else None
+        phases, or, for a lattice, the list of its phase axes: ``omegas``
+        is then its omega axis, the rows run omega-major, and each chunk's
+        B is built from the axes (``_axis_rows``).  The one loop over row
+        chunks, of ``_CHUNK_ROWS`` rows each; only a rank-deficient Ak
+        builds the radii, which the pencil's shift reads for d >= 2."""
+        row_omegas = _row_omegas(omegas, phis)
+        N = row_omegas.shape[0]
+        radii = self.radii(row_omegas) if self.dk < self.J.shape[0] else None
         parts = []
         for lo in range(0, max(N, 1), _CHUNK_ROWS):  # no points: one chunk
             hi = min(lo + _CHUNK_ROWS, N)
@@ -343,20 +346,19 @@ class _Level:
         (nan fails the bound) every row takes the masked test unchanged.
         ``phis`` may be a lattice's phase axes, as ``roots`` takes them.
         """
-        N = omegas.shape[0]
         if self.dk == 0:
+            N = _row_omegas(omegas, phis).shape[0]
             return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
                     np.zeros(N, np.int64))
         roots, neff = self.roots(omegas, phis)
         absY = np.abs(roots)
-        if N and absY.min() > ZERO_ROOT_TOL * self.radii(
+        if absY.size and absY.min() > ZERO_ROOT_TOL * self.radii(
                 np.abs(omegas).max()):
             return roots, np.log(absY) / -self.sigma_k, neff
         with np.errstate(divide="ignore", invalid="ignore"):
             gammas = -np.log(absY) / self.sigma_k
-        return roots, np.where(absY <= ZERO_ROOT_TOL
-                               * self.radii(omegas)[:, None],
-                               math.inf, gammas), neff
+        return roots, np.where(absY <= ZERO_ROOT_TOL * self.radii(
+            _row_omegas(omegas, phis))[:, None], math.inf, gammas), neff
 
     def branches(self, eps, lam):
         """The roots in Y at ``omega = -i lam``, ``phi_j = omega eps**-j``;
@@ -368,55 +370,43 @@ class _Level:
                            * eps ** -np.arange(1.0, self.k))[0]
 
     def lattice(self, axes):
-        """The lattice of ``axes`` and ``gammas`` over it: (omegas, phis,
-        roots, gammas, neff).  Its B is built from the axes, each delay
-        factor once per phase-axis value.
+        """The ``ManifoldTable`` of ``gammas`` over the lattice of
+        ``axes``, whose B is built from the axes, each delay factor once
+        per phase-axis value.
 
         Raises TrivialityError when the polynomial has positive degree and
         vanishes identically at every lattice point (each ``neff < 0``).
         """
-        omegas, phis = _lattice(axes)
-        roots, gammas, neff = self.gammas(omegas, list(axes[1:]))
+        roots, gammas, neff = self.gammas(axes[0], list(axes[1:]))
         if self.dk and neff.size and np.all(neff < 0):
             raise TrivialityError(f"scale-{self.k} polynomial vanishes "
                                   f"identically")
-        return omegas, phis, roots, gammas, neff
+        return ManifoldTable(self, tuple(axes), roots, gammas,
+                             np.flatnonzero(neff >= 0))
 
 
-def _lattice(axes):
-    """Flattened (omega, phi) lattice, omega-major then phase-major."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [ax.reshape(-1) for ax in mesh]
-    omegas = flat[0]
-    if len(flat) > 1:
-        phis = np.stack(flat[1:], axis=1)
-    else:
-        phis = np.empty((omegas.shape[0], 0))
-    return omegas, phis
+def _row_omegas(omegas, phis):
+    """The omega of each row: the points' own, or, for a lattice (``phis``
+    its phase axes), each value of its omega axis ``omegas`` repeated over
+    its line of phase points, as exact copies."""
+    if isinstance(phis, np.ndarray):
+        return omegas
+    return np.repeat(omegas, math.prod(a.size for a in phis))
 
 
-def _axis_rows(omegas, phase_axes, lo, hi):
-    """Rows lo..hi-1 of a lattice flattened omega-major, whose omegas are
-    ``omegas``, as ``_Level.B`` takes them: the omegas of the omega lines
-    that hold the rows, shaped (m, 1, ..., 1), each phase axis along its
-    own dimension, and the offset of row lo in their flattened broadcast.
-    B is then built for at most two partial lines more than the rows, none
-    when a line's size divides lo and hi."""
+def _axis_rows(omega_axis, phase_axes, lo, hi):
+    """Rows lo..hi-1 of the lattice of ``omega_axis`` and ``phase_axes``,
+    flattened omega-major, as ``_Level.B`` takes them: the omegas of the
+    omega lines that hold the rows, shaped (m, 1, ..., 1), each phase axis
+    along its own dimension, and the offset of row lo in their flattened
+    broadcast.  B is then built for at most two partial lines more than
+    the rows, none when a line's size divides lo and hi."""
     K = len(phase_axes)
     line = math.prod(a.size for a in phase_axes)
     i0, i1 = lo // line, -(-hi // line)
-    return (omegas[i0 * line:i1 * line:line].reshape((-1,) + (1,) * K),
+    return (omega_axis[i0:i1].reshape((-1,) + (1,) * K),
             [a.reshape((1,) * (j + 1) + (-1,) + (1,) * (K - 1 - j))
              for j, a in enumerate(phase_axes)], lo - i0 * line)
-
-
-def scale_lattice(sys, k, grid):
-    """The plain scale-k ``_Level``, its grid axes, and its ``lattice``
-    over them: what ``sup_gamma`` and ``assemble_A_k`` evaluate, and what
-    one validation evaluates once for its top scale."""
-    level = _Level.plain(sys, k)
-    axes = grid.axes(sys, k)
-    return level, axes, level.lattice(axes)
 
 
 def truncated_char_poly(sys, k, point):
@@ -430,13 +420,13 @@ def truncated_char_poly(sys, k, point):
     identically zero polynomial raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
-    omegas, phis = _lattice(point.axes(k))
-    roots, neff = level.roots(omegas, phis)
+    omega, *phis = point.axes(k)
+    roots, neff = level.roots(omega, phis)
     if neff[0] < 0:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     Y = roots[0, :neff[0]]
-    sigma = PENCIL_SHIFT * level.radii(omegas[0])
-    lead = _backend._det(level.B(omegas, phis)[0] + sigma * level.Ak) \
+    sigma = PENCIL_SHIFT * level.radii(omega[0])
+    lead = _backend._det(level.B(omega, phis)[0] + sigma * level.Ak) \
         / np.prod(sigma - Y)
     return lead * np.polynomial.polynomial.polyfromroots(Y)
 
@@ -448,7 +438,7 @@ def gamma_branches(sys, k, point):
     gamma + i omega; zero roots carry +inf, degree deficiencies -inf.
     Branches are ordered by root (real, imag), deficiency slots last.
     """
-    return list(_table(_Level.plain(sys, k), point.axes(k)))
+    return list(_Level.plain(sys, k).lattice(point.axes(k)))
 
 
 def singularity_test(sys, k, point):
@@ -461,7 +451,8 @@ def singularity_test(sys, k, point):
     -inf condition is False by construction.
     """
     level = _Level.plain(sys, k)
-    B = level.B(*_lattice(point.axes(k)))[0]
+    omega, *phis = point.axes(k)
+    B = level.B(omega, phis)[0]
     bound = max(1.0, abs(point.omega) + level.norm_sum)
     detB = complex(_backend._det(B))
     scaleB = bound ** sys.d
@@ -650,25 +641,31 @@ def _long_edges(sys, eps, rect, ztol):
 
 @dataclass(frozen=True, eq=False)
 class ManifoldTable(Sequence):
-    """The ManifoldSamples of one lattice, ordered by (point, branch) and
-    kept as arrays; a sample object is built only when one is read.
+    """One evaluated lattice, as ``_Level.lattice`` returns it: what the
+    sup search, the validation sets and the manifold files all read.
+    ``level`` is the ``_Level`` evaluated and ``axes`` the lattice axes
+    (omega, phi_1..phi_{k-1}).  ``roots`` and ``gammas`` are its
+    ``_Level.gammas`` at every lattice point, flattened omega-major; nan
+    marks a missing branch.  ``rows`` is the lattice index of each kept
+    point, one not identically zero.
 
-    Every kept point (identically-zero points are skipped) has ``dk``
-    samples: its roots in order, then -inf slots for a degree deficiency.
-    ``axes`` are the lattice axes (omega, phi_1..phi_{k-1}), ``rows`` the
-    lattice index of each kept point, and ``roots`` and ``gammas`` its rows
-    of ``_Level.gammas``, the only source of heights: a nan height marks a
-    missing branch, and the sample's gamma is then -inf.  ``_coords`` and
-    ``_branches`` decode a run of kept points, for the sample objects here
-    and for the manifold files that ``harness`` formats.
+    As a sequence it holds the ManifoldSamples of the kept points, ordered
+    by (point, branch); a sample object is built only when one is read.
+    Every kept point has ``dk`` samples: its roots in order, then -inf
+    slots (a nan height) for a degree deficiency.  ``_coords`` decodes
+    lattice indices into axis coordinates and ``_branches`` the samples of
+    a run of kept points, for the sample objects here, the sup search's
+    seeds and witnesses, and the manifold files that ``harness`` formats.
     """
 
-    k: int
+    level: object
     axes: tuple
-    rows: np.ndarray
     roots: np.ndarray
     gammas: np.ndarray
-    dk: int
+    rows: np.ndarray
+
+    k = property(lambda self: self.level.k)
+    dk = property(lambda self: self.level.dk)
 
     def __len__(self):
         return self.rows.size * self.dk
@@ -687,11 +684,11 @@ class ManifoldTable(Sequence):
         for lo in range(0, self.rows.size, _CHUNK_POINTS):
             yield from self._samples(lo, lo + _CHUNK_POINTS)
 
-    def _coords(self, lo, hi, axes):
-        """Per-axis coordinates of kept points lo..hi-1, read from ``axes``:
-        one list per lattice axis, indexed like it."""
-        idx = np.unravel_index(self.rows[lo:hi],
-                               tuple(ax.size for ax in self.axes))
+    def _coords(self, index, axes):
+        """Per-axis coordinates of the lattice points ``index`` (lattice
+        indices), read from ``axes``: one list per lattice axis, indexed
+        like it."""
+        idx = np.unravel_index(index, tuple(ax.size for ax in self.axes))
         return [[ax[i] for i in ix.tolist()] for ax, ix in zip(axes, idx)]
 
     def _branches(self, lo, hi):
@@ -699,13 +696,14 @@ class ManifoldTable(Sequence):
         (point, branch) order: kind 0 for a finite gamma, 1 for a zero root
         (+inf), 2 for a missing branch (nan height, gamma -inf, Y nan);
         gamma as a list, Y as an array."""
-        g = self.gammas[lo:hi].reshape(-1)
+        rows = self.rows[lo:hi]
+        g = self.gammas[rows].reshape(-1)
         kind = np.where(np.isnan(g), 2, g == math.inf)
         gamma = np.where(kind == 2, -math.inf, g)
-        return kind, gamma.tolist(), self.roots[lo:hi].reshape(-1)
+        return kind, gamma.tolist(), self.roots[rows].reshape(-1)
 
     def _samples(self, lo, hi):
-        omegas, *phis = self._coords(lo, hi,
+        omegas, *phis = self._coords(self.rows[lo:hi],
                                      [ax.tolist() for ax in self.axes])
         points = [PhasePoint(omega=om, phi=tuple(ph))
                   for om, *ph in zip(omegas, *phis)]
@@ -722,17 +720,10 @@ class ManifoldTable(Sequence):
         return out
 
 
-def _table(level, axes):
-    """ManifoldTable of one level's scale-k polynomial over ``axes``."""
-    _, _, roots, gammas, neff = level.lattice(axes)
-    rows = np.flatnonzero(neff >= 0)
-    return ManifoldTable(level.k, tuple(axes), rows, roots[rows],
-                         gammas[rows], level.dk)
-
-
 def manifold_grid(sys, k, grid=GridSpec(), ladder=None):
-    """ManifoldSamples over the full lattice, ordered by (point, branch),
-    as a read-only ``ManifoldTable``.
+    """The scale-k lattice of ``grid``, as the ``ManifoldTable`` of
+    ``_Level.lattice``: read-only ManifoldSamples ordered by (point,
+    branch), over the full lattice arrays.
 
     Given a ladder, these are the tilde manifolds: the polynomial comes
     from ladder level k+1 (the projected system); otherwise from the plain
@@ -740,7 +731,7 @@ def manifold_grid(sys, k, grid=GridSpec(), ladder=None):
     point is trivial the polynomial itself is trivial and that raises.
     """
     level = _Level.plain(sys, k) if ladder is None else _Level.tilde(ladder, k)
-    return _table(level, grid.axes(sys, k))
+    return level.lattice(grid.axes(sys, k))
 
 
 def assemble_A_k(sys, ladder, k, grid=GridSpec()):
@@ -750,14 +741,14 @@ def assemble_A_k(sys, ladder, k, grid=GridSpec()):
     pencil roots from the ladder.  0<k<n: unstable part of the scale-k
     manifolds plus, when ladder level k+1 exists and is not heuristic, the
     stable part of the tilde manifolds.  k=n: every finite manifold value.
-    Order follows the grid (point-major), tilde samples appended after the
-    plain ones.
+    A scale k >= 1 reads the heights of its ``manifold_grid`` table, the
+    tilde heights taken over its axes (``lattice_points``).  Order follows
+    the grid (point-major), tilde samples appended after the plain ones.
     """
     if not 0 <= k <= sys.n:
         raise ConfigError(f"scale k must be in 0..{sys.n}, got {k}")
     if k:
-        return lattice_points(sys, ladder, k,
-                              scale_lattice(sys, k, grid)[2])
+        return lattice_points(sys, ladder, manifold_grid(sys, k, grid))
     parts = [strong_spectrum(sys).S0_plus]
     if ladder is not None and ladder.k_under == 1:
         parts.append(np.array(strong_stable_spectrum(ladder), np.complex128))
@@ -765,19 +756,21 @@ def assemble_A_k(sys, ladder, k, grid=GridSpec()):
     return np.concatenate(parts) if parts else np.empty(0, np.complex128)
 
 
-def lattice_points(sys, ladder, k, lattice):
-    """``assemble_A_k`` at a scale 1 <= k <= n from its evaluated lattice,
-    the last item of ``scale_lattice(sys, k, grid)``."""
-    omegas, phis, _, gammas, _ = lattice
+def lattice_points(sys, ladder, table):
+    """``assemble_A_k`` at a scale 1 <= k <= n from the plain scale-k
+    ``table`` (``manifold_grid(sys, k, grid)``); the tilde heights are
+    taken over the same axes."""
+    k, (omega, *phases) = table.k, table.axes
     # (gammas, kept signs): every finite value at the top scale; below it
     # the unstable plain and the stable tilde values
-    sets = [(gammas, gammas > 0.0 if k < sys.n else True)]
+    sets = [(table.gammas, table.gammas > 0.0 if k < sys.n else True)]
     if k < sys.n and ladder is not None and ladder.has_tilde(k):
-        _, tg, _ = _Level.tilde(ladder, k).gammas(omegas, phis)
+        _, tg, _ = _Level.tilde(ladder, k).gammas(omega, phases)
         sets.append((tg, tg < 0.0))
     parts = []
     for g, keep in sets:
-        valid = np.isfinite(g) & keep
-        om = np.broadcast_to(omegas[:, None], g.shape)
-        parts.append(g[valid] + 1j * om[valid])
+        # one row per omega line: its heights, point-major
+        valid = (np.isfinite(g) & keep).reshape(omega.size, -1)
+        om = np.broadcast_to(omega[:, None], valid.shape)
+        parts.append(g.reshape(valid.shape)[valid] + 1j * om[valid])
     return np.concatenate(parts)

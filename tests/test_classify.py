@@ -87,6 +87,35 @@ def test_sup_unbounded_at_exact_zero_root_on_the_lattice():
     assert est.argmax == (PhasePoint(omega=0.5, phi=()), 0)
 
 
+def test_coordinates_are_decoded_by_lattice_index(monkeypatch):
+    # d = 2 with A_k = diag(1, 0): the polynomial is (B[0, 0] + Y) B[1, 1],
+    # identically zero where B[1, 1] vanishes.  Scale 1 on five omegas
+    # over [-1, 1]: omega 0 is skipped and the zero root at omega 0.5
+    # comes after it, so its table row is one less than its lattice index
+    s = h.DelaySystem(matrices=(np.diag([0.5j, 0]), np.diag([1, 0])),
+                      sigma=(1,))
+    grid = h.GridSpec(5, omega_range=(-1, 1))
+    assert h.manifold_grid(s, 1, grid).rows.tolist() == [0, 1, 3, 4]
+    est = h.sup_gamma(s, 1, grid)
+    assert est.sup == math.inf
+    assert est.argmax == (PhasePoint(omega=0.5, phi=()), 0)
+    # scale 2: B[1, 1] = -i omega + 0.5 - 0.5 exp(-i phi) vanishes at
+    # (0, 0) alone, and |B[0, 0]| = |-i omega - 0.4 + 0.5i + 0.1 exp(-i
+    # phi)| has its one lattice peak at (0.5, 0), later in the lattice:
+    # the polish starts there, and reaches ln(1 / 0.3)
+    s = h.DelaySystem(matrices=(np.diag([-0.4 + 0.5j, 0.5]),
+                                np.diag([0.1, -0.5]), np.diag([1, 0])),
+                      sigma=(1, 1))
+    grid = h.GridSpec(5, 4, (-1, 1))
+    table = h.manifold_grid(s, 2, grid)
+    assert 8 not in table.rows and table.rows.size == 19
+    _, x0, _ = _captured_refinement(s, 2, monkeypatch, grid)
+    assert x0.tolist() == [[0.5, 0.0]]
+    est = h.sup_gamma(s, 2, grid)
+    assert est.sup == pytest.approx(-math.log(0.3), abs=1e-12)
+    assert est.argmax[0].omega == pytest.approx(0.5, abs=1e-9)
+
+
 def test_classify_matches_scalar_shortcut_on_presets():
     for name in h.PRESET_NAMES:
         s = h.preset_system(name)

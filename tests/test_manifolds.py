@@ -20,6 +20,14 @@ def _poly_eval(coeffs, y):
     return sum(c * y ** j for j, c in enumerate(coeffs))
 
 
+def _points(axes):
+    """The lattice of ``axes`` as points, flattened omega-major: (omegas,
+    (N, k-1) phases)."""
+    omegas, *phis = (a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij"))
+    return omegas, (np.stack(phis, axis=1) if phis
+                    else np.empty((omegas.size, 0)))
+
+
 def test_strong_spectrum_examples():
     A0 = np.diag([-1.0, 2.0]).astype(complex)
     s = h.DelaySystem(matrices=(A0, np.eye(2, dtype=complex)), sigma=(1.0,))
@@ -135,7 +143,7 @@ def test_level_roots_are_the_qz_eigenvalues(case):
     s, k = _pencil_system(case)
     level = mf._Level.plain(s, k)
     assert level.dk == {"d3-rank1": 1, "d3-rank2": 2}.get(case, s.d)
-    omegas, phis = mf._lattice(GridSpec(20, 20, (-3.0, 3.0)).axes(s, k))
+    omegas, phis = _points(GridSpec(20, 20, (-3.0, 3.0)).axes(s, k))
     roots, neff = level.roots(omegas, phis)
     assert (neff == level.dk).all()
     B = level.B(omegas, phis)
@@ -203,7 +211,7 @@ def test_truncated_char_poly_is_the_determinant(case):
     level = mf._Level.plain(s, k)
     for point in points:
         coeffs = h.truncated_char_poly(s, k, point)
-        B = level.B(*mf._lattice(point.axes(k)))[0]
+        B = level.B(*_points(point.axes(k)))[0]
         for Y in _cplx(rng, 5):
             want = np.linalg.det(B + Y * level.Ak)
             got = np.polynomial.polynomial.polyval(Y, coeffs)
@@ -220,9 +228,9 @@ def test_block_diagonal_d3_heights_are_those_of_the_blocks():
                  for i in range(3))
     s = h.DelaySystem(mats, (1.0, 1.0))
     axes = GridSpec(omega_range=(-3.0, 3.0)).axes(s, 2)
-    gammas = mf._Level.plain(s, 2).lattice(axes)[3]
+    gammas = mf._Level.plain(s, 2).lattice(axes).gammas
     want = np.stack([
-        mf._Level.plain(h.DelaySystem.scalar(a0, ak), 2).lattice(axes)[3][:, 0]
+        mf._Level.plain(h.DelaySystem.scalar(a0, ak), 2).lattice(axes).gammas[:, 0]
         for a0, *ak in blocks], axis=1)
     _heights_within(np.sort(gammas, axis=1), np.sort(want, axis=1), 1e-14)
 
@@ -239,8 +247,9 @@ def test_double_systems_take_the_closed_form_heights(name, rotated):
     s = h.DelaySystem(tuple(Q @ (M[0, 0] * np.eye(2)) @ Q.conj().T
                             for M in sc.matrices), sc.sigma)
     for k in (1, 2):
-        omegas, phis, _, gammas, _ = mf._Level.plain(s, k).lattice(
-            GridSpec().axes(s, k))
+        axes = GridSpec().axes(s, k)
+        gammas = mf._Level.plain(s, k).lattice(axes).gammas
+        omegas, phis = _points(axes)
         closed = np.array([h.gamma1(p, om) if k == 1 else
                            h.gamma2(p, om, ph[0])
                            for om, ph in zip(omegas.tolist(), phis.tolist())])
@@ -258,7 +267,7 @@ def test_level_rows_do_not_depend_on_their_batch(case):
     # 9's contract for the level polynomials)
     s, k = _pencil_system(case)
     level = mf._Level.plain(s, k)
-    omegas, phis = mf._lattice(GridSpec(1025, 64, (-3.0, 3.0)).axes(s, k))
+    omegas, phis = _points(GridSpec(1025, 64, (-3.0, 3.0)).axes(s, k))
     N, C = omegas.size, mf._CHUNK_ROWS
     assert C < N < 2 * C
     whole = level.gammas(omegas, phis)
@@ -287,13 +296,19 @@ def _three_scale_system(d):
 def test_lattice_is_its_points_bit_for_bit(d, k, grid):
     # the lattice builds B from its axes, each delay factor once per axis
     # value: its roots, heights and counts are those of its flattened
-    # points, bit for bit, also where a phase axis has one value
+    # points, bit for bit, also where a phase axis has one value, and the
+    # table holds them with the index of each point that is not
+    # identically zero
     s = _three_scale_system(d)
     level = mf._Level.plain(s, k)
     axes = GridSpec(*grid, (-3.0, 3.0)).axes(s, k)
-    omegas, phis, *got = level.lattice(axes)
-    want = level.gammas(omegas, phis)
+    got = level.gammas(axes[0], list(axes[1:]))
+    want = level.gammas(*_points(axes))
     for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    table = level.lattice(axes)
+    for a, b in zip((table.roots, table.gammas, table.rows),
+                    (want[0], want[1], np.flatnonzero(want[2] >= 0))):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -308,12 +323,16 @@ def test_lattice_chunks_cut_omega_lines_bit_for_bit(chunk, monkeypatch):
     level = mf._Level.plain(s, 3)
     axes = GridSpec(1400 if chunk is None else 60, 7,
                     (-3.0, 3.0)).axes(s, 3)
-    omegas, phis, *got = level.lattice(axes)
+    omegas, phis = _points(axes)
     assert omegas.size % mf._CHUNK_ROWS and mf._CHUNK_ROWS % 49
     assert omegas.size > mf._CHUNK_ROWS
+    got = level.gammas(axes[0], list(axes[1:]))
     want = level.gammas(omegas, phis)
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()
+    table = level.lattice(axes)
+    assert table.roots.tobytes() == want[0].tobytes()
+    assert table.gammas.tobytes() == want[1].tobytes()
 
 
 def _heights_within(got, want, rel):
@@ -329,8 +348,9 @@ def _heights_within(got, want, rel):
 def test_preset_lattice_heights_are_the_closed_forms(name, k):
     # the default lattice of each preset, against scalar2's gamma1/gamma2
     p, s = h.preset_params(name), h.preset_system(name)
-    omegas, phis, _, gammas, _ = mf._Level.plain(s, k).lattice(
-        GridSpec().axes(s, k))
+    axes = GridSpec().axes(s, k)
+    gammas = mf._Level.plain(s, k).lattice(axes).gammas
+    omegas, phis = _points(axes)
     closed = np.array([h.gamma1(p, om) if k == 1 else h.gamma2(p, om, ph[0])
                        for om, ph in zip(omegas.tolist(), phis.tolist())])
     _heights_within(gammas[:, 0], closed, 2e-15)
@@ -345,9 +365,9 @@ def test_block_diagonal_heights_are_those_of_the_blocks(k):
                  for i in range(3))
     s = h.DelaySystem(matrices=mats, sigma=(1.0, 1.0))
     axes = GridSpec(omega_range=(-3.0, 3.0)).axes(s, k)
-    gammas = mf._Level.plain(s, k).lattice(axes)[3]
+    gammas = mf._Level.plain(s, k).lattice(axes).gammas
     want = np.stack([
-        mf._Level.plain(h.DelaySystem.scalar(a0, ak), k).lattice(axes)[3][:, 0]
+        mf._Level.plain(h.DelaySystem.scalar(a0, ak), k).lattice(axes).gammas[:, 0]
         for a0, *ak in blocks], axis=1)
     _heights_within(np.sort(gammas, axis=1), np.sort(want, axis=1), 1e-14)
 
@@ -599,7 +619,7 @@ def _reference_samples(sys_, k, grid, ladder=None):
     arrays.  Raises TrivialityError when every point is identically zero."""
     level = (mf._Level.plain(sys_, k) if ladder is None
              else mf._Level.tilde(ladder, k))
-    omegas, phis = mf._lattice(grid.axes(sys_, k))
+    omegas, phis = _points(grid.axes(sys_, k))
     roots, gammas, neff = level.gammas(omegas, phis)
     dk = level.dk
     if dk and np.all(neff < 0):
