@@ -306,7 +306,7 @@ def lattice_sup(sys, grid, table):
         # gamma: a one-column level's column is its own row maximum, and
         # its nan (a missing branch) is remapped below as _row_max's -inf
         # is.  The 1e6 plateau overflows exp to inf
-        g = level.gammas(X[:, 0], X[:, 1:])[1]
+        g = level.gammas(X.T)[1]
         val = -(g[:, 0] if g.shape[1] == 1 else _row_max(g)[0])
         if not np.isfinite(val).all():
             val = np.where(val == -math.inf,
@@ -328,7 +328,7 @@ def lattice_sup(sys, grid, table):
     probe = np.diag(spacings / 100.0)
     X = np.concatenate([[point.omega], point.phi]) + np.vstack(
         [np.zeros(k), -probe, probe])
-    vals, branches = _row_max(level.gammas(X[:, 0], X[:, 1:])[1])
+    vals, branches = _row_max(level.gammas(X.T)[1])
     branch = int(branches[0])
     # gamma at the point; where it is not finite (a zero root, or no
     # branch), the polished value, which on the zero-root plateau lies

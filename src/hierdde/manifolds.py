@@ -14,11 +14,14 @@ The sampled asymptotic set for scale k joins the unstable part of these
 manifolds with the stable part of the projected (tilde) manifolds from the
 degeneracy ladder, when one exists.
 
-``_Level`` is the one evaluator of these polynomials, plain or projected:
-grids (``GridSpec.axes``) and single points (``PhasePoint.axes``) both give
-it lattice axes, and ``_Level.lattice`` evaluates a lattice under the one
-identically-zero rule into the one lattice object, a ``ManifoldTable``,
-which the sup search, the validation sets and the manifold files all read.
+``_Level`` is the one evaluator of these polynomials, plain or projected.
+It takes one coordinate form, the arrays (omega, phi_1..phi_{k-1}), which
+broadcast together: aligned 1-D arrays for points (the sup polish, the
+top-scale branches), the open mesh of lattice axes (``GridSpec.axes``,
+``PhasePoint.axes``) for a lattice.  ``_Level.lattice`` evaluates a lattice
+under the one identically-zero rule into the one lattice object, a
+``ManifoldTable``, which the sup search, the validation sets and the
+manifold files all read.
 ``_Level.gammas`` is the only place a root becomes a height or a zero-root
 flag; every height array marks a missing branch with nan.  The root
 finder's seeds and window counts read the top scale at complex frequency
@@ -220,9 +223,10 @@ def strong_spectrum(sys):
 class _Level:
     """The scale-k polynomial det(-i omega J + A0 + sum_{j<k} Aj
     exp(-i sigma_j phi_j) + Y Ak) of one system, and its one evaluator:
-    ``lattice`` over grid or one-point axes, as a ``ManifoldTable``, and
-    ``gammas`` at arbitrary points or over a lattice's axes.  Heights come
-    only from ``gammas``; nan there marks a missing branch.
+    ``B``, ``roots`` and ``gammas`` at the rows of one ``coords`` form
+    (points or a lattice's open mesh, see ``B``), and ``lattice`` over grid
+    or one-point axes, as a ``ManifoldTable``.  Heights come only from
+    ``gammas``; nan there marks a missing branch.
 
     ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
     k+1 (the projected J1 and A_proj).  ``A`` is the ``svd`` of Ak, the
@@ -260,26 +264,26 @@ class _Level:
         lev = ladder.level(k + 1)
         return cls(k, ladder.sigma, lev.J1, lev.A_proj)
 
-    def B(self, omegas, phis):
+    def B(self, coords):
         """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j),
-        flattened over the broadcast shape of its terms.
+        flattened over the broadcast shape of ``coords``.
 
-        ``phis`` is an (N, k-1) array of the points' phases, or a list of
-        the lattice's phase axes, each shaped to broadcast against
-        ``omegas`` and the others (``_axis_rows``): then each delay factor
-        is taken once per axis value and the sums broadcast, in the same
-        order, so every row has the bits it has as a point.  For d = 1 the
-        terms are arrays times the scalar entries, returned as an (N, 1, 1)
-        view: those products round the same whatever the array's size,
-        while an (N, 1, 1) broadcast rounds a lone row differently from the
-        same row in a batch.  Which loop numpy picks decides this; it was
-        checked with numpy 2.4.6 on x86-64 with AVX-512 only."""
+        ``coords`` holds the arrays (omega, phi_1, ..., phi_{k-1}), which
+        broadcast together: aligned 1-D arrays for points, the open mesh
+        ``np.ix_(*axes)`` for a lattice, whose rows then run omega-major
+        and whose delay factors are each taken once per axis value.  The
+        sums broadcast in the same order either way, so every row has the
+        bits it has as a point.  For d = 1 the terms are arrays times the
+        scalar entries, returned as an (N, 1, 1) view: those products round
+        the same whatever the array's size, while an (N, 1, 1) broadcast
+        rounds a lone row differently from the same row in a batch.  Which
+        loop numpy picks decides this; it was checked with numpy 2.4.6 on
+        x86-64 with AVX-512 only."""
         J, A, ax = self._terms
-        if isinstance(phis, np.ndarray):
-            phis = list(phis.T)
+        omega, *phis = coords
         # out of place: the shape grows with each phase axis, and an
         # in-place product rounds a lone d = 1 row differently
-        B = (-1j * omegas)[ax] * J + A[0]
+        B = (-1j * omega)[ax] * J + A[0]
         for j in range(1, self.k):
             fac = np.exp(-1j * self.sigma[j - 1] * phis[j - 1])
             B = B + fac[ax] * A[j]
@@ -296,29 +300,30 @@ class _Level:
             return np.ones_like(bound)
         return 1.0 + bound / self.smin
 
-    def roots(self, omegas, phis):
-        """Roots of det(B + Y Ak) at the points, as ``poly_roots_batch``
-        gives them: (roots, neff).  ``phis`` is the points' (N, k-1)
-        phases, or, for a lattice, the list of its phase axes: ``omegas``
-        is then its omega axis, the rows run omega-major, and each chunk's
-        B is built from the axes (``_axis_rows``).  The one loop over row
-        chunks, of ``_CHUNK_ROWS`` rows each; only a rank-deficient Ak
-        builds the radii, which the pencil's shift reads for d >= 2."""
-        row_omegas = _row_omegas(omegas, phis)
-        N = row_omegas.shape[0]
-        radii = self.radii(row_omegas) if self.dk < self.J.shape[0] else None
-        parts = []
-        for lo in range(0, max(N, 1), _CHUNK_ROWS):  # no points: one chunk
+    def roots(self, coords):
+        """Roots of det(B + Y Ak) at the rows of ``coords`` (see ``B``), as
+        ``poly_roots_batch`` gives them: (roots, neff).  The one loop over
+        row chunks, of ``_CHUNK_ROWS`` rows each: a chunk takes the lines
+        (first-axis entries) that hold its rows from every array whose
+        first axis has more than one entry, and the others whole; its B is
+        then built for at most two partial lines more than its rows, none
+        when a line's size divides the chunk bounds.  Rows that fit in one
+        chunk are not cut.  Only a rank-deficient Ak builds the radii,
+        which the pencil's shift reads for d >= 2."""
+        rows = np.broadcast(*coords)
+        N = rows.size
+        radii = (self.radii(_row_omegas(coords)) if self.dk < self.J.shape[0]
+                 else None)
+        if N <= _CHUNK_ROWS:
+            return self._solve(self.B(coords), radii)
+        line, parts = N // rows.shape[0], []
+        for lo in range(0, N, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, N)
-            if isinstance(phis, np.ndarray):
-                B = self.B(omegas[lo:hi], phis[lo:hi])
-            else:
-                om, ph, off = _axis_rows(omegas, phis, lo, hi)
-                B = self.B(om, ph)[off:off + hi - lo]
-            parts.append(self._solve(B, None if radii is None
-                                     else radii[lo:hi]))
-        if len(parts) == 1:  # one chunk is the result: no concatenation
-            return parts[0]
+            i0, i1 = lo // line, -(-hi // line)
+            off = lo - i0 * line
+            B = self.B([c[i0:i1] if c.shape[0] > 1 else c for c in coords])
+            parts.append(self._solve(B[off:off + hi - lo], None if radii
+                                     is None else radii[lo:hi]))
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def _solve(self, B, radii):
@@ -330,8 +335,9 @@ class _Level:
         rows[:, 0], rows[:, 1] = B[:, 0, 0], self.Ak[0, 0]
         return poly_roots_batch(rows)
 
-    def gammas(self, omegas, phis):
-        """Roots and heights at the points: (roots, gammas, neff).
+    def gammas(self, coords):
+        """Roots and heights at the rows of ``coords`` (see ``B``): (roots,
+        gammas, neff).
 
         The one place a root becomes a height gamma = -ln|Y| / sigma_k:
         +inf at a zero root (|Y| up to ``ZERO_ROOT_TOL`` times the row's
@@ -344,21 +350,20 @@ class _Level:
         ``ln|Y| / -sigma_k``, the same bits as ``-ln|Y| / sigma_k``,
         without ``np.errstate``, the radius array or the mask.  Otherwise
         (nan fails the bound) every row takes the masked test unchanged.
-        ``phis`` may be a lattice's phase axes, as ``roots`` takes them.
         """
         if self.dk == 0:
-            N = _row_omegas(omegas, phis).shape[0]
+            N = np.broadcast(*coords).size
             return (np.empty((N, 0), np.complex128), np.empty((N, 0)),
                     np.zeros(N, np.int64))
-        roots, neff = self.roots(omegas, phis)
+        roots, neff = self.roots(coords)
         absY = np.abs(roots)
         if absY.size and absY.min() > ZERO_ROOT_TOL * self.radii(
-                np.abs(omegas).max()):
+                np.abs(coords[0]).max()):
             return roots, np.log(absY) / -self.sigma_k, neff
         with np.errstate(divide="ignore", invalid="ignore"):
             gammas = -np.log(absY) / self.sigma_k
         return roots, np.where(absY <= ZERO_ROOT_TOL * self.radii(
-            _row_omegas(omegas, phis))[:, None], math.inf, gammas), neff
+            _row_omegas(coords))[:, None], math.inf, gammas), neff
 
     def branches(self, eps, lam):
         """The roots in Y at ``omega = -i lam``, ``phi_j = omega eps**-j``;
@@ -366,18 +371,18 @@ class _Level:
         these are the roots ``Y_b(lam)`` of ``det(B(lam) + Y A_n)`` (see
         ``axis_seeds``), nan past a lost degree."""
         omegas = -1j * lam
-        return self.gammas(omegas, omegas[:, None]
-                           * eps ** -np.arange(1.0, self.k))[0]
+        phases = omegas[:, None] * eps ** -np.arange(1.0, self.k)
+        return self.gammas([omegas, *phases.T])[0]
 
     def lattice(self, axes):
         """The ``ManifoldTable`` of ``gammas`` over the lattice of
-        ``axes``, whose B is built from the axes, each delay factor once
-        per phase-axis value.
+        ``axes``, evaluated on their open mesh, so its B takes each delay
+        factor once per phase-axis value.
 
         Raises TrivialityError when the polynomial has positive degree and
         vanishes identically at every lattice point (each ``neff < 0``).
         """
-        roots, gammas, neff = self.gammas(axes[0], list(axes[1:]))
+        roots, gammas, neff = self.gammas(np.ix_(*axes))
         if self.dk and neff.size and np.all(neff < 0):
             raise TrivialityError(f"scale-{self.k} polynomial vanishes "
                                   f"identically")
@@ -385,28 +390,10 @@ class _Level:
                              np.flatnonzero(neff >= 0))
 
 
-def _row_omegas(omegas, phis):
-    """The omega of each row: the points' own, or, for a lattice (``phis``
-    its phase axes), each value of its omega axis ``omegas`` repeated over
-    its line of phase points, as exact copies."""
-    if isinstance(phis, np.ndarray):
-        return omegas
-    return np.repeat(omegas, math.prod(a.size for a in phis))
-
-
-def _axis_rows(omega_axis, phase_axes, lo, hi):
-    """Rows lo..hi-1 of the lattice of ``omega_axis`` and ``phase_axes``,
-    flattened omega-major, as ``_Level.B`` takes them: the omegas of the
-    omega lines that hold the rows, shaped (m, 1, ..., 1), each phase axis
-    along its own dimension, and the offset of row lo in their flattened
-    broadcast.  B is then built for at most two partial lines more than
-    the rows, none when a line's size divides lo and hi."""
-    K = len(phase_axes)
-    line = math.prod(a.size for a in phase_axes)
-    i0, i1 = lo // line, -(-hi // line)
-    return (omega_axis[i0:i1].reshape((-1,) + (1,) * K),
-            [a.reshape((1,) * (j + 1) + (-1,) + (1,) * (K - 1 - j))
-             for j, a in enumerate(phase_axes)], lo - i0 * line)
+def _row_omegas(coords):
+    """The omega of each row of ``coords`` (see ``_Level.B``), flattened
+    like the rows: exact copies of its omega array."""
+    return np.broadcast_to(coords[0], np.broadcast(*coords).shape).reshape(-1)
 
 
 def truncated_char_poly(sys, k, point):
@@ -420,13 +407,13 @@ def truncated_char_poly(sys, k, point):
     identically zero polynomial raises ``TrivialityError``.
     """
     level = _Level.plain(sys, k)
-    omega, *phis = point.axes(k)
-    roots, neff = level.roots(omega, phis)
+    coords = point.axes(k)
+    roots, neff = level.roots(coords)
     if neff[0] < 0:
         raise TrivialityError(f"scale-{k} polynomial vanishes at {point}")
     Y = roots[0, :neff[0]]
-    sigma = PENCIL_SHIFT * level.radii(omega[0])
-    lead = _backend._det(level.B(omega, phis)[0] + sigma * level.Ak) \
+    sigma = PENCIL_SHIFT * level.radii(coords[0][0])
+    lead = _backend._det(level.B(coords)[0] + sigma * level.Ak) \
         / np.prod(sigma - Y)
     return lead * np.polynomial.polynomial.polyfromroots(Y)
 
@@ -451,8 +438,7 @@ def singularity_test(sys, k, point):
     -inf condition is False by construction.
     """
     level = _Level.plain(sys, k)
-    omega, *phis = point.axes(k)
-    B = level.B(omega, phis)[0]
+    B = level.B(point.axes(k))[0]
     bound = max(1.0, abs(point.omega) + level.norm_sum)
     detB = complex(_backend._det(B))
     scaleB = bound ** sys.d
@@ -760,12 +746,12 @@ def lattice_points(sys, ladder, table):
     """``assemble_A_k`` at a scale 1 <= k <= n from the plain scale-k
     ``table`` (``manifold_grid(sys, k, grid)``); the tilde heights are
     taken over the same axes."""
-    k, (omega, *phases) = table.k, table.axes
+    k, omega = table.k, table.axes[0]
     # (gammas, kept signs): every finite value at the top scale; below it
     # the unstable plain and the stable tilde values
     sets = [(table.gammas, table.gammas > 0.0 if k < sys.n else True)]
     if k < sys.n and ladder is not None and ladder.has_tilde(k):
-        _, tg, _ = _Level.tilde(ladder, k).gammas(omega, phases)
+        _, tg, _ = _Level.tilde(ladder, k).gammas(np.ix_(*table.axes))
         sets.append((tg, tg < 0.0))
     parts = []
     for g, keep in sets:

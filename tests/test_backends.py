@@ -151,7 +151,7 @@ def test_scalar_level_rows_do_not_depend_on_their_batch(k):
     omegas = rng.uniform(-3.0, 3.0, N)
     phis = rng.uniform(0.0, 2.0 * np.pi, (N, k - 1))
     lams = rng.uniform(-0.02, 0.02, N) + 1j * rng.uniform(-3.0, 3.0, N)
-    for evaluate in (lambda r: level.gammas(omegas[r], phis[r]),
+    for evaluate in (lambda r: level.gammas([omegas[r], *phis[r].T]),
                      lambda r: [level.branches(0.1, lams[r])]):
         whole = evaluate(slice(None))
         assert np.isfinite(whole[0]).all()

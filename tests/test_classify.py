@@ -533,8 +533,8 @@ def test_guarded_heights_and_objective_are_the_masked_chain(case,
     def check(omegas, phis, roots, neff):
         # the level's root solve hands back the given roots
         monkeypatch.setattr(_Level, "roots",
-                            lambda self, om, ph: (roots.copy(), neff.copy()))
-        got = level.gammas(omegas, phis)
+                            lambda self, coords: (roots.copy(), neff.copy()))
+        got = level.gammas([omegas, *phis.T])
         obj = fun(np.column_stack([omegas, phis]))
         want, want_obj = _masked_chain(level, omegas, roots)
         for a, b in ((got[0], roots), (got[1], want), (got[2], neff),
@@ -564,8 +564,8 @@ def test_guarded_heights_and_objective_are_the_masked_chain(case,
     monkeypatch.undo()
     omegas = rng.uniform(-3.0, 3.0, 40)
     phis = rng.uniform(0.0, 2.0 * np.pi, (40, k - 1))
-    roots, neff = level.roots(omegas, phis)
-    got = level.gammas(omegas, phis)
+    roots, neff = level.roots([omegas, *phis.T])
+    got = level.gammas([omegas, *phis.T])
     want, want_obj = _masked_chain(level, omegas, roots)
     for a, b in zip(got + (fun(np.column_stack([omegas, phis])),),
                     (roots, want, neff, want_obj)):

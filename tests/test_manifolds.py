@@ -21,11 +21,10 @@ def _poly_eval(coeffs, y):
 
 
 def _points(axes):
-    """The lattice of ``axes`` as points, flattened omega-major: (omegas,
-    (N, k-1) phases)."""
-    omegas, *phis = (a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij"))
-    return omegas, (np.stack(phis, axis=1) if phis
-                    else np.empty((omegas.size, 0)))
+    """The lattice of ``axes`` as points, flattened omega-major: the
+    coordinate arrays (omega, phi_1, ..., phi_{k-1}), one entry per
+    point."""
+    return [a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")]
 
 
 def test_strong_spectrum_examples():
@@ -143,11 +142,11 @@ def test_level_roots_are_the_qz_eigenvalues(case):
     s, k = _pencil_system(case)
     level = mf._Level.plain(s, k)
     assert level.dk == {"d3-rank1": 1, "d3-rank2": 2}.get(case, s.d)
-    omegas, phis = _points(GridSpec(20, 20, (-3.0, 3.0)).axes(s, k))
-    roots, neff = level.roots(omegas, phis)
+    coords = _points(GridSpec(20, 20, (-3.0, 3.0)).axes(s, k))
+    roots, neff = level.roots(coords)
     assert (neff == level.dk).all()
-    B = level.B(omegas, phis)
-    for i in range(omegas.size):
+    B = level.B(coords)
+    for i in range(coords[0].size):
         want = _qz_roots(B[i], level.Ak)
         assert want.size == level.dk
         err = np.abs(roots[i][:, None] - want[None, :]).min(axis=1)
@@ -211,7 +210,7 @@ def test_truncated_char_poly_is_the_determinant(case):
     level = mf._Level.plain(s, k)
     for point in points:
         coeffs = h.truncated_char_poly(s, k, point)
-        B = level.B(*_points(point.axes(k)))[0]
+        B = level.B(_points(point.axes(k)))[0]
         for Y in _cplx(rng, 5):
             want = np.linalg.det(B + Y * level.Ak)
             got = np.polynomial.polynomial.polyval(Y, coeffs)
@@ -249,10 +248,10 @@ def test_double_systems_take_the_closed_form_heights(name, rotated):
     for k in (1, 2):
         axes = GridSpec().axes(s, k)
         gammas = mf._Level.plain(s, k).lattice(axes).gammas
-        omegas, phis = _points(axes)
         closed = np.array([h.gamma1(p, om) if k == 1 else
                            h.gamma2(p, om, ph[0])
-                           for om, ph in zip(omegas.tolist(), phis.tolist())])
+                           for om, *ph in zip(*(c.tolist()
+                                                for c in _points(axes)))])
         for b in range(2):
             _heights_within(gammas[:, b], closed, 1e-14)
 
@@ -267,16 +266,16 @@ def test_level_rows_do_not_depend_on_their_batch(case):
     # 9's contract for the level polynomials)
     s, k = _pencil_system(case)
     level = mf._Level.plain(s, k)
-    omegas, phis = _points(GridSpec(1025, 64, (-3.0, 3.0)).axes(s, k))
-    N, C = omegas.size, mf._CHUNK_ROWS
+    coords = _points(GridSpec(1025, 64, (-3.0, 3.0)).axes(s, k))
+    N, C = coords[0].size, mf._CHUNK_ROWS
     assert C < N < 2 * C
-    whole = level.gammas(omegas, phis)
+    whole = level.gammas(coords)
     rng = np.random.default_rng(5)
     picks = np.unique(np.concatenate([[0, C - 2, C - 1, C, C + 1, N - 1],
                                       rng.integers(0, N, 60)]))
-    batch = level.gammas(omegas[picks], phis[picks])
+    batch = level.gammas([c[picks] for c in coords])
     for j, i in enumerate(picks.tolist()):
-        alone = level.gammas(omegas[i:i + 1], phis[i:i + 1])
+        alone = level.gammas([c[i:i + 1] for c in coords])
         for w, b, a in zip(whole, batch, alone):
             assert w[i].tobytes() == b[j].tobytes() == a[0].tobytes(), i
 
@@ -302,8 +301,8 @@ def test_lattice_is_its_points_bit_for_bit(d, k, grid):
     s = _three_scale_system(d)
     level = mf._Level.plain(s, k)
     axes = GridSpec(*grid, (-3.0, 3.0)).axes(s, k)
-    got = level.gammas(axes[0], list(axes[1:]))
-    want = level.gammas(*_points(axes))
+    got = level.gammas(np.ix_(*axes))
+    want = level.gammas(_points(axes))
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     table = level.lattice(axes)
@@ -323,16 +322,45 @@ def test_lattice_chunks_cut_omega_lines_bit_for_bit(chunk, monkeypatch):
     level = mf._Level.plain(s, 3)
     axes = GridSpec(1400 if chunk is None else 60, 7,
                     (-3.0, 3.0)).axes(s, 3)
-    omegas, phis = _points(axes)
-    assert omegas.size % mf._CHUNK_ROWS and mf._CHUNK_ROWS % 49
-    assert omegas.size > mf._CHUNK_ROWS
-    got = level.gammas(axes[0], list(axes[1:]))
-    want = level.gammas(omegas, phis)
+    coords = _points(axes)
+    assert coords[0].size % mf._CHUNK_ROWS and mf._CHUNK_ROWS % 49
+    assert coords[0].size > mf._CHUNK_ROWS
+    got = level.gammas(np.ix_(*axes))
+    want = level.gammas(coords)
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()
     table = level.lattice(axes)
     assert table.roots.tobytes() == want[0].tobytes()
     assert table.gammas.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d2-rank1"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_point_chunks_cut_real_and_complex_points_bit_for_bit(case, k,
+                                                              monkeypatch):
+    # points take the row cutter of a lattice: cut into 7-row chunks, 300
+    # real points' heights and 300 complex frequencies' branches (the path
+    # of axis_seeds' candidates) equal those of one uncut batch, bit for
+    # bit; with a rank-1 top matrix the radii are cut with the rows
+    s = _three_scale_system(int(case[1]))
+    if case == "d2-rank1":
+        rng = np.random.default_rng(17)
+        s = h.DelaySystem(s.matrices[:1] + tuple(
+            0.4 * np.outer(*_cplx(rng, 2, 2)) for _ in range(3)), s.sigma)
+    level = mf._Level.plain(s, k)
+    assert level.dk == (1 if case == "d2-rank1" else s.d)
+    rng = np.random.default_rng(40 + k)
+    N = 300
+    assert N % 7 and N <= mf._CHUNK_ROWS
+    coords = [rng.uniform(-3.0, 3.0, N)] + [rng.uniform(0.0, 7.0, N)
+                                            for _ in range(k - 1)]
+    lams = rng.uniform(-0.05, 0.05, N) + 1j * rng.uniform(-3.0, 3.0, N)
+    want = (*level.gammas(coords), level.branches(0.1, lams))
+    monkeypatch.setattr(mf, "_CHUNK_ROWS", 7)
+    got = (*level.gammas(coords), level.branches(0.1, lams))
+    assert np.isfinite(want[0]).all() and np.isfinite(want[3]).all()
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _heights_within(got, want, rel):
@@ -350,9 +378,9 @@ def test_preset_lattice_heights_are_the_closed_forms(name, k):
     p, s = h.preset_params(name), h.preset_system(name)
     axes = GridSpec().axes(s, k)
     gammas = mf._Level.plain(s, k).lattice(axes).gammas
-    omegas, phis = _points(axes)
     closed = np.array([h.gamma1(p, om) if k == 1 else h.gamma2(p, om, ph[0])
-                       for om, ph in zip(omegas.tolist(), phis.tolist())])
+                       for om, *ph in zip(*(c.tolist()
+                                            for c in _points(axes)))])
     _heights_within(gammas[:, 0], closed, 2e-15)
 
 
@@ -619,8 +647,8 @@ def _reference_samples(sys_, k, grid, ladder=None):
     arrays.  Raises TrivialityError when every point is identically zero."""
     level = (mf._Level.plain(sys_, k) if ladder is None
              else mf._Level.tilde(ladder, k))
-    omegas, phis = _points(grid.axes(sys_, k))
-    roots, gammas, neff = level.gammas(omegas, phis)
+    omegas, *phis = coords = _points(grid.axes(sys_, k))
+    roots, gammas, neff = level.gammas(coords)
     dk = level.dk
     if dk and np.all(neff < 0):
         raise TrivialityError("trivial grid")
@@ -629,7 +657,7 @@ def _reference_samples(sys_, k, grid, ladder=None):
         if neff[i] < 0:
             continue
         point = PhasePoint(omega=float(omegas[i]),
-                           phi=tuple(float(p) for p in phis[i]))
+                           phi=tuple(float(p[i]) for p in phis))
         for branch in range(dk):
             Y, gam, proj = None, -math.inf, None
             if branch < neff[i]:

@@ -83,6 +83,24 @@ def test_only_the_level_evaluates_level_polynomials():
     assert _callers("pencil_roots") == ["linalg:poly_roots_batch"]
 
 
+def test_the_level_takes_one_coordinate_form():
+    # points and lattices reach the level evaluator in one form, the
+    # coordinate arrays (omega, phi_1, ..., phi_{k-1}) that broadcast
+    # together, and no method tells the two apart by type
+    tree = ast.parse((SRC / "manifolds.py").read_text())
+    (level,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Level"]
+    methods = {node.name: node for node in level.body
+               if isinstance(node, ast.FunctionDef)}
+    for name in ("B", "roots", "gammas"):
+        args = [a.arg for a in methods[name].args.args]
+        assert args == ["self", "coords"], (name, args)
+    typed = sorted(name for name, node in methods.items() if any(
+        getattr(call.func, "id", None) == "isinstance"
+        for call in ast.walk(node) if isinstance(call, ast.Call)))
+    assert typed == [], typed
+
+
 def test_only_polish_runs_newton():
     # seeds, one-zero cells and clusters are polished through one entry
     assert _callers("_newton_batch") == ["rootfinder:_polish"]
