@@ -12,10 +12,11 @@ of the smallest root, which is smooth where gamma has a sharp peak.  Its
 seeds run in lockstep: one batched grid call per round evaluates every
 live seed's 3^k stencil, and each seed's centre, box and values are Python
 floats, so the bookkeeping between calls costs its arithmetic rather than
-numpy calls on tiny arrays.  Each seed's path depends only on its own
-values, so for a scalar (d = 1) system, whose row values do not depend on
-the rows evaluated with them, a seed's polish does not depend on the
-others.
+numpy calls on tiny arrays.  For a scalar (d = 1) system, whose row
+values do not depend on the rows evaluated with them, each seed's steps
+depend only on its own values.  Seeds meet only where one's centre enters
+a better one's box: the worse one then stops, so one ridge is polished
+once.
 """
 
 import itertools
@@ -159,11 +160,16 @@ def minimize(fun, x0, spacings):
     A seed stops when its stencil is flat to rounding (every value within
     ``_FLAT`` ulps of the centre's, so no step is left to take), when its
     half-widths fall below ``_STOP`` spacings or its centre value is not
-    finite, and the rest after ``_ROUNDS`` rounds.
+    finite, and the rest after ``_ROUNDS`` rounds.  After each round the
+    live seeds merge: taken by smallest value (the first seed on a tie),
+    a seed whose centre lies within a kept seed's half-widths on every
+    axis stops, as the two now climb one ridge.  A merge only stops a
+    seed, so a kept seed's path is the one it takes alone.
     Returns ``x`` (S, N) and ``fun`` (S,), each seed's smallest evaluated
     value (the first on a tie, inf if there is none) and its point;
-    ``nfev``, the points evaluated; and ``capped``, the number of seeds
-    stopped by the round cap.
+    ``nfev``, the points evaluated; ``capped``, the number of seeds
+    stopped by the round cap; and ``merged``, the number merged into a
+    better seed.
     """
     x0 = np.asarray(x0, np.float64)
     S, N = x0.shape
@@ -171,7 +177,8 @@ def minimize(fun, x0, spacings):
     P, mid = len(offsets), len(offsets) // 2
     centres, scale = x0.tolist(), [0.5] * S
     best_x, best_f = x0.tolist(), [math.inf] * S
-    live, nfev, rounds = list(range(S)), 0, 0
+    live, nfev, rounds, merged = list(range(S)), 0, 0, 0
+    steps = np.asarray(spacings, np.float64).tolist()
     while live and rounds < _ROUNDS:
         rounds += 1
         widths = np.array([scale[i] for i in live])[:, None] * spacings
@@ -207,9 +214,18 @@ def minimize(fun, x0, spacings):
                 scale[i] *= 2.0 if over > 1.0 else 0.125
             if scale[i] >= _STOP:
                 go.append(i)
-        live = go
+        # one seed per ridge: best value first, a seed whose centre lies
+        # in a kept seed's box on every axis is dropped
+        kept = []
+        for i in sorted(go, key=best_f.__getitem__):
+            if not any(all(abs(c - o) <= scale[j] * h for c, o, h in
+                           zip(centres[i], centres[j], steps))
+                       for j in kept):
+                kept.append(i)
+        merged += len(go) - len(kept)
+        live = sorted(kept)
     return SimpleNamespace(x=np.array(best_x), fun=np.array(best_f),
-                           nfev=nfev, capped=len(live))
+                           nfev=nfev, capped=len(live), merged=merged)
 
 
 def sup_gamma(sys, k, grid=GridSpec()):
@@ -220,8 +236,10 @@ def sup_gamma(sys, k, grid=GridSpec()):
     once per phase-axis value), then the stencil Newton polish
     (``minimize``) from one cell per lattice peak, the best
     ``_SEED_COUNT`` peaks, all seeds in lockstep, one batched grid call
-    per round (seeds stopped by the round cap are logged at DEBUG on
-    logger ``hierdde``); a polished
+    per round, and peaks on one ridge merged into one seed (the seeds
+    merged and those stopped by the round cap are counted in one DEBUG
+    record on logger ``hierdde``, as its ``extra`` fields ``seeds``,
+    ``merged`` and ``capped``); a polished
     value above ``UNBOUNDED_GAMMA / sigma_k`` (or an exact zero root on the
     lattice) is reported as +inf with the singular point as witness — the
     supremum is genuinely unbounded exactly when the branch polynomial has
@@ -229,7 +247,9 @@ def sup_gamma(sys, k, grid=GridSpec()):
     argmax.
     The uncertainty is the largest change of gamma over steps of 1/100
     lattice spacing around the argmax; the argmax and these 2k probes are
-    evaluated in one call.
+    evaluated in one call.  The supremum takes no matrix decomposition of
+    its own: its level and omega bound read the system's cached ``norms``
+    and ``svds``.
     Projected (ladder) branches live in the closed left half-plane and
     cannot raise the supremum, so the ladder is not consulted.  If the
     top-scale matrix has rank zero the polynomial is constant, no branch
@@ -317,9 +337,13 @@ def lattice_sup(sys, grid, table):
 
     x0 = np.array(table._coords(seeds, axes)).T
     res = minimize(objective, x0, spacings)
-    if res.capped:
-        _log.debug("scale-%d sup refinement: %d of %d seeds stopped on the "
-                   "round cap of %d", k, res.capped, len(seeds), _ROUNDS)
+    news = [f"{n} of {len(seeds)} seeds {what}" for n, what in (
+        (res.merged, "merged into a better seed"),
+        (res.capped, f"stopped on the round cap of {_ROUNDS}")) if n]
+    if news:
+        _log.debug("scale-%d sup refinement: %s", k, ", ".join(news),
+                   extra={"seeds": len(seeds), "merged": res.merged,
+                          "capped": res.capped})
     best = int(np.argmin(res.fun))
     best_x = res.x[best]
 
@@ -382,8 +406,10 @@ def classify(sys, ladder, grid=GridSpec()):
     exponential covers the unit circle exactly once there, so no larger box
     can enlarge the range of any manifold.  Each supremum (``sup_gamma``)
     costs one lattice, whose delay factors are taken once per phase-axis
-    value, and one polish seed per lattice peak, each stopped once its
-    stencil is flat to rounding.
+    value, and one polish seed per ridge of lattice peaks, each stopped
+    once its stencil is flat to rounding; the matrix norms and SVDs are
+    taken once per system (``DelaySystem.norms`` and ``svds``), and a
+    scalar level solves its rows without building them.
     """
     if not ladder.nd_satisfied:
         raise DegenerateSystemError(

@@ -90,10 +90,11 @@ def _sandwich(U, M, V):
 def _levels(sys):
     """Levels (k, J1, A_proj), top first, and whether a 10x looser
     rank tolerance changes a rank decision: one SVD per level gives both
-    ranks and the kernel bases, so equal ranks mean equal levels."""
+    ranks and the kernel bases, so equal ranks mean equal levels.  The
+    top scale's is the system's cached one."""
     J, mats, out, near = np.eye(sys.d), sys.matrices, [], False
     for k in range(sys.n, 0, -1):
-        res = svd(mats[k])
+        res = sys.svds[k] if k == sys.n else svd(mats[k])
         r = numerical_rank(res.s)
         near |= numerical_rank(res.s, 10.0 * RANK_TOL) != r
         if r == res.s.size:

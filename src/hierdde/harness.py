@@ -474,7 +474,7 @@ def _sample_chunks(table, fmts, axes, order):
     def fill(lo, hi):
         kind, gamma, Y = table._branches(lo, hi)
         cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
-                for c in table._coords(table.rows[lo:hi], axes)]
+                for c in table._coords(table._index(lo, hi), axes)]
         cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
         if kind.any():
             codes = kind * dk + np.arange(kind.size) % dk
@@ -483,7 +483,7 @@ def _sample_chunks(table, fmts, axes, order):
             template = finite * (hi - lo)
         return template, [cols[c] for c in order]
 
-    return _chunked(table.rows.size if dk else 0, dk * len(order), fill)
+    return _chunked(table.kept if dk else 0, dk * len(order), fill)
 
 
 def _json_list(chunks, close):

@@ -111,31 +111,50 @@ def poly_roots_batch(rows, pencil=None, radii=None):
     by (real, imag), nan last and past each row's root count ``neff[i]``
     (0 for a constant row, -1 for an identically zero one).
 
-    Without ``pencil``, ``rows`` holds linear rows ``c0 + c1 Y``, shape
-    (N, 2) (a d = 1 level's ``(B, a_k)``).  A ``|c1|`` up to ``TRIM_TOL``
-    times the row's larger magnitude is noise and trimmed; the root is
-    ``-c0 / c1``, in a few whole-array operations.  When every row keeps
-    its degree (nan does not), the nan padding and the masked divide,
-    which would change nothing, are skipped.
+    ``pencil`` is the leading matrix A of the rows' ``B + Y A``:
 
-    With ``pencil``, the ``svd`` of a (d, d) matrix A, ``rows`` is a
-    stack B (N, d, d): the roots of ``det(B[i] + Y A)`` come from
-    ``pencil_roots``, which reads ``radii`` (N,) when A is rank-deficient.
+    - None: ``rows`` holds linear rows ``c0 + c1 Y``, shape (N, 2).  A
+      ``|c1|`` up to ``TRIM_TOL`` times the row's larger magnitude is
+      noise and trimmed; the root is ``-c0 / c1``, in a few whole-array
+      operations.  When every row keeps its degree (nan does not), the
+      nan padding and the masked divide, which would change nothing, are
+      skipped.
+    - A number a_k, a d = 1 level's: ``rows`` holds the constants c0 (N,)
+      of the rows ``c0 + a_k Y``, solved as the linear rows are, with no
+      (N, 2) array built.  Every row keeps its degree exactly when
+      ``|a_k|`` clears the floor of the largest ``|c0|``, one test (which
+      a nan fails); the roots are then ``-c0 / a_k``, the bits of the
+      linear rows' division.  Otherwise every row takes the masked path.
+    - The ``svd`` of a (d, d) matrix A: ``rows`` is a stack B (N, d, d),
+      and the roots of ``det(B[i] + Y A)`` come from ``pencil_roots``,
+      which reads ``radii`` (N,) when A is rank-deficient.
+
     Any other shape raises ``DimensionError``.  Every level's roots pass
     through here, as the benchmark's tracer measures them by this name.
     """
     rows = np.asarray(rows, np.complex128)
-    if pencil is not None:
+    if isinstance(pencil, SvdResult):
         d = pencil.s.size
         if rows.ndim != 3 or rows.shape[1:] != (d, d):
             raise DimensionError(f"pencil rows must be (N, {d}, {d}), got "
                                  f"shape {rows.shape}")
         return pencil_roots(rows, pencil, radii)
-    if rows.ndim != 2 or rows.shape[1] != 2:
-        raise DimensionError(f"linear rows must be (N, 2), got shape "
-                             f"{rows.shape}")
-    N, c0, c1 = rows.shape[0], rows[:, 0], rows[:, 1]
-    m0, m1 = np.abs(c0), np.abs(c1)
+    if pencil is None:
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise DimensionError(f"linear rows must be (N, 2), got shape "
+                                 f"{rows.shape}")
+        c0, c1 = rows[:, 0], rows[:, 1]
+    else:
+        if rows.ndim != 1:
+            raise DimensionError(f"constants of a d = 1 level must be (N,), "
+                                 f"got shape {rows.shape}")
+        c0, c1 = rows, complex(pencil)
+    N, m0, m1 = c0.shape[0], np.abs(c0), abs(c1)
+    # one lead clears every row's floor when it clears the largest |c0|'s;
+    # that max comes first, so a nan in c0 fails the test
+    if pencil is not None and m1 > TRIM_TOL * max(m0.max(initial=0.0), m1,
+                                                  1e-300):
+        return (-c0 / c1)[:, None], np.ones(N, np.int64)
     floor = TRIM_TOL * np.maximum(np.maximum(m0, m1), 1e-300)
     one = m1 > floor
     if one.all():  # no row trims (nan does): no padding, no masks

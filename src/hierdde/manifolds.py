@@ -195,8 +195,7 @@ class GridSpec:
 
 
 def default_omega_bound(sys):
-    return (spectral_norm(sys.matrices[0])
-            + sum(spectral_norm(M) for M in sys.matrices[1:]) + 1.0)
+    return sys.norms[0] + sum(sys.norms[1:]) + 1.0
 
 
 def strong_spectrum(sys):
@@ -228,25 +227,24 @@ class _Level:
     or one-point axes, as a ``ManifoldTable``.  Heights come only from
     ``gammas``; nan there marks a missing branch.
 
-    ``plain`` reads it from the system (J = I), ``tilde`` from ladder level
-    k+1 (the projected J1 and A_proj).  ``A`` is the ``svd`` of Ak, the
-    one its roots are taken in; ``smin`` and ``dk`` are the smallest kept
-    singular value and the rank of Ak; ``J_norm`` is the spectral norm of
-    J and ``norm_sum`` the sum of those of A0..A(k-1).
+    ``plain`` reads it from the system (J = I) and the system's cached
+    ``norms`` and ``svds``, ``tilde`` from ladder level k+1 (the projected
+    J1 and A_proj), whose norms and SVD it takes.  ``A`` is the ``svd`` of
+    Ak, the one its roots are taken in; ``smin`` and ``dk`` are the
+    smallest kept singular value and the rank of Ak; ``J_norm`` is the
+    spectral norm of J and ``norm_sum`` the sum of those of A0..A(k-1),
+    both read from the constructor's ``norms`` (J's first).
     """
 
-    def __init__(self, k, sigma, J, mats):
-        if not 1 <= k <= len(sigma):
-            raise ConfigError(f"scale k must be in 1..{len(sigma)}, got {k}")
+    def __init__(self, k, sigma, J, mats, A, norms):
         self.k, self.sigma, self.sigma_k, self.J = k, sigma, sigma[k - 1], J
         self.A_list = [mats[j] for j in range(k)]
         self.Ak = mats[k]
-        self.A = svd(self.Ak)
-        s = self.A.s
-        self.dk = numerical_rank(s)
-        self.smin = float(s[self.dk - 1]) if self.dk else 0.0
-        self.J_norm = spectral_norm(J)
-        self.norm_sum = sum(spectral_norm(M) for M in self.A_list)
+        self.A = A
+        self.dk = numerical_rank(A.s)
+        self.smin = float(A.s[self.dk - 1]) if self.dk else 0.0
+        self.J_norm = norms[0]
+        self.norm_sum = sum(norms[1:])
         # what ``B`` multiplies its factors by, and how it broadcasts
         # them: the scalar entries for d = 1, the matrices beyond
         if J.shape[0] == 1:
@@ -254,15 +252,24 @@ class _Level:
         else:
             self._terms = J, self.A_list, np.s_[..., None, None]
 
+    @staticmethod
+    def _check_scale(k, n):
+        if not 1 <= k <= n:
+            raise ConfigError(f"scale k must be in 1..{n}, got {k}")
+
     @classmethod
     def plain(cls, sys, k):
+        cls._check_scale(k, sys.n)
+        # J = I, whose spectral norm is exactly 1.0
         return cls(k, sys.sigma, np.eye(sys.d, dtype=np.complex128),
-                   sys.matrices)
+                   sys.matrices, sys.svds[k], (1.0, *sys.norms[:k]))
 
     @classmethod
     def tilde(cls, ladder, k):
         lev = ladder.level(k + 1)
-        return cls(k, ladder.sigma, lev.J1, lev.A_proj)
+        cls._check_scale(k, len(ladder.sigma))
+        return cls(k, ladder.sigma, lev.J1, lev.A_proj, svd(lev.A_proj[k]),
+                   [spectral_norm(M) for M in (lev.J1, *lev.A_proj[:k])])
 
     def B(self, coords):
         """Stacked B = -i omega J + A0 + sum_j Aj exp(-i sigma_j phi_j),
@@ -327,13 +334,11 @@ class _Level:
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def _solve(self, B, radii):
-        """``poly_roots_batch`` on one chunk's stack B: the linear rows
-        (B, a_k) for d = 1, the stack and the pencil of Ak beyond."""
+        """``poly_roots_batch`` on one chunk's stack B: its column and the
+        number a_k for d = 1, the stack and the pencil of Ak beyond."""
         if self.J.shape[0] > 1:
             return poly_roots_batch(B, self.A, radii)
-        rows = np.empty((B.shape[0], 2), np.complex128)
-        rows[:, 0], rows[:, 1] = B[:, 0, 0], self.Ak[0, 0]
-        return poly_roots_batch(rows)
+        return poly_roots_batch(B[:, 0, 0], self.Ak[0, 0])
 
     def gammas(self, coords):
         """Roots and heights at the rows of ``coords`` (see ``B``): (roots,
@@ -386,8 +391,9 @@ class _Level:
         if self.dk and neff.size and np.all(neff < 0):
             raise TrivialityError(f"scale-{self.k} polynomial vanishes "
                                   f"identically")
+        keep = neff >= 0
         return ManifoldTable(self, tuple(axes), roots, gammas,
-                             np.flatnonzero(neff >= 0))
+                             None if keep.all() else np.flatnonzero(keep))
 
 
 def _row_omegas(coords):
@@ -633,7 +639,9 @@ class ManifoldTable(Sequence):
     (omega, phi_1..phi_{k-1}).  ``roots`` and ``gammas`` are its
     ``_Level.gammas`` at every lattice point, flattened omega-major; nan
     marks a missing branch.  ``rows`` is the lattice index of each kept
-    point, one not identically zero.
+    point, one not identically zero, or None when every point is kept,
+    which then holds no index: ``_index`` gives a run's indices, and
+    ``_branches`` reads a slice.
 
     As a sequence it holds the ManifoldSamples of the kept points, ordered
     by (point, branch); a sample object is built only when one is read.
@@ -653,8 +661,11 @@ class ManifoldTable(Sequence):
     k = property(lambda self: self.level.k)
     dk = property(lambda self: self.level.dk)
 
+    kept = property(lambda self: len(self.gammas) if self.rows is None
+                    else self.rows.size)
+
     def __len__(self):
-        return self.rows.size * self.dk
+        return self.kept * self.dk
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -667,8 +678,14 @@ class ManifoldTable(Sequence):
         return self._samples(p, p + 1)[b]
 
     def __iter__(self):
-        for lo in range(0, self.rows.size, _CHUNK_POINTS):
+        for lo in range(0, self.kept, _CHUNK_POINTS):
             yield from self._samples(lo, lo + _CHUNK_POINTS)
+
+    def _index(self, lo, hi):
+        """The lattice indices of kept points lo..hi-1."""
+        if self.rows is None:
+            return np.arange(lo, min(hi, self.kept))
+        return self.rows[lo:hi]
 
     def _coords(self, index, axes):
         """Per-axis coordinates of the lattice points ``index`` (lattice
@@ -682,14 +699,14 @@ class ManifoldTable(Sequence):
         (point, branch) order: kind 0 for a finite gamma, 1 for a zero root
         (+inf), 2 for a missing branch (nan height, gamma -inf, Y nan);
         gamma as a list, Y as an array."""
-        rows = self.rows[lo:hi]
+        rows = slice(lo, hi) if self.rows is None else self.rows[lo:hi]
         g = self.gammas[rows].reshape(-1)
         kind = np.where(np.isnan(g), 2, g == math.inf)
         gamma = np.where(kind == 2, -math.inf, g)
         return kind, gamma.tolist(), self.roots[rows].reshape(-1)
 
     def _samples(self, lo, hi):
-        omegas, *phis = self._coords(self.rows[lo:hi],
+        omegas, *phis = self._coords(self._index(lo, hi),
                                      [ax.tolist() for ax in self.axes])
         points = [PhasePoint(omega=om, phi=tuple(ph))
                   for om, *ph in zip(omegas, *phis)]

@@ -22,12 +22,13 @@ same one-sided way.
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _backend
 from .errors import ConfigError, DimensionError, EvaluationRangeError
-from .linalg import as_square
+from .linalg import as_square, spectral_norm, svd
 
 __all__ = [
     "EXP_ARG_LIMIT",
@@ -47,7 +48,10 @@ class DelaySystem:
 
     ``matrices`` holds the instantaneous matrix first, then one matrix per
     delay scale; ``sigma`` holds the base delay of each scale.  ``d`` and
-    ``n`` are derived and kept as fields for convenience.
+    ``n`` are derived and kept as fields for convenience.  ``norms`` and
+    ``svds``, the spectral norm and the ``svd`` of each matrix, are taken
+    on first use and then kept: every level, omega bound and ladder of
+    the system reads them.
     """
 
     matrices: tuple
@@ -89,6 +93,21 @@ class DelaySystem:
             sigma = (1.0,) * len(coeffs)
         return cls(matrices=tuple([[[a]]] + [[[c]] for c in coeffs]),
                    sigma=tuple(sigma))
+
+    @cached_property
+    def norms(self):
+        """``spectral_norm`` of each matrix: the singular values alone,
+        which for d >= 2 need not equal the bits of the full SVD's."""
+        return tuple(spectral_norm(M) for M in self.matrices)
+
+    @cached_property
+    def svds(self):
+        """``svd`` of each matrix, its arrays read-only."""
+        out = tuple(svd(M) for M in self.matrices)
+        for res in out:
+            for a in (res.U, res.s, res.Vh):
+                a.flags.writeable = False
+        return out
 
     def stacked(self):
         """(n+1, d, d) contiguous copy for the batch kernels."""

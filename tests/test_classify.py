@@ -7,6 +7,7 @@ import math
 import pathlib
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,8 +221,14 @@ def test_polish_takes_the_newton_step_of_a_quadratic(N):
         D = X - xmin
         return 2.0 + np.einsum("mi,ij,mj->m", D, A, D)
 
+    # four seeds of this one minimum, each polished alone: in one call
+    # the best seed's box takes in the others and they merge into it
     x0 = xmin + rng.uniform(-0.1, 0.1, (4, N)) * spacings
-    res = minimize(quad, x0, spacings)
+    runs = [minimize(quad, x[None], spacings) for x in x0]
+    res = SimpleNamespace(x=np.concatenate([r.x for r in runs]),
+                          fun=np.concatenate([r.fun for r in runs]),
+                          nfev=sum(r.nfev for r in runs),
+                          capped=sum(r.capped for r in runs))
     assert res.capped == 0 and res.x.shape == (4, N)
     assert np.abs(res.x - xmin).max() < 1e-12
     assert np.all(res.fun == quad(res.x))
@@ -230,6 +237,31 @@ def test_polish_takes_the_newton_step_of_a_quadratic(N):
     # within _FLAT ulps of 2 and the seed stops; a stiffer A takes a round
     # more
     assert 9 <= res.nfev / (4 * 3 ** N) <= 10
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_seeds_on_one_ridge_merge_and_seeds_apart_do_not(N):
+    # a double well in x_0, a bowl in the rest: two seeds on one well
+    # meet inside the better one's box and polish as one seed, which
+    # takes the path it takes alone; seeds on the two wells both polish,
+    # each as it does alone
+    def wells(X):
+        return (X[:, 0] ** 2 - 1.0) ** 2 + (X[:, 1:] ** 2).sum(axis=1)
+
+    spacings = np.full(N, 0.1)
+    for x0, merged in (([0.99, 1.012], 1), ([-0.99, 1.012], 0)):
+        seeds = np.zeros((2, N))
+        seeds[:, 0] = x0
+        res = minimize(wells, seeds, spacings)
+        alone = [minimize(wells, x[None], spacings) for x in seeds]
+        assert res.merged == merged and res.capped == 0
+        kept = range(2) if not merged else [int(np.argmin(res.fun))]
+        for i in kept:
+            assert res.x[i].tobytes() == alone[i].x[0].tobytes()
+            assert res.fun[i] == alone[i].fun[0]
+        total = sum(r.nfev for r in alone)
+        assert res.nfev == total if not merged else res.nfev < total
+        assert np.abs(np.abs(res.x[list(kept), 0]) - 1.0).max() < 1e-9
 
 
 def test_polish_falls_back_to_pattern_moves_at_a_kink():
@@ -273,6 +305,22 @@ def test_capped_seeds_are_logged_at_debug(monkeypatch, caplog):
     # one seed per lattice peak, this lattice's five best of them
     assert len(x0) == 5
     assert (f"{len(x0)} of {len(x0)} seeds stopped on the round cap of 2"
+            in rec.getMessage())
+
+
+def test_merged_seeds_are_counted_in_the_debug_record(monkeypatch, caplog):
+    # the record beside the round cap's counts the seeds merged into a
+    # better one, in its message and as extra fields
+    sys_ = _classify_random_systems(1)[0]
+    fun, x0, spacings = _captured_refinement(sys_, 2, monkeypatch)
+    res = minimize(fun, x0, spacings)
+    assert res.merged > 0 and res.capped == 0
+    with caplog.at_level(logging.DEBUG, logger="hierdde"):
+        h.sup_gamma(sys_, 2)
+    (rec,) = [r for r in caplog.records if "merged" in r.getMessage()]
+    assert rec.name == "hierdde" and rec.levelno == logging.DEBUG
+    assert (rec.seeds, rec.merged, rec.capped) == (len(x0), res.merged, 0)
+    assert (f"{res.merged} of {len(x0)} seeds merged into a better seed"
             in rec.getMessage())
 
 
@@ -373,26 +421,28 @@ def _classify_random_systems(seed):
     return [h.DelaySystem.scalar(p.a, (p.b, p.c)) for p in params]
 
 
-def _companion_roots(rows, *pencil):
-    """``poly_roots_batch`` with the roots of linear rows taken from their
-    1x1 companion matrices by LAPACK."""
-    roots, neff = linalg.poly_roots_batch(rows, *pencil)
-    one = np.nonzero(neff == 1)[0]
-    c = rows[one]
-    roots[one, 0] = np.linalg.eigvals((-c[:, 0] / c[:, 1])[:, None, None])[:, 0]
-    return roots, neff
-
-
 def test_classify_random_verdicts_bit_equal_with_companion_roots(monkeypatch):
     # the closed-form degree-1 root moves no supremum, argmax or
     # uncertainty by one bit
     systems = _classify_random_systems(1)
     assert len(systems) == 100
     fast = [h.classify(s, h.build_ladder(s)) for s in systems]
+    calls = []
+
+    def companion_roots(c0, lead):
+        # a d = 1 level's constants c0 and lead a_k, each kept degree's
+        # root taken from its 1x1 companion matrix by LAPACK
+        calls.append(c0.size)
+        roots, neff = linalg.poly_roots_batch(c0, lead)
+        one = np.nonzero(neff == 1)[0]
+        roots[one, 0] = np.linalg.eigvals(
+            (-c0[one] / lead)[:, None, None])[:, 0]
+        return roots, neff
+
     monkeypatch.setattr(sys.modules["hierdde.manifolds"], "poly_roots_batch",
-                        _companion_roots)
+                        companion_roots)
     ref = [h.classify(s, h.build_ladder(s)) for s in systems]
-    assert fast == ref
+    assert calls and fast == ref
 
 
 def _assert_closed_form(est, coefs, tol=1e-12):

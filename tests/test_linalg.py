@@ -425,3 +425,43 @@ def test_poly_roots_batch_degree_one_guard_is_the_masked_batch(width):
     assert check(rows[kept]).tolist() == [1] * len(kept)
     assert check(rows).tolist() == [1] * 5 + [0] * 3 + [-1] * 5
     check(rows[:0])
+
+
+def test_a_d1_lead_solves_as_its_linear_rows_bit_for_bit():
+    # a d = 1 level passes its constants c0 and its one lead a_k, with no
+    # (N, 2) rows built: the roots and degrees are those of the linear
+    # rows (c0, a_k), bit for bit, on the keep-all path and on the masked
+    # path (a lead trimmed by a larger c0, a nan in c0, a zero lead whose
+    # zero rows vanish identically), for each row alone and for none
+    rng = np.random.default_rng(707)
+    c0 = _cplx(rng, 400) * 10.0 ** rng.integers(-20, 8, 400)
+    c0[:4] = [0.0, -0.0, 3.0, 1e-305]
+    lead = 0.3 - 0.7j
+    floor = linalg.TRIM_TOL * 3.0  # the noise floor of a row led by 3
+    nan_c0 = c0.copy()
+    nan_c0[7] = np.nan
+
+    def check(c0, lead):
+        roots, neff = linalg.poly_roots_batch(c0, lead)
+        rows = np.column_stack([c0, np.full(c0.shape, lead)])
+        want_roots, want_neff = linalg.poly_roots_batch(rows)
+        for got, want in ((roots, want_roots), (neff, want_neff)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return neff
+
+    small = np.abs(c0) <= 3.0
+    for batch, a, kept in ((c0, lead, True), (c0[small], 1e-300, False),
+                           (c0[:3], np.nextafter(floor, 1.0), True),
+                           (c0[:3], floor, False), (nan_c0, lead, False),
+                           (c0, 0.0, False)):
+        neff = check(batch, a)
+        assert (neff == 1).all() == kept
+        for i in range(batch.size):
+            check(batch[i:i + 1], a)
+        check(batch[:0], a)
+    assert check(nan_c0, lead)[7] == -1
+    assert check(c0, 0.0)[:4].tolist() == [-1, -1, 0, 0]
+    with pytest.raises(DimensionError, match=r"^constants of a d = 1 level "
+                       r"must be \(N,\), got shape \(3, 2\)$"):
+        linalg.poly_roots_batch(np.zeros((3, 2)), 1.0)

@@ -107,6 +107,12 @@ def test_rotated_identically_zero_polynomial_is_refused():
 def test_manifold_grid_refuses_a_scale_out_of_range():
     with pytest.raises(ConfigError, match="^scale k must be in 1..2, got 0$"):
         h.manifold_grid(h.preset_system("fig3"), 0)
+    # so do the tilde manifolds, also where the ladder has level k+1 = 1
+    sys_ = _TABLE_CASES["tilde"][0]
+    ladder = h.build_ladder(sys_)
+    assert ladder.has_tilde(0)
+    with pytest.raises(ConfigError, match="^scale k must be in 1..2, got 0$"):
+        h.manifold_grid(sys_, 0, ladder=ladder)
 
 
 def _cplx(rng, *shape):
@@ -297,7 +303,7 @@ def test_lattice_is_its_points_bit_for_bit(d, k, grid):
     # value: its roots, heights and counts are those of its flattened
     # points, bit for bit, also where a phase axis has one value, and the
     # table holds them with the index of each point that is not
-    # identically zero
+    # identically zero, kept as an array only when some point is
     s = _three_scale_system(d)
     level = mf._Level.plain(s, k)
     axes = GridSpec(*grid, (-3.0, 3.0)).axes(s, k)
@@ -306,7 +312,8 @@ def test_lattice_is_its_points_bit_for_bit(d, k, grid):
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     table = level.lattice(axes)
-    for a, b in zip((table.roots, table.gammas, table.rows),
+    assert (table.rows is None) == bool(np.all(want[2] >= 0))
+    for a, b in zip((table.roots, table.gammas, table._index(0, table.kept)),
                     (want[0], want[1], np.flatnonzero(want[2] >= 0))):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

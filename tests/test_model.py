@@ -8,7 +8,9 @@ import scipy.optimize
 from scipy.special import lambertw
 
 import hierdde as h
+from hierdde import linalg
 from hierdde.errors import ConfigError, DimensionError, EvaluationRangeError
+from hierdde.manifolds import _Level
 
 
 def test_scalar_builder():
@@ -315,3 +317,31 @@ def test_save_load_file_round_trip(tmp_path):
 def test_system_from_dict_validates():
     with pytest.raises(ConfigError):
         h.system_from_dict({"d": 1, "n": 1, "sigma": [1.0]})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cached_norms_and_svds_are_each_matrix_s_bit_for_bit(d):
+    # the system takes each matrix's spectral norm and SVD once, on first
+    # use: the bits of spectral_norm and svd, kept read-only; the plain
+    # levels, the omega bound and the ladder read them, and the identity
+    # a plain level replaces J with has the norm 1.0 exactly
+    rng = np.random.default_rng(90 + d)
+    s = h.DelaySystem(tuple(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d))
+                            for _ in range(3)), (1.0, 1.7))
+    assert "norms" not in vars(s) and "svds" not in vars(s)
+    for M, norm, res in zip(s.matrices, s.norms, s.svds, strict=True):
+        assert norm == linalg.spectral_norm(M)
+        want = linalg.svd(M)
+        for got, ref in ((res.U, want.U), (res.s, want.s), (res.Vh, want.Vh)):
+            assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+    assert s.norms is s.norms and s.svds is s.svds
+    assert linalg.spectral_norm(np.eye(d, dtype=complex)) == 1.0
+    for k in (1, 2):
+        level = _Level.plain(s, k)
+        assert level.A is s.svds[k] and level.J_norm == 1.0
+        assert level.norm_sum == sum(linalg.spectral_norm(M)
+                                     for M in s.matrices[:k])
+    assert h.default_omega_bound(s) == (
+        linalg.spectral_norm(s.matrices[0])
+        + sum(linalg.spectral_norm(M) for M in s.matrices[1:]) + 1.0)

@@ -83,6 +83,15 @@ def test_only_the_level_evaluates_level_polynomials():
     assert _callers("pencil_roots") == ["linalg:poly_roots_batch"]
 
 
+def test_norms_are_taken_once_per_matrix():
+    # a system's levels, omega bound and ladder read its cached norms; a
+    # spectral norm is taken there, for a tilde level's projected
+    # matrices, which no system holds, and for the level-1 pencil's radius
+    assert sorted(_callers("spectral_norm")) == [
+        "degeneracy:strong_stable_spectrum", "manifolds:_Level.tilde",
+        "model:DelaySystem.norms"]
+
+
 def test_the_level_takes_one_coordinate_form():
     # points and lattices reach the level evaluator in one form, the
     # coordinate arrays (omega, phi_1, ..., phi_{k-1}) that broadcast
