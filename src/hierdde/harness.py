@@ -3,8 +3,12 @@
 The command line wraps the ``run_*`` functions here; tests drive them
 directly.  This module alone reads and writes files: config and system
 files are parsed here, and results become file text here.  A CSV float
-has 17 significant digits, a JSON float is json's repr with every infinity
-the string "inf" or "-inf", and every collection is sorted
+is ``"%.17g" % v``, and one vectorised kernel, ``_g17``, makes every such
+text (record columns, manifold heights and roots, axis coordinates and
+leading cells): exactly, for 1e-4 <= |v| < 1e17, by Dekker's
+two-product, fixed texts for +-0, +-inf and nan, and ``%`` itself for
+any other value.  A JSON float is json's repr with every infinity the
+string "inf" or "-inf", and every collection is sorted
 deterministically, so identical configs produce byte-identical files.
 Every written JSON file, a saved system included, is laid out as
 ``json.dumps(obj, indent=1, sort_keys=True)`` plus a newline.
@@ -18,9 +22,10 @@ process may run on at least 2 CPUs and no other Python thread is alive;
 otherwise, and when the child fails, the file is this process's alone.
 The bytes are the same either way.  Native threads, such as the BLAS
 pool that numpy starts at import, may be alive at the fork: the child
-only formats text by ``%`` from ``tolist`` and element-wise numpy,
-writes its file and ends in ``os._exit``, so it never calls into BLAS or
-waits on a lock that such a thread may hold.
+only formats text by ``%`` from ``tolist``, element-wise numpy (the
+kernel too: its arithmetic, table takes and ``bytes.translate``) and
+``os.write``, writes its file and ends in ``os._exit``, so it never calls
+into BLAS or waits on a lock that such a thread may hold.
 """
 
 import contextlib
@@ -261,14 +266,16 @@ def load_config(path):
 # it formats, a callable that returns its text).  ``_write_files`` lists
 # every chunk of a file before it formats any.
 
-# the values a file must format for a forked child to take half of them:
-# the fork, its waitpid and the copy-on-write faults after it cost 3-6 ms
-# on a 2-core VM, and half the formatting saves 0.2-0.4 us a value, so a
-# write broke even at 20,000-30,000 values of a validation and
-# 35,000-75,000 of a manifold grid; validate-dense's 55,400, forked as one
-# split of the two files that then both held its records, gained nothing
-# in the benchmark (see CHANGES.md)
-_FORK_VALUES = 100_000
+# the values a file must format for a forked child to take half of them.
+# With the CSV float kernel a value costs 0.25-0.35 us in-process, and on
+# a 2-core VM (11 alternating writes per size, one process per size) a
+# forked write broke even at 86,000-119,000 values of a validation and
+# 227,000-260,000 of a manifold grid: the fork, its waitpid, the
+# copy-on-write faults and a child that starts on the parent's CPU cost
+# as much as half the formatting saves.  At 100,000 the 130,000-value
+# manifold file of a scalar two-scale system on the default grid wrote
+# 27% slower forked than in-process (see CHANGES.md)
+_FORK_VALUES = 250_000
 
 
 def _text(chunks):
@@ -320,17 +327,22 @@ def _forked(path, chunks, j):
     """Write ``chunks`` to ``path``: the first ``j`` here, and the rest in
     a forked child, to ``path + ".part"``, which is appended here after
     the child exits and then removed; if the child fails, the rest is
-    formatted here.  Whether the child wrote its share."""
+    formatted here.  The values the child's ``_g17`` sent to %, passed
+    back through a pipe, or None when the child failed."""
     part = path + ".part"
+    r, w = os.pipe()
     pid = os.fork()
     if not pid:
         status = 1
         try:
+            start = _FALLBACK
             with open(part, "w", newline="") as fh:
                 fh.writelines(_text(chunks[j:]))
+            os.write(w, b"%d" % (_FALLBACK - start))
             status = 0
         finally:
             os._exit(status)
+    os.close(w)
     try:
         with open(path, "w", newline="") as fh:
             try:
@@ -341,12 +353,12 @@ def _forked(path, chunks, j):
                 fh.flush()
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
-            else:
-                fh.writelines(_text(chunks[j:]))
+                return int(os.read(r, 32))
+            fh.writelines(_text(chunks[j:]))
     finally:
+        os.close(r)
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)
-    return ok
 
 
 def _write_files(files):
@@ -358,25 +370,35 @@ def _write_files(files):
     written by this process alone.  Either way the bytes are those of
     writing every chunk in order.  One DEBUG record per file on logger
     ``hierdde`` gives the values each side formatted, or why the file was
-    written in-process.
+    written in-process, with the ``extra`` fields ``path``, ``values``,
+    ``here`` and ``child`` (the values each side formatted), ``why`` (None
+    when forked) and ``fallback`` (the values that ``_g17`` sent to %).
     """
     for path, chunks in files:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        start = _FALLBACK
         chunks = list(chunks)
         counts = [0 if isinstance(c, str) else c[0] for c in chunks]
         total, why = sum(counts), _in_process(counts)
+        j, sent = len(chunks), 0
         if why is None:
             j = _split(counts)
-            if _forked(path, chunks, j):
-                _log.debug("wrote %d values: %d formatted here, %d by a "
-                           "forked child", total, sum(counts[:j]),
-                           sum(counts[j:]))
-                continue
-            why = "the forked child failed"
+            sent = _forked(path, chunks, j)
+            if sent is None:
+                why, j, sent = "the forked child failed", len(chunks), 0
         else:
             with open(path, "w", newline="") as fh:
                 fh.writelines(_text(chunks))
-        _log.debug("wrote %d values in-process: %s", total, why)
+        here = sum(counts[:j])
+        fields = {"path": path, "values": total, "here": here,
+                  "child": total - here, "why": why,
+                  "fallback": _FALLBACK - start + sent}
+        if why:
+            _log.debug("wrote %d values in-process: %s", total, why,
+                       extra=fields)
+        else:
+            _log.debug("wrote %d values: %d formatted here, %d by a forked "
+                       "child", total, here, total - here, extra=fields)
 
 
 _JSON_WORDS = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
@@ -418,7 +440,7 @@ _JSON_KINDS = {float: _json_floats,
                int: lambda col: list(map(int.__repr__, col)),
                bool: lambda col: list(map(("false", "true").__getitem__, col)),
                type(None): lambda col: ["null"] * len(col)}
-_CSV_KINDS = {float: lambda col: list(map("%.17g".__mod__, col)),
+_CSV_KINDS = {float: lambda col: _g17(np.array(col)),
               int: _JSON_KINDS[int],
               bool: lambda col: list(map(("0", "1").__getitem__, col)),
               type(None): lambda col: [""] * len(col)}
@@ -442,32 +464,37 @@ def _chunked(n, width, fill):
         yield (hi - lo) * width, functools.partial(text, lo, hi)
 
 
-def _formatted(values, kinds, each, row):
+def _formatted(values, kinds, each, row, floats=None):
     """The text of ``row`` once per record, filled with the record's values
-    from one array per column of ``values``, as ``_chunked`` chunks.  A
-    chunk of a column becomes Python values by ``tolist`` (None where a
-    masked array is masked); its text comes in one pass from
-    ``kinds[kind]`` when those values are all of one kind, else value by
-    value from ``each``."""
+    from one array per column of ``values``, as ``_chunked`` chunks.  Given
+    ``floats``, a chunk's float arrays take their text from one call of it
+    over all of them.  A chunk of any other column becomes Python values by
+    ``tolist`` (None where a masked array is masked); its text comes in one
+    pass from ``kinds[kind]`` when those values are all of one kind, else
+    value by value from ``each``."""
     def fill(lo, hi):
-        cols = []
-        for col in values:
-            col = col[lo:hi].tolist()
-            kind = set(map(type, col))
-            one = kinds.get(kind.pop()) if len(kind) == 1 else None
-            cols.append(one(col) if one else list(map(each, col)))
-        return row * (hi - lo), cols
+        cols = [col[lo:hi] for col in values]
+        at = [j for j, col in enumerate(cols)
+              if floats and col.dtype.kind == "f"]
+        text = dict(zip(at, floats([cols[j] for j in at]) if at else ()))
+        for j, col in enumerate(cols):
+            if j not in text:
+                col = col.tolist()
+                kind = set(map(type, col))
+                one = kinds.get(kind.pop()) if len(kind) == 1 else None
+                text[j] = one(col) if one else list(map(each, col))
+        return row * (hi - lo), [text[j] for j in range(len(cols))]
 
     return _chunked(len(values[0]), len(values), fill)
 
 
-def _sample_chunks(table, fmts, axes, order):
+def _sample_chunks(table, fmts, axes, order, floats):
     """A ManifoldTable's samples as ``_chunked`` chunks of its kept
     lattice points.  Sample i of kind c (see ``ManifoldTable._branches``)
     and branch b takes the format ``fmts[c * dk + b]``, filled with its
     columns in ``order``.  The columns are the point's coordinate on each
     lattice axis, read from ``axes`` (its text, once per table), then
-    gamma, Y_re and Y_im."""
+    gamma, Y_re and Y_im, one list each from ``floats`` of their arrays."""
     dk = table.dk
     finite = "".join(fmts[:dk])
 
@@ -475,7 +502,7 @@ def _sample_chunks(table, fmts, axes, order):
         kind, gamma, Y = table._branches(lo, hi)
         cols = [c if dk == 1 else [v for v in c for _ in range(dk)]
                 for c in table._coords(table._index(lo, hi), axes)]
-        cols += [gamma, Y.real.tolist(), Y.imag.tolist()]
+        cols += floats([gamma, Y.real, Y.imag])
         if kind.any():
             codes = kind * dk + np.arange(kind.size) % dk
             template = "".join([fmts[c] for c in codes.tolist()])
@@ -555,18 +582,19 @@ def _manifold_json(table, depth):
     fmts = [f',{i1}{{{Y[c == 2]}{i2}"branch": {b},{i2}"gamma": {gamma[c]},'
             f'{point}' for c in range(3) for b in range(table.dk)]
     axes = [list(map(repr, ax.tolist())) for ax in table.axes]
-    yield from _json_list(_sample_chunks(table, fmts, axes,
-                                         (k + 1, k + 2, k, *range(k))),
-                          i1[:-1] + "]")
+    yield from _json_list(_sample_chunks(
+        table, fmts, axes, (k + 1, k + 2, k, *range(k)),
+        lambda cols: [c.tolist() for c in cols]), i1[:-1] + "]")
 
 
 def manifold_csv(tables, n):
     """CSV text of manifold tables, in chunks of whole lines.
 
     Columns: k, omega, phi_1..phi_{n-1} (blank beyond each sample's k-1),
-    branch, gamma, Y_re, Y_im, flags; floats at 17 significant digits;
+    branch, gamma, Y_re, Y_im, flags; floats as ``"%.17g"`` (``_g17``);
     flags is one of '', 'plus_inf', 'minus_inf'.  Each lattice coordinate
-    is formatted once per table.  A chunk of ``_CHUNK_RECORDS`` points is
+    is formatted once per table.  A chunk of ``_CHUNK_RECORDS`` points
+    takes its gamma, Y_re and Y_im texts from one ``_g17`` call, and is
     one ``%`` over a row template: one line format per kind and branch,
     where ``%.0s`` takes the values a kind leaves blank.
     """
@@ -579,11 +607,125 @@ def _manifold_csv(tables, n):
                    + ["branch", "gamma", "Y_re", "Y_im", "flags"]) + "\n"
     for t in tables:
         lead = "%d," % t.k + ",".join(["%s"] * t.k) + "," * (n - t.k)
-        tails = (",%.17g,%.17g,%.17g,\n", ",inf%.0s,%.17g,%.17g,plus_inf\n",
+        tails = (",%s,%s,%s,\n", ",inf%.0s,%s,%s,plus_inf\n",
                  ",-inf%.0s,%.0s,%.0s,minus_inf\n")
         fmts = [f"{lead},{b}{tail}" for tail in tails for b in range(t.dk)]
-        axes = [["%.17g" % v for v in ax.tolist()] for ax in t.axes]
-        yield from _sample_chunks(t, fmts, axes, range(t.k + 3))
+        axes = [_g17(ax) for ax in t.axes]
+        yield from _sample_chunks(t, fmts, axes, range(t.k + 3), _csv_floats)
+
+
+# ``_g17``: for 1e-4 <= |v| < 1e17 the 17 digits are N =
+# round-half-even(|v| * 10**(16 - E)), E the decimal exponent of the
+# rounded value, by which %g lays it out.  10**p is an exact double for p
+# <= 22, so Dekker's two-product splits |v| * 10**p exactly into hi + lo;
+# hi is an even integer there (N >= 1e16 > 2**53), so N = hi + rint(lo),
+# rounded half-even as CPython's correctly rounded dtoa rounds.  A value's
+# source row of 32 bytes holds "000" and its 17 digits (4-digit table
+# lookups), the bytes of _FIXED and its sign; its text fills a slot of
+# _SLOT bytes, gathered from the row by the layout of its E and last
+# nonzero digit, padded with NUL, which bytes.translate drops.  Values
+# outside the fast range are set to 1.0 before any arithmetic, so none
+# raises a floating-point warning.
+
+# "%04d" % i for i in 0..9999, as the four ASCII bytes of one uint32
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                                indexing="ij"), -1).view(np.uint32).ravel()
+_POW10 = 10.0 ** np.arange(21)
+_FIXED = np.frombuffer(b".0infa\0,", np.uint32)  # source bytes 20..27
+_SLOT = 24  # a sign, "0.000" and 17 digits, and the "," that ends it
+_BLOCK = 1024  # values gathered at once, so the byte index stays small
+_ROWS = 32 * np.arange(_BLOCK)[:, None]  # the offset of each source row
+
+
+def _layouts(digits="ABCDEFGHIJKLMNOPQ"):
+    """The source byte of each slot byte, one row per layout: (E + 4) * 17
+    + L for an exponent E in -4..16 and last nonzero digit L, then 0, inf,
+    nan and blank.  A layout is spelled in ``digits`` for the digits and
+    "-" for the sign (NUL for a positive value)."""
+    rows = ["-" + digits[:E + 1] + ("." + digits[E + 1:L + 1]) * (L > E)
+            if E >= 0 else "-0." + "0" * (-E - 1) + digits[:L + 1]
+            for E in range(-4, 17) for L in range(17)]
+    text = "".join(r.ljust(_SLOT - 1, "\0") + ","
+                   for r in rows + ["-0", "-inf", "nan", ""])
+    at = {ord(c): i for i, c in enumerate("   " + digits + ".0infa\0,-")}
+    return np.frombuffer(text.translate(at).encode("latin-1"),
+                         np.uint8).reshape(-1, _SLOT).astype(np.intp)
+
+
+_LAYOUTS = _layouts()
+_ZERO, _INF, _NAN, _BLANK = range(21 * 17, 21 * 17 + 4)  # fixed layouts
+_FALLBACK = 0  # the values ``_g17`` has sent to % in this process
+
+
+def _halves(v):
+    """Veltkamp's split of doubles v into halves of at most 26 bits."""
+    c = v * 134217729.0  # 2**27 + 1
+    h = c - (c - v)
+    return h, v - h
+
+
+def _scaled(a, E):
+    """round-half-even(a * 10**(16 - E)) as int64, exactly where it is at
+    least 2**53: Dekker's two-product gives the rounding error lo of hi."""
+    p = _POW10[16 - E]
+    hi = a * p
+    (ah, al), (ph, pl) = _halves(a), _halves(p)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17(x, blank=False):
+    """``"%.17g" % v`` for each value of the float array ``x``, as a list
+    of str, with "" where the boolean array ``blank`` is set."""
+    global _FALLBACK
+    x = np.ravel(x).astype(np.float64, copy=False)
+    slots, slow = _slots(x, blank)
+    text = slots.translate(None, b"\0").decode().split(",")[:-1]
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        text[i] = "%.17g" % v
+    _FALLBACK += slow.size
+    return text
+
+
+def _slots(x, blank):
+    """The slots of ``_g17``'s values as bytes, and the indices of the
+    values it formats by % (its arrays are freed before the text is
+    made)."""
+    fast = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)
+    a = np.where(fast, np.abs(x), 1.0)
+    E = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    N = _scaled(a, E)
+    # floor(log10) may miss by one, and N may round up to 10**17
+    off = (N >= 10 ** 17).astype(np.int64) - (N < 10 ** 16)
+    fix = np.flatnonzero(off)
+    E[fix] += off[fix]
+    N[fix] = _scaled(a[fix], E[fix])
+    top, low = np.divmod(N, 10 ** 8)
+    src = np.empty((x.size, 8), np.uint32)
+    for j, g in enumerate((top // 10 ** 8, top // 10 ** 4 % 10 ** 4,
+                           top % 10 ** 4, low // 10 ** 4, low % 10 ** 4)):
+        src[:, j] = _DIGITS4.take(g)
+    src[:, 5:7] = _FIXED
+    src = src.view(np.uint8)
+    src[:, 28] = np.where(np.signbit(x) & ~np.isnan(x), 45, 0)  # "-"
+    code = (E + 4) * 17 + 16 - np.argmax(src[:, 19:2:-1] != 48, axis=1)
+    code = np.select([blank, x == 0, np.isinf(x), np.isnan(x)],
+                     [_BLANK, _ZERO, _INF, _NAN], code)
+    slots = np.empty((x.size, _SLOT), np.uint8)
+    for lo in range(0, x.size, _BLOCK):
+        c = code[lo:lo + _BLOCK]
+        slots[lo:lo + c.size] = src[lo:lo + c.size].ravel().take(
+            _LAYOUTS.take(c, 0) + _ROWS[:c.size])
+    return slots.tobytes(), np.flatnonzero(~fast & (code < _ZERO))
+
+
+def _csv_floats(cols):
+    """The CSV text of equal-length float columns (masked entries blank),
+    one list per column, from one ``_g17`` call over them stacked."""
+    m = len(cols[0])
+    text = _g17(np.concatenate([np.ma.getdata(c) for c in cols]),
+                np.concatenate([np.ma.getmaskarray(c) for c in cols]))
+    return [text[i * m:(i + 1) * m] for i in range(len(cols))]
 
 
 def _cell(v):
@@ -591,7 +733,7 @@ def _cell(v):
     "inf" or "-inf"), blank for None, 1/0 for a flag, a whole number or a
     string as is."""
     if isinstance(v, float):
-        return "%.17g" % v
+        return _g17(np.array([v]))[0]
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -610,7 +752,7 @@ def _csv_text(columns, groups):
     for lead, values in groups:
         line = ",".join([_cell(v) for v in lead]
                         + ["%s"] * (len(columns) - len(lead))) + "\n"
-        yield from _formatted(values, _CSV_KINDS, _cell, line)
+        yield from _formatted(values, _CSV_KINDS, _cell, line, _csv_floats)
 
 
 # ---------------------------------------------------------------------------

@@ -697,13 +697,13 @@ class ManifoldTable(Sequence):
     def _branches(self, lo, hi):
         """(kind, gamma, Y) of the samples of kept points lo..hi-1, in
         (point, branch) order: kind 0 for a finite gamma, 1 for a zero root
-        (+inf), 2 for a missing branch (nan height, gamma -inf, Y nan);
-        gamma as a list, Y as an array."""
+        (+inf), 2 for a missing branch (nan height, gamma -inf, Y nan),
+        as arrays."""
         rows = slice(lo, hi) if self.rows is None else self.rows[lo:hi]
         g = self.gammas[rows].reshape(-1)
         kind = np.where(np.isnan(g), 2, g == math.inf)
         gamma = np.where(kind == 2, -math.inf, g)
-        return kind, gamma.tolist(), self.roots[rows].reshape(-1)
+        return kind, gamma, self.roots[rows].reshape(-1)
 
     def _samples(self, lo, hi):
         omegas, *phis = self._coords(self._index(lo, hi),
@@ -712,7 +712,7 @@ class ManifoldTable(Sequence):
                   for om, *ph in zip(omegas, *phis)]
         kind, gamma, Y = self._branches(lo, hi)
         out = []
-        for i, (kd, gam, y) in enumerate(zip(kind.tolist(), gamma,
+        for i, (kd, gam, y) in enumerate(zip(kind.tolist(), gamma.tolist(),
                                              Y.tolist())):
             p, b = divmod(i, self.dk)
             point = points[p]

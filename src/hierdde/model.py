@@ -21,6 +21,7 @@ same one-sided way.
 """
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,16 +43,41 @@ __all__ = [
 EXP_ARG_LIMIT = 700.0  # |Re lam| * delay beyond this would overflow exp
 
 
+class _OnRead(Sequence):
+    """A sequence of ``n`` items, item i ``make(i)``, made on its first
+    read and then kept."""
+
+    def __init__(self, make, n):
+        self._make, self._items = make, [None] * n
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if self._items[i] is None:
+            self._items[i] = self._make(i)
+        return self._items[i]
+
+
+def _read_only(res):
+    """An ``svd`` result whose arrays are read-only."""
+    for a in (res.U, res.s, res.Vh):
+        a.flags.writeable = False
+    return res
+
+
 @dataclass(frozen=True, eq=False)
 class DelaySystem:
     """Immutable system data: coefficient matrices and base delays.
 
     ``matrices`` holds the instantaneous matrix first, then one matrix per
     delay scale; ``sigma`` holds the base delay of each scale.  ``d`` and
-    ``n`` are derived and kept as fields for convenience.  ``norms`` and
-    ``svds``, the spectral norm and the ``svd`` of each matrix, are taken
-    on first use and then kept: every level, omega bound and ladder of
-    the system reads them.
+    ``n`` are derived and kept as fields for convenience.  ``norms``, the
+    spectral norm of each matrix, are taken on first use, and ``svds``,
+    the ``svd`` of each, one matrix at a time on its first read; both are
+    then kept: every level, omega bound and ladder of the system reads
+    them.
     """
 
     matrices: tuple
@@ -102,12 +128,10 @@ class DelaySystem:
 
     @cached_property
     def svds(self):
-        """``svd`` of each matrix, its arrays read-only."""
-        out = tuple(svd(M) for M in self.matrices)
-        for res in out:
-            for a in (res.U, res.s, res.Vh):
-                a.flags.writeable = False
-        return out
+        """``svd`` of each matrix, its arrays read-only, each taken on its
+        first read (no level reads A0's)."""
+        mats = self.matrices  # not self: the system holds the sequence
+        return _OnRead(lambda k: _read_only(svd(mats[k])), len(mats))
 
     def stacked(self):
         """(n+1, d, d) contiguous copy for the batch kernels."""

@@ -495,6 +495,109 @@ def test_record_writers_across_chunk_boundaries(size):
     assert got.split("\n") == lines + [""]
 
 
+# --- CSV float text: one kernel, checked against % -------------------------
+
+def _kernel_values():
+    """About 1M doubles of every kind the kernel must format: normals,
+    uniforms, magnitudes from 1e-5 to 1e17 (past both ends of the fast
+    range), raw bit patterns, odd/8 (ties at the 17th digit), the doubles
+    at and next to each decade, subnormals, +-0, +-inf and nan."""
+    rng = np.random.default_rng(2024)
+    n = 200_000
+    decades = 10.0 ** np.arange(-6, 19)
+    decades = np.concatenate([decades, np.nextafter(decades, 0.0),
+                              np.nextafter(decades, np.inf)])
+    parts = [rng.standard_normal(n),
+             rng.uniform(-1.0, 1.0, n),
+             10.0 ** rng.uniform(-5.0, 17.0, n) * rng.choice([-1.0, 1.0], n),
+             rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+             (2.0 * rng.integers(0, 2 ** 52, n) + 1.0) / 8.0,
+             np.ldexp(rng.uniform(1.0, 2.0, n // 10),
+                      rng.integers(-1074, -1022, n // 10)),
+             np.concatenate([decades, -decades]),
+             np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                       5e-324, 1e-4, 9.9999999999999991e-5, 1e17,
+                       99999999999999984.0])]
+    return np.concatenate(parts)
+
+
+def test_csv_float_kernel_equals_percent_g17():
+    # every value's text is "%.17g" % v, blank where asked; ties at the
+    # 17th digit round half to even, as CPython's dtoa does (many of the
+    # odd/8 values are such ties), and the decade edges need the
+    # exponent that the rounded value has, not floor(log10(v))
+    x = _kernel_values()
+    assert x.size >= 1_000_000
+    want = list(map("%.17g".__mod__, x.tolist()))
+    before = harness._FALLBACK
+    assert harness._g17(x) == want
+    sent = harness._FALLBACK - before
+    fast = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)
+    special = (x == 0) | ~np.isfinite(x)
+    assert sent == int((~fast & ~special).sum()) > 0
+    blank = np.random.default_rng(3).random(x.size) < 0.1
+    got = harness._g17(x, blank)
+    assert got == ["" if b else w for w, b in zip(want, blank.tolist())]
+    assert harness._g17(np.empty(0)) == []
+    # an odd/8 in [1e14, 1e15) has 18 digits, the last a 5: a tie
+    ties = x[4 * 200_000:5 * 200_000]
+    assert ((ties >= 1e14) & (ties < 1e15)).sum() > 100_000
+
+
+def _csv_cells_reformat(path):
+    """The float cells of a CSV file, each of which must equal "%.17g" of
+    its value; asserts that they do."""
+    n = 0
+    with open(path) as fh:
+        for line in fh:
+            for cell in line.rstrip("\n").split(","):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    continue
+                assert cell == "%.17g" % v, (path, line)
+                n += 1
+    return n
+
+
+def test_written_csv_floats_are_percent_g17_of_their_values(tmp_path):
+    # an oracle independent of the writer: each cell of a written CSV file
+    # that parses as a float is "%.17g" of that float.  fig3's 21 MB
+    # manifolds.csv; manifold files with plus_inf and minus_inf rows;
+    # fig2-unstable's validate.csv at eps 0.05 and 0.02, whose runner-up
+    # cells are blank where a root has no second scale; and the spectrum
+    # of a d = 2 system whose roots are all double
+    fig3 = h.preset_config("fig3", out_dir=str(tmp_path / "fig3"))
+    (path,) = h.run_manifolds(fig3).paths
+    assert _csv_cells_reformat(path) > 1_000_000
+    flags = set()
+    for name, (A0, A1, omegas) in {
+            "plus": ([[1j, 0], [1, -1]], [[0, 1], [0, 0]], (0.0, 2.0)),
+            "minus": ([[0.3 + 0.1j, 0.2], [0.4, 0.7j]], np.diag([1.0, 0.0]),
+                      (-0.7, 0.7))}.items():
+        cfg = h.RunConfig(h.DelaySystem((np.array(A0), np.array(A1)), (1.0,)),
+                          (0.1,), grid=h.GridSpec(5, 1, omegas),
+                          out_dir=str(tmp_path / name))
+        (path,) = h.run_manifolds(cfg).paths
+        _csv_cells_reformat(path)
+        flags |= {line.rstrip("\n").rsplit(",", 1)[1] for line in open(path)}
+    assert {"plus_inf", "minus_inf"} <= flags
+    cfg = h.preset_config("fig2-unstable", (0.05, 0.02), str(tmp_path / "v"))
+    h.run_validate(cfg)
+    path = tmp_path / "v" / "validate.csv"
+    assert _csv_cells_reformat(path) > 20_000
+    assert ",,," in path.read_text()
+    double = h.DelaySystem(tuple(np.eye(2) * a
+                                 for a in (-0.4 + 0.5j, 0.1, 0.4)), (1.0, 1.0))
+    h.run_spectrum(h.RunConfig(double, (0.1,),
+                               h.Rectangle(-0.1, 0.1, -3.0, 3.0),
+                               out_dir=str(tmp_path / "d2")))
+    path = tmp_path / "d2" / "spectrum.csv"
+    assert _csv_cells_reformat(path) > 100
+    assert {line.split(",")[3] for line in path.read_text().splitlines()[1:]} \
+        == {"2"}
+
+
 # --- the writer: one per run, half of each large file in a forked child -----
 
 def _writer_messages(caplog):
@@ -743,6 +846,35 @@ def test_writer_stays_in_process(reason, tmp_path, monkeypatch, caplog):
     assert (tmp_path / "a" / "one.txt").read_text() == "[ab]"
     assert _writer_messages(caplog) == [f"wrote 20 values in-process: "
                                         f"{reason}"]
+
+
+def test_writer_record_carries_its_fields(tmp_path, monkeypatch, caplog):
+    # each file's DEBUG record keeps its message and carries the extra
+    # fields path, values, here, child, why and fallback: the values
+    # formatted by % because they lie outside the kernel's fast range
+    # (1e-300, 1e300, 7e-5 and 1e20; -0.0 has a fixed text), counted in
+    # the parent and, through its pipe, in the forked child
+    monkeypatch.setattr(harness, "_FORK_VALUES", 0)
+    monkeypatch.setattr(harness, "_CHUNK_RECORDS", 4)
+    x = np.array([1.5, 1e-300, 2.5, 1e300, -0.0, 3.5, 7e-5, 1e20])
+    path = str(tmp_path / "x.csv")
+    want = {"forked": (8, 4, 4, None, 4),
+            "in-process": (8, 8, 0, "one CPU", 4)}
+    for way, fields in want.items():
+        with monkeypatch.context() as m, \
+                caplog.at_level(logging.DEBUG, logger="hierdde"):
+            if way == "in-process":
+                m.setattr(harness, "_cpus", lambda: 1)
+            caplog.clear()
+            harness._write_files([(path, harness._csv_text(
+                ("eps", "x"), [((0.25,), (x,))]))])
+        (rec,) = [r for r in caplog.records
+                  if r.getMessage().startswith("wrote")]
+        assert (rec.path, rec.values, rec.here, rec.child, rec.why,
+                rec.fallback) == (path, *fields)
+        assert open(path).read() == "eps,x\n" + "".join(
+            f"0.25,{'%.17g' % v}\n" for v in x.tolist())
+    _no_child_left()
 
 
 def test_example_json_writes_infinite_sup_as_a_string(tmp_path):

@@ -345,3 +345,36 @@ def test_cached_norms_and_svds_are_each_matrix_s_bit_for_bit(d):
     assert h.default_omega_bound(s) == (
         linalg.spectral_norm(s.matrices[0])
         + sum(linalg.spectral_norm(M) for M in s.matrices[1:]) + 1.0)
+
+
+def test_each_svd_is_taken_on_its_first_read_and_a0_s_never(monkeypatch):
+    # the system takes a matrix's SVD when it is first read, once: a
+    # classification, the manifolds and a validation of a scalar, a d = 2
+    # and a d = 3 ladder system read those of the delay matrices alone, so
+    # A0's is never taken
+    from hierdde import model
+    taken = []
+    monkeypatch.setattr(model, "svd",
+                        lambda M: taken.append(M) or linalg.svd(M))
+    rng = np.random.default_rng(7)
+    ladder_sys = h.DelaySystem(
+        (np.diag([-1.0 + 0.3j, -0.5 + 1.0j, -0.7 - 0.4j]),
+         np.array([[0.3, 0.1, 0.0], [0.05, 0.25, 0.0], [0.0, 0.0, 0.0]]),
+         np.diag([0.2, 0.0, 0.0])), (1.0, 1.3))
+    systems = [h.DelaySystem.scalar(-0.4 + 0.5j, (0.1, 0.4)),
+               h.DelaySystem(tuple(0.3 * rng.standard_normal((2, 2))
+                                   for _ in range(3)), (1.0, 1.7)),
+               ladder_sys]
+    grid = h.GridSpec(omega_count=41, phase_count=8)
+    for s in systems:
+        h.classify(s, h.build_ladder(s), grid)
+        for k in range(1, s.n + 1):
+            h.manifold_grid(s, k, grid)
+        h.run_validate(h.RunConfig(s, (0.1,), h.Rectangle(-0.02, 0.02, -1, 1),
+                                   grid=grid), write=False)
+        mine = [M for M in taken if any(M is A for A in s.matrices)]
+        assert mine and not any(M is s.matrices[0] for M in mine)
+        assert len(mine) == len({id(M) for M in mine})
+        assert s.svds[2] is s.svds[2] and len(s.svds) == 3
+        with pytest.raises(IndexError):
+            s.svds[3]
